@@ -39,11 +39,7 @@ from .sections import (
     TangentKRep,
     Translate,
     TrivialKRep,
-    a_inner,
-    directional_deriv,
     equivariance_defect,
-    equivariant_project,
-    evaluate,
     l2_inner,
     lambda_deriv,
     translate,
@@ -63,7 +59,6 @@ from .bundles import (
 from .geometry import (
     ApplyConnection,
     Connection,
-    apply_connection,
     canonical_connection,
     canonical_derivative,
     fundamental_field,

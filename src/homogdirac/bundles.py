@@ -91,10 +91,6 @@ class InducedBundle:
             self._cache["krep"] = kr
         return kr
 
-    def subgroup_matrix(self, s) -> np.ndarray:
-        """The fiber representation of a subgroup element."""
-        return self.krep.matrix(s)
-
     def codomain(self) -> Codomain:
         return Codomain.vector(self.fiber_dim)
 

@@ -14,8 +14,13 @@ Three subcommands:
   (Euler angles followed by row-major real/imaginary entries).
 
 All randomness is drawn from the configured seed, so identical
-configurations produce byte-identical outputs.  ``HOMOG_DIRAC_THREADS``
-caps the number of worker threads used for independent spectral levels.
+configurations produce byte-identical outputs.  Every command runs in one
+thread; ``HOMOG_DIRAC_THREADS`` is accepted and ignored.
+
+Evaluation caches live no longer than the objects they serve: a command
+keeps the quadrature rule, and with it the rule's evaluation points, for
+its whole run, while the values cached there for a section graph go away
+with that graph.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,8 @@ from .bundles import frame_gram, monopole_bundle, projection_section
 from .sections import EvalPoints
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_spectrum", "run_monopole", "main"]
+
+_BUNDLES = ("clifford", "monopole", "tangent")
 
 
 @dataclass
@@ -56,6 +62,16 @@ class RunConfig:
     levels: int = 4
     tolerances: dict = field(default_factory=dict)
     output: str | None = None
+
+    def validate(self) -> "RunConfig":
+        """Reject out-of-range fields, naming the field; returns self."""
+        if self.bundle not in _BUNDLES:
+            raise ValueError(f"bundle must be one of {', '.join(_BUNDLES)}; got {self.bundle!r}")
+        for name, low in (("levels", 0), ("sample_count", 1),
+                          ("quadrature_bandwidth", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}; got {getattr(self, name)}")
+        return self
 
     def make_group(self) -> GroupModel:
         if os.path.exists(self.group):
@@ -127,7 +143,7 @@ def load_config(path: str) -> RunConfig:
 
 def run_verify(cfg: RunConfig) -> dict:
     """Execute the applicable invariant checks and build the report."""
-    group = cfg.make_group()
+    group = cfg.validate().make_group()
     rng = np.random.default_rng(cfg.seed)
     results = _checks.run_suite(cfg, group, rng)
     report = {
@@ -143,23 +159,17 @@ def run_verify(cfg: RunConfig) -> dict:
 
 def run_spectrum(cfg: RunConfig) -> list:
     """Rows (level, index, eigenvalue, asymmetry, closure) for the CSV output."""
-    group = cfg.make_group()
+    group = cfg.validate().make_group()
     if group.k_dim != 1:
         raise ValueError("spectrum blocks are cataloged for circle quotients")
     conn = cfg.make_connection(group)
     bandwidth = max(cfg.quadrature_bandwidth, 2 * cfg.levels + 2 * int(group.ad_bandwidth))
     rule = group.haar_rule(bandwidth)
-    threads = max(1, int(os.environ.get("HOMOG_DIRAC_THREADS", "1")))
-    levels = list(range(cfg.levels + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda lv: spectral_block(conn, lv, rule), levels))
-    else:
-        blocks = [spectral_block(conn, lv, rule) for lv in levels]
+    blocks = [spectral_block(conn, lv, rule) for lv in range(cfg.levels + 1)]
+    # one global leakage over every cross-level pair, reported on each row
+    closure = block_closure(blocks, rule, group) if len(blocks) > 1 else 0.0
     rows = []
     for b in blocks:
-        others = [o for o in blocks if o.level != b.level]
-        closure = block_closure([b] + others, rule, group) if others else 0.0
         for idx, ev in enumerate(np.sort(b.eigenvalues)):
             rows.append((b.level, idx, float(ev), b.asymmetry, closure))
     return rows
@@ -170,7 +180,7 @@ def run_spectrum(cfg: RunConfig) -> list:
 
 def run_monopole(cfg: RunConfig) -> tuple:
     """Header and rows of sampled projection/Gram matrices for a monopole bundle."""
-    group = cfg.make_group()
+    group = cfg.validate().make_group()
     bundle = monopole_bundle(group, cfg.charge,
                              cfg.level if cfg.level >= 0 else None)
     rng = np.random.default_rng(cfg.seed)

@@ -119,10 +119,6 @@ class CliffordAlgebra:
         """tau(a* . b); Hermitian in the first slot for complex coefficients."""
         return np.einsum("...k,...k->...", np.conj(a), np.asarray(b))
 
-    def grade_part(self, a: np.ndarray, k: int) -> np.ndarray:
-        mask = (self.grades == k).astype(float)
-        return np.asarray(a) * mask
-
     # -- operators on the algebra ------------------------------------------------
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
@@ -132,13 +128,6 @@ class CliffordAlgebra:
     def right_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of right multiplication b -> b . a in the subset basis."""
         return np.einsum("t,stk->ks", np.asarray(a), self._tensor)
-
-    def regular_rep_matrix(self, a: np.ndarray, side: str = "left") -> np.ndarray:
-        if side == "left":
-            return self.left_matrix(a)
-        if side == "right":
-            return self.right_matrix(a)
-        raise ValueError("side must be 'left' or 'right'")
 
     def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
         """The derivation extending a skew operator on the generator span.
@@ -160,9 +149,6 @@ class CliffordAlgebra:
 
     def derivation_stack(self, skews: np.ndarray) -> np.ndarray:
         return np.array([self.derivation_matrix(r) for r in skews])
-
-    def derive(self, skew: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return np.einsum("kt,...t->...k", self.derivation_matrix(skew), np.asarray(a))
 
     def orthogonal_extend(self, o: np.ndarray) -> np.ndarray:
         """Algebra automorphism matrix extending an isometry of the generator span.

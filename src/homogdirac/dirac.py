@@ -18,6 +18,7 @@ lower-bound estimator driven by gradient sup norms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +75,15 @@ _CRITERION_TOL = 1e-8
 
 
 def spinor_algebra(group: GroupModel) -> CliffordAlgebra:
-    """The Clifford algebra over the tangent complement, cached on the group."""
-    alg = getattr(group, "_spinor_algebra", None)
-    if alg is None:
-        alg = CliffordAlgebra(group.m_dim)
-        group._spinor_algebra = alg
-    return alg
+    """The Clifford algebra over the tangent complement."""
+    return _clifford_algebra(group.m_dim)
+
+
+@functools.cache
+def _clifford_algebra(p: int) -> CliffordAlgebra:
+    # depends on the generator count alone, so one algebra serves every
+    # group of that tangent dimension
+    return CliffordAlgebra(p)
 
 
 def hodge_dirac(connection: Connection, phi: Section,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cliffordalg import CliffordAlgebra
-from .groups import GroupModel
+from .groups import GroupModel, Memo
 from .sections import (
     AInner,
     DerivativeOrderError,
@@ -46,7 +46,6 @@ __all__ = [
     "fundamental_field",
     "tangent_frame",
     "canonical_derivative",
-    "apply_connection",
     "torsion_pair",
     "torsion",
     "torsion_trace",
@@ -85,7 +84,7 @@ class Connection:
             1.0, float(np.linalg.norm(self.gamma)))
         self._fiber_krep = fiber_krep if fiber_krep is not None else TangentKRep(group)
         self._check_equivariance()
-        self._derivation_stacks: dict = {}
+        self._derivation_stacks = Memo()
         self._torsion_pairs: dict = {}
 
     def _check_equivariance(self) -> None:
@@ -110,16 +109,14 @@ class Connection:
 
     def derivation_stack(self, algebra: CliffordAlgebra) -> np.ndarray:
         """Derivation matrices extending each gamma(u_a) to the Clifford algebra."""
-        hit = self._derivation_stacks.get(id(algebra))
+        hit = self._derivation_stacks.lookup(algebra)
         if hit is not None:
-            return hit[1]
+            return hit
         if not self.is_compatible:
             raise ValueError("only skew-valued corrections extend to the Clifford bundle")
         if self.fiber_dim != self.group.m_dim:
             raise ValueError("Clifford extension needs a tangent-bundle connection")
-        stack = algebra.derivation_stack(self.gamma.real)
-        self._derivation_stacks[id(algebra)] = (algebra, stack)
-        return stack
+        return self._derivation_stacks.put(algebra, algebra.derivation_stack(self.gamma.real))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Connection({self.name}, canonical={self.is_canonical})"
@@ -154,15 +151,14 @@ def tangent_frame(group: GroupModel, basis: np.ndarray | None = None) -> list:
     """Fundamental fields of an orthonormal algebra basis; a module frame.
 
     With no basis given, the group's own orthonormal basis is used (in
-    declared order) and the frame is cached on the group's quadrature
-    cache, so shared subgraphs are evaluated once.
+    declared order) and the frame is kept on the group for its lifetime,
+    so shared subgraphs are evaluated once.
     """
     if basis is None:
-        cache = getattr(group, "_frame_cache", None)
-        if cache is None:
-            cache = [FundamentalField(group, np.eye(group.dim)[j]) for j in range(group.dim)]
-            group._frame_cache = cache
-        return cache
+        if group.frame_cache is None:
+            group.frame_cache = [FundamentalField(group, np.eye(group.dim)[j])
+                                 for j in range(group.dim)]
+        return group.frame_cache
     basis = np.asarray(basis, dtype=float)
     if np.linalg.norm(basis @ basis.T - np.eye(group.dim)) > 1e-10:
         raise ValueError("frame basis must be orthonormal")
@@ -224,21 +220,9 @@ class ApplyConnection(Section):
         raise DerivativeOrderError("covariant derivatives are exact to first order only")
 
 
-def apply_connection(connection: Connection, direction: Section, target: Section,
-                     algebra: CliffordAlgebra | None = None) -> Section:
-    node = ApplyConnection(connection, direction, target)
-    if algebra is not None:
-        node.set_algebra(algebra)
-    return node
-
-
 def canonical_derivative(group: GroupModel, direction: Section, target: Section) -> Section:
     """The canonical covariant derivative (zero correction) along a direction field."""
-    cache = getattr(group, "_canonical_conn", None)
-    if cache is None:
-        cache = canonical_connection(group)
-        group._canonical_conn = cache
-    return ApplyConnection(cache, direction, target)
+    return ApplyConnection(canonical_connection(group), direction, target)
 
 
 def torsion_pair(connection: Connection, i: int, j: int) -> Section:

@@ -20,11 +20,13 @@ the induced inner product that defines the invariant metric on G/K.
 from __future__ import annotations
 
 import configparser
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "Memo",
     "GroupElement",
     "QuadratureRule",
     "GroupModel",
@@ -36,27 +38,59 @@ _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
 
 
+class Memo(dict):
+    """Values cached per key object, each dropped when its key is collected.
+
+    Maps ``id(key)`` to ``(weakref(key), value)``.  The weak reference's
+    callback deletes the entry as soon as the key dies, so an entry lives
+    exactly as long as its key and a recycled id never meets a stale
+    value.  A value must not refer to its own key, or the key never dies.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._self_ref = weakref.ref(self)
+
+    def lookup(self, key):
+        """The value stored for ``key``, or None."""
+        entry = self.get(id(key))
+        return None if entry is None else entry[1]
+
+    def put(self, key, value):
+        """Store ``value`` for ``key`` and return it."""
+        k, self_ref = id(key), self._self_ref
+
+        def drop(ref):
+            memo = self_ref()
+            if memo is not None and memo.get(k, (None,))[0] is ref:
+                del memo[k]
+
+        self[k] = (weakref.ref(key, drop), value)
+        return value
+
+
 class GroupElement:
     """A group element held as a unitary/orthogonal matrix.
 
-    Instances cache derived data (inverse, adjoint matrix, representation
-    values) keyed by consumer, so elements should be created once and
-    reused when evaluating many sections at the same point.
+    Only the inverse is cached on the element.  Data derived for a
+    consumer (adjoint matrix, representation values, translated batches)
+    is cached by that consumer in a :class:`Memo` keyed by the element, so
+    it lives as long as both the element and the consumer.  Elements should
+    still be created once and reused when evaluating many sections at the
+    same point.
     """
 
-    __slots__ = ("matrix", "_cache")
+    __slots__ = ("matrix", "_inv", "__weakref__")
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=complex)
-        self._cache: dict = {}
+        self._inv = None
 
     @property
     def inverse(self) -> "GroupElement":
-        inv = self._cache.get("inv")
-        if inv is None:
-            inv = GroupElement(self.matrix.conj().T)
-            self._cache["inv"] = inv
-        return inv
+        if self._inv is None:
+            self._inv = GroupElement(self.matrix.conj().T)
+        return self._inv
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.matrix @ other.matrix)
@@ -200,6 +234,10 @@ class GroupModel:
         self._check_subalgebra()
         self.k_rule = self._build_k_rule(k_rule_size)
         self.ad_bandwidth = 1.0  # adjoint coefficients of SU(2)-like catalog groups
+        self._adjoint = Memo()
+        # fundamental fields of the orthonormal basis; built on first use by
+        # geometry.tangent_frame and kept for the life of the group
+        self.frame_cache: list | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -340,17 +378,15 @@ class GroupModel:
 
     def adjoint_matrix(self, x: GroupElement) -> np.ndarray:
         """Matrix of Ad_x on the algebra in the orthonormal basis."""
-        # the entry keeps the group alive so the id key cannot be recycled
-        hit = x._cache.get(("ad", id(self)))
+        hit = self._adjoint.lookup(x)
         if hit is not None:
-            return hit[1]
+            return hit
         conj = x.matrix @ self.basis @ x.matrix.conj().T
         ad = np.einsum("aij,bji->ab", self.basis, conj).real * (-self.form_factor)
         residual = np.linalg.norm(np.einsum("ba,aij->bij", ad.T, self.basis) - conj)
         if residual > _EXPANSION_TOL * self.dim:
             raise ValueError(f"adjoint expansion residual {residual:.2e}")
-        x._cache[("ad", id(self))] = (self, ad)
-        return ad
+        return self._adjoint.put(x, ad)
 
     def adjoint(self, x: GroupElement, coords: np.ndarray) -> np.ndarray:
         """Coordinates of Ad_x X = x X x^{-1}."""

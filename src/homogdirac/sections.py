@@ -11,21 +11,26 @@ explicit formulas.
 Derivatives are symbolic per node, never finite differences; finite
 differencing appears only in the test suite as an independent oracle.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
-elements and caches representation stacks and node values, so quadrature
-loops over shared subgraphs cost one pass per node.  Each node carries a
-conservative bandwidth bound (total spin of its Peter-Weyl content) that
-:func:`l2_inner` checks against the quadrature rule.
+elements and caches representation stacks, node values and translated
+batches, so quadrature loops over shared subgraphs cost one pass per node.
+Each cache is a :class:`~homogdirac.groups.Memo`: an entry lives as long
+as both the batch and the node, representation or group element it is
+keyed by, so a batch shared by a quadrature rule keeps nothing alive for
+graphs that are gone.  Each node carries a conservative bandwidth bound
+(total spin of its Peter-Weyl content) that :func:`l2_inner` checks
+against the quadrature rule.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cliffordalg import CliffordAlgebra
-from .groups import GroupElement, GroupModel, QuadratureRule
+from .groups import GroupElement, GroupModel, Memo, QuadratureRule
 from .reps import UnitaryRep
 
 __all__ = [
@@ -55,12 +60,8 @@ __all__ = [
     "TangentKRep",
     "CliffordKRep",
     "OperatorKRep",
-    "evaluate",
-    "directional_deriv",
     "translate",
-    "a_inner",
     "l2_inner",
-    "equivariant_project",
     "lambda_deriv",
     "equivariance_defect",
     "BandwidthWarning",
@@ -111,12 +112,14 @@ class EvalPoints:
         self.group = group
         self.matrices = np.asarray(matrices, dtype=complex)
         self._elements = list(elements) if elements is not None else None
-        self._reps: dict = {}
+        self._reps = Memo()
         self._ad: np.ndarray | None = None
-        self._vals: dict = {}
-        self._right: dict = {}
-        self._left: dict = {}
-        self._parent = None  # (kind, factor_rep_input, parent)
+        self._vals = Memo()
+        self._right = Memo()
+        self._left = Memo()
+        # (kind, weakref to the factor, parent) for a translated batch; the
+        # factor is its key in the parent's memo, so it is held weakly
+        self._parent = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -146,38 +149,35 @@ class EvalPoints:
     # -- translated batches ----------------------------------------------------
 
     def right_translated(self, s: GroupElement) -> "EvalPoints":
-        # cache entries hold (key_object, value) so the id keys stay alive
-        hit = self._right.get(id(s))
+        hit = self._right.lookup(s)
         if hit is not None:
-            return hit[1]
+            return hit
         child = EvalPoints(self.group, self.matrices @ s.matrix)
-        child._parent = ("right", s, self)
-        self._right[id(s)] = (s, child)
-        return child
+        child._parent = ("right", weakref.ref(s), self)
+        return self._right.put(s, child)
 
     def left_translated(self, y_inv: GroupElement) -> "EvalPoints":
-        hit = self._left.get(id(y_inv))
+        hit = self._left.lookup(y_inv)
         if hit is not None:
-            return hit[1]
+            return hit
         child = EvalPoints(self.group, y_inv.matrix @ self.matrices)
-        child._parent = ("left", y_inv, self)
-        self._left[id(y_inv)] = (y_inv, child)
-        return child
+        child._parent = ("left", weakref.ref(y_inv), self)
+        return self._left.put(y_inv, child)
 
     # -- cached stacks ----------------------------------------------------------
 
     def rep_stack(self, rep: UnitaryRep) -> np.ndarray:
-        hit = self._reps.get(id(rep))
+        hit = self._reps.lookup(rep)
         if hit is not None:
-            return hit[1]
+            return hit
         if self._parent is not None:
             kind, factor, parent = self._parent
             base = parent.rep_stack(rep)
-            stack = base @ rep.matrix(factor) if kind == "right" else rep.matrix(factor) @ base
+            f = rep.matrix(factor())
+            stack = base @ f if kind == "right" else f @ base
         else:
             stack = rep.matrix_stack(self.matrices)
-        self._reps[id(rep)] = (rep, stack)
-        return stack
+        return self._reps.put(rep, stack)
 
     def ad_stack(self) -> np.ndarray:
         """Adjoint matrices Ad_x for each point, in the orthonormal basis."""
@@ -185,7 +185,7 @@ class EvalPoints:
             g = self.group
             if self._parent is not None:
                 kind, factor, parent = self._parent
-                ad_f = g.adjoint_matrix(factor)
+                ad_f = g.adjoint_matrix(factor())
                 self._ad = parent.ad_stack() @ ad_f if kind == "right" else ad_f @ parent.ad_stack()
             else:
                 conj = np.einsum("nij,ajk,nlk->nail", self.matrices, g.basis,
@@ -195,12 +195,10 @@ class EvalPoints:
         return self._ad
 
     def node_values(self, node: "Section") -> np.ndarray:
-        hit = self._vals.get(id(node))
+        hit = self._vals.lookup(node)
         if hit is not None:
-            return hit[1]
-        vals = node._values(self)
-        self._vals[id(node)] = (node, vals)
-        return vals
+            return hit
+        return self._vals.put(node, node._values(self))
 
 
 # -- equivariance actions of the subgroup ---------------------------------------
@@ -225,16 +223,13 @@ class MatrixKRep:
     def __init__(self, matrix_fn, dim: int):
         self._fn = matrix_fn
         self.dim = dim
+        self._matrices = Memo()
 
     def matrix(self, s: GroupElement) -> np.ndarray:
-        # keep self alive in the entry so the id key cannot be recycled
-        key = ("krep", id(self))
-        hit = s._cache.get(key)
+        hit = self._matrices.lookup(s)
         if hit is not None:
-            return hit[1]
-        m = self._fn(s)
-        s._cache[key] = (self, m)
-        return m
+            return hit
+        return self._matrices.put(s, self._fn(s))
 
     def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         return np.einsum("ij,...j->...i", self.matrix(s), values)
@@ -844,23 +839,8 @@ class HarmonicSpinor(Section):
 # -- module-level operations -------------------------------------------------------
 
 
-def evaluate(section: Section, x: GroupElement, group: GroupModel | None = None):
-    """Value of a section at a single group element."""
-    return section.value(x, group)
-
-
-def directional_deriv(section: Section, x: GroupElement, direction: np.ndarray,
-                      group: GroupModel | None = None):
-    """Exact derivative of t -> section(x exp(t Y)) at t = 0."""
-    return section.deriv(x, direction, group)
-
-
 def translate(section: Section, y: GroupElement) -> Section:
     return Translate(section, y)
-
-
-def a_inner(a: Section, b: Section) -> Section:
-    return AInner(a, b)
 
 
 def l2_inner(a: Section, b: Section, rule: QuadratureRule,
@@ -880,11 +860,6 @@ def l2_inner(a: Section, b: Section, rule: QuadratureRule,
     pair = _pairing(a.values(pts), b.values(pts))
     total = complex(np.dot(rule.weights, pair))
     return total.real if abs(total.imag) < 1e-13 * max(1.0, abs(total)) else total
-
-
-def equivariant_project(section: Section, krep, group: GroupModel) -> Section:
-    """Average a section into an exactly equivariant one."""
-    return KAverage(section, krep, group)
 
 
 def lambda_deriv(section: Section, coords: np.ndarray) -> Section:

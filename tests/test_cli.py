@@ -59,6 +59,16 @@ def test_unknown_names_exit_config_error():
                  "--connection", "mystery"]) == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "--bundle", "foo"], "bundle"),
+    (["spectrum", "--levels", "-1"], "levels"),
+    (["verify", "--sample-count", "0"], "sample_count"),
+])
+def test_out_of_range_field_exits_config_error(argv, field, capsys):
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_spectrum_determinism_and_kernel(tmp_path):
     args = ["spectrum", "--group", "su2", "--subgroup", "u1",
             "--connection", "canonical", "--levels", "1", "--seed", "9"]

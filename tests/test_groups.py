@@ -1,9 +1,11 @@
+import gc
 import os
 
 import numpy as np
 import pytest
 
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
+from homogdirac.groups import Memo
 
 E3 = np.eye(3)
 
@@ -172,6 +174,17 @@ def test_quadrature_left_invariance(sphere, rule8, rng):
         y = sphere.random_element(rng)
         shifted = np.dot(rule8.weights, f.values(pts.left_translated(y.inverse)))
         assert abs(base - shifted) < 1e-10
+
+
+def test_memo_entry_dies_with_its_key(sphere):
+    memo = Memo()
+    x, y = sphere.exp(E3[0], 0.3), sphere.exp(E3[1], 0.7)
+    vx, vy = np.ones(2), np.zeros(2)
+    assert memo.put(x, vx) is vx and memo.put(y, vy) is vy
+    assert memo.lookup(x) is vx and id(x) in memo
+    del x
+    gc.collect()
+    assert list(memo) == [id(y)] and memo.lookup(y) is vy
 
 
 def test_monte_carlo_rule(sphere, rng):

@@ -1,0 +1,74 @@
+"""Retained memory stays flat over repeated evaluations on one shared rule.
+
+A quadrature rule keeps its evaluation points for its lifetime; the
+values cached there must not outlive the section graphs they belong to.
+Retained memory is what tracemalloc still counts after a full collection.
+"""
+
+import gc
+import tracemalloc
+
+from homogdirac import (
+    CliffordKRep,
+    Codomain,
+    Constant,
+    KAverage,
+    MatrixCoefficient,
+    RealPart,
+    Scale,
+    Sum,
+    l2_inner,
+    minimal_violating_connection,
+    selfadjoint_defect,
+    spin_rep,
+    spinor_algebra,
+    translate,
+)
+
+# a leak here holds tens of KB per call (one translated batch, or one
+# graph's node values, over the rule's nodes); the allowance is for
+# bookkeeping of a few dozen bytes per call
+_GROWTH_BYTES = 16 * 1024
+
+
+def _retained_growth(fn, calls: int = 6) -> int:
+    """Bytes retained after the last call beyond those after the first."""
+    tracemalloc.start()
+    try:
+        retained = []
+        for _ in range(calls):
+            fn()
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return retained[-1] - retained[0]
+
+
+def _spinor(group, algebra, rng):
+    parts = []
+    for _ in range(2):
+        c = Constant(Codomain.clifford(algebra), rng.standard_normal(algebra.n), group=group)
+        rep = spin_rep(group, 2)
+        parts.append(Scale(c, RealPart(MatrixCoefficient(
+            rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim)))))
+    return KAverage(Sum(parts), CliffordKRep(group, algebra), group)
+
+
+def test_selfadjoint_defect_retains_nothing_per_call(full_group, rng):
+    rule = full_group.haar_rule(4)
+    algebra = spinor_algebra(full_group)
+    conn = minimal_violating_connection(full_group)
+    pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))]
+    growth = _retained_growth(lambda: selfadjoint_defect(conn, pairs, rule))
+    assert growth < _GROWTH_BYTES
+
+
+def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
+    rule = sphere.haar_rule(4)
+    rep = spin_rep(sphere, 2)
+    f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
+    one = Constant(Codomain.scalar(), 1.0, group=sphere)
+    growth = _retained_growth(
+        lambda: l2_inner(one, translate(f, sphere.random_element(rng)), rule))
+    assert growth < _GROWTH_BYTES
