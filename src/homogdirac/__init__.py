@@ -72,7 +72,6 @@ from .geometry import (
 from .dirac import (
     CriterionReport,
     SpectralBlock,
-    block_closure,
     casimir_value,
     coefficient_family,
     commutator_defect,

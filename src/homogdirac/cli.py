@@ -8,7 +8,9 @@ Three subcommands:
   fails, 2 on configuration errors.
 * ``spectrum`` -- assemble the isotypic blocks of the Hodge-Dirac
   operator up to a level cap and emit them as CSV, ordered by level and
-  ascending eigenvalue.
+  ascending eigenvalue.  The blocks are closed form: no quadrature, so
+  ``--quadrature-bandwidth`` is ignored; the closure column is the worst
+  in-block leakage of D; levels stop at 15 on the catalog sphere.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
   (Euler angles followed by row-major real/imaginary entries).
@@ -17,8 +19,8 @@ All randomness is drawn from the configured seed, so identical
 configurations produce byte-identical outputs.  Every command runs in one
 thread; ``HOMOG_DIRAC_THREADS`` is accepted and ignored.
 
-Evaluation caches live no longer than the objects they serve: a command
-keeps the quadrature rule, and with it the rule's evaluation points, for
+Evaluation caches live no longer than the objects they serve: ``verify``
+keeps its quadrature rule, and with it the rule's evaluation points, for
 its whole run, while the values cached there for a section graph go away
 with that graph.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks as _checks
-from .dirac import block_closure, spectral_block
+from .dirac import spectral_block
 from .geometry import Connection, canonical_connection, levi_civita_connection
 from .groups import GroupModel
 from .bundles import frame_gram, monopole_bundle, projection_section
@@ -163,11 +165,9 @@ def run_spectrum(cfg: RunConfig) -> list:
     if group.k_dim != 1:
         raise ValueError("spectrum blocks are cataloged for circle quotients")
     conn = cfg.make_connection(group)
-    bandwidth = max(cfg.quadrature_bandwidth, 2 * cfg.levels + 2 * int(group.ad_bandwidth))
-    rule = group.haar_rule(bandwidth)
-    blocks = [spectral_block(conn, lv, rule) for lv in range(cfg.levels + 1)]
-    # one global leakage over every cross-level pair, reported on each row
-    closure = block_closure(blocks, rule, group) if len(blocks) > 1 else 0.0
+    blocks = [spectral_block(conn, lv) for lv in range(cfg.levels + 1)]
+    # the worst in-block leakage of D, reported on each row
+    closure = max(b.closure for b in blocks)
     rows = []
     for b in blocks:
         for idx, ev in enumerate(np.sort(b.eigenvalues)):

@@ -12,10 +12,10 @@ coefficient, the star involution composes the grade involution with order
 reversal (multiplying grade k by (-1)^(k(k+1)/2)), and the induced inner
 product tau(a* . b) makes the subset basis orthonormal.
 
-All products are driven by a dense precomputed sign tensor; at the desk
-scales used here (p <= 3, so 2**p <= 8) this is both the simplest and the
-fastest choice.  Coefficient vectors may be complex: the products are
-bilinear and the inner product is taken Hermitian in the first slot.
+Since e_S . e_T = sign(S, T) e_{S xor T}, products are xor-indexed gathers
+(the bitmask representation of Dorst, Fontijne and Mann, ch. 19).
+Coefficient vectors may be complex: the products are bilinear and the
+inner product is taken Hermitian in the first slot.
 """
 
 from __future__ import annotations
@@ -53,17 +53,12 @@ class CliffordAlgebra:
         self.p = p
         self.n = 1 << p
         self.grades = np.array([bin(s).count("1") for s in range(self.n)])
-        sign = np.zeros((self.n, self.n))
-        target = np.zeros((self.n, self.n), dtype=int)
-        for s in range(self.n):
-            for t in range(self.n):
-                sign[s, t] = _subset_mul_sign(s, t, p)
-                target[s, t] = s ^ t
-        self._sign = sign
-        # dense product tensor: mul(a,b)[k] = sum_{s,t} T[s,t,k] a[s] b[t]
-        tensor = np.zeros((self.n, self.n, self.n))
-        tensor[np.arange(self.n)[:, None], np.arange(self.n)[None, :], target] = sign
-        self._tensor = tensor
+        idx = np.arange(self.n)
+        self._sign = np.array([[_subset_mul_sign(s, t, p) for t in idx] for s in idx],
+                              dtype=float)
+        # _xor[s, k] = s ^ k: the partner of e_s in the products landing on e_k
+        self._xor = idx[:, None] ^ idx[None, :]
+        self._gather_sign = self._sign[idx[:, None], self._xor]  # sign(s, s ^ k)
         self._star_signs = (-1.0) ** (self.grades * (self.grades + 1) // 2)
         self._grade_involution = (-1.0) ** self.grades
 
@@ -102,7 +97,7 @@ class CliffordAlgebra:
         b = np.asarray(b)
         if a.shape[-1] != self.n or b.shape[-1] != self.n:
             raise ValueError("coefficient length does not match the algebra")
-        return np.einsum("...s,...t,stk->...k", a, b, self._tensor)
+        return np.einsum("...s,...sk,sk->...k", a, b[..., self._xor], self._gather_sign)
 
     def trace(self, a: np.ndarray) -> np.ndarray:
         """Canonical normalized trace: the empty-subset coefficient."""
@@ -123,11 +118,13 @@ class CliffordAlgebra:
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication b -> a . b in the subset basis."""
-        return np.einsum("s,stk->kt", np.asarray(a), self._tensor)
+        # entry [k, t] comes from e_{k^t} . e_t
+        return np.asarray(a)[self._xor] * self._sign[self._xor, np.arange(self.n)]
 
     def right_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of right multiplication b -> b . a in the subset basis."""
-        return np.einsum("t,stk->ks", np.asarray(a), self._tensor)
+        # entry [k, s] comes from e_s . e_{s^k}
+        return np.asarray(a)[self._xor] * self._gather_sign.T
 
     def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
         """The derivation extending a skew operator on the generator span.

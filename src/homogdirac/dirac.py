@@ -14,12 +14,18 @@ for formal self-adjointness, the equivalent trace/correction criteria
 that decide self-adjointness for compatible invariant connections, exact
 finite matrices of D on left-translation isotypic blocks, and the metric
 lower-bound estimator driven by gradient sup norms.
+
+The blocks are pure linear algebra: on level-l spinors rho(x)[row, :] . C,
+Frobenius reciprocity turns D into M(C) = sum_a (drho(Y_a) . C +
+C . Delta_a^T) . R_a^T (Y_a the tangent frame, Delta_a the connection's
+Clifford derivations, R_a right multiplication by e_a), so by Schur
+orthogonality a block is dim(rho) copies of <C_i, M(C_j)>.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +67,6 @@ __all__ = [
     "isotypic_coefficients",
     "isotypic_basis",
     "spectral_block",
-    "block_closure",
     "kernel_count",
     "grade_compressed_square",
     "casimir_value",
@@ -296,7 +301,12 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
     onto the solutions; its fixed space is extracted per Clifford grade
     (the action is grade-preserving) so basis members carry a pure grade.
     Returns a list of (grade, coefficient-matrix) pairs.
+    Levels whose average the subgroup rule would alias are rejected.
     """
+    cap = group.k_rule.bandwidth - group.ad_bandwidth
+    if level > cap:
+        raise ValueError(f"levels above {cap:g} alias on the {len(group.k_rule)}-node "
+                         f"subgroup rule; got level {level}")
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
     ckrep = CliffordKRep(group, algebra)
@@ -324,7 +334,8 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
 
     Entries are (row, grade, section); the scaling by sqrt(dim) makes the
     family orthonormal for the quadrature inner product by Schur
-    orthogonality, which the spectral assembly re-verifies numerically.
+    orthogonality.  ``spectral_block`` works on the coefficient matrices
+    alone; these sections give the quadrature route to the same matrix.
     """
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
@@ -340,7 +351,11 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
 
 @dataclass
 class SpectralBlock:
-    """The finite matrix of D on one left-translation isotypic level."""
+    """The finite matrix of D on one left-translation isotypic level.
+
+    Indexed like ``isotypic_basis``; ``closure`` is the part of D's image
+    leaving the level's span, the only leakage not identically zero.
+    """
 
     level: int
     grades: np.ndarray
@@ -348,61 +363,47 @@ class SpectralBlock:
     matrix: np.ndarray
     gram_defect: float
     asymmetry: float
-    eigenvalues: np.ndarray = field(default=None)
-    sections: list = field(default=None, repr=False)
-    dirac_values: np.ndarray = field(default=None, repr=False)
+    closure: float
+    eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def spectral_block(connection: Connection, level: int,
-                   rule: QuadratureRule) -> SpectralBlock:
+def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     """Assemble and diagonalize D restricted to one isotypic level.
 
-    The matrix is symmetrized before the eigensolve and the asymmetry norm
-    reported, so quadrature noise cannot leak complex eigenvalues for
-    criterion-passing connections.
+    The block is kron(I, m), m[i, j] = <C_i, M(C_j)> on the basis of
+    ``isotypic_coefficients``; m is symmetrized before the eigensolve and
+    its asymmetry reported, so violating connections get real eigenvalues.
     """
     g = connection.group
-    basis = isotypic_basis(g, level)
-    if not basis:
+    coeffs = isotypic_coefficients(g, level)
+    if not coeffs:
         return SpectralBlock(level, np.zeros(0, int), np.zeros(0, int),
-                             np.zeros((0, 0)), 0.0, 0.0, np.zeros(0), [], None)
-    needed = 2 * level + 2 * g.ad_bandwidth
-    if rule.kind == "exact" and rule.bandwidth < needed:
-        raise ValueError(
-            f"rule bandwidth {rule.bandwidth} below the requirement {needed} for level {level}")
-    pts = EvalPoints.for_rule(g, rule)
-    sections = [b[2] for b in basis]
-    vals = np.stack([s.values(pts) for s in sections])
-    dvals = np.stack([hodge_dirac(connection, s).values(pts) for s in sections])
-    gram = np.einsum("n,anT,bnT->ab", rule.weights, vals.conj(), vals)
-    gram_defect = float(np.abs(gram - np.eye(len(basis))).max())
-    matrix = np.einsum("n,anT,bnT->ab", rule.weights, vals.conj(), dvals)
-    asymmetry = float(np.abs(matrix - matrix.conj().T).max())
-    sym = (matrix + matrix.conj().T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(sym)
-    return SpectralBlock(level, np.array([b[1] for b in basis]),
-                         np.array([b[0] for b in basis]), matrix,
-                         gram_defect, asymmetry, eigenvalues, sections, dvals)
-
-
-def block_closure(blocks: list, rule: QuadratureRule, group: GroupModel) -> float:
-    """max |<xi at one level, D xi at another>|: the off-block leakage of D."""
-    pts = EvalPoints.for_rule(group, rule)
-    worst = 0.0
-    for a in blocks:
-        if not a.sections:
-            continue
-        avals = np.stack([s.values(pts) for s in a.sections])
-        for b in blocks:
-            if b.level == a.level or b.dirac_values is None or not b.sections:
-                continue
-            cross = np.einsum("n,anT,bnT->ab", rule.weights, avals.conj(), b.dirac_values)
-            worst = max(worst, float(np.abs(cross).max()))
-    return worst
+                             np.zeros((0, 0)), 0.0, 0.0, 0.0, np.zeros(0))
+    algebra = spinor_algebra(g)
+    rep = spin_rep(g, 2 * level)
+    cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
+    drho = np.stack([rep.derivative(y) for y in g.m_frame])     # (a, r, r)
+    delta = connection.derivation_stack(algebra)                # (a, T, T)
+    right = np.stack([algebra.right_matrix(algebra.generator(a))
+                      for a in range(g.m_dim)])                 # (a, T, T)
+    moved = (np.einsum("ars,isT->airT", drho, cs)
+             + np.einsum("irS,aTS->airT", cs, delta))
+    image = np.einsum("airS,aTS->irT", moved, right)            # M(C_i)
+    gram = np.einsum("irT,jrT->ij", cs.conj(), cs)
+    gram_defect = float(np.abs(gram - np.eye(len(coeffs))).max())
+    small = np.einsum("irT,jrT->ij", cs.conj(), image)
+    closure = float(np.abs(image - np.einsum("irT,ij->jrT", cs, small)).max())
+    matrix = np.kron(np.eye(rep.dim), small)
+    asymmetry = float(np.abs(small - small.conj().T).max())
+    eigenvalues = np.repeat(np.linalg.eigvalsh((small + small.conj().T) / 2.0), rep.dim)
+    grades = np.array([grade for grade, _ in coeffs])
+    return SpectralBlock(level, np.tile(grades, rep.dim),
+                         np.repeat(np.arange(rep.dim), len(coeffs)), matrix,
+                         gram_defect, asymmetry, closure, eigenvalues)
 
 
 def kernel_count(blocks: list, tol: float = 1e-6) -> int:

@@ -26,11 +26,6 @@ def rule8_full(full_group):
     return full_group.haar_rule(8)
 
 
-@pytest.fixture(scope="session")
-def rule12(sphere):
-    return sphere.haar_rule(12)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240813)

@@ -22,7 +22,6 @@ from homogdirac import (
     Scale,
     Sum,
     TrivialKRep,
-    block_closure,
     build_frame,
     canonical_connection,
     casimir_value,
@@ -261,10 +260,10 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
            f">= {violating_defect:.2e} (1e-6), verdict agreement {agree}/12")
 
 
-def test_criterion_6_spectral_suite(sphere, rule12):
+def test_criterion_6_spectral_suite(sphere):
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, level, rule12) for level in range(5)]
-    closure = block_closure(blocks, rule12, sphere)
+    blocks = [spectral_block(lc, level) for level in range(5)]
+    closure = max(b.closure for b in blocks)
     worst_sym = 0.0
     for b in blocks:
         ev = np.sort(b.eigenvalues)

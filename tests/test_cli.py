@@ -63,6 +63,7 @@ def test_unknown_names_exit_config_error():
     (["verify", "--bundle", "foo"], "bundle"),
     (["spectrum", "--levels", "-1"], "levels"),
     (["verify", "--sample-count", "0"], "sample_count"),
+    (["spectrum", "--levels", "16"], "levels"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from homogdirac import CliffordAlgebra
+from homogdirac.cliffordalg import _subset_mul_sign
 from homogdirac.groups import expm_skew
 
 
@@ -44,6 +45,34 @@ def test_product_table_matches_naive_oracle(p):
             bits, sign = naive_subset_product(s, t, p)
             expect = sign * _basis(alg, bits)
             assert np.array_equal(prod, expect)
+
+
+def _termwise_product(a, b, p):
+    """a . b accumulated one basis product at a time from the subset signs."""
+    n = 1 << p
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for s in range(n):
+        for t in range(n):
+            out[..., s ^ t] += _subset_mul_sign(s, t, p) * a[..., s] * b[..., t]
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_gathered_products_match_termwise_products(p, rng):
+    alg = CliffordAlgebra(p)
+    a = rng.standard_normal((3, 4, alg.n))
+    b = rng.standard_normal((4, alg.n))
+    assert np.array_equal(alg.mul(a, b), _termwise_product(a, b, p).real)
+    # einsum's complex kernel rounds each product differently from numpy's
+    # complex multiply, so complex products agree to a few ulp per term
+    a = a + 1j * rng.standard_normal(a.shape)
+    b = b + 1j * rng.standard_normal(b.shape)
+    ulp = np.finfo(float).eps * np.einsum("...s,...s->...", np.abs(a), np.abs(b))
+    assert np.all(np.abs(alg.mul(a, b) - _termwise_product(a, b, p)) <= 4 * ulp[..., None])
+    basis = np.eye(alg.n)
+    for c in a[0]:
+        assert np.array_equal(alg.left_matrix(c), _termwise_product(c, basis, p).T)
+        assert np.array_equal(alg.right_matrix(c), _termwise_product(basis, c, p).T)
 
 
 def _basis(alg, bits):

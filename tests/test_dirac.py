@@ -31,7 +31,6 @@ from homogdirac import (
     orbit_vector,
     selfadjoint_defect,
     spectral_block,
-    block_closure,
     spin_rep,
     spinor_algebra,
     tangent_frame,
@@ -211,17 +210,17 @@ def test_minimal_violating_connection_shape(full_group):
     assert np.linalg.norm(total) > 0.9
 
 
-def test_spectral_block_level_zero(sphere, rule12):
+def test_spectral_block_level_zero(sphere):
     lc = levi_civita_connection(sphere)
-    b = spectral_block(lc, 0, rule12)
+    b = spectral_block(lc, 0)
     assert b.dim == 2  # constants and the volume grade
     assert np.abs(b.eigenvalues).max() < 1e-10
     assert b.gram_defect < 1e-9
 
 
-def test_spectral_blocks_low_levels(sphere, rule12):
+def test_spectral_blocks_low_levels(sphere):
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, lv, rule12) for lv in range(3)]
+    blocks = [spectral_block(lc, lv) for lv in range(3)]
     for b in blocks[1:]:
         assert b.dim == 4 * (2 * b.level + 1)
         assert b.gram_defect < 1e-9
@@ -231,24 +230,75 @@ def test_spectral_blocks_low_levels(sphere, rule12):
         expect = np.sqrt(b.level * (b.level + 1))
         assert np.abs(np.abs(ev) - expect).max() < 1e-8
     assert kernel_count(blocks) == 2
-    assert block_closure(blocks, rule12, sphere) < 1e-8
+    assert max(b.closure for b in blocks) < 1e-8
 
 
-def test_spectrum_symmetry_oracle_via_grade_involution(sphere, rule12):
+def test_spectrum_symmetry_oracle_via_grade_involution(sphere):
     """The grade involution anticommutes with the operator blockwise."""
     lc = levi_civita_connection(sphere)
-    b = spectral_block(lc, 2, rule12)
+    b = spectral_block(lc, 2)
     signs = (-1.0) ** b.grades
     flipped = signs[:, None] * b.matrix * signs[None, :]
     assert np.abs(flipped + b.matrix).max() < 1e-8
 
 
-def test_grade_compression_matches_casimir(sphere, rule12):
+def test_grade_compression_matches_casimir(sphere):
     lc = levi_civita_connection(sphere)
     for level in (1, 2):
-        eigs = grade_compressed_square(spectral_block(lc, level, rule12))
+        eigs = grade_compressed_square(spectral_block(lc, level))
         oracle = casimir_value(spin_rep(sphere, 2 * level))
         assert np.abs(eigs - oracle).max() < 1e-6 * oracle
+
+
+def _quadrature_values(conn, level, rule):
+    """Values of the isotypic basis and of its Dirac images on the rule nodes."""
+    pts = EvalPoints.for_rule(conn.group, rule)
+    sections = [sec for _, _, sec in isotypic_basis(conn.group, level)]
+    vals = np.stack([sec.values(pts) for sec in sections])
+    dvals = np.stack([hodge_dirac(conn, sec).values(pts) for sec in sections])
+    return vals, dvals
+
+
+def test_spectral_block_matches_quadrature_assembly(sphere, full_group, rule8, rng):
+    """Independent route: the closed-form block equals <xi_i, D xi_j> by quadrature."""
+    rule4_full = full_group.haar_rule(4)
+    cases = [(conn, level, rule8) for conn in (canonical_connection(sphere),
+                                               levi_civita_connection(sphere))
+             for level in range(4)]
+    cases += [(conn, level, rule4_full) for _, conn in connection_test_matrix(full_group, rng)
+              for level in range(2)]
+    sphere_lc = {}
+    for conn, level, rule in cases:
+        vals, dvals = _quadrature_values(conn, level, rule)
+        quad = np.einsum("n,anT,bnT->ab", rule.weights, vals.conj(), dvals)
+        block = spectral_block(conn, level)
+        assert np.abs(block.matrix - quad).max() < 1e-12, (conn.name, level)
+        assert abs(block.asymmetry - np.abs(quad - quad.conj().T).max()) < 1e-12
+        if conn.group is sphere and conn.name == "levi-civita":
+            sphere_lc[level] = rule.weights, vals, dvals
+    # leakage across levels vanishes by Schur orthogonality, up to roundoff
+    for a, (weights, avals, _) in sphere_lc.items():
+        for b, (_, _, bdvals) in sphere_lc.items():
+            if a != b:
+                cross = np.einsum("n,anT,bnT->ab", weights, avals.conj(), bdvals)
+                assert np.abs(cross).max() <= 1e-8
+
+
+def test_spectral_blocks_up_to_the_level_cap(sphere):
+    """Criterion-6 bounds at every level the 33-node subgroup rule averages exactly."""
+    lc = levi_civita_connection(sphere)
+    blocks = [spectral_block(lc, level) for level in range(16)]
+    for b in blocks[1:]:
+        assert b.dim == 4 * (2 * b.level + 1)
+        oracle = casimir_value(spin_rep(sphere, 2 * b.level))
+        assert np.abs(b.eigenvalues ** 2 - oracle).max() <= 1e-6 * oracle
+    for b in blocks:
+        ev = np.sort(b.eigenvalues)
+        assert np.abs(ev + ev[::-1]).max() <= 1e-7
+        assert b.closure <= 1e-8
+    assert kernel_count(blocks) == 2
+    with pytest.raises(ValueError, match="levels above 15"):
+        spectral_block(lc, 16)
 
 
 def test_isotypic_basis_is_equivariant(sphere, rng):

@@ -312,9 +312,10 @@ def test_delta_along_fundamental_equals_lambda(sphere, rng):
 def test_element_caches_survive_object_recycling(sphere):
     """Short-lived representations must not collide in element caches.
 
-    Cache entries are keyed by object id; each entry retains its owner so
-    a recycled id from a garbage-collected representation can never serve
-    stale values of the wrong dimension.
+    Cache entries are keyed by object id and dropped by a weakref callback
+    when their key dies, so a recycled id from a garbage-collected
+    representation or element can never serve stale values of the wrong
+    dimension.
     """
     import gc
     x = sphere.k_rule.nodes[1]
