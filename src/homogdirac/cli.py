@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks as _checks
-from .dirac import spectral_block
+from .dirac import level_cap, spectral_block
 from .geometry import Connection, canonical_connection, levi_civita_connection
 from .groups import GroupModel
 from .bundles import frame_gram, monopole_bundle, projection_section
@@ -164,6 +164,9 @@ def run_spectrum(cfg: RunConfig) -> list:
     group = cfg.validate().make_group()
     if group.k_dim != 1:
         raise ValueError("spectrum blocks are cataloged for circle quotients")
+    cap = level_cap(group)
+    if cfg.levels > cap:
+        raise ValueError(f"levels must be <= {cap:g} (the subgroup rule's cap); got {cfg.levels}")
     conn = cfg.make_connection(group)
     blocks = [spectral_block(conn, lv) for lv in range(cfg.levels + 1)]
     # the worst in-block leakage of D, reported on each row

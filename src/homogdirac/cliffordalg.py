@@ -60,7 +60,6 @@ class CliffordAlgebra:
         self._xor = idx[:, None] ^ idx[None, :]
         self._gather_sign = self._sign[idx[:, None], self._xor]  # sign(s, s ^ k)
         self._star_signs = (-1.0) ** (self.grades * (self.grades + 1) // 2)
-        self._grade_involution = (-1.0) ** self.grades
 
     # -- element constructors --------------------------------------------------
 
@@ -106,9 +105,6 @@ class CliffordAlgebra:
     def star(self, a: np.ndarray) -> np.ndarray:
         """The involution that is an anti-automorphism sending vectors to their negatives."""
         return np.asarray(a) * self._star_signs
-
-    def grade_involution(self, a: np.ndarray) -> np.ndarray:
-        return np.asarray(a) * self._grade_involution
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """tau(a* . b); Hermitian in the first slot for complex coefficients."""

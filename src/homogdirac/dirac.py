@@ -291,6 +291,11 @@ def connection_test_matrix(group: GroupModel, rng: np.random.Generator,
 # -- isotypic blocks -----------------------------------------------------------
 
 
+def level_cap(group: GroupModel) -> float:
+    """The highest level whose coefficient average the subgroup rule does not alias."""
+    return group.k_rule.bandwidth - group.ad_bandwidth
+
+
 def isotypic_coefficients(group: GroupModel, level: int) -> list:
     """Per-grade orthonormal bases of the invariant coefficient space.
 
@@ -303,7 +308,7 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
     Returns a list of (grade, coefficient-matrix) pairs.
     Levels whose average the subgroup rule would alias are rejected.
     """
-    cap = group.k_rule.bandwidth - group.ad_bandwidth
+    cap = level_cap(group)
     if level > cap:
         raise ValueError(f"levels above {cap:g} alias on the {len(group.k_rule)}-node "
                          f"subgroup rule; got level {level}")

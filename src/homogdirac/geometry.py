@@ -103,10 +103,6 @@ class Connection:
             raise ValueError(
                 f"gamma violates the subgroup intertwining condition (residual {worst:.2e})")
 
-    def gamma_of(self, w: np.ndarray) -> np.ndarray:
-        """The fiber operator gamma(w) for tangent-frame coordinates w."""
-        return np.einsum("a,aij->ij", np.asarray(w), self.gamma)
-
     def derivation_stack(self, algebra: CliffordAlgebra) -> np.ndarray:
         """Derivation matrices extending each gamma(u_a) to the Clifford algebra."""
         hit = self._derivation_stacks.lookup(algebra)

@@ -72,12 +72,11 @@ class Memo(dict):
 class GroupElement:
     """A group element held as a unitary/orthogonal matrix.
 
-    Only the inverse is cached on the element.  Data derived for a
-    consumer (adjoint matrix, representation values, translated batches)
-    is cached by that consumer in a :class:`Memo` keyed by the element, so
-    it lives as long as both the element and the consumer.  Elements should
-    still be created once and reused when evaluating many sections at the
-    same point.
+    Only the inverse is cached on the element.  Two consumers cache data
+    derived from an element in a :class:`Memo` keyed by it, living as long
+    as both the element and the consumer: the group (its adjoint matrix)
+    and each subgroup action (its matrix).  Representation values are
+    computed afresh; batches evaluate through cached representation stacks.
     """
 
     __slots__ = ("matrix", "_inv", "__weakref__")
@@ -154,6 +153,17 @@ def _su2_raw_basis() -> np.ndarray:
     s2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
     s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return np.array([-0.5j * s1, -0.5j * s2, -0.5j * s3])
+
+
+def _euler_matrices(alpha, beta, gamma) -> np.ndarray:
+    """exp(alpha Z3) exp(beta Z2) exp(gamma Z3) in closed form, broadcast over the angles.
+
+    exp(t Z3) = diag(e^{-it/2}, e^{it/2}) and exp(t Z2) is the rotation by t/2.
+    """
+    c, s = np.cos(beta / 2), np.sin(beta / 2)
+    a, g = np.exp(-0.5j * alpha), np.exp(-0.5j * gamma)
+    return np.stack([np.stack([a * g * c, -a * g.conj() * s], axis=-1),
+                     np.stack([a.conj() * g * s, (a * g).conj() * c], axis=-1)], axis=-2)
 
 
 def _su2_log_coords(matrices: np.ndarray) -> np.ndarray:
@@ -306,13 +316,6 @@ class GroupModel:
                    metric_scale=metric_scale)
 
     @classmethod
-    def named(cls, name: str, **kwargs) -> "GroupModel":
-        catalog = {"su2": cls.su2, "su2-trivial-k": cls.su2_trivial_k}
-        if name not in catalog:
-            raise KeyError(f"unknown group {name!r}; catalog: {sorted(catalog)}")
-        return catalog[name](**kwargs)
-
-    @classmethod
     def from_config(cls, path: str) -> "GroupModel":
         """Load a custom group from a text config.
 
@@ -417,9 +420,7 @@ class GroupModel:
 
     def euler_element(self, alpha: float, beta: float, gamma: float) -> GroupElement:
         """exp(alpha Z3) exp(beta Z2) exp(gamma Z3) in the raw defining basis."""
-        raw = _su2_raw_basis()
-        m = expm_skew(alpha * raw[2]) @ expm_skew(beta * raw[1]) @ expm_skew(gamma * raw[2])
-        return GroupElement(m)
+        return GroupElement(_euler_matrices(alpha, beta, gamma))
 
     def random_element(self, rng: np.random.Generator) -> GroupElement:
         return self.random_elements(rng, 1)[0]
@@ -429,7 +430,7 @@ class GroupModel:
             alphas = rng.uniform(0.0, 4 * np.pi, count)
             gammas = rng.uniform(0.0, 4 * np.pi, count)
             betas = np.arccos(rng.uniform(-1.0, 1.0, count))
-            return [self.euler_element(a, b, g) for a, b, g in zip(alphas, betas, gammas)]
+            return [GroupElement(m) for m in _euler_matrices(alphas, betas, gammas)]
         special = abs(np.trace(self.basis[0])) < 1e-12
         return [GroupElement(u) for u in
                 _qr_haar_unitaries(rng, self.matrix_dim, count, special)]
@@ -456,15 +457,12 @@ class GroupModel:
             n_circ = 2 * int(np.ceil(bandwidth)) + 1
             n_leg = int(np.ceil((bandwidth + 1) / 2))
             us, wu = np.polynomial.legendre.leggauss(n_leg)
-            nodes, weights = [], []
-            for u, w in zip(us, wu):
-                beta = float(np.arccos(u))
-                for ia in range(n_circ):
-                    for ig in range(n_circ):
-                        nodes.append(self.euler_element(
-                            4 * np.pi * ia / n_circ, beta, 4 * np.pi * ig / n_circ))
-                        weights.append(w / 2.0 / n_circ ** 2)
-            return QuadratureRule(nodes, np.array(weights), float(bandwidth))
+            circle = 4 * np.pi * np.arange(n_circ) / n_circ
+            # node order: beta outermost, then alpha, then gamma
+            beta, alpha, gamma = np.meshgrid(np.arccos(us), circle, circle, indexing="ij")
+            mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
+            weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
+            return QuadratureRule([GroupElement(m) for m in mats], weights, float(bandwidth))
         if kind == "exact":
             raise NotImplementedError(f"no exact rule for group {self.name!r}")
         if kind in ("auto", "monte-carlo"):

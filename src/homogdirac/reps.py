@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupElement, GroupModel, Memo, expm_skew
+from .groups import GroupElement, GroupModel, expm_skew
 
 __all__ = [
     "UnitaryRep",
@@ -39,18 +39,14 @@ class UnitaryRep:
         # largest irreducible spin occurring in the decomposition; used for
         # quadrature bandwidth accounting
         self.spin = float(spin)
-        self._matrices = Memo()
 
     def derivative(self, coords: np.ndarray) -> np.ndarray:
         """Generator image of the algebra vector with the given coordinates."""
         return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.generators)
 
     def matrix(self, x: GroupElement) -> np.ndarray:
-        """Value at a group element, cached while the element lives."""
-        hit = self._matrices.lookup(x)
-        if hit is not None:
-            return hit
-        return self._matrices.put(x, self.matrix_stack(x.matrix[None])[0])
+        """Value at one group element; batches go through :meth:`matrix_stack`."""
+        return self.matrix_stack(x.matrix[None])[0]
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         """Values at a stack of defining matrices."""

@@ -11,12 +11,13 @@ explicit formulas.
 Derivatives are symbolic per node, never finite differences; finite
 differencing appears only in the test suite as an independent oracle.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
-elements and caches representation stacks, node values and translated
-batches, so quadrature loops over shared subgraphs cost one pass per node.
-Each cache is a :class:`~homogdirac.groups.Memo`: an entry lives as long
-as both the batch and the node, representation or group element it is
-keyed by, so a batch shared by a quadrature rule keeps nothing alive for
-graphs that are gone.  Each node carries a conservative bandwidth bound
+elements and caches representation stacks, node values and one orbit
+batch (x s for every subgroup-rule node s, where a subgroup average
+evaluates its child once), so quadrature loops over shared subgraphs cost
+one pass per node.  Each cache is a :class:`~homogdirac.groups.Memo`: an
+entry lives as long as both the batch and the node or representation it
+is keyed by, so a batch shared by a quadrature rule keeps nothing alive
+for graphs that are gone.  Each node carries a conservative bandwidth bound
 (total spin of its Peter-Weyl content) that :func:`l2_inner` checks
 against the quadrature rule.
 """
@@ -24,7 +25,6 @@ against the quadrature rule.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +106,10 @@ class Codomain:
 
 
 class EvalPoints:
-    """A batch of group elements with shared evaluation caches."""
+    """A batch of group elements with shared evaluation caches.
+
+    The one derived batch it keeps is :meth:`orbit`; left translates are not cached.
+    """
 
     def __init__(self, group: GroupModel, matrices: np.ndarray, elements=None):
         self.group = group
@@ -115,11 +118,8 @@ class EvalPoints:
         self._reps = Memo()
         self._ad: np.ndarray | None = None
         self._vals = Memo()
-        self._right = Memo()
-        self._left = Memo()
-        # (kind, weakref to the factor, parent) for a translated batch; the
-        # factor is its key in the parent's memo, so it is held weakly
-        self._parent = None
+        self._orbit: EvalPoints | None = None
+        self._factors = None  # (base, subgroup nodes) of an orbit batch
 
     # -- constructors ---------------------------------------------------------
 
@@ -146,23 +146,23 @@ class EvalPoints:
             self._elements = [GroupElement(m) for m in self.matrices]
         return self._elements
 
-    # -- translated batches ----------------------------------------------------
-
-    def right_translated(self, s: GroupElement) -> "EvalPoints":
-        hit = self._right.lookup(s)
-        if hit is not None:
-            return hit
-        child = EvalPoints(self.group, self.matrices @ s.matrix)
-        child._parent = ("right", weakref.ref(s), self)
-        return self._right.put(s, child)
+    # -- derived batches --------------------------------------------------------
 
     def left_translated(self, y_inv: GroupElement) -> "EvalPoints":
-        hit = self._left.lookup(y_inv)
-        if hit is not None:
-            return hit
-        child = EvalPoints(self.group, y_inv.matrix @ self.matrices)
-        child._parent = ("left", weakref.ref(y_inv), self)
-        return self._left.put(y_inv, child)
+        """The points y_inv x, as a new uncached batch."""
+        return EvalPoints(self.group, y_inv.matrix @ self.matrices)
+
+    def orbit(self) -> "EvalPoints":
+        """The points x s for every subgroup-rule node s, node-major (K n points).
+
+        Its stacks are products of base and node stacks: no orbit point is exponentiated.
+        """
+        if self._orbit is None:
+            nodes = EvalPoints.for_rule(self.group, self.group.k_rule)
+            self._orbit = EvalPoints(
+                self.group, _product_stack(self.matrices, nodes.matrices))
+            self._orbit._factors = (self, nodes)
+        return self._orbit
 
     # -- cached stacks ----------------------------------------------------------
 
@@ -170,11 +170,9 @@ class EvalPoints:
         hit = self._reps.lookup(rep)
         if hit is not None:
             return hit
-        if self._parent is not None:
-            kind, factor, parent = self._parent
-            base = parent.rep_stack(rep)
-            f = rep.matrix(factor())
-            stack = base @ f if kind == "right" else f @ base
+        if self._factors is not None:
+            base, nodes = self._factors
+            stack = _product_stack(base.rep_stack(rep), nodes.rep_stack(rep))
         else:
             stack = rep.matrix_stack(self.matrices)
         return self._reps.put(rep, stack)
@@ -183,10 +181,9 @@ class EvalPoints:
         """Adjoint matrices Ad_x for each point, in the orthonormal basis."""
         if self._ad is None:
             g = self.group
-            if self._parent is not None:
-                kind, factor, parent = self._parent
-                ad_f = g.adjoint_matrix(factor())
-                self._ad = parent.ad_stack() @ ad_f if kind == "right" else ad_f @ parent.ad_stack()
+            if self._factors is not None:
+                base, nodes = self._factors
+                self._ad = _product_stack(base.ad_stack(), nodes.ad_stack())
             else:
                 conj = np.einsum("nij,ajk,nlk->nail", self.matrices, g.basis,
                                  self.matrices.conj())
@@ -199,6 +196,12 @@ class EvalPoints:
         if hit is not None:
             return hit
         return self._vals.put(node, node._values(self))
+
+
+def _product_stack(base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Products base[i] @ nodes[k] for all pairs, node-major: index k * n + i."""
+    prod = base[None] @ nodes[:, None]
+    return prod.reshape((-1,) + prod.shape[2:])
 
 
 # -- equivariance actions of the subgroup ---------------------------------------
@@ -604,22 +607,20 @@ class KAverage(Section):
         self.krep = krep
         self.rule = group.k_rule
 
+    def _average(self, vals: np.ndarray) -> np.ndarray:
+        # vals holds the child on the orbit batch, node-major
+        vals = vals.reshape((len(self.rule), -1) + vals.shape[1:])
+        return sum(w * self.krep.apply(s, v)
+                   for s, w, v in zip(self.rule.nodes, self.rule.weights, vals))
+
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        child = self.children[0]
-        out = None
-        for s, w in zip(self.rule.nodes, self.rule.weights):
-            term = w * self.krep.apply(s, child.values(pts.right_translated(s)))
-            out = term if out is None else out + term
-        return out
+        return self._average(self.children[0].values(pts.orbit()))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        child = self.children[0]
-        out = None
-        for s, w in zip(self.rule.nodes, self.rule.weights):
-            pulled = dirs @ self.group.adjoint_matrix(s)  # Ad_{s^{-1}} dirs, rowwise
-            term = w * self.krep.apply(s, child.derivs(pts.right_translated(s), pulled))
-            out = term if out is None else out + term
-        return out
+        # Ad_{s^{-1}} dirs for every node s, rowwise
+        nodes = EvalPoints.for_rule(self.group, self.rule)
+        pulled = (dirs @ nodes.ad_stack()).reshape(-1, dirs.shape[-1])
+        return self._average(self.children[0].derivs(pts.orbit(), pulled))
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return KAverage(self.children[0]._lambda(coords), self.krep, self.group)

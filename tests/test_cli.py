@@ -64,6 +64,7 @@ def test_unknown_names_exit_config_error():
     (["spectrum", "--levels", "-1"], "levels"),
     (["verify", "--sample-count", "0"], "sample_count"),
     (["spectrum", "--levels", "16"], "levels"),
+    (["spectrum", "--levels", "40"], "40"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2

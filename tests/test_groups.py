@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
-from homogdirac.groups import Memo
+from homogdirac.groups import Memo, _euler_matrices, _su2_raw_basis, expm_skew
 
 E3 = np.eye(3)
 
@@ -174,6 +174,20 @@ def test_quadrature_left_invariance(sphere, rule8, rng):
         y = sphere.random_element(rng)
         shifted = np.dot(rule8.weights, f.values(pts.left_translated(y.inverse)))
         assert abs(base - shifted) < 1e-10
+
+
+def test_closed_form_euler_matrices_match_exponentials(rng):
+    # the product of eigendecomposition exponentials is the oracle
+    raw = _su2_raw_basis()
+    alpha, gamma = rng.uniform(0.0, 4 * np.pi, (2, 50))
+    beta = np.arccos(rng.uniform(-1.0, 1.0, 50))
+    closed = _euler_matrices(alpha, beta, gamma)
+    assert closed.shape == (50, 2, 2)
+    for m, a, b, g in zip(closed, alpha, beta, gamma):
+        oracle = expm_skew(a * raw[2]) @ expm_skew(b * raw[1]) @ expm_skew(g * raw[2])
+        assert np.abs(m - oracle).max() < 1e-14
+    # scalar angles give one matrix
+    assert np.abs(_euler_matrices(alpha[0], beta[0], gamma[0]) - closed[0]).max() < 1e-14
 
 
 def test_memo_entry_dies_with_its_key(sphere):

@@ -9,6 +9,7 @@ from homogdirac import (
     Codomain,
     Constant,
     DerivativeOrderError,
+    EmbedTangent,
     EvalPoints,
     FundamentalField,
     GroupElement,
@@ -309,13 +310,50 @@ def test_delta_along_fundamental_equals_lambda(sphere, rng):
         assert abs(delta - lam.value(x)) < 1e-12
 
 
-def test_element_caches_survive_object_recycling(sphere):
-    """Short-lived representations must not collide in element caches.
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_orbit_batch_matches_per_node_translates(space, request, rng):
+    """Subgroup averages on the orbit batch against the per-node sum.
 
-    Cache entries are keyed by object id and dropped by a weakref callback
-    when their key dies, so a recycled id from a garbage-collected
-    representation or element can never serve stale values of the wrong
-    dimension.
+    The oracle evaluates the child once per subgroup node s on its own
+    batch x s, with the directions pulled back by Ad_{s^{-1}}.
+    """
+    group = request.getfixturevalue(space)
+    alg = spinor_algebra(group)
+    rep = spin_rep(group, 2)
+    mc = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                           rng.standard_normal(3))
+    const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
+    child = Sum([Scale(const, mc),
+                 EmbedTangent(alg, FundamentalField(group, group.random_algebra(rng)))])
+    krep = CliffordKRep(group, alg)
+    avg = KAverage(child, krep, group)
+    pts = EvalPoints.of(group, group.random_elements(rng, 6))
+    dirs = rng.standard_normal((6, group.dim)) + 1j * rng.standard_normal((6, group.dim))
+
+    want_vals, want_derivs = 0.0, 0.0
+    for s, w in zip(group.k_rule.nodes, group.k_rule.weights):
+        shifted = EvalPoints(group, pts.matrices @ s.matrix)
+        want_vals = want_vals + w * krep.apply(s, child.values(shifted))
+        pulled = dirs @ group.adjoint_matrix(s)
+        want_derivs = want_derivs + w * krep.apply(s, child.derivs(shifted, pulled))
+    assert np.abs(avg.values(pts) - want_vals).max() < 1e-12
+    assert np.abs(avg.derivs(pts, dirs) - want_derivs).max() < 1e-12
+
+    orbit = pts.orbit()
+    assert orbit is pts.orbit() and orbit.n == len(group.k_rule) * pts.n
+    assert np.abs(orbit.rep_stack(rep) - rep.matrix_stack(orbit.matrices)).max() < 1e-12
+    direct_ad = np.stack([group.adjoint_matrix(GroupElement(m)) for m in orbit.matrices])
+    assert np.abs(orbit.ad_stack() - direct_ad).max() < 1e-12
+
+
+def test_element_caches_survive_object_recycling(sphere):
+    """Short-lived representations evaluated at one element stay correct.
+
+    A representation computes its value at an element afresh, and the
+    caches that remain (adjoint matrices, subgroup actions, per-batch
+    stacks) drop an entry by weakref callback when its key dies, so a
+    recycled id from a garbage-collected representation or element can
+    never serve stale values of the wrong dimension.
     """
     import gc
     x = sphere.k_rule.nodes[1]
