@@ -63,6 +63,7 @@ from .geometry import (
     canonical_derivative,
     fundamental_field,
     levi_civita_connection,
+    spinor_algebra,
     symmetric_space_check,
     tangent_frame,
     torsion,
@@ -89,7 +90,6 @@ from .dirac import (
     orbit_vector,
     selfadjoint_defect,
     spectral_block,
-    spinor_algebra,
 )
 
 __version__ = "0.1.0"

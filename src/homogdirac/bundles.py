@@ -26,6 +26,7 @@ from .sections import (
     Codomain,
     ConjugatedProjection,
     Constant,
+    EvalPoints,
     GramSection,
     KAverage,
     MatrixCoefficient,
@@ -70,10 +71,9 @@ class InducedBundle:
             raise ValueError("embedding is not an isometry")
         # the fiber must be invariant under the restricted subgroup action
         proj = self.embed @ self.embed.conj().T
-        for s in self.group.k_rule.nodes:
-            m = self.rep_tilde.matrix(s)
-            if np.linalg.norm(m @ proj - proj @ m) > 1e-10:
-                raise ValueError("fiber is not invariant under the subgroup")
+        ms = EvalPoints.for_rule(self.group, self.group.k_rule).rep_stack(self.rep_tilde)
+        if np.linalg.norm(ms @ proj - proj @ ms, axis=(1, 2)).max() > 1e-10:
+            raise ValueError("fiber is not invariant under the subgroup")
 
     @property
     def fiber_dim(self) -> int:

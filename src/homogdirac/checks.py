@@ -58,7 +58,7 @@ from .sections import (
     translate,
 )
 
-__all__ = ["run_suite"]
+__all__ = ["ANCHORS", "run_suite"]
 
 
 class _Context:
@@ -498,6 +498,10 @@ _DIRAC_CHECKS = [
     ("dirac.selfadjointness-criterion", "trace and correction criteria vanish", 1e-8, _check_dirac_criterion),
     ("dirac.selfadjoint-defect", "pairing defect of the operator", 1e-8, _check_dirac_defect),
 ]
+
+# every check id a [tolerances] key may name
+ANCHORS = frozenset(anchor for anchor, *_ in
+                    _GROUP_CHECKS + _BUNDLE_CHECKS + _GEOMETRY_CHECKS + _DIRAC_CHECKS)
 
 
 def run_suite(cfg, group: GroupModel, rng: np.random.Generator) -> list:

@@ -46,6 +46,8 @@ from .sections import EvalPoints
 __all__ = ["RunConfig", "load_config", "run_verify", "run_spectrum", "run_monopole", "main"]
 
 _BUNDLES = ("clifford", "monopole", "tangent")
+_TEXT_KEYS = ("group", "subgroup", "bundle", "connection", "output")
+_INT_KEYS = ("charge", "level", "quadrature_bandwidth", "sample_count", "seed", "levels")
 
 
 @dataclass
@@ -66,7 +68,10 @@ class RunConfig:
     output: str | None = None
 
     def validate(self) -> "RunConfig":
-        """Reject out-of-range fields, naming the field; returns self."""
+        """Reject out-of-range fields and unknown tolerance keys, naming them; returns self."""
+        for key in self.tolerances:
+            if key not in _checks.ANCHORS:
+                raise ValueError(f"tolerance key {key!r} names no check anchor")
         if self.bundle not in _BUNDLES:
             raise ValueError(f"bundle must be one of {', '.join(_BUNDLES)}; got {self.bundle!r}")
         for name, low in (("levels", 0), ("sample_count", 1),
@@ -117,20 +122,26 @@ def load_gamma_file(group: GroupModel, path: str) -> Connection:
 
 
 def load_config(path: str) -> RunConfig:
-    """Flat key=value config with [run] and optional [tolerances] sections."""
+    """Flat key=value config with [run] and optional [tolerances] sections.
+
+    An unknown section or ``[run]`` key is rejected, naming it.
+    """
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_string(fh.read())
+    for section in cp.sections():
+        if section not in ("run", "tolerances"):
+            raise ValueError(f"unknown config section [{section}]; expected [run] or [tolerances]")
     cfg = RunConfig()
     if cp.has_section("run"):
         run = cp["run"]
-        for key in ("group", "subgroup", "bundle", "connection", "output"):
-            if key in run:
+        for key in run:
+            if key in _TEXT_KEYS:
                 setattr(cfg, key, run.get(key))
-        for key in ("charge", "level", "quadrature_bandwidth", "sample_count",
-                    "seed", "levels"):
-            if key in run:
+            elif key in _INT_KEYS:
                 setattr(cfg, key, run.getint(key))
+            else:
+                raise ValueError(f"unknown [run] key {key!r}")
     if cp.has_section("tolerances"):
         for key, val in cp["tolerances"].items():
             v = float(val)
@@ -254,8 +265,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("group", "subgroup", "bundle", "charge", "level", "connection",
-                "quadrature_bandwidth", "sample_count", "seed", "levels", "output"):
+    for key in _TEXT_KEYS + _INT_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)

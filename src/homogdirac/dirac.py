@@ -24,12 +24,10 @@ orthogonality a block is dim(rho) copies of <C_i, M(C_j)>.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffordalg import CliffordAlgebra
 from .groups import GroupElement, GroupModel, QuadratureRule
 from .reps import UnitaryRep, spin_rep
 from .sections import (
@@ -49,6 +47,7 @@ from .geometry import (
     canonical_connection,
     canonical_derivative,
     levi_civita_connection,
+    spinor_algebra,
     tangent_frame,
     torsion_trace,
 )
@@ -79,18 +78,6 @@ __all__ = [
 _CRITERION_TOL = 1e-8
 
 
-def spinor_algebra(group: GroupModel) -> CliffordAlgebra:
-    """The Clifford algebra over the tangent complement."""
-    return _clifford_algebra(group.m_dim)
-
-
-@functools.cache
-def _clifford_algebra(p: int) -> CliffordAlgebra:
-    # depends on the generator count alone, so one algebra serves every
-    # group of that tangent dimension
-    return CliffordAlgebra(p)
-
-
 def hodge_dirac(connection: Connection, phi: Section,
                 frame: list | None = None) -> Section:
     """Apply the Hodge-Dirac operator of a compatible connection to a spinor.
@@ -110,7 +97,7 @@ def hodge_dirac(connection: Connection, phi: Section,
     ckrep = CliffordKRep(g, algebra)
     terms = [
         CliffordProduct(algebra,
-                        ApplyConnection(connection, wj, phi).set_algebra(algebra),
+                        ApplyConnection(connection, wj, phi),
                         EmbedTangent(algebra, wj, clifford_krep=ckrep))
         for wj in frame
     ]
@@ -316,11 +303,11 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
     rep = spin_rep(group, 2 * level)
     ckrep = CliffordKRep(group, algebra)
     dim_r, dim_c = rep.dim, algebra.n
+    nodes = EvalPoints.for_rule(group, group.k_rule)
     proj = np.zeros((dim_r * dim_c, dim_r * dim_c), dtype=complex)
-    for s, w in zip(group.k_rule.nodes, group.k_rule.weights):
-        rho = rep.matrix(s).conj().T          # rho(s)^{-1}
-        kmat = ckrep.matrix(s).real           # K(s); vec(A C B) = kron(A, B^T) vec(C)
-        proj += w * np.kron(rho, kmat.T)
+    for w, rho, kmat in zip(group.k_rule.weights, nodes.rep_stack(rep), ckrep.rule_stack()):
+        # rho(s)^{-1} and K(s): vec(A C B) = kron(A, B^T) vec(C)
+        proj += w * np.kron(rho.conj().T, kmat.real.T)
     out = []
     for grade in range(algebra.p + 1):
         cols = np.where(algebra.grades == grade)[0]
@@ -392,7 +379,7 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     rep = spin_rep(g, 2 * level)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
     drho = np.stack([rep.derivative(y) for y in g.m_frame])     # (a, r, r)
-    delta = connection.derivation_stack(algebra)                # (a, T, T)
+    delta = connection.derivation_stack()                       # (a, T, T)
     right = np.stack([algebra.right_matrix(algebra.generator(a))
                       for a in range(g.m_dim)])                 # (a, T, T)
     moved = (np.einsum("ars,isT->airT", drho, cs)

@@ -2,16 +2,17 @@
 
 Connections are parameterized the global way: the canonical covariant
 derivative differentiates a section along the right-translation flow of
-the direction field, and every invariant connection differs from it by a
-zero-order term given pointwise by a linear map ``gamma`` from the
-tangent complement into fiber operators,
+the direction field, and every invariant connection on the tangent bundle
+differs from it by a zero-order term given pointwise by a linear map
+``gamma`` from the tangent complement into its own operators,
 
     (nabla_W xi)(x) = d/dt xi(x exp(t W(x)))|_0 + gamma(W(x)) xi(x).
 
-``gamma`` must intertwine the subgroup actions for the zero-order term to
+``gamma`` must intertwine the subgroup action for the zero-order term to
 send equivariant sections to equivariant sections; skew-valued ``gamma``
-are exactly the metric-compatible connections.  For the tangent bundle
-the torsion-free choice is ``gamma(X) = (1/2) P ad_X``, which reproduces
+are exactly the metric-compatible connections, and they extend to
+derivations of the Clifford algebra (:func:`spinor_algebra`).  The
+torsion-free choice is ``gamma(X) = (1/2) P ad_X``, which reproduces
 the pointwise correction (1/2) P[V(x), W(x)] of the Levi-Civita
 connection; it vanishes identically precisely on symmetric spaces.
 
@@ -23,15 +24,16 @@ general arguments by module bilinearity through the frame expansion.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .cliffordalg import CliffordAlgebra
-from .groups import GroupModel, Memo
+from .groups import GroupModel
 from .sections import (
     AInner,
     DerivativeOrderError,
     FundamentalField,
-    MatrixKRep,
     Scale,
     Section,
     Sum,
@@ -39,6 +41,7 @@ from .sections import (
 )
 
 __all__ = [
+    "spinor_algebra",
     "Connection",
     "ApplyConnection",
     "canonical_connection",
@@ -56,71 +59,74 @@ _SKEW_TOL = 1e-10
 _EQUIVARIANCE_TOL = 1e-8
 
 
-class Connection:
-    """An invariant connection: the canonical one plus a pointwise correction.
+def spinor_algebra(group: GroupModel) -> CliffordAlgebra:
+    """The Clifford algebra over the tangent complement."""
+    return _clifford_algebra(group.m_dim)
 
-    ``gamma`` holds one fiber operator per tangent-complement basis vector;
-    the correction applied to a section is the operator ``gamma(W(x))``
-    (extended to a derivation of the Clifford bundle when the section is
-    Clifford-valued, which requires skew values).
+
+@functools.cache
+def _clifford_algebra(p: int) -> CliffordAlgebra:
+    # depends on the generator count alone, so one algebra serves every
+    # group of that tangent dimension
+    return CliffordAlgebra(p)
+
+
+class Connection:
+    """An invariant connection on the tangent bundle: the canonical one plus a correction.
+
+    ``gamma`` holds one operator on the tangent complement per
+    tangent-complement basis vector, shape (p, p, p); the correction applied
+    to a section is the operator ``gamma(W(x))`` (extended to a derivation
+    of the Clifford bundle when the section is Clifford-valued, which
+    requires skew values).
     """
 
     def __init__(self, group: GroupModel, gamma: np.ndarray | None = None,
-                 fiber_krep: MatrixKRep | None = None, name: str = "connection",
-                 fiber_dim: int | None = None):
+                 name: str = "connection"):
         self.group = group
         self.name = name
-        h = fiber_dim if fiber_dim is not None else group.m_dim
+        p = group.m_dim
         if gamma is None:
-            gamma = np.zeros((group.m_dim, h, h))
+            gamma = np.zeros((p, p, p))
         self.gamma = np.asarray(gamma, dtype=complex)
-        if self.gamma.shape[0] != group.m_dim or self.gamma.shape[1] != self.gamma.shape[2]:
-            raise ValueError("gamma must hold one square fiber operator per tangent direction")
-        self.fiber_dim = self.gamma.shape[1]
+        if self.gamma.shape != (p, p, p):
+            raise ValueError(f"gamma must have shape {(p, p, p)}, one tangent operator "
+                             f"per tangent direction; got {self.gamma.shape}")
         self.is_canonical = bool(np.all(self.gamma == 0))
         skew_defect = max(
             (float(np.linalg.norm(gm + gm.conj().T)) for gm in self.gamma), default=0.0)
         self.is_compatible = skew_defect <= _SKEW_TOL * max(
             1.0, float(np.linalg.norm(self.gamma)))
-        self._fiber_krep = fiber_krep if fiber_krep is not None else TangentKRep(group)
         self._check_equivariance()
-        self._derivation_stacks = Memo()
+        self._derivations: np.ndarray | None = None
         self._torsion_pairs: dict = {}
 
     def _check_equivariance(self) -> None:
-        """gamma(Ad_s X) = pi_s gamma(X) pi_s^{-1} on subgroup samples."""
+        """gamma(Ad_s X) = Ad_s gamma(X) Ad_s^{-1} at the subgroup rule's nodes."""
         if self.is_canonical:
             return
-        worst = 0.0
-        tangent = TangentKRep(self.group)
-        for s in self.group.k_rule.nodes:
-            ts = tangent.matrix(s).real
-            ps = self._fiber_krep.matrix(s)
-            lhs = np.einsum("ba,bij->aij", ts, self.gamma)  # gamma(Ad_s u_a)
-            rhs = np.einsum("ij,ajk,lk->ail", ps, self.gamma, ps.conj())
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        ts = TangentKRep(self.group).rule_stack().real[:, None]   # (node, 1, p, p)
+        lhs = np.einsum("nba,bij->naij", ts[:, 0], self.gamma)   # gamma(Ad_s u_a)
+        rhs = ts @ self.gamma @ ts.transpose(0, 1, 3, 2)
+        worst = float(np.abs(lhs - rhs).max())
         if worst > _EQUIVARIANCE_TOL:
             raise ValueError(
                 f"gamma violates the subgroup intertwining condition (residual {worst:.2e})")
 
-    def derivation_stack(self, algebra: CliffordAlgebra) -> np.ndarray:
+    def derivation_stack(self) -> np.ndarray:
         """Derivation matrices extending each gamma(u_a) to the Clifford algebra."""
-        hit = self._derivation_stacks.lookup(algebra)
-        if hit is not None:
-            return hit
         if not self.is_compatible:
             raise ValueError("only skew-valued corrections extend to the Clifford bundle")
-        if self.fiber_dim != self.group.m_dim:
-            raise ValueError("Clifford extension needs a tangent-bundle connection")
-        return self._derivation_stacks.put(algebra, algebra.derivation_stack(self.gamma.real))
+        if self._derivations is None:
+            self._derivations = spinor_algebra(self.group).derivation_stack(self.gamma.real)
+        return self._derivations
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Connection({self.name}, canonical={self.is_canonical})"
 
 
-def canonical_connection(group: GroupModel, fiber_krep=None,
-                         fiber_dim: int | None = None) -> Connection:
-    return Connection(group, None, fiber_krep, "canonical", fiber_dim)
+def canonical_connection(group: GroupModel) -> Connection:
+    return Connection(group, None, "canonical")
 
 
 def levi_civita_connection(group: GroupModel) -> Connection:
@@ -174,7 +180,7 @@ class ApplyConnection(Section):
         if target.deriv_order < 1:
             raise DerivativeOrderError("target section has no derivative budget left")
         kind = target.codomain.kind
-        if kind == "vector" and target.codomain.shape[0] != connection.fiber_dim:
+        if kind == "vector" and target.codomain.shape[0] != connection.group.m_dim:
             raise ValueError("section fiber does not match the connection")
         if kind == "operator":
             raise ValueError("covariant derivatives of operator sections are not needed here")
@@ -185,11 +191,6 @@ class ApplyConnection(Section):
         self.bandwidth = target.bandwidth + direction.bandwidth
         self.group = connection.group
         self.krep = target.krep if direction.krep is not None else None
-        self._algebra = None
-
-    def set_algebra(self, algebra: CliffordAlgebra) -> "ApplyConnection":
-        self._algebra = algebra
-        return self
 
     def _values(self, pts) -> np.ndarray:
         direction, target = self.children
@@ -206,9 +207,7 @@ class ApplyConnection(Section):
         if kind in ("vector", "tangent"):
             return out + np.einsum("na,aij,nj->ni", wvals, conn.gamma, target.values(pts))
         if kind == "clifford":
-            if self._algebra is None:
-                raise ValueError("Clifford covariant derivative needs the algebra set")
-            dstack = conn.derivation_stack(self._algebra)
+            dstack = conn.derivation_stack()
             return out + np.einsum("na,aij,nj->ni", wvals, dstack, target.values(pts))
         raise ValueError(f"unsupported codomain {kind}")  # pragma: no cover
 

@@ -36,6 +36,9 @@ __all__ = [
 _EXPANSION_TOL = 1e-10
 _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
+# nodes of the circle subgroup's uniform rule: it averages frequencies up
+# to 16 exactly, which caps the spectral levels at 15
+_K_RULE_SIZE = 33
 
 
 class Memo(dict):
@@ -45,6 +48,8 @@ class Memo(dict):
     callback deletes the entry as soon as the key dies, so an entry lives
     exactly as long as its key and a recycled id never meets a stale
     value.  A value must not refer to its own key, or the key never dies.
+    The per-batch caches of ``sections.EvalPoints`` (representation stacks
+    and node values) are its only users.
     """
 
     def __init__(self):
@@ -72,11 +77,9 @@ class Memo(dict):
 class GroupElement:
     """A group element held as a unitary/orthogonal matrix.
 
-    Only the inverse is cached on the element.  Two consumers cache data
-    derived from an element in a :class:`Memo` keyed by it, living as long
-    as both the element and the consumer: the group (its adjoint matrix)
-    and each subgroup action (its matrix).  Representation values are
-    computed afresh; batches evaluate through cached representation stacks.
+    Only the inverse is cached on the element; nothing else caches data
+    per element.  Values at one element are computed afresh, and batches
+    evaluate through the stacks cached on their points.
     """
 
     __slots__ = ("matrix", "_inv", "__weakref__")
@@ -204,8 +207,7 @@ class GroupModel:
     """A compact matrix group with subgroup, splitting and quadrature."""
 
     def __init__(self, name: str, basis_matrices, subgroup_indices=(),
-                 metric_scale: float = 1.0, k_rule_size: int = 33,
-                 subgroup_matrices=None):
+                 metric_scale: float = 1.0):
         raw = np.asarray(basis_matrices, dtype=complex)
         if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
             raise ValueError("basis_matrices must be a stack of square matrices")
@@ -229,10 +231,7 @@ class GroupModel:
         self.structure = np.einsum("cij,abji->abc", self.basis, comm).real * (-self.form_factor)
 
         # Isotropy subalgebra frame (coordinates in the orthonormal basis).
-        if subgroup_matrices is not None:
-            k_coords = np.array([self.matrix_to_coords(m) for m in subgroup_matrices])
-        else:
-            k_coords = np.eye(self.dim)[list(subgroup_indices)] if len(subgroup_indices) else np.zeros((0, self.dim))
+        k_coords = np.eye(self.dim)[list(subgroup_indices)] if len(subgroup_indices) else np.zeros((0, self.dim))
         self.k_frame = self._orthonormal_rows(k_coords)
         self.k_dim = self.k_frame.shape[0]
 
@@ -242,9 +241,8 @@ class GroupModel:
         self.m_dim = self.m_frame.shape[0]
 
         self._check_subalgebra()
-        self.k_rule = self._build_k_rule(k_rule_size)
+        self.k_rule = self._build_k_rule(_K_RULE_SIZE)
         self.ad_bandwidth = 1.0  # adjoint coefficients of SU(2)-like catalog groups
-        self._adjoint = Memo()
         # fundamental fields of the orthonormal basis; built on first use by
         # geometry.tangent_frame and kept for the life of the group
         self.frame_cache: list | None = None
@@ -304,10 +302,10 @@ class GroupModel:
     # -- catalog ---------------------------------------------------------------
 
     @classmethod
-    def su2(cls, metric_scale: float = 1.0, k_rule_size: int = 33) -> "GroupModel":
+    def su2(cls, metric_scale: float = 1.0) -> "GroupModel":
         """SU(2) with the circle subgroup generated by the third basis axis."""
         return cls("su2", _su2_raw_basis(), subgroup_indices=(2,),
-                   metric_scale=metric_scale, k_rule_size=k_rule_size)
+                   metric_scale=metric_scale)
 
     @classmethod
     def su2_trivial_k(cls, metric_scale: float = 1.0) -> "GroupModel":
@@ -349,19 +347,6 @@ class GroupModel:
     def algebra_element(self, coords: np.ndarray) -> np.ndarray:
         return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.basis)
 
-    def matrix_to_coords(self, m: np.ndarray) -> np.ndarray:
-        """Expand an algebra matrix in the orthonormal basis.
-
-        Raises if the expansion residual exceeds the closure tolerance,
-        which signals a basis that does not span the matrix.
-        """
-        coords = np.einsum("aij,ji->a", self.basis, np.asarray(m, dtype=complex))
-        coords = (-self.form_factor * coords).real
-        residual = np.linalg.norm(self.algebra_element(coords) - m)
-        if residual > _EXPANSION_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError(f"algebra expansion residual {residual:.2e}")
-        return coords
-
     def exp(self, coords: np.ndarray, t: float = 1.0) -> GroupElement:
         """exp(t X) for the algebra vector with the given coordinates."""
         return GroupElement(expm_skew(t * self.algebra_element(coords)))
@@ -379,17 +364,19 @@ class GroupModel:
             raise NotImplementedError("closed-form log is provided for the 2x2 catalog")
         return _su2_log_coords(matrices) * np.sqrt(self.metric_scale)
 
+    def adjoint_stack(self, matrices: np.ndarray) -> np.ndarray:
+        """Matrices of Ad_x on the algebra in the orthonormal basis, for a stack of x."""
+        conj = np.einsum("nij,ajk,nlk->nail", matrices, self.basis, matrices.conj())
+        return (np.einsum("bij,naji->nba", self.basis, conj) * (-self.form_factor)).real
+
     def adjoint_matrix(self, x: GroupElement) -> np.ndarray:
-        """Matrix of Ad_x on the algebra in the orthonormal basis."""
-        hit = self._adjoint.lookup(x)
-        if hit is not None:
-            return hit
+        """Ad_x at one element, checked against the expansion of x X x^-1."""
+        ad = self.adjoint_stack(x.matrix[None])[0]
         conj = x.matrix @ self.basis @ x.matrix.conj().T
-        ad = np.einsum("aij,bji->ab", self.basis, conj).real * (-self.form_factor)
         residual = np.linalg.norm(np.einsum("ba,aij->bij", ad.T, self.basis) - conj)
         if residual > _EXPANSION_TOL * self.dim:
             raise ValueError(f"adjoint expansion residual {residual:.2e}")
-        return self._adjoint.put(x, ad)
+        return ad
 
     def adjoint(self, x: GroupElement, coords: np.ndarray) -> np.ndarray:
         """Coordinates of Ad_x X = x X x^{-1}."""

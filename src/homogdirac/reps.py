@@ -66,13 +66,8 @@ class _AdjointRep(UnitaryRep):
         gens = np.transpose(group.structure, (0, 2, 1))
         super().__init__(group, gens, "adjoint", spin=group.ad_bandwidth)
 
-    def matrix(self, x: GroupElement) -> np.ndarray:
-        return self.group.adjoint_matrix(x).astype(complex)
-
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
-        g = self.group
-        conj = np.einsum("nij,ajk,nlk->nail", matrices, g.basis, matrices.conj())
-        return (np.einsum("bij,naji->nba", g.basis, conj) * (-g.form_factor)).real.astype(complex)
+        return self.group.adjoint_stack(matrices).astype(complex)
 
 
 def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:

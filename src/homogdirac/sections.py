@@ -17,7 +17,11 @@ evaluates its child once), so quadrature loops over shared subgraphs cost
 one pass per node.  Each cache is a :class:`~homogdirac.groups.Memo`: an
 entry lives as long as both the batch and the node or representation it
 is keyed by, so a batch shared by a quadrature rule keeps nothing alive
-for graphs that are gone.  Each node carries a conservative bandwidth bound
+for graphs that are gone.  A subgroup action is given by its matrices on
+a batch of subgroup elements and keeps its stack on the subgroup rule's
+nodes, so a subgroup average is one contraction of the child's orbit
+values with the weights and that stack; nothing is cached per group
+element.  Each node carries a conservative bandwidth bound
 (total spin of its Peter-Weyl content) that :func:`l2_inner` checks
 against the quadrature rule.
 """
@@ -180,15 +184,11 @@ class EvalPoints:
     def ad_stack(self) -> np.ndarray:
         """Adjoint matrices Ad_x for each point, in the orthonormal basis."""
         if self._ad is None:
-            g = self.group
             if self._factors is not None:
                 base, nodes = self._factors
                 self._ad = _product_stack(base.ad_stack(), nodes.ad_stack())
             else:
-                conj = np.einsum("nij,ajk,nlk->nail", self.matrices, g.basis,
-                                 self.matrices.conj())
-                self._ad = (np.einsum("bij,naji->nba", g.basis, conj)
-                            * (-g.form_factor)).real
+                self._ad = self.group.adjoint_stack(self.matrices)
         return self._ad
 
     def node_values(self, node: "Section") -> np.ndarray:
@@ -221,18 +221,29 @@ class TrivialKRep:
 
 
 class MatrixKRep:
-    """Action through a unitary matrix-valued function of subgroup elements."""
+    """Action through unitary matrices, given on batches of subgroup elements.
 
-    def __init__(self, matrix_fn, dim: int):
-        self._fn = matrix_fn
+    ``stack_fn`` maps an :class:`EvalPoints` batch of subgroup elements to
+    their (n, dim, dim) matrices.  The stack on the subgroup rule's nodes,
+    which subgroup averages contract against, is computed once and kept;
+    a single element is evaluated on a one-point batch and nothing is kept.
+    """
+
+    def __init__(self, group: GroupModel, stack_fn, dim: int):
+        self.group = group
+        self._stack_fn = stack_fn
         self.dim = dim
-        self._matrices = Memo()
+        self._rule_stack: np.ndarray | None = None
+
+    def rule_stack(self) -> np.ndarray:
+        """Matrices at the nodes of ``group.k_rule``, in node order."""
+        if self._rule_stack is None:
+            self._rule_stack = self._stack_fn(
+                EvalPoints.for_rule(self.group, self.group.k_rule))
+        return self._rule_stack
 
     def matrix(self, s: GroupElement) -> np.ndarray:
-        hit = self._matrices.lookup(s)
-        if hit is not None:
-            return hit
-        return self._matrices.put(s, self._fn(s))
+        return self._stack_fn(EvalPoints.of(self.group, [s]))[0]
 
     def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         return np.einsum("ij,...j->...i", self.matrix(s), values)
@@ -244,24 +255,26 @@ class MatrixKRep:
 def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
     """Subgroup action on an invariant subspace: E* rho(s) E."""
     e = np.asarray(embed, dtype=complex)
-    return MatrixKRep(lambda s: e.conj().T @ rep.matrix(s) @ e, e.shape[1])
+    return MatrixKRep(rep.group, lambda pts: e.conj().T @ pts.rep_stack(rep) @ e, e.shape[1])
+
+
+def _tangent_stack(group: GroupModel, pts: EvalPoints) -> np.ndarray:
+    return group.m_frame @ pts.ad_stack() @ group.m_frame.T
 
 
 def TangentKRep(group: GroupModel) -> MatrixKRep:
     """Adjoint action on the tangent complement, in complement-frame coordinates."""
-    mf = group.m_frame
-    return MatrixKRep(lambda s: (mf @ group.adjoint_matrix(s) @ mf.T).astype(complex),
+    return MatrixKRep(group, lambda pts: _tangent_stack(group, pts).astype(complex),
                       group.m_dim)
 
 
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
     """Adjoint action extended to the Clifford algebra as automorphisms."""
-    mf = group.m_frame
+    def stack_fn(pts: EvalPoints) -> np.ndarray:
+        return np.array([algebra.orthogonal_extend(t)
+                         for t in _tangent_stack(group, pts)]).astype(complex)
 
-    def fn(s: GroupElement) -> np.ndarray:
-        return algebra.orthogonal_extend(mf @ group.adjoint_matrix(s) @ mf.T).astype(complex)
-
-    return MatrixKRep(fn, algebra.n)
+    return MatrixKRep(group, stack_fn, algebra.n)
 
 
 class OperatorKRep:
@@ -610,8 +623,9 @@ class KAverage(Section):
     def _average(self, vals: np.ndarray) -> np.ndarray:
         # vals holds the child on the orbit batch, node-major
         vals = vals.reshape((len(self.rule), -1) + vals.shape[1:])
-        return sum(w * self.krep.apply(s, v)
-                   for s, w, v in zip(self.rule.nodes, self.rule.weights, vals))
+        if not isinstance(self.krep, TrivialKRep):
+            vals = vals @ self.krep.rule_stack().transpose(0, 2, 1)  # pi_s v at node s
+        return np.tensordot(self.rule.weights, vals, axes=1)
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self._average(self.children[0].values(pts.orbit()))

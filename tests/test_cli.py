@@ -140,6 +140,19 @@ def test_invalid_tolerance_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, name", [
+    ("[run]\nsample-count = 5\n", "sample-count"),
+    ("[runn]\nsample_count = 5\n", "runn"),
+    ("[tolerances]\ndirac.selfadjoint_defect = 1e-3\n", "dirac.selfadjoint_defect"),
+])
+def test_unknown_config_key_exits_config_error(tmp_path, text, name, capsys):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["verify", "--config", path]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     cfg = dict(group="su2", subgroup="u1", bundle="tangent",
                sample_count=15, quadrature_bandwidth=6, seed=11)

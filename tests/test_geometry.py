@@ -134,6 +134,14 @@ def test_intertwining_condition_rejects_generic_gamma_on_sphere(sphere, rng):
         Connection(sphere, gamma)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (3, 2, 2)])
+def test_mis_shaped_gamma_rejected(sphere, shape):
+    """A connection's gamma holds one tangent operator per tangent direction."""
+    for gamma in (np.zeros(shape), np.ones(shape)):
+        with pytest.raises(ValueError, match=r"\(2, 2, 2\)"):
+            Connection(sphere, gamma)
+
+
 def test_levi_civita_values(sphere, full_group):
     assert np.linalg.norm(levi_civita_connection(sphere).gamma) < 1e-14
     lc = levi_civita_connection(full_group)

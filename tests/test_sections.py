@@ -19,12 +19,15 @@ from homogdirac import (
     RealPart,
     Scale,
     Sum,
+    TangentKRep,
     TrivialKRep,
     equivariance_defect,
     l2_inner,
     lambda_deriv,
+    monopole_bundle,
     spin_rep,
     spinor_algebra,
+    tangent_bundle,
     translate,
 )
 
@@ -346,13 +349,32 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
     assert np.abs(orbit.ad_stack() - direct_ad).max() < 1e-12
 
 
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_rule_stack_matches_single_element_path(space, request):
+    """Each subgroup action's stack on the subgroup rule, node by node."""
+    group = request.getfixturevalue(space)
+    kreps = [TangentKRep(group), CliffordKRep(group, spinor_algebra(group))]
+    if space == "sphere":
+        kreps += [tangent_bundle(group).krep, monopole_bundle(group, 3).krep]
+    for krep in kreps:
+        stack = krep.rule_stack()
+        assert stack.shape == (len(group.k_rule), krep.dim, krep.dim)
+        assert krep.rule_stack() is stack
+        for k, s in enumerate(group.k_rule.nodes):
+            assert np.abs(stack[k] - krep.matrix(s)).max() < 1e-13
+    mf = group.m_frame
+    for k, s in enumerate(group.k_rule.nodes):
+        want = mf @ group.adjoint_matrix(s) @ mf.T
+        assert np.abs(kreps[0].rule_stack()[k] - want).max() < 1e-13
+
+
 def test_element_caches_survive_object_recycling(sphere):
     """Short-lived representations evaluated at one element stay correct.
 
-    A representation computes its value at an element afresh, and the
-    caches that remain (adjoint matrices, subgroup actions, per-batch
-    stacks) drop an entry by weakref callback when its key dies, so a
-    recycled id from a garbage-collected representation or element can
+    Nothing caches values per group element: a representation computes
+    its value at an element afresh, and the per-batch caches (representation
+    stacks, node values) drop an entry by weakref callback when its key
+    dies, so a recycled id from a garbage-collected representation can
     never serve stale values of the wrong dimension.
     """
     import gc
