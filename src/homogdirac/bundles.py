@@ -26,7 +26,6 @@ from .sections import (
     Codomain,
     ConjugatedProjection,
     Constant,
-    EvalPoints,
     GramSection,
     KAverage,
     MatrixCoefficient,
@@ -69,11 +68,12 @@ class InducedBundle:
         if np.linalg.norm(self.embed.conj().T @ self.embed
                           - np.eye(self.embed.shape[1])) > 1e-12:
             raise ValueError("embedding is not an isometry")
-        # the fiber must be invariant under the restricted subgroup action
+        # the fiber must be invariant under the connected subgroup's generators
         proj = self.embed @ self.embed.conj().T
-        ms = EvalPoints.for_rule(self.group, self.group.k_rule).rep_stack(self.rep_tilde)
-        if np.linalg.norm(ms @ proj - proj @ ms, axis=(1, 2)).max() > 1e-10:
-            raise ValueError("fiber is not invariant under the subgroup")
+        for z in self.group.k_frame:
+            d = self.rep_tilde.derivative(z)
+            if np.linalg.norm(d @ proj - proj @ d) > 1e-10:
+                raise ValueError("fiber is not invariant under the subgroup")
 
     @property
     def fiber_dim(self) -> int:

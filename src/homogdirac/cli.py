@@ -7,10 +7,10 @@ Three subcommands:
   with its residual, tolerance and verdict.  Exit status 1 if any check
   fails, 2 on configuration errors.
 * ``spectrum`` -- assemble the isotypic blocks of the Hodge-Dirac
-  operator up to a level cap and emit them as CSV, ordered by level and
-  ascending eigenvalue.  The blocks are closed form: no quadrature, so
-  ``--quadrature-bandwidth`` is ignored; the closure column is the worst
-  in-block leakage of D; levels stop at 15 on the catalog sphere.
+  operator up to the highest level ``--levels`` and emit them as CSV,
+  ordered by level and ascending eigenvalue.  The blocks are closed form:
+  no quadrature, so ``--quadrature-bandwidth`` is ignored; the closure
+  column is the worst in-block leakage of D.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
   (Euler angles followed by row-major real/imaginary entries).
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks as _checks
-from .dirac import level_cap, spectral_block
+from .dirac import spectral_block
 from .geometry import Connection, canonical_connection, levi_civita_connection
 from .groups import GroupModel
 from .bundles import frame_gram, monopole_bundle, projection_section
@@ -139,16 +139,22 @@ def load_config(path: str) -> RunConfig:
             if key in _TEXT_KEYS:
                 setattr(cfg, key, run.get(key))
             elif key in _INT_KEYS:
-                setattr(cfg, key, run.getint(key))
+                setattr(cfg, key, _parse(int, f"[run] {key}", run.get(key)))
             else:
                 raise ValueError(f"unknown [run] key {key!r}")
     if cp.has_section("tolerances"):
         for key, val in cp["tolerances"].items():
-            v = float(val)
+            v = cfg.tolerances[key] = _parse(float, f"tolerance {key}", val)
             if v <= 0:
                 raise ValueError(f"tolerance {key} must be positive")
-        cfg.tolerances = {k: float(v) for k, v in cp["tolerances"].items()}
     return cfg
+
+
+def _parse(kind, name: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must parse as {kind.__name__}; got {text!r}") from None
 
 
 # -- verify ---------------------------------------------------------------------
@@ -175,9 +181,6 @@ def run_spectrum(cfg: RunConfig) -> list:
     group = cfg.validate().make_group()
     if group.k_dim != 1:
         raise ValueError("spectrum blocks are cataloged for circle quotients")
-    cap = level_cap(group)
-    if cfg.levels > cap:
-        raise ValueError(f"levels must be <= {cap:g} (the subgroup rule's cap); got {cfg.levels}")
     conn = cfg.make_connection(group)
     blocks = [spectral_block(conn, lv) for lv in range(cfg.levels + 1)]
     # the worst in-block leakage of D, reported on each row
@@ -259,7 +262,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quadrature-bandwidth", type=int, dest="quadrature_bandwidth")
     parser.add_argument("--sample-count", type=int, dest="sample_count")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--levels", type=int, help="isotypic level cap")
+    parser.add_argument("--levels", type=int, help="highest isotypic level")
     parser.add_argument("--out", dest="output", help="output path (stdout if omitted)")
 
 

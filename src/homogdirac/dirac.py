@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 _CRITERION_TOL = 1e-8
+_RANK_RTOL = 1e-8  # null-space cut, relative to the largest singular value
 
 
 def hodge_dirac(connection: Connection, phi: Section,
@@ -278,46 +279,36 @@ def connection_test_matrix(group: GroupModel, rng: np.random.Generator,
 # -- isotypic blocks -----------------------------------------------------------
 
 
-def level_cap(group: GroupModel) -> float:
-    """The highest level whose coefficient average the subgroup rule does not alias."""
-    return group.k_rule.bandwidth - group.ad_bandwidth
-
-
 def isotypic_coefficients(group: GroupModel, level: int) -> list:
     """Per-grade orthonormal bases of the invariant coefficient space.
 
     A level-``level`` profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an
     equivariant spinor exactly when rho(s) C = C K(s) for subgroup
     elements s, with K the Clifford extension of the tangent action.  The
-    subgroup average of the induced action on coefficient space projects
-    onto the solutions; its fixed space is extracted per Clifford grade
-    (the action is grade-preserving) so basis members carry a pure grade.
-    Returns a list of (grade, coefficient-matrix) pairs.
-    Levels whose average the subgroup rule would alias are rejected.
+    subgroup is connected, so this is drho(Z) C = C dK(Z) for each isotropy
+    generator Z, dK(Z) the derivation extending ``group.k_tangent``: a null
+    space, exact at every level and taken per Clifford grade (dK preserves
+    grade) so basis members carry a pure grade.  Returns (grade, matrix) pairs.
     """
-    cap = level_cap(group)
-    if level > cap:
-        raise ValueError(f"levels above {cap:g} alias on the {len(group.k_rule)}-node "
-                         f"subgroup rule; got level {level}")
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
-    ckrep = CliffordKRep(group, algebra)
-    dim_r, dim_c = rep.dim, algebra.n
-    nodes = EvalPoints.for_rule(group, group.k_rule)
-    proj = np.zeros((dim_r * dim_c, dim_r * dim_c), dtype=complex)
-    for w, rho, kmat in zip(group.k_rule.weights, nodes.rep_stack(rep), ckrep.rule_stack()):
-        # rho(s)^{-1} and K(s): vec(A C B) = kron(A, B^T) vec(C)
-        proj += w * np.kron(rho.conj().T, kmat.real.T)
+    drho = [rep.derivative(z) for z in group.k_frame]
+    dk = [algebra.derivation_matrix(t) for t in group.k_tangent]
+    size = rep.dim * algebra.n
+    # drho(Z) C - C dK(Z) on vec(C), as vec(A C B) = kron(A, B^T) vec(C)
+    op = np.array([np.kron(r, np.eye(algebra.n)) - np.kron(np.eye(rep.dim), k.T)
+                   for r, k in zip(drho, dk)]).reshape(group.k_dim, size, size)
     out = []
     for grade in range(algebra.p + 1):
-        cols = np.where(algebra.grades == grade)[0]
-        mask = np.zeros(dim_c)
-        mask[cols] = 1.0
-        sub = proj * np.kron(np.ones((dim_r, dim_r)), np.outer(mask, mask))
-        w, v = np.linalg.eigh((sub + sub.conj().T) / 2.0)
-        for col in np.where(w > 0.5)[0]:
-            c = v[:, col].reshape(dim_r, dim_c)
-            out.append((grade, c))
+        keep = np.tile(algebra.grades == grade, rep.dim)  # the grade's entries of vec(C)
+        # each generator's operator is normal with weight differences as
+        # eigenvalues, so nonzero singular values sit far above roundoff
+        _, sv, vh = np.linalg.svd(op[:, keep][:, :, keep].reshape(-1, keep.sum()))
+        rank = int(np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)))
+        for v in vh[rank:].conj():
+            c = np.zeros(size, dtype=complex)
+            c[keep] = v
+            out.append((grade, c.reshape(rep.dim, algebra.n)))
     return out
 
 

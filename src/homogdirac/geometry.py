@@ -37,7 +37,6 @@ from .sections import (
     Scale,
     Section,
     Sum,
-    TangentKRep,
 )
 
 __all__ = [
@@ -102,13 +101,13 @@ class Connection:
         self._torsion_pairs: dict = {}
 
     def _check_equivariance(self) -> None:
-        """gamma(Ad_s X) = Ad_s gamma(X) Ad_s^{-1} at the subgroup rule's nodes."""
-        if self.is_canonical:
-            return
-        ts = TangentKRep(self.group).rule_stack().real[:, None]   # (node, 1, p, p)
-        lhs = np.einsum("nba,bij->naij", ts[:, 0], self.gamma)   # gamma(Ad_s u_a)
-        rhs = ts @ self.gamma @ ts.transpose(0, 1, 3, 2)
-        worst = float(np.abs(lhs - rhs).max())
+        """gamma(ad_Z X) = [ad_Z, gamma(X)] for each ad_Z in ``group.k_tangent``.
+
+        The subgroup is connected, so this is gamma(Ad_s X) = Ad_s gamma(X) Ad_s^-1 for all s.
+        """
+        t = self.group.k_tangent[:, None]                       # (generator, 1, p, p)
+        lhs = np.einsum("zba,bij->zaij", t[:, 0], self.gamma)   # gamma(ad_Z u_a)
+        worst = float(np.abs(lhs - (t @ self.gamma - self.gamma @ t)).max(initial=0.0))
         if worst > _EQUIVARIANCE_TOL:
             raise ValueError(
                 f"gamma violates the subgroup intertwining condition (residual {worst:.2e})")
@@ -136,11 +135,7 @@ def levi_civita_connection(group: GroupModel) -> Connection:
     symmetric spaces this vanishes and the canonical connection is already
     torsion-free.
     """
-    p = group.m_dim
-    gamma = np.zeros((p, p, p))
-    for a in range(p):
-        ad = np.einsum("abc,a->cb", group.structure, group.from_m(np.eye(p)[a]))
-        gamma[a] = 0.5 * group.m_frame @ ad @ group.m_frame.T
+    gamma = 0.5 * group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T
     return Connection(group, gamma, name="levi-civita")
 
 

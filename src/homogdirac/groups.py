@@ -36,8 +36,8 @@ __all__ = [
 _EXPANSION_TOL = 1e-10
 _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
-# nodes of the circle subgroup's uniform rule: it averages frequencies up
-# to 16 exactly, which caps the spectral levels at 15
+# nodes of the circle subgroup's uniform rule: subgroup averages of
+# functions on G (sections.KAverage) are exact up to frequency 16
 _K_RULE_SIZE = 33
 
 
@@ -241,11 +241,15 @@ class GroupModel:
         self.m_dim = self.m_frame.shape[0]
 
         self._check_subalgebra()
+        # isotropy action ad_Z on the tangent complement, one matrix per k_frame
+        # row Z; the subgroup is connected, so these decide its invariants
+        self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
         self.k_rule = self._build_k_rule(_K_RULE_SIZE)
         self.ad_bandwidth = 1.0  # adjoint coefficients of SU(2)-like catalog groups
-        # fundamental fields of the orthonormal basis; built on first use by
-        # geometry.tangent_frame and kept for the life of the group
-        self.frame_cache: list | None = None
+        # each built on first use by the named function and kept for the life of the group
+        self.frame_cache: list | None = None  # geometry.tangent_frame
+        self.spin_reps: dict = {}  # reps.spin_rep, by two_j
+        self.clifford_krep = None  # sections.CliffordKRep
 
     # -- construction helpers -------------------------------------------------
 
@@ -260,7 +264,7 @@ class GroupModel:
             if nrm < _PIVOT_TOL:
                 raise ValueError("subgroup basis is numerically dependent")
             out.append(v / nrm)
-        return np.array(out) if out else np.zeros((0, rows.shape[1] if rows.size else 0))
+        return np.array(out).reshape(len(out), rows.shape[1])
 
     def _complement_frame(self, proj_k: np.ndarray) -> np.ndarray:
         out = []
@@ -279,11 +283,9 @@ class GroupModel:
         return frame
 
     def _check_subalgebra(self) -> None:
-        for i in range(self.k_dim):
-            for j in range(self.k_dim):
-                br = self.bracket(self.k_frame[i], self.k_frame[j])
-                if np.linalg.norm(self.proj_m @ br) > _SUBALGEBRA_TOL:
-                    raise ValueError("declared subgroup basis does not close under brackets")
+        brackets = self.ad(self.k_frame) @ self.k_frame.T  # [Z_i, Z_j] in column j
+        if np.any(np.linalg.norm(self.proj_m @ brackets, axis=1) > _SUBALGEBRA_TOL):
+            raise ValueError("declared subgroup basis does not close under brackets")
 
     def _build_k_rule(self, size: int) -> QuadratureRule:
         if self.k_dim == 0:
@@ -382,6 +384,10 @@ class GroupModel:
         """Coordinates of Ad_x X = x X x^{-1}."""
         return self.adjoint_matrix(x) @ np.asarray(coords, dtype=float)
 
+    def ad(self, coords: np.ndarray) -> np.ndarray:
+        """Matrices of ad_X = [X, .] in the orthonormal basis, for one X or a stack."""
+        return np.einsum("abc,...a->...cb", self.structure, np.asarray(coords, dtype=float))
+
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinates of the commutator [A, B]."""
         return np.einsum("abc,a,b->c", self.structure, a, b)
@@ -470,13 +476,8 @@ class GroupModel:
 
     def symmetric_space_residual(self) -> float:
         """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
-        worst = 0.0
-        for a in range(self.m_dim):
-            for b in range(self.m_dim):
-                br = self.bracket(self.from_m(np.eye(self.m_dim)[a]),
-                                  self.from_m(np.eye(self.m_dim)[b]))
-                worst = max(worst, float(np.linalg.norm(self.project_m(br))))
-        return worst
+        brackets = self.ad(self.m_frame) @ self.m_frame.T  # [Y_a, Y_b] in column b
+        return float(np.linalg.norm(self.proj_m @ brackets, axis=1).max(initial=0.0))
 
 
 def _one_parameter_period(z: np.ndarray) -> float:

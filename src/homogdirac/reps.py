@@ -62,9 +62,8 @@ class _AdjointRep(UnitaryRep):
     """The adjoint representation, evaluated by conjugation (no logarithm)."""
 
     def __init__(self, group: GroupModel):
-        # ad(X_a) maps X_b to sum_c structure[a,b,c] X_c: entries M[c,b].
-        gens = np.transpose(group.structure, (0, 2, 1))
-        super().__init__(group, gens, "adjoint", spin=group.ad_bandwidth)
+        super().__init__(group, group.ad(np.eye(group.dim)), "adjoint",
+                         spin=group.ad_bandwidth)
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         return self.group.adjoint_stack(matrices).astype(complex)
@@ -75,12 +74,15 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
 
     Basis vectors are weight vectors ordered by decreasing weight; the
     third algebra axis acts diagonally with eigenvalues -i*m for
-    m = j, j-1, ..., -j (scaled with the metric normalization).
+    m = j, j-1, ..., -j (scaled with the metric normalization).  The one
+    object per (group, two_j) is kept on the group.
     """
     if group.matrix_dim != 2 or group.dim != 3:
         raise ValueError("spin representations are cataloged for SU(2) groups")
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a nonnegative integer")
+    if two_j in group.spin_reps:
+        return group.spin_reps[two_j]
     j = two_j / 2.0
     m = j - np.arange(two_j + 1)
     jz = np.diag(m)
@@ -92,7 +94,8 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
     j2 = (jp - jm) / 2j
     # the orthonormal basis is the raw -(i/2)sigma basis over sqrt(scale)
     gens = np.array([-1j * j1, -1j * j2, -1j * jz]) / np.sqrt(group.metric_scale)
-    return UnitaryRep(group, gens, f"spin-{two_j}/2", spin=j)
+    group.spin_reps[two_j] = UnitaryRep(group, gens, f"spin-{two_j}/2", spin=j)
+    return group.spin_reps[two_j]
 
 
 def adjoint_rep(group: GroupModel) -> UnitaryRep:

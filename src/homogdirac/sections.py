@@ -163,9 +163,12 @@ class EvalPoints:
         """
         if self._orbit is None:
             nodes = EvalPoints.for_rule(self.group, self.group.k_rule)
+            # a twin sharing this batch's stacks: the orbit must not refer back
+            base = EvalPoints(self.group, self.matrices)
+            base._reps, base._ad = self._reps, self._ad
             self._orbit = EvalPoints(
                 self.group, _product_stack(self.matrices, nodes.matrices))
-            self._orbit._factors = (self, nodes)
+            self._orbit._factors = (base, nodes)
         return self._orbit
 
     # -- cached stacks ----------------------------------------------------------
@@ -269,12 +272,14 @@ def TangentKRep(group: GroupModel) -> MatrixKRep:
 
 
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
-    """Adjoint action extended to the Clifford algebra as automorphisms."""
+    """Adjoint action on the group's spinor algebra by automorphisms; one per group, kept on it."""
     def stack_fn(pts: EvalPoints) -> np.ndarray:
         return np.array([algebra.orthogonal_extend(t)
                          for t in _tangent_stack(group, pts)]).astype(complex)
 
-    return MatrixKRep(group, stack_fn, algebra.n)
+    if group.clifford_krep is None:
+        group.clifford_krep = MatrixKRep(group, stack_fn, algebra.n)
+    return group.clifford_krep
 
 
 class OperatorKRep:

@@ -180,3 +180,41 @@ def test_fiber_must_be_invariant(sphere):
     bad[0, 0] = bad[1, 0] = 1 / np.sqrt(2)  # mixes two weights
     with pytest.raises(ValueError, match="invariant"):
         InducedBundle(sphere, rep, bad)
+
+
+def _rule_stack_invariant(group, rep, embed):
+    """Fiber invariance at the subgroup rule's nodes: the former route."""
+    proj = embed @ embed.conj().T
+    ms = EvalPoints.for_rule(group, group.k_rule).rep_stack(rep)
+    return np.linalg.norm(ms @ proj - proj @ ms, axis=(1, 2)).max() <= 1e-10
+
+
+def _bundle_accepts(group, rep, embed):
+    try:
+        InducedBundle(group, rep, embed)
+    except ValueError as exc:
+        assert "invariant" in str(exc)
+        return False
+    return True
+
+
+def test_fiber_verdict_matches_rule_stack_form(sphere, rng):
+    """The Lie-algebra test in InducedBundle agrees with the finite test at the rule's nodes."""
+    cases = [(b.rep_tilde, b.embed) for b in
+             [monopole_bundle(sphere, q, lv) for lv in range(5) for q in range(-lv, lv + 1, 2)]
+             + [tangent_bundle(sphere)]]
+    rep = spin_rep(sphere, 2)
+    mixing = np.zeros((3, 1), dtype=complex)
+    mixing[0, 0] = mixing[1, 0] = 1 / np.sqrt(2)  # two weights: not invariant
+    cases.append((rep, mixing))
+    pair = direct_sum(rep, rep)
+    same, other = np.zeros((6, 1), dtype=complex), np.zeros((6, 1), dtype=complex)
+    same[0, 0] = same[3, 0] = other[0, 0] = other[4, 0] = 1 / np.sqrt(2)
+    cases += [(pair, same), (pair, other)]  # one weight twice: invariant; two: not
+    line = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    cases.append((rep, line / np.linalg.norm(line)))
+    verdicts = [(_rule_stack_invariant(sphere, r, e), _bundle_accepts(sphere, r, e))
+                for r, e in cases]
+    assert [ours for ours, _ in verdicts] == [theirs for _, theirs in verdicts]
+    assert [ours for ours, _ in verdicts[-4:]] == [False, True, False, False]
+    assert all(ours for ours, _ in verdicts[:-4])

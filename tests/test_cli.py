@@ -63,12 +63,20 @@ def test_unknown_names_exit_config_error():
     (["verify", "--bundle", "foo"], "bundle"),
     (["spectrum", "--levels", "-1"], "levels"),
     (["verify", "--sample-count", "0"], "sample_count"),
-    (["spectrum", "--levels", "16"], "levels"),
-    (["spectrum", "--levels", "40"], "40"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+
+
+def test_spectrum_runs_to_level_40(tmp_path):
+    out = os.path.join(tmp_path, "s40.csv")
+    assert main(["spectrum", "--levels", "40", "--out", out]) == 0
+    levels = [int(r.split(",")[0]) for r in open(out).read().strip().splitlines()[1:]]
+    assert sorted(set(levels)) == list(range(41))
+    # two constant spinors at level 0, then 4 (2 level + 1) eigenvalues per level
+    assert [levels.count(lv) for lv in range(41)] == [2] + [4 * (2 * lv + 1)
+                                                            for lv in range(1, 41)]
 
 
 def test_spectrum_determinism_and_kernel(tmp_path):
@@ -144,6 +152,8 @@ def test_invalid_tolerance_rejected(tmp_path):
     ("[run]\nsample-count = 5\n", "sample-count"),
     ("[runn]\nsample_count = 5\n", "runn"),
     ("[tolerances]\ndirac.selfadjoint_defect = 1e-3\n", "dirac.selfadjoint_defect"),
+    ("[run]\nsample_count = five\n", "sample_count"),
+    ("[tolerances]\nbundle.reproducing-formula = tiny\n", "bundle.reproducing-formula"),
 ])
 def test_unknown_config_key_exits_config_error(tmp_path, text, name, capsys):
     path = os.path.join(tmp_path, "run.cfg")

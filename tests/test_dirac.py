@@ -284,10 +284,10 @@ def test_spectral_block_matches_quadrature_assembly(sphere, full_group, rule8, r
                 assert np.abs(cross).max() <= 1e-8
 
 
-def test_spectral_blocks_up_to_the_level_cap(sphere):
-    """Criterion-6 bounds at every level the 33-node subgroup rule averages exactly."""
+def test_spectral_blocks_to_level_50(sphere):
+    """Criterion-6 bounds at every level through 50: no level is capped."""
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, level) for level in range(16)]
+    blocks = [spectral_block(lc, level) for level in range(51)]
     for b in blocks[1:]:
         assert b.dim == 4 * (2 * b.level + 1)
         oracle = casimir_value(spin_rep(sphere, 2 * b.level))
@@ -297,8 +297,49 @@ def test_spectral_blocks_up_to_the_level_cap(sphere):
         assert np.abs(ev + ev[::-1]).max() <= 1e-7
         assert b.closure <= 1e-8
     assert kernel_count(blocks) == 2
-    with pytest.raises(ValueError, match="levels above 15"):
-        spectral_block(lc, 16)
+
+
+def _subgroup_average_projector(group, level):
+    """The subgroup rule's average of rho(s)^-1 C K(s) on vec(C): the former route."""
+    alg = spinor_algebra(group)
+    rep = spin_rep(group, 2 * level)
+    nodes = EvalPoints.for_rule(group, group.k_rule)
+    kstack = CliffordKRep(group, alg).rule_stack()
+    proj = sum(w * np.kron(rho.conj().T, kmat.real.T)
+               for w, rho, kmat in zip(group.k_rule.weights, nodes.rep_stack(rep), kstack))
+    return proj
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_isotypic_coefficients_match_subgroup_average(scale):
+    """Oracle: per grade, the null-space basis spans the subgroup average's fixed space."""
+    from homogdirac import GroupModel
+    from homogdirac.dirac import isotypic_coefficients
+    group = GroupModel.su2(metric_scale=scale)
+    alg = spinor_algebra(group)
+    for level in range(16):
+        proj = _subgroup_average_projector(group, level)
+        coeffs = isotypic_coefficients(group, level)
+        dim_r = 2 * level + 1
+        for grade in range(alg.p + 1):
+            mask = np.tile(alg.grades == grade, dim_r)
+            basis = np.array([c.reshape(-1) for g, c in coeffs if g == grade])
+            basis = basis.reshape(-1, mask.size)
+            assert np.abs(basis[:, ~mask]).max(initial=0.0) == 0.0
+            ours = basis.T @ basis.conj()
+            oracle = proj * np.outer(mask, mask)
+            assert np.abs(ours - oracle).max() <= 1e-12, (scale, level, grade)
+
+
+def test_every_coefficient_is_invariant_over_the_trivial_subgroup(full_group):
+    from homogdirac.dirac import isotypic_coefficients
+    alg = spinor_algebra(full_group)
+    for level in range(4):
+        coeffs = isotypic_coefficients(full_group, level)
+        basis = np.array([c.reshape(-1) for _, c in coeffs])
+        size = (2 * level + 1) * alg.n
+        assert basis.shape == (size, size)
+        assert np.abs(basis.conj() @ basis.T - np.eye(size)).max() <= 1e-12
 
 
 def test_isotypic_basis_is_equivariant(sphere, rng):

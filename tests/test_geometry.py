@@ -7,11 +7,13 @@ from homogdirac import (
     Connection,
     Constant,
     EvalPoints,
+    GroupModel,
     MatrixCoefficient,
     KAverage,
     RealPart,
     Scale,
     Sum,
+    TangentKRep,
     Translate,
     TrivialKRep,
     canonical_connection,
@@ -132,6 +134,52 @@ def test_intertwining_condition_rejects_generic_gamma_on_sphere(sphere, rng):
     gamma[0] = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="intertwining"):
         Connection(sphere, gamma)
+
+
+def _rule_stack_intertwines(group, gamma):
+    """The intertwining condition at the subgroup rule's nodes: the former route."""
+    if np.all(gamma == 0):
+        return True
+    ts = TangentKRep(group).rule_stack().real[:, None]   # (node, 1, p, p)
+    lhs = np.einsum("nba,bij->naij", ts[:, 0], gamma)   # gamma(Ad_s u_a)
+    rhs = ts @ gamma @ ts.transpose(0, 1, 3, 2)
+    return float(np.abs(lhs - rhs).max()) <= 1e-8
+
+
+def _connection_accepts(group, gamma):
+    try:
+        Connection(group, gamma)
+    except ValueError as exc:
+        assert "intertwining" in str(exc)
+        return False
+    return True
+
+
+def _project_to_intertwiners(group, gamma):
+    """Subgroup average of Ad_s^-1 gamma(Ad_s .) Ad_s, exact on the rule for constant gamma."""
+    ts = TangentKRep(group).rule_stack().real
+    return sum(w * t.T @ np.einsum("ba,bij->aij", t, gamma) @ t
+               for w, t in zip(group.k_rule.weights, ts))
+
+
+def test_intertwining_verdict_matches_rule_stack_form(sphere, full_group, rng):
+    """The Lie-algebra test in Connection agrees with the finite test at the rule's nodes."""
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]], np.eye(2)])
+    u2 = GroupModel("u2", -0.5j * sigma, subgroup_indices=(2,))  # U(2)/U(1)
+    generic = np.zeros((2, 2, 2))
+    generic[0] = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cases = [(sphere, generic)]
+    for g in (sphere, full_group, u2):
+        p = g.m_dim
+        rand = rng.standard_normal((p, p, p))
+        cases += [(g, canonical_connection(g).gamma), (g, levi_civita_connection(g).gamma),
+                  (g, rand), (g, _project_to_intertwiners(g, rand))]
+    verdicts = [(_rule_stack_intertwines(g, gm), _connection_accepts(g, gm)) for g, gm in cases]
+    assert [ours for ours, _ in verdicts] == [theirs for _, theirs in verdicts]
+    assert verdicts[0] == (False, False)
+    # on U(2)/U(1) a projected random gamma is a nonzero intertwiner
+    assert np.abs(cases[-1][1]).max() > 0.1 and verdicts[-1] == (True, True)
+    assert verdicts[-2] == (False, False)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3), (3, 2, 2)])

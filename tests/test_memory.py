@@ -7,16 +7,20 @@ Retained memory is what tracemalloc still counts after a full collection.
 
 import gc
 import tracemalloc
+import weakref
 
 from homogdirac import (
     CliffordKRep,
     Codomain,
     Constant,
+    EvalPoints,
+    GroupModel,
     KAverage,
     MatrixCoefficient,
     RealPart,
     Scale,
     Sum,
+    TrivialKRep,
     l2_inner,
     minimal_violating_connection,
     selfadjoint_defect,
@@ -72,3 +76,35 @@ def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
     growth = _retained_growth(
         lambda: l2_inner(one, translate(f, sphere.random_element(rng)), rule))
     assert growth < _GROWTH_BYTES
+
+
+def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng):
+    """A batch and its orbit form no cycle: no cyclic collection is needed to free them."""
+    rep = spin_rep(sphere, 2)
+    f = KAverage(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)),
+                 TrivialKRep(), sphere)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pts = EvalPoints.of(sphere, sphere.random_elements(rng, 4))
+        f.values(pts)
+        f.derivs(pts, rng.standard_normal((4, 3)))
+        orbit = weakref.ref(pts.orbit())
+        batch = weakref.ref(pts)
+        del pts
+        assert batch() is None and orbit() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_group_keeps_one_representation_per_spin_and_dies_with_them():
+    group = GroupModel.su2()
+    algebra = spinor_algebra(group)
+    assert spin_rep(group, 3) is spin_rep(group, 3)
+    assert CliffordKRep(group, algebra) is CliffordKRep(group, algebra)
+    CliffordKRep(group, algebra).rule_stack()
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None

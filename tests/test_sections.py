@@ -21,6 +21,7 @@ from homogdirac import (
     Sum,
     TangentKRep,
     TrivialKRep,
+    direct_sum,
     equivariance_defect,
     l2_inner,
     lambda_deriv,
@@ -380,7 +381,7 @@ def test_element_caches_survive_object_recycling(sphere):
     import gc
     x = sphere.k_rule.nodes[1]
     for two_j in (2, 1, 4, 1, 3, 2):
-        rep = spin_rep(sphere, two_j)
+        rep = direct_sum(spin_rep(sphere, two_j))  # a new object each time
         m = rep.matrix(x)
         assert m.shape == (two_j + 1, two_j + 1)
         assert np.linalg.norm(m @ m.conj().T - np.eye(two_j + 1)) < 1e-12
