@@ -39,7 +39,7 @@ import numpy as np
 from . import checks as _checks
 from .dirac import spectral_block
 from .geometry import Connection, canonical_connection, levi_civita_connection
-from .groups import GroupModel
+from .groups import GroupModel, parse_value
 from .bundles import frame_gram, monopole_bundle, projection_section
 from .sections import EvalPoints
 
@@ -112,7 +112,7 @@ class RunConfig:
 def load_gamma_file(group: GroupModel, path: str) -> Connection:
     """Correction blocks from a text file: one fiber operator per tangent axis."""
     with open(path) as fh:
-        vals = [float(v) for v in fh.read().split()]
+        vals = [parse_value(float, f"gamma file {path}", v) for v in fh.read().split()]
     p = group.m_dim
     if len(vals) != p ** 3:
         raise ValueError(
@@ -139,22 +139,15 @@ def load_config(path: str) -> RunConfig:
             if key in _TEXT_KEYS:
                 setattr(cfg, key, run.get(key))
             elif key in _INT_KEYS:
-                setattr(cfg, key, _parse(int, f"[run] {key}", run.get(key)))
+                setattr(cfg, key, parse_value(int, f"[run] {key}", run.get(key)))
             else:
                 raise ValueError(f"unknown [run] key {key!r}")
     if cp.has_section("tolerances"):
         for key, val in cp["tolerances"].items():
-            v = cfg.tolerances[key] = _parse(float, f"tolerance {key}", val)
+            v = cfg.tolerances[key] = parse_value(float, f"tolerance {key}", val)
             if v <= 0:
                 raise ValueError(f"tolerance {key} must be positive")
     return cfg
-
-
-def _parse(kind, name: str, text: str):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{name} must parse as {kind.__name__}; got {text!r}") from None
 
 
 # -- verify ---------------------------------------------------------------------

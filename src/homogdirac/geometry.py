@@ -139,7 +139,7 @@ def levi_civita_connection(group: GroupModel) -> Connection:
     return Connection(group, gamma, name="levi-civita")
 
 
-def fundamental_field(group: GroupModel, coords: np.ndarray) -> FundamentalField:
+def fundamental_field(group: GroupModel, coords: np.ndarray) -> Section:
     """The tangent section generated by an algebra vector."""
     return FundamentalField(group, coords)
 
@@ -194,17 +194,13 @@ class ApplyConnection(Section):
         dirs = wvals @ g.m_frame.astype(complex)
         out = target.derivs(pts, dirs)
         conn = self.connection
-        if conn.is_canonical:
-            return out
         kind = target.codomain.kind
-        if kind == "scalar":
+        if conn.is_canonical or kind == "scalar":
             return out
-        if kind in ("vector", "tangent"):
-            return out + np.einsum("na,aij,nj->ni", wvals, conn.gamma, target.values(pts))
-        if kind == "clifford":
-            dstack = conn.derivation_stack()
-            return out + np.einsum("na,aij,nj->ni", wvals, dstack, target.values(pts))
-        raise ValueError(f"unsupported codomain {kind}")  # pragma: no cover
+        # gamma(W(x)), or its derivation extension, applied to the target value
+        ops = conn.derivation_stack() if kind == "clifford" else conn.gamma
+        applied = target.values(pts) @ ops.transpose(0, 2, 1)  # (direction, point, fiber)
+        return out + np.einsum("na,ani->ni", wvals, applied)
 
     def _derivs(self, pts, dirs):  # pragma: no cover - guarded by deriv_order
         raise DerivativeOrderError("covariant derivatives are exact to first order only")

@@ -125,6 +125,14 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def parse_value(kind, name: str, text: str):
+    """``kind(text)``; a ValueError naming the field ``name`` if the text does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must parse as {kind.__name__}; got {text!r}") from None
+
+
 def expm_skew(a: np.ndarray) -> np.ndarray:
     """Exponential of a (skew-Hermitian) matrix via eigendecomposition.
 
@@ -230,15 +238,17 @@ class GroupModel:
         comm = comm - np.einsum("abik->baik", comm)
         self.structure = np.einsum("cij,abji->abc", self.basis, comm).real * (-self.form_factor)
 
-        # Isotropy subalgebra frame (coordinates in the orthonormal basis).
-        k_coords = np.eye(self.dim)[list(subgroup_indices)] if len(subgroup_indices) else np.zeros((0, self.dim))
-        self.k_frame = self._orthonormal_rows(k_coords)
-        self.k_dim = self.k_frame.shape[0]
-
-        proj_k = self.k_frame.T @ self.k_frame if self.k_dim else np.zeros((self.dim, self.dim))
-        self.proj_m = np.eye(self.dim) - proj_k
-        self.m_frame = self._complement_frame(proj_k)
-        self.m_dim = self.m_frame.shape[0]
+        # Isotropy subalgebra and tangent complement frames: rows of the
+        # orthonormal basis (coordinates in that basis).
+        idx = list(subgroup_indices)
+        for i in idx:
+            if not 0 <= i < self.dim or idx.count(i) > 1:
+                raise ValueError(f"subgroup index {i} must be distinct and in 0..{self.dim - 1}")
+        eye = np.eye(self.dim)
+        self.k_frame = eye[idx]
+        self.m_frame = eye[[a for a in range(self.dim) if a not in idx]]
+        self.k_dim, self.m_dim = len(idx), self.dim - len(idx)
+        self.proj_m = eye - self.k_frame.T @ self.k_frame
 
         self._check_subalgebra()
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
@@ -249,38 +259,11 @@ class GroupModel:
         # each built on first use by the named function and kept for the life of the group
         self.frame_cache: list | None = None  # geometry.tangent_frame
         self.spin_reps: dict = {}  # reps.spin_rep, by two_j
+        self.ad_rep = None  # reps.adjoint_rep; its stack is every batch's adjoint stack
+        self.tangent_krep = None  # sections.TangentKRep, shared by all fundamental fields
         self.clifford_krep = None  # sections.CliffordKRep
 
     # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-        out = []
-        for r in rows:
-            v = r.astype(float).copy()
-            for u in out:
-                v -= np.dot(u, v) * u
-            nrm = np.linalg.norm(v)
-            if nrm < _PIVOT_TOL:
-                raise ValueError("subgroup basis is numerically dependent")
-            out.append(v / nrm)
-        return np.array(out).reshape(len(out), rows.shape[1])
-
-    def _complement_frame(self, proj_k: np.ndarray) -> np.ndarray:
-        out = []
-        for a in range(self.dim):
-            v = np.eye(self.dim)[a] - proj_k @ np.eye(self.dim)[a]
-            for u in out:
-                v -= np.dot(u, v) * u
-            nrm = np.linalg.norm(v)
-            # directions already spanned leave residues at roundoff level,
-            # far below any genuinely new direction
-            if nrm > 1e-6:
-                out.append(v / nrm)
-        frame = np.array(out)
-        if frame.shape[0] != self.dim - self.k_dim:
-            raise ValueError("could not build a complement frame")
-        return frame
 
     def _check_subalgebra(self) -> None:
         brackets = self.ad(self.k_frame) @ self.k_frame.T  # [Z_i, Z_j] in column j
@@ -323,23 +306,35 @@ class GroupModel:
         and one ``basis_<i>`` entry per generator, each a whitespace
         separated list of ``re im`` pairs in row-major order.  Optional:
         ``subgroup`` (comma separated basis indices), ``scale``, ``name``.
+        A missing section or key, or a value that does not parse, raises
+        a ValueError naming it.
         """
         cp = configparser.ConfigParser()
         with open(path) as fh:
             cp.read_string(fh.read())
+        if not cp.has_section("group"):
+            raise ValueError(f"group config {path} has no [group] section")
         sec = cp["group"]
-        n = sec.getint("matrix_dim")
-        count = sec.getint("basis_count")
+
+        def field(key, kind, default=None):
+            if default is None and key not in sec:
+                raise ValueError(f"[group] {key} is missing from {path}")
+            return parse_value(kind, f"[group] {key}", sec.get(key, default))
+
+        n, count = field("matrix_dim", int), field("basis_count", int)
         mats = []
         for i in range(count):
-            vals = [float(v) for v in sec[f"basis_{i}"].replace(";", " ").split()]
+            key = f"basis_{i}"
+            vals = [parse_value(float, f"[group] {key}", v)
+                    for v in field(key, str).replace(";", " ").split()]
             if len(vals) != 2 * n * n:
-                raise ValueError(f"basis_{i}: expected {2 * n * n} numbers, got {len(vals)}")
+                raise ValueError(f"{key}: expected {2 * n * n} numbers, got {len(vals)}")
             flat = np.array(vals).reshape(n * n, 2)
             mats.append((flat[:, 0] + 1j * flat[:, 1]).reshape(n, n))
-        sub = tuple(int(s) for s in sec.get("subgroup", "").replace(",", " ").split())
+        sub = tuple(parse_value(int, "[group] subgroup", v)
+                    for v in sec.get("subgroup", "").replace(",", " ").split())
         return cls(sec.get("name", "custom"), np.array(mats), subgroup_indices=sub,
-                   metric_scale=sec.getfloat("scale", 1.0))
+                   metric_scale=field("scale", float, "1.0"))
 
     # -- basic operations ------------------------------------------------------
 

@@ -66,7 +66,7 @@ class _AdjointRep(UnitaryRep):
                          spin=group.ad_bandwidth)
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
-        return self.group.adjoint_stack(matrices).astype(complex)
+        return self.group.adjoint_stack(matrices)
 
 
 def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
@@ -99,7 +99,14 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
 
 
 def adjoint_rep(group: GroupModel) -> UnitaryRep:
-    return _AdjointRep(group)
+    """The adjoint representation on the orthonormal algebra basis; real-valued.
+
+    Its coefficients are the fundamental fields, and its stack on a batch
+    is the batch's adjoint stack.  The one object per group is kept on the group.
+    """
+    if group.ad_rep is None:
+        group.ad_rep = _AdjointRep(group)
+    return group.ad_rep
 
 
 def direct_sum(*reps: UnitaryRep) -> UnitaryRep:

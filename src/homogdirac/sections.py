@@ -10,6 +10,10 @@ explicit formulas.
 
 Derivatives are symbolic per node, never finite differences; finite
 differencing appears only in the test suite as an independent oracle.
+Functions on the group enter as matrix coefficients x -> u* rho(x) v
+(:class:`MatrixCoefficient`): fundamental fields are coefficients of the
+adjoint representation and harmonic spinors those of a spin
+representation, each with one value per column of a matrix ``v``.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
 elements and caches representation stacks, node values and one orbit
 batch (x s for every subgroup-rule node s, where a subgroup average
@@ -35,7 +39,7 @@ import numpy as np
 
 from .cliffordalg import CliffordAlgebra
 from .groups import GroupElement, GroupModel, Memo, QuadratureRule
-from .reps import UnitaryRep
+from .reps import UnitaryRep, adjoint_rep
 
 __all__ = [
     "Codomain",
@@ -120,7 +124,6 @@ class EvalPoints:
         self.matrices = np.asarray(matrices, dtype=complex)
         self._elements = list(elements) if elements is not None else None
         self._reps = Memo()
-        self._ad: np.ndarray | None = None
         self._vals = Memo()
         self._orbit: EvalPoints | None = None
         self._factors = None  # (base, subgroup nodes) of an orbit batch
@@ -165,7 +168,7 @@ class EvalPoints:
             nodes = EvalPoints.for_rule(self.group, self.group.k_rule)
             # a twin sharing this batch's stacks: the orbit must not refer back
             base = EvalPoints(self.group, self.matrices)
-            base._reps, base._ad = self._reps, self._ad
+            base._reps = self._reps
             self._orbit = EvalPoints(
                 self.group, _product_stack(self.matrices, nodes.matrices))
             self._orbit._factors = (base, nodes)
@@ -185,14 +188,8 @@ class EvalPoints:
         return self._reps.put(rep, stack)
 
     def ad_stack(self) -> np.ndarray:
-        """Adjoint matrices Ad_x for each point, in the orthonormal basis."""
-        if self._ad is None:
-            if self._factors is not None:
-                base, nodes = self._factors
-                self._ad = _product_stack(base.ad_stack(), nodes.ad_stack())
-            else:
-                self._ad = self.group.adjoint_stack(self.matrices)
-        return self._ad
+        """Adjoint matrices Ad_x for each point: the (real) adjoint representation's stack."""
+        return self.rep_stack(adjoint_rep(self.group))
 
     def node_values(self, node: "Section") -> np.ndarray:
         hit = self._vals.lookup(node)
@@ -266,9 +263,14 @@ def _tangent_stack(group: GroupModel, pts: EvalPoints) -> np.ndarray:
 
 
 def TangentKRep(group: GroupModel) -> MatrixKRep:
-    """Adjoint action on the tangent complement, in complement-frame coordinates."""
-    return MatrixKRep(group, lambda pts: _tangent_stack(group, pts).astype(complex),
-                      group.m_dim)
+    """Adjoint action on the tangent complement, in complement-frame coordinates.
+
+    One action per group, kept on it, so sums of tangent sections keep their tag.
+    """
+    if group.tangent_krep is None:
+        group.tangent_krep = MatrixKRep(
+            group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim)
+    return group.tangent_krep
 
 
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
@@ -388,60 +390,57 @@ class Constant(Section):
 
 
 class MatrixCoefficient(Section):
-    """The scalar section x -> <u, rho(x) v> (linear in the second slot)."""
+    """The section x -> u* rho(x) v, linear in v and conjugate-linear in u.
 
-    def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray):
-        self.rep = rep
-        self.group = rep.group
-        self.u = np.asarray(u, dtype=complex)
-        self.v = np.asarray(v, dtype=complex)
-        self.codomain = Codomain.scalar()
-        self.deriv_order = 1
-        self.bandwidth = rep.spin
-        self.children = ()
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return np.einsum("i,nij,j->n", self.u.conj(), pts.rep_stack(self.rep), self.v)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        dv = np.einsum("na,aij,j->ni", dirs, self.rep.generators, self.v)
-        return np.einsum("i,nij,nj->n", self.u.conj(), pts.rep_stack(self.rep), dv)
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        return MatrixCoefficient(self.rep, self.rep.derivative(coords) @ self.u, self.v)
-
-
-class FundamentalField(Section):
-    """The tangent section generated by an algebra vector.
-
-    Its value is minus the tangent projection of the inverse-adjoint image
-    of the generator, expressed in complement-frame coordinates, and its
-    right derivative is the projected bracket of the direction with that
-    inverse-adjoint image.
+    A vector ``v`` gives a scalar section; a (dim, k) matrix ``v`` gives one
+    coefficient per column, as a section in ``codomain`` (of shape (k,)).
+    The right derivative along Y is u* rho(x) drho(Y) v, with drho(e_a) v
+    contracted once here.  Fundamental fields and harmonic spinors are
+    coefficients of this form; see :func:`FundamentalField` and
+    :func:`HarmonicSpinor`.
     """
 
-    def __init__(self, group: GroupModel, coords: np.ndarray):
-        self.group = group
-        self.x_coords = np.asarray(coords, dtype=float)
-        self.codomain = Codomain.tangent(group)
+    def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray,
+                 codomain: Codomain | None = None, krep=None):
+        self.rep = rep
+        self.group = rep.group
+        self.u = np.asarray(u)
+        self.v = np.asarray(v, dtype=complex)
+        self.codomain = codomain or Codomain.scalar()
+        if self.v.shape[1:] != self.codomain.shape:
+            raise ValueError(f"coefficient vectors of shape {self.v.shape} do not give "
+                             f"values of shape {self.codomain.shape}")
         self.deriv_order = 1
-        self.bandwidth = group.ad_bandwidth
-        self.krep = TangentKRep(group)
+        self.bandwidth = rep.spin
+        self.krep = krep
         self.children = ()
+        # drho(e_a) v for each algebra axis a, flattened to one row per axis
+        self._dv = (rep.generators @ self.v.reshape(rep.dim, -1)).reshape(self.group.dim, -1)
 
-    def _pulled(self, pts: EvalPoints) -> np.ndarray:
-        # Ad_x^{-1} X = Ad_x^T X for orthogonal adjoint matrices
-        return np.einsum("nba,b->na", pts.ad_stack(), self.x_coords)
+    def _rows(self, pts: EvalPoints) -> np.ndarray:
+        return self.u.conj() @ pts.rep_stack(self.rep)  # u* rho(x), one row per point
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        return -np.einsum("pa,na->np", self.group.m_frame, self._pulled(pts)).astype(complex)
+        return (self._rows(pts) @ self.v).reshape((pts.n,) + self.codomain.shape)
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        br = np.einsum("abc,na,nb->nc", self.group.structure, dirs, self._pulled(pts))
-        return np.einsum("pa,na->np", self.group.m_frame, br).astype(complex)
+        dv = (dirs @ self._dv).reshape((pts.n, self.rep.dim, -1))  # drho(Y) v per point
+        return (self._rows(pts)[:, None] @ dv).reshape((pts.n,) + self.codomain.shape)
 
     def _lambda(self, coords: np.ndarray) -> Section:
-        return FundamentalField(self.group, self.group.bracket(coords, self.x_coords))
+        return MatrixCoefficient(self.rep, self.rep.derivative(coords) @ self.u, self.v,
+                                 self.codomain, self.krep)
+
+
+def FundamentalField(group: GroupModel, coords: np.ndarray) -> MatrixCoefficient:
+    """The tangent section generated by an algebra vector X.
+
+    Its value -P Ad_x^-1 X, in complement-frame coordinates, is the adjoint
+    coefficient <X, Ad_x (-m_frame^T)>; its right derivative along Y is the
+    projected bracket P [Y, Ad_x^-1 X], and its left derivative is the field of [Y, X].
+    """
+    return MatrixCoefficient(adjoint_rep(group), np.asarray(coords, dtype=float),
+                             -group.m_frame.T, Codomain.tangent(group), TangentKRep(group))
 
 
 class Sum(Section):
@@ -818,42 +817,18 @@ class OpApply(Section):
                 + np.einsum("nij,nj->ni", op.values(pts), xi.derivs(pts, dirs)))
 
 
-class HarmonicSpinor(Section):
+def HarmonicSpinor(rep: UnitaryRep, row: int, coeff: np.ndarray,
+                   algebra: CliffordAlgebra, krep=None) -> MatrixCoefficient:
     """A Clifford-valued section with a single-level Peter-Weyl profile.
 
-    value(x) = sum_{r,T} rho(x)[row, r] * coeff[r, T] * e_T.  With a
-    coefficient tensor satisfying the subgroup-invariance constraint these
-    sections span the left-translation isotypic components of the spinor
-    module, and their quadrature-free orthogonality follows from Schur
-    orthogonality of the matrix coefficients.
+    value(x) = sum_{r,T} rho(x)[row, r] * coeff[r, T] * e_T, the coefficient
+    of ``rep`` between the row's basis vector and the columns of ``coeff``.
+    With a coefficient tensor satisfying the subgroup-invariance constraint
+    these sections span the left-translation isotypic components of the
+    spinor module, and their quadrature-free orthogonality follows from
+    Schur orthogonality of the matrix coefficients.
     """
-
-    def __init__(self, rep: UnitaryRep, row: int, coeff: np.ndarray,
-                 algebra: CliffordAlgebra, krep=None):
-        self.rep = rep
-        self.group = rep.group
-        self.row = int(row)
-        self.coeff = np.asarray(coeff, dtype=complex)
-        self.algebra = algebra
-        self.codomain = Codomain.clifford(algebra)
-        self.deriv_order = 1
-        self.bandwidth = rep.spin
-        self.krep = krep
-        self.children = ()
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return np.einsum("nr,rT->nT", pts.rep_stack(self.rep)[:, self.row, :], self.coeff)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        d = np.einsum("na,aij->nij", dirs, self.rep.generators)
-        rows = np.einsum("nj,njr->nr", pts.rep_stack(self.rep)[:, self.row, :], d)
-        return np.einsum("nr,rT->nT", rows, self.coeff)
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        d = self.rep.derivative(coords)
-        rows = [HarmonicSpinor(self.rep, i, self.coeff, self.algebra, self.krep)
-                for i in range(self.rep.dim)]
-        return Sum(rows, -d[self.row, :])
+    return MatrixCoefficient(rep, np.eye(rep.dim)[row], coeff, Codomain.clifford(algebra), krep)
 
 
 # -- module-level operations -------------------------------------------------------

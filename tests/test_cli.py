@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from homogdirac import GroupModel
 from homogdirac.cli import RunConfig, load_config, main, run_monopole, run_verify
 
 
@@ -180,3 +181,57 @@ def test_threads_env_gives_same_spectrum(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMOG_DIRAC_THREADS", "2")
     assert main(args + ["--out", out2]) == 0
     assert open(out1).read() == open(out2).read()
+
+
+def _su2_group_lines(**overrides):
+    """Lines of a [group] config for the catalog SU(2); an override of None drops the key."""
+    keys = {"matrix_dim": "2", "basis_count": "3", "subgroup": "2"}
+    for i, m in enumerate(GroupModel.su2().basis):
+        keys[f"basis_{i}"] = " ".join(f"{float(v.real)!r} {float(v.imag)!r}"
+                                      for v in m.reshape(-1))
+    keys.update(overrides)
+    return ["[group]"] + [f"{k} = {v}" for k, v in keys.items() if v is not None]
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({}, None),
+    ({"matrix_dim": "two"}, "matrix_dim"),
+    ({"basis_count": None}, "basis_count"),
+    ({"basis_1": None}, "basis_1"),
+    ({"basis_0": "0.0 x 0.0 0.0 0.0 0.0 0.0 0.0"}, "basis_0"),
+    ({"subgroup": "5"}, "subgroup index 5"),
+    ({"subgroup": "-1"}, "subgroup index -1"),
+    ({"subgroup": "2, 2"}, "subgroup index 2"),
+    ({"subgroup": "z"}, "subgroup"),
+    ({"scale": "large"}, "scale"),
+], ids=["well-formed", "matrix_dim", "basis_count", "basis_1", "basis_0", "subgroup-5",
+        "subgroup-negative", "subgroup-repeated", "subgroup-text", "scale"])
+def test_bad_group_config_exits_config_error(tmp_path, overrides, name, capsys):
+    path = os.path.join(tmp_path, "group.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(_su2_group_lines(**overrides)) + "\n")
+    argv = ["verify", "--group", path, "--sample-count", "5", "--quadrature-bandwidth", "4",
+            "--out", os.path.join(tmp_path, "report.json")]
+    if name is None:  # the well-formed file runs
+        assert main(argv) == 0
+        return
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_group_config_without_group_section_names_the_file(tmp_path, capsys):
+    path = os.path.join(tmp_path, "nogroup.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(["[groups]"] + _su2_group_lines()[1:]) + "\n")
+    assert main(["verify", "--group", path]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "[group]" in err
+
+
+def test_unparsable_gamma_file_names_the_file(tmp_path, capsys):
+    path = os.path.join(tmp_path, "gamma.txt")
+    with open(path, "w") as fh:
+        fh.write("1 2 x\n")
+    assert main(["verify", "--group", "su2", "--subgroup", "trivial",
+                 "--connection", path]) == 2
+    assert path in capsys.readouterr().err

@@ -6,6 +6,7 @@ from homogdirac import (
     Codomain,
     Connection,
     Constant,
+    EmbedTangent,
     EvalPoints,
     GroupModel,
     MatrixCoefficient,
@@ -16,12 +17,15 @@ from homogdirac import (
     TangentKRep,
     Translate,
     TrivialKRep,
+    build_frame,
     canonical_connection,
     equivariance_defect,
     fundamental_field,
     levi_civita_connection,
     spin_rep,
+    spinor_algebra,
     symmetric_space_check,
+    tangent_bundle,
     tangent_frame,
     torsion,
     torsion_trace,
@@ -365,3 +369,27 @@ def test_non_skew_gamma_flagged(full_group):
     gamma[0, 0, 0] = 1.0
     conn = Connection(full_group, gamma, name="non-skew")
     assert not conn.is_compatible
+
+
+def test_connection_correction_matches_einsum_form(full_group, rng):
+    """gamma(W(x)) on vector, tangent and Clifford targets, against the one-einsum form."""
+    g = full_group
+    alg = spinor_algebra(g)
+    a = rng.standard_normal((3, 3, 3))
+    skew = Connection(g, a - a.transpose(0, 2, 1), name="random-skew")
+    direction = Sum([fundamental_field(g, g.random_algebra(rng)),
+                     fundamental_field(g, g.random_algebra(rng))], [1.0, 0.5j])
+    targets = {
+        "vector": build_frame(tangent_bundle(g))[1],
+        "tangent": fundamental_field(g, g.random_algebra(rng)),
+        "clifford": EmbedTangent(alg, fundamental_field(g, g.random_algebra(rng))),
+    }
+    pts = sample_pts(g, rng, 9)
+    wvals = direction.values(pts)
+    for conn in (levi_civita_connection(g), skew):
+        for kind, target in targets.items():
+            ops = conn.derivation_stack() if kind == "clifford" else conn.gamma
+            want = (ApplyConnection(canonical_connection(g), direction, target).values(pts)
+                    + np.einsum("na,aij,nj->ni", wvals, ops, target.values(pts)))
+            got = ApplyConnection(conn, direction, target).values(pts)
+            assert np.abs(got - want).max() < 1e-13

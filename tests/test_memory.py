@@ -20,7 +20,9 @@ from homogdirac import (
     RealPart,
     Scale,
     Sum,
+    TangentKRep,
     TrivialKRep,
+    adjoint_rep,
     l2_inner,
     minimal_violating_connection,
     selfadjoint_defect,
@@ -104,7 +106,12 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     assert spin_rep(group, 3) is spin_rep(group, 3)
     assert CliffordKRep(group, algebra) is CliffordKRep(group, algebra)
     CliffordKRep(group, algebra).rule_stack()
+    assert adjoint_rep(group) is adjoint_rep(group)
+    assert TangentKRep(group) is TangentKRep(group)
+    TangentKRep(group).rule_stack()
     ref = weakref.ref(group)
+    kept = [weakref.ref(adjoint_rep(group)), weakref.ref(TangentKRep(group))]
     del group
     gc.collect()
     assert ref() is None
+    assert all(r() is None for r in kept)

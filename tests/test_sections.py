@@ -13,6 +13,7 @@ from homogdirac import (
     EvalPoints,
     FundamentalField,
     GroupElement,
+    HarmonicSpinor,
     ImagPart,
     KAverage,
     MatrixCoefficient,
@@ -21,14 +22,17 @@ from homogdirac import (
     Sum,
     TangentKRep,
     TrivialKRep,
+    adjoint_rep,
     direct_sum,
     equivariance_defect,
+    gradient,
     l2_inner,
     lambda_deriv,
     monopole_bundle,
     spin_rep,
     spinor_algebra,
     tangent_bundle,
+    tangent_frame,
     translate,
 )
 
@@ -398,3 +402,106 @@ def test_shared_subgraph_caching(sphere, rng):
     v1 = s2.values(pts)
     assert id(f) in pts._vals  # shared child evaluated through the cache
     assert np.allclose(v1, f.values(pts) ** 2 + f.values(pts))
+
+
+# -- matrix coefficients: fundamental fields and harmonic spinors -----------------
+
+
+def _bracket_form_fundamental_field(group, coords, pts, dirs):
+    """Values -m_frame Ad_x^T X and right derivatives m_frame [Y, Ad_x^T X]."""
+    pulled = np.einsum("nba,b->na", group.adjoint_stack(pts.matrices), coords)
+    vals = -pulled @ group.m_frame.T
+    derivs = np.einsum("abc,na,nb->nc", group.structure, dirs, pulled) @ group.m_frame.T
+    return vals, derivs
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_fundamental_field_matches_bracket_formulas(space, request, rng):
+    """The adjoint coefficient equals the bracket formulas on a random and an orbit batch."""
+    group = request.getfixturevalue(space)
+    coords = group.random_algebra(rng)
+    w = FundamentalField(group, coords)
+    pts = EvalPoints.of(group, group.random_elements(rng, 7))
+    for batch in (pts, pts.orbit()):
+        dirs = (rng.standard_normal((batch.n, group.dim))
+                + 1j * rng.standard_normal((batch.n, group.dim)))
+        vals, derivs = _bracket_form_fundamental_field(group, coords, batch, dirs)
+        assert np.abs(w.values(batch) - vals).max() < 1e-13
+        assert np.abs(w.derivs(batch, dirs) - derivs).max() < 1e-13
+    # the left derivative along Y is the field of [Y, X]
+    y = group.random_algebra(rng)
+    vals, _ = _bracket_form_fundamental_field(group, group.bracket(y, coords), pts, dirs[:7])
+    lam = lambda_deriv(w, y)
+    assert np.abs(lam.values(pts) - vals).max() < 1e-13
+    assert lam.krep is w.krep is TangentKRep(group)
+    assert w.bandwidth == lam.bandwidth == group.ad_bandwidth
+
+
+def test_harmonic_spinor_matches_row_formulas(sphere, rng):
+    """Values, derivatives and the left derivative of the former row-sum form."""
+    alg = spinor_algebra(sphere)
+    rep = spin_rep(sphere, 2)
+    coeff = rng.standard_normal((rep.dim, alg.n)) + 1j * rng.standard_normal((rep.dim, alg.n))
+    row = 1
+    h = HarmonicSpinor(rep, row, coeff, alg)
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 6))
+    dirs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    stack = pts.rep_stack(rep)
+    d = np.einsum("na,aij->nij", dirs, rep.generators)
+    assert np.abs(h.values(pts) - stack[:, row, :] @ coeff).max() < 1e-13
+    want = np.einsum("nj,njr->nr", stack[:, row, :], d) @ coeff
+    assert np.abs(h.derivs(pts, dirs) - want).max() < 1e-13
+
+    y = sphere.random_algebra(rng)
+    dy = rep.derivative(y)
+    row_sum = Sum([HarmonicSpinor(rep, i, coeff, alg) for i in range(rep.dim)], -dy[row, :])
+    lam = lambda_deriv(h, y)
+    assert isinstance(lam, MatrixCoefficient)
+    assert np.abs(lam.values(pts) - row_sum.values(pts)).max() < 1e-13
+    assert np.abs(lam.derivs(pts, dirs) - row_sum.derivs(pts, dirs)).max() < 1e-13
+
+
+def test_matrix_coefficient_columns_are_scalar_coefficients(sphere, rng):
+    rep = spin_rep(sphere, 3)
+    u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    v = rng.standard_normal((rep.dim, 5)) + 1j * rng.standard_normal((rep.dim, 5))
+    f = MatrixCoefficient(rep, u, v, Codomain.vector(5))
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 6))
+    dirs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    y = sphere.random_algebra(rng)
+    vals, derivs = f.values(pts), f.derivs(pts, dirs)
+    lam = lambda_deriv(f, y).values(pts)
+    assert vals.shape == derivs.shape == lam.shape == (6, 5)
+    for k in range(5):
+        fk = MatrixCoefficient(rep, u, v[:, k])
+        assert np.abs(vals[:, k] - fk.values(pts)).max() < 1e-13
+        assert np.abs(derivs[:, k] - fk.derivs(pts, dirs)).max() < 1e-13
+        assert np.abs(lam[:, k] - lambda_deriv(fk, y).values(pts)).max() < 1e-13
+    with pytest.raises(ValueError):
+        MatrixCoefficient(rep, u, v)
+    with pytest.raises(ValueError):
+        MatrixCoefficient(rep, u, v, Codomain.vector(4))
+
+
+def test_tangent_sums_keep_the_equivariance_tag(sphere, rng):
+    rep = spin_rep(sphere, 2)
+    f = RealPart(KAverage(MatrixCoefficient(
+        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
+    grad = gradient(sphere, f)
+    assert grad.krep is TangentKRep(sphere)
+    assert Sum(tangent_frame(sphere)[:2]).krep is TangentKRep(sphere)
+    x = sphere.random_element(rng)
+    for t in (0.7, 2.9):
+        s = sphere.exp(sphere.k_frame[0], t)
+        assert equivariance_defect(grad, x, s) <= 1e-12
+
+
+def test_adjoint_stack_is_the_adjoint_representation_stack(sphere, rng):
+    """Fundamental fields and the tangent bundle's frame share one stack per batch."""
+    assert adjoint_rep(sphere) is adjoint_rep(sphere)
+    assert TangentKRep(sphere) is TangentKRep(sphere)
+    assert tangent_bundle(sphere).rep_tilde is adjoint_rep(sphere)
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
+    stack = pts.ad_stack()
+    assert stack is pts.rep_stack(adjoint_rep(sphere)) and stack.dtype == float
+    assert np.array_equal(stack, sphere.adjoint_stack(pts.matrices))
