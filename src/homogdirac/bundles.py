@@ -115,11 +115,12 @@ class FrameField(Section):
 
     def _derivs(self, pts, dirs) -> np.ndarray:
         rep = self.bundle.rep_tilde
-        stack = pts.rep_stack(rep)
-        d = np.einsum("na,aij->nij", dirs, rep.generators)
-        # d/dt rho(x exp(tY))^* e_j = -drho(Y) rho(x)^* e_j
-        w = np.conj(stack[:, self.j, :])
-        return -np.einsum("ik,nij,nj->nk", self.bundle.embed.conj(), d, w)
+        w = np.conj(pts.rep_stack(rep)[:, self.j, :])  # rho(x)^* e_j
+        # d/dt rho(x exp(tY))^* e_j = -drho(Y) rho(x)^* e_j, restricted to the fiber:
+        # E* drho(e_a) w for every axis a, then contracted with the direction
+        egen = (self.bundle.embed.conj().T @ rep.generators).reshape(-1, rep.dim)
+        ew = (w @ egen.T).reshape(pts.n, -1, self.bundle.fiber_dim)
+        return -(dirs[:, None] @ ew)[:, 0]
 
 
 def build_frame(bundle: InducedBundle) -> list:

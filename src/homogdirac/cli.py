@@ -128,7 +128,7 @@ def load_config(path: str) -> RunConfig:
     """
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_string(fh.read())
+        cp.read_file(fh)
     for section in cp.sections():
         if section not in ("run", "tolerances"):
             raise ValueError(f"unknown config section [{section}]; expected [run] or [tolerances]")
@@ -293,7 +293,7 @@ def main(argv: list | None = None) -> int:
         header, rows = run_monopole(cfg)
         _write_csv(header, rows, cfg.output)
         return 0
-    except (ValueError, KeyError, OSError, NotImplementedError) as exc:
+    except (ValueError, KeyError, OSError, NotImplementedError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

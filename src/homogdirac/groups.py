@@ -306,12 +306,13 @@ class GroupModel:
         and one ``basis_<i>`` entry per generator, each a whitespace
         separated list of ``re im`` pairs in row-major order.  Optional:
         ``subgroup`` (comma separated basis indices), ``scale``, ``name``.
-        A missing section or key, or a value that does not parse, raises
-        a ValueError naming it.
+        A missing section or key, an unknown key, or a value that does not
+        parse raises a ValueError naming it; a file that is not valid config
+        syntax raises a ``configparser.Error`` naming the file.
         """
         cp = configparser.ConfigParser()
         with open(path) as fh:
-            cp.read_string(fh.read())
+            cp.read_file(fh)
         if not cp.has_section("group"):
             raise ValueError(f"group config {path} has no [group] section")
         sec = cp["group"]
@@ -322,6 +323,11 @@ class GroupModel:
             return parse_value(kind, f"[group] {key}", sec.get(key, default))
 
         n, count = field("matrix_dim", int), field("basis_count", int)
+        known = {"matrix_dim", "basis_count", "subgroup", "scale", "name",
+                 *(f"basis_{i}" for i in range(count))}
+        for key in sec:
+            if key not in known:
+                raise ValueError(f"unknown [group] key {key!r} in {path}")
         mats = []
         for i in range(count):
             key = f"basis_{i}"

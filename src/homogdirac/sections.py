@@ -14,6 +14,13 @@ Functions on the group enter as matrix coefficients x -> u* rho(x) v
 (:class:`MatrixCoefficient`): fundamental fields are coefficients of the
 adjoint representation and harmonic spinors those of a spin
 representation, each with one value per column of a matrix ``v``.
+Every pointwise module operation is one of two nodes: a bilinear map of
+two sections (:class:`Product`: the module action, Clifford product, fiber
+inner product, rank-one endomorphisms and applying an endomorphism), which
+carries the product rule once, or a fixed real-linear map of one section
+(:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
+Each operation is a constructor function returning one of them, and a
+left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
 elements and caches representation stacks, node values and one orbit
 batch (x s for every subgroup-rule node s, where a subgroup average
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -210,12 +218,6 @@ def _product_stack(base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class TrivialKRep:
     """Trivial action; tags right-K-invariant scalar sections."""
 
-    def matrix(self, s: GroupElement) -> np.ndarray:
-        return np.eye(1)
-
-    def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
-        return values
-
     def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         return values
 
@@ -290,13 +292,6 @@ class OperatorKRep:
     def __init__(self, inner: MatrixKRep):
         self.inner = inner
 
-    def matrix(self, s: GroupElement) -> np.ndarray:  # pragma: no cover
-        raise TypeError("operator actions act by conjugation, not matrices")
-
-    def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
-        m = self.inner.matrix(s)
-        return np.einsum("ij,...jk,lk->...il", m, values, m.conj())
-
     def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         m = self.inner.matrix(s)
         return np.einsum("ji,...jk,kl->...il", m.conj(), values, m)
@@ -361,10 +356,6 @@ def _find_group(node) -> GroupModel | None:
         if g is not None:
             return g
     return None
-
-
-def _broadcast_scalar(scalar_vals: np.ndarray, codomain: Codomain) -> np.ndarray:
-    return scalar_vals.reshape(scalar_vals.shape + (1,) * len(codomain.shape))
 
 
 class Constant(Section):
@@ -483,64 +474,72 @@ class Sum(Section):
         return Sum([c._lambda(coords) for c in self.children], self.coeffs)
 
 
-class Scale(Section):
-    """Pointwise module action: a section scaled by a scalar section."""
-
-    def __init__(self, child: Section, scalar: Section):
-        if scalar.codomain.kind != "scalar":
-            raise ValueError("scale factor must be a scalar section")
-        self.children = (child, scalar)
-        self.codomain = child.codomain
-        self.deriv_order = min(child.deriv_order, scalar.deriv_order)
-        self.bandwidth = child.bandwidth + scalar.bandwidth
-        self.group = _find_group(self)
-        # the module action of an invariant scalar preserves equivariance
-        self.krep = child.krep if scalar.krep is not None else None
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        child, scalar = self.children
-        return child.values(pts) * _broadcast_scalar(scalar.values(pts), self.codomain)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        child, scalar = self.children
-        return (child.derivs(pts, dirs) * _broadcast_scalar(scalar.values(pts), self.codomain)
-                + child.values(pts) * _broadcast_scalar(scalar.derivs(pts, dirs), self.codomain))
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        child, scalar = self.children
-        return Sum([Scale(child._lambda(coords), scalar),
-                    Scale(child, scalar._lambda(coords))])
+# -- pointwise module operations: one bilinear node and one linear node -------------
 
 
-class CliffordProduct(Section):
-    """Pointwise Clifford product of two Clifford-valued sections."""
+class Product(Section):
+    """A pointwise bilinear map ``mul`` of two sections: the product rule, once.
 
-    def __init__(self, algebra: CliffordAlgebra, a: Section, b: Section):
-        if a.codomain.kind != "clifford" or b.codomain.kind != "clifford":
-            raise ValueError("both factors must be Clifford-valued")
-        if a.codomain != b.codomain:
-            raise ValueError("factors live in different algebras")
-        self.algebra = algebra
+    Values are mul(a, b) and right derivatives mul(da, b) + mul(a, db).  The
+    left derivative make(a', b) + make(a, b') is rebuilt through ``make``,
+    the public constructor that built this node, so it passes the same
+    checks and gets the same tag.  A bilinear map of equivariant sections is
+    equivariant: the node carries ``krep`` when both factors carry a tag.
+    """
+
+    def __init__(self, mul, make, a: Section, b: Section, codomain: Codomain, krep):
+        self.mul = mul
+        self.make = make
         self.children = (a, b)
-        self.codomain = a.codomain
+        self.codomain = codomain
         self.deriv_order = min(a.deriv_order, b.deriv_order)
         self.bandwidth = a.bandwidth + b.bandwidth
         self.group = _find_group(self)
-        self.krep = a.krep if (a.krep is not None and b.krep is not None) else None
+        self.krep = krep if a.krep is not None and b.krep is not None else None
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         a, b = self.children
-        return self.algebra.mul(a.values(pts), b.values(pts))
+        return self.mul(a.values(pts), b.values(pts))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         a, b = self.children
-        return (self.algebra.mul(a.derivs(pts, dirs), b.values(pts))
-                + self.algebra.mul(a.values(pts), b.derivs(pts, dirs)))
+        return (self.mul(a.derivs(pts, dirs), b.values(pts))
+                + self.mul(a.values(pts), b.derivs(pts, dirs)))
 
     def _lambda(self, coords: np.ndarray) -> Section:
         a, b = self.children
-        return Sum([CliffordProduct(self.algebra, a._lambda(coords), b),
-                    CliffordProduct(self.algebra, a, b._lambda(coords))])
+        return Sum([self.make(a._lambda(coords), b), self.make(a, b._lambda(coords))])
+
+
+class Pointwise(Section):
+    """A fixed real-linear map ``fn`` of a section's values, and so of its derivatives.
+
+    The left derivative make(child') is rebuilt through ``make``, the public
+    constructor that built this node.
+    """
+
+    def __init__(self, fn, make, child: Section, codomain: Codomain, krep):
+        self.fn = fn
+        self.make = make
+        self.children = (child,)
+        self.codomain = codomain
+        self.deriv_order = child.deriv_order
+        self.bandwidth = child.bandwidth
+        self.group = _find_group(self)
+        self.krep = krep
+
+    def _values(self, pts: EvalPoints) -> np.ndarray:
+        return self.fn(self.children[0].values(pts))
+
+    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
+        return self.fn(self.children[0].derivs(pts, dirs))
+
+    def _lambda(self, coords: np.ndarray) -> Section:
+        return self.make(self.children[0]._lambda(coords))
+
+
+def _scale(vals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    return vals * scalars.reshape(scalars.shape + (1,) * (vals.ndim - 1))
 
 
 def _pairing(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
@@ -548,7 +547,34 @@ def _pairing(vals_a: np.ndarray, vals_b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[0], -1).sum(axis=1)
 
 
-class AInner(Section):
+def _outer(zeta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return np.einsum("ni,nj->nij", zeta, eta.conj())
+
+
+def _apply(op: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,nj->ni", op, xi)
+
+
+def Scale(child: Section, scalar: Section) -> Product:
+    """Pointwise module action: a section scaled by a scalar section.
+
+    The module action of an invariant scalar preserves equivariance.
+    """
+    if scalar.codomain.kind != "scalar":
+        raise ValueError("scale factor must be a scalar section")
+    return Product(_scale, Scale, child, scalar, child.codomain, child.krep)
+
+
+def CliffordProduct(algebra: CliffordAlgebra, a: Section, b: Section) -> Product:
+    """Pointwise Clifford product of two Clifford-valued sections."""
+    if a.codomain.kind != "clifford" or b.codomain.kind != "clifford":
+        raise ValueError("both factors must be Clifford-valued")
+    if a.codomain != b.codomain:
+        raise ValueError("factors live in different algebras")
+    return Product(algebra.mul, partial(CliffordProduct, algebra), a, b, a.codomain, a.krep)
+
+
+def AInner(a: Section, b: Section) -> Product:
     """Pointwise fiber inner product, Hermitian in the first slot.
 
     For vector sections this is the Hilbert-space pairing, for tangent
@@ -556,31 +582,61 @@ class AInner(Section):
     pairing tau(a* . b); all reduce to coordinate pairings because the
     bases used are orthonormal for the corresponding fiber products.
     """
+    if a.codomain != b.codomain:
+        raise ValueError("fiber inner product needs matching codomains")
+    if a.codomain.kind == "operator":
+        raise ValueError("operator sections have no fiber inner product here")
+    return Product(_pairing, AInner, a, b, Codomain.scalar(), TrivialKRep())
 
-    def __init__(self, a: Section, b: Section):
-        if a.codomain != b.codomain:
-            raise ValueError("fiber inner product needs matching codomains")
-        if a.codomain.kind == "operator":
-            raise ValueError("operator sections have no fiber inner product here")
-        self.children = (a, b)
-        self.codomain = Codomain.scalar()
-        self.deriv_order = min(a.deriv_order, b.deriv_order)
-        self.bandwidth = a.bandwidth + b.bandwidth
-        self.group = _find_group(self)
-        self.krep = TrivialKRep() if (a.krep is not None and b.krep is not None) else None
 
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        a, b = self.children
-        return _pairing(a.values(pts), b.values(pts))
+def RankOne(zeta: Section, eta: Section) -> Product:
+    """The operator-valued section zeta(x) eta(x)^*, acting as xi -> zeta <eta, xi>."""
+    if zeta.codomain != eta.codomain or zeta.codomain.kind not in ("vector", "tangent"):
+        raise ValueError("rank-one sections need two matching vector sections")
+    return Product(_outer, RankOne, zeta, eta, Codomain.operator(zeta.codomain.shape[0]),
+                   OperatorKRep(zeta.krep))
 
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        a, b = self.children
-        return (_pairing(a.derivs(pts, dirs), b.values(pts))
-                + _pairing(a.values(pts), b.derivs(pts, dirs)))
 
-    def _lambda(self, coords: np.ndarray) -> Section:
-        a, b = self.children
-        return Sum([AInner(a._lambda(coords), b), AInner(a, b._lambda(coords))])
+def OpApply(op: Section, xi: Section) -> Product:
+    """Pointwise application of an operator section to a vector section."""
+    if op.codomain.kind != "operator":
+        raise ValueError("first factor must be operator-valued")
+    if xi.codomain.shape[0] != op.codomain.shape[1]:
+        raise ValueError("operator and argument dimensions differ")
+    return Product(_apply, OpApply, op, xi, xi.codomain, xi.krep)
+
+
+def _real(vals: np.ndarray) -> np.ndarray:
+    return vals.real.astype(complex)
+
+
+def _imag(vals: np.ndarray) -> np.ndarray:
+    return vals.imag.astype(complex)
+
+
+def RealPart(child: Section) -> Pointwise:
+    """Real part of a scalar section (an R-linear node)."""
+    if child.codomain.kind != "scalar":
+        raise ValueError("real part applies to scalar sections")
+    return Pointwise(_real, RealPart, child, Codomain.scalar(), child.krep)
+
+
+def ImagPart(child: Section) -> Pointwise:
+    """Imaginary part of a scalar section (an R-linear node)."""
+    if child.codomain.kind != "scalar":
+        raise ValueError("imaginary part applies to scalar sections")
+    return Pointwise(_imag, ImagPart, child, Codomain.scalar(), child.krep)
+
+
+def EmbedTangent(algebra: CliffordAlgebra, child: Section, clifford_krep=None) -> Pointwise:
+    """Embed a tangent section into grade one of the Clifford bundle."""
+    if child.codomain.kind != "tangent":
+        raise ValueError("only tangent sections embed into the Clifford bundle")
+    group = _find_group(child)
+    krep = clifford_krep if clifford_krep is not None else (
+        CliffordKRep(group, algebra) if child.krep is not None and group else None)
+    return Pointwise(algebra.embed_vector, partial(EmbedTangent, algebra, clifford_krep=krep),
+                     child, Codomain.clifford(algebra), krep)
 
 
 class Translate(Section):
@@ -644,102 +700,6 @@ class KAverage(Section):
         return KAverage(self.children[0]._lambda(coords), self.krep, self.group)
 
 
-class RealPart(Section):
-    """Real part of a scalar section (an R-linear node)."""
-
-    def __init__(self, child: Section):
-        if child.codomain.kind != "scalar":
-            raise ValueError("real part applies to scalar sections")
-        self.children = (child,)
-        self.codomain = Codomain.scalar()
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.group = _find_group(self)
-        self.krep = child.krep
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return self.children[0].values(pts).real.astype(complex)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        return self.children[0].derivs(pts, dirs).real.astype(complex)
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        return RealPart(self.children[0]._lambda(coords))
-
-
-class ImagPart(Section):
-    """Imaginary part of a scalar section (an R-linear node)."""
-
-    def __init__(self, child: Section):
-        if child.codomain.kind != "scalar":
-            raise ValueError("imaginary part applies to scalar sections")
-        self.children = (child,)
-        self.codomain = Codomain.scalar()
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.group = _find_group(self)
-        self.krep = child.krep
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return self.children[0].values(pts).imag.astype(complex)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        return self.children[0].derivs(pts, dirs).imag.astype(complex)
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        return ImagPart(self.children[0]._lambda(coords))
-
-
-class EmbedTangent(Section):
-    """Embed a tangent section into grade one of the Clifford bundle."""
-
-    def __init__(self, algebra: CliffordAlgebra, child: Section, clifford_krep=None):
-        if child.codomain.kind != "tangent":
-            raise ValueError("only tangent sections embed into the Clifford bundle")
-        self.algebra = algebra
-        self.children = (child,)
-        self.codomain = Codomain.clifford(algebra)
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.group = _find_group(self)
-        self.krep = clifford_krep if clifford_krep is not None else (
-            CliffordKRep(self.group, algebra) if child.krep is not None and self.group else None)
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return self.algebra.embed_vector(self.children[0].values(pts))
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        return self.algebra.embed_vector(self.children[0].derivs(pts, dirs))
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        return EmbedTangent(self.algebra, self.children[0]._lambda(coords), self.krep)
-
-
-class RankOne(Section):
-    """The operator-valued section zeta(x) eta(x)^*, acting as xi -> zeta <eta, xi>."""
-
-    def __init__(self, zeta: Section, eta: Section):
-        if zeta.codomain != eta.codomain or zeta.codomain.kind not in ("vector", "tangent"):
-            raise ValueError("rank-one sections need two matching vector sections")
-        self.children = (zeta, eta)
-        dim = zeta.codomain.shape[0]
-        self.codomain = Codomain.operator(dim)
-        self.deriv_order = min(zeta.deriv_order, eta.deriv_order)
-        self.bandwidth = zeta.bandwidth + eta.bandwidth
-        self.group = _find_group(self)
-        self.krep = (OperatorKRep(zeta.krep) if zeta.krep is not None
-                     and eta.krep is not None else None)
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        zeta, eta = self.children
-        return np.einsum("ni,nj->nij", zeta.values(pts), eta.values(pts).conj())
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        zeta, eta = self.children
-        return (np.einsum("ni,nj->nij", zeta.derivs(pts, dirs), eta.values(pts).conj())
-                + np.einsum("ni,nj->nij", zeta.values(pts), eta.derivs(pts, dirs).conj()))
-
-
 class ConjugatedProjection(Section):
     """The operator section rho(x) M rho(x)^*, e.g. the bundle projection."""
 
@@ -751,6 +711,9 @@ class ConjugatedProjection(Section):
         self.deriv_order = 1
         self.bandwidth = 2 * rep.spin
         self.children = ()
+        # the commutators [drho(e_a), M], flattened to one row per algebra axis
+        gens = rep.generators
+        self._dm = (gens @ self.m - self.m @ gens).reshape(self.group.dim, -1)
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         r = pts.rep_stack(self.rep)
@@ -758,9 +721,8 @@ class ConjugatedProjection(Section):
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         r = pts.rep_stack(self.rep)
-        d = np.einsum("na,aij->nij", dirs, self.rep.generators)
-        inner = d @ self.m - self.m @ d
-        return np.einsum("nij,njk,nlk->nil", r, inner, r.conj())
+        inner = (dirs @ self._dm).reshape(r.shape)  # [drho(Y), M] per point
+        return r @ inner @ r.conj().transpose(0, 2, 1)
 
 
 class GramSection(Section):
@@ -790,31 +752,6 @@ class GramSection(Section):
         dstack = self._flat(np.stack([f.derivs(pts, dirs) for f in self.children]))
         return (np.einsum("jnc,knc->njk", dstack.conj(), stack)
                 + np.einsum("jnc,knc->njk", stack.conj(), dstack))
-
-
-class OpApply(Section):
-    """Pointwise application of an operator section to a vector section."""
-
-    def __init__(self, op: Section, xi: Section):
-        if op.codomain.kind != "operator":
-            raise ValueError("first factor must be operator-valued")
-        if xi.codomain.shape[0] != op.codomain.shape[1]:
-            raise ValueError("operator and argument dimensions differ")
-        self.children = (op, xi)
-        self.codomain = xi.codomain
-        self.deriv_order = min(op.deriv_order, xi.deriv_order)
-        self.bandwidth = op.bandwidth + xi.bandwidth
-        self.group = _find_group(self)
-        self.krep = xi.krep if (op.krep is not None and xi.krep is not None) else None
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        op, xi = self.children
-        return np.einsum("nij,nj->ni", op.values(pts), xi.values(pts))
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        op, xi = self.children
-        return (np.einsum("nij,nj->ni", op.derivs(pts, dirs), xi.values(pts))
-                + np.einsum("nij,nj->ni", op.values(pts), xi.derivs(pts, dirs)))
 
 
 def HarmonicSpinor(rep: UnitaryRep, row: int, coeff: np.ndarray,
@@ -860,7 +797,8 @@ def l2_inner(a: Section, b: Section, rule: QuadratureRule,
 def lambda_deriv(section: Section, coords: np.ndarray) -> Section:
     """The left-translation derivative generated by an algebra vector.
 
-    This is the derivative of y -> translate(section, exp(-t Y)) at t = 0,
+    This is the derivative of t -> translate(section, exp(t Y)), that is of
+    x -> section(exp(-t Y) x), at t = 0,
     built structurally so the result is again an exactly differentiable
     section.  It is kept separate from the right-direction derivative used
     by covariant differentiation.

@@ -218,3 +218,34 @@ def test_fiber_verdict_matches_rule_stack_form(sphere, rng):
     assert [ours for ours, _ in verdicts] == [theirs for _, theirs in verdicts]
     assert [ours for ours, _ in verdicts[-4:]] == [False, True, False, False]
     assert all(ours for ours, _ in verdicts[:-4])
+
+
+
+def _einsum_form_frame_derivs(bundle, j, pts, dirs):
+    """Derivatives of frame field j in the former three-operand einsum form."""
+    d = np.einsum("na,aij->nij", dirs, bundle.rep_tilde.generators)
+    w = np.conj(pts.rep_stack(bundle.rep_tilde)[:, j, :])
+    return -np.einsum("ik,nij,nj->nk", bundle.embed.conj(), d, w)
+
+
+def _einsum_form_projection_derivs(bundle, pts, dirs):
+    """Derivatives of the projection section in the former three-operand einsum form."""
+    d = np.einsum("na,aij->nij", dirs, bundle.rep_tilde.generators)
+    r = pts.rep_stack(bundle.rep_tilde)
+    m = bundle.embed @ bundle.embed.conj().T
+    return np.einsum("nij,njk,nlk->nil", r, d @ m - m @ d, r.conj())
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frame_and_projection_derivatives_match_einsum_form(sphere, sample_pts, kind, rng):
+    dirs = rng.standard_normal((sample_pts.n, sphere.dim))
+    if kind == "complex":
+        dirs = dirs + 1j * rng.standard_normal(dirs.shape)
+    line = monopole_bundle(sphere, 1, 3)
+    for bundle in (tangent_bundle(sphere), line, monopole_bundle(sphere, -2),
+                   InducedBundle(sphere, line.rep_tilde, np.exp(0.7j) * line.embed)):
+        for j, f in enumerate(build_frame(bundle)):
+            want = _einsum_form_frame_derivs(bundle, j, sample_pts, dirs)
+            assert np.abs(f.derivs(sample_pts, dirs) - want).max() < 1e-13
+        want = _einsum_form_projection_derivs(bundle, sample_pts, dirs)
+        assert np.abs(projection_section(bundle).derivs(sample_pts, dirs) - want).max() < 1e-13

@@ -204,8 +204,11 @@ def _su2_group_lines(**overrides):
     ({"subgroup": "2, 2"}, "subgroup index 2"),
     ({"subgroup": "z"}, "subgroup"),
     ({"scale": "large"}, "scale"),
+    ({"subgroups": "2"}, "subgroups"),
+    ({"basis_3": "0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0"}, "basis_3"),
 ], ids=["well-formed", "matrix_dim", "basis_count", "basis_1", "basis_0", "subgroup-5",
-        "subgroup-negative", "subgroup-repeated", "subgroup-text", "scale"])
+        "subgroup-negative", "subgroup-repeated", "subgroup-text", "scale",
+        "unknown-key", "basis-beyond-count"])
 def test_bad_group_config_exits_config_error(tmp_path, overrides, name, capsys):
     path = os.path.join(tmp_path, "group.cfg")
     with open(path, "w") as fh:
@@ -235,3 +238,16 @@ def test_unparsable_gamma_file_names_the_file(tmp_path, capsys):
     assert main(["verify", "--group", "su2", "--subgroup", "trivial",
                  "--connection", path]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--group", "matrix_dim = 2\n"),
+    ("--config", "[run]\nseed = 1\nseed = 2\n"),
+], ids=["group-without-section-header", "config-repeating-a-key"])
+def test_config_syntax_error_exits_config_error(tmp_path, flag, text, capsys):
+    path = os.path.join(tmp_path, "bad.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["verify", flag, path]) == 2
+    assert path in capsys.readouterr().err
+

@@ -17,6 +17,8 @@ from homogdirac import (
     ImagPart,
     KAverage,
     MatrixCoefficient,
+    OpApply,
+    RankOne,
     RealPart,
     Scale,
     Sum,
@@ -35,6 +37,7 @@ from homogdirac import (
     tangent_frame,
     translate,
 )
+from homogdirac.sections import Pointwise, Product
 
 
 def fd_deriv(group, section, x, direction, h):
@@ -316,6 +319,83 @@ def test_delta_along_fundamental_equals_lambda(sphere, rng):
         x = sphere.random_element(rng)
         delta = f.deriv(x, sphere.from_m(w.value(x).real))
         assert abs(delta - lam.value(x)) < 1e-12
+
+
+def pointwise_operation(name, group, rng):
+    """A section built by the named pointwise operation from differentiable factors."""
+    alg = spinor_algebra(group)
+    rep = spin_rep(group, 2)
+
+    def coefficient(codomain=None):
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        if codomain is None:
+            return MatrixCoefficient(rep, u, rng.standard_normal(3))
+        shape = (3,) + codomain.shape
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return MatrixCoefficient(rep, u, v, codomain)
+
+    def field():
+        return FundamentalField(group, group.random_algebra(rng))
+
+    build = {
+        "Scale": lambda: Scale(field(), coefficient()),
+        "CliffordProduct": lambda: CliffordProduct(
+            alg, coefficient(Codomain.clifford(alg)), coefficient(Codomain.clifford(alg))),
+        "AInner": lambda: AInner(field(), field()),
+        "RankOne": lambda: RankOne(coefficient(Codomain.vector(3)),
+                                   coefficient(Codomain.vector(3))),
+        "OpApply": lambda: OpApply(RankOne(coefficient(Codomain.vector(2)),
+                                           coefficient(Codomain.vector(2))),
+                                   coefficient(Codomain.vector(2))),
+        "RealPart": lambda: RealPart(coefficient()),
+        "ImagPart": lambda: ImagPart(coefficient()),
+        "EmbedTangent": lambda: EmbedTangent(alg, field()),
+    }
+    return build[name]()
+
+
+@pytest.mark.parametrize("name", ["Scale", "CliffordProduct", "AInner", "RankOne", "OpApply",
+                                  "RealPart", "ImagPart", "EmbedTangent"])
+def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
+    """The shared left-derivative rule against a central difference of left translates.
+
+    lambda_deriv(s, Y)(x) is the derivative of translate(s, exp(tY))(x) = s(exp(-tY) x)
+    at t = 0.
+    """
+    section = pointwise_operation(name, sphere, rng)
+    assert isinstance(section, (Product, Pointwise))
+    h = 1e-5
+    for _ in range(3):
+        x = sphere.random_element(rng)
+        y = sphere.random_algebra(rng)
+        exact = lambda_deriv(section, y).value(x)
+        fd = (translate(section, sphere.exp(y, h)).value(x)
+              - translate(section, sphere.exp(y, -h)).value(x)) / (2 * h)
+        assert np.shape(exact) == np.shape(fd) == section.codomain.shape
+        assert np.linalg.norm(exact) > 1e-3  # no case passes on a vanishing derivative
+        assert np.linalg.norm(np.atleast_1d(exact - fd)) < 1e-8 * max(1.0, np.linalg.norm(exact))
+
+
+def test_pointwise_operations_keep_the_equivariance_tag_rule(sphere, rng):
+    """A product is tagged only when both factors are; a left derivative keeps the tag."""
+    alg = spinor_algebra(sphere)
+    rep = spin_rep(sphere, 2)
+    coords = sphere.random_algebra(rng)
+    ff = FundamentalField(sphere, coords)
+    bare = MatrixCoefficient(adjoint_rep(sphere), coords, -sphere.m_frame.T,
+                             Codomain.tangent(sphere))  # the same field, untagged
+    mc = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
+    f = RealPart(KAverage(mc, TrivialKRep(), sphere))
+    y = sphere.random_algebra(rng)
+    assert Scale(ff, f).krep is TangentKRep(sphere)
+    assert Scale(ff, mc).krep is None and Scale(bare, f).krep is None
+    assert isinstance(AInner(ff, ff).krep, TrivialKRep) and AInner(ff, bare).krep is None
+    assert RealPart(mc).krep is None and isinstance(f.krep, TrivialKRep)
+    assert EmbedTangent(alg, ff).krep is CliffordKRep(sphere, alg)
+    assert EmbedTangent(alg, bare).krep is None
+    embedded = EmbedTangent(alg, bare, clifford_krep=CliffordKRep(sphere, alg))
+    assert embedded.krep is lambda_deriv(embedded, y).krep is CliffordKRep(sphere, alg)
+    assert lambda_deriv(Scale(ff, f), y).krep is TangentKRep(sphere)
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
