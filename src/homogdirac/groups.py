@@ -177,27 +177,6 @@ def _euler_matrices(alpha, beta, gamma) -> np.ndarray:
                      np.stack([a.conj() * g * s, (a * g).conj() * c], axis=-1)], axis=-2)
 
 
-def _su2_log_coords(matrices: np.ndarray) -> np.ndarray:
-    """Coordinates X (in the raw -(i/2)sigma basis) with exp(X) = x.
-
-    Works on a stack (N, 2, 2).  Near ``-I`` the rotation axis is chosen
-    along the third basis direction; the returned angle lies in [0, 2*pi].
-    """
-    x = np.asarray(matrices, dtype=complex)
-    c = np.clip(x[..., 0, 0].real + x[..., 1, 1].real, -2.0, 2.0) / 2.0
-    n1 = -x[..., 0, 1].imag
-    n2 = -x[..., 0, 1].real
-    n3 = -x[..., 0, 0].imag
-    vec = np.stack([n1, n2, n3], axis=-1)
-    s = np.linalg.norm(vec, axis=-1)
-    t = 2.0 * np.arctan2(s, c)
-    safe = s > 1e-14
-    axis = np.zeros_like(vec)
-    axis[..., 2] = 1.0
-    axis[safe] = vec[safe] / s[safe][..., None]
-    return axis * t[..., None]
-
-
 def _qr_haar_unitaries(rng: np.random.Generator, dim: int, count: int,
                        special: bool) -> np.ndarray:
     """Haar samples on U(dim) via QR with phase normalization."""
@@ -237,6 +216,10 @@ class GroupModel:
         comm = np.einsum("aij,bjk->abik", self.basis, self.basis)
         comm = comm - np.einsum("abik->baik", comm)
         self.structure = np.einsum("cij,abji->abc", self.basis, comm).real * (-self.form_factor)
+        # Ad_x[b, a] = -c tr(B_b x B_a x*) = sum over j,i,k,l of x[j,k] conj(x[i,l])
+        # times -c B_b[i,j] B_a[k,l]: linear in the Kronecker square of x
+        self.ad_kron = (np.einsum("bij,akl->jiklba", self.basis, self.basis)
+                        * (-self.form_factor)).reshape(-1, self.dim ** 2)
 
         # Isotropy subalgebra and tangent complement frames: rows of the
         # orthonormal basis (coordinates in that basis).
@@ -354,23 +337,14 @@ class GroupModel:
         """exp(t X) for the algebra vector with the given coordinates."""
         return GroupElement(expm_skew(t * self.algebra_element(coords)))
 
-    def log(self, x: GroupElement) -> np.ndarray:
-        """Algebra coordinates X with exp(X) = x (catalog SU(2) only)."""
-        if self.matrix_dim != 2:
-            raise NotImplementedError("closed-form log is provided for the 2x2 catalog")
-        raw = _su2_log_coords(x.matrix)
-        # raw coordinates refer to the unnormalized -(i/2)sigma basis
-        return raw * np.sqrt(self.metric_scale)
-
-    def log_stack(self, matrices: np.ndarray) -> np.ndarray:
-        if self.matrix_dim != 2:
-            raise NotImplementedError("closed-form log is provided for the 2x2 catalog")
-        return _su2_log_coords(matrices) * np.sqrt(self.metric_scale)
-
     def adjoint_stack(self, matrices: np.ndarray) -> np.ndarray:
-        """Matrices of Ad_x on the algebra in the orthonormal basis, for a stack of x."""
-        conj = np.einsum("nij,ajk,nlk->nail", matrices, self.basis, matrices.conj())
-        return (np.einsum("bij,naji->nba", self.basis, conj) * (-self.form_factor)).real
+        """Matrices of Ad_x on the algebra in the orthonormal basis, for a stack of x.
+
+        One product of the flattened Kronecker squares x (x) conj(x) with ``ad_kron``.
+        """
+        kron = matrices[:, :, None, :, None] * matrices.conj()[:, None, :, None, :]
+        ad = kron.reshape(len(matrices), -1) @ self.ad_kron
+        return ad.real.reshape(-1, self.dim, self.dim)
 
     def adjoint_matrix(self, x: GroupElement) -> np.ndarray:
         """Ad_x at one element, checked against the expansion of x X x^-1."""

@@ -1,22 +1,25 @@
 """Finite-dimensional unitary representations of the catalog groups.
 
-A representation is held by its generator images: the matrices assigned
-to the orthonormal algebra basis of the owning :class:`GroupModel`.
-Group elements are evaluated by exponentiating the generator combination
-obtained from the closed-form logarithm, so the exact first-derivative
-formulas used by the section engine need nothing beyond these matrices.
+A representation is held by its generator images (the matrices assigned
+to the orthonormal algebra basis of the owning :class:`GroupModel`) and
+by a closed-form function of the defining matrices that gives its values
+on a stack of group elements; the exact first-derivative formulas used by
+the section engine need nothing beyond the generators.
 
 The catalog covers the irreducible representations of SU(2) indexed by
-``two_j`` (twice the spin), their direct sums, and the adjoint
-representation of any cataloged group (evaluated by conjugation, which
-requires no logarithm).
+``two_j`` (twice the spin), evaluated as symmetric powers of the defining
+2x2 matrix, their direct sums, and the adjoint representation of any
+cataloged group (one product with the Kronecker square of the defining
+matrix).  No value takes a logarithm or an exponential.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .groups import GroupElement, GroupModel, expm_skew
+from .groups import GroupElement, GroupModel
 
 __all__ = [
     "UnitaryRep",
@@ -28,10 +31,10 @@ __all__ = [
 
 
 class UnitaryRep:
-    """A unitary representation given by its algebra generator images."""
+    """A unitary representation given by its generator images and its stack function."""
 
     def __init__(self, group: GroupModel, generators: np.ndarray, name: str,
-                 spin: float):
+                 spin: float, stack_fn):
         self.group = group
         self.generators = np.asarray(generators, dtype=complex)
         self.dim = self.generators.shape[1]
@@ -39,6 +42,7 @@ class UnitaryRep:
         # largest irreducible spin occurring in the decomposition; used for
         # quadrature bandwidth accounting
         self.spin = float(spin)
+        self._stack_fn = stack_fn
 
     def derivative(self, coords: np.ndarray) -> np.ndarray:
         """Generator image of the algebra vector with the given coordinates."""
@@ -50,32 +54,59 @@ class UnitaryRep:
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         """Values at a stack of defining matrices."""
-        coords = self.group.log_stack(matrices)
-        gen = np.einsum("na,aij->nij", coords, self.generators)
-        return expm_skew(gen)
+        return self._stack_fn(matrices)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"UnitaryRep({self.name}, dim={self.dim})"
 
 
-class _AdjointRep(UnitaryRep):
-    """The adjoint representation, evaluated by conjugation (no logarithm)."""
+def _symmetric_power_stack(matrices: np.ndarray, n: int) -> np.ndarray:
+    """Sym^n(x) in the weight basis e_r (r = j - m), for a stack of 2x2 matrices x.
 
-    def __init__(self, group: GroupModel):
-        super().__init__(group, group.ad(np.eye(group.dim)), "adjoint",
-                         spin=group.ad_bandwidth)
+    rho_k = E_k^T (rho_{k-1} (x) x) E_k, where the isometry E_k sends e_r to
+    w_0[r] e_r (x) f_0 + w_1[r] e_{r-1} (x) f_1 with w_0 = sqrt((k-r)/k) and
+    w_1 = sqrt(r/k); entrywise, rho_k[r', r] is the sum over a, b of
+    w_a[r'] w_b[r] x[a, b] rho_{k-1}[r'-a, r-b].  Each step compresses a
+    unitary, so roundoff does not grow with n.
+    """
+    x = np.asarray(matrices, dtype=complex)
+    rho = np.ones((len(x), 1, 1), dtype=complex)
+    for k in range(1, n + 1):
+        r = np.arange(k + 1)
+        w = (np.sqrt((k - r) / k), np.sqrt(r / k))
+        q = np.zeros((len(x), k + 2, k + 2), dtype=complex)  # rho_{k-1} with a zero border
+        q[:, 1:-1, 1:-1] = rho
+        rho = sum(np.outer(w[a], w[b])
+                  * (x[:, a, b, None, None] * q[:, 1 - a:k + 2 - a, 1 - b:k + 2 - b])
+                  for a in (0, 1) for b in (0, 1))
+    return rho
 
-    def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
-        return self.group.adjoint_stack(matrices)
+
+def _symmetric_power_generators(basis: np.ndarray, n: int) -> np.ndarray:
+    """d Sym^n(X) for each 2x2 algebra matrix X = [[a, b], [c, d]] of ``basis``.
+
+    Entries (s, s) = (n-s) a + s d, (s+1, s) = c sqrt((n-s)(s+1)) and
+    (s-1, s) = b sqrt(s(n-s+1)): the derivative of the symmetric power at 1.
+    """
+    s = np.arange(n + 1)
+    a, b, c, d = (basis[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    gens = np.zeros((len(basis), n + 1, n + 1), dtype=complex)
+    gens[:, s, s] = (n - s) * a + s * d
+    gens[:, s[1:], s[:-1]] = c * np.sqrt((n - s[:-1]) * (s[:-1] + 1))
+    gens[:, s[:-1], s[1:]] = b * np.sqrt(s[1:] * (n - s[1:] + 1))
+    return gens
 
 
 def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
-    """The spin-(two_j/2) irreducible representation of the SU(2) catalog.
+    """The spin-(two_j/2) irreducible representation of an SU(2) group.
 
-    Basis vectors are weight vectors ordered by decreasing weight; the
-    third algebra axis acts diagonally with eigenvalues -i*m for
-    m = j, j-1, ..., -j (scaled with the metric normalization).  The one
-    object per (group, two_j) is kept on the group.
+    Its value at x is the symmetric power Sym^{two_j}(x) of the defining
+    matrix, in weight vectors ordered by decreasing weight (for the catalog
+    basis the third algebra axis acts diagonally with eigenvalues -i*m,
+    m = j, j-1, ..., -j, scaled with the metric normalization).  Its
+    generators are the derivatives of that formula along ``group.basis``,
+    so values and generators agree for any basis of su(2).  The one object
+    per (group, two_j) is kept on the group.
     """
     if group.matrix_dim != 2 or group.dim != 3:
         raise ValueError("spin representations are cataloged for SU(2) groups")
@@ -83,18 +114,10 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
         raise ValueError("two_j must be a nonnegative integer")
     if two_j in group.spin_reps:
         return group.spin_reps[two_j]
-    j = two_j / 2.0
-    m = j - np.arange(two_j + 1)
-    jz = np.diag(m)
-    raise_offdiag = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jp = np.zeros((two_j + 1, two_j + 1))
-    jp[np.arange(two_j), np.arange(1, two_j + 1)] = raise_offdiag
-    jm = jp.T
-    j1 = (jp + jm) / 2.0
-    j2 = (jp - jm) / 2j
-    # the orthonormal basis is the raw -(i/2)sigma basis over sqrt(scale)
-    gens = np.array([-1j * j1, -1j * j2, -1j * jz]) / np.sqrt(group.metric_scale)
-    group.spin_reps[two_j] = UnitaryRep(group, gens, f"spin-{two_j}/2", spin=j)
+    n = int(two_j)
+    group.spin_reps[two_j] = UnitaryRep(
+        group, _symmetric_power_generators(group.basis, n), f"spin-{two_j}/2", spin=n / 2.0,
+        stack_fn=partial(_symmetric_power_stack, n=n))
     return group.spin_reps[two_j]
 
 
@@ -105,7 +128,8 @@ def adjoint_rep(group: GroupModel) -> UnitaryRep:
     is the batch's adjoint stack.  The one object per group is kept on the group.
     """
     if group.ad_rep is None:
-        group.ad_rep = _AdjointRep(group)
+        group.ad_rep = UnitaryRep(group, group.ad(np.eye(group.dim)), "adjoint",
+                                  spin=group.ad_bandwidth, stack_fn=group.adjoint_stack)
     return group.ad_rep
 
 
@@ -113,13 +137,19 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
     """Block-diagonal direct sum of representations of the same group."""
     group = reps[0].group
     dim = sum(r.dim for r in reps)
-    gens = np.zeros((group.dim, dim, dim), dtype=complex)
-    off = 0
-    for r in reps:
-        gens[:, off:off + r.dim, off:off + r.dim] = r.generators
-        off += r.dim
+
+    def block_diagonal(blocks):
+        out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
+        off = 0
+        for r, block in zip(reps, blocks):
+            out[..., off:off + r.dim, off:off + r.dim] = block
+            off += r.dim
+        return out
+
     name = "+".join(r.name for r in reps)
-    return UnitaryRep(group, gens, name, spin=max(r.spin for r in reps))
+    return UnitaryRep(group, block_diagonal([r.generators for r in reps]), name,
+                      spin=max(r.spin for r in reps),
+                      stack_fn=lambda m: block_diagonal([r.matrix_stack(m) for r in reps]))
 
 
 def conjugation_intertwiner(two_j: int) -> np.ndarray:

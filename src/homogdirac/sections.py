@@ -134,7 +134,6 @@ class EvalPoints:
         self._reps = Memo()
         self._vals = Memo()
         self._orbit: EvalPoints | None = None
-        self._factors = None  # (base, subgroup nodes) of an orbit batch
 
     # -- constructors ---------------------------------------------------------
 
@@ -170,16 +169,12 @@ class EvalPoints:
     def orbit(self) -> "EvalPoints":
         """The points x s for every subgroup-rule node s, node-major (K n points).
 
-        Its stacks are products of base and node stacks: no orbit point is exponentiated.
+        A batch of its own: its representation stacks are closed forms of its matrices.
         """
         if self._orbit is None:
-            nodes = EvalPoints.for_rule(self.group, self.group.k_rule)
-            # a twin sharing this batch's stacks: the orbit must not refer back
-            base = EvalPoints(self.group, self.matrices)
-            base._reps = self._reps
-            self._orbit = EvalPoints(
-                self.group, _product_stack(self.matrices, nodes.matrices))
-            self._orbit._factors = (base, nodes)
+            nodes = EvalPoints.for_rule(self.group, self.group.k_rule).matrices
+            prod = self.matrices[None] @ nodes[:, None]  # x_i s_k at index k * n + i
+            self._orbit = EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
         return self._orbit
 
     # -- cached stacks ----------------------------------------------------------
@@ -188,12 +183,7 @@ class EvalPoints:
         hit = self._reps.lookup(rep)
         if hit is not None:
             return hit
-        if self._factors is not None:
-            base, nodes = self._factors
-            stack = _product_stack(base.rep_stack(rep), nodes.rep_stack(rep))
-        else:
-            stack = rep.matrix_stack(self.matrices)
-        return self._reps.put(rep, stack)
+        return self._reps.put(rep, rep.matrix_stack(self.matrices))
 
     def ad_stack(self) -> np.ndarray:
         """Adjoint matrices Ad_x for each point: the (real) adjoint representation's stack."""
@@ -204,12 +194,6 @@ class EvalPoints:
         if hit is not None:
             return hit
         return self._vals.put(node, node._values(self))
-
-
-def _product_stack(base: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Products base[i] @ nodes[k] for all pairs, node-major: index k * n + i."""
-    prod = base[None] @ nodes[:, None]
-    return prod.reshape((-1,) + prod.shape[2:])
 
 
 # -- equivariance actions of the subgroup ---------------------------------------

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from homogdirac import GroupModel
+from homogdirac import GroupModel, MatrixCoefficient, spin_rep
 from homogdirac.cli import RunConfig, load_config, main, run_monopole, run_verify
+from homogdirac.groups import _su2_raw_basis
 
 
 def test_verify_passes_on_catalog(tmp_path):
@@ -183,14 +184,59 @@ def test_threads_env_gives_same_spectrum(tmp_path, monkeypatch):
     assert open(out1).read() == open(out2).read()
 
 
-def _su2_group_lines(**overrides):
-    """Lines of a [group] config for the catalog SU(2); an override of None drops the key."""
+def _su2_group_lines(basis=None, **overrides):
+    """Lines of a [group] config for SU(2) in ``basis`` (default: the catalog's).
+
+    An override of None drops the key.
+    """
     keys = {"matrix_dim": "2", "basis_count": "3", "subgroup": "2"}
-    for i, m in enumerate(GroupModel.su2().basis):
+    for i, m in enumerate(GroupModel.su2().basis if basis is None else basis):
         keys[f"basis_{i}"] = " ".join(f"{float(v.real)!r} {float(v.imag)!r}"
                                       for v in m.reshape(-1))
     keys.update(overrides)
     return ["[group]"] + [f"{k} = {v}" for k, v in keys.items() if v is not None]
+
+
+def _custom_su2_file(tmp_path, layout):
+    """A group file declaring SU(2) in a rotated or a reordered basis of su(2)."""
+    raw = _su2_raw_basis()
+    if layout == "rotated":
+        ca, sa, cb, sb = np.cos(0.7), np.sin(0.7), np.cos(1.1), np.sin(1.1)
+        rot = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]]) @ np.array(
+            [[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
+        lines = _su2_group_lines(np.einsum("ab,bij->aij", rot, raw), subgroup="2", scale="2.5")
+    else:  # sigma_3, sigma_1, sigma_2 with the circle along sigma_3
+        lines = _su2_group_lines(raw[[2, 0, 1]], subgroup="0")
+    path = os.path.join(tmp_path, f"{layout}.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("bundle", ["clifford", "tangent"])
+@pytest.mark.parametrize("layout", ["rotated", "reordered"])
+def test_verify_passes_on_a_custom_su2_basis(tmp_path, layout, bundle):
+    """Representation values and generators agree on any basis of su(2)."""
+    out = os.path.join(tmp_path, "report.json")
+    assert main(["verify", "--group", _custom_su2_file(tmp_path, layout), "--bundle", bundle,
+                 "--sample-count", "25", "--quadrature-bandwidth", "6", "--seed", "1",
+                 "--out", out]) == 0
+    assert json.load(open(out))["pass"] is True
+
+
+@pytest.mark.parametrize("layout", ["rotated", "reordered"])
+def test_matrix_coefficient_on_a_custom_su2_basis_matches_central_differences(
+        tmp_path, layout, rng):
+    group = GroupModel.from_config(_custom_su2_file(tmp_path, layout))
+    h = 1e-5
+    for two_j in (1, 2, 3):
+        rep = spin_rep(group, two_j)
+        f = MatrixCoefficient(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim),
+                              rng.standard_normal(rep.dim))
+        for x in group.random_elements(rng, 5):
+            y = group.random_algebra(rng)
+            central = (f.value(x @ group.exp(y, h)) - f.value(x @ group.exp(y, -h))) / (2 * h)
+            assert abs(f.deriv(x, y) - central) < 1e-8 * max(1.0, abs(central))
 
 
 @pytest.mark.parametrize("overrides, name", [

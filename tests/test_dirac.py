@@ -404,9 +404,10 @@ def test_metric_estimate_against_geodesic(sphere, rule8, rng):
 
 def test_spinor_product_stays_equivariant(sphere, rng):
     alg = spinor_algebra(sphere)
-    a, b = random_spinor(sphere, rng), random_spinor(sphere, rng, 1)
+    a, b = random_spinor(sphere, rng), random_spinor(sphere, rng, 4)
     prod = CliffordProduct(alg, a, b)
     assert prod.krep is not None
     x = sphere.random_element(rng)
+    assert np.abs(prod.value(x)).max() > 1e-3  # a vanishing product tests nothing
     for s in sphere.k_rule.nodes[::8]:
         assert equivariance_defect(prod, x, s, sphere) < 1e-10

@@ -41,13 +41,6 @@ def test_exp_stays_unitary(sphere, rng):
         assert x.unitary_defect() < 1e-12
 
 
-def test_log_inverts_exp(sphere, rng):
-    for _ in range(10):
-        x = sphere.random_element(rng)
-        coords = sphere.log(x)
-        assert np.linalg.norm(sphere.exp(coords).matrix - x.matrix) < 1e-12
-
-
 def test_bracket_table_matches_matrix_commutators(sphere):
     # independent oracle: commutators of the defining matrices themselves
     s1, s2, s3 = pauli()

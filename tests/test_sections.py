@@ -47,12 +47,21 @@ def fd_deriv(group, section, x, direction, h):
             - np.atleast_1d(section.value(xm, group))) / (2 * h)
 
 
+def assert_not_negligible(section, group):
+    """A vanishing section (a half-integer spin averaged over the circle) tests nothing."""
+    probe = EvalPoints.of(group, [group.euler_element(0.3 * i, 0.5 + 0.4 * i, 1.1 * i)
+                                  for i in range(3)])
+    assert np.abs(section.values(probe)).max() > 1e-3
+    return section
+
+
 def random_spinor(group, rng, two_j=2):
     alg = spinor_algebra(group)
     rep = spin_rep(group, two_j)
     const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
-    return KAverage(Scale(const, RealPart(f)), CliffordKRep(group, alg), group)
+    return assert_not_negligible(
+        KAverage(Scale(const, RealPart(f)), CliffordKRep(group, alg), group), group)
 
 
 def test_constant_evaluation(sphere, rng):
@@ -103,7 +112,7 @@ def node_zoo(group, rng):
         Sum([mc, MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))],
             [0.7, -1.3]),
         Scale(ff, mc),
-        CliffordProduct(alg, random_spinor(group, rng), random_spinor(group, rng, 1)),
+        CliffordProduct(alg, random_spinor(group, rng), random_spinor(group, rng, 4)),
         AInner(ff, FundamentalField(group, group.random_algebra(rng))),
         translate(mc, group.random_element(rng)),
         KAverage(mc, TrivialKRep(), group),
@@ -232,8 +241,8 @@ def test_a_inner_right_invariance_for_equivariant_inputs(sphere, rng):
 def test_clifford_star_representation_pointwise(sphere, rng):
     alg = spinor_algebra(sphere)
     theta = random_spinor(sphere, rng)
-    phi = random_spinor(sphere, rng, 1)
-    psi = random_spinor(sphere, rng, 1)
+    phi = random_spinor(sphere, rng, 4)
+    psi = random_spinor(sphere, rng, 4)
     lhs = AInner(CliffordProduct(alg, theta, phi), psi)
     for _ in range(5):
         x = sphere.random_element(rng)
@@ -429,7 +438,11 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
 
     orbit = pts.orbit()
     assert orbit is pts.orbit() and orbit.n == len(group.k_rule) * pts.n
-    assert np.abs(orbit.rep_stack(rep) - rep.matrix_stack(orbit.matrices)).max() < 1e-12
+    # the product formula rho(x_i s_k) = rho(x_i) rho(s_k) at index k * n + i is the oracle
+    nodes = np.stack([s.matrix for s in group.k_rule.nodes])
+    for r in (rep, adjoint_rep(group)):
+        stack = orbit.rep_stack(r).reshape(len(nodes), pts.n, r.dim, r.dim)
+        assert np.abs(stack - pts.rep_stack(r)[None] @ r.matrix_stack(nodes)[:, None]).max() < 1e-12
     direct_ad = np.stack([group.adjoint_matrix(GroupElement(m)) for m in orbit.matrices])
     assert np.abs(orbit.ad_stack() - direct_ad).max() < 1e-12
 
