@@ -166,9 +166,12 @@ def monopole_bundle(group: GroupModel, charge: int,
         raise ValueError(
             f"charge {charge} does not occur among the weights of level {two_level}")
     rep = spin_rep(group, two_level)
-    idx = (two_level - charge) // 2  # weights are ordered decreasingly
-    embed = np.zeros((rep.dim, 1), dtype=complex)
-    embed[idx, 0] = 1.0
+    # the fiber is the eigenline of i drho(Z), Z the circle generator, with the
+    # weight's place in decreasing order; on the catalog drho(Z) is diagonal
+    # and this line is the basis vector e_idx exactly
+    _, lines = np.linalg.eigh(1j * rep.derivative(group.k_frame[0]))
+    idx = (two_level - charge) // 2
+    embed = lines[:, ::-1][:, [idx]]
     return InducedBundle(group, rep, embed, name=f"monopole({charge},{two_level})")
 
 

@@ -90,12 +90,17 @@ class _Context:
         return self._scalar
 
     def spinor(self, max_two_j: int = 2):
-        """A random band-limited equivariant spinor section."""
+        """A random band-limited equivariant spinor section that D does not kill.
+
+        A constant part, or a half-integer spin part that the circle average
+        removes, is Dirac-harmonic; the first part has integer spin >= 1.
+        """
         g, alg, rng = self.group, self.algebra, self.rng
         parts = []
-        for _ in range(2):
+        for first in (True, False):
             c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=g)
-            two_j = int(rng.integers(0, max_two_j + 1))
+            two_j = (2 * int(rng.integers(1, max_two_j // 2 + 1)) if first
+                     else int(rng.integers(0, max_two_j + 1)))
             if two_j:
                 rep = spin_rep(g, two_j)
                 c = Scale(c, RealPart(MatrixCoefficient(
@@ -425,7 +430,8 @@ def _check_dirac_translation(ctx: _Context):
     for _ in range(3):
         y = g.random_element(ctx.rng)
         left = translate(hodge_dirac(conn, phi), y).values(ctx.pts)
-        right = hodge_dirac(conn, translate(phi, y)).values(ctx.pts)
+        # the frame-sum side moves its frame with the point; the closed form has none
+        right = hodge_dirac(conn, translate(phi, y), frame=tangent_frame(g)).values(ctx.pts)
         worst = max(worst, float(np.abs(left - right).max()))
     return worst, 3 * ctx.pts.n
 

@@ -60,6 +60,7 @@ class CliffordAlgebra:
         self._xor = idx[:, None] ^ idx[None, :]
         self._gather_sign = self._sign[idx[:, None], self._xor]  # sign(s, s ^ k)
         self._star_signs = (-1.0) ** (self.grades * (self.grades + 1) // 2)
+        self._right_generators: np.ndarray | None = None
 
     # -- element constructors --------------------------------------------------
 
@@ -121,6 +122,14 @@ class CliffordAlgebra:
         """Matrix of right multiplication b -> b . a in the subset basis."""
         # entry [k, s] comes from e_s . e_{s^k}
         return np.asarray(a)[self._xor] * self._gather_sign.T
+
+    def right_generators(self) -> np.ndarray:
+        """Matrices of right multiplication by each generator, shape (p, n, n); built once."""
+        if self._right_generators is None:
+            self._right_generators = np.array(
+                [self.right_matrix(self.generator(a)) for a in range(self.p)]
+            ).reshape(self.p, self.n, self.n)
+        return self._right_generators
 
     def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
         """The derivation extending a skew operator on the generator span.

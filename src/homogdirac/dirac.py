@@ -7,13 +7,23 @@ compatible connection the operator is the frame sum
     D phi = sum_j (nabla_{W_j} phi) . W_j
 
 over any standard module frame, and is frame independent because the
-summand is module-bilinear in the pair (direction, frame member).  The
-module provides the operator itself, the gradient on scalar functions,
-the defect measurements for the multiplication-commutator identity and
-for formal self-adjointness, the equivalent trace/correction criteria
-that decide self-adjointness for compatible invariant connections, exact
-finite matrices of D on left-translation isotypic blocks, and the metric
-lower-bound estimator driven by gradient sup norms.
+summand is module-bilinear in the pair (direction, frame member).  On the
+fundamental-field frame sum_j W_j(x) (x) W_j(x) = sum_b e_b (x) e_b, since
+Ad_x is orthogonal, so D takes the constant-frame form
+
+    D phi = sum_b (d_{Y_b} phi + Delta_b phi) . e_b
+
+over the complement frame Y_b (Parthasarathy's form on G/K), with Delta_b
+the connection's Clifford derivations.  :func:`hodge_dirac` builds that
+form by default, as one node contracting phi's frame Jacobian, which a
+batch computes once per section; the frame sum over an explicit frame is
+kept as its oracle.  The module provides the operator itself, the
+gradient on scalar functions, the defect measurements for the
+multiplication-commutator identity and for formal self-adjointness, the
+equivalent trace/correction criteria that decide self-adjointness for
+compatible invariant connections, exact finite matrices of D on
+left-translation isotypic blocks, and the metric lower-bound estimator
+driven by gradient sup norms.
 
 The blocks are pure linear algebra: on level-l spinors rho(x)[row, :] . C,
 Frobenius reciprocity turns D into M(C) = sum_a (drho(Y_a) . C +
@@ -29,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupElement, GroupModel, QuadratureRule
-from .reps import UnitaryRep, spin_rep
+from .reps import UnitaryRep, adjoint_rep, spin_rep
 from .sections import (
     CliffordKRep,
     CliffordProduct,
+    DerivativeOrderError,
     EmbedTangent,
     EvalPoints,
     HarmonicSpinor,
@@ -79,22 +90,59 @@ _CRITERION_TOL = 1e-8
 _RANK_RTOL = 1e-8  # null-space cut, relative to the largest singular value
 
 
+class _HodgeDirac(Section):
+    """D phi in constant-frame form: sum_b J_b R_b^T + phi C, one node.
+
+    J_b is phi's derivative along the complement-frame row b (its frame
+    Jacobian, cached on the batch), R_b right multiplication by e_b and C
+    the connection's :meth:`~homogdirac.geometry.Connection.dirac_correction`.
+    """
+
+    def __init__(self, connection: Connection, phi: Section):
+        if phi.deriv_order < 1:
+            raise DerivativeOrderError("target section has no derivative budget left")
+        g = connection.group
+        self.connection = connection
+        self.group = g
+        self.children = (phi,)
+        self.codomain = phi.codomain
+        self.deriv_order = 0
+        # the frame sum's bound (phi times two frame fields), so both forms warn alike
+        self.bandwidth = phi.bandwidth + 2 * adjoint_rep(g).spin
+        self.krep = phi.krep
+        # row (b, S) holds R_b^T[S, :], so one product sums over b and S
+        right = spinor_algebra(g).right_generators()
+        self._right = right.transpose(0, 2, 1).reshape(-1, right.shape[-1])
+
+    def _values(self, pts: EvalPoints) -> np.ndarray:
+        phi = self.children[0]
+        jac = phi.frame_derivs(pts)  # (b, n, S)
+        out = jac.transpose(1, 0, 2).reshape(pts.n, -1) @ self._right
+        if self.connection.is_canonical:
+            return out
+        return out + phi.values(pts) @ self.connection.dirac_correction()
+
+
 def hodge_dirac(connection: Connection, phi: Section,
                 frame: list | None = None) -> Section:
     """Apply the Hodge-Dirac operator of a compatible connection to a spinor.
 
     The connection correction must be skew-valued (metric compatible) so it
     extends to derivations of the Clifford bundle; other corrections are
-    rejected.  A non-default orthonormal frame may be passed to exercise
-    frame independence.
+    rejected.  With no ``frame`` the result is one node in constant-frame
+    form, sum_b (d_{Y_b} phi + Delta_b phi) . e_b over the complement frame.
+    An explicit orthonormal ``frame`` gives the frame sum
+    sum_j (nabla_{W_j} phi) . W_j itself: the oracle for the closed form,
+    and the way to exercise frame independence.
     """
     if not connection.is_compatible:
         raise ValueError("the Clifford extension needs a metric-compatible connection")
     if phi.codomain.kind != "clifford":
         raise ValueError("the Hodge-Dirac operator acts on Clifford-valued sections")
+    if frame is None:
+        return _HodgeDirac(connection, phi)
     g = connection.group
     algebra = spinor_algebra(g)
-    frame = frame if frame is not None else tangent_frame(g)
     ckrep = CliffordKRep(g, algebra)
     terms = [
         CliffordProduct(algebra,
@@ -371,8 +419,7 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
     drho = np.stack([rep.derivative(y) for y in g.m_frame])     # (a, r, r)
     delta = connection.derivation_stack()                       # (a, T, T)
-    right = np.stack([algebra.right_matrix(algebra.generator(a))
-                      for a in range(g.m_dim)])                 # (a, T, T)
+    right = algebra.right_generators()                          # (a, T, T)
     moved = (np.einsum("ars,isT->airT", drho, cs)
              + np.einsum("irS,aTS->airT", cs, delta))
     image = np.einsum("airS,aTS->irT", moved, right)            # M(C_i)

@@ -98,6 +98,7 @@ class Connection:
             1.0, float(np.linalg.norm(self.gamma)))
         self._check_equivariance()
         self._derivations: np.ndarray | None = None
+        self._dirac_correction: np.ndarray | None = None
         self._torsion_pairs: dict = {}
 
     def _check_equivariance(self) -> None:
@@ -119,6 +120,17 @@ class Connection:
         if self._derivations is None:
             self._derivations = spinor_algebra(self.group).derivation_stack(self.gamma.real)
         return self._derivations
+
+    def dirac_correction(self) -> np.ndarray:
+        """C = sum_b Delta_b^T R_b^T: the Hodge-Dirac operator's zero-order part on row values.
+
+        Delta_b is the derivation extending gamma(u_b) and R_b right
+        multiplication by the generator e_b; C is zero for the canonical connection.
+        """
+        if self._dirac_correction is None:
+            right = spinor_algebra(self.group).right_generators()
+            self._dirac_correction = np.einsum("bST,bUS->TU", self.derivation_stack(), right)
+        return self._dirac_correction
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Connection({self.name}, canonical={self.is_canonical})"
@@ -189,10 +201,10 @@ class ApplyConnection(Section):
 
     def _values(self, pts) -> np.ndarray:
         direction, target = self.children
-        g = self.group
         wvals = direction.values(pts)  # tangent-frame coordinates, possibly complex
-        dirs = wvals @ g.m_frame.astype(complex)
-        out = target.derivs(pts, dirs)
+        # the direction field contracted with the target's real-direction Jacobian,
+        # so nabla_{V + iW} = nabla_V + i nabla_W even for real-linear targets
+        out = np.einsum("nb,bn...->n...", wvals, target.frame_derivs(pts))
         conn = self.connection
         kind = target.codomain.kind
         if conn.is_canonical or kind == "scalar":

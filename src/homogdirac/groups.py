@@ -48,8 +48,8 @@ class Memo(dict):
     callback deletes the entry as soon as the key dies, so an entry lives
     exactly as long as its key and a recycled id never meets a stale
     value.  A value must not refer to its own key, or the key never dies.
-    The per-batch caches of ``sections.EvalPoints`` (representation stacks
-    and node values) are its only users.
+    The per-batch caches of ``sections.EvalPoints`` (representation stacks,
+    node values and frame Jacobians) are its only users.
     """
 
     def __init__(self):

@@ -22,7 +22,9 @@ carries the product rule once, or a fixed real-linear map of one section
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
-elements and caches representation stacks, node values and one orbit
+elements and caches representation stacks, node values, each node's frame
+Jacobian (its derivatives along the complement-frame rows, which a
+covariant derivative contracts with its direction field) and one orbit
 batch (x s for every subgroup-rule node s, where a subgroup average
 evaluates its child once), so quadrature loops over shared subgraphs cost
 one pass per node.  Each cache is a :class:`~homogdirac.groups.Memo`: an
@@ -133,6 +135,7 @@ class EvalPoints:
         self._elements = list(elements) if elements is not None else None
         self._reps = Memo()
         self._vals = Memo()
+        self._jac = Memo()
         self._orbit: EvalPoints | None = None
 
     # -- constructors ---------------------------------------------------------
@@ -194,6 +197,17 @@ class EvalPoints:
         if hit is not None:
             return hit
         return self._vals.put(node, node._values(self))
+
+    def frame_derivs(self, node: "Section") -> np.ndarray:
+        """The node's derivatives along each complement-frame row, shape (m_dim, n, *shape)."""
+        hit = self._jac.lookup(node)
+        if hit is not None:
+            return hit
+        frame = self.group.m_frame
+        jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
+        for b, y in enumerate(frame):
+            jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
+        return self._jac.put(node, jac)
 
 
 # -- equivariance actions of the subgroup ---------------------------------------
@@ -304,12 +318,17 @@ class Section:
         return pts.node_values(self)
 
     def derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        # directions may be complex: covariant derivatives extend linearly
-        # in the direction field over complexified sections
+        # linear over the reals in the directions only: RealPart and ImagPart
+        # take parts of complex derivatives, so a complex direction field is
+        # contracted with the real-direction Jacobian (frame_derivs) instead
         if self.deriv_order < 1:
             raise DerivativeOrderError(
                 f"{type(self).__name__} supports no exact directional derivative")
         return self._derivs(pts, np.asarray(dirs))
+
+    def frame_derivs(self, pts: EvalPoints) -> np.ndarray:
+        """Derivatives along each complement-frame row, (m_dim, n, *shape); cached on the batch."""
+        return pts.frame_derivs(self)
 
     def value(self, x: GroupElement, group: GroupModel | None = None):
         pts = EvalPoints.of(group or self._group(), [x])

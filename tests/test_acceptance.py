@@ -215,7 +215,7 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
         worst_frame = max(worst_frame, float(np.abs(base - other).max()))
         y = group.random_element(rng)
         lhs = translate(hodge_dirac(lc, phi), y).values(pts)
-        rhs = hodge_dirac(lc, translate(phi, y)).values(pts)
+        rhs = hodge_dirac(lc, translate(phi, y), frame=tangent_frame(group)).values(pts)
         worst_lambda = max(worst_lambda, float(np.abs(lhs - rhs).max()))
 
     # the self-adjointness matrix on the trivial-subgroup quotient

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from homogdirac import (
+    GroupModel,
     AInner,
     EvalPoints,
     InducedBundle,
@@ -36,6 +37,17 @@ def test_minimal_level_defaults(sphere):
         monopole_bundle(sphere, 1, 2)  # parity mismatch
     with pytest.raises(ValueError, match="does not occur"):
         monopole_bundle(sphere, 3, 1)  # weight out of range
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_catalog_monopole_fiber_is_the_weight_basis_vector(scale):
+    """On the catalog the isotropy generator is diagonal: the fiber is e_idx exactly."""
+    group = GroupModel.su2(metric_scale=scale)
+    for two_level in range(9):
+        for charge in range(-two_level, two_level + 1, 2):
+            b = monopole_bundle(group, charge, two_level)
+            idx = (two_level - charge) // 2
+            assert np.array_equal(b.embed, np.eye(two_level + 1, dtype=complex)[:, [idx]])
 
 
 def test_trivial_bundle_projection_is_identity(sphere, sample_pts):

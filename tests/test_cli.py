@@ -224,6 +224,37 @@ def test_verify_passes_on_a_custom_su2_basis(tmp_path, layout, bundle):
     assert json.load(open(out))["pass"] is True
 
 
+@pytest.mark.parametrize("charge", [1, -1, 2, -2])
+def test_verify_monopole_on_a_rotated_su2_basis(tmp_path, charge):
+    """The fiber is the weight line of the rotated circle generator, not a basis vector."""
+    out = os.path.join(tmp_path, "report.json")
+    assert main(["verify", "--group", _custom_su2_file(tmp_path, "rotated"),
+                 "--bundle", "monopole", "--charge", str(charge), "--sample-count", "25",
+                 "--quadrature-bandwidth", "6", "--seed", "1", "--out", out]) == 0
+    assert json.load(open(out))["pass"] is True
+
+
+def test_verify_draws_no_dirac_harmonic_spinors(monkeypatch):
+    """Spinors of the Dirac checks must not be killed by D, or the checks compare 0 with 0."""
+    from homogdirac import checks, hodge_dirac
+    drawn = []
+    spinor = checks._Context.spinor
+
+    def record(ctx, *args):
+        phi = spinor(ctx, *args)
+        drawn.append((ctx, phi))
+        return phi
+
+    monkeypatch.setattr(checks._Context, "spinor", record)
+    # the quadrature pairing draws nothing from the generator, so skipping it keeps the draws
+    monkeypatch.setattr(checks, "selfadjoint_defect", lambda *args: 0.0)
+    for seed in range(7, 15):
+        run_verify(RunConfig(group="su2", subgroup="u1", bundle="clifford", seed=seed))
+    assert len(drawn) == 8 * 15
+    for ctx, phi in drawn:
+        assert np.abs(hodge_dirac(ctx.connection, phi).values(ctx.pts)).max() > 1e-8
+
+
 @pytest.mark.parametrize("layout", ["rotated", "reordered"])
 def test_matrix_coefficient_on_a_custom_su2_basis_matches_central_differences(
         tmp_path, layout, rng):

@@ -102,8 +102,43 @@ def test_translation_commutation(space, request, rng):
     for _ in range(3):
         y = g.random_element(rng)
         lhs = translate(hodge_dirac(conn, phi), y).values(pts)
-        rhs = hodge_dirac(conn, translate(phi, y)).values(pts)
+        # one side through the frame sum, whose frame moves under translation
+        rhs = hodge_dirac(conn, translate(phi, y), frame=tangent_frame(g)).values(pts)
         assert np.abs(lhs - rhs).max() < 1e-9
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_closed_form_matches_frame_sum_oracle(space, request, rng):
+    """The constant-frame node equals sum_j (nabla_{W_j} phi) . W_j on the default frame."""
+    g = request.getfixturevalue(space)
+    alg = spinor_algebra(g)
+    batches = [sample_pts(g, rng), EvalPoints.for_rule(g, g.haar_rule(4))]
+    spinors = [random_spinor(g, rng, two_j) for two_j in (2, 4)]
+    # a section with no equivariance tag takes the same route
+    spinors.append(MatrixCoefficient(spin_rep(g, 2), rng.standard_normal(3),
+                                     rng.standard_normal((3, alg.n)), Codomain.clifford(alg)))
+    # canonical, Levi-Civita and, over the trivial subgroup, balanced and violating ones
+    for _, conn in connection_test_matrix(g, rng, n_good=2, n_bad=2):
+        for phi in spinors:
+            closed = hodge_dirac(conn, phi)
+            oracle = hodge_dirac(conn, phi, frame=tangent_frame(g))
+            assert (closed.krep, closed.bandwidth, closed.deriv_order) == (
+                oracle.krep, oracle.bandwidth, oracle.deriv_order)
+            for pts in batches:
+                want = oracle.values(pts)
+                assert np.abs(want).max() > 1e-3  # a vanishing image tests nothing
+                assert np.abs(closed.values(pts) - want).max() < 1e-13, conn.name
+
+
+def test_closed_form_raises_like_the_frame_sum(sphere, rng):
+    from homogdirac import DerivativeOrderError
+    conn = canonical_connection(sphere)
+    once = hodge_dirac(conn, random_spinor(sphere, rng))
+    for frame in (None, tangent_frame(sphere)):
+        with pytest.raises(DerivativeOrderError, match="no derivative budget"):
+            hodge_dirac(conn, once, frame=frame)
+        with pytest.raises(ValueError, match="Clifford-valued"):
+            hodge_dirac(conn, invariant_scalar(sphere, rng), frame=frame)
 
 
 def test_dirac_output_is_equivariant(sphere, rng):

@@ -393,3 +393,58 @@ def test_connection_correction_matches_einsum_form(full_group, rng):
                     + np.einsum("na,aij,nj->ni", wvals, ops, target.values(pts)))
             got = ApplyConnection(conn, direction, target).values(pts)
             assert np.abs(got - want).max() < 1e-13
+
+
+def _former_apply(conn, direction, target, pts):
+    """The former covariant derivative: one derivs call along W(x) @ m_frame, plus gamma(W(x))."""
+    g = conn.group
+    wvals = direction.values(pts)
+    out = target.derivs(pts, wvals @ g.m_frame.astype(complex))
+    kind = target.codomain.kind
+    if conn.is_canonical or kind == "scalar":
+        return out
+    ops = conn.derivation_stack() if kind == "clifford" else conn.gamma
+    return out + np.einsum("na,ani->ni", wvals, target.values(pts) @ ops.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_jacobian_contraction_matches_directional_derivative(space, request, rng):
+    """For real direction fields the contracted frame Jacobian is the former derivs form."""
+    g = request.getfixturevalue(space)
+    alg = spinor_algebra(g)
+    f = invariant_scalar(g, rng)
+    directions = [fundamental_field(g, g.random_algebra(rng)),
+                  Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
+                       fundamental_field(g, g.random_algebra(rng))])]
+    targets = [f, fundamental_field(g, g.random_algebra(rng)),
+               build_frame(tangent_bundle(g))[1],
+               EmbedTangent(alg, fundamental_field(g, g.random_algebra(rng)))]
+    for pts in (sample_pts(g, rng, 12), EvalPoints.for_rule(g, g.haar_rule(3))):
+        for conn in (canonical_connection(g), levi_civita_connection(g)):
+            for direction in directions:
+                assert np.abs(direction.values(pts).imag).max() == 0.0
+                for target in targets:
+                    want = _former_apply(conn, direction, target, pts)
+                    got = ApplyConnection(conn, direction, target).values(pts)
+                    assert np.abs(got - want).max() < 1e-13
+
+
+def test_complex_directions_act_complex_linearly_on_real_parts(full_group, rng):
+    """nabla_{V + iW} f = nabla_V f + i nabla_W f, also for the real-linear RealPart."""
+    g = full_group
+    rep = spin_rep(g, 2)
+    f = RealPart(MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                                   rng.standard_normal(3)))
+    v = fundamental_field(g, g.random_algebra(rng))
+    w = fundamental_field(g, g.random_algebra(rng))
+    pts = sample_pts(g, rng, 10)
+    conn = canonical_connection(g)
+    mixed = ApplyConnection(conn, Sum([v, w], [1.0, 1j]), f).values(pts)
+    split = (ApplyConnection(conn, v, f).values(pts)
+             + 1j * ApplyConnection(conn, w, f).values(pts))
+    assert np.abs(mixed - split).max() < 1e-13
+    # derivs itself is only real-linear in the direction, so the split is needed
+    d1 = v.values(pts) @ g.m_frame
+    d2 = w.values(pts) @ g.m_frame
+    gap = f.derivs(pts, d1 + 1j * d2) - (f.derivs(pts, d1) + 1j * f.derivs(pts, d2))
+    assert np.abs(gap).max() > 0.1

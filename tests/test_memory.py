@@ -23,6 +23,7 @@ from homogdirac import (
     TangentKRep,
     TrivialKRep,
     adjoint_rep,
+    canonical_connection,
     l2_inner,
     minimal_violating_connection,
     selfadjoint_defect,
@@ -68,6 +69,33 @@ def test_selfadjoint_defect_retains_nothing_per_call(full_group, rng):
     pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))]
     growth = _retained_growth(lambda: selfadjoint_defect(conn, pairs, rule))
     assert growth < _GROWTH_BYTES
+
+
+def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rng):
+    """Each call caches frame Jacobians of new spinors on the shared rule; they die with them."""
+    rule = sphere.haar_rule(4)
+    algebra = spinor_algebra(sphere)
+    conn = canonical_connection(sphere)
+    growth = _retained_growth(lambda: selfadjoint_defect(
+        conn, [(_spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng))], rule))
+    assert growth < _GROWTH_BYTES
+
+
+def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
+    algebra = spinor_algebra(sphere)
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
+    phi = _spinor(sphere, algebra, rng)
+    jac = weakref.ref(phi.frame_derivs(pts))
+    assert phi.frame_derivs(pts) is jac()  # one entry per node and batch
+    assert jac().shape == (sphere.m_dim, 5, algebra.n)
+    del phi
+    gc.collect()
+    assert jac() is None
+    phi = _spinor(sphere, algebra, rng)
+    jac = weakref.ref(phi.frame_derivs(pts))
+    del pts
+    gc.collect()
+    assert jac() is None
 
 
 def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
