@@ -25,14 +25,11 @@ from .reps import UnitaryRep, adjoint_rep, spin_rep
 from .sections import (
     Codomain,
     ConjugatedProjection,
-    Constant,
     GramSection,
-    KAverage,
     MatrixCoefficient,
     MatrixKRep,
     RankOne,
     RestrictedKRep,
-    Scale,
     Section,
     Sum,
 )
@@ -183,20 +180,19 @@ def tangent_bundle(group: GroupModel) -> InducedBundle:
 
 def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator,
                                two_j_max: int = 2, terms: int = 2) -> Section:
-    """A random band-limited equivariant section, built by subgroup averaging."""
+    """A random band-limited equivariant section: a sum of coefficients u* rho(x) P(v a^T)."""
     parts = []
     for _ in range(terms):
         vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
-        const = Constant(bundle.codomain(), vec, group=bundle.group)
         two_j = int(rng.integers(0, two_j_max + 1))
-        if two_j == 0:
-            parts.append(const)
-            continue
         rep = spin_rep(bundle.group, two_j)
-        u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-        v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-        parts.append(Scale(const, MatrixCoefficient(rep, u, v)))
-    return KAverage(Sum(parts), bundle.krep, bundle.group)
+        u = v = np.ones(1)
+        if two_j:
+            u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+            v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        parts.append(MatrixCoefficient(rep, u, bundle.krep.invariant(rep, np.outer(v, vec)),
+                                       bundle.codomain(), bundle.krep))
+    return Sum(parts)
 
 
 def module_map_values(bundle: InducedBundle, section: Section, pts) -> np.ndarray:

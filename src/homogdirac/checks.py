@@ -44,7 +44,6 @@ from .sections import (
     Constant,
     EvalPoints,
     FundamentalField,
-    KAverage,
     MatrixCoefficient,
     OpApply,
     RealPart,
@@ -83,30 +82,32 @@ class _Context:
     def scalar_section(self):
         """A band-limited right-invariant scalar test function."""
         if self._scalar is None:
-            rep = spin_rep(self.group, 2)
-            f = MatrixCoefficient(rep, self.rng.standard_normal(rep.dim),
-                                  self.rng.standard_normal(rep.dim))
-            self._scalar = RealPart(KAverage(f, TrivialKRep(), self.group))
+            rep, krep = spin_rep(self.group, 2), TrivialKRep()
+            u, v = self.rng.standard_normal(rep.dim), self.rng.standard_normal(rep.dim)
+            self._scalar = RealPart(MatrixCoefficient(rep, u, krep.invariant(rep, v), krep=krep))
         return self._scalar
 
     def spinor(self, max_two_j: int = 2):
         """A random band-limited equivariant spinor section that D does not kill.
 
-        A constant part, or a half-integer spin part that the circle average
+        Each part is Re u* rho(x) P(v a^T), P the subgroup projection (u = v = 1
+        at spin 0).  A constant part, or a half-integer spin part that P
         removes, is Dirac-harmonic; the first part has integer spin >= 1.
         """
         g, alg, rng = self.group, self.algebra, self.rng
+        krep = CliffordKRep(g, alg)
         parts = []
         for first in (True, False):
-            c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=g)
+            a = rng.standard_normal(alg.n)
             two_j = (2 * int(rng.integers(1, max_two_j // 2 + 1)) if first
                      else int(rng.integers(0, max_two_j + 1)))
+            rep = spin_rep(g, two_j)
+            u = v = np.ones(1)
             if two_j:
-                rep = spin_rep(g, two_j)
-                c = Scale(c, RealPart(MatrixCoefficient(
-                    rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))))
-            parts.append(c)
-        return KAverage(Sum(parts), CliffordKRep(g, alg), g)
+                u, v = rng.standard_normal(rep.dim), rng.standard_normal(rep.dim)
+            parts.append(RealPart(MatrixCoefficient(
+                rep, u, krep.invariant(rep, np.outer(v, a)), Codomain.clifford(alg), krep)))
+        return Sum(parts)
 
 
 # -- group and algebra checks ----------------------------------------------------

@@ -50,6 +50,7 @@ from .sections import (
     Scale,
     Section,
     Sum,
+    invariant_basis,
     l2_inner,
 )
 from .geometry import (
@@ -87,7 +88,6 @@ __all__ = [
 ]
 
 _CRITERION_TOL = 1e-8
-_RANK_RTOL = 1e-8  # null-space cut, relative to the largest singular value
 
 
 class _HodgeDirac(Section):
@@ -332,31 +332,21 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
 
     A level-``level`` profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an
     equivariant spinor exactly when rho(s) C = C K(s) for subgroup
-    elements s, with K the Clifford extension of the tangent action.  The
-    subgroup is connected, so this is drho(Z) C = C dK(Z) for each isotropy
-    generator Z, dK(Z) the derivation extending ``group.k_tangent``: a null
-    space, exact at every level and taken per Clifford grade (dK preserves
-    grade) so basis members carry a pure grade.  Returns (grade, matrix) pairs.
+    elements s, with K the Clifford extension of the tangent action: the
+    :func:`~homogdirac.sections.invariant_basis` of its generators, exact at
+    every level and taken per Clifford grade (the generators preserve grade)
+    so basis members carry a pure grade.  Returns (grade, matrix) pairs.
     """
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
-    drho = [rep.derivative(z) for z in group.k_frame]
-    dk = [algebra.derivation_matrix(t) for t in group.k_tangent]
-    size = rep.dim * algebra.n
-    # drho(Z) C - C dK(Z) on vec(C), as vec(A C B) = kron(A, B^T) vec(C)
-    op = np.array([np.kron(r, np.eye(algebra.n)) - np.kron(np.eye(rep.dim), k.T)
-                   for r, k in zip(drho, dk)]).reshape(group.k_dim, size, size)
+    dk = CliffordKRep(group, algebra).generators
     out = []
     for grade in range(algebra.p + 1):
-        keep = np.tile(algebra.grades == grade, rep.dim)  # the grade's entries of vec(C)
-        # each generator's operator is normal with weight differences as
-        # eigenvalues, so nonzero singular values sit far above roundoff
-        _, sv, vh = np.linalg.svd(op[:, keep][:, :, keep].reshape(-1, keep.sum()))
-        rank = int(np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)))
-        for v in vh[rank:].conj():
-            c = np.zeros(size, dtype=complex)
-            c[keep] = v
-            out.append((grade, c.reshape(rep.dim, algebra.n)))
+        keep = algebra.grades == grade  # the grade's columns of C
+        for v in invariant_basis(rep, dk[:, keep][:, :, keep]):
+            c = np.zeros((rep.dim, algebra.n), dtype=complex)
+            c[:, keep] = v.reshape(rep.dim, -1)
+            out.append((grade, c))
     return out
 
 
@@ -526,13 +516,13 @@ def coefficient_family(group: GroupModel, max_two_j: int = 4,
                        vectors: list | None = None) -> list:
     """Real matrix-coefficient test functions on the circle quotient.
 
-    Real and imaginary parts of the invariant-column coefficients of the
-    integer levels up to ``max_two_j``; optionally extended by linear
+    Real and imaginary parts of the coefficients <e_row, rho(x) v> of the
+    integer levels up to ``max_two_j``, for each subgroup-invariant v (its
+    largest entry real and positive); optionally extended by linear
     functionals of the orbit vector (adjoint coefficients) for the given
     direction vectors.
     """
     from .sections import ImagPart, MatrixCoefficient, RealPart
-    from .reps import adjoint_rep
 
     fam = []
     k_axis = group.k_frame[0]
@@ -541,9 +531,9 @@ def coefficient_family(group: GroupModel, max_two_j: int = 4,
         fam.append(MatrixCoefficient(ar, np.asarray(v, dtype=float), k_axis))
     for two_j in range(2, max_two_j + 1, 2):
         rep = spin_rep(group, two_j)
-        col = two_j // 2  # the subgroup-invariant weight column
-        for row in range(rep.dim):
-            coef = MatrixCoefficient(rep, np.eye(rep.dim)[row], np.eye(rep.dim)[col])
-            fam.append(RealPart(coef))
-            fam.append(ImagPart(coef))
+        for v in invariant_basis(rep, np.zeros((group.k_dim, 1, 1))):
+            top = v[np.argmax(np.abs(v))]
+            for row in range(rep.dim):
+                coef = MatrixCoefficient(rep, np.eye(rep.dim)[row], v * (abs(top) / top))
+                fam += [RealPart(coef), ImagPart(coef)]
     return fam

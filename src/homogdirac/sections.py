@@ -22,19 +22,18 @@ carries the product rule once, or a fixed real-linear map of one section
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of group
-elements and caches representation stacks, node values, each node's frame
-Jacobian (its derivatives along the complement-frame rows, which a
-covariant derivative contracts with its direction field) and one orbit
-batch (x s for every subgroup-rule node s, where a subgroup average
-evaluates its child once), so quadrature loops over shared subgraphs cost
-one pass per node.  Each cache is a :class:`~homogdirac.groups.Memo`: an
-entry lives as long as both the batch and the node or representation it
-is keyed by, so a batch shared by a quadrature rule keeps nothing alive
-for graphs that are gone.  A subgroup action is given by its matrices on
-a batch of subgroup elements and keeps its stack on the subgroup rule's
-nodes, so a subgroup average is one contraction of the child's orbit
-values with the weights and that stack; nothing is cached per group
-element.  Each node carries a conservative bandwidth bound
+elements and caches representation stacks, node values and each node's
+frame Jacobian (its derivatives along the complement-frame rows, which a
+covariant derivative contracts with its direction field), so quadrature
+loops over shared subgraphs cost one pass per node.  Each cache is a
+:class:`~homogdirac.groups.Memo`: an entry lives as long as both the batch
+and the node or representation it is keyed by, so a batch shared by a
+quadrature rule keeps nothing alive for graphs that are gone.  A subgroup
+action carries its generators, and an equivariant section is a sum of
+projected coefficients u* rho(x) P(v), P the closed-form subgroup average
+(:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
+subgroup rule on an orbit batch (x s for every rule node s), is kept as
+its quadrature oracle.  Each node carries a conservative bandwidth bound
 (total spin of its Peter-Weyl content) that :func:`l2_inner` checks
 against the quadrature rule.
 """
@@ -213,26 +212,60 @@ class EvalPoints:
 # -- equivariance actions of the subgroup ---------------------------------------
 
 
-class TrivialKRep:
+_RANK_RTOL = 1e-8  # null-space cut, relative to the largest singular value
+
+
+def invariant_basis(rep: UnitaryRep, gens: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning {V : drho(Z) V + V dpi(Z)^T = 0 for each ``k_frame`` row Z}.
+
+    ``gens`` holds dpi(Z); V (rep.dim x k) is flattened row-major.  The subgroup
+    is connected, so these V are the fixed points of V -> rho(s) V pi(s)^T.
+    Each operator is normal with weight differences as eigenvalues, so
+    nonzero singular values sit far above roundoff.
+    """
+    d, k = rep.dim, gens.shape[-1]
+    drho = np.array([rep.derivative(z) for z in rep.group.k_frame]).reshape(-1, d, d)
+    # kron(drho, 1) + kron(1, dpi), as vec(A V B) = kron(A, B^T) vec(V), entrywise
+    op = (drho[:, :, None, :, None] * np.eye(k)[:, None]
+          + np.eye(d)[:, None, :, None] * gens[:, None, :, None])
+    _, sv, vh = np.linalg.svd(op.reshape(-1, d * k))
+    rank = int(np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)))
+    return vh[rank:].conj()
+
+
+class _KRep:
+    """A subgroup action carrying ``generators``: dpi(Z) for each ``k_frame`` row Z."""
+
+    def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
+        """The orthogonal projection P with avg_s pi_s u* rho(x s) v = u* rho(x) P(v)."""
+        k = np.size(v) // rep.dim
+        basis = invariant_basis(rep, np.broadcast_to(self.generators, (rep.group.k_dim, k, k)))
+        return (basis.T @ (basis.conj() @ np.ravel(v))).reshape(np.shape(v))
+
+
+class TrivialKRep(_KRep):
     """Trivial action; tags right-K-invariant scalar sections."""
+
+    generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
 
     def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         return values
 
 
-class MatrixKRep:
+class MatrixKRep(_KRep):
     """Action through unitary matrices, given on batches of subgroup elements.
 
     ``stack_fn`` maps an :class:`EvalPoints` batch of subgroup elements to
-    their (n, dim, dim) matrices.  The stack on the subgroup rule's nodes,
-    which subgroup averages contract against, is computed once and kept;
-    a single element is evaluated on a one-point batch and nothing is kept.
+    their (n, dim, dim) matrices, and ``generators`` are their derivatives.
+    The stack on the subgroup rule's nodes, for :class:`KAverage`, is computed
+    once and kept; a single element is evaluated on a one-point batch and nothing is kept.
     """
 
-    def __init__(self, group: GroupModel, stack_fn, dim: int):
+    def __init__(self, group: GroupModel, stack_fn, dim: int, generators):
         self.group = group
         self._stack_fn = stack_fn
         self.dim = dim
+        self.generators = np.reshape(generators, (-1, dim, dim))
         self._rule_stack: np.ndarray | None = None
 
     def rule_stack(self) -> np.ndarray:
@@ -255,7 +288,8 @@ class MatrixKRep:
 def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
     """Subgroup action on an invariant subspace: E* rho(s) E."""
     e = np.asarray(embed, dtype=complex)
-    return MatrixKRep(rep.group, lambda pts: e.conj().T @ pts.rep_stack(rep) @ e, e.shape[1])
+    return MatrixKRep(rep.group, lambda pts: e.conj().T @ pts.rep_stack(rep) @ e, e.shape[1],
+                      [e.conj().T @ rep.derivative(z) @ e for z in rep.group.k_frame])
 
 
 def _tangent_stack(group: GroupModel, pts: EvalPoints) -> np.ndarray:
@@ -269,7 +303,8 @@ def TangentKRep(group: GroupModel) -> MatrixKRep:
     """
     if group.tangent_krep is None:
         group.tangent_krep = MatrixKRep(
-            group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim)
+            group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim,
+            group.k_tangent)
     return group.tangent_krep
 
 
@@ -280,7 +315,8 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
                          for t in _tangent_stack(group, pts)]).astype(complex)
 
     if group.clifford_krep is None:
-        group.clifford_krep = MatrixKRep(group, stack_fn, algebra.n)
+        group.clifford_krep = MatrixKRep(
+            group, stack_fn, algebra.n, algebra.derivation_stack(group.k_tangent))
     return group.clifford_krep
 
 
@@ -618,10 +654,9 @@ def _imag(vals: np.ndarray) -> np.ndarray:
 
 
 def RealPart(child: Section) -> Pointwise:
-    """Real part of a scalar section (an R-linear node)."""
-    if child.codomain.kind != "scalar":
-        raise ValueError("real part applies to scalar sections")
-    return Pointwise(_real, RealPart, child, Codomain.scalar(), child.krep)
+    """Entrywise real part (an R-linear node); equivariant, so tagged, for a real action only."""
+    real = np.all(np.isreal(getattr(child.krep, "generators", 1j)))
+    return Pointwise(_real, RealPart, child, child.codomain, child.krep if real else None)
 
 
 def ImagPart(child: Section) -> Pointwise:
@@ -667,11 +702,12 @@ class Translate(Section):
 
 
 class KAverage(Section):
-    """Equivariant projection: average of pi_s child(x s) over the subgroup.
+    """Equivariant projection: average of pi_s child(x s) over the subgroup rule.
 
     Idempotent on already-equivariant sections; the output satisfies the
     defining equivariance condition exactly whenever the subgroup rule
-    integrates the (band-limited) integrand exactly.
+    integrates the (band-limited) integrand exactly.  The package builds none:
+    it is the quadrature oracle of :meth:`MatrixKRep.invariant` and the benchmark's spinor path.
     """
 
     def __init__(self, child: Section, krep, group: GroupModel):

@@ -446,3 +446,28 @@ def test_spinor_product_stays_equivariant(sphere, rng):
     assert np.abs(prod.value(x)).max() > 1e-3  # a vanishing product tests nothing
     for s in sphere.k_rule.nodes[::8]:
         assert equivariance_defect(prod, x, s, sphere) < 1e-10
+
+
+@pytest.mark.parametrize("basis", ["catalog", "rotated"])
+def test_coefficient_family_is_subgroup_invariant(basis, rng):
+    """f(x s) = f(x) for every member and subgroup-rule node s, on any basis of su(2)."""
+    from homogdirac import GroupModel
+    from test_reps import rotated_su2
+    group = GroupModel.su2() if basis == "catalog" else rotated_su2()
+    fam = coefficient_family(group, max_two_j=4, vectors=[group.random_algebra(rng)])
+    assert len(fam) == 1 + 2 * (3 + 5)  # one invariant line per integer level
+    pts = EvalPoints.of(group, group.random_elements(rng, 5))
+    # the imaginary part of a real coefficient vanishes; most members do not
+    assert sum(np.abs(f.values(pts)).max() > 1e-3 for f in fam) > len(fam) // 2
+    for f in fam:
+        vals = f.values(pts)
+        for s in group.k_rule.nodes:
+            shifted = EvalPoints(group, pts.matrices @ s.matrix)
+            assert np.abs(f.values(shifted) - vals).max() < 1e-13
+
+
+def test_catalog_coefficient_family_uses_the_zero_weight_columns(sphere):
+    """On the catalog basis the invariant line of level 2j is the basis vector e_j exactly."""
+    for f in coefficient_family(sphere, max_two_j=4):
+        coef = f.children[0]
+        assert np.array_equal(coef.v, np.eye(coef.rep.dim)[coef.rep.dim // 2])

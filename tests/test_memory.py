@@ -9,6 +9,8 @@ import gc
 import tracemalloc
 import weakref
 
+import pytest
+
 from homogdirac import (
     CliffordKRep,
     Codomain,
@@ -16,6 +18,7 @@ from homogdirac import (
     EvalPoints,
     GroupModel,
     KAverage,
+    MatrixKRep,
     MatrixCoefficient,
     RealPart,
     Scale,
@@ -31,6 +34,7 @@ from homogdirac import (
     spinor_algebra,
     translate,
 )
+from homogdirac.cli import RunConfig, run_verify
 
 # a leak here holds tens of KB per call (one translated batch, or one
 # graph's node values, over the rule's nodes); the allowance is for
@@ -143,3 +147,18 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     gc.collect()
     assert ref() is None
     assert all(r() is None for r in kept)
+
+
+@pytest.mark.parametrize("config", [
+    dict(bundle="clifford", seed=7), dict(bundle="tangent", seed=9),
+    dict(bundle="monopole", charge=1, seed=5),
+    dict(subgroup="trivial", connection="levi-civita", seed=3),
+], ids=["clifford", "tangent", "monopole", "trivial-k-levi-civita"])
+def test_verify_builds_no_orbit_batch(config, monkeypatch):
+    """Equivariant sections are projected coefficients: no check evaluates on an orbit batch."""
+    def refuse(*args):
+        raise AssertionError("verify built a subgroup-rule batch")
+
+    monkeypatch.setattr(EvalPoints, "orbit", refuse)
+    monkeypatch.setattr(MatrixKRep, "rule_stack", refuse)
+    assert run_verify(RunConfig(group="su2", **config))["pass"] is True

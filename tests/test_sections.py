@@ -357,6 +357,7 @@ def pointwise_operation(name, group, rng):
                                            coefficient(Codomain.vector(2))),
                                    coefficient(Codomain.vector(2))),
         "RealPart": lambda: RealPart(coefficient()),
+        "RealPart-clifford": lambda: RealPart(coefficient(Codomain.clifford(alg))),
         "ImagPart": lambda: ImagPart(coefficient()),
         "EmbedTangent": lambda: EmbedTangent(alg, field()),
     }
@@ -364,7 +365,7 @@ def pointwise_operation(name, group, rng):
 
 
 @pytest.mark.parametrize("name", ["Scale", "CliffordProduct", "AInner", "RankOne", "OpApply",
-                                  "RealPart", "ImagPart", "EmbedTangent"])
+                                  "RealPart", "RealPart-clifford", "ImagPart", "EmbedTangent"])
 def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
     """The shared left-derivative rule against a central difference of left translates.
 
@@ -598,3 +599,166 @@ def test_adjoint_stack_is_the_adjoint_representation_stack(sphere, rng):
     stack = pts.ad_stack()
     assert stack is pts.rep_stack(adjoint_rep(sphere)) and stack.dtype == float
     assert np.array_equal(stack, sphere.adjoint_stack(pts.matrices))
+
+
+def space_group(space, request):
+    """A conftest space, or SU(2) in a rotated basis (complex monopole fibers)."""
+    if space == "rotated":
+        from test_reps import rotated_su2
+        return rotated_su2()
+    return request.getfixturevalue(space)
+
+
+def subgroup_actions(group):
+    """(name, action, codomain) for each subgroup action a section can carry."""
+    alg = spinor_algebra(group)
+    actions = [("trivial", TrivialKRep(), Codomain.scalar()),
+               ("tangent", TangentKRep(group), Codomain.tangent(group)),
+               ("clifford", CliffordKRep(group, alg), Codomain.clifford(alg)),
+               ("restricted", tangent_bundle(group).krep, Codomain.vector(group.m_dim))]
+    if group.k_dim == 1:
+        actions.append(("monopole", monopole_bundle(group, 1).krep, Codomain.vector(1)))
+    return actions
+
+
+def _rule_average(group, rep, v, krep):
+    """The subgroup rule's average of rho(s) v pi(s)^T: the quadrature oracle."""
+    flat = v.reshape(rep.dim, -1)
+    stacks = (np.ones((len(group.k_rule), 1, 1)) if isinstance(krep, TrivialKRep)
+              else krep.rule_stack())
+    nodes = EvalPoints.for_rule(group, group.k_rule)
+    return sum(w * r @ flat @ k.T for w, r, k in
+               zip(group.k_rule.weights, nodes.rep_stack(rep), stacks)).reshape(v.shape)
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
+def test_invariant_is_the_rule_average_and_idempotent(space, request, rng):
+    group = space_group(space, request)
+    for name, krep, codomain in subgroup_actions(group):
+        for two_j in range(5):
+            rep = spin_rep(group, two_j)
+            shape = (rep.dim,) + codomain.shape
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            proj = krep.invariant(rep, v)
+            assert proj.shape == v.shape
+            assert np.abs(proj - _rule_average(group, rep, v, krep)).max() < 1e-13, (name, two_j)
+            assert np.abs(krep.invariant(rep, proj) - proj).max() < 1e-13, (name, two_j)
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
+def test_projected_coefficients_match_the_subgroup_average(space, request, rng):
+    """u* rho(x) P(v) against KAverage of u* rho(x) v, the quadrature oracle.
+
+    For the real actions the real part commutes with the average too.
+    """
+    group = space_group(space, request)
+    pts = EvalPoints.of(group, group.random_elements(rng, 6))
+    dirs = rng.standard_normal((6, group.dim)) + 1j * rng.standard_normal((6, group.dim))
+    y = group.random_algebra(rng)
+    for name, krep, codomain in subgroup_actions(group):
+        for two_j in range(4):
+            rep = spin_rep(group, two_j)
+            shape = (rep.dim,) + codomain.shape
+            u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            child = MatrixCoefficient(rep, u, v, codomain)
+            pairs = [(MatrixCoefficient(rep, u, krep.invariant(rep, v), codomain, krep),
+                      KAverage(child, krep, group))]
+            if name in ("trivial", "tangent", "clifford"):
+                pairs.append((RealPart(pairs[0][0]), KAverage(RealPart(child), krep, group)))
+            for ours, oracle in pairs:
+                assert ours.krep is oracle.krep
+                for a, b in [(ours.values(pts), oracle.values(pts)),
+                             (ours.derivs(pts, dirs), oracle.derivs(pts, dirs)),
+                             (ours.frame_derivs(pts), oracle.frame_derivs(pts)),
+                             (lambda_deriv(ours, y).values(pts),
+                              lambda_deriv(oracle, y).values(pts))]:
+                    assert np.abs(a - b).max() < 1e-13, (name, two_j)
+
+
+def _former_constructors(ctx, bundle):
+    """The subgroup-averaged sections verify drew before the projector, kept as the oracle."""
+    g, alg, rng = ctx.group, ctx.algebra, ctx.rng
+
+    def scalar():
+        rep = spin_rep(g, 2)
+        f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
+        return RealPart(KAverage(f, TrivialKRep(), g))
+
+    def spinor(max_two_j=2):
+        parts = []
+        for first in (True, False):
+            c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=g)
+            two_j = (2 * int(rng.integers(1, max_two_j // 2 + 1)) if first
+                     else int(rng.integers(0, max_two_j + 1)))
+            if two_j:
+                rep = spin_rep(g, two_j)
+                c = Scale(c, RealPart(MatrixCoefficient(
+                    rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))))
+            parts.append(c)
+        return KAverage(Sum(parts), CliffordKRep(g, alg), g)
+
+    def section():
+        parts = []
+        for _ in range(2):
+            vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
+            const = Constant(bundle.codomain(), vec, group=g)
+            two_j = int(rng.integers(0, 3))
+            if two_j == 0:
+                parts.append(const)
+                continue
+            rep = spin_rep(g, two_j)
+            u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+            v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+            parts.append(Scale(const, MatrixCoefficient(rep, u, v)))
+        return KAverage(Sum(parts), bundle.krep, g)
+
+    return scalar, spinor, section
+
+
+@pytest.mark.parametrize("subgroup, bundle", [("u1", "clifford"), ("u1", "monopole"),
+                                              ("trivial", "clifford")])
+def test_verify_sections_are_the_former_subgroup_averages(subgroup, bundle):
+    """Same generator state, same draws: each projected section equals the former average."""
+    from homogdirac import checks, random_equivariant_section
+    from homogdirac.cli import RunConfig
+    cfg = RunConfig(subgroup=subgroup, bundle=bundle, sample_count=8, seed=3)
+    ctx = checks._Context(cfg, cfg.make_group(), np.random.default_rng(3))
+    scalar, spinor, section = _former_constructors(ctx, ctx.bundle)
+    dirs = ctx.rng.standard_normal((ctx.pts.n, ctx.group.dim))
+    for ours, former in [(ctx.scalar_section, scalar), (ctx.spinor, spinor),
+                         (lambda: random_equivariant_section(ctx.bundle, ctx.rng), section)]:
+        for _ in range(4):
+            state = ctx.rng.bit_generator.state
+            a = ours()
+            ctx.rng.bit_generator.state = state
+            b = former()
+            assert a.krep is b.krep or {type(a.krep), type(b.krep)} == {TrivialKRep}
+            assert np.abs(a.values(ctx.pts) - b.values(ctx.pts)).max() < 1e-13
+            assert np.abs(a.derivs(ctx.pts, dirs) - b.derivs(ctx.pts, dirs)).max() < 1e-13
+            ctx._scalar = None
+
+
+
+def test_real_part_keeps_only_a_real_action_tag(sphere, rng):
+    """Re commutes with a real subgroup action, not with the monopole's complex one."""
+    alg = spinor_algebra(sphere)
+    x, s = sphere.random_element(rng), sphere.k_rule.nodes[5]
+    cases = [(TangentKRep(sphere), Codomain.tangent(sphere), 2),
+             (CliffordKRep(sphere, alg), Codomain.clifford(alg), 2),
+             (tangent_bundle(sphere).krep, Codomain.vector(2), 2),
+             (monopole_bundle(sphere, 1).krep, Codomain.vector(1), 1)]
+    for krep, codomain, two_j in cases:
+        rep = spin_rep(sphere, two_j)
+        shape = (rep.dim,) + codomain.shape
+        u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        v = krep.invariant(rep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        part = RealPart(MatrixCoefficient(rep, u, v, codomain, krep))
+        # the part measured against the action it would carry
+        defect = equivariance_defect(
+            Pointwise(part.fn, RealPart, part.children[0], codomain, krep), x, s)
+        if part.krep is None:
+            assert defect > 1e-3
+        else:
+            assert part.krep is krep and defect < 1e-12
+    assert part.krep is None  # the last case: the monopole's action is complex
