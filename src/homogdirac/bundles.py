@@ -16,6 +16,7 @@ the tangent complement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,13 +179,26 @@ def tangent_bundle(group: GroupModel) -> InducedBundle:
                          group.m_frame.T.astype(complex), name="tangent")
 
 
+def _section_spins(bundle: InducedBundle, count: int) -> list:
+    """The ``count`` smallest two_j whose coefficients have a nonzero invariant part."""
+    key = ("spins", count)
+    if key not in bundle._cache:
+        spins = (two_j for two_j in itertools.count()
+                 if len(bundle.krep.basis(spin_rep(bundle.group, two_j), bundle.fiber_dim)))
+        bundle._cache[key] = list(itertools.islice(spins, count))
+    return bundle._cache[key]
+
+
 def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator,
                                two_j_max: int = 2, terms: int = 2) -> Section:
-    """A random band-limited equivariant section: a sum of coefficients u* rho(x) P(v a^T)."""
+    """A random band-limited equivariant section: a sum of coefficients u* rho(x) P(v a^T).
+
+    Each two_j is one of the ``two_j_max + 1`` least spins with P nonzero, so no term vanishes.
+    """
     parts = []
     for _ in range(terms):
         vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
-        two_j = int(rng.integers(0, two_j_max + 1))
+        two_j = _section_spins(bundle, two_j_max + 1)[int(rng.integers(0, two_j_max + 1))]
         rep = spin_rep(bundle.group, two_j)
         u = v = np.ones(1)
         if two_j:

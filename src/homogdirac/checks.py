@@ -4,10 +4,14 @@ Each check measures one identity as a residual, compares it against its
 tolerance (overridable per check id through the config) and reports a
 dictionary row.  Checks are pure measurements; the expected values come
 from closed-form identities or independent recomputation, never from the
-code path under test.
+code path under test.  A sampling check draws its samples one at a time
+(a point, then its directions) and then evaluates them all on one batch,
+so the points checked do not depend on how they are evaluated.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -35,11 +39,12 @@ from .geometry import (
     tangent_frame,
     torsion,
 )
-from .groups import GroupElement, GroupModel
+from .groups import GroupModel, expm_skew
 from .reps import spin_rep
 from .sections import (
     AInner,
     CliffordKRep,
+    CliffordProduct,
     Codomain,
     Constant,
     EvalPoints,
@@ -125,14 +130,12 @@ def _check_exp_unitarity(ctx: _Context):
 
 def _check_ad_invariance(ctx: _Context):
     g, rng = ctx.group, ctx.rng
-    worst = 0.0
-    n = 200
-    for _ in range(n):
-        x = g.random_element(rng)
-        a, b = g.random_algebra(rng), g.random_algebra(rng)
-        worst = max(worst, abs(float(np.dot(g.adjoint(x, a), g.adjoint(x, b))
-                                     - np.dot(a, b))))
-    return worst, n
+    xs, a, b = zip(*[(g.random_element(rng), g.random_algebra(rng), g.random_algebra(rng))
+                     for _ in range(200)])
+    ad = g.adjoint_matrices(np.stack([x.matrix for x in xs]))
+    a, b = np.array(a)[:, :, None], np.array(b)[:, :, None]  # column vectors
+    defect = np.sum((ad @ a) * (ad @ b), axis=(1, 2)) - np.sum(a * b, axis=(1, 2))
+    return float(np.abs(defect).max()), len(xs)
 
 
 def _check_subalgebra(ctx: _Context):
@@ -198,8 +201,19 @@ def _check_clifford_star(ctx: _Context):
     return worst, 50
 
 
-def _check_derivative_consistency(ctx: _Context):
-    """Central differences of section values must converge at second order."""
+def _draw_points(ctx: _Context, n: int):
+    """n samples, each a group element then an algebra direction: one batch and its directions."""
+    g, rng = ctx.group, ctx.rng
+    xs, ys = zip(*[(g.random_element(rng), g.random_algebra(rng)) for _ in range(n)])
+    return EvalPoints.of(g, xs), np.array(ys)
+
+
+_STEPS = (1e-4, 5e-5)  # halving h divides a second-order error by 4
+
+
+def _derivative_samples(ctx: _Context) -> list:
+    """Per test section: exact derivatives at 8 draws (x, y), shape (8, k), and for each
+    step h the quotients (f(x exp(hy)) - f(x exp(-hy))) / 2h, shape (steps, 8, k)."""
     g, rng = ctx.group, ctx.rng
     rep = spin_rep(g, 3)
     sections = [
@@ -208,40 +222,42 @@ def _check_derivative_consistency(ctx: _Context):
         FundamentalField(g, g.random_algebra(rng)),
         ctx.spinor(),
     ]
-    worst, count = 0.0, 0
+    out = []
     for sec in sections:
-        for _ in range(8):
-            x = g.random_element(rng)
-            y = g.random_algebra(rng)
-            exact = np.atleast_1d(sec.deriv(x, y, g))
-            errs = []
-            for h in (1e-4, 5e-5):
-                xp = GroupElement(x.matrix @ g.exp(y, h).matrix)
-                xm = GroupElement(x.matrix @ g.exp(y, -h).matrix)
-                fd = (np.atleast_1d(sec.value(xp, g)) - np.atleast_1d(sec.value(xm, g))) / (2 * h)
-                errs.append(float(np.linalg.norm(fd - exact)))
-            # below the roundoff floor the truncation ratio is meaningless:
-            # a wrong derivative would show an O(1) error here instead
-            scale = max(1.0, float(np.linalg.norm(exact)))
-            ratio = 4.0 if errs[0] < 1e-8 * scale else errs[0] / errs[1]
-            worst = max(worst, abs(ratio - 4.0))
-            count += 1
+        pts, ys = _draw_points(ctx, 8)
+        exact = sec.derivs(pts, ys).reshape(pts.n, -1)
+        # x exp(t y) for t = +h, -h of each step: one batch of 4 n points
+        ts = np.array([[h, -h] for h in _STEPS])[:, :, None, None, None]
+        shifted = pts.matrices @ expm_skew(ts * g.algebra_element(ys))
+        vals = sec.values(EvalPoints(g, shifted.reshape(-1, *pts.matrices.shape[1:])))
+        vals = vals.reshape(len(_STEPS), 2, pts.n, -1)
+        out.append((exact, np.stack([(v[0] - v[1]) / (2 * h) for h, v in zip(_STEPS, vals)])))
+    return out
+
+
+def _check_derivative_consistency(ctx: _Context):
+    """Central differences of section values must converge at second order."""
+    worst, count = 0.0, 0
+    for exact, fd in _derivative_samples(ctx):
+        errs = np.linalg.norm(fd - exact, axis=2)  # (step, draw)
+        # below the roundoff floor the truncation ratio is meaningless:
+        # a wrong derivative would show an O(1) error here instead
+        scale = np.maximum(1.0, np.linalg.norm(exact, axis=1))
+        ratio = np.divide(errs[0], errs[1], out=np.full(len(exact), 4.0),
+                          where=errs[0] >= 1e-8 * scale)
+        worst = max(worst, float(np.abs(ratio - 4.0).max()))
+        count += len(exact)
     return worst, count
 
 
 def _check_product_rule(ctx: _Context):
-    g, rng, alg = ctx.group, ctx.rng, ctx.algebra
-    from .sections import CliffordProduct
+    alg = ctx.algebra
     a, b = ctx.spinor(), ctx.spinor()
     prod = CliffordProduct(alg, a, b)
-    worst = 0.0
-    for _ in range(20):
-        x = g.random_element(rng)
-        y = g.random_algebra(rng)
-        lhs = prod.deriv(x, y, g)
-        rhs = alg.mul(a.deriv(x, y, g), b.value(x, g)) + alg.mul(a.value(x, g), b.deriv(x, y, g))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst, 20
+    pts, ys = _draw_points(ctx, 20)
+    lhs = prod.derivs(pts, ys)
+    rhs = alg.mul(a.derivs(pts, ys), b.values(pts)) + alg.mul(a.values(pts), b.derivs(pts, ys))
+    return float(np.abs(lhs - rhs).max()), pts.n
 
 
 # -- bundle checks ------------------------------------------------------------------
@@ -249,10 +265,9 @@ def _check_product_rule(ctx: _Context):
 
 def _check_frame_equivariance(ctx: _Context):
     b, g = ctx.bundle, ctx.group
-    worst = 0.0
-    for eta in build_frame(b):
-        for s in g.k_rule.nodes[:5]:
-            worst = max(worst, equivariance_defect(eta, ctx.samples[0], s, g))
+    nodes = g.k_rule.nodes[:5]
+    worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes, g).max())
+                for eta in build_frame(b))
     return worst, 5 * b.ambient_dim
 
 
@@ -331,18 +346,15 @@ def _check_bracket_identity(ctx: _Context):
     """Commutator of fundamental derivations equals the bracket field."""
     g, rng = ctx.group, ctx.rng
     f = ctx.scalar_section()
-    worst, count = 0.0, 0
+    pts = EvalPoints.of(g, ctx.samples[:10])
+    worst = 0.0
     for _ in range(5):
         a, b = g.random_algebra(rng), g.random_algebra(rng)
         comm = Sum([lambda_deriv(lambda_deriv(f, b), a),
                     lambda_deriv(lambda_deriv(f, a), b)], [1.0, -1.0])
-        bracket_field = FundamentalField(g, g.bracket(a, b))
-        for x in ctx.samples[:10]:
-            direction = g.from_m(bracket_field.value(x, g).real)
-            worst = max(worst, abs(complex(comm.value(x, g))
-                                   - complex(f.deriv(x, direction, g))))
-            count += 1
-    return worst, count
+        directions = g.from_m(FundamentalField(g, g.bracket(a, b)).values(pts).real)
+        worst = max(worst, float(np.abs(comm.values(pts) - f.derivs(pts, directions)).max()))
+    return worst, 5 * pts.n
 
 
 def _check_compatibility(ctx: _Context):
@@ -511,7 +523,8 @@ ANCHORS = frozenset(anchor for anchor, *_ in
                     _GROUP_CHECKS + _BUNDLE_CHECKS + _GEOMETRY_CHECKS + _DIRAC_CHECKS)
 
 
-def run_suite(cfg, group: GroupModel, rng: np.random.Generator) -> list:
+def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | None = None) -> list:
+    """The report rows; ``seconds``, if given, gets each check's wall time by anchor."""
     ctx = _Context(cfg, group, rng)
     checks = list(_GROUP_CHECKS) + list(_BUNDLE_CHECKS)
     if cfg.bundle in ("tangent", "clifford"):
@@ -521,7 +534,10 @@ def run_suite(cfg, group: GroupModel, rng: np.random.Generator) -> list:
     results = []
     for anchor, name, default_tol, fn in checks:
         tol = float(cfg.tolerances.get(anchor, default_tol))
+        start = time.perf_counter()
         residual, samples = fn(ctx)
+        if seconds is not None:
+            seconds[anchor] = time.perf_counter() - start
         results.append({
             "anchor": anchor,
             "name": name,

@@ -5,7 +5,8 @@ Three subcommands:
 * ``verify``   -- run the invariant checks applicable to the configured
   group/bundle/connection and emit a JSON report, one entry per check
   with its residual, tolerance and verdict.  Exit status 1 if any check
-  fails, 2 on configuration errors.
+  fails, 2 on configuration errors.  ``--stats PATH`` writes each check's
+  wall time to a JSON sidecar, leaving the report deterministic.
 * ``spectrum`` -- assemble the isotypic blocks of the Hodge-Dirac
   operator up to the highest level ``--levels`` and emit them as CSV,
   ordered by level and ascending eigenvalue.  The blocks are closed form:
@@ -153,11 +154,11 @@ def load_config(path: str) -> RunConfig:
 # -- verify ---------------------------------------------------------------------
 
 
-def run_verify(cfg: RunConfig) -> dict:
-    """Execute the applicable invariant checks and build the report."""
+def run_verify(cfg: RunConfig, seconds: dict | None = None) -> dict:
+    """Execute the applicable invariant checks and build the report; ``seconds`` as in run_suite."""
     group = cfg.validate().make_group()
     rng = np.random.default_rng(cfg.seed)
-    results = _checks.run_suite(cfg, group, rng)
+    results = _checks.run_suite(cfg, group, rng, seconds)
     report = {
         "config": cfg.as_dict(),
         "checks": results,
@@ -275,6 +276,8 @@ def main(argv: list | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "spectrum", "monopole"):
         _add_common(sub.add_parser(name))
+    sub.choices["verify"].add_argument(
+        "--stats", help="write each check's wall time (s) to this JSON file")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
@@ -282,8 +285,11 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = _build_config(args)
         if args.command == "verify":
-            report = run_verify(cfg)
+            seconds = {}
+            report = run_verify(cfg, seconds)
             _write_json(report, cfg.output)
+            if args.stats:
+                _write_json({"check_seconds": seconds}, args.stats)
             return 0 if report["pass"] else 1
         if args.command == "spectrum":
             rows = run_spectrum(cfg)

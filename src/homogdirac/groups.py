@@ -331,7 +331,8 @@ class GroupModel:
         return GroupElement(np.eye(self.matrix_dim, dtype=complex))
 
     def algebra_element(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.basis)
+        """The algebra matrix of a coordinate vector, or of each vector of a stack."""
+        return np.einsum("...a,aij->...ij", np.asarray(coords, dtype=float), self.basis)
 
     def exp(self, coords: np.ndarray, t: float = 1.0) -> GroupElement:
         """exp(t X) for the algebra vector with the given coordinates."""
@@ -346,14 +347,19 @@ class GroupModel:
         ad = kron.reshape(len(matrices), -1) @ self.ad_kron
         return ad.real.reshape(-1, self.dim, self.dim)
 
-    def adjoint_matrix(self, x: GroupElement) -> np.ndarray:
-        """Ad_x at one element, checked against the expansion of x X x^-1."""
-        ad = self.adjoint_stack(x.matrix[None])[0]
-        conj = x.matrix @ self.basis @ x.matrix.conj().T
-        residual = np.linalg.norm(np.einsum("ba,aij->bij", ad.T, self.basis) - conj)
+    def adjoint_matrices(self, matrices: np.ndarray) -> np.ndarray:
+        """Ad_x for a stack of x, each checked against the expansion of x X x^-1."""
+        ad = self.adjoint_stack(matrices)
+        conj = matrices[:, None] @ self.basis @ matrices.conj().transpose(0, 2, 1)[:, None]
+        residual = np.linalg.norm((np.einsum("nab,aij->nbij", ad, self.basis) - conj)
+                                  .reshape(len(ad), -1), axis=1).max(initial=0)
         if residual > _EXPANSION_TOL * self.dim:
             raise ValueError(f"adjoint expansion residual {residual:.2e}")
         return ad
+
+    def adjoint_matrix(self, x: GroupElement) -> np.ndarray:
+        """Ad_x at one element: the one-point case of :meth:`adjoint_matrices`."""
+        return self.adjoint_matrices(x.matrix[None])[0]
 
     def adjoint(self, x: GroupElement, coords: np.ndarray) -> np.ndarray:
         """Coordinates of Ad_x X = x X x^{-1}."""

@@ -236,10 +236,17 @@ def invariant_basis(rep: UnitaryRep, gens: np.ndarray) -> np.ndarray:
 class _KRep:
     """A subgroup action carrying ``generators``: dpi(Z) for each ``k_frame`` row Z."""
 
+    def basis(self, rep: UnitaryRep, k: int) -> np.ndarray:
+        """The :func:`invariant_basis` of ``rep`` with k columns, kept in the ``_bases`` Memo."""
+        bases = self._bases.lookup(rep) or self._bases.put(rep, {})  # {k: basis}
+        if k not in bases:
+            gens = np.broadcast_to(self.generators, (rep.group.k_dim, k, k))
+            bases[k] = invariant_basis(rep, gens)
+        return bases[k]
+
     def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
         """The orthogonal projection P with avg_s pi_s u* rho(x s) v = u* rho(x) P(v)."""
-        k = np.size(v) // rep.dim
-        basis = invariant_basis(rep, np.broadcast_to(self.generators, (rep.group.k_dim, k, k)))
+        basis = self.basis(rep, np.size(v) // rep.dim)
         return (basis.T @ (basis.conj() @ np.ravel(v))).reshape(np.shape(v))
 
 
@@ -247,8 +254,9 @@ class TrivialKRep(_KRep):
     """Trivial action; tags right-K-invariant scalar sections."""
 
     generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
+    _bases = Memo()  # one trivial action, so one memo for every instance
 
-    def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
+    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         return values
 
 
@@ -267,6 +275,7 @@ class MatrixKRep(_KRep):
         self.dim = dim
         self.generators = np.reshape(generators, (-1, dim, dim))
         self._rule_stack: np.ndarray | None = None
+        self._bases = Memo()
 
     def rule_stack(self) -> np.ndarray:
         """Matrices at the nodes of ``group.k_rule``, in node order."""
@@ -281,8 +290,9 @@ class MatrixKRep(_KRep):
     def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
         return np.einsum("ij,...j->...i", self.matrix(s), values)
 
-    def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
-        return np.einsum("ji,...j->...i", self.matrix(s).conj(), values)
+    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
+        """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
+        return np.einsum("nji,n...j->n...i", self._stack_fn(s).conj(), values)
 
 
 def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
@@ -326,9 +336,9 @@ class OperatorKRep:
     def __init__(self, inner: MatrixKRep):
         self.inner = inner
 
-    def apply_inverse(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
-        m = self.inner.matrix(s)
-        return np.einsum("ji,...jk,kl->...il", m.conj(), values, m)
+    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
+        m = self.inner._stack_fn(s)
+        return m.conj().transpose(0, 2, 1) @ values @ m
 
 
 # -- section nodes ----------------------------------------------------------------
@@ -845,12 +855,19 @@ def lambda_deriv(section: Section, coords: np.ndarray) -> Section:
     return section._lambda(np.asarray(coords, dtype=float))
 
 
-def equivariance_defect(section: Section, x: GroupElement, s: GroupElement,
-                        group: GroupModel | None = None) -> float:
-    """Residual of the defining equivariance condition at (x, s)."""
+def equivariance_defect(section: Section, x: GroupElement, s, group: GroupModel | None = None):
+    """Residual of the defining equivariance condition at (x, s).
+
+    For a list ``s`` of subgroup elements, the array of residuals at each,
+    with x and every x s evaluated as one batch.
+    """
     if section.krep is None:
         raise ValueError("section carries no equivariance tag")
     g = group or section._group()
-    lhs = section.value(x @ s, g)
-    rhs = section.krep.apply_inverse(s, section.value(x, g))
-    return float(np.linalg.norm(np.atleast_1d(lhs - rhs)))
+    one = isinstance(s, GroupElement)
+    subgroup = EvalPoints.of(g, [s] if one else s)
+    vals = section.values(EvalPoints(g, np.concatenate([x.matrix[None],
+                                                        x.matrix @ subgroup.matrices])))
+    rhs = section.krep.apply_inverse(subgroup, np.broadcast_to(vals[0], vals[1:].shape))
+    res = np.linalg.norm((vals[1:] - rhs).reshape(subgroup.n, -1), axis=1)
+    return float(res[0]) if one else res

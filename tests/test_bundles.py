@@ -22,6 +22,7 @@ from homogdirac import (
     spin_rep,
     tangent_bundle,
 )
+from homogdirac.bundles import _section_spins
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,30 @@ def test_tangent_bundle_through_generic_machinery(sphere, sample_pts, rng):
     assert np.abs(recon.values(sample_pts) - xi.values(sample_pts)).max() < 1e-10
     pv = projection_section(b).values(sample_pts)
     assert np.abs(np.einsum("nij,njk->nik", pv, pv) - pv).max() < 1e-12
+
+
+_BUNDLES = {"tangent": tangent_bundle, **{
+    f"monopole{q:+d}": (lambda g, q=q: monopole_bundle(g, q)) for q in (1, -1, 2, -2)}}
+
+
+@pytest.mark.parametrize("name, spins", [
+    ("tangent", [2, 4, 6]), ("monopole+1", [1, 3, 5]), ("monopole-1", [1, 3, 5]),
+    ("monopole+2", [2, 4, 6]), ("monopole-2", [2, 4, 6])])
+def test_section_spins_are_those_with_invariant_coefficients(sphere, full_group, name, spins):
+    """The fiber weight fixes the parity and the least spin; a trivial subgroup takes all."""
+    assert _section_spins(_BUNDLES[name](sphere), 3) == spins
+    assert _section_spins(tangent_bundle(full_group), 3) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", _BUNDLES)
+def test_random_equivariant_sections_do_not_vanish(sphere, sample_pts, name):
+    """A spin with no invariant coefficients in the fiber would give an identically zero term."""
+    b = _BUNDLES[name](sphere)
+    for seed in range(5, 13):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            xi = random_equivariant_section(b, rng)
+            assert np.abs(xi.values(sample_pts)).max() > 1e-3
 
 
 def test_embedding_must_be_isometric(sphere):

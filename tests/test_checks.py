@@ -1,0 +1,191 @@
+"""The batched sampling checks of ``verify`` against their former per-point loops.
+
+The loops are kept here as the oracle.  Each batched check draws its samples
+with the generator calls of its loop, in the same order, so from one
+generator state both see the same points and directions.
+"""
+
+import numpy as np
+import pytest
+
+from homogdirac import GroupElement, checks
+from homogdirac.bundles import build_frame
+from homogdirac.cli import RunConfig, run_verify
+from homogdirac.reps import spin_rep
+from homogdirac.sections import (
+    CliffordProduct,
+    EvalPoints,
+    FundamentalField,
+    MatrixCoefficient,
+    Sum,
+    lambda_deriv,
+)
+
+CONFIGS = {
+    "clifford": dict(bundle="clifford", seed=11),
+    "tangent": dict(bundle="tangent", seed=9),
+    "monopole": dict(bundle="monopole", charge=1, seed=5),
+    "trivial-k": dict(subgroup="trivial", connection="levi-civita", seed=3),
+}
+
+
+def _context(config):
+    cfg = RunConfig(sample_count=20, **config)
+    return checks._Context(cfg, cfg.make_group(), np.random.default_rng(cfg.seed))
+
+
+# -- the former per-point loops ------------------------------------------------------
+
+
+def _ad_invariance(ctx):
+    g, rng = ctx.group, ctx.rng
+    worst = 0.0
+    for _ in range(200):
+        x = g.random_element(rng)
+        a, b = g.random_algebra(rng), g.random_algebra(rng)
+        worst = max(worst, abs(float(np.dot(g.adjoint(x, a), g.adjoint(x, b)) - np.dot(a, b))))
+    return worst, 200
+
+
+def _derivative_samples(ctx):
+    g, rng = ctx.group, ctx.rng
+    rep = spin_rep(g, 3)
+    sections = [
+        MatrixCoefficient(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim),
+                          rng.standard_normal(rep.dim)),
+        FundamentalField(g, g.random_algebra(rng)),
+        ctx.spinor(),
+    ]
+    out = []
+    for sec in sections:
+        exact, fd = [], []
+        for _ in range(8):
+            x = g.random_element(rng)
+            y = g.random_algebra(rng)
+            exact.append(np.atleast_1d(sec.deriv(x, y, g)))
+            quotients = []
+            for h in (1e-4, 5e-5):
+                xp = GroupElement(x.matrix @ g.exp(y, h).matrix)
+                xm = GroupElement(x.matrix @ g.exp(y, -h).matrix)
+                quotients.append((np.atleast_1d(sec.value(xp, g))
+                                  - np.atleast_1d(sec.value(xm, g))) / (2 * h))
+            fd.append(quotients)
+        out.append((np.array(exact), np.array(fd).transpose(1, 0, 2)))
+    return out
+
+
+def _product_rule(ctx):
+    g, rng, alg = ctx.group, ctx.rng, ctx.algebra
+    a, b = ctx.spinor(), ctx.spinor()
+    prod = CliffordProduct(alg, a, b)
+    worst = 0.0
+    for _ in range(20):
+        x = g.random_element(rng)
+        y = g.random_algebra(rng)
+        lhs = prod.deriv(x, y, g)
+        rhs = alg.mul(a.deriv(x, y, g), b.value(x, g)) + alg.mul(a.value(x, g), b.deriv(x, y, g))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst, 20
+
+
+def _bracket_identity(ctx):
+    g, rng = ctx.group, ctx.rng
+    f = ctx.scalar_section()
+    worst, count = 0.0, 0
+    for _ in range(5):
+        a, b = g.random_algebra(rng), g.random_algebra(rng)
+        comm = Sum([lambda_deriv(lambda_deriv(f, b), a),
+                    lambda_deriv(lambda_deriv(f, a), b)], [1.0, -1.0])
+        bracket_field = FundamentalField(g, g.bracket(a, b))
+        for x in ctx.samples[:10]:
+            direction = g.from_m(bracket_field.value(x, g).real)
+            worst = max(worst, abs(complex(comm.value(x, g)) - complex(f.deriv(x, direction, g))))
+            count += 1
+    return worst, count
+
+
+def _frame_equivariance(ctx):
+    """Each defect from its definition: eta(x s) against pi_s^-1 eta(x), one point at a time."""
+    b, g = ctx.bundle, ctx.group
+    x = ctx.samples[0]
+    worst = 0.0
+    for eta in build_frame(b):
+        for s in g.k_rule.nodes[:5]:
+            rhs = eta.krep.matrix(s).conj().T @ eta.value(x, g)
+            worst = max(worst, float(np.linalg.norm(eta.value(x @ s, g) - rhs)))
+    return worst, 5 * b.ambient_dim
+
+
+# -- batched against former ------------------------------------------------------------
+
+
+def _from_one_state(ctx, batched, former):
+    """Both results from one generator state; both must leave the generator in one state."""
+    state = ctx.rng.bit_generator.state
+    ctx._scalar = None
+    ours = batched(ctx)
+    after = ctx.rng.bit_generator.state
+    ctx.rng.bit_generator.state = state
+    ctx._scalar = None
+    theirs = former(ctx)
+    assert ctx.rng.bit_generator.state == after
+    return ours, theirs
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_batched_checks_match_their_former_loops(config):
+    ctx = _context(config)
+    for batched, former in [(checks._check_ad_invariance, _ad_invariance),
+                            (checks._check_product_rule, _product_rule),
+                            (checks._check_bracket_identity, _bracket_identity),
+                            (checks._check_frame_equivariance, _frame_equivariance)]:
+        (ours, count), (theirs, former_count) = _from_one_state(ctx, batched, former)
+        assert count == former_count
+        assert abs(ours - theirs) <= 1e-14, batched.__name__
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_batched_derivative_samples_match_the_former_loop(config):
+    """Same draws and steps: exact derivatives agree, and so do the value differences.
+
+    The shifted points are the same matrices, but a batch evaluates values in
+    other BLAS kernels than a one-point batch: they differ by up to ~1e-15, and
+    a quotient divides that by 2h.  So the differences f(x e^{hy}) - f(x e^{-hy})
+    behind the quotients are held to 1e-14, as the exact residuals are.
+    """
+    ctx = _context(config)
+    for _ in range(2):
+        ours, theirs = _from_one_state(ctx, checks._derivative_samples, _derivative_samples)
+        assert len(ours) == len(theirs) == 3
+        for (exact, fd), (former_exact, former_fd) in zip(ours, theirs):
+            assert exact.shape == former_exact.shape and fd.shape == former_fd.shape
+            assert np.abs(exact - former_exact).max() <= 1e-12
+            for h, ours_h, theirs_h in zip(checks._STEPS, fd, former_fd):
+                assert np.abs(ours_h - theirs_h).max() * 2 * h <= 1e-14
+
+
+def test_batched_adjoint_checks_every_point(sphere, rng):
+    """A stack holding one matrix outside the group raises, as the one-point form does."""
+    xs = np.stack([x.matrix for x in sphere.random_elements(rng, 4)])
+    ad = sphere.adjoint_matrices(xs)
+    for x, a in zip(xs, ad):
+        assert np.abs(sphere.adjoint_matrix(GroupElement(x)) - a).max() < 1e-15
+    bad = np.diag([1.0, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match="adjoint expansion residual"):
+        sphere.adjoint_matrix(GroupElement(bad))
+    with pytest.raises(ValueError, match="adjoint expansion residual"):
+        sphere.adjoint_matrices(np.concatenate([xs, xs[1:2] @ bad]))
+
+
+def test_verify_builds_few_one_point_batches(monkeypatch):
+    """The sampling checks evaluate one batch each, not one batch per sample."""
+    sizes = []
+    init = EvalPoints.__init__
+
+    def record(self, group, matrices, elements=None):
+        init(self, group, matrices, elements)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(EvalPoints, "__init__", record)
+    assert run_verify(RunConfig(group="su2", subgroup="u1", bundle="clifford", seed=11))["pass"]
+    assert sizes.count(1) <= 5

@@ -32,6 +32,7 @@ from homogdirac import (
     selfadjoint_defect,
     spin_rep,
     spinor_algebra,
+    tangent_bundle,
     translate,
 )
 from homogdirac.cli import RunConfig, run_verify
@@ -147,6 +148,29 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     gc.collect()
     assert ref() is None
     assert all(r() is None for r in kept)
+
+
+def test_invariant_bases_are_solved_once_and_die_with_the_group():
+    """One basis per (action, representation, column count), kept no longer than the group."""
+    group = GroupModel.su2()
+    algebra = spinor_algebra(group)
+    kreps = [TrivialKRep(), TangentKRep(group), CliffordKRep(group, algebra),
+             tangent_bundle(group).krep]
+    trivial_entries = len(TrivialKRep._bases)
+    kept = []
+    for krep, k in zip(kreps, (1, group.m_dim, algebra.n, 2)):
+        for two_j in (1, 2):
+            basis = krep.basis(spin_rep(group, two_j), k)
+            assert krep.basis(spin_rep(group, two_j), k) is basis
+            kept.append(weakref.ref(basis))
+    assert TrivialKRep().basis(spin_rep(group, 2), 1) is kept[1]()  # one trivial action
+    assert len(TrivialKRep._bases) == trivial_entries + 2
+    ref = weakref.ref(group)
+    del group, kreps, krep, basis
+    gc.collect()
+    assert ref() is None
+    assert all(r() is None for r in kept)
+    assert len(TrivialKRep._bases) <= trivial_entries  # other groups' entries may die too
 
 
 @pytest.mark.parametrize("config", [

@@ -37,6 +37,7 @@ from homogdirac import (
     tangent_frame,
     translate,
 )
+from homogdirac.bundles import _section_spins
 from homogdirac.sections import Pointwise, Product
 
 
@@ -703,7 +704,7 @@ def _former_constructors(ctx, bundle):
         for _ in range(2):
             vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
             const = Constant(bundle.codomain(), vec, group=g)
-            two_j = int(rng.integers(0, 3))
+            two_j = _section_spins(bundle, 3)[int(rng.integers(0, 3))]
             if two_j == 0:
                 parts.append(const)
                 continue
