@@ -57,7 +57,11 @@ class InducedBundle:
     rep_tilde: UnitaryRep
     embed: np.ndarray  # ambient_dim x fiber_dim isometry onto the fiber
     name: str = "bundle"
-    _cache: dict = field(default_factory=dict, repr=False)
+    # built from the fields above and kept for the bundle's life
+    krep: MatrixKRep = field(init=False, repr=False, compare=False)
+    frame: list = field(init=False, repr=False, compare=False)  # build_frame
+    spins: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)  # _section_spins, by count
 
     def __post_init__(self):
         self.embed = np.asarray(self.embed, dtype=complex)
@@ -72,6 +76,8 @@ class InducedBundle:
             d = self.rep_tilde.derivative(z)
             if np.linalg.norm(d @ proj - proj @ d) > 1e-10:
                 raise ValueError("fiber is not invariant under the subgroup")
+        self.krep = RestrictedKRep(self.rep_tilde, self.embed)
+        self.frame = [FrameField(self, j) for j in range(self.ambient_dim)]
 
     @property
     def fiber_dim(self) -> int:
@@ -80,14 +86,6 @@ class InducedBundle:
     @property
     def ambient_dim(self) -> int:
         return self.rep_tilde.dim
-
-    @property
-    def krep(self) -> MatrixKRep:
-        kr = self._cache.get("krep")
-        if kr is None:
-            kr = RestrictedKRep(self.rep_tilde, self.embed)
-            self._cache["krep"] = kr
-        return kr
 
     def codomain(self) -> Codomain:
         return Codomain.vector(self.fiber_dim)
@@ -123,11 +121,7 @@ class FrameField(Section):
 
 def build_frame(bundle: InducedBundle) -> list:
     """The standard global frame swept from the ambient orthonormal basis."""
-    frame = bundle._cache.get("frame")
-    if frame is None:
-        frame = [FrameField(bundle, j) for j in range(bundle.ambient_dim)]
-        bundle._cache["frame"] = frame
-    return frame
+    return bundle.frame
 
 
 def projection_section(bundle: InducedBundle) -> Section:
@@ -181,12 +175,11 @@ def tangent_bundle(group: GroupModel) -> InducedBundle:
 
 def _section_spins(bundle: InducedBundle, count: int) -> list:
     """The ``count`` smallest two_j whose coefficients have a nonzero invariant part."""
-    key = ("spins", count)
-    if key not in bundle._cache:
+    if count not in bundle.spins:
         spins = (two_j for two_j in itertools.count()
                  if len(bundle.krep.basis(spin_rep(bundle.group, two_j), bundle.fiber_dim)))
-        bundle._cache[key] = list(itertools.islice(spins, count))
-    return bundle._cache[key]
+        bundle.spins[count] = list(itertools.islice(spins, count))
+    return bundle.spins[count]
 
 
 def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator,

@@ -205,10 +205,6 @@ class CriterionReport:
                 and self.correction_sum_residual <= self.tolerance)
 
     @property
-    def verdict(self) -> str:
-        return "self-adjoint" if self.passes else "not-self-adjoint"
-
-    @property
     def consistent(self) -> bool:
         """The two equivalent residuals must pass or fail together."""
         return ((self.torsion_trace_max <= self.tolerance)
@@ -246,24 +242,14 @@ def _balanced_random_gamma(group: GroupModel, rng: np.random.Generator) -> np.nd
     """Random skew-valued gamma with the frame correction sum equal to zero.
 
     The correction sum of a pointwise gamma is the constant vector
-    sum_a gamma(u_a) u_a; a least-squares step removes it within the space
-    of skew-matrix tuples.
+    c = sum_a gamma(u_a) u_a.  Subtracting (c e_a^T - e_a c^T) / (p - 1) from
+    each gamma(u_a) removes it with the least-norm change among skew-matrix
+    tuples (p >= 2).
     """
     p = group.m_dim
     gamma = np.stack([_random_skew(rng, p) for _ in range(p)])
-    basis = []
-    for a in range(p):
-        for i in range(p):
-            for j in range(i + 1, p):
-                s = np.zeros((p, p, p))
-                s[a, i, j] = 1.0
-                s[a, j, i] = -1.0
-                basis.append(s)
-    basis = np.array(basis)
-    targets = np.einsum("kaia->ki", basis)  # correction sum of each basis tuple
-    current = np.einsum("aia->i", gamma)
-    coef, *_ = np.linalg.lstsq(targets.T, -current, rcond=None)
-    gamma = gamma + np.einsum("k,kaij->aij", coef, basis)
+    outer = np.einsum("i,aj->aij", np.einsum("aia->i", gamma), np.eye(p))  # c e_a^T
+    gamma = gamma - (outer - outer.transpose(0, 2, 1)) / (p - 1)
     assert np.linalg.norm(np.einsum("aia->i", gamma)) < 1e-12
     return gamma
 

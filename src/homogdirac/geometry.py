@@ -253,13 +253,10 @@ def torsion(connection: Connection, v: Section, w: Section) -> Section:
     """
     g = connection.group
     frame = tangent_frame(g)
-    terms = []
-    for i in range(g.dim):
-        ci = AInner(frame[i], v)
-        for j in range(g.dim):
-            cj = AInner(frame[j], w)
-            terms.append(Scale(Scale(torsion_pair(connection, i, j), ci), cj))
-    return Sum(terms)
+    cv = [AInner(f, v) for f in frame]
+    cw = [AInner(f, w) for f in frame]
+    return Sum([Scale(Scale(torsion_pair(connection, i, j), cv[i]), cw[j])
+                for i in range(g.dim) for j in range(g.dim)])
 
 
 def torsion_trace(connection: Connection, u: Section,

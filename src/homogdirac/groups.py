@@ -20,13 +20,16 @@ the induced inner product that defines the invariant metric on G/K.
 from __future__ import annotations
 
 import configparser
-import weakref
+import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .sections import EvalPoints
+
 __all__ = [
-    "Memo",
     "GroupElement",
     "QuadratureRule",
     "GroupModel",
@@ -39,39 +42,6 @@ _PIVOT_TOL = 1e-10
 # nodes of the circle subgroup's uniform rule: subgroup averages of
 # functions on G (sections.KAverage) are exact up to frequency 16
 _K_RULE_SIZE = 33
-
-
-class Memo(dict):
-    """Values cached per key object, each dropped when its key is collected.
-
-    Maps ``id(key)`` to ``(weakref(key), value)``.  The weak reference's
-    callback deletes the entry as soon as the key dies, so an entry lives
-    exactly as long as its key and a recycled id never meets a stale
-    value.  A value must not refer to its own key, or the key never dies.
-    The per-batch caches of ``sections.EvalPoints`` (representation stacks,
-    node values and frame Jacobians) are its only users.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._self_ref = weakref.ref(self)
-
-    def lookup(self, key):
-        """The value stored for ``key``, or None."""
-        entry = self.get(id(key))
-        return None if entry is None else entry[1]
-
-    def put(self, key, value):
-        """Store ``value`` for ``key`` and return it."""
-        k, self_ref = id(key), self._self_ref
-
-        def drop(ref):
-            memo = self_ref()
-            if memo is not None and memo.get(k, (None,))[0] is ref:
-                del memo[k]
-
-        self[k] = (weakref.ref(key, drop), value)
-        return value
 
 
 class GroupElement:
@@ -119,7 +89,8 @@ class QuadratureRule:
     bandwidth: float
     kind: str = "exact"
     mc_sigma: float = 0.0
-    cache: dict = field(default_factory=dict, repr=False)
+    # the sections.EvalPoints batch of the nodes, built on first use and kept for the rule's life
+    points: EvalPoints | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -237,7 +208,6 @@ class GroupModel:
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
         # row Z; the subgroup is connected, so these decide its invariants
         self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
-        self.k_rule = self._build_k_rule(_K_RULE_SIZE)
         self.ad_bandwidth = 1.0  # adjoint coefficients of SU(2)-like catalog groups
         # each built on first use by the named function and kept for the life of the group
         self.frame_cache: list | None = None  # geometry.tangent_frame
@@ -253,7 +223,13 @@ class GroupModel:
         if np.any(np.linalg.norm(self.proj_m @ brackets, axis=1) > _SUBALGEBRA_TOL):
             raise ValueError("declared subgroup basis does not close under brackets")
 
-    def _build_k_rule(self, size: int) -> QuadratureRule:
+    @functools.cached_property
+    def k_rule(self) -> QuadratureRule:
+        """Uniform quadrature over the subgroup, built on first use and kept.
+
+        Only trivial and one-parameter subgroups have a rule; for others,
+        construction succeeds and this raises NotImplementedError.
+        """
         if self.k_dim == 0:
             return QuadratureRule([self.identity()], np.array([1.0]), np.inf)
         if self.k_dim == 1:
@@ -262,9 +238,10 @@ class GroupModel:
             # the defining matrices; for the su(2) catalog it is 4*pi.
             z = np.einsum("a,aij->ij", self.k_frame[0], self.basis)
             period = _one_parameter_period(z)
-            ts = period * np.arange(size) / size
+            ts = period * np.arange(_K_RULE_SIZE) / _K_RULE_SIZE
             nodes = [GroupElement(expm_skew(t * z)) for t in ts]
-            return QuadratureRule(nodes, np.full(size, 1.0 / size), (size - 1) / 2)
+            return QuadratureRule(nodes, np.full(_K_RULE_SIZE, 1.0 / _K_RULE_SIZE),
+                                  (_K_RULE_SIZE - 1) / 2)
         raise NotImplementedError("only trivial and one-parameter subgroups are cataloged")
 
     # -- catalog ---------------------------------------------------------------

@@ -26,7 +26,7 @@ elements and caches representation stacks, node values and each node's
 frame Jacobian (its derivatives along the complement-frame rows, which a
 covariant derivative contracts with its direction field), so quadrature
 loops over shared subgraphs cost one pass per node.  Each cache is a
-:class:`~homogdirac.groups.Memo`: an entry lives as long as both the batch
+``weakref.WeakKeyDictionary``: an entry lives as long as both the batch
 and the node or representation it is keyed by, so a batch shared by a
 quadrature rule keeps nothing alive for graphs that are gone.  A subgroup
 action carries its generators, and an equivariant section is a sum of
@@ -41,13 +41,14 @@ against the quadrature rule.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .cliffordalg import CliffordAlgebra
-from .groups import GroupElement, GroupModel, Memo, QuadratureRule
+from .groups import GroupElement, GroupModel, QuadratureRule
 from .reps import UnitaryRep, adjoint_rep
 
 __all__ = [
@@ -128,29 +129,25 @@ class EvalPoints:
     The one derived batch it keeps is :meth:`orbit`; left translates are not cached.
     """
 
-    def __init__(self, group: GroupModel, matrices: np.ndarray, elements=None):
+    def __init__(self, group: GroupModel, matrices: np.ndarray):
         self.group = group
         self.matrices = np.asarray(matrices, dtype=complex)
-        self._elements = list(elements) if elements is not None else None
-        self._reps = Memo()
-        self._vals = Memo()
-        self._jac = Memo()
+        self._reps = weakref.WeakKeyDictionary()
+        self._vals = weakref.WeakKeyDictionary()
+        self._jac = weakref.WeakKeyDictionary()
         self._orbit: EvalPoints | None = None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def of(cls, group: GroupModel, elements) -> "EvalPoints":
-        elements = list(elements)
-        return cls(group, np.stack([e.matrix for e in elements]), elements)
+        return cls(group, np.stack([e.matrix for e in elements]))
 
     @classmethod
     def for_rule(cls, group: GroupModel, rule: QuadratureRule) -> "EvalPoints":
-        pts = rule.cache.get("pts")
-        if pts is None or pts.group is not group:
-            pts = cls.of(group, rule.nodes)
-            rule.cache["pts"] = pts
-        return pts
+        if rule.points is None or rule.points.group is not group:
+            rule.points = cls.of(group, rule.nodes)
+        return rule.points
 
     @property
     def n(self) -> int:
@@ -158,9 +155,8 @@ class EvalPoints:
 
     @property
     def elements(self) -> list:
-        if self._elements is None:
-            self._elements = [GroupElement(m) for m in self.matrices]
-        return self._elements
+        """The points as new :class:`GroupElement` objects."""
+        return [GroupElement(m) for m in self.matrices]
 
     # -- derived batches --------------------------------------------------------
 
@@ -182,31 +178,31 @@ class EvalPoints:
     # -- cached stacks ----------------------------------------------------------
 
     def rep_stack(self, rep: UnitaryRep) -> np.ndarray:
-        hit = self._reps.lookup(rep)
-        if hit is not None:
-            return hit
-        return self._reps.put(rep, rep.matrix_stack(self.matrices))
+        stack = self._reps.get(rep)
+        if stack is None:
+            stack = self._reps[rep] = rep.matrix_stack(self.matrices)
+        return stack
 
     def ad_stack(self) -> np.ndarray:
         """Adjoint matrices Ad_x for each point: the (real) adjoint representation's stack."""
         return self.rep_stack(adjoint_rep(self.group))
 
     def node_values(self, node: "Section") -> np.ndarray:
-        hit = self._vals.lookup(node)
-        if hit is not None:
-            return hit
-        return self._vals.put(node, node._values(self))
+        vals = self._vals.get(node)
+        if vals is None:
+            vals = self._vals[node] = node._values(self)
+        return vals
 
     def frame_derivs(self, node: "Section") -> np.ndarray:
         """The node's derivatives along each complement-frame row, shape (m_dim, n, *shape)."""
-        hit = self._jac.lookup(node)
-        if hit is not None:
-            return hit
-        frame = self.group.m_frame
-        jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
-        for b, y in enumerate(frame):
-            jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
-        return self._jac.put(node, jac)
+        jac = self._jac.get(node)
+        if jac is None:
+            frame = self.group.m_frame
+            jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
+            for b, y in enumerate(frame):
+                jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
+            self._jac[node] = jac
+        return jac
 
 
 # -- equivariance actions of the subgroup ---------------------------------------
@@ -237,8 +233,8 @@ class _KRep:
     """A subgroup action carrying ``generators``: dpi(Z) for each ``k_frame`` row Z."""
 
     def basis(self, rep: UnitaryRep, k: int) -> np.ndarray:
-        """The :func:`invariant_basis` of ``rep`` with k columns, kept in the ``_bases`` Memo."""
-        bases = self._bases.lookup(rep) or self._bases.put(rep, {})  # {k: basis}
+        """The :func:`invariant_basis` of ``rep`` with k columns, kept while ``rep`` lives."""
+        bases = self._bases.setdefault(rep, {})  # {k: basis}
         if k not in bases:
             gens = np.broadcast_to(self.generators, (rep.group.k_dim, k, k))
             bases[k] = invariant_basis(rep, gens)
@@ -254,7 +250,7 @@ class TrivialKRep(_KRep):
     """Trivial action; tags right-K-invariant scalar sections."""
 
     generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
-    _bases = Memo()  # one trivial action, so one memo for every instance
+    _bases = weakref.WeakKeyDictionary()  # one trivial action, so one cache for every instance
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         return values
@@ -275,7 +271,7 @@ class MatrixKRep(_KRep):
         self.dim = dim
         self.generators = np.reshape(generators, (-1, dim, dim))
         self._rule_stack: np.ndarray | None = None
-        self._bases = Memo()
+        self._bases = weakref.WeakKeyDictionary()
 
     def rule_stack(self) -> np.ndarray:
         """Matrices at the nodes of ``group.k_rule``, in node order."""

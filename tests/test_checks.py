@@ -182,8 +182,8 @@ def test_verify_builds_few_one_point_batches(monkeypatch):
     sizes = []
     init = EvalPoints.__init__
 
-    def record(self, group, matrices, elements=None):
-        init(self, group, matrices, elements)
+    def record(self, group, matrices):
+        init(self, group, matrices)
         sizes.append(self.n)
 
     monkeypatch.setattr(EvalPoints, "__init__", record)

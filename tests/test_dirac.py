@@ -37,6 +37,7 @@ from homogdirac import (
     translate,
     equivariance_defect,
 )
+from homogdirac.dirac import _balanced_random_gamma, _random_skew
 
 
 def unit_spinor(group):
@@ -236,6 +237,32 @@ def test_criterion_and_defect_agree_across_connection_matrix(full_group, rule8_f
 def test_sphere_connection_matrix_is_pinned(sphere, rng):
     matrix = connection_test_matrix(sphere, rng)
     assert [name for name, _ in matrix] == ["canonical", "levi-civita"]
+
+
+def _lstsq_balanced_gamma(gamma):
+    """The least-squares balancing step over a basis of skew-matrix tuples: the oracle."""
+    p = gamma.shape[0]
+    basis = []
+    for a in range(p):
+        for i in range(p):
+            for j in range(i + 1, p):
+                s = np.zeros((p, p, p))
+                s[a, i, j], s[a, j, i] = 1.0, -1.0
+                basis.append(s)
+    basis = np.array(basis)
+    targets = np.einsum("kaia->ki", basis)  # correction sum of each basis tuple
+    coef, *_ = np.linalg.lstsq(targets.T, -np.einsum("aia->i", gamma), rcond=None)
+    return gamma + np.einsum("k,kaij->aij", coef, basis)
+
+
+def test_balanced_gamma_matches_least_squares_oracle(full_group):
+    p = full_group.m_dim
+    for seed in range(50):
+        ours = _balanced_random_gamma(full_group, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        drawn = np.stack([_random_skew(rng, p) for _ in range(p)])
+        assert np.abs(ours - _lstsq_balanced_gamma(drawn)).max() < 1e-14
+        assert np.abs(ours + ours.transpose(0, 2, 1)).max() == 0.0
 
 
 def test_minimal_violating_connection_shape(full_group):

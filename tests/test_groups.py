@@ -1,11 +1,10 @@
-import gc
 import os
 
 import numpy as np
 import pytest
 
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
-from homogdirac.groups import Memo, _euler_matrices, _su2_raw_basis, expm_skew
+from homogdirac.groups import _euler_matrices, _su2_raw_basis, expm_skew
 
 E3 = np.eye(3)
 
@@ -183,15 +182,20 @@ def test_closed_form_euler_matrices_match_exponentials(rng):
     assert np.abs(_euler_matrices(alpha[0], beta[0], gamma[0]) - closed[0]).max() < 1e-14
 
 
-def test_memo_entry_dies_with_its_key(sphere):
-    memo = Memo()
-    x, y = sphere.exp(E3[0], 0.3), sphere.exp(E3[1], 0.7)
-    vx, vy = np.ones(2), np.zeros(2)
-    assert memo.put(x, vx) is vx and memo.put(y, vy) is vy
-    assert memo.lookup(x) is vx and id(x) in memo
-    del x
-    gc.collect()
-    assert list(memo) == [id(y)] and memo.lookup(y) is vy
+def test_diagonal_subgroup_of_su2_squared_constructs_without_its_rule():
+    """SU(2) x SU(2) / diagonal SU(2): a three-dimensional subgroup has no rule, yet the group builds."""
+    raw = _su2_raw_basis()
+    zero = np.zeros((2, 2))
+    basis = ([np.block([[x, zero], [zero, x]]) for x in raw]
+             + [np.block([[x, zero], [zero, -x]]) for x in raw])
+    g = GroupModel("su2xsu2", basis, subgroup_indices=(0, 1, 2))
+    assert (g.k_dim, g.m_dim) == (3, 3)
+    assert g.k_tangent.shape == (3, 3, 3)
+    # the isotropy acts on the complement X + (-X) as on the diagonal X + X
+    assert np.abs(g.k_tangent - g.k_frame @ g.ad(g.k_frame) @ g.k_frame.T).max() < 1e-14
+    assert g.symmetric_space_residual() < 1e-15
+    with pytest.raises(NotImplementedError):
+        g.k_rule
 
 
 def test_monte_carlo_rule(sphere, rng):

@@ -27,6 +27,7 @@ from homogdirac import (
     TrivialKRep,
     adjoint_rep,
     canonical_connection,
+    direct_sum,
     l2_inner,
     minimal_violating_connection,
     selfadjoint_defect,
@@ -84,6 +85,25 @@ def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rn
     growth = _retained_growth(lambda: selfadjoint_defect(
         conn, [(_spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng))], rule))
     assert growth < _GROWTH_BYTES
+
+
+def test_cache_entries_die_with_their_keys(sphere, rng):
+    """A node's value and Jacobian entries, and an action's basis entry, are dropped with their key."""
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
+    rep = spin_rep(sphere, 2)
+    f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
+    kept = [weakref.ref(f.values(pts)), weakref.ref(f.frame_derivs(pts))]
+    assert f in pts._vals and f in pts._jac
+    krep = TangentKRep(sphere)
+    other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
+    kept.append(weakref.ref(krep.basis(other, sphere.m_dim)))
+    assert other in krep._bases
+    gc.collect()  # the action is shared, so first drop entries other tests left to the collector
+    entries = len(krep._bases)
+    del f, other
+    gc.collect()
+    assert all(r() is None for r in kept)
+    assert (len(pts._vals), len(pts._jac), len(krep._bases)) == (0, 0, entries - 1)
 
 
 def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
