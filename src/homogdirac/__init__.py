@@ -67,7 +67,6 @@ from .geometry import (
     symmetric_space_check,
     tangent_frame,
     torsion,
-    torsion_pair,
     torsion_trace,
 )
 from .dirac import (

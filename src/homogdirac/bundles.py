@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class InducedBundle:
     """An equivariant bundle presented inside an ambient representation."""
 
@@ -58,10 +58,9 @@ class InducedBundle:
     embed: np.ndarray  # ambient_dim x fiber_dim isometry onto the fiber
     name: str = "bundle"
     # built from the fields above and kept for the bundle's life
-    krep: MatrixKRep = field(init=False, repr=False, compare=False)
-    frame: list = field(init=False, repr=False, compare=False)  # build_frame
-    spins: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)  # _section_spins, by count
+    krep: MatrixKRep = field(init=False, repr=False)
+    frame: list = field(init=False, repr=False)  # build_frame
+    spins: dict = field(default_factory=dict, init=False, repr=False)  # _section_spins, by count
 
     def __post_init__(self):
         self.embed = np.asarray(self.embed, dtype=complex)

@@ -224,10 +224,8 @@ def criterion_check(connection: Connection, pts: EvalPoints,
         raise ValueError("the criterion applies to metric-compatible connections")
     g = connection.group
     frame = tangent_frame(g)
-    trace_max = 0.0
-    for u in frame:
-        tt = torsion_trace(connection, u)
-        trace_max = max(trace_max, float(np.abs(tt.values(pts)).max()))
+    trace_max = max(float(np.abs(torsion_trace(connection, u).values(pts)).max())
+                    for u in frame)
     canon = canonical_connection(g)
     correction = Sum([
         Sum([ApplyConnection(connection, wj, wj),

@@ -16,10 +16,11 @@ torsion-free choice is ``gamma(X) = (1/2) P ad_X``, which reproduces
 the pointwise correction (1/2) P[V(x), W(x)] of the Levi-Civita
 connection; it vanishes identically precisely on symmetric spaces.
 
-Torsion is never evaluated through pointwise brackets of general fields
-(no such formula exists); it is computed exactly on the fundamental-field
-frame, where the bracket is again a fundamental field, and extended to
-general arguments by module bilinearity through the frame expansion.
+Torsion T(V, W) = nabla_V W - nabla_W V - [V, W] is a tensor: its value at
+x is the constant bilinear map T0(u_a, u_b) = gamma(u_a) u_b - gamma(u_b) u_a
+- P[u_a, u_b] (:attr:`Connection.torsion_tensor`) applied to V(x) and W(x).
+The bracket term is twice the Levi-Civita ``gamma``, so T0 vanishes for
+that connection by construction.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ import numpy as np
 from .cliffordalg import CliffordAlgebra
 from .groups import GroupModel
 from .sections import (
-    AInner,
+    Codomain,
     DerivativeOrderError,
     FundamentalField,
-    Scale,
+    Pointwise,
+    Product,
     Section,
-    Sum,
+    TangentKRep,
+    TrivialKRep,
 )
 
 __all__ = [
@@ -48,7 +51,6 @@ __all__ = [
     "fundamental_field",
     "tangent_frame",
     "canonical_derivative",
-    "torsion_pair",
     "torsion",
     "torsion_trace",
     "symmetric_space_check",
@@ -99,7 +101,6 @@ class Connection:
         self._check_equivariance()
         self._derivations: np.ndarray | None = None
         self._dirac_correction: np.ndarray | None = None
-        self._torsion_pairs: dict = {}
 
     def _check_equivariance(self) -> None:
         """gamma(ad_Z X) = [ad_Z, gamma(X)] for each ad_Z in ``group.k_tangent``.
@@ -132,6 +133,11 @@ class Connection:
             self._dirac_correction = np.einsum("bST,bUS->TU", self.derivation_stack(), right)
         return self._dirac_correction
 
+    @functools.cached_property
+    def torsion_tensor(self) -> np.ndarray:
+        """T0[a, :, b] = T(u_a, u_b), in the layout of ``gamma``: T0[a] is T(u_a, .)."""
+        return self.gamma - self.gamma.transpose(2, 1, 0) - _complement_brackets(self.group)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Connection({self.name}, canonical={self.is_canonical})"
 
@@ -147,8 +153,12 @@ def levi_civita_connection(group: GroupModel) -> Connection:
     symmetric spaces this vanishes and the canonical connection is already
     torsion-free.
     """
-    gamma = 0.5 * group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T
-    return Connection(group, gamma, name="levi-civita")
+    return Connection(group, 0.5 * _complement_brackets(group), name="levi-civita")
+
+
+def _complement_brackets(group: GroupModel) -> np.ndarray:
+    """P[u_a, u_b] in column b of entry a, the layout of ``gamma``."""
+    return group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T
 
 
 def fundamental_field(group: GroupModel, coords: np.ndarray) -> Section:
@@ -223,48 +233,32 @@ def canonical_derivative(group: GroupModel, direction: Section, target: Section)
     return ApplyConnection(canonical_connection(group), direction, target)
 
 
-def torsion_pair(connection: Connection, i: int, j: int) -> Section:
-    """Torsion on a pair of frame fundamental fields, computed exactly.
+def torsion(connection: Connection, v: Section, w: Section) -> Product:
+    """Torsion of the connection on two tangent sections: x -> T0(v(x), w(x)).
 
-    The bracket of fundamental fields is the fundamental field of the
-    bracket, so no second derivatives are required.
+    T0 is :attr:`Connection.torsion_tensor`; the map is complex bilinear,
+    so module bilinearity holds by construction.
     """
-    key = (i, j)
-    cached = connection._torsion_pairs.get(key)
-    if cached is not None:
-        return cached
-    g = connection.group
-    frame = tangent_frame(g)
-    br = g.bracket(np.eye(g.dim)[i], np.eye(g.dim)[j])
-    section = Sum([
-        ApplyConnection(connection, frame[i], frame[j]),
-        ApplyConnection(connection, frame[j], frame[i]),
-        FundamentalField(g, br),
-    ], [1.0, -1.0, -1.0])
-    connection._torsion_pairs[key] = section
-    return section
+    if not v.codomain == w.codomain == Codomain.tangent(connection.group):
+        raise ValueError("torsion arguments must be tangent sections")
+    t0 = connection.torsion_tensor
+    return Product(lambda a, b: np.einsum("...a,aib,...b->...i", a, t0, b),
+                   functools.partial(torsion, connection), v, w, v.codomain,
+                   TangentKRep(connection.group))
 
 
-def torsion(connection: Connection, v: Section, w: Section) -> Section:
-    """Torsion of the connection on two tangent sections.
+def torsion_trace(connection: Connection, u: Section) -> Pointwise:
+    """The trace of W -> T(u, W): the scalar section x -> sum_a t_a u_a(x).
 
-    Extended from frame pairs by module bilinearity: general arguments are
-    expanded through the frame with their pointwise frame coefficients.
+    t_a = sum_b T(u_a, u_b)_b; over any orthonormal module frame W_j this
+    is sum_j <W_j, T(u, W_j)>.  t is invariant under the isotropy action,
+    so the trace of an equivariant field is an invariant scalar.
     """
-    g = connection.group
-    frame = tangent_frame(g)
-    cv = [AInner(f, v) for f in frame]
-    cw = [AInner(f, w) for f in frame]
-    return Sum([Scale(Scale(torsion_pair(connection, i, j), cv[i]), cw[j])
-                for i in range(g.dim) for j in range(g.dim)])
-
-
-def torsion_trace(connection: Connection, u: Section,
-                  frame: list | None = None) -> Section:
-    """The scalar section summing <T(u, W_j), W_j> over a module frame."""
-    g = connection.group
-    frame = frame if frame is not None else tangent_frame(g)
-    return Sum([AInner(torsion(connection, u, wj), wj) for wj in frame])
+    if u.codomain != Codomain.tangent(connection.group):
+        raise ValueError("the torsion trace takes a tangent section")
+    t = np.einsum("abb->a", connection.torsion_tensor)
+    return Pointwise(lambda vals: vals @ t, functools.partial(torsion_trace, connection), u,
+                     Codomain.scalar(), TrivialKRep() if u.krep is not None else None)
 
 
 def symmetric_space_check(group: GroupModel) -> tuple:

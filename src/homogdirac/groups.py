@@ -75,7 +75,7 @@ class GroupElement:
         return f"GroupElement({self.matrix.tolist()!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadratureRule:
     """Nodes and weights for integration over a compact group.
 
@@ -90,7 +90,7 @@ class QuadratureRule:
     kind: str = "exact"
     mc_sigma: float = 0.0
     # the sections.EvalPoints batch of the nodes, built on first use and kept for the rule's life
-    points: EvalPoints | None = field(default=None, repr=False, compare=False)
+    points: EvalPoints | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -347,8 +347,8 @@ class GroupModel:
         return np.einsum("abc,...a->...cb", self.structure, np.asarray(coords, dtype=float))
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coordinates of the commutator [A, B]."""
-        return np.einsum("abc,a,b->c", self.structure, a, b)
+        """Coordinates of the commutator [A, B], for one pair or stacks of pairs."""
+        return np.einsum("abc,...a,...b->...c", self.structure, a, b)
 
     def project_m(self, coords: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the tangent complement of the isotropy algebra."""

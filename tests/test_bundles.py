@@ -203,6 +203,15 @@ def test_random_equivariant_sections_do_not_vanish(sphere, sample_pts, name):
             assert np.abs(xi.values(sample_pts)).max() > 1e-3
 
 
+def test_bundles_and_rules_compare_by_identity(sphere):
+    """Equality is identity, so comparing never touches the arrays and both classes hash."""
+    bundle, other = tangent_bundle(sphere), tangent_bundle(sphere)
+    assert bundle == bundle
+    assert not (bundle == other)
+    rule = sphere.haar_rule(2)
+    assert len({bundle, other, rule, rule}) == 3
+
+
 def test_embedding_must_be_isometric(sphere):
     rep = spin_rep(sphere, 2)
     bad = np.zeros((3, 1), dtype=complex)

@@ -234,6 +234,29 @@ def test_criterion_and_defect_agree_across_connection_matrix(full_group, rule8_f
             assert defect >= 1e-6, name
 
 
+def test_criterion_check_graph_size(full_group, monkeypatch):
+    """One criterion_check builds the correction sum's 2 dim covariant derivatives and at most dim pairings."""
+    from homogdirac import geometry, sections
+    built = {"apply": 0, "inner": 0}
+    apply_init, product_init = geometry.ApplyConnection.__init__, sections.Product.__init__
+
+    def count_apply(self, *args, **kwargs):
+        built["apply"] += 1
+        apply_init(self, *args, **kwargs)
+
+    def count_product(self, mul, make, *args, **kwargs):
+        built["inner"] += make is sections.AInner
+        product_init(self, mul, make, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.ApplyConnection, "__init__", count_apply)
+    monkeypatch.setattr(sections.Product, "__init__", count_product)
+    pts = sample_pts(full_group, np.random.default_rng(4), 10)
+    report = criterion_check(levi_civita_connection(full_group), pts)
+    assert report.passes
+    assert built["apply"] <= 2 * full_group.dim
+    assert built["inner"] <= full_group.dim
+
+
 def test_sphere_connection_matrix_is_pinned(sphere, rng):
     matrix = connection_test_matrix(sphere, rng)
     assert [name for name, _ in matrix] == ["canonical", "levi-civita"]

@@ -19,8 +19,10 @@ from homogdirac import (
     TrivialKRep,
     build_frame,
     canonical_connection,
+    connection_test_matrix,
     equivariance_defect,
     fundamental_field,
+    lambda_deriv,
     levi_civita_connection,
     spin_rep,
     spinor_algebra,
@@ -301,13 +303,148 @@ def test_torsion_trace(full_group, sphere, rng):
     q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
     other = tangent_frame(full_group, q.T)
     a = torsion_trace(conn, u).values(pts)
-    b = torsion_trace(conn, u, frame=other).values(pts)
+    b = Sum([AInner(torsion(conn, u, wj), wj) for wj in other]).values(pts)
     assert np.abs(a - b).max() < 1e-11
     # a correction with unbalanced frame sum has nonzero trace somewhere
     from homogdirac import minimal_violating_connection
     viol = minimal_violating_connection(full_group)
     vals = torsion_trace(viol, u).values(pts)
     assert np.abs(vals).max() > 1e-2
+
+
+def former_torsion_pair(connection, i, j):
+    """The former torsion of frame fields i and j: nabla_{F_i} F_j - nabla_{F_j} F_i - F([e_i, e_j])."""
+    g = connection.group
+    frame = tangent_frame(g)
+    br = g.bracket(np.eye(g.dim)[i], np.eye(g.dim)[j])
+    return Sum([ApplyConnection(connection, frame[i], frame[j]),
+                ApplyConnection(connection, frame[j], frame[i]),
+                fundamental_field(g, br)], [1.0, -1.0, -1.0])
+
+
+def former_torsion(connection, v, w):
+    """The former torsion: frame pairs extended by module bilinearity through the frame."""
+    g = connection.group
+    frame = tangent_frame(g)
+    cv = [AInner(f, v) for f in frame]
+    cw = [AInner(f, w) for f in frame]
+    return Sum([Scale(Scale(former_torsion_pair(connection, i, j), cv[i]), cw[j])
+                for i in range(g.dim) for j in range(g.dim)])
+
+
+def random_invariant_gamma(group, rng):
+    """A random gamma in the null space of the subgroup intertwining condition."""
+    p = group.m_dim
+    basis = np.eye(p ** 3).reshape(-1, p, p, p)
+    conditions = np.concatenate([
+        (np.einsum("ba,nbij->naij", z, basis) - (z @ basis - basis @ z)).reshape(p ** 3, -1)
+        for z in group.k_tangent], axis=1)
+    _, sv, vt = np.linalg.svd(conditions.T)
+    null = vt[np.sum(sv > 1e-10):]
+    return (rng.standard_normal(len(null)) @ null).reshape(p, p, p)
+
+
+def su3_circle():
+    """SU(3) over the circle of its eighth Gell-Mann generator: not symmetric, isotropy acting."""
+    gell_mann = np.zeros((8, 3, 3), dtype=complex)
+    for a, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        gell_mann[2 * a, i, j] = gell_mann[2 * a, j, i] = 1.0
+        gell_mann[2 * a + 1, i, j], gell_mann[2 * a + 1, j, i] = -1j, 1j
+    gell_mann[6] = np.diag([1.0, -1.0, 0.0])
+    gell_mann[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)
+    return GroupModel("su3", -0.5j * gell_mann, subgroup_indices=(7,))
+
+
+def torsion_space(name):
+    from test_reps import rotated_su2
+    return {"sphere": GroupModel.su2, "full_group": GroupModel.su2_trivial_k,
+            "rotated": rotated_su2, "su3-circle": su3_circle}[name]()
+
+
+def oracle_connections(group, rng):
+    """The connection test matrix: canonical, Levi-Civita and, over a trivial subgroup, ten more."""
+    return [conn for _, conn in connection_test_matrix(group, rng)]
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
+def test_torsion_matches_frame_pair_expansion(space, rng):
+    """The closed-form node against the former frame-pair expansion: values and lambda_deriv."""
+    g = torsion_space(space)
+    f = Sum([invariant_scalar(g, rng), invariant_scalar(g, rng)], [1.0, 1j])
+    v = Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
+             fundamental_field(g, g.random_algebra(rng))])
+    w = Sum([fundamental_field(g, g.random_algebra(rng)),
+             fundamental_field(g, g.random_algebra(rng))], [1.0, 0.5j])
+    y = g.random_algebra(rng)
+    pts = sample_pts(g, rng, 12)
+    assert np.abs(f.values(pts).imag).max() > 1e-2
+    for conn in oracle_connections(g, rng):
+        for a, b in ((v, w), (w, v), (v, v)):
+            t = torsion(conn, a, b)
+            want = former_torsion(conn, a, b).values(pts)
+            assert np.abs(t.values(pts) - want).max() < 1e-12, conn.name
+            # the former expansion has no left derivative; torsion is an invariant
+            # tensor, so its left derivative is T(L a, b) + T(a, L b)
+            want = Sum([former_torsion(conn, lambda_deriv(a, y), b),
+                        former_torsion(conn, a, lambda_deriv(b, y))]).values(pts)
+            assert np.abs(lambda_deriv(t, y).values(pts) - want).max() < 1e-12, conn.name
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
+def test_torsion_trace_is_the_frame_trace(space, rng):
+    """The trace node against sum_j <W_j, T(u, W_j)> over the tangent frame and a rotated one."""
+    g = torsion_space(space)
+    f = Sum([invariant_scalar(g, rng), invariant_scalar(g, rng)], [1.0, 1j])
+    u = Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
+             fundamental_field(g, g.random_algebra(rng))])
+    q, _ = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
+    pts = sample_pts(g, rng, 12)
+    for conn in oracle_connections(g, rng):
+        got = torsion_trace(conn, u).values(pts)
+        for frame in (tangent_frame(g), tangent_frame(g, q.T)):
+            want = Sum([AInner(wj, former_torsion(conn, u, wj)) for wj in frame]).values(pts)
+            assert np.abs(got - want).max() < 1e-12, conn.name
+
+
+@pytest.mark.parametrize("space", ["sphere", "rotated", "su3-circle"])
+def test_torsion_tensor_intertwines_the_isotropy_action(space, rng):
+    """T0(ad_Z a, b) + T0(a, ad_Z b) = ad_Z T0(a, b) for each isotropy generator.
+
+    Every invariant torsion on the sphere is zero; SU(3) over a circle has
+    nonzero canonical torsion and a nonzero random invariant gamma.
+    """
+    g = torsion_space(space)
+    conns = [canonical_connection(g), levi_civita_connection(g),
+             Connection(g, random_invariant_gamma(g, rng), "random-invariant")]
+    for conn in conns:
+        t0 = conn.torsion_tensor
+        for z in g.k_tangent:
+            lhs = np.einsum("ca,cib->aib", z, t0) + np.einsum("aic,cb->aib", t0, z)
+            assert np.abs(lhs - np.einsum("ij,ajb->aib", z, t0)).max() < 1e-12, conn.name
+    if space == "su3-circle":
+        assert min(np.abs(c.torsion_tensor).max() for c in (conns[0], conns[2])) > 0.1
+
+
+def test_torsion_rejects_non_tangent_sections(full_group):
+    conn = canonical_connection(full_group)
+    v = fundamental_field(full_group, E3[0])
+    scalar = Constant(Codomain.scalar(), 1.0, TrivialKRep(), full_group)
+    vector = build_frame(tangent_bundle(full_group))[0]
+    for bad in (scalar, vector):
+        with pytest.raises(ValueError):
+            torsion(conn, v, bad)
+        with pytest.raises(ValueError):
+            torsion(conn, bad, v)
+        with pytest.raises(ValueError):
+            torsion_trace(conn, bad)
+
+
+def test_torsion_is_one_node_on_its_arguments(full_group):
+    conn = levi_civita_connection(full_group)
+    v, w = fundamental_field(full_group, E3[0]), fundamental_field(full_group, E3[1])
+    t = torsion(conn, v, w)
+    assert len(t.children) == 2
+    assert t.children[0] is v and t.children[1] is w
 
 
 def test_gamma_round_trip(full_group, rng):
