@@ -11,6 +11,7 @@ so the points checked do not depend on how they are evaluated.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -386,16 +387,18 @@ def _check_connection_invariance(ctx: _Context):
     return worst, 3 * ctx.pts.n
 
 
-def _torsion_residual(ctx: _Context, conn, expected) -> tuple:
-    """Torsion nabla_V W - nabla_W V - F([a, b]) of random fields V = F(a), W = F(b).
-
-    Its distance to ``expected(V(x), W(x))`` and to the closed form.
-    """
+def _torsion_definition(ctx: _Context, conn, a, b) -> tuple:
+    """V = F(a), W = F(b) and the torsion by definition, nabla_V W - nabla_W V - F([a, b]), on ctx.pts."""
     g = ctx.group
-    a, b = g.random_algebra(ctx.rng), g.random_algebra(ctx.rng)
     v, w = FundamentalField(g, a), FundamentalField(g, b)
-    defined = Sum([ApplyConnection(conn, v, w), ApplyConnection(conn, w, v),
-                   FundamentalField(g, g.bracket(a, b))], [1.0, -1.0, -1.0]).values(ctx.pts)
+    return v, w, Sum([ApplyConnection(conn, v, w), ApplyConnection(conn, w, v),
+                      FundamentalField(g, g.bracket(a, b))], [1.0, -1.0, -1.0]).values(ctx.pts)
+
+
+def _torsion_residual(ctx: _Context, conn, expected) -> tuple:
+    """Torsion of random fields V, W: its distance to ``expected(V(x), W(x))`` and to the closed form."""
+    g = ctx.group
+    v, w, defined = _torsion_definition(ctx, conn, g.random_algebra(ctx.rng), g.random_algebra(ctx.rng))
     expect = expected(v.values(ctx.pts), w.values(ctx.pts))
     closed = torsion(conn, v, w).values(ctx.pts)
     return float(max(np.abs(defined - expect).max(), np.abs(closed - defined).max())), ctx.pts.n
@@ -408,6 +411,16 @@ def _check_canonical_torsion(ctx: _Context):
 
 def _check_levi_civita_torsion(ctx: _Context):
     return _torsion_residual(ctx, levi_civita_connection(ctx.group), lambda v, w: 0.0)
+
+
+def _check_configured_torsion(ctx: _Context):
+    """Torsion by definition against the closed form on V = F(e_a), W = F(e_b) for each a < b; draws nothing."""
+    conn, pairs = ctx.connection, list(itertools.combinations(np.eye(ctx.group.dim), 2))
+    worst = 0.0
+    for a, b in pairs:
+        v, w, defined = _torsion_definition(ctx, conn, a, b)
+        worst = max(worst, float(np.abs(torsion(conn, v, w).values(ctx.pts) - defined).max()))
+    return worst, len(pairs) * ctx.pts.n
 
 
 def _check_metric_derivative_balance(ctx: _Context):
@@ -516,6 +529,9 @@ _GEOMETRY_CHECKS = [
     ("geometry.metric-derivative-balance", "frame covariant derivatives balance", 1e-10, _check_metric_derivative_balance),
 ]
 
+# only for a connection from a gamma file; the catalog connections have their own torsion checks
+_CONFIGURED_TORSION = ("geometry.configured-torsion", "configured torsion equals its closed form", 1e-10, _check_configured_torsion)
+
 _DIRAC_CHECKS = [
     ("dirac.frame-independence", "operator agrees across module frames", 1e-10, _check_dirac_frame_independence),
     ("dirac.translation-commutation", "operator commutes with translations", 1e-9, _check_dirac_translation),
@@ -526,7 +542,7 @@ _DIRAC_CHECKS = [
 
 # every check id a [tolerances] key may name
 ANCHORS = frozenset(anchor for anchor, *_ in
-                    _GROUP_CHECKS + _BUNDLE_CHECKS + _GEOMETRY_CHECKS + _DIRAC_CHECKS)
+                    _GROUP_CHECKS + _BUNDLE_CHECKS + _GEOMETRY_CHECKS + [_CONFIGURED_TORSION] + _DIRAC_CHECKS)
 
 
 def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | None = None) -> list:
@@ -535,6 +551,8 @@ def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | 
     checks = list(_GROUP_CHECKS) + list(_BUNDLE_CHECKS)
     if cfg.bundle in ("tangent", "clifford"):
         checks += _GEOMETRY_CHECKS
+        if cfg.connection not in ("canonical", "levi-civita"):
+            checks.append(_CONFIGURED_TORSION)
     if cfg.bundle == "clifford":
         checks += _DIRAC_CHECKS
     results = []

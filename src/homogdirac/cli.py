@@ -181,7 +181,7 @@ def run_spectrum(cfg: RunConfig) -> list:
     closure = max(b.closure for b in blocks)
     rows = []
     for b in blocks:
-        for idx, ev in enumerate(np.sort(b.eigenvalues)):
+        for idx, ev in enumerate(np.repeat(b.eigenvalues, b.multiplicity)):
             rows.append((b.level, idx, float(ev), b.asymmetry, closure))
     return rows
 

@@ -29,7 +29,8 @@ The blocks are pure linear algebra: on level-l spinors rho(x)[row, :] . C,
 Frobenius reciprocity turns D into M(C) = sum_a (drho(Y_a) . C +
 C . Delta_a^T) . R_a^T (Y_a the tangent frame, Delta_a the connection's
 Clifford derivations, R_a right multiplication by e_a), so by Schur
-orthogonality a block is dim(rho) copies of <C_i, M(C_j)>.
+orthogonality D on a level is dim(rho) copies of the matrix <C_i, M(C_j)>,
+which a block stores once.
 """
 
 from __future__ import annotations
@@ -141,16 +142,10 @@ def hodge_dirac(connection: Connection, phi: Section,
         raise ValueError("the Hodge-Dirac operator acts on Clifford-valued sections")
     if frame is None:
         return _HodgeDirac(connection, phi)
-    g = connection.group
-    algebra = spinor_algebra(g)
-    ckrep = CliffordKRep(g, algebra)
-    terms = [
-        CliffordProduct(algebra,
-                        ApplyConnection(connection, wj, phi),
-                        EmbedTangent(algebra, wj, clifford_krep=ckrep))
-        for wj in frame
-    ]
-    return Sum(terms)
+    algebra = spinor_algebra(connection.group)
+    return Sum([CliffordProduct(algebra, ApplyConnection(connection, wj, phi),
+                                EmbedTangent(algebra, wj))
+                for wj in frame])
 
 
 def gradient(group: GroupModel, f: Section, frame: list | None = None) -> Section:
@@ -183,10 +178,9 @@ def selfadjoint_defect(connection: Connection, pairs: list,
                        rule: QuadratureRule) -> float:
     """max | <D phi, psi> - <phi, D psi> | over the test pairs."""
     worst = 0.0
-    g = connection.group
     for phi, psi in pairs:
-        a = l2_inner(hodge_dirac(connection, phi), psi, rule, g)
-        b = l2_inner(phi, hodge_dirac(connection, psi), rule, g)
+        a = l2_inner(hodge_dirac(connection, phi), psi, rule)
+        b = l2_inner(phi, hodge_dirac(connection, psi), rule)
         worst = max(worst, abs(a - b))
     return float(worst)
 
@@ -340,7 +334,8 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
     Entries are (row, grade, section); the scaling by sqrt(dim) makes the
     family orthonormal for the quadrature inner product by Schur
     orthogonality.  ``spectral_block`` works on the coefficient matrices
-    alone; these sections give the quadrature route to the same matrix.
+    alone; these sections give the quadrature route to kron(I, m), one copy
+    of m per row.
     """
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
@@ -356,15 +351,17 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
 
 @dataclass
 class SpectralBlock:
-    """The finite matrix of D on one left-translation isotypic level.
+    """D on one left-translation isotypic level: ``multiplicity`` (dim rho) copies of ``matrix``.
 
-    Indexed like ``isotypic_basis``; ``closure`` is the part of D's image
+    ``matrix``, ``grades`` and ``eigenvalues`` (ascending) describe one
+    copy, indexed like ``isotypic_coefficients``; on ``isotypic_basis`` D
+    is kron(I_multiplicity, matrix).  ``closure`` is the part of D's image
     leaving the level's span, the only leakage not identically zero.
     """
 
     level: int
+    multiplicity: int
     grades: np.ndarray
-    rows: np.ndarray
     matrix: np.ndarray
     gram_defect: float
     asymmetry: float
@@ -372,22 +369,22 @@ class SpectralBlock:
     eigenvalues: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def dim(self) -> int:  # of the whole level
+        return self.multiplicity * len(self.eigenvalues)
 
 
 def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     """Assemble and diagonalize D restricted to one isotypic level.
 
-    The block is kron(I, m), m[i, j] = <C_i, M(C_j)> on the basis of
+    The block holds one copy, m[i, j] = <C_i, M(C_j)> on the basis of
     ``isotypic_coefficients``; m is symmetrized before the eigensolve and
     its asymmetry reported, so violating connections get real eigenvalues.
     """
     g = connection.group
     coeffs = isotypic_coefficients(g, level)
     if not coeffs:
-        return SpectralBlock(level, np.zeros(0, int), np.zeros(0, int),
-                             np.zeros((0, 0)), 0.0, 0.0, 0.0, np.zeros(0))
+        return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)),
+                             0.0, 0.0, 0.0, np.zeros(0))
     algebra = spinor_algebra(g)
     rep = spin_rep(g, 2 * level)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
@@ -401,21 +398,20 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     gram_defect = float(np.abs(gram - np.eye(len(coeffs))).max())
     small = np.einsum("irT,jrT->ij", cs.conj(), image)
     closure = float(np.abs(image - np.einsum("irT,ij->jrT", cs, small)).max())
-    matrix = np.kron(np.eye(rep.dim), small)
     asymmetry = float(np.abs(small - small.conj().T).max())
-    eigenvalues = np.repeat(np.linalg.eigvalsh((small + small.conj().T) / 2.0), rep.dim)
+    eigenvalues = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
     grades = np.array([grade for grade, _ in coeffs])
-    return SpectralBlock(level, np.tile(grades, rep.dim),
-                         np.repeat(np.arange(rep.dim), len(coeffs)), matrix,
-                         gram_defect, asymmetry, closure, eigenvalues)
+    return SpectralBlock(level, rep.dim, grades, small, gram_defect, asymmetry, closure,
+                         eigenvalues)
 
 
 def kernel_count(blocks: list, tol: float = 1e-6) -> int:
-    return int(sum(int(np.sum(np.abs(b.eigenvalues) < tol)) for b in blocks))
+    """Dimension of D's kernel on the blocks' levels: each block's zero modes times its multiplicity."""
+    return int(sum(b.multiplicity * int(np.sum(np.abs(b.eigenvalues) < tol)) for b in blocks))
 
 
 def grade_compressed_square(block: SpectralBlock, grade: int = 0) -> np.ndarray:
-    """Eigenvalues of D^2 compressed to the basis vectors of one grade."""
+    """Eigenvalues of D^2 compressed to the basis vectors of one grade, in one copy of the block."""
     sym = (block.matrix + block.matrix.conj().T) / 2.0
     sq = sym @ sym
     idx = np.where(block.grades == grade)[0]

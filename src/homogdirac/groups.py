@@ -208,7 +208,6 @@ class GroupModel:
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
         # row Z; the subgroup is connected, so these decide its invariants
         self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
-        self.ad_bandwidth = 1.0  # adjoint coefficients of SU(2)-like catalog groups
         # each built on first use by the named function and kept for the life of the group
         self.frame_cache: list | None = None  # geometry.tangent_frame
         self.spin_reps: dict = {}  # reps.spin_rep, by two_j

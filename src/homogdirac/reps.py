@@ -128,8 +128,10 @@ def adjoint_rep(group: GroupModel) -> UnitaryRep:
     is the batch's adjoint stack.  The one object per group is kept on the group.
     """
     if group.ad_rep is None:
+        # spin 1 on SU(2); elsewhere no exact rule exists to compare a bandwidth with
+        spin = 1.0 if group.matrix_dim == 2 and group.dim == 3 else np.inf
         group.ad_rep = UnitaryRep(group, group.ad(np.eye(group.dim)), "adjoint",
-                                  spin=group.ad_bandwidth, stack_fn=group.adjoint_stack)
+                                  spin=spin, stack_fn=group.adjoint_stack)
     return group.ad_rep
 
 

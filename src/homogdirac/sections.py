@@ -343,6 +343,7 @@ class OperatorKRep:
 class Section:
     """Base node: immutable, with batched values and exact first derivatives."""
 
+    group: GroupModel  # composite nodes take their first child's
     codomain: Codomain
     deriv_order: int
     bandwidth: float
@@ -373,40 +374,23 @@ class Section:
         return pts.frame_derivs(self)
 
     def value(self, x: GroupElement, group: GroupModel | None = None):
-        pts = EvalPoints.of(group or self._group(), [x])
+        pts = EvalPoints.of(group or self.group, [x])
         return self.values(pts)[0]
 
     def deriv(self, x: GroupElement, direction: np.ndarray,
               group: GroupModel | None = None):
-        pts = EvalPoints.of(group or self._group(), [x])
+        pts = EvalPoints.of(group or self.group, [x])
         return self.derivs(pts, np.asarray(direction)[None])[0]
-
-    def _group(self) -> GroupModel:
-        g = _find_group(self)
-        if g is None:
-            raise ValueError("cannot infer the group; pass it explicitly")
-        return g
 
     def _lambda(self, coords: np.ndarray) -> "Section":
         raise NotImplementedError(
             f"left-translation derivative unsupported for {type(self).__name__}")
 
 
-def _find_group(node) -> GroupModel | None:
-    g = getattr(node, "group", None)
-    if g is not None:
-        return g
-    for child in getattr(node, "children", ()):  # type: ignore[attr-defined]
-        g = _find_group(child)
-        if g is not None:
-            return g
-    return None
-
-
 class Constant(Section):
     """A constant section."""
 
-    def __init__(self, codomain: Codomain, value, krep=None, group=None):
+    def __init__(self, codomain: Codomain, value, krep=None, *, group: GroupModel):
         self.codomain = codomain
         self.const = np.asarray(value, dtype=complex).reshape(codomain.shape)
         self.deriv_order = 1
@@ -495,7 +479,7 @@ class Sum(Section):
         self.codomain = cod
         self.deriv_order = min(c.deriv_order for c in children)
         self.bandwidth = max(c.bandwidth for c in children)
-        self.group = _find_group(self)
+        self.group = children[0].group
         if all(isinstance(c.krep, TrivialKRep) for c in children):
             self.krep = TrivialKRep()
         elif len({id(c.krep) for c in children}) == 1:
@@ -539,7 +523,7 @@ class Product(Section):
         self.codomain = codomain
         self.deriv_order = min(a.deriv_order, b.deriv_order)
         self.bandwidth = a.bandwidth + b.bandwidth
-        self.group = _find_group(self)
+        self.group = a.group
         self.krep = krep if a.krep is not None and b.krep is not None else None
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
@@ -570,7 +554,7 @@ class Pointwise(Section):
         self.codomain = codomain
         self.deriv_order = child.deriv_order
         self.bandwidth = child.bandwidth
-        self.group = _find_group(self)
+        self.group = child.group
         self.krep = krep
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
@@ -676,9 +660,8 @@ def EmbedTangent(algebra: CliffordAlgebra, child: Section, clifford_krep=None) -
     """Embed a tangent section into grade one of the Clifford bundle."""
     if child.codomain.kind != "tangent":
         raise ValueError("only tangent sections embed into the Clifford bundle")
-    group = _find_group(child)
     krep = clifford_krep if clifford_krep is not None else (
-        CliffordKRep(group, algebra) if child.krep is not None and group else None)
+        CliffordKRep(child.group, algebra) if child.krep is not None else None)
     return Pointwise(algebra.embed_vector, partial(EmbedTangent, algebra, clifford_krep=krep),
                      child, Codomain.clifford(algebra), krep)
 
@@ -692,7 +675,7 @@ class Translate(Section):
         self.codomain = child.codomain
         self.deriv_order = child.deriv_order
         self.bandwidth = child.bandwidth
-        self.group = _find_group(self)
+        self.group = child.group
         self.krep = child.krep
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
@@ -781,7 +764,7 @@ class GramSection(Section):
         self.codomain = Codomain.operator(len(frame))
         self.deriv_order = min(f.deriv_order for f in frame)
         self.bandwidth = 2 * max(f.bandwidth for f in frame)
-        self.group = _find_group(self)
+        self.group = frame[0].group
         self.krep = TrivialKRep() if all(f.krep is not None for f in frame) else None
 
     @staticmethod
@@ -827,7 +810,7 @@ def l2_inner(a: Section, b: Section, rule: QuadratureRule,
     Warns if the combined bandwidth bound of the integrand exceeds the
     declared exactness of the rule.
     """
-    g = group or a._group()
+    g = group or a.group
     bound = a.bandwidth + b.bandwidth
     if rule.kind == "exact" and bound > rule.bandwidth + 1e-9:
         warnings.warn(
@@ -859,7 +842,7 @@ def equivariance_defect(section: Section, x: GroupElement, s, group: GroupModel 
     """
     if section.krep is None:
         raise ValueError("section carries no equivariance tag")
-    g = group or section._group()
+    g = group or section.group
     one = isinstance(s, GroupElement)
     subgroup = EvalPoints.of(g, [s] if one else s)
     vals = section.values(EvalPoints(g, np.concatenate([x.matrix[None],

@@ -46,6 +46,31 @@ def test_verify_fails_on_violating_gamma(tmp_path):
     assert "dirac.selfadjoint-defect" in failing
 
 
+def _verify_trivial_k(connection):
+    return run_verify(RunConfig(group="su2", subgroup="trivial", connection=connection,
+                                sample_count=20, quadrature_bandwidth=6, seed=3))
+
+
+def test_verify_checks_the_torsion_of_a_gamma_file(tmp_path, full_group, rng):
+    """A gamma file gets a configured-torsion row, which draws nothing: other rows stay put."""
+    from homogdirac import levi_civita_connection
+    from homogdirac.dirac import _balanced_random_gamma
+
+    paths = {}
+    for name, gamma in (("balanced", _balanced_random_gamma(full_group, rng)),
+                        ("lc", levi_civita_connection(full_group).gamma.real)):
+        paths[name] = os.path.join(tmp_path, f"{name}.txt")
+        np.savetxt(paths[name], gamma.reshape(-1))
+    report = _verify_trivial_k(paths["balanced"])
+    row = {c["anchor"]: c for c in report["checks"]}["geometry.configured-torsion"]
+    assert report["pass"] and row["residual"] <= 1e-10 and row["samples"] == 3 * 20
+    # the Levi-Civita gamma from a file: the catalog run's rows, plus the new one
+    from_file = _verify_trivial_k(paths["lc"])["checks"]
+    catalog = _verify_trivial_k("levi-civita")["checks"]
+    assert [c for c in from_file if c["anchor"] != "geometry.configured-torsion"] == catalog
+    assert len(from_file) == len(catalog) + 1
+
+
 def test_malformed_gamma_file(tmp_path):
     path = os.path.join(tmp_path, "gamma.txt")
     with open(path, "w") as fh:

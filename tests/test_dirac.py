@@ -357,7 +357,8 @@ def test_spectral_block_matches_quadrature_assembly(sphere, full_group, rule8, r
         vals, dvals = _quadrature_values(conn, level, rule)
         quad = np.einsum("n,anT,bnT->ab", rule.weights, vals.conj(), dvals)
         block = spectral_block(conn, level)
-        assert np.abs(block.matrix - quad).max() < 1e-12, (conn.name, level)
+        full = np.kron(np.eye(block.multiplicity), block.matrix)
+        assert np.abs(full - quad).max() < 1e-12, (conn.name, level)
         assert abs(block.asymmetry - np.abs(quad - quad.conj().T).max()) < 1e-12
         if conn.group is sphere and conn.name == "levi-civita":
             sphere_lc[level] = rule.weights, vals, dvals
@@ -382,6 +383,17 @@ def test_spectral_blocks_to_level_50(sphere):
         assert np.abs(ev + ev[::-1]).max() <= 1e-7
         assert b.closure <= 1e-8
     assert kernel_count(blocks) == 2
+
+
+def test_spectral_block_stores_one_copy(sphere, full_group):
+    """On su2-trivial-k, level 10 is 21 copies of a 168 x 168 block: dimension 3528."""
+    b = spectral_block(levi_civita_connection(full_group), 10)
+    assert b.matrix.shape == (168, 168)
+    assert b.grades.shape == b.eigenvalues.shape == (168,)
+    assert (b.multiplicity, b.dim) == (21, 3528)
+    assert np.all(np.diff(b.eigenvalues) >= 0)  # ascending, as the spectrum CSV writes them
+    empty = spectral_block(levi_civita_connection(sphere), 0.5)  # no invariant coefficient
+    assert (empty.multiplicity, empty.dim, kernel_count([empty])) == (0, 0, 0)
 
 
 def _subgroup_average_projector(group, level):

@@ -428,7 +428,7 @@ def test_torsion_tensor_intertwines_the_isotropy_action(space, rng):
 def test_torsion_rejects_non_tangent_sections(full_group):
     conn = canonical_connection(full_group)
     v = fundamental_field(full_group, E3[0])
-    scalar = Constant(Codomain.scalar(), 1.0, TrivialKRep(), full_group)
+    scalar = Constant(Codomain.scalar(), 1.0, TrivialKRep(), group=full_group)
     vector = build_frame(tangent_bundle(full_group))[0]
     for bad in (scalar, vector):
         with pytest.raises(ValueError):

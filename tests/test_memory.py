@@ -29,8 +29,10 @@ from homogdirac import (
     canonical_connection,
     direct_sum,
     l2_inner,
+    levi_civita_connection,
     minimal_violating_connection,
     selfadjoint_defect,
+    spectral_block,
     spin_rep,
     spinor_algebra,
     tangent_bundle,
@@ -191,6 +193,15 @@ def test_invariant_bases_are_solved_once_and_die_with_the_group():
     assert ref() is None
     assert all(r() is None for r in kept)
     assert len(TrivialKRep._bases) <= trivial_entries  # other groups' entries may die too
+
+
+def test_spectral_blocks_hold_one_copy_per_level(sphere):
+    """Levels 0-50 of the sphere hold under 1 MB of block arrays: no dim(rho)-fold expansion."""
+    lc = levi_civita_connection(sphere)
+    blocks = [spectral_block(lc, level) for level in range(51)]
+    held = sum(b.matrix.nbytes + b.grades.nbytes + b.eigenvalues.nbytes for b in blocks)
+    assert held < 1 << 20
+    assert sum(b.dim for b in blocks) == 2 + sum(4 * (2 * level + 1) for level in range(1, 51))
 
 
 @pytest.mark.parametrize("config", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,19 @@ def test_l2_bandwidth_warning(sphere, rng):
         l2_inner(f, f, rule)
 
 
+def test_l2_inner_off_su2_emits_no_bandwidth_warning(rng):
+    """Off SU(2) the adjoint spin is infinite, and only Monte Carlo rules exist to meet it."""
+    from test_geometry import su3_circle
+
+    group = su3_circle()
+    rule = group.haar_rule(2, node_count=64, rng=rng)
+    w = FundamentalField(group, group.random_algebra(rng))
+    assert adjoint_rep(group).spin == np.inf and rule.kind == "monte-carlo"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandwidthWarning)
+        assert l2_inner(w, w, rule) > 0
+
+
 def test_equivariant_projection_idempotent(sphere, rng):
     alg = spinor_algebra(sphere)
     raw = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
@@ -529,7 +544,7 @@ def test_fundamental_field_matches_bracket_formulas(space, request, rng):
     lam = lambda_deriv(w, y)
     assert np.abs(lam.values(pts) - vals).max() < 1e-13
     assert lam.krep is w.krep is TangentKRep(group)
-    assert w.bandwidth == lam.bandwidth == group.ad_bandwidth
+    assert w.bandwidth == lam.bandwidth == adjoint_rep(group).spin
 
 
 def test_harmonic_spinor_matches_row_formulas(sphere, rng):
