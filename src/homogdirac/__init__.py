@@ -10,7 +10,7 @@ metric lower-bound estimator built from Dirac commutators.
 
 from .groups import GroupElement, GroupModel, QuadratureRule, expm_skew
 from .cliffordalg import CliffordAlgebra
-from .reps import UnitaryRep, adjoint_rep, conjugation_intertwiner, direct_sum, spin_rep
+from .reps import UnitaryRep, adjoint_rep, direct_sum, spin_rep
 from .sections import (
     AInner,
     BandwidthWarning,
@@ -77,7 +77,6 @@ from .dirac import (
     commutator_defect,
     connection_test_matrix,
     criterion_check,
-    geodesic_arc,
     gradient,
     grade_compressed_square,
     hodge_dirac,

@@ -5,8 +5,9 @@ tolerance (overridable per check id through the config) and reports a
 dictionary row.  Checks are pure measurements; the expected values come
 from closed-form identities or independent recomputation, never from the
 code path under test.  A sampling check draws its samples one at a time
-(a point, then its directions) and then evaluates them all on one batch,
-so the points checked do not depend on how they are evaluated.
+(a point's draws, then its directions; ``GroupModel.draw``), then builds
+all its points in one ``GroupModel.haar_matrices`` call and evaluates them
+on one batch, so the points checked do not depend on how they are evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .geometry import (
     tangent_frame,
     torsion,
 )
-from .groups import GroupModel, expm_skew
+from .groups import GroupElement, GroupModel, expm_skew
 from .reps import spin_rep
 from .sections import (
     AInner,
@@ -131,12 +132,12 @@ def _check_exp_unitarity(ctx: _Context):
 
 def _check_ad_invariance(ctx: _Context):
     g, rng = ctx.group, ctx.rng
-    xs, a, b = zip(*[(g.random_element(rng), g.random_algebra(rng), g.random_algebra(rng))
-                     for _ in range(200)])
-    ad = g.adjoint_matrices(np.stack([x.matrix for x in xs]))
+    draws, a, b = zip(*[(g.draw(rng), g.random_algebra(rng), g.random_algebra(rng))
+                        for _ in range(200)])
+    ad = g.adjoint_matrices(g.haar_matrices(np.stack(draws)))
     a, b = np.array(a)[:, :, None], np.array(b)[:, :, None]  # column vectors
     defect = np.sum((ad @ a) * (ad @ b), axis=(1, 2)) - np.sum(a * b, axis=(1, 2))
-    return float(np.abs(defect).max()), len(xs)
+    return float(np.abs(defect).max()), len(ad)
 
 
 def _check_subalgebra(ctx: _Context):
@@ -153,6 +154,13 @@ def _check_quadrature_normalization(ctx: _Context):
     return abs(float(ctx.rule.weights.sum()) - 1.0), len(ctx.rule)
 
 
+def _translations(ctx: _Context) -> list:
+    """Three group elements drawn one after another, built in one call."""
+    g = ctx.group
+    draws = np.stack([g.draw(ctx.rng) for _ in range(3)])
+    return [GroupElement(m) for m in g.haar_matrices(draws)]
+
+
 def _check_left_invariance(ctx: _Context):
     g, rng, rule = ctx.group, ctx.rng, ctx.rule
     rep = spin_rep(g, 2)
@@ -160,12 +168,8 @@ def _check_left_invariance(ctx: _Context):
     f2 = Scale(f, MatrixCoefficient(rep, rng.standard_normal(rep.dim),
                                     rng.standard_normal(rep.dim)))
     one = Constant(Codomain.scalar(), 1.0, krep=TrivialKRep(), group=g)
-    worst = 0.0
-    for _ in range(3):
-        y = g.random_element(rng)
-        a = l2_inner(one, f2, rule, g)
-        b = l2_inner(one, translate(f2, y), rule, g)
-        worst = max(worst, abs(a - b))
+    a = l2_inner(one, f2, rule)
+    worst = max(abs(a - l2_inner(one, translate(f2, y), rule)) for y in _translations(ctx))
     return worst, 3 * len(rule)
 
 
@@ -205,8 +209,8 @@ def _check_clifford_star(ctx: _Context):
 def _draw_points(ctx: _Context, n: int):
     """n samples, each a group element then an algebra direction: one batch and its directions."""
     g, rng = ctx.group, ctx.rng
-    xs, ys = zip(*[(g.random_element(rng), g.random_algebra(rng)) for _ in range(n)])
-    return EvalPoints.of(g, xs), np.array(ys)
+    draws, ys = zip(*[(g.draw(rng), g.random_algebra(rng)) for _ in range(n)])
+    return EvalPoints(g, g.haar_matrices(np.stack(draws))), np.array(ys)
 
 
 _STEPS = (1e-4, 5e-5)  # halving h divides a second-order error by 4
@@ -267,7 +271,7 @@ def _check_product_rule(ctx: _Context):
 def _check_frame_equivariance(ctx: _Context):
     b, g = ctx.bundle, ctx.group
     nodes = g.k_rule.nodes[:5]
-    worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes, g).max())
+    worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes).max())
                 for eta in build_frame(b))
     return worst, 5 * b.ambient_dim
 
@@ -379,8 +383,7 @@ def _check_connection_invariance(ctx: _Context):
     w = FundamentalField(g, g.random_algebra(ctx.rng))
     xi = FundamentalField(g, g.random_algebra(ctx.rng))
     worst = 0.0
-    for _ in range(3):
-        y = g.random_element(ctx.rng)
+    for y in _translations(ctx):
         left = Translate(ApplyConnection(conn, w, xi), y).values(ctx.pts)
         right = ApplyConnection(conn, Translate(w, y), Translate(xi, y)).values(ctx.pts)
         worst = max(worst, float(np.abs(left - right).max()))
@@ -459,8 +462,7 @@ def _check_dirac_translation(ctx: _Context):
     g = ctx.group
     phi = ctx.spinor()
     worst = 0.0
-    for _ in range(3):
-        y = g.random_element(ctx.rng)
+    for y in _translations(ctx):
         left = translate(hodge_dirac(conn, phi), y).values(ctx.pts)
         # the frame-sum side moves its frame with the point; the closed form has none
         right = hodge_dirac(conn, translate(phi, y), frame=tangent_frame(g)).values(ctx.pts)

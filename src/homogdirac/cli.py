@@ -14,7 +14,9 @@ Three subcommands:
   column is the worst in-block leakage of D.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
-  (Euler angles followed by row-major real/imaginary entries).
+  (Euler angles followed by row-major real/imaginary entries).  The
+  angles are drawn one sample at a time and the points evaluated as one
+  batch.
 
 All randomness is drawn from the configured seed, so identical
 configurations produce byte-identical outputs.  Every command runs in one
@@ -203,21 +205,13 @@ def run_monopole(cfg: RunConfig) -> tuple:
         for i in range(n):
             for j in range(n):
                 header += [f"{tag}_re_{i}{j}", f"{tag}_im_{i}{j}"]
+    # per-sample draws (the Euler angles), then every point in one batch
+    angles = np.stack([group.draw(rng) for _ in range(cfg.sample_count)])
+    pts = EvalPoints(group, group.haar_matrices(angles))
     rows = []
-    for _ in range(cfg.sample_count):
-        alpha = rng.uniform(0.0, 4 * np.pi)
-        gamma_angle = rng.uniform(0.0, 4 * np.pi)
-        beta = float(np.arccos(rng.uniform(-1.0, 1.0)))
-        x = group.euler_element(alpha, beta, gamma_angle)
-        pts = EvalPoints.of(group, [x])
-        pv = proj.values(pts)[0]
-        gv = gram.values(pts)[0]
-        row = [alpha, beta, gamma_angle]
-        for mat in (pv, gv):
-            for i in range(n):
-                for j in range(n):
-                    row += [float(mat[i, j].real), float(mat[i, j].imag)]
-        rows.append(row)
+    for row_angles, pv, gv in zip(angles, proj.values(pts), gram.values(pts)):
+        entries = np.concatenate([pv.ravel(), gv.ravel()])  # row-major, projection first
+        rows.append(row_angles.tolist() + entries.view(float).tolist())  # re, im of each
     return header, rows
 
 

@@ -84,7 +84,6 @@ __all__ = [
     "casimir_value",
     "metric_estimate",
     "orbit_vector",
-    "geodesic_arc",
     "coefficient_family",
 ]
 
@@ -436,29 +435,6 @@ def orbit_vector(group: GroupModel, x: GroupElement) -> np.ndarray:
     if group.k_dim != 1:
         raise ValueError("orbit vectors are defined for circle quotients")
     return group.adjoint_matrix(x) @ group.k_frame[0]
-
-
-def geodesic_arc(group: GroupModel, p: GroupElement, q: GroupElement,
-                 count: int = 64) -> list:
-    """Group elements projecting onto the geodesic arc between two cosets.
-
-    Obtained by rotating ``p`` about the axis orthogonal to both orbit
-    vectors; used to densify gradient sup-norm sampling where the
-    distance-realizing test functions attain their maxima.
-    """
-    np_, nq = orbit_vector(group, p), orbit_vector(group, q)
-    cosang = float(np.clip(np.dot(np_, nq), -1.0, 1.0))
-    angle = float(np.arccos(cosang))
-    axis = np.cross(np_, nq)
-    nrm = np.linalg.norm(axis)
-    if nrm < 1e-12:
-        return [p, q]
-    axis = axis / nrm
-    out = []
-    for t in np.linspace(0.0, angle, count):
-        rot = group.exp(axis * np.sqrt(group.metric_scale), t)
-        out.append(rot @ p)
-    return out
 
 
 def metric_estimate(group: GroupModel, p: GroupElement, q: GroupElement,

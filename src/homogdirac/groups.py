@@ -148,16 +148,17 @@ def _euler_matrices(alpha, beta, gamma) -> np.ndarray:
                      np.stack([a.conj() * g * s, (a * g).conj() * c], axis=-1)], axis=-2)
 
 
-def _qr_haar_unitaries(rng: np.random.Generator, dim: int, count: int,
-                       special: bool) -> np.ndarray:
-    """Haar samples on U(dim) via QR with phase normalization."""
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+def _qr_haar_unitaries(draws: np.ndarray, special: bool) -> np.ndarray:
+    """Haar samples on U(n), or SU(n) if ``special``, from a stack of complex Gaussian matrices.
+
+    QR of each draw with the phases of R's diagonal moved into Q.
+    """
+    q, r = np.linalg.qr(draws / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, None, :]
     if special:
         det = np.linalg.det(q)
-        q = q * (det ** (-1.0 / dim))[:, None, None]
+        q = q * (det ** (-1.0 / q.shape[-1]))[:, None, None]
     return q
 
 
@@ -368,22 +369,50 @@ class GroupModel:
 
     # -- sampling and quadrature ----------------------------------------------
 
-    def euler_element(self, alpha: float, beta: float, gamma: float) -> GroupElement:
-        """exp(alpha Z3) exp(beta Z2) exp(gamma Z3) in the raw defining basis."""
-        return GroupElement(_euler_matrices(alpha, beta, gamma))
+    def _sampler(self) -> str:
+        """How Haar samples are drawn: "euler" on SU(2); "su" or "u", QR on all of SU(n) or U(n)."""
+        n = self.matrix_dim
+        if n == 2 and self.dim == 3:
+            return "euler"
+        if self.dim == n * n - 1:
+            return "su"
+        if self.dim == n * n:
+            return "u"
+        raise NotImplementedError(f"group {self.name!r} has no exact rule and no Haar sampler")
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One Haar sample's draws, in the generator order of ``random_elements(rng, 1)``.
+
+        On SU(2) the Euler angles (alpha, beta, gamma), drawn as alpha, gamma
+        and then beta = arccos(u); otherwise one complex Gaussian matrix.
+        :meth:`haar_matrices` builds a stack of draws at once.
+        """
+        if self._sampler() == "euler":
+            alpha, gamma = rng.uniform(0.0, 4 * np.pi), rng.uniform(0.0, 4 * np.pi)
+            return np.array([alpha, np.arccos(rng.uniform(-1.0, 1.0)), gamma])
+        n = self.matrix_dim
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def haar_matrices(self, draws: np.ndarray) -> np.ndarray:
+        """The group matrices of a stack of :meth:`draw` results, built in one call."""
+        sampler = self._sampler()
+        if sampler == "euler":
+            return _euler_matrices(*np.transpose(draws))
+        return _qr_haar_unitaries(draws, sampler == "su")
 
     def random_element(self, rng: np.random.Generator) -> GroupElement:
         return self.random_elements(rng, 1)[0]
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list:
-        if self.matrix_dim == 2:
+        """``count`` Haar samples, drawn column by column (each draw for all samples in turn)."""
+        if self._sampler() == "euler":
             alphas = rng.uniform(0.0, 4 * np.pi, count)
             gammas = rng.uniform(0.0, 4 * np.pi, count)
-            betas = np.arccos(rng.uniform(-1.0, 1.0, count))
-            return [GroupElement(m) for m in _euler_matrices(alphas, betas, gammas)]
-        special = abs(np.trace(self.basis[0])) < 1e-12
-        return [GroupElement(u) for u in
-                _qr_haar_unitaries(rng, self.matrix_dim, count, special)]
+            draws = np.stack([alphas, np.arccos(rng.uniform(-1.0, 1.0, count)), gammas], axis=-1)
+        else:
+            shape = (count, self.matrix_dim, self.matrix_dim)
+            draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return [GroupElement(m) for m in self.haar_matrices(draws)]
 
     def random_algebra(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
@@ -397,13 +426,15 @@ class GroupModel:
         grids over both circle angles (full 4*pi period, so half-integer
         frequencies cancel exactly) and Gauss-Legendre in the cosine of the
         middle angle.  It integrates every product of irreducible matrix
-        coefficients of total spin <= bandwidth exactly.  Other groups fall
-        back to Monte Carlo sampling with a declared statistical tolerance;
-        unsupported groups raise.
+        coefficients of total spin <= bandwidth exactly.  Other groups, and
+        ``kind="monte-carlo"``, take the nodes of :meth:`random_elements`
+        with a declared statistical tolerance; groups without a sampler raise.
         """
         if bandwidth < 1:
             raise ValueError("bandwidth must be >= 1")
-        if kind in ("auto", "exact") and self.matrix_dim == 2 and self.dim == 3:
+        if kind not in ("auto", "exact", "monte-carlo"):
+            raise ValueError(f"unknown rule kind {kind!r}")
+        if kind != "monte-carlo" and self._sampler() == "euler":
             n_circ = 2 * int(np.ceil(bandwidth)) + 1
             n_leg = int(np.ceil((bandwidth + 1) / 2))
             us, wu = np.polynomial.legendre.leggauss(n_leg)
@@ -415,19 +446,10 @@ class GroupModel:
             return QuadratureRule([GroupElement(m) for m in mats], weights, float(bandwidth))
         if kind == "exact":
             raise NotImplementedError(f"no exact rule for group {self.name!r}")
-        if kind in ("auto", "monte-carlo"):
-            full_su = self.dim == self.matrix_dim ** 2 - 1
-            full_u = self.dim == self.matrix_dim ** 2
-            if not (full_su or full_u):
-                raise NotImplementedError(
-                    f"group {self.name!r} has no exact rule and no Monte Carlo sampler")
-            count = node_count or 4096
-            rng = rng or np.random.default_rng(0)
-            mats = _qr_haar_unitaries(rng, self.matrix_dim, count, full_su)
-            return QuadratureRule([GroupElement(m) for m in mats],
-                                  np.full(count, 1.0 / count), 0.0,
-                                  kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
-        raise ValueError(f"unknown rule kind {kind!r}")
+        count = node_count or 4096
+        nodes = self.random_elements(rng or np.random.default_rng(0), count)
+        return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0,
+                              kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
 
     # -- diagnostics -----------------------------------------------------------
 

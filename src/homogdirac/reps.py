@@ -26,7 +26,6 @@ __all__ = [
     "spin_rep",
     "adjoint_rep",
     "direct_sum",
-    "conjugation_intertwiner",
 ]
 
 
@@ -153,11 +152,3 @@ def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
                       spin=max(r.spin for r in reps),
                       stack_fn=lambda m: block_diagonal([r.matrix_stack(m) for r in reps]))
 
-
-def conjugation_intertwiner(two_j: int) -> np.ndarray:
-    """Matrix C with conj(rho(x)) = C rho(x) C^{-1} for the spin basis."""
-    n = two_j + 1
-    c = np.zeros((n, n))
-    for a in range(n):
-        c[n - 1 - a, a] = (-1.0) ** a
-    return c

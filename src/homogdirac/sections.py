@@ -21,9 +21,11 @@ carries the product rule once, or a fixed real-linear map of one section
 (:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
-Evaluation is batched: an :class:`EvalPoints` wraps a list of group
-elements and caches representation stacks, node values and each node's
-frame Jacobian (its derivatives along the complement-frame rows, which a
+Evaluation is batched: an :class:`EvalPoints` wraps a list of elements
+of one group, and a section, which carries its group, is evaluated only
+on batches of that group (another group's batch raises ValueError).  A
+batch caches representation stacks, node values and each node's frame
+Jacobian (its derivatives along the complement-frame rows, which a
 covariant derivative contracts with its direction field), so quadrature
 loops over shared subgraphs cost one pass per node.  Each cache is a
 ``weakref.WeakKeyDictionary``: an entry lives as long as both the batch
@@ -153,11 +155,6 @@ class EvalPoints:
     def n(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def elements(self) -> list:
-        """The points as new :class:`GroupElement` objects."""
-        return [GroupElement(m) for m in self.matrices]
-
     # -- derived batches --------------------------------------------------------
 
     def left_translated(self, y_inv: GroupElement) -> "EvalPoints":
@@ -190,6 +187,7 @@ class EvalPoints:
     def node_values(self, node: "Section") -> np.ndarray:
         vals = self._vals.get(node)
         if vals is None:
+            _check_group(node, self)
             vals = self._vals[node] = node._values(self)
         return vals
 
@@ -203,6 +201,13 @@ class EvalPoints:
                 jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
             self._jac[node] = jac
         return jac
+
+
+def _check_group(node: "Section", pts: EvalPoints) -> None:
+    """A section is a function on its own group: a batch of another group raises ValueError."""
+    if node.group is not pts.group:
+        raise ValueError(f"{type(node).__name__} on group {node.group.name!r} "
+                         f"evaluated on a batch of group {pts.group.name!r}")
 
 
 # -- equivariance actions of the subgroup ---------------------------------------
@@ -367,20 +372,18 @@ class Section:
         if self.deriv_order < 1:
             raise DerivativeOrderError(
                 f"{type(self).__name__} supports no exact directional derivative")
+        _check_group(self, pts)
         return self._derivs(pts, np.asarray(dirs))
 
     def frame_derivs(self, pts: EvalPoints) -> np.ndarray:
         """Derivatives along each complement-frame row, (m_dim, n, *shape); cached on the batch."""
         return pts.frame_derivs(self)
 
-    def value(self, x: GroupElement, group: GroupModel | None = None):
-        pts = EvalPoints.of(group or self.group, [x])
-        return self.values(pts)[0]
+    def value(self, x: GroupElement):
+        return self.values(EvalPoints.of(self.group, [x]))[0]
 
-    def deriv(self, x: GroupElement, direction: np.ndarray,
-              group: GroupModel | None = None):
-        pts = EvalPoints.of(group or self.group, [x])
-        return self.derivs(pts, np.asarray(direction)[None])[0]
+    def deriv(self, x: GroupElement, direction: np.ndarray):
+        return self.derivs(EvalPoints.of(self.group, [x]), np.asarray(direction)[None])[0]
 
     def _lambda(self, coords: np.ndarray) -> "Section":
         raise NotImplementedError(
@@ -803,20 +806,18 @@ def translate(section: Section, y: GroupElement) -> Section:
     return Translate(section, y)
 
 
-def l2_inner(a: Section, b: Section, rule: QuadratureRule,
-             group: GroupModel | None = None) -> complex:
-    """Quadrature pairing of the pointwise fiber inner product.
+def l2_inner(a: Section, b: Section, rule: QuadratureRule) -> complex:
+    """Quadrature pairing of the pointwise fiber inner product over ``a``'s group.
 
     Warns if the combined bandwidth bound of the integrand exceeds the
-    declared exactness of the rule.
+    declared exactness of the rule; sections of different groups raise ValueError.
     """
-    g = group or a.group
     bound = a.bandwidth + b.bandwidth
     if rule.kind == "exact" and bound > rule.bandwidth + 1e-9:
         warnings.warn(
             f"integrand bandwidth bound {bound} exceeds rule bandwidth {rule.bandwidth}",
             BandwidthWarning, stacklevel=2)
-    pts = EvalPoints.for_rule(g, rule)
+    pts = EvalPoints.for_rule(a.group, rule)
     pair = _pairing(a.values(pts), b.values(pts))
     total = complex(np.dot(rule.weights, pair))
     return total.real if abs(total.imag) < 1e-13 * max(1.0, abs(total)) else total
@@ -834,7 +835,7 @@ def lambda_deriv(section: Section, coords: np.ndarray) -> Section:
     return section._lambda(np.asarray(coords, dtype=float))
 
 
-def equivariance_defect(section: Section, x: GroupElement, s, group: GroupModel | None = None):
+def equivariance_defect(section: Section, x: GroupElement, s):
     """Residual of the defining equivariance condition at (x, s).
 
     For a list ``s`` of subgroup elements, the array of residuals at each,
@@ -842,7 +843,7 @@ def equivariance_defect(section: Section, x: GroupElement, s, group: GroupModel 
     """
     if section.krep is None:
         raise ValueError("section carries no equivariance tag")
-    g = group or section.group
+    g = section.group
     one = isinstance(s, GroupElement)
     subgroup = EvalPoints.of(g, [s] if one else s)
     vals = section.values(EvalPoints(g, np.concatenate([x.matrix[None],

@@ -1,0 +1,36 @@
+"""The benchmark's workloads, run once in process against the package.
+
+``perfbench/`` reaches the package only through its workloads; a change to
+a call they make (``KAverage``, ``random_elements``, ``run_verify``, ...)
+should fail here rather than in a benchmark run.  The benchmark's files
+are loaded read-only, as its worker loads them.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+worker = _load("worker")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_passes_its_oracle_at_seed_7(name):
+    workload = workloads.WORKLOADS[name]
+    hd = worker.import_program()
+    inputs = workload.inputs(7)
+    output = workload.run(hd, inputs)
+    failed = [(check, detail) for check, ok, detail in workload.oracle(hd, inputs, output)
+              if not ok]
+    assert not failed

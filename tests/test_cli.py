@@ -4,9 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from homogdirac import GroupModel, MatrixCoefficient, spin_rep
+from homogdirac import (
+    EvalPoints,
+    GroupModel,
+    MatrixCoefficient,
+    frame_gram,
+    monopole_bundle,
+    projection_section,
+    spin_rep,
+)
 from homogdirac.cli import RunConfig, load_config, main, run_monopole, run_verify
-from homogdirac.groups import _su2_raw_basis
+from homogdirac.groups import _euler_matrices, _su2_raw_basis
 
 
 def test_verify_passes_on_catalog(tmp_path):
@@ -139,6 +147,36 @@ def test_monopole_csv(tmp_path):
         g = np.array(row[3 + 2 * n * n:])
         gm = (g[::2] + 1j * g[1::2]).reshape(n, n)
         assert np.abs(gm - p).max() < 1e-12
+
+
+def _former_monopole_rows(cfg):
+    """The rows as ``monopole`` made them point by point, one one-point batch per sample."""
+    group = cfg.make_group()
+    bundle = monopole_bundle(group, cfg.charge)
+    proj, gram = projection_section(bundle), frame_gram(bundle)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for _ in range(cfg.sample_count):
+        alpha = rng.uniform(0.0, 4 * np.pi)
+        gamma = rng.uniform(0.0, 4 * np.pi)
+        beta = float(np.arccos(rng.uniform(-1.0, 1.0)))
+        pts = EvalPoints(group, _euler_matrices(alpha, beta, gamma)[None])
+        row = [alpha, beta, gamma]
+        for mat in (proj.values(pts)[0], gram.values(pts)[0]):
+            for z in mat.ravel():
+                row += [float(z.real), float(z.imag)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("charge", [1, 2, -1, 3])
+def test_monopole_batch_matches_the_former_per_point_loop(charge):
+    """Same angles bit for bit; the matrices differ from one-point evaluation by roundoff only."""
+    cfg = RunConfig(bundle="monopole", charge=charge, sample_count=60, seed=3)
+    _, rows = run_monopole(cfg)
+    former = _former_monopole_rows(cfg)
+    assert [r[:3] for r in rows] == [r[:3] for r in former]
+    assert np.abs(np.array(rows)[:, 3:] - np.array(former)[:, 3:]).max() <= 1e-15
 
 
 def test_config_file_round_trip(tmp_path):

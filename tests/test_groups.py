@@ -5,6 +5,7 @@ import pytest
 
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
 from homogdirac.groups import _euler_matrices, _su2_raw_basis, expm_skew
+from test_geometry import su3_circle
 
 E3 = np.eye(3)
 
@@ -207,6 +208,63 @@ def test_monte_carlo_rule(sphere, rng):
     mean = np.einsum("n,nij->ij", rule.weights, pts.rep_stack(rep))
     # coefficients have unit-order variance; allow three sigma
     assert np.abs(mean).max() < 3.0 * rule.mc_sigma * 3
+
+
+SAMPLED = {
+    "su2": GroupModel.su2,
+    "su3": su3_circle,
+    "u3": lambda: GroupModel("u3", np.concatenate([su3_circle().basis, [-0.5j * np.eye(3)]])),
+}
+
+
+def _former_random_elements(group, rng, count):
+    """``random_elements`` as written before draws and builds were split: the oracle."""
+    n = group.matrix_dim
+    if n == 2:
+        alphas = rng.uniform(0.0, 4 * np.pi, count)
+        gammas = rng.uniform(0.0, 4 * np.pi, count)
+        betas = np.arccos(rng.uniform(-1.0, 1.0, count))
+        return _euler_matrices(alphas, betas, gammas)
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    if group.dim == n * n - 1:  # SU(n); the old code read this off trace(basis[0])
+        q = q * (np.linalg.det(q) ** (-1.0 / n))[:, None, None]
+    return q
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_per_sample_draws_build_the_former_per_point_samples(name):
+    """Draws one sample at a time, built in one call, are bit for bit the old one-point loop."""
+    group = SAMPLED[name]()
+    former_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
+    former = np.stack([_former_random_elements(group, former_rng, 1)[0] for _ in range(40)])
+    built = group.haar_matrices(np.stack([group.draw(rng) for _ in range(40)]))
+    assert np.array_equal(built, former)
+    assert rng.bit_generator.state == former_rng.bit_generator.state
+    # random_elements keeps its column-ordered stream, and its one-point case is the draw
+    assert np.array_equal(np.stack([x.matrix for x in group.random_elements(rng, 25)]),
+                          _former_random_elements(group, former_rng, 25))
+    assert np.array_equal(group.random_element(rng).matrix,
+                          group.haar_matrices(group.draw(former_rng)[None])[0])
+
+
+def test_samplers_follow_the_haar_rule_cases(rng):
+    """Euler angles on SU(2) only; QR on all of SU(n) or U(n); other groups have no sampler."""
+    u2 = GroupModel("u2", np.concatenate([_su2_raw_basis(), [-0.5j * np.eye(2)]]))
+    xs = np.stack([x.matrix for x in u2.random_elements(rng, 200)])
+    assert np.abs(xs @ xs.conj().transpose(0, 2, 1) - np.eye(2)).max() < 1e-14
+    dets = np.linalg.det(xs)
+    assert np.sum(np.abs(dets - 1.0) > 1e-3) > 150  # a U(2) sample is rarely in SU(2)
+    rotations = np.zeros((3, 3, 3), dtype=complex)  # so(3) as real 3x3 generators
+    for a, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        rotations[a, i, j], rotations[a, j, i] = -1.0, 1.0
+    so3 = GroupModel("so3", rotations)
+    for sample in (so3.draw, lambda r: so3.random_elements(r, 5), so3.random_element,
+                   lambda r: so3.haar_rule(2, rng=r)):
+        with pytest.raises(NotImplementedError, match="no Haar sampler"):
+            sample(rng)
 
 
 def test_monte_carlo_unavailable_for_odd_groups():

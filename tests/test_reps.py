@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homogdirac import GroupModel, adjoint_rep, direct_sum, spin_rep
-from homogdirac.groups import _qr_haar_unitaries, _su2_raw_basis, expm_skew
+from homogdirac.groups import _su2_raw_basis, expm_skew
 
 
 def rotated_su2(metric_scale=2.5):
@@ -70,7 +70,7 @@ def test_spin_generators_are_the_ladder_generators_on_the_catalog(make):
 def test_adjoint_stack_matches_einsum_form(make, rng):
     """The one product with the Kronecker square against the conjugation einsum."""
     group = make()
-    xs = _qr_haar_unitaries(rng, 2, 50, special=group.dim == 3)
+    xs = np.stack([x.matrix for x in group.random_elements(rng, 50)])
     conj = np.einsum("nij,ajk,nlk->nail", xs, group.basis, xs.conj())
     oracle = (np.einsum("bij,naji->nba", group.basis, conj) * (-group.form_factor)).real
     stack = group.adjoint_stack(xs)

@@ -46,14 +46,14 @@ from homogdirac.sections import Pointwise, Product
 def fd_deriv(group, section, x, direction, h):
     xp = GroupElement(x.matrix @ group.exp(direction, h).matrix)
     xm = GroupElement(x.matrix @ group.exp(direction, -h).matrix)
-    return (np.atleast_1d(section.value(xp, group))
-            - np.atleast_1d(section.value(xm, group))) / (2 * h)
+    return (np.atleast_1d(section.value(xp))
+            - np.atleast_1d(section.value(xm))) / (2 * h)
 
 
 def assert_not_negligible(section, group):
     """A vanishing section (a half-integer spin averaged over the circle) tests nothing."""
-    probe = EvalPoints.of(group, [group.euler_element(0.3 * i, 0.5 + 0.4 * i, 1.1 * i)
-                                  for i in range(3)])
+    angles = [(0.3 * i, 0.5 + 0.4 * i, 1.1 * i) for i in range(3)]  # (alpha, beta, gamma)
+    probe = EvalPoints(group, group.haar_matrices(np.array(angles)))
     assert np.abs(section.values(probe)).max() > 1e-3
     return section
 
@@ -306,6 +306,26 @@ def test_l2_inner_off_su2_emits_no_bandwidth_warning(rng):
         assert l2_inner(w, w, rule) > 0
 
 
+def test_a_section_is_evaluated_only_on_its_own_group(sphere, full_group, rule8_full, rng):
+    """Values, derivatives and pairings on another group's points raise, also between
+    two SU(2) models: a section of one is not silently a function on the other."""
+    rep = spin_rep(sphere, 2)
+    f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
+    other = EvalPoints.of(full_group, full_group.random_elements(rng, 4))
+    match = "evaluated on a batch of group 'su2-trivial-k'"
+    with pytest.raises(ValueError, match=match):
+        f.values(other)
+    with pytest.raises(ValueError, match=match):
+        f.derivs(other, rng.standard_normal((4, 3)))
+    with pytest.raises(ValueError, match=match):
+        f.frame_derivs(other)
+    one = Constant(Codomain.scalar(), 1.0, group=full_group)
+    with pytest.raises(ValueError, match=match):
+        l2_inner(one, f, rule8_full)
+    with pytest.raises(ValueError, match=match):
+        Sum([Scale(one, f)]).values(EvalPoints.for_rule(full_group, rule8_full))
+
+
 def test_equivariant_projection_idempotent(sphere, rng):
     alg = spinor_algebra(sphere)
     raw = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
@@ -330,7 +350,7 @@ def test_equivariant_projection_satisfies_defining_condition(sphere, rng):
     proj = KAverage(raw, CliffordKRep(sphere, alg), sphere)
     for s in sphere.k_rule.nodes[::6]:
         x = sphere.random_element(rng)
-        assert equivariance_defect(proj, x, s, sphere) < 1e-10
+        assert equivariance_defect(proj, x, s) < 1e-10
 
 
 def test_delta_along_fundamental_equals_lambda(sphere, rng):
