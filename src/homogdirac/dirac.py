@@ -52,7 +52,6 @@ from .sections import (
     Section,
     Sum,
     invariant_basis,
-    l2_inner,
 )
 from .geometry import (
     ApplyConnection,
@@ -91,11 +90,11 @@ _CRITERION_TOL = 1e-8
 
 
 class _HodgeDirac(Section):
-    """D phi in constant-frame form: sum_b J_b R_b^T + phi C, one node.
+    """D phi in constant-frame form: phi C + sum_b J_b R_b^T, one node.
 
     J_b is phi's derivative along the complement-frame row b (its frame
-    Jacobian, cached on the batch), R_b right multiplication by e_b and C
-    the connection's :meth:`~homogdirac.geometry.Connection.dirac_correction`.
+    Jacobian, cached on the batch); C and the R_b^T are the connection's
+    :attr:`~homogdirac.geometry.Connection.dirac_stack`.
     """
 
     def __init__(self, connection: Connection, phi: Section):
@@ -110,17 +109,16 @@ class _HodgeDirac(Section):
         # the frame sum's bound (phi times two frame fields), so both forms warn alike
         self.bandwidth = phi.bandwidth + 2 * adjoint_rep(g).spin
         self.krep = phi.krep
-        # row (b, S) holds R_b^T[S, :], so one product sums over b and S
-        right = spinor_algebra(g).right_generators()
-        self._right = right.transpose(0, 2, 1).reshape(-1, right.shape[-1])
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         phi = self.children[0]
+        stack = self.connection.dirac_stack
         jac = phi.frame_derivs(pts)  # (b, n, S)
-        out = jac.transpose(1, 0, 2).reshape(pts.n, -1) @ self._right
+        # rows (b, S) of the stacked R_b^T, so one product sums over b and S
+        out = jac.transpose(1, 0, 2).reshape(pts.n, -1) @ stack[1:].reshape(-1, stack.shape[-1])
         if self.connection.is_canonical:
             return out
-        return out + phi.values(pts) @ self.connection.dirac_correction()
+        return out + phi.values(pts) @ stack[0]
 
 
 def hodge_dirac(connection: Connection, phi: Section,
@@ -175,11 +173,23 @@ def commutator_defect(connection: Connection, f: Section, phi: Section,
 
 def selfadjoint_defect(connection: Connection, pairs: list,
                        rule: QuadratureRule) -> float:
-    """max | <D phi, psi> - <phi, D psi> | over the test pairs."""
+    """max | <D phi, psi> - <phi, D psi> | over the test pairs.
+
+    D phi = sum_k X_k A_k, X = [phi, its frame Jacobian], is affine in the connection's
+    ``dirac_stack`` A: <D phi, psi> = sum conj(A) G(phi, psi) and <phi, D psi> is the conjugate
+    of sum conj(A) G(psi, phi), G the Gram stacks that the rule's batch keeps per phi, then psi,
+    until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_stack`),
+    so a sweep of connections over the same pairs pays for each pair once.
+    """
+    stack = connection.dirac_stack  # raises for incompatible connections
+    pts = EvalPoints.for_rule(connection.group, rule)
     worst = 0.0
     for phi, psi in pairs:
-        a = l2_inner(hodge_dirac(connection, phi), psi, rule)
-        b = l2_inner(phi, hodge_dirac(connection, psi), rule)
+        if phi.codomain.kind != "clifford" or psi.codomain.kind != "clifford":
+            raise ValueError("the Hodge-Dirac operator acts on Clifford-valued sections")
+        rule.warn_if_inexact(phi.bandwidth + 2 * adjoint_rep(connection.group).spin + psi.bandwidth)
+        a = np.vdot(stack, pts.gram_stack(phi, psi, rule.weights))
+        b = np.vdot(stack, pts.gram_stack(psi, phi, rule.weights)).conjugate()
         worst = max(worst, abs(a - b))
     return float(worst)
 

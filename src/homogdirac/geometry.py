@@ -100,7 +100,6 @@ class Connection:
             1.0, float(np.linalg.norm(self.gamma)))
         self._check_equivariance()
         self._derivations: np.ndarray | None = None
-        self._dirac_correction: np.ndarray | None = None
 
     def _check_equivariance(self) -> None:
         """gamma(ad_Z X) = [ad_Z, gamma(X)] for each ad_Z in ``group.k_tangent``.
@@ -122,16 +121,14 @@ class Connection:
             self._derivations = spinor_algebra(self.group).derivation_stack(self.gamma.real)
         return self._derivations
 
-    def dirac_correction(self) -> np.ndarray:
-        """C = sum_b Delta_b^T R_b^T: the Hodge-Dirac operator's zero-order part on row values.
-
-        Delta_b is the derivation extending gamma(u_b) and R_b right
-        multiplication by the generator e_b; C is zero for the canonical connection.
-        """
-        if self._dirac_correction is None:
-            right = spinor_algebra(self.group).right_generators()
-            self._dirac_correction = np.einsum("bST,bUS->TU", self.derivation_stack(), right)
-        return self._dirac_correction
+    @functools.cached_property
+    def dirac_stack(self) -> np.ndarray:
+        """A = [C, R_1^T, ..., R_p^T], complex: D phi = phi C + sum_b J_b R_b^T on row values,
+        J_b phi's derivative along complement-frame row b, R_b right multiplication by e_b
+        and C = sum_b Delta_b^T R_b^T (Delta_b extends gamma(u_b)), zero if canonical."""
+        right = spinor_algebra(self.group).right_generators()
+        correction = np.einsum("bST,bUS->TU", self.derivation_stack(), right)
+        return np.concatenate([correction[None], right.transpose(0, 2, 1)]).astype(complex)
 
     @functools.cached_property
     def torsion_tensor(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -75,9 +76,13 @@ class GroupElement:
         return f"GroupElement({self.matrix.tolist()!r})"
 
 
+class BandwidthWarning(UserWarning):
+    """Integrand bandwidth bound exceeds the quadrature rule's exactness."""
+
+
 @dataclass(eq=False)
 class QuadratureRule:
-    """Nodes and weights for integration over a compact group.
+    """Nodes and weights for integration over a compact group, the ``group`` it was built for.
 
     ``kind`` is "exact" for rules integrating all products of matrix
     coefficients of total spin <= ``bandwidth`` exactly, "monte-carlo"
@@ -87,6 +92,7 @@ class QuadratureRule:
     nodes: list
     weights: np.ndarray
     bandwidth: float
+    group: GroupModel = field(repr=False)
     kind: str = "exact"
     mc_sigma: float = 0.0
     # the sections.EvalPoints batch of the nodes, built on first use and kept for the rule's life
@@ -94,6 +100,12 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def warn_if_inexact(self, bound: float) -> None:
+        """Warn the caller's caller if an exact rule is below an integrand's bandwidth ``bound``."""
+        if self.kind == "exact" and bound > self.bandwidth + 1e-9:
+            warnings.warn(f"integrand bandwidth bound {bound} exceeds rule bandwidth "
+                          f"{self.bandwidth}", BandwidthWarning, stacklevel=3)
 
 
 def parse_value(kind, name: str, text: str):
@@ -231,7 +243,7 @@ class GroupModel:
         construction succeeds and this raises NotImplementedError.
         """
         if self.k_dim == 0:
-            return QuadratureRule([self.identity()], np.array([1.0]), np.inf)
+            return QuadratureRule([self.identity()], np.array([1.0]), np.inf, self)
         if self.k_dim == 1:
             # Circle subgroup: uniform rule over one full period.  The
             # generator is normalized so the period of exp(t Z) is read off
@@ -241,7 +253,7 @@ class GroupModel:
             ts = period * np.arange(_K_RULE_SIZE) / _K_RULE_SIZE
             nodes = [GroupElement(expm_skew(t * z)) for t in ts]
             return QuadratureRule(nodes, np.full(_K_RULE_SIZE, 1.0 / _K_RULE_SIZE),
-                                  (_K_RULE_SIZE - 1) / 2)
+                                  (_K_RULE_SIZE - 1) / 2, self)
         raise NotImplementedError("only trivial and one-parameter subgroups are cataloged")
 
     # -- catalog ---------------------------------------------------------------
@@ -443,12 +455,12 @@ class GroupModel:
             beta, alpha, gamma = np.meshgrid(np.arccos(us), circle, circle, indexing="ij")
             mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
             weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
-            return QuadratureRule([GroupElement(m) for m in mats], weights, float(bandwidth))
+            return QuadratureRule([GroupElement(m) for m in mats], weights, float(bandwidth), self)
         if kind == "exact":
             raise NotImplementedError(f"no exact rule for group {self.name!r}")
         count = node_count or 4096
         nodes = self.random_elements(rng or np.random.default_rng(0), count)
-        return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0,
+        return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0, self,
                               kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
 
     # -- diagnostics -----------------------------------------------------------

@@ -24,13 +24,14 @@ left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a list of elements
 of one group, and a section, which carries its group, is evaluated only
 on batches of that group (another group's batch raises ValueError).  A
-batch caches representation stacks, node values and each node's frame
+batch caches representation stacks, node values, each node's frame
 Jacobian (its derivatives along the complement-frame rows, which a
-covariant derivative contracts with its direction field), so quadrature
-loops over shared subgraphs cost one pass per node.  Each cache is a
-``weakref.WeakKeyDictionary``: an entry lives as long as both the batch
-and the node or representation it is keyed by, so a batch shared by a
-quadrature rule keeps nothing alive for graphs that are gone.  A subgroup
+covariant derivative contracts with its direction field) and weighted Gram
+stacks of node pairs, so quadrature loops over shared subgraphs cost one
+pass per node.  Each cache is a ``weakref.WeakKeyDictionary``: an entry
+lives as long as the batch and the nodes or representation it is keyed by,
+so a batch shared by a quadrature rule keeps nothing alive for graphs that
+are gone.  A subgroup
 action carries its generators, and an equivariant section is a sum of
 projected coefficients u* rho(x) P(v), P the closed-form subgroup average
 (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
@@ -42,7 +43,6 @@ against the quadrature rule.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass
 from functools import partial
@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .cliffordalg import CliffordAlgebra
-from .groups import GroupElement, GroupModel, QuadratureRule
+from .groups import BandwidthWarning, GroupElement, GroupModel, QuadratureRule
 from .reps import UnitaryRep, adjoint_rep
 
 __all__ = [
@@ -87,10 +87,6 @@ __all__ = [
     "BandwidthWarning",
     "DerivativeOrderError",
 ]
-
-
-class BandwidthWarning(UserWarning):
-    """Integrand bandwidth bound exceeds the quadrature rule's exactness."""
 
 
 class DerivativeOrderError(RuntimeError):
@@ -137,6 +133,7 @@ class EvalPoints:
         self._reps = weakref.WeakKeyDictionary()
         self._vals = weakref.WeakKeyDictionary()
         self._jac = weakref.WeakKeyDictionary()
+        self._gram = weakref.WeakKeyDictionary()  # {phi: {psi: Gram stack}}
         self._orbit: EvalPoints | None = None
 
     # -- constructors ---------------------------------------------------------
@@ -147,7 +144,9 @@ class EvalPoints:
 
     @classmethod
     def for_rule(cls, group: GroupModel, rule: QuadratureRule) -> "EvalPoints":
-        if rule.points is None or rule.points.group is not group:
+        if rule.group is not group:
+            raise ValueError(f"a rule of group {rule.group.name!r} used on group {group.name!r}")
+        if rule.points is None:
             rule.points = cls.of(group, rule.nodes)
         return rule.points
 
@@ -201,6 +200,16 @@ class EvalPoints:
                 jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
             self._jac[node] = jac
         return jac
+
+    def gram_stack(self, phi: "Section", psi: "Section", weights: np.ndarray) -> np.ndarray:
+        """sum_x w_x X_k(x)^* psi(x), X = [phi, phi's frame Jacobian], shape (1 + m_dim, S, T):
+        kept while phi, psi and the batch live, so ``weights`` are those of the batch's rule."""
+        row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
+        if psi not in row:
+            w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
+            parts = (w_psi @ phi.values(self))[None], w_psi @ phi.frame_derivs(self)
+            row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
+        return row[psi]
 
 
 def _check_group(node: "Section", pts: EvalPoints) -> None:
@@ -812,11 +821,7 @@ def l2_inner(a: Section, b: Section, rule: QuadratureRule) -> complex:
     Warns if the combined bandwidth bound of the integrand exceeds the
     declared exactness of the rule; sections of different groups raise ValueError.
     """
-    bound = a.bandwidth + b.bandwidth
-    if rule.kind == "exact" and bound > rule.bandwidth + 1e-9:
-        warnings.warn(
-            f"integrand bandwidth bound {bound} exceeds rule bandwidth {rule.bandwidth}",
-            BandwidthWarning, stacklevel=2)
+    rule.warn_if_inexact(a.bandwidth + b.bandwidth)
     pts = EvalPoints.for_rule(a.group, rule)
     pair = _pairing(a.values(pts), b.values(pts))
     total = complex(np.dot(rule.weights, pair))

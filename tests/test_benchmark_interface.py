@@ -2,8 +2,10 @@
 
 ``perfbench/`` reaches the package only through its workloads; a change to
 a call they make (``KAverage``, ``random_elements``, ``run_verify``, ...)
-should fail here rather than in a benchmark run.  The benchmark's files
-are loaded read-only, as its worker loads them.
+should fail here rather than in a benchmark run.  So should a change that
+makes a traced operation differ from an untraced one, which the benchmark
+counts as a failed check.  The benchmark's files are loaded read-only, as
+its worker loads them.
 """
 
 import importlib.util
@@ -23,6 +25,7 @@ def _load(name: str):
 
 workloads = _load("workloads")
 worker = _load("worker")
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -34,3 +37,21 @@ def test_workload_passes_its_oracle_at_seed_7(name):
     failed = [(check, detail) for check, ok, detail in workload.oracle(hd, inputs, output)
               if not ok]
     assert not failed
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_workload_matches_its_untraced_digest_at_seed_7(name):
+    """Wrapping every layer function changes no output, and uninstalling puts each one back."""
+    workload = workloads.WORKLOADS[name]
+    hd = worker.import_program()
+    inputs = workload.inputs(7)
+    untraced = workload.digest(workload.run(hd, inputs))
+    tracer = tracing.Tracer()
+    assert tracer.install() > 0
+    try:
+        output, root = tracer.run_operation(workload.run, hd, inputs)
+    finally:
+        restored = tracer.uninstall()
+    assert restored
+    assert root[0] == tracing.ROOT and len(tracer.spans) > 1
+    assert workload.digest(output) == untraced

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from homogdirac import (
     CliffordKRep,
     CliffordProduct,
     Codomain,
+    Connection,
     Constant,
     EvalPoints,
     KAverage,
@@ -550,3 +553,125 @@ def test_catalog_coefficient_family_uses_the_zero_weight_columns(sphere):
     for f in coefficient_family(sphere, max_two_j=4):
         coef = f.children[0]
         assert np.array_equal(coef.v, np.eye(coef.rep.dim)[coef.rep.dim // 2])
+
+
+# -- the Gram-stack defect against the quadrature pairing it replaces ----------
+
+
+def pairing_defect(conn, phi, psi, rule, frame=None):
+    """<D phi, psi> - <phi, D psi> as two quadrature pairings of Dirac nodes: the former route."""
+    return (l2_inner(hodge_dirac(conn, phi, frame=frame), psi, rule)
+            - l2_inner(phi, hodge_dirac(conn, psi, frame=frame), rule))
+
+
+def complex_skew_hermitian_gamma(group, rng):
+    """A real skew part plus i times a real symmetric part in each gamma(u_a)."""
+    p = group.m_dim
+    sym = rng.standard_normal((p, p, p))
+    return np.stack([_random_skew(rng, p) for _ in range(p)]) + 0.5j * (
+        sym + sym.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("space", ["full_group", "sphere", "rotated"])
+def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path, rng):
+    """Each pair's Gram-stack defect equals the pairing of D phi and D psi on the same rule,
+    through the closed-form node and through the frame sum, for every test-matrix connection."""
+    if space == "rotated":
+        from homogdirac import GroupModel
+        from test_cli import _custom_su2_file
+        g = GroupModel.from_config(_custom_su2_file(tmp_path, "rotated"))
+    else:
+        g = request.getfixturevalue(space)
+    rule = g.haar_rule(8)
+    pairs = defect_pairs(g, rng, g.m_dim + 6)
+    # complex sections with no equivariance tag, one sharing a pair with a real spinor,
+    # and a section paired with itself
+    alg = spinor_algebra(g)
+    rep = spin_rep(g, 2)
+    c1, c2 = (MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                                rng.standard_normal((3, alg.n)), Codomain.clifford(alg))
+              for _ in range(2))
+    pairs += [(c1, c2), (c1, pairs[-1][1]), (c2, c2)]
+    connections = connection_test_matrix(g, rng)
+    if g.k_dim == 0:
+        gamma = complex_skew_hermitian_gamma(g, rng)
+        connections.append(("complex", Connection(g, gamma, name="complex")))
+        assert connections[-1][1].is_compatible and np.abs(gamma.imag).max() > 0.1
+    frame = tangent_frame(g)
+    violated = 0
+    for name, conn in connections:
+        for phi, psi in pairs:
+            defect = selfadjoint_defect(conn, [(phi, psi)], rule)
+            tol = 1e-12 * max(1.0, defect)
+            assert abs(defect - abs(pairing_defect(conn, phi, psi, rule))) <= tol, name
+            assert abs(defect - abs(pairing_defect(conn, phi, psi, rule, frame))) <= tol, name
+            violated += defect > 1e-6
+    assert violated > 0 if g.k_dim == 0 else violated == 0  # a defect of 0 alone tests nothing
+
+
+def test_selfadjoint_defect_warns_and_raises_like_the_pairing_oracle(sphere, full_group, rng):
+    """The BandwidthWarning condition is l2_inner's on D phi and psi; bad inputs raise as in hodge_dirac."""
+    rule = sphere.haar_rule(2)
+    conn = canonical_connection(sphere)
+    one, phi = unit_spinor(sphere), random_spinor(sphere, rng, 2)
+    for pair in [(one, one), (one, phi), (phi, one), (phi, phi)]:
+        caught = []
+        for route in (lambda: pairing_defect(conn, *pair, rule),
+                      lambda: selfadjoint_defect(conn, [pair], rule)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                route()
+            caught.append({(w.category, str(w.message)) for w in seen})
+        assert caught[0] == caught[1]
+        assert bool(caught[0]) == (pair != (one, one))  # bound 2 meets the rule; 3 and 4 do not
+    scalar = invariant_scalar(sphere, rng)
+    for route in (pairing_defect, lambda c, a, b, r: selfadjoint_defect(c, [(a, b)], r)):
+        with pytest.raises(ValueError, match="Clifford-valued"):
+            route(conn, scalar, phi, rule)
+        one = unit_spinor(full_group)
+        unbalanced = Connection(full_group, rng.standard_normal((3, 3, 3)))  # not skew-valued
+        with pytest.raises(ValueError, match="metric-compatible|skew-valued"):
+            route(unbalanced, one, one, full_group.haar_rule(2))
+
+
+def test_a_second_connection_reuses_every_gram_stack(full_group, rng, monkeypatch):
+    """After one connection, another on the same pairs and rule evaluates no section
+    values, frame Jacobians or Gram stacks: it contracts its operator stack only."""
+    rule = full_group.haar_rule(4)
+    pairs = defect_pairs(full_group, rng, 6)
+    first, second = [c for _, c in connection_test_matrix(full_group, rng, n_good=1, n_bad=1)][2:]
+    selfadjoint_defect(first, pairs, rule)
+    pts = rule.points
+    grams = {(phi, psi): pts._gram[phi][psi] for pair in pairs
+             for phi, psi in (pair, pair[::-1])}
+    misses = []
+
+    def only_hits(name, cached):
+        fetch = getattr(EvalPoints, name)
+
+        def hit(self, *key_and_args):
+            if not cached(self, *key_and_args):
+                misses.append((name, key_and_args[0]))
+            return fetch(self, *key_and_args)
+        monkeypatch.setattr(EvalPoints, name, hit)
+
+    only_hits("node_values", lambda self, node: node in self._vals)
+    only_hits("frame_derivs", lambda self, node: node in self._jac)
+    only_hits("gram_stack", lambda self, phi, psi, w: psi in self._gram.get(phi, {}))
+    selfadjoint_defect(second, pairs, rule)
+    assert not misses
+    assert all(pts._gram[phi][psi] is gram for (phi, psi), gram in grams.items())
+
+
+def test_gram_stacks_die_with_the_rule_batch(sphere, rng):
+    """The rule's batch owns the Gram stacks: nothing keeps them once the rule is gone."""
+    import gc
+    import weakref
+    rule = sphere.haar_rule(4)
+    pairs = defect_pairs(sphere, rng, 4)
+    selfadjoint_defect(canonical_connection(sphere), pairs, rule)
+    kept = [weakref.ref(g) for row in rule.points._gram.values() for g in row.values()]
+    assert len(kept) == 2 * len(pairs)
+    del rule
+    gc.collect()
+    assert all(r() is None for r in kept)

@@ -9,6 +9,7 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from homogdirac import (
@@ -90,22 +91,33 @@ def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rn
 
 
 def test_cache_entries_die_with_their_keys(sphere, rng):
-    """A node's value and Jacobian entries, and an action's basis entry, are dropped with their key."""
+    """A node's value and Jacobian entries, a pair's Gram stacks, and an action's basis entry,
+    are dropped with their key: a Gram stack with either of its two sections."""
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
     kept = [weakref.ref(f.values(pts)), weakref.ref(f.frame_derivs(pts))]
     assert f in pts._vals and f in pts._jac
+    algebra = spinor_algebra(sphere)
+    phi, psi = _spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng)
+    weights = np.full(pts.n, 1.0 / pts.n)
+    kept += [weakref.ref(pts.gram_stack(phi, psi, weights)),
+             weakref.ref(pts.gram_stack(psi, phi, weights))]
+    assert psi in pts._gram[phi] and phi in pts._gram[psi]
     krep = TangentKRep(sphere)
     other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
     kept.append(weakref.ref(krep.basis(other, sphere.m_dim)))
     assert other in krep._bases
     gc.collect()  # the action is shared, so first drop entries other tests left to the collector
     entries = len(krep._bases)
-    del f, other
+    del f, other, psi  # psi keys one Gram stack's row and the other's entry
     gc.collect()
     assert all(r() is None for r in kept)
-    assert (len(pts._vals), len(pts._jac), len(krep._bases)) == (0, 0, entries - 1)
+    assert list(pts._gram) == [phi] and len(pts._gram[phi]) == 0
+    del phi
+    gc.collect()
+    assert (len(pts._vals), len(pts._jac), len(pts._gram), len(krep._bases)) == (0, 0, 0,
+                                                                                 entries - 1)
 
 
 def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
