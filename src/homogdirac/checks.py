@@ -547,8 +547,9 @@ ANCHORS = frozenset(anchor for anchor, *_ in
                     _GROUP_CHECKS + _BUNDLE_CHECKS + _GEOMETRY_CHECKS + [_CONFIGURED_TORSION] + _DIRAC_CHECKS)
 
 
-def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | None = None) -> list:
-    """The report rows; ``seconds``, if given, gets each check's wall time by anchor."""
+def run_suite(cfg, group: GroupModel, rng: np.random.Generator, stats: dict | None = None) -> list:
+    """The report rows; ``stats``, if given, gets each check's wall time by anchor
+    (``check_seconds``) and the bytes the sample and rule batches retain at the end."""
     ctx = _Context(cfg, group, rng)
     checks = list(_GROUP_CHECKS) + list(_BUNDLE_CHECKS)
     if cfg.bundle in ("tangent", "clifford"):
@@ -557,13 +558,12 @@ def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | 
             checks.append(_CONFIGURED_TORSION)
     if cfg.bundle == "clifford":
         checks += _DIRAC_CHECKS
-    results = []
+    results, seconds = [], {}
     for anchor, name, default_tol, fn in checks:
         tol = float(cfg.tolerances.get(anchor, default_tol))
         start = time.perf_counter()
         residual, samples = fn(ctx)
-        if seconds is not None:
-            seconds[anchor] = time.perf_counter() - start
+        seconds[anchor] = time.perf_counter() - start
         results.append({
             "anchor": anchor,
             "name": name,
@@ -572,4 +572,8 @@ def run_suite(cfg, group: GroupModel, rng: np.random.Generator, seconds: dict | 
             "samples": int(samples),
             "pass": bool(residual <= tol),
         })
+    if stats is not None:
+        batches = {"samples": ctx.pts, "rule": EvalPoints.for_rule(group, ctx.rule)}
+        stats.update(check_seconds=seconds,
+                     retained_bytes={k: pts.retained_bytes() for k, pts in batches.items()})
     return results

@@ -6,7 +6,7 @@ Three subcommands:
   group/bundle/connection and emit a JSON report, one entry per check
   with its residual, tolerance and verdict.  Exit status 1 if any check
   fails, 2 on configuration errors.  ``--stats PATH`` writes each check's
-  wall time to a JSON sidecar, leaving the report deterministic.
+  wall time and retained bytes to a JSON sidecar, leaving the report deterministic.
 * ``spectrum`` -- assemble the isotypic blocks of the Hodge-Dirac
   operator up to the highest level ``--levels`` and emit them as CSV,
   ordered by level and ascending eigenvalue.  The blocks are closed form:
@@ -156,11 +156,11 @@ def load_config(path: str) -> RunConfig:
 # -- verify ---------------------------------------------------------------------
 
 
-def run_verify(cfg: RunConfig, seconds: dict | None = None) -> dict:
-    """Execute the applicable invariant checks and build the report; ``seconds`` as in run_suite."""
+def run_verify(cfg: RunConfig, stats: dict | None = None) -> dict:
+    """Execute the applicable invariant checks and build the report; ``stats`` as in run_suite."""
     group = cfg.validate().make_group()
     rng = np.random.default_rng(cfg.seed)
-    results = _checks.run_suite(cfg, group, rng, seconds)
+    results = _checks.run_suite(cfg, group, rng, stats)
     report = {
         "config": cfg.as_dict(),
         "checks": results,
@@ -271,7 +271,7 @@ def main(argv: list | None = None) -> int:
     for name in ("verify", "spectrum", "monopole"):
         _add_common(sub.add_parser(name))
     sub.choices["verify"].add_argument(
-        "--stats", help="write each check's wall time (s) to this JSON file")
+        "--stats", help="write check wall times (s) and retained bytes to this JSON file")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
@@ -279,11 +279,11 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = _build_config(args)
         if args.command == "verify":
-            seconds = {}
-            report = run_verify(cfg, seconds)
+            stats = {} if args.stats else None
+            report = run_verify(cfg, stats)
             _write_json(report, cfg.output)
-            if args.stats:
-                _write_json({"check_seconds": seconds}, args.stats)
+            if stats is not None:
+                _write_json(stats, args.stats)
             return 0 if report["pass"] else 1
         if args.command == "spectrum":
             rows = run_spectrum(cfg)

@@ -178,16 +178,22 @@ def selfadjoint_defect(connection: Connection, pairs: list,
     D phi = sum_k X_k A_k, X = [phi, its frame Jacobian], is affine in the connection's
     ``dirac_stack`` A: <D phi, psi> = sum conj(A) G(phi, psi) and <phi, D psi> is the conjugate
     of sum conj(A) G(psi, phi), G the Gram stacks that the rule's batch keeps per phi, then psi,
-    until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_stack`),
-    so a sweep of connections over the same pairs pays for each pair once.
+    until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_row`),
+    so a connection sweep pays for each pair once, and for each Jacobian once per call.
     """
     stack = connection.dirac_stack  # raises for incompatible connections
     pts = EvalPoints.for_rule(connection.group, rule)
-    worst = 0.0
+    rows = {}  # left operand -> right operands
     for phi, psi in pairs:
         if phi.codomain.kind != "clifford" or psi.codomain.kind != "clifford":
             raise ValueError("the Hodge-Dirac operator acts on Clifford-valued sections")
         rule.warn_if_inexact(phi.bandwidth + 2 * adjoint_rep(connection.group).spin + psi.bandwidth)
+        rows.setdefault(phi, []).append(psi)
+        rows.setdefault(psi, []).append(phi)
+    for phi, psis in rows.items():
+        pts.gram_row(phi, psis, rule.weights)
+    worst = 0.0
+    for phi, psi in pairs:
         a = np.vdot(stack, pts.gram_stack(phi, psi, rule.weights))
         b = np.vdot(stack, pts.gram_stack(psi, phi, rule.weights)).conjugate()
         worst = max(worst, abs(a - b))

@@ -79,7 +79,7 @@ class Connection:
     tangent-complement basis vector, shape (p, p, p); the correction applied
     to a section is the operator ``gamma(W(x))`` (extended to a derivation
     of the Clifford bundle when the section is Clifford-valued, which
-    requires skew values).
+    requires real skew values).
     """
 
     def __init__(self, group: GroupModel, gamma: np.ndarray | None = None,
@@ -114,9 +114,13 @@ class Connection:
                 f"gamma violates the subgroup intertwining condition (residual {worst:.2e})")
 
     def derivation_stack(self) -> np.ndarray:
-        """Derivation matrices extending each gamma(u_a) to the Clifford algebra."""
+        """Derivation matrices extending each gamma(u_a) to the Clifford algebra; an imaginary
+        (symmetric) part of gamma has no such extension and raises ValueError."""
         if not self.is_compatible:
             raise ValueError("only skew-valued corrections extend to the Clifford bundle")
+        imag = float(np.linalg.norm(self.gamma.imag))
+        if imag > _SKEW_TOL * max(1.0, float(np.linalg.norm(self.gamma))):
+            raise ValueError(f"gamma's imaginary part of norm {imag:.2e} has no Clifford extension")
         if self._derivations is None:
             self._derivations = spinor_algebra(self.group).derivation_stack(self.gamma.real)
         return self._derivations

@@ -21,24 +21,23 @@ carries the product rule once, or a fixed real-linear map of one section
 (:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
-Evaluation is batched: an :class:`EvalPoints` wraps a list of elements
-of one group, and a section, which carries its group, is evaluated only
-on batches of that group (another group's batch raises ValueError).  A
-batch caches representation stacks, node values, each node's frame
-Jacobian (its derivatives along the complement-frame rows, which a
-covariant derivative contracts with its direction field) and weighted Gram
-stacks of node pairs, so quadrature loops over shared subgraphs cost one
-pass per node.  Each cache is a ``weakref.WeakKeyDictionary``: an entry
-lives as long as the batch and the nodes or representation it is keyed by,
-so a batch shared by a quadrature rule keeps nothing alive for graphs that
-are gone.  A subgroup
-action carries its generators, and an equivariant section is a sum of
+Evaluation is batched: an :class:`EvalPoints` wraps a list of elements of one
+group, and a section, which carries its group, is evaluated only on batches of
+that group (another group's batch raises ValueError).  A batch caches what a
+later step reads again: representation stacks, node values (a constant's are a
+read-only view of it), the frame Jacobian (the derivatives along the
+complement-frame rows) of each node that a covariant derivative contracts with
+a direction field, and weighted Gram stacks of node pairs, which pin no
+Jacobian.  Each cache is a ``weakref.WeakKeyDictionary``: an entry lives as
+long as the batch and the nodes or representation it is keyed by, so a batch
+shared by a quadrature rule keeps nothing alive for graphs that are gone.  A
+subgroup action carries its generators, and an equivariant section is a sum of
 projected coefficients u* rho(x) P(v), P the closed-form subgroup average
 (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
-subgroup rule on an orbit batch (x s for every rule node s), is kept as
-its quadrature oracle.  Each node carries a conservative bandwidth bound
-(total spin of its Peter-Weyl content) that :func:`l2_inner` checks
-against the quadrature rule.
+subgroup rule on an orbit batch (x s for every rule node s), is kept as its
+quadrature oracle.  Each node carries a conservative bandwidth bound (total
+spin of its Peter-Weyl content) that :func:`l2_inner` checks against the
+quadrature rule.
 """
 
 from __future__ import annotations
@@ -194,22 +193,43 @@ class EvalPoints:
         """The node's derivatives along each complement-frame row, shape (m_dim, n, *shape)."""
         jac = self._jac.get(node)
         if jac is None:
-            frame = self.group.m_frame
-            jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
-            for b, y in enumerate(frame):
-                jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
-            self._jac[node] = jac
+            jac = self._jac[node] = self._frame_jacobian(node)
+        return jac
+
+    def retained_bytes(self) -> int:
+        """Bytes of the distinct base buffers the caches hold: a view counts as its base, once."""
+        bases = {}
+        for a in [*self._reps.values(), *self._vals.values(), *self._jac.values(),
+                  *(g for row in self._gram.values() for g in row.values())]:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
+        return sum(bases.values())
+
+    def _frame_jacobian(self, node: "Section") -> np.ndarray:
+        frame = self.group.m_frame
+        jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
+        for b, y in enumerate(frame):
+            jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
         return jac
 
     def gram_stack(self, phi: "Section", psi: "Section", weights: np.ndarray) -> np.ndarray:
         """sum_x w_x X_k(x)^* psi(x), X = [phi, phi's frame Jacobian], shape (1 + m_dim, S, T):
         kept while phi, psi and the batch live, so ``weights`` are those of the batch's rule."""
+        return self.gram_row(phi, [psi], weights)[psi]
+
+    def gram_row(self, phi: "Section", psis, weights: np.ndarray) -> weakref.WeakKeyDictionary:
+        """phi's :meth:`gram_stack` by right operand, with each of ``psis``; the missing ones
+        share phi's cached frame Jacobian, or one made for them alone and then dropped."""
         row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
-        if psi not in row:
-            w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
-            parts = (w_psi @ phi.values(self))[None], w_psi @ phi.frame_derivs(self)
-            row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
-        return row[psi]
+        missing = [psi for psi in dict.fromkeys(psis) if psi not in row]
+        if missing:
+            jac = self._jac[phi] if phi in self._jac else self._frame_jacobian(phi)
+            for psi in missing:
+                w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
+                parts = (w_psi @ phi.values(self))[None], w_psi @ jac
+                row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
+        return row
 
 
 def _check_group(node: "Section", pts: EvalPoints) -> None:
@@ -400,7 +420,8 @@ class Section:
 
 
 class Constant(Section):
-    """A constant section."""
+    """A constant section: its values are a read-only stride-0 view of ``const``, not a
+    copy per point, and its zero derivative adds no term to a :class:`Sum` or :class:`Product`."""
 
     def __init__(self, codomain: Codomain, value, krep=None, *, group: GroupModel):
         self.codomain = codomain
@@ -412,10 +433,10 @@ class Constant(Section):
         self.children = ()
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        return np.broadcast_to(self.const, (pts.n,) + self.codomain.shape).copy()
+        return np.broadcast_to(self.const, (pts.n,) + self.codomain.shape)
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        return np.zeros((pts.n,) + self.codomain.shape, dtype=complex)
+        return np.broadcast_to(0j, (pts.n,) + self.codomain.shape)
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return Constant(self.codomain, np.zeros(self.codomain.shape), group=self.group)
@@ -506,9 +527,10 @@ class Sum(Section):
         return out
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        out = self.coeffs[0] * self.children[0].derivs(pts, dirs)
-        for c, child in zip(self.coeffs[1:], self.children[1:]):
-            out = out + c * child.derivs(pts, dirs)
+        out = np.broadcast_to(0j, (pts.n,) + self.codomain.shape)
+        for c, child in zip(self.coeffs, self.children):
+            if not isinstance(child, Constant):  # a constant adds no term
+                out = out + c * child.derivs(pts, dirs)
         return out
 
     def _lambda(self, coords: np.ndarray) -> Section:
@@ -543,7 +565,11 @@ class Product(Section):
         return self.mul(a.values(pts), b.values(pts))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        a, b = self.children
+        a, b = self.children  # a constant factor's term is zero and left out
+        if isinstance(b, Constant):
+            return self.mul(a.derivs(pts, dirs), b.values(pts))
+        if isinstance(a, Constant):
+            return self.mul(a.values(pts), b.derivs(pts, dirs))
         return (self.mul(a.derivs(pts, dirs), b.values(pts))
                 + self.mul(a.values(pts), b.derivs(pts, dirs)))
 

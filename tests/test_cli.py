@@ -237,16 +237,22 @@ def test_verify_reports_are_deterministic(tmp_path):
 
 
 def test_verify_stats_sidecar_times_every_check(tmp_path):
-    """The sidecar holds each check's seconds; the report with it equals the one without."""
+    """The sidecar holds each check's seconds and the bytes the sample and rule batches
+    retain at the end; the report with it equals the one without."""
     args = ["verify", "--bundle", "tangent", "--sample-count", "15",
             "--quadrature-bandwidth", "6", "--seed", "11"]
     out, plain, stats = (os.path.join(tmp_path, n) for n in ("r.json", "p.json", "s.json"))
     assert main(args + ["--out", out, "--stats", stats]) == 0
     assert main(args + ["--out", plain]) == 0
     assert open(out).read() == open(plain).read()
-    seconds = json.load(open(stats))["check_seconds"]
+    sidecar = json.load(open(stats))
+    assert list(sidecar) == ["check_seconds", "retained_bytes"]
+    seconds = sidecar["check_seconds"]
     assert list(seconds) == [c["anchor"] for c in json.load(open(out))["checks"]]
     assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
+    retained = sidecar["retained_bytes"]
+    assert list(retained) == ["samples", "rule"]
+    assert all(isinstance(b, int) and b > 0 for b in retained.values())
     assert main(["spectrum", "--stats", stats]) == 2  # a verify option only
 
 

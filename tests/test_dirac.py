@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from homogdirac import (
     AInner,
+    ApplyConnection,
     CliffordKRep,
     CliffordProduct,
     Codomain,
@@ -593,10 +595,6 @@ def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path,
               for _ in range(2))
     pairs += [(c1, c2), (c1, pairs[-1][1]), (c2, c2)]
     connections = connection_test_matrix(g, rng)
-    if g.k_dim == 0:
-        gamma = complex_skew_hermitian_gamma(g, rng)
-        connections.append(("complex", Connection(g, gamma, name="complex")))
-        assert connections[-1][1].is_compatible and np.abs(gamma.imag).max() > 0.1
     frame = tangent_frame(g)
     violated = 0
     for name, conn in connections:
@@ -607,6 +605,30 @@ def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path,
             assert abs(defect - abs(pairing_defect(conn, phi, psi, rule, frame))) <= tol, name
             violated += defect > 1e-6
     assert violated > 0 if g.k_dim == 0 else violated == 0  # a defect of 0 alone tests nothing
+
+
+def test_a_complex_gamma_has_no_clifford_extension(full_group, rng):
+    """The symmetric imaginary part of a skew-Hermitian gamma extends to no derivation: every
+    Clifford-bundle route raises, naming its size, while the tangent derivative applies it."""
+    gamma = complex_skew_hermitian_gamma(full_group, rng)
+    conn = Connection(full_group, gamma, name="complex")
+    assert conn.is_compatible and np.abs(gamma.imag).max() > 0.1
+    pts = sample_pts(full_group, rng)
+    phi = random_spinor(full_group, rng)
+    routes = (conn.derivation_stack, lambda: conn.dirac_stack,
+              lambda: hodge_dirac(conn, phi).values(pts),
+              lambda: selfadjoint_defect(conn, [(phi, phi)], full_group.haar_rule(4)),
+              lambda: spectral_block(conn, 1))
+    size = re.escape(f"imaginary part of norm {np.linalg.norm(gamma.imag):.2e}")
+    for route in routes:
+        with pytest.raises(ValueError, match=size):
+            route()
+    w, xi = tangent_frame(full_group)[:2]
+    full = ApplyConnection(conn, w, xi).values(pts)
+    real = ApplyConnection(Connection(full_group, gamma.real), w, xi).values(pts)
+    imag = np.einsum("na,aij,nj->ni", w.values(pts), 1j * gamma.imag, xi.values(pts))
+    assert np.abs(imag).max() > 0.1
+    assert np.abs(full - real - imag).max() < 1e-12
 
 
 def test_selfadjoint_defect_warns_and_raises_like_the_pairing_oracle(sphere, full_group, rng):
@@ -675,3 +697,24 @@ def test_gram_stacks_die_with_the_rule_batch(sphere, rng):
     del rule
     gc.collect()
     assert all(r() is None for r in kept)
+
+
+def test_gram_stacks_pin_no_frame_jacobian(full_group, rng, monkeypatch):
+    """A call computes each section's frame Jacobian once, also for a section in two pairs,
+    and keeps none; a Jacobian that frame_derivs cached is used, not recomputed."""
+    rule = full_group.haar_rule(4)
+    pts = EvalPoints.for_rule(full_group, rule)
+    phi, psi, chi, cached = (random_spinor(full_group, rng) for _ in range(4))
+    jac = cached.frame_derivs(pts)
+    computed = []
+    compute = EvalPoints._frame_jacobian
+    monkeypatch.setattr(EvalPoints, "_frame_jacobian",
+                        lambda self, node: computed.append(node) or compute(self, node))
+    pairs = [(phi, chi), (chi, psi), (psi, psi), (cached, phi)]
+    conn = minimal_violating_connection(full_group)
+    defect = selfadjoint_defect(conn, pairs, rule)
+    assert sorted(map(id, computed)) == sorted(map(id, (phi, psi, chi)))
+    assert not any(s in pts._jac for s in (phi, psi, chi)) and pts._jac[cached] is jac
+    monkeypatch.undo()
+    oracle = max(abs(pairing_defect(conn, a, b, rule)) for a, b in pairs)
+    assert oracle > 1e-6 and abs(defect - oracle) <= 1e-12 * oracle

@@ -81,13 +81,33 @@ def test_selfadjoint_defect_retains_nothing_per_call(full_group, rng):
 
 
 def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rng):
-    """Each call caches frame Jacobians of new spinors on the shared rule; they die with them."""
+    """Each call caches values and Gram stacks of new spinors on the shared rule; they die with them."""
     rule = sphere.haar_rule(4)
     algebra = spinor_algebra(sphere)
     conn = canonical_connection(sphere)
     growth = _retained_growth(lambda: selfadjoint_defect(
         conn, [(_spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng))], rule))
     assert growth < _GROWTH_BYTES
+
+
+def test_selfadjoint_defect_peak_holds_no_constant_copies_or_jacobians(full_group, rng):
+    """One call on 8 fresh spinor pairs over haar_rule(8) (1,445 nodes) peaks at most 15 MB:
+    constants are views and Gram stacks keep no frame Jacobian (before, about 29 MB)."""
+    rule = full_group.haar_rule(8)
+    algebra = spinor_algebra(full_group)
+    conn = canonical_connection(full_group)
+    # the rule's batch and its representation stacks outlive any one call
+    selfadjoint_defect(conn, [(_spinor(full_group, algebra, rng),) * 2], rule)
+    pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))
+             for _ in range(8)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        selfadjoint_defect(conn, pairs, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
 
 
 def test_cache_entries_die_with_their_keys(sphere, rng):

@@ -821,3 +821,84 @@ def test_real_part_keeps_only_a_real_action_tag(sphere, rng):
         else:
             assert part.krep is krep and defect < 1e-12
     assert part.krep is None  # the last case: the monopole's action is complex
+
+
+def test_constant_values_are_read_only_views_of_the_constant(full_group, rule8_full, rng):
+    """On the 1,445-node rule batch a constant holds no per-point copy: its values and its
+    zero derivatives are stride-0, read-only views."""
+    alg = spinor_algebra(full_group)
+    pts = EvalPoints.for_rule(full_group, rule8_full)
+    assert pts.n == 1445
+    c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=full_group)
+    vals = c.values(pts)
+    assert vals.shape == (pts.n, alg.n) and np.shares_memory(vals, c.const)
+    derivs = c.derivs(pts, rng.standard_normal((pts.n, full_group.dim)))
+    assert derivs.shape == vals.shape and not derivs.any()
+    for view in (vals, derivs):
+        assert view.strides[0] == 0 and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
+def _copied(section, pts):
+    """A constant's values as the per-point copy the product rule once read."""
+    return np.broadcast_to(section.const, (pts.n,) + section.codomain.shape).copy()
+
+
+def _full_rule(node, pts, dirs):
+    """The derivative with every term present, a constant's as explicit zeros."""
+    def parts(child):
+        if isinstance(child, Constant):
+            return _copied(child, pts), np.zeros((pts.n,) + child.codomain.shape, dtype=complex)
+        return child.values(pts), child.derivs(pts, dirs)
+    if isinstance(node, Sum):
+        out = node.coeffs[0] * parts(node.children[0])[1]
+        for c, child in zip(node.coeffs[1:], node.children[1:]):
+            out = out + c * parts(child)[1]
+        return out
+    (a, da), (b, db) = map(parts, node.children)
+    return node.mul(da, b) + node.mul(a, db)
+
+
+def test_constants_add_no_derivative_term(sphere, rng, monkeypatch):
+    """With a constant factor or summand the derivative is the full product (or sum) rule
+    with its zero terms written out, exactly, and no constant's derivative is evaluated."""
+    alg = spinor_algebra(sphere)
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 30))
+    dirs = rng.standard_normal((pts.n, sphere.dim))
+    rep = spin_rep(sphere, 2)
+    spinor = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                               rng.standard_normal((3, alg.n)), Codomain.clifford(alg))
+    scalar = RealPart(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)))
+    c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n) + 1j, group=sphere)
+    k = Constant(Codomain.scalar(), 2.5 - 0.5j, group=sphere)
+    nodes = [Scale(c, scalar), Scale(spinor, k),
+             CliffordProduct(alg, c, spinor), CliffordProduct(alg, spinor, c),
+             Sum([c, spinor, c], [1.5j, -2.0, 0.25]), Sum([spinor, c]),
+             Scale(c, k), Sum([c, c])]  # the all-constant nodes last
+    wants = [_full_rule(node, pts, dirs) for node in nodes]
+
+    def refuse(self, pts, dirs):
+        raise AssertionError("a constant's derivative was evaluated")
+    monkeypatch.setattr(Constant, "_derivs", refuse)
+    for node, want in zip(nodes, wants):
+        if all(isinstance(ch, Constant) for ch in node.children):
+            monkeypatch.undo()
+        else:
+            assert np.abs(want).max() > 0.1
+        assert np.array_equal(node.derivs(pts, dirs), want)
+
+
+def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 50))
+    assert pts.retained_bytes() == 0
+    alg = spinor_algebra(sphere)
+    c = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
+    c.values(pts)
+    assert pts.retained_bytes() == c.const.nbytes  # the view counts as its base
+    rep = spin_rep(sphere, 2)
+    f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
+    held = c.const.nbytes + f.values(pts).nbytes + pts.rep_stack(rep).nbytes
+    assert pts.retained_bytes() == held
+    jac = f.frame_derivs(pts)
+    assert pts.retained_bytes() == held + jac.nbytes
