@@ -28,14 +28,19 @@ later step reads again: representation stacks, node values (a constant's are a
 read-only view of it), the frame Jacobian (the derivatives along the
 complement-frame rows) of each node that a covariant derivative contracts with
 a direction field, and weighted Gram stacks of node pairs, which pin no
-Jacobian.  Each cache is a ``weakref.WeakKeyDictionary``: an entry lives as
-long as the batch and the nodes or representation it is keyed by, so a batch
-shared by a quadrature rule keeps nothing alive for graphs that are gone.  A
+Jacobian.  Each cache is a ``weakref.WeakKeyDictionary``: an entry lives at
+most as long as the batch and the nodes or representation it is keyed by, so a
+batch shared by a quadrature rule keeps nothing alive for graphs that are gone.
+Representation stacks and Gram stacks live that long.  Node values and frame
+Jacobians leave earlier when a Gram row is built (:meth:`EvalPoints.gram_row`):
+then the batch and its orbit drop those of every node below the row's left
+section, as a later connection reads only the Gram stacks, and the sections of
+the row keep theirs.  A dropped node is evaluated again if it is asked for.  A
 subgroup action carries its generators, and an equivariant section is a sum of
 projected coefficients u* rho(x) P(v), P the closed-form subgroup average
 (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
-subgroup rule on an orbit batch (x s for every rule node s), is kept as its
-quadrature oracle.  Each node carries a conservative bandwidth bound (total
+subgroup rule on an orbit batch (x s for every rule node s; for the trivial
+subgroup, the batch itself), is kept as its quadrature oracle.  Each node carries a conservative bandwidth bound (total
 spin of its Peter-Weyl content) that :func:`l2_inner` checks against the
 quadrature rule.
 """
@@ -163,7 +168,10 @@ class EvalPoints:
         """The points x s for every subgroup-rule node s, node-major (K n points).
 
         A batch of its own: its representation stacks are closed forms of its matrices.
+        The trivial subgroup's one node is the identity, so its orbit is this batch.
         """
+        if self.group.k_dim == 0:
+            return self
         if self._orbit is None:
             nodes = EvalPoints.for_rule(self.group, self.group.k_rule).matrices
             prod = self.matrices[None] @ nodes[:, None]  # x_i s_k at index k * n + i
@@ -197,14 +205,20 @@ class EvalPoints:
         return jac
 
     def retained_bytes(self) -> int:
-        """Bytes of the distinct base buffers the caches hold: a view counts as its base, once."""
+        """Bytes of the distinct base buffers the caches of this batch and of its orbit hold:
+        a view counts as its base, once."""
         bases = {}
-        for a in [*self._reps.values(), *self._vals.values(), *self._jac.values(),
-                  *(g for row in self._gram.values() for g in row.values())]:
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            bases[id(a)] = a.nbytes
+        for b in self._batches():
+            for a in [*b._reps.values(), *b._vals.values(), *b._jac.values(),
+                      *(g for row in b._gram.values() for g in row.values())]:
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                bases[id(a)] = a.nbytes
         return sum(bases.values())
+
+    def _batches(self) -> list:
+        """This batch and its orbit, if one was built."""
+        return [self] if self._orbit is None else [self, self._orbit]
 
     def _frame_jacobian(self, node: "Section") -> np.ndarray:
         frame = self.group.m_frame
@@ -219,16 +233,33 @@ class EvalPoints:
         return self.gram_row(phi, [psi], weights)[psi]
 
     def gram_row(self, phi: "Section", psis, weights: np.ndarray) -> weakref.WeakKeyDictionary:
-        """phi's :meth:`gram_stack` by right operand, with each of ``psis``; the missing ones
-        share phi's cached frame Jacobian, or one made for them alone and then dropped."""
+        """phi's :meth:`gram_stack` by right operand, with each of ``psis``.
+
+        The missing ones share phi's cached frame Jacobian, or one made for them alone and
+        then dropped.  Once they are built, the row's inputs stay cached (the values of phi
+        and of ``psis``, and a Jacobian of phi that :meth:`frame_derivs` cached), but this
+        batch and its orbit drop the values and Jacobians of every other node below phi:
+        the Gram stacks are what a later connection reads, and a dropped node is evaluated
+        again if anything asks for it.
+        """
         row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
-        missing = [psi for psi in dict.fromkeys(psis) if psi not in row]
+        psis = dict.fromkeys(psis)
+        missing = [psi for psi in psis if psi not in row]
         if missing:
             jac = self._jac[phi] if phi in self._jac else self._frame_jacobian(phi)
             for psi in missing:
                 w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
                 parts = (w_psi @ phi.values(self))[None], w_psi @ jac
                 row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
+            seen, below = {phi, *psis}, list(phi.children)
+            while below:
+                node = below.pop()
+                if node not in seen:
+                    seen.add(node)
+                    for b in self._batches():
+                        b._vals.pop(node, None)
+                        b._jac.pop(node, None)
+                    below.extend(node.children)
         return row
 
 

@@ -685,6 +685,33 @@ def test_a_second_connection_reuses_every_gram_stack(full_group, rng, monkeypatc
     assert all(pts._gram[phi][psi] is gram for (phi, psi), gram in grams.items())
 
 
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_a_sweep_drops_nodes_below_its_operands_and_they_evaluate_again(space, request, rng):
+    """The Gram rows drop the values of the nodes below a pair's sections, on the batch and
+    on its orbit.  A dropped node that another live section shares evaluates again to the
+    same bits, and a second connection's defect equals that of a fresh, uncached run."""
+    group = request.getfixturevalue(space)
+    rule = group.haar_rule(4)
+    pts = EvalPoints.for_rule(group, rule)
+    alg = spinor_algebra(group)
+    rep = spin_rep(group, 2)
+    factor = RealPart(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)))
+    const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
+    phi = KAverage(Scale(const, factor), CliffordKRep(group, alg), group)
+    other = Scale(factor, factor)  # a live section through the same node
+    before, inner = factor.values(pts).copy(), l2_inner(other, factor, rule)
+    pairs = [(phi, random_spinor(group, rng)), (random_spinor(group, rng), phi)]
+    selfadjoint_defect(canonical_connection(group), pairs, rule)
+    kept = {s for pair in pairs for s in pair} | {other}
+    for batch in (pts, pts.orbit()):
+        assert set(batch._vals) <= kept and not batch._jac
+    assert np.array_equal(factor.values(pts), before)
+    assert l2_inner(other, factor, rule) == inner
+    _, conn = connection_test_matrix(group, rng, n_good=1, n_bad=1)[-1]  # violating if any
+    assert selfadjoint_defect(conn, pairs, rule) == selfadjoint_defect(
+        conn, pairs, group.haar_rule(4))
+
+
 def test_gram_stacks_die_with_the_rule_batch(sphere, rng):
     """The rule's batch owns the Gram stacks: nothing keeps them once the rule is gone."""
     import gc

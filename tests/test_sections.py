@@ -902,3 +902,19 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
     assert pts.retained_bytes() == held
     jac = f.frame_derivs(pts)
     assert pts.retained_bytes() == held + jac.nbytes
+    # the orbit's caches count too, and a constant viewed on both batches counts once
+    orbit = pts.orbit()
+    c.values(orbit)
+    avg = KAverage(f, TrivialKRep(), sphere)
+    held += avg.values(pts).nbytes + f.values(orbit).nbytes + orbit.rep_stack(rep).nbytes
+    assert pts.retained_bytes() == held + jac.nbytes
+
+
+def test_trivial_subgroup_orbit_is_the_batch_itself(sphere, full_group, rule8_full, rng):
+    """The trivial subgroup's rule is the identity, and x I = x exactly: no second batch."""
+    pts = EvalPoints.for_rule(full_group, rule8_full)
+    assert pts.orbit() is pts and pts._orbit is None
+    (node,) = full_group.k_rule.nodes
+    assert np.array_equal(pts.matrices @ node.matrix, pts.matrices)
+    small = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
+    assert len(sphere.k_rule) == 33 and small.orbit().n == 33 * small.n
