@@ -84,12 +84,14 @@ class BandwidthWarning(UserWarning):
 class QuadratureRule:
     """Nodes and weights for integration over a compact group, the ``group`` it was built for.
 
+    The nodes are held as one (count, N, N) stack of defining ``matrices``, from which the
+    rule's evaluation batch is built; :attr:`nodes` wraps them as elements only when asked.
     ``kind`` is "exact" for rules integrating all products of matrix
     coefficients of total spin <= ``bandwidth`` exactly, "monte-carlo"
     for sampled rules whose statistical error scales like ``mc_sigma``.
     """
 
-    nodes: list
+    matrices: np.ndarray
     weights: np.ndarray
     bandwidth: float
     group: GroupModel = field(repr=False)
@@ -99,7 +101,12 @@ class QuadratureRule:
     points: EvalPoints | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.matrices)
+
+    @property
+    def nodes(self) -> list:
+        """The nodes as group elements, in node order; a new list on each access."""
+        return [GroupElement(m) for m in self.matrices]
 
     def warn_if_inexact(self, bound: float) -> None:
         """Warn the caller's caller if an exact rule is below an integrand's bandwidth ``bound``."""
@@ -243,7 +250,7 @@ class GroupModel:
         construction succeeds and this raises NotImplementedError.
         """
         if self.k_dim == 0:
-            return QuadratureRule([self.identity()], np.array([1.0]), np.inf, self)
+            return QuadratureRule(self.identity().matrix[None], np.array([1.0]), np.inf, self)
         if self.k_dim == 1:
             # Circle subgroup: uniform rule over one full period.  The
             # generator is normalized so the period of exp(t Z) is read off
@@ -251,8 +258,8 @@ class GroupModel:
             z = np.einsum("a,aij->ij", self.k_frame[0], self.basis)
             period = _one_parameter_period(z)
             ts = period * np.arange(_K_RULE_SIZE) / _K_RULE_SIZE
-            nodes = [GroupElement(expm_skew(t * z)) for t in ts]
-            return QuadratureRule(nodes, np.full(_K_RULE_SIZE, 1.0 / _K_RULE_SIZE),
+            return QuadratureRule(expm_skew(ts[:, None, None] * z),
+                                  np.full(_K_RULE_SIZE, 1.0 / _K_RULE_SIZE),
                                   (_K_RULE_SIZE - 1) / 2, self)
         raise NotImplementedError("only trivial and one-parameter subgroups are cataloged")
 
@@ -417,6 +424,10 @@ class GroupModel:
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list:
         """``count`` Haar samples, drawn column by column (each draw for all samples in turn)."""
+        return [GroupElement(m) for m in self._random_matrices(rng, count)]
+
+    def _random_matrices(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The matrices of :meth:`random_elements`, as one stack."""
         if self._sampler() == "euler":
             alphas = rng.uniform(0.0, 4 * np.pi, count)
             gammas = rng.uniform(0.0, 4 * np.pi, count)
@@ -424,7 +435,7 @@ class GroupModel:
         else:
             shape = (count, self.matrix_dim, self.matrix_dim)
             draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return [GroupElement(m) for m in self.haar_matrices(draws)]
+        return self.haar_matrices(draws)
 
     def random_algebra(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
@@ -449,17 +460,17 @@ class GroupModel:
         if kind != "monte-carlo" and self._sampler() == "euler":
             n_circ = 2 * int(np.ceil(bandwidth)) + 1
             n_leg = int(np.ceil((bandwidth + 1) / 2))
-            us, wu = np.polynomial.legendre.leggauss(n_leg)
+            us, wu = _gauss_legendre(n_leg)
             circle = 4 * np.pi * np.arange(n_circ) / n_circ
             # node order: beta outermost, then alpha, then gamma
             beta, alpha, gamma = np.meshgrid(np.arccos(us), circle, circle, indexing="ij")
             mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
             weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
-            return QuadratureRule([GroupElement(m) for m in mats], weights, float(bandwidth), self)
+            return QuadratureRule(mats, weights, float(bandwidth), self)
         if kind == "exact":
             raise NotImplementedError(f"no exact rule for group {self.name!r}")
         count = node_count or 4096
-        nodes = self.random_elements(rng or np.random.default_rng(0), count)
+        nodes = self._random_matrices(rng or np.random.default_rng(0), count)
         return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0, self,
                               kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
 
@@ -469,6 +480,18 @@ class GroupModel:
         """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
         brackets = self.ad(self.m_frame) @ self.m_frame.T  # [Y_a, Y_b] in column b
         return float(np.linalg.norm(self.proj_m @ brackets, axis=1).max(initial=0.0))
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes on [-1, 1], ascending, and weights (Golub-Welsch).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre recurrence,
+    off-diagonal k / sqrt(4k^2 - 1), and each weight is 2 v_0^2 for the unit eigenvector v.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4 * k * k - 1)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2 * vecs[0] ** 2
 
 
 def _one_parameter_period(z: np.ndarray) -> float:

@@ -66,18 +66,21 @@ def _symmetric_power_stack(matrices: np.ndarray, n: int) -> np.ndarray:
     w_0[r] e_r (x) f_0 + w_1[r] e_{r-1} (x) f_1 with w_0 = sqrt((k-r)/k) and
     w_1 = sqrt(r/k); entrywise, rho_k[r', r] is the sum over a, b of
     w_a[r'] w_b[r] x[a, b] rho_{k-1}[r'-a, r-b].  Each step compresses a
-    unitary, so roundoff does not grow with n.
+    unitary, so roundoff does not grow with n.  The (a, b) term is nonzero only on
+    the k x k block at rows a.., columns b.., so each step adds the four weighted
+    blocks into one (k+1) x (k+1) stack in place, without a zero-padded copy.
     """
     x = np.asarray(matrices, dtype=complex)
     rho = np.ones((len(x), 1, 1), dtype=complex)
     for k in range(1, n + 1):
         r = np.arange(k + 1)
         w = (np.sqrt((k - r) / k), np.sqrt(r / k))
-        q = np.zeros((len(x), k + 2, k + 2), dtype=complex)  # rho_{k-1} with a zero border
-        q[:, 1:-1, 1:-1] = rho
-        rho = sum(np.outer(w[a], w[b])
-                  * (x[:, a, b, None, None] * q[:, 1 - a:k + 2 - a, 1 - b:k + 2 - b])
-                  for a in (0, 1) for b in (0, 1))
+        out = np.zeros((len(x), k + 1, k + 1), dtype=complex)
+        for a in (0, 1):
+            for b in (0, 1):
+                out[:, a:a + k, b:b + k] += (np.outer(w[a][a:a + k], w[b][b:b + k])
+                                             * (x[:, a, b, None, None] * rho))
+        rho = out
     return rho
 
 

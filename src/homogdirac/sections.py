@@ -21,9 +21,12 @@ carries the product rule once, or a fixed real-linear map of one section
 (:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
-Evaluation is batched: an :class:`EvalPoints` wraps a list of elements of one
-group, and a section, which carries its group, is evaluated only on batches of
-that group (another group's batch raises ValueError).  A batch caches what a
+Evaluation is batched: an :class:`EvalPoints` wraps a stack of defining
+matrices of one group (a quadrature rule's batch wraps the rule's own stack),
+and a section, which carries its group, is evaluated only on batches of that
+group (another group's batch raises ValueError).  A derivative takes one
+direction per point or one shared by all points; a frame Jacobian asks for
+each frame row as one shared direction.  A batch caches what a
 later step reads again: representation stacks, node values (a constant's are a
 read-only view of it), the frame Jacobian (the derivatives along the
 complement-frame rows) of each node that a covariant derivative contracts with
@@ -35,7 +38,9 @@ Representation stacks and Gram stacks live that long.  Node values and frame
 Jacobians leave earlier when a Gram row is built (:meth:`EvalPoints.gram_row`):
 then the batch and its orbit drop those of every node below the row's left
 section, as a later connection reads only the Gram stacks, and the sections of
-the row keep theirs.  A dropped node is evaluated again if it is asked for.  A
+the row keep theirs; once a call has built all its rows, it releases the orbit
+(:meth:`EvalPoints.release_orbit`) with its representation stacks.  A dropped node,
+or orbit, is built again if it is asked for.  A
 subgroup action carries its generators, and an equivariant section is a sum of
 projected coefficients u* rho(x) P(v), P the closed-form subgroup average
 (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
@@ -151,7 +156,7 @@ class EvalPoints:
         if rule.group is not group:
             raise ValueError(f"a rule of group {rule.group.name!r} used on group {group.name!r}")
         if rule.points is None:
-            rule.points = cls.of(group, rule.nodes)
+            rule.points = cls(group, rule.matrices)
         return rule.points
 
     @property
@@ -177,6 +182,10 @@ class EvalPoints:
             prod = self.matrices[None] @ nodes[:, None]  # x_i s_k at index k * n + i
             self._orbit = EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
         return self._orbit
+
+    def release_orbit(self) -> None:
+        """Drop the orbit batch with everything it caches; :meth:`orbit` builds it again."""
+        self._orbit = None
 
     # -- cached stacks ----------------------------------------------------------
 
@@ -223,8 +232,8 @@ class EvalPoints:
     def _frame_jacobian(self, node: "Section") -> np.ndarray:
         frame = self.group.m_frame
         jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
-        for b, y in enumerate(frame):
-            jac[b] = node.derivs(self, np.broadcast_to(y, (self.n, y.size)))
+        for b, y in enumerate(frame):  # one row at a time: a row's temporaries die before the next
+            jac[b] = node.derivs(self, y[None])
         return jac
 
     def gram_stack(self, phi: "Section", psi: "Section", weights: np.ndarray) -> np.ndarray:
@@ -426,6 +435,11 @@ class Section:
         return pts.node_values(self)
 
     def derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
+        """Derivatives along algebra directions at each point, shape (n, *codomain.shape).
+
+        ``dirs`` is (n, dim), one direction per point, or (1, dim), one direction shared
+        by every point; each node broadcasts the shared one only where it must.
+        """
         # linear over the reals in the directions only: RealPart and ImagPart
         # take parts of complex derivatives, so a complex direction field is
         # contracted with the real-direction Jacobian (frame_derivs) instead
@@ -508,8 +522,11 @@ class MatrixCoefficient(Section):
         return (self._rows(pts) @ self.v).reshape((pts.n,) + self.codomain.shape)
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        dv = (dirs @ self._dv).reshape((pts.n, self.rep.dim, -1))  # drho(Y) v per point
-        return (self._rows(pts)[:, None] @ dv).reshape((pts.n,) + self.codomain.shape)
+        dv = (dirs @ self._dv).reshape((len(dirs), self.rep.dim, -1))  # drho(Y) v
+        rows = self._rows(pts)
+        # one product for a shared direction, one small product per point otherwise
+        out = rows @ dv[0] if len(dv) == 1 else (rows[:, None] @ dv)[:, 0]
+        return out.reshape((pts.n,) + self.codomain.shape)
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return MatrixCoefficient(self.rep, self.rep.derivative(coords) @ self.u, self.v,
@@ -788,10 +805,13 @@ class KAverage(Section):
         return self._average(self.children[0].values(pts.orbit()))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        # Ad_{s^{-1}} dirs for every node s, rowwise
+        # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
         nodes = EvalPoints.for_rule(self.group, self.rule)
-        pulled = (dirs @ nodes.ad_stack()).reshape(-1, dirs.shape[-1])
-        return self._average(self.children[0].derivs(pts.orbit(), pulled))
+        pulled = dirs @ nodes.ad_stack()
+        if len(pulled) > 1:  # the orbit's K n points take K different directions
+            pulled = np.broadcast_to(pulled, (len(pulled), pts.n, dirs.shape[-1]))
+        return self._average(self.children[0].derivs(pts.orbit(),
+                                                     pulled.reshape(-1, dirs.shape[-1])))
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return KAverage(self.children[0]._lambda(coords), self.krep, self.group)
@@ -818,7 +838,7 @@ class ConjugatedProjection(Section):
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         r = pts.rep_stack(self.rep)
-        inner = (dirs @ self._dm).reshape(r.shape)  # [drho(Y), M] per point
+        inner = (dirs @ self._dm).reshape((len(dirs),) + r.shape[1:])  # [drho(Y), M]
         return r @ inner @ r.conj().transpose(0, 2, 1)
 
 

@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homogdirac
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
-from homogdirac.groups import _euler_matrices, _su2_raw_basis, expm_skew
+from homogdirac.groups import _euler_matrices, _gauss_legendre, _su2_raw_basis, expm_skew
 from test_geometry import su3_circle
 
 E3 = np.eye(3)
@@ -139,6 +143,40 @@ def test_gram_schmidt_on_skewed_basis():
 
 def test_quadrature_normalization_and_constants(rule8):
     assert abs(rule8.weights.sum() - 1.0) < 1e-14
+
+
+def test_gauss_legendre_rule_is_numpy_s():
+    """Golub-Welsch nodes and weights against numpy's Newton-refined ones."""
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 41):
+        nodes, weights = _gauss_legendre(n)
+        want_nodes, want_weights = leggauss(n)
+        assert np.abs(nodes - want_nodes).max() <= 1e-14, n
+        assert np.abs(weights - want_weights).max() <= 1e-14, n
+
+
+def test_a_haar_rule_imports_no_numpy_submodule():
+    """Building a rule imports neither numpy.polynomial nor numpy.random, which the package
+    import leaves unloaded: the first caller would pay for the import."""
+    code = ("import sys, homogdirac.cli; homogdirac.GroupModel.su2().haar_rule(8); "
+            "print([m for m in ('numpy.polynomial', 'numpy.random') if m in sys.modules])")
+    src = str(Path(homogdirac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_rule_nodes_are_the_rule_matrices(sphere, full_group, rng):
+    rules = [sphere.haar_rule(3), sphere.k_rule, full_group.k_rule,
+             full_group.haar_rule(2, kind="monte-carlo", node_count=7, rng=rng)]
+    for rule in rules:
+        nodes = rule.nodes
+        assert len(nodes) == len(rule) == len(rule.matrices) == len(rule.weights)
+        for i, node in enumerate(nodes):
+            assert np.array_equal(node.matrix, rule.matrices[i])
+        assert np.array_equal(EvalPoints.for_rule(rule.group, rule).matrices, rule.matrices)
 
 
 def test_quadrature_schur_orthogonality(sphere, rule8):

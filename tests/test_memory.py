@@ -126,6 +126,48 @@ def test_a_sweep_leaves_only_its_operands_values_on_the_rule(full_group, rng):
         assert set(batch._vals) <= operands and not batch._jac
 
 
+def _own_bytes(pts) -> int:
+    """Distinct base buffers of the batch's own caches, its orbit's left out."""
+    bases = {}
+    for a in [*pts._reps.values(), *pts._vals.values(), *pts._jac.values(),
+              *(g for row in pts._gram.values() for g in row.values())]:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch):
+    """One call on 8 spin-1 pairs over su2/u1 haar_rule(8) builds the orbit batch (47,685 points)
+    once for all its rows, then releases it: the rule's batch counts no orbit bytes (6.9 MB of
+    spin-1 stack before).  The next connection reads the Gram stacks, and a later subgroup
+    average builds the orbit again."""
+    rule = sphere.haar_rule(8)
+    algebra = spinor_algebra(sphere)
+    pairs = [(_spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng)) for _ in range(8)]
+    built = []  # weak references to each distinct orbit batch handed out
+    orbit = EvalPoints.orbit
+
+    def tracked(self):
+        batch = orbit(self)
+        if batch is not self and not any(r() is batch for r in built):
+            built.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(EvalPoints, "orbit", tracked)
+    selfadjoint_defect(canonical_connection(sphere), pairs, rule)
+    pts = rule.points
+    assert len(built) == 1 and built[0]() is None and pts._orbit is None
+    assert pts.retained_bytes() == _own_bytes(pts)
+    lc = levi_civita_connection(sphere)
+    assert selfadjoint_defect(lc, pairs, rule) == selfadjoint_defect(lc, pairs, sphere.haar_rule(8))
+    assert len(built) == 2  # the fresh rule's orbit only
+    later = _spinor(sphere, algebra, rng)
+    fresh = sphere.haar_rule(8)
+    assert np.array_equal(later.values(pts), later.values(EvalPoints.for_rule(sphere, fresh)))
+    assert pts._orbit is not None and len(built) == 4
+
+
 def test_cache_entries_die_with_their_keys(sphere, rng):
     """A node's value and Jacobian entries, a pair's Gram stacks, and an action's basis entry,
     are dropped with their key: a Gram stack with either of its two sections."""

@@ -5,6 +5,7 @@ import pytest
 
 from homogdirac import GroupModel, adjoint_rep, direct_sum, spin_rep
 from homogdirac.groups import _su2_raw_basis, expm_skew
+from homogdirac.reps import _symmetric_power_stack
 
 
 def rotated_su2(metric_scale=2.5):
@@ -76,3 +77,36 @@ def test_adjoint_stack_matches_einsum_form(make, rng):
     stack = group.adjoint_stack(xs)
     assert stack.shape == (50, group.dim, group.dim) and stack.dtype == float
     assert np.abs(stack - oracle).max() < 1e-14
+
+
+def padded_symmetric_power_stack(matrices, n):
+    """The former recursion: each step pads rho_{k-1} with a zero border and sums four
+    full-size weighted shifts of it.  The oracle of the in-place recursion."""
+    x = np.asarray(matrices, dtype=complex)
+    rho = np.ones((len(x), 1, 1), dtype=complex)
+    for k in range(1, n + 1):
+        r = np.arange(k + 1)
+        w = (np.sqrt((k - r) / k), np.sqrt(r / k))
+        q = np.zeros((len(x), k + 2, k + 2), dtype=complex)  # rho_{k-1} with a zero border
+        q[:, 1:-1, 1:-1] = rho
+        rho = sum(np.outer(w[a], w[b])
+                  * (x[:, a, b, None, None] * q[:, 1 - a:k + 2 - a, 1 - b:k + 2 - b])
+                  for a in (0, 1) for b in (0, 1))
+    return rho
+
+
+def test_symmetric_power_stack_is_the_padded_recursion_bit_for_bit(sphere, rule8, rng):
+    """Same products in the same order: equal to the last bit, on unitary and on arbitrary 2x2."""
+    stacks = [rule8.matrices, np.stack([x.matrix for x in sphere.random_elements(rng, 40)]),
+              rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))]
+    for xs in stacks:
+        for two_j in range(13):
+            assert np.array_equal(_symmetric_power_stack(xs, two_j),
+                                  padded_symmetric_power_stack(xs, two_j)), two_j
+
+
+def test_symmetric_power_roundoff_does_not_grow_with_n(sphere, rng):
+    xs = np.stack([x.matrix for x in sphere.random_elements(rng, 200)])
+    stack = _symmetric_power_stack(xs, 40)
+    defect = stack @ stack.conj().transpose(0, 2, 1) - np.eye(41)
+    assert np.abs(defect).max() <= 1e-12

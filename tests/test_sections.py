@@ -14,6 +14,7 @@ from homogdirac import (
     EmbedTangent,
     EvalPoints,
     FundamentalField,
+    GramSection,
     GroupElement,
     HarmonicSpinor,
     ImagPart,
@@ -40,7 +41,7 @@ from homogdirac import (
     translate,
 )
 from homogdirac.bundles import _section_spins
-from homogdirac.sections import Pointwise, Product
+from homogdirac.sections import ConjugatedProjection, Pointwise, Product
 
 
 def fd_deriv(group, section, x, direction, h):
@@ -918,3 +919,44 @@ def test_trivial_subgroup_orbit_is_the_batch_itself(sphere, full_group, rule8_fu
     assert np.array_equal(pts.matrices @ node.matrix, pts.matrices)
     small = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
     assert len(sphere.k_rule) == 33 and small.orbit().n == 33 * small.n
+
+
+def _shared_direction_zoo(group, rng):
+    """(name, section) for each node type a frame Jacobian walks through."""
+    rep = spin_rep(group, 2)
+    alg = spinor_algebra(group)
+    vec = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                            rng.standard_normal(3))
+    mat = HarmonicSpinor(rep, 1, rng.standard_normal((3, alg.n)), alg)
+    spinor = random_spinor(group, rng)
+    frame = tangent_bundle(group).frame
+    return [
+        ("MatrixCoefficient-vector", vec),
+        ("MatrixCoefficient-matrix", mat),
+        ("KAverage", spinor),
+        ("ConjugatedProjection", ConjugatedProjection(rep, rng.standard_normal((3, 3)))),
+        ("FrameField", frame[0]),
+        ("GramSection", GramSection(frame)),
+        ("Translate", translate(mat, group.random_element(rng))),
+        ("Sum", Sum([vec, RealPart(vec)], [0.5, 2.0])),
+        ("Product", CliffordProduct(alg, mat, spinor)),
+        ("Pointwise", ImagPart(vec)),
+    ]
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_a_shared_direction_is_every_point_s_direction(space, request, rng):
+    """derivs(pts, y[None]) equals derivs with y copied to every point, for each node type;
+    the frame Jacobian, which asks for each frame row shared, equals the per-point loop."""
+    group = request.getfixturevalue(space)
+    pts = EvalPoints.of(group, group.random_elements(rng, 9))
+    for name, section in _shared_direction_zoo(group, rng):
+        for y in [group.random_algebra(rng), *group.m_frame]:
+            shared = section.derivs(pts, y[None])
+            copied = section.derivs(pts, np.broadcast_to(y, (pts.n, y.size)))
+            assert shared.shape == copied.shape == (pts.n,) + section.codomain.shape, name
+            assert np.abs(shared - copied).max() <= 1e-15 * max(1.0, np.abs(copied).max()), name
+        loop = np.stack([section.derivs(pts, np.broadcast_to(y, (pts.n, y.size)))
+                         for y in group.m_frame])
+        jac = section.frame_derivs(pts)
+        assert np.abs(jac - loop).max() <= 1e-15 * max(1.0, np.abs(loop).max()), name
