@@ -10,7 +10,7 @@ metric lower-bound estimator built from Dirac commutators.
 
 from .groups import GroupElement, GroupModel, QuadratureRule, expm_skew
 from .cliffordalg import CliffordAlgebra
-from .reps import UnitaryRep, adjoint_rep, direct_sum, spin_rep
+from .reps import UnitaryRep, adjoint_rep, spin_rep
 from .sections import (
     AInner,
     BandwidthWarning,
@@ -64,7 +64,6 @@ from .geometry import (
     fundamental_field,
     levi_civita_connection,
     spinor_algebra,
-    symmetric_space_check,
     tangent_frame,
     torsion,
     torsion_trace,

@@ -82,10 +82,6 @@ class CliffordAlgebra:
             out[..., 1 << a] = v[..., a]
         return out
 
-    def vector_part(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        return np.stack([a[..., 1 << b] for b in range(self.p)], axis=-1)
-
     def random(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.n)
 

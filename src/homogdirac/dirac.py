@@ -180,7 +180,6 @@ def selfadjoint_defect(connection: Connection, pairs: list,
     of sum conj(A) G(psi, phi), G the Gram stacks that the rule's batch keeps per phi, then psi,
     until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_row`),
     so a connection sweep pays for each pair once, and for each Jacobian once per call.
-    Once every row is built, the batch's orbit is released: the next sweep reads only Gram stacks.
     """
     stack = connection.dirac_stack  # raises for incompatible connections
     pts = EvalPoints.for_rule(connection.group, rule)
@@ -193,7 +192,6 @@ def selfadjoint_defect(connection: Connection, pairs: list,
         rows.setdefault(psi, []).append(phi)
     for phi, psis in rows.items():
         pts.gram_row(phi, psis, rule.weights)
-    pts.release_orbit()
     worst = 0.0
     for phi, psi in pairs:
         a = np.vdot(stack, pts.gram_stack(phi, psi, rule.weights))
@@ -214,12 +212,6 @@ class CriterionReport:
     def passes(self) -> bool:
         return (self.torsion_trace_max <= self.tolerance
                 and self.correction_sum_residual <= self.tolerance)
-
-    @property
-    def consistent(self) -> bool:
-        """The two equivalent residuals must pass or fail together."""
-        return ((self.torsion_trace_max <= self.tolerance)
-                == (self.correction_sum_residual <= self.tolerance))
 
 
 def criterion_check(connection: Connection, pts: EvalPoints,

@@ -53,7 +53,6 @@ __all__ = [
     "canonical_derivative",
     "torsion",
     "torsion_trace",
-    "symmetric_space_check",
 ]
 
 _SKEW_TOL = 1e-10
@@ -175,10 +174,8 @@ def tangent_frame(group: GroupModel, basis: np.ndarray | None = None) -> list:
     so shared subgraphs are evaluated once.
     """
     if basis is None:
-        if group.frame_cache is None:
-            group.frame_cache = [FundamentalField(group, np.eye(group.dim)[j])
-                                 for j in range(group.dim)]
-        return group.frame_cache
+        return group.memo("tangent_frame", lambda: [FundamentalField(group, e)
+                                                    for e in np.eye(group.dim)])
     basis = np.asarray(basis, dtype=float)
     if np.linalg.norm(basis @ basis.T - np.eye(group.dim)) > 1e-10:
         raise ValueError("frame basis must be orthonormal")
@@ -261,8 +258,3 @@ def torsion_trace(connection: Connection, u: Section) -> Pointwise:
     return Pointwise(lambda vals: vals @ t, functools.partial(torsion_trace, connection), u,
                      Codomain.scalar(), TrivialKRep() if u.krep is not None else None)
 
-
-def symmetric_space_check(group: GroupModel) -> tuple:
-    """(is_symmetric, residual): whether tangent brackets fall into the isotropy algebra."""
-    residual = group.symmetric_space_residual()
-    return residual <= 1e-12, residual

@@ -228,12 +228,18 @@ class GroupModel:
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
         # row Z; the subgroup is connected, so these decide its invariants
         self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
-        # each built on first use by the named function and kept for the life of the group
-        self.frame_cache: list | None = None  # geometry.tangent_frame
         self.spin_reps: dict = {}  # reps.spin_rep, by two_j
-        self.ad_rep = None  # reps.adjoint_rep; its stack is every batch's adjoint stack
-        self.tangent_krep = None  # sections.TangentKRep, shared by all fundamental fields
-        self.clifford_krep = None  # sections.CliffordKRep
+        self._memo: dict = {}  # memo's values, by key
+
+    def memo(self, key: str, build):
+        """The value kept under ``key``: ``build()`` on first use, then kept for the group's life.
+
+        Modules keep here the one object they define per group, e.g. its adjoint representation.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     # -- construction helpers -------------------------------------------------
 

@@ -8,9 +8,9 @@ the section engine need nothing beyond the generators.
 
 The catalog covers the irreducible representations of SU(2) indexed by
 ``two_j`` (twice the spin), evaluated as symmetric powers of the defining
-2x2 matrix, their direct sums, and the adjoint representation of any
-cataloged group (one product with the Kronecker square of the defining
-matrix).  No value takes a logarithm or an exponential.
+2x2 matrix, and the adjoint representation of any cataloged group (one
+product with the Kronecker square of the defining matrix).  No value takes
+a logarithm or an exponential.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "UnitaryRep",
     "spin_rep",
     "adjoint_rep",
-    "direct_sum",
 ]
 
 
@@ -129,29 +128,9 @@ def adjoint_rep(group: GroupModel) -> UnitaryRep:
     Its coefficients are the fundamental fields, and its stack on a batch
     is the batch's adjoint stack.  The one object per group is kept on the group.
     """
-    if group.ad_rep is None:
-        # spin 1 on SU(2); elsewhere no exact rule exists to compare a bandwidth with
-        spin = 1.0 if group.matrix_dim == 2 and group.dim == 3 else np.inf
-        group.ad_rep = UnitaryRep(group, group.ad(np.eye(group.dim)), "adjoint",
-                                  spin=spin, stack_fn=group.adjoint_stack)
-    return group.ad_rep
-
-
-def direct_sum(*reps: UnitaryRep) -> UnitaryRep:
-    """Block-diagonal direct sum of representations of the same group."""
-    group = reps[0].group
-    dim = sum(r.dim for r in reps)
-
-    def block_diagonal(blocks):
-        out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
-        off = 0
-        for r, block in zip(reps, blocks):
-            out[..., off:off + r.dim, off:off + r.dim] = block
-            off += r.dim
-        return out
-
-    name = "+".join(r.name for r in reps)
-    return UnitaryRep(group, block_diagonal([r.generators for r in reps]), name,
-                      spin=max(r.spin for r in reps),
-                      stack_fn=lambda m: block_diagonal([r.matrix_stack(m) for r in reps]))
+    # spin 1 on SU(2); elsewhere no exact rule exists to compare a bandwidth with
+    return group.memo("adjoint_rep", lambda: UnitaryRep(
+        group, group.ad(np.eye(group.dim)), "adjoint",
+        spin=1.0 if group.matrix_dim == 2 and group.dim == 3 else np.inf,
+        stack_fn=group.adjoint_stack))
 

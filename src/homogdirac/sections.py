@@ -36,18 +36,17 @@ most as long as the batch and the nodes or representation it is keyed by, so a
 batch shared by a quadrature rule keeps nothing alive for graphs that are gone.
 Representation stacks and Gram stacks live that long.  Node values and frame
 Jacobians leave earlier when a Gram row is built (:meth:`EvalPoints.gram_row`):
-then the batch and its orbit drop those of every node below the row's left
-section, as a later connection reads only the Gram stacks, and the sections of
-the row keep theirs; once a call has built all its rows, it releases the orbit
-(:meth:`EvalPoints.release_orbit`) with its representation stacks.  A dropped node,
-or orbit, is built again if it is asked for.  A
-subgroup action carries its generators, and an equivariant section is a sum of
-projected coefficients u* rho(x) P(v), P the closed-form subgroup average
-(:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which averages over the
-subgroup rule on an orbit batch (x s for every rule node s; for the trivial
-subgroup, the batch itself), is kept as its quadrature oracle.  Each node carries a conservative bandwidth bound (total
-spin of its Peter-Weyl content) that :func:`l2_inner` checks against the
-quadrature rule.
+then the batch drops those of every node below the row's left section, as a
+later connection reads only the Gram stacks, and the sections of the row keep
+theirs; a dropped node is evaluated again if it is asked for.  A batch keeps no
+derived batch: a left translate or a subgroup orbit is a new batch per evaluation,
+and dies with it.  A subgroup action carries its generators, and an equivariant
+section is a sum of projected coefficients u* rho(x) P(v), P the closed-form
+subgroup average (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which
+averages over the subgroup rule on the orbit batch (x s for every rule node s;
+for the trivial subgroup, the batch itself), is kept as its quadrature oracle.
+Each node carries a conservative bandwidth bound (total spin of its Peter-Weyl
+content) that :func:`l2_inner` checks against the quadrature rule.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ class Codomain:
 class EvalPoints:
     """A batch of group elements with shared evaluation caches.
 
-    The one derived batch it keeps is :meth:`orbit`; left translates are not cached.
+    It keeps no derived batch: left translates and subgroup orbits are built per evaluation.
     """
 
     def __init__(self, group: GroupModel, matrices: np.ndarray):
@@ -143,7 +142,6 @@ class EvalPoints:
         self._vals = weakref.WeakKeyDictionary()
         self._jac = weakref.WeakKeyDictionary()
         self._gram = weakref.WeakKeyDictionary()  # {phi: {psi: Gram stack}}
-        self._orbit: EvalPoints | None = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -168,24 +166,6 @@ class EvalPoints:
     def left_translated(self, y_inv: GroupElement) -> "EvalPoints":
         """The points y_inv x, as a new uncached batch."""
         return EvalPoints(self.group, y_inv.matrix @ self.matrices)
-
-    def orbit(self) -> "EvalPoints":
-        """The points x s for every subgroup-rule node s, node-major (K n points).
-
-        A batch of its own: its representation stacks are closed forms of its matrices.
-        The trivial subgroup's one node is the identity, so its orbit is this batch.
-        """
-        if self.group.k_dim == 0:
-            return self
-        if self._orbit is None:
-            nodes = EvalPoints.for_rule(self.group, self.group.k_rule).matrices
-            prod = self.matrices[None] @ nodes[:, None]  # x_i s_k at index k * n + i
-            self._orbit = EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
-        return self._orbit
-
-    def release_orbit(self) -> None:
-        """Drop the orbit batch with everything it caches; :meth:`orbit` builds it again."""
-        self._orbit = None
 
     # -- cached stacks ----------------------------------------------------------
 
@@ -214,20 +194,15 @@ class EvalPoints:
         return jac
 
     def retained_bytes(self) -> int:
-        """Bytes of the distinct base buffers the caches of this batch and of its orbit hold:
-        a view counts as its base, once."""
+        """Bytes of the distinct base buffers this batch's caches hold: a view counts as its
+        base, once."""
         bases = {}
-        for b in self._batches():
-            for a in [*b._reps.values(), *b._vals.values(), *b._jac.values(),
-                      *(g for row in b._gram.values() for g in row.values())]:
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                bases[id(a)] = a.nbytes
+        for a in [*self._reps.values(), *self._vals.values(), *self._jac.values(),
+                  *(g for row in self._gram.values() for g in row.values())]:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
         return sum(bases.values())
-
-    def _batches(self) -> list:
-        """This batch and its orbit, if one was built."""
-        return [self] if self._orbit is None else [self, self._orbit]
 
     def _frame_jacobian(self, node: "Section") -> np.ndarray:
         frame = self.group.m_frame
@@ -247,9 +222,9 @@ class EvalPoints:
         The missing ones share phi's cached frame Jacobian, or one made for them alone and
         then dropped.  Once they are built, the row's inputs stay cached (the values of phi
         and of ``psis``, and a Jacobian of phi that :meth:`frame_derivs` cached), but this
-        batch and its orbit drop the values and Jacobians of every other node below phi:
-        the Gram stacks are what a later connection reads, and a dropped node is evaluated
-        again if anything asks for it.
+        batch drops the values and Jacobians of every other node below phi: the Gram stacks
+        are what a later connection reads, and a dropped node is evaluated again if anything
+        asks for it.
         """
         row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
         psis = dict.fromkeys(psis)
@@ -265,9 +240,8 @@ class EvalPoints:
                 node = below.pop()
                 if node not in seen:
                     seen.add(node)
-                    for b in self._batches():
-                        b._vals.pop(node, None)
-                        b._jac.pop(node, None)
+                    self._vals.pop(node, None)
+                    self._jac.pop(node, None)
                     below.extend(node.children)
         return row
 
@@ -357,9 +331,6 @@ class MatrixKRep(_KRep):
     def matrix(self, s: GroupElement) -> np.ndarray:
         return self._stack_fn(EvalPoints.of(self.group, [s]))[0]
 
-    def apply(self, s: GroupElement, values: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,...j->...i", self.matrix(s), values)
-
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
         return np.einsum("nji,n...j->n...i", self._stack_fn(s).conj(), values)
@@ -381,23 +352,26 @@ def TangentKRep(group: GroupModel) -> MatrixKRep:
 
     One action per group, kept on it, so sums of tangent sections keep their tag.
     """
-    if group.tangent_krep is None:
-        group.tangent_krep = MatrixKRep(
-            group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim,
-            group.k_tangent)
-    return group.tangent_krep
+    return group.memo("TangentKRep", lambda: MatrixKRep(
+        group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim,
+        group.k_tangent))
 
 
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
-    """Adjoint action on the group's spinor algebra by automorphisms; one per group, kept on it."""
+    """Adjoint action on the group's spinor algebra by automorphisms; one per group, kept on it.
+
+    ``algebra`` must have one generator per tangent direction, or this raises ValueError.
+    """
+    if algebra.p != group.m_dim:
+        raise ValueError(f"a Clifford algebra on {algebra.p} generators for a tangent "
+                         f"complement of dimension {group.m_dim}")
+
     def stack_fn(pts: EvalPoints) -> np.ndarray:
         return np.array([algebra.orthogonal_extend(t)
                          for t in _tangent_stack(group, pts)]).astype(complex)
 
-    if group.clifford_krep is None:
-        group.clifford_krep = MatrixKRep(
-            group, stack_fn, algebra.n, algebra.derivation_stack(group.k_tangent))
-    return group.clifford_krep
+    return group.memo("CliffordKRep", lambda: MatrixKRep(
+        group, stack_fn, algebra.n, algebra.derivation_stack(group.k_tangent)))
 
 
 class OperatorKRep:
@@ -783,6 +757,8 @@ class KAverage(Section):
     defining equivariance condition exactly whenever the subgroup rule
     integrates the (band-limited) integrand exactly.  The package builds none:
     it is the quadrature oracle of :meth:`MatrixKRep.invariant` and the benchmark's spinor path.
+    Each evaluation builds its own batch of the points x s, which nothing caches; on the
+    trivial subgroup the child is evaluated on the caller's batch itself.
     """
 
     def __init__(self, child: Section, krep, group: GroupModel):
@@ -801,8 +777,16 @@ class KAverage(Section):
             vals = vals @ self.krep.rule_stack().transpose(0, 2, 1)  # pi_s v at node s
         return np.tensordot(self.rule.weights, vals, axes=1)
 
+    def _orbit(self, pts: EvalPoints) -> EvalPoints:
+        """The points x s for every rule node s, node-major, as a new uncached batch; the
+        trivial subgroup's one node is the identity, so its orbit is ``pts`` itself."""
+        if self.group.k_dim == 0:
+            return pts
+        prod = pts.matrices[None] @ self.rule.matrices[:, None]  # x_i s_k at index k * n + i
+        return EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
+
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        return self._average(self.children[0].values(pts.orbit()))
+        return self._average(self.children[0].values(self._orbit(pts)))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
@@ -810,7 +794,7 @@ class KAverage(Section):
         pulled = dirs @ nodes.ad_stack()
         if len(pulled) > 1:  # the orbit's K n points take K different directions
             pulled = np.broadcast_to(pulled, (len(pulled), pts.n, dirs.shape[-1]))
-        return self._average(self.children[0].derivs(pts.orbit(),
+        return self._average(self.children[0].derivs(self._orbit(pts),
                                                      pulled.reshape(-1, dirs.shape[-1])))
 
     def _lambda(self, coords: np.ndarray) -> Section:

@@ -48,7 +48,7 @@ from homogdirac import (
     torsion,
     translate,
 )
-from test_dirac import geodesic_arc
+from test_dirac import criteria_consistent, geodesic_arc
 
 SEED = 20250810
 
@@ -241,7 +241,7 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
             passing_defect = max(passing_defect, defect)
         else:
             violating_defect = min(violating_defect, defect)
-        if rep.consistent and (rep.passes == (defect <= 1e-8)):
+        if criteria_consistent(rep) and (rep.passes == (defect <= 1e-8)):
             agree += 1
     # canonical and levi-civita on the sphere as well
     s_pairs = [(band_limited_spinor(sphere, rng, int(rng.integers(0, 3))),

@@ -11,6 +11,7 @@ its worker loads them.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,3 +56,25 @@ def test_traced_workload_matches_its_untraced_digest_at_seed_7(name):
     assert restored
     assert root[0] == tracing.ROOT and len(tracer.spans) > 1
     assert workload.digest(output) == untraced
+
+
+def test_selfadjoint_matrix_spinors_evaluate_on_the_rule_batch(monkeypatch):
+    """The selfadjoint-matrix spinors, subgroup averages on su2-trivial-k, are evaluated on
+    the rule's batch: a defect call builds that batch and the subgroup rule's one point, and no
+    other batch, so no orbit enters the workload's memory profile."""
+    hd = worker.import_program()
+    workload = workloads.WORKLOADS["selfadjoint-matrix"]
+    group = hd.groups.GroupModel.su2_trivial_k()
+    algebra = hd.dirac.spinor_algebra(group)
+    rng = np.random.default_rng(7)
+    pairs = [(workload.spinor(hd, group, algebra, rng), workload.spinor(hd, group, algebra, rng))
+             for _ in range(2)]
+    assert all(isinstance(s, hd.sections.KAverage) for pair in pairs for s in pair)
+    rule = group.haar_rule(workload.bandwidth)
+    sizes = []
+    init = hd.sections.EvalPoints.__init__
+    monkeypatch.setattr(hd.sections.EvalPoints, "__init__",
+                        lambda self, g, matrices: sizes.append(len(matrices)) or init(self, g, matrices))
+    hd.dirac.selfadjoint_defect(hd.dirac.canonical_connection(group), pairs, rule)
+    assert sorted(sizes) == [1, len(rule)]
+    assert all(s in rule.points._vals for pair in pairs for s in pair)

@@ -11,7 +11,6 @@ from homogdirac import (
     Scale,
     Sum,
     build_frame,
-    direct_sum,
     equivariance_defect,
     frame_gram,
     module_map_values,
@@ -134,7 +133,7 @@ def test_opposite_charges_conjugate(sphere, sample_pts, charge, two_level):
     assert np.abs(np.conj(pv) - moved).max() < 1e-12
 
 
-def test_frame_members_can_vanish_identically(sphere, sample_pts, rng):
+def test_frame_members_can_vanish_identically(sphere, sample_pts, rng, direct_sum):
     """A fiber inside a reducible ambient: sections from the other summand vanish."""
     amb = direct_sum(spin_rep(sphere, 0), spin_rep(sphere, 2))
     embed = np.zeros((4, 1), dtype=complex)
@@ -253,7 +252,7 @@ def _bundle_accepts(group, rep, embed):
     return True
 
 
-def test_fiber_verdict_matches_rule_stack_form(sphere, rng):
+def test_fiber_verdict_matches_rule_stack_form(sphere, rng, direct_sum):
     """The Lie-algebra test in InducedBundle agrees with the finite test at the rule's nodes."""
     cases = [(b.rep_tilde, b.embed) for b in
              [monopole_bundle(sphere, q, lv) for lv in range(5) for q in range(-lv, lv + 1, 2)]

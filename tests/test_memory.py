@@ -28,7 +28,6 @@ from homogdirac import (
     TrivialKRep,
     adjoint_rep,
     canonical_connection,
-    direct_sum,
     l2_inner,
     levi_civita_connection,
     minimal_violating_connection,
@@ -112,8 +111,8 @@ def test_selfadjoint_defect_peak_holds_no_constant_copies_or_jacobians(full_grou
 
 def test_a_sweep_leaves_only_its_operands_values_on_the_rule(full_group, rng):
     """After one call on 8 fresh spinor pairs over haar_rule(8) (1,445 nodes), the rule's batch
-    and its orbit hold at most 4 MB (about 13.6 MB before): the pairs' own values, their Gram
-    stacks and representation stacks, but no value or Jacobian of a node below a pair."""
+    holds at most 4 MB (about 13.6 MB before): the pairs' own values, their Gram stacks and
+    representation stacks, but no value or Jacobian of a node below a pair."""
     rule = full_group.haar_rule(8)
     algebra = spinor_algebra(full_group)
     pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))
@@ -122,12 +121,11 @@ def test_a_sweep_leaves_only_its_operands_values_on_the_rule(full_group, rng):
     pts = rule.points
     assert pts.retained_bytes() <= 4e6
     operands = {s for pair in pairs for s in pair}
-    for batch in (pts, pts.orbit()):
-        assert set(batch._vals) <= operands and not batch._jac
+    assert set(pts._vals) <= operands and not pts._jac
 
 
 def _own_bytes(pts) -> int:
-    """Distinct base buffers of the batch's own caches, its orbit's left out."""
+    """Distinct base buffers of the batch's own caches."""
     bases = {}
     for a in [*pts._reps.values(), *pts._vals.values(), *pts._jac.values(),
               *(g for row in pts._gram.values() for g in row.values())]:
@@ -138,37 +136,46 @@ def _own_bytes(pts) -> int:
 
 
 def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch):
-    """One call on 8 spin-1 pairs over su2/u1 haar_rule(8) builds the orbit batch (47,685 points)
-    once for all its rows, then releases it: the rule's batch counts no orbit bytes (6.9 MB of
-    spin-1 stack before).  The next connection reads the Gram stacks, and a later subgroup
-    average builds the orbit again."""
-    rule = sphere.haar_rule(8)
+    """One call on su2/u1 builds each spinor's orbit once per evaluation: one batch for its
+    values and one per frame-Jacobian row, however many pairs the spinor enters.  Every one is
+    freed, without a cyclic collection, by the time the call returns, and the rule's batch
+    holds only its own caches.  The next connection reads the Gram stacks and builds no orbit;
+    a fresh rule builds them again."""
+    rule = sphere.haar_rule(4)
     algebra = spinor_algebra(sphere)
-    pairs = [(_spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng)) for _ in range(8)]
-    built = []  # weak references to each distinct orbit batch handed out
-    orbit = EvalPoints.orbit
+    a, b, c = (_spinor(sphere, algebra, rng) for _ in range(3))
+    pairs = [(a, b), (a, c), (b, c)]  # each spinor enters two pairs
+    built = []  # (averaging section, weak reference to the orbit batch it built)
+    orbit = KAverage._orbit
 
-    def tracked(self):
-        batch = orbit(self)
-        if batch is not self and not any(r() is batch for r in built):
-            built.append(weakref.ref(batch))
+    def tracked(self, pts):
+        batch = orbit(self, pts)
+        assert batch is not pts and batch.n == len(sphere.k_rule) * pts.n
+        built.append((self, weakref.ref(batch)))
         return batch
 
-    monkeypatch.setattr(EvalPoints, "orbit", tracked)
-    selfadjoint_defect(canonical_connection(sphere), pairs, rule)
+    monkeypatch.setattr(KAverage, "_orbit", tracked)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        selfadjoint_defect(canonical_connection(sphere), pairs, rule)
+        assert all(r() is None for _, r in built)
+    finally:
+        if was_enabled:
+            gc.enable()
+    per_spinor = [sum(f is s for f, _ in built) for s in (a, b, c)]
+    assert per_spinor == [1 + sphere.m_dim] * 3 and len(built) == sum(per_spinor)
     pts = rule.points
-    assert len(built) == 1 and built[0]() is None and pts._orbit is None
     assert pts.retained_bytes() == _own_bytes(pts)
     lc = levi_civita_connection(sphere)
-    assert selfadjoint_defect(lc, pairs, rule) == selfadjoint_defect(lc, pairs, sphere.haar_rule(8))
-    assert len(built) == 2  # the fresh rule's orbit only
-    later = _spinor(sphere, algebra, rng)
-    fresh = sphere.haar_rule(8)
-    assert np.array_equal(later.values(pts), later.values(EvalPoints.for_rule(sphere, fresh)))
-    assert pts._orbit is not None and len(built) == 4
+    count = len(built)
+    cached = selfadjoint_defect(lc, pairs, rule)
+    assert len(built) == count
+    assert cached == selfadjoint_defect(lc, pairs, sphere.haar_rule(4))
+    assert len(built) == 2 * count and all(r() is None for _, r in built)
 
 
-def test_cache_entries_die_with_their_keys(sphere, rng):
+def test_cache_entries_die_with_their_keys(sphere, rng, direct_sum):
     """A node's value and Jacobian entries, a pair's Gram stacks, and an action's basis entry,
     are dropped with their key: a Gram stack with either of its two sections."""
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
@@ -225,8 +232,18 @@ def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
     assert growth < _GROWTH_BYTES
 
 
-def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng):
-    """A batch and its orbit form no cycle: no cyclic collection is needed to free them."""
+def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng, monkeypatch):
+    """A batch and the orbit batches a subgroup average builds on it form no cycle: no cyclic
+    collection is needed to free them."""
+    built = []  # weak references to each orbit batch built
+    orbit = KAverage._orbit
+
+    def tracked(self, pts):
+        batch = orbit(self, pts)
+        built.append(weakref.ref(batch))
+        return batch
+
+    monkeypatch.setattr(KAverage, "_orbit", tracked)
     rep = spin_rep(sphere, 2)
     f = KAverage(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)),
                  TrivialKRep(), sphere)
@@ -236,10 +253,10 @@ def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng):
         pts = EvalPoints.of(sphere, sphere.random_elements(rng, 4))
         f.values(pts)
         f.derivs(pts, rng.standard_normal((4, 3)))
-        orbit = weakref.ref(pts.orbit())
+        assert len(built) == 2
         batch = weakref.ref(pts)
         del pts
-        assert batch() is None and orbit() is None
+        assert batch() is None and all(r() is None for r in built)
     finally:
         if was_enabled:
             gc.enable()
@@ -300,10 +317,10 @@ def test_spectral_blocks_hold_one_copy_per_level(sphere):
     dict(subgroup="trivial", connection="levi-civita", seed=3),
 ], ids=["clifford", "tangent", "monopole", "trivial-k-levi-civita"])
 def test_verify_builds_no_orbit_batch(config, monkeypatch):
-    """Equivariant sections are projected coefficients: no check evaluates on an orbit batch."""
+    """Equivariant sections are projected coefficients: no check evaluates a subgroup average."""
     def refuse(*args):
         raise AssertionError("verify built a subgroup-rule batch")
 
-    monkeypatch.setattr(EvalPoints, "orbit", refuse)
+    monkeypatch.setattr(KAverage, "_orbit", refuse)
     monkeypatch.setattr(MatrixKRep, "rule_stack", refuse)
     assert run_verify(RunConfig(group="su2", **config))["pass"] is True

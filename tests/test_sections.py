@@ -6,6 +6,7 @@ import pytest
 from homogdirac import (
     AInner,
     BandwidthWarning,
+    CliffordAlgebra,
     CliffordKRep,
     CliffordProduct,
     Codomain,
@@ -16,6 +17,7 @@ from homogdirac import (
     FundamentalField,
     GramSection,
     GroupElement,
+    GroupModel,
     HarmonicSpinor,
     ImagPart,
     KAverage,
@@ -28,7 +30,6 @@ from homogdirac import (
     TangentKRep,
     TrivialKRep,
     adjoint_rep,
-    direct_sum,
     equivariance_defect,
     gradient,
     l2_inner,
@@ -470,7 +471,7 @@ def test_pointwise_operations_keep_the_equivariance_tag_rule(sphere, rng):
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
 def test_orbit_batch_matches_per_node_translates(space, request, rng):
-    """Subgroup averages on the orbit batch against the per-node sum.
+    """Subgroup averages, which evaluate the child on one orbit batch, against the per-node sum.
 
     The oracle evaluates the child once per subgroup node s on its own
     batch x s, with the directions pulled back by Ad_{s^{-1}}.
@@ -488,24 +489,36 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
     pts = EvalPoints.of(group, group.random_elements(rng, 6))
     dirs = rng.standard_normal((6, group.dim)) + 1j * rng.standard_normal((6, group.dim))
 
+    def apply(s, values):  # pi_s applied to each row of values
+        return np.einsum("ij,...j->...i", krep.matrix(s), values)
+
     want_vals, want_derivs = 0.0, 0.0
     for s, w in zip(group.k_rule.nodes, group.k_rule.weights):
         shifted = EvalPoints(group, pts.matrices @ s.matrix)
-        want_vals = want_vals + w * krep.apply(s, child.values(shifted))
+        want_vals = want_vals + w * apply(s, child.values(shifted))
         pulled = dirs @ group.adjoint_matrix(s)
-        want_derivs = want_derivs + w * krep.apply(s, child.derivs(shifted, pulled))
+        want_derivs = want_derivs + w * apply(s, child.derivs(shifted, pulled))
     assert np.abs(avg.values(pts) - want_vals).max() < 1e-12
     assert np.abs(avg.derivs(pts, dirs) - want_derivs).max() < 1e-12
 
-    orbit = pts.orbit()
-    assert orbit is pts.orbit() and orbit.n == len(group.k_rule) * pts.n
-    # the product formula rho(x_i s_k) = rho(x_i) rho(s_k) at index k * n + i is the oracle
-    nodes = np.stack([s.matrix for s in group.k_rule.nodes])
+    # on an orbit batch, the product formula rho(x_i s_k) = rho(x_i) rho(s_k) at index k * n + i
+    nodes = group.k_rule.matrices
+    orbit = EvalPoints(group, (pts.matrices[None] @ nodes[:, None]).reshape(-1, 2, 2))
     for r in (rep, adjoint_rep(group)):
         stack = orbit.rep_stack(r).reshape(len(nodes), pts.n, r.dim, r.dim)
         assert np.abs(stack - pts.rep_stack(r)[None] @ r.matrix_stack(nodes)[:, None]).max() < 1e-12
     direct_ad = np.stack([group.adjoint_matrix(GroupElement(m)) for m in orbit.matrices])
     assert np.abs(orbit.ad_stack() - direct_ad).max() < 1e-12
+
+
+def test_clifford_action_rejects_an_algebra_of_another_size():
+    """An algebra whose generators are not the tangent directions raises, naming both sizes,
+    on a fresh group and once the group's action is built."""
+    group = GroupModel.su2()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="3 generators .* dimension 2"):
+            CliffordKRep(group, CliffordAlgebra(3))
+        assert CliffordKRep(group, spinor_algebra(group)).dim == 4
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
@@ -527,7 +540,7 @@ def test_rule_stack_matches_single_element_path(space, request):
         assert np.abs(kreps[0].rule_stack()[k] - want).max() < 1e-13
 
 
-def test_element_caches_survive_object_recycling(sphere):
+def test_element_caches_survive_object_recycling(sphere, direct_sum):
     """Short-lived representations evaluated at one element stay correct.
 
     Nothing caches values per group element: a representation computes
@@ -571,12 +584,14 @@ def _bracket_form_fundamental_field(group, coords, pts, dirs):
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
 def test_fundamental_field_matches_bracket_formulas(space, request, rng):
-    """The adjoint coefficient equals the bracket formulas on a random and an orbit batch."""
+    """The adjoint coefficient equals the bracket formulas on a random batch and on its
+    orbit, the batch x s for every subgroup-rule node s."""
     group = request.getfixturevalue(space)
     coords = group.random_algebra(rng)
     w = FundamentalField(group, coords)
     pts = EvalPoints.of(group, group.random_elements(rng, 7))
-    for batch in (pts, pts.orbit()):
+    orbit = EvalPoints(group, (pts.matrices[None] @ group.k_rule.matrices[:, None]).reshape(-1, 2, 2))
+    for batch in (pts, orbit):
         dirs = (rng.standard_normal((batch.n, group.dim))
                 + 1j * rng.standard_normal((batch.n, group.dim)))
         vals, derivs = _bracket_form_fundamental_field(group, coords, batch, dirs)
@@ -903,22 +918,31 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
     assert pts.retained_bytes() == held
     jac = f.frame_derivs(pts)
     assert pts.retained_bytes() == held + jac.nbytes
-    # the orbit's caches count too, and a constant viewed on both batches counts once
-    orbit = pts.orbit()
-    c.values(orbit)
-    avg = KAverage(f, TrivialKRep(), sphere)
-    held += avg.values(pts).nbytes + f.values(orbit).nbytes + orbit.rep_stack(rep).nbytes
+    # a subgroup average adds its own values: its orbit batch and the child's values there are gone
+    avg = KAverage(Scale(f, f), TrivialKRep(), sphere)
+    held += avg.values(pts).nbytes
     assert pts.retained_bytes() == held + jac.nbytes
 
 
-def test_trivial_subgroup_orbit_is_the_batch_itself(sphere, full_group, rule8_full, rng):
-    """The trivial subgroup's rule is the identity, and x I = x exactly: no second batch."""
+def test_trivial_subgroup_orbit_is_the_batch_itself(full_group, rule8_full, rng, monkeypatch):
+    """The trivial subgroup's rule is the identity, and x I = x exactly: a subgroup average
+    evaluates its child on the caller's batch, builds no batch of its own (the subgroup rule's
+    one-point batch is built by a first use and kept), and its values are the child's bits."""
     pts = EvalPoints.for_rule(full_group, rule8_full)
-    assert pts.orbit() is pts and pts._orbit is None
     (node,) = full_group.k_rule.nodes
     assert np.array_equal(pts.matrices @ node.matrix, pts.matrices)
-    small = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
-    assert len(sphere.k_rule) == 33 and small.orbit().n == 33 * small.n
+    alg = spinor_algebra(full_group)
+    child = random_spinor(full_group, rng).children[0]
+    avg = KAverage(child, CliffordKRep(full_group, alg), full_group)
+    KAverage(child, CliffordKRep(full_group, alg), full_group).frame_derivs(  # a first use
+        EvalPoints.of(full_group, full_group.random_elements(rng, 2)))
+    init = EvalPoints.__init__
+    built = []
+    monkeypatch.setattr(EvalPoints, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert np.array_equal(avg.values(pts), child.values(pts))
+    assert np.array_equal(avg.frame_derivs(pts), child.frame_derivs(pts))
+    assert not built
 
 
 def _shared_direction_zoo(group, rng):
