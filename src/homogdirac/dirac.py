@@ -179,7 +179,8 @@ def selfadjoint_defect(connection: Connection, pairs: list,
     ``dirac_stack`` A: <D phi, psi> = sum conj(A) G(phi, psi) and <phi, D psi> is the conjugate
     of sum conj(A) G(psi, phi), G the Gram stacks that the rule's batch keeps per phi, then psi,
     until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_row`),
-    so a connection sweep pays for each pair once, and for each Jacobian once per call.
+    so a sweep pays for each pair once, and for each Jacobian once per call; each operand is
+    released after its last Gram row, so a call leaves representation and Gram stacks only.
     """
     stack = connection.dirac_stack  # raises for incompatible connections
     pts = EvalPoints.for_rule(connection.group, rule)
@@ -190,8 +191,10 @@ def selfadjoint_defect(connection: Connection, pairs: list,
         rule.warn_if_inexact(phi.bandwidth + 2 * adjoint_rep(connection.group).spin + psi.bandwidth)
         rows.setdefault(phi, []).append(psi)
         rows.setdefault(psi, []).append(phi)
-    for phi, psis in rows.items():
+    last = {s: i for i, (phi, psis) in enumerate(rows.items()) for s in (phi, *psis)}
+    for i, (phi, psis) in enumerate(rows.items()):
         pts.gram_row(phi, psis, rule.weights)
+        pts.release([s for s in (phi, *psis) if last[s] == i])
     worst = 0.0
     for phi, psi in pairs:
         a = np.vdot(stack, pts.gram_stack(phi, psi, rule.weights))

@@ -480,13 +480,6 @@ class GroupModel:
         return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0, self,
                               kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
 
-    # -- diagnostics -----------------------------------------------------------
-
-    def symmetric_space_residual(self) -> float:
-        """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
-        brackets = self.ad(self.m_frame) @ self.m_frame.T  # [Y_a, Y_b] in column b
-        return float(np.linalg.norm(self.proj_m @ brackets, axis=1).max(initial=0.0))
-
 
 def _gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes on [-1, 1], ascending, and weights (Golub-Welsch).

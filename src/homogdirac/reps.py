@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .groups import GroupElement, GroupModel
+from .groups import GroupModel
 
 __all__ = [
     "UnitaryRep",
@@ -45,10 +45,6 @@ class UnitaryRep:
     def derivative(self, coords: np.ndarray) -> np.ndarray:
         """Generator image of the algebra vector with the given coordinates."""
         return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.generators)
-
-    def matrix(self, x: GroupElement) -> np.ndarray:
-        """Value at one group element; batches go through :meth:`matrix_stack`."""
-        return self.matrix_stack(x.matrix[None])[0]
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         """Values at a stack of defining matrices."""

@@ -26,25 +26,22 @@ matrices of one group (a quadrature rule's batch wraps the rule's own stack),
 and a section, which carries its group, is evaluated only on batches of that
 group (another group's batch raises ValueError).  A derivative takes one
 direction per point or one shared by all points; a frame Jacobian asks for
-each frame row as one shared direction.  A batch caches what a
-later step reads again: representation stacks, node values (a constant's are a
-read-only view of it), the frame Jacobian (the derivatives along the
-complement-frame rows) of each node that a covariant derivative contracts with
-a direction field, and weighted Gram stacks of node pairs, which pin no
-Jacobian.  Each cache is a ``weakref.WeakKeyDictionary``: an entry lives at
-most as long as the batch and the nodes or representation it is keyed by, so a
-batch shared by a quadrature rule keeps nothing alive for graphs that are gone.
-Representation stacks and Gram stacks live that long.  Node values and frame
-Jacobians leave earlier when a Gram row is built (:meth:`EvalPoints.gram_row`):
-then the batch drops those of every node below the row's left section, as a
-later connection reads only the Gram stacks, and the sections of the row keep
-theirs; a dropped node is evaluated again if it is asked for.  A batch keeps no
-derived batch: a left translate or a subgroup orbit is a new batch per evaluation,
-and dies with it.  A subgroup action carries its generators, and an equivariant
-section is a sum of projected coefficients u* rho(x) P(v), P the closed-form
-subgroup average (:meth:`MatrixKRep.invariant`).  :class:`KAverage`, which
-averages over the subgroup rule on the orbit batch (x s for every rule node s;
-for the trivial subgroup, the batch itself), is kept as its quadrature oracle.
+each frame row as one shared direction.  A batch caches what a later step
+reads again, each cache a ``weakref.WeakKeyDictionary`` whose entries live at
+most as long as the batch and their key: representation stacks, node values (a
+constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are
+its child node's, so one product serves its values and every derivative), the
+frame Jacobians that a covariant derivative contracts with a direction field,
+and weighted Gram stacks of node pairs, which pin no Jacobian.  Once built, a
+Gram row (:meth:`EvalPoints.gram_row`) drops the values and Jacobians below its
+left section, and a connection sweep releases each operand after its last row
+(:meth:`EvalPoints.release`), so it leaves representation and Gram stacks only;
+a dropped node is evaluated again if asked for.  A batch keeps no derived batch:
+a left translate or a subgroup orbit is a new batch per evaluation.  A subgroup
+action carries its generators, and an equivariant section is a sum of projected
+coefficients u* rho(x) P(v), P the closed-form subgroup average
+(:meth:`MatrixKRep.invariant`); :class:`KAverage`, the average over the subgroup
+rule on the orbit batch (on the trivial subgroup, its child), is its quadrature oracle.
 Each node carries a conservative bandwidth bound (total spin of its Peter-Weyl
 content) that :func:`l2_inner` checks against the quadrature rule.
 """
@@ -130,10 +127,7 @@ class Codomain:
 
 
 class EvalPoints:
-    """A batch of group elements with shared evaluation caches.
-
-    It keeps no derived batch: left translates and subgroup orbits are built per evaluation.
-    """
+    """A batch of group elements with shared evaluation caches; it keeps no derived batch."""
 
     def __init__(self, group: GroupModel, matrices: np.ndarray):
         self.group = group
@@ -220,11 +214,9 @@ class EvalPoints:
         """phi's :meth:`gram_stack` by right operand, with each of ``psis``.
 
         The missing ones share phi's cached frame Jacobian, or one made for them alone and
-        then dropped.  Once they are built, the row's inputs stay cached (the values of phi
-        and of ``psis``, and a Jacobian of phi that :meth:`frame_derivs` cached), but this
-        batch drops the values and Jacobians of every other node below phi: the Gram stacks
-        are what a later connection reads, and a dropped node is evaluated again if anything
-        asks for it.
+        then dropped.  Once they are built, the batch drops the values and Jacobians of every
+        node below phi but the row's operands, which a later row may read until :meth:`release`
+        drops them: the Gram stacks are what a later connection reads.
         """
         row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
         psis = dict.fromkeys(psis)
@@ -235,15 +227,26 @@ class EvalPoints:
                 w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
                 parts = (w_psi @ phi.values(self))[None], w_psi @ jac
                 row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
-            seen, below = {phi, *psis}, list(phi.children)
-            while below:
-                node = below.pop()
-                if node not in seen:
-                    seen.add(node)
-                    self._vals.pop(node, None)
-                    self._jac.pop(node, None)
-                    below.extend(node.children)
+            self._drop_below([phi], keep=(phi, *psis))
         return row
+
+    def release(self, nodes) -> None:
+        """Drop the values of ``nodes`` (not a Jacobian that :meth:`frame_derivs` cached) and
+        the values and Jacobians of every node below them."""
+        for node in nodes:
+            self._vals.pop(node, None)
+        self._drop_below(nodes, keep=nodes)
+
+    def _drop_below(self, roots, keep) -> None:
+        """Drop the values and Jacobians of every node below ``roots``, except ``keep``'s."""
+        seen, below = set(keep), [child for root in roots for child in root.children]
+        while below:
+            node = below.pop()
+            if node not in seen:
+                seen.add(node)
+                self._vals.pop(node, None)
+                self._jac.pop(node, None)
+                below.extend(node.children)
 
 
 def _check_group(node: "Section", pts: EvalPoints) -> None:
@@ -309,8 +312,8 @@ class MatrixKRep(_KRep):
 
     ``stack_fn`` maps an :class:`EvalPoints` batch of subgroup elements to
     their (n, dim, dim) matrices, and ``generators`` are their derivatives.
-    The stack on the subgroup rule's nodes, for :class:`KAverage`, is computed
-    once and kept; a single element is evaluated on a one-point batch and nothing is kept.
+    The stack on the subgroup rule's nodes, for :class:`KAverage` on a nontrivial
+    subgroup, is computed once and kept.
     """
 
     def __init__(self, group: GroupModel, stack_fn, dim: int, generators):
@@ -327,9 +330,6 @@ class MatrixKRep(_KRep):
             self._rule_stack = self._stack_fn(
                 EvalPoints.for_rule(self.group, self.group.k_rule))
         return self._rule_stack
-
-    def matrix(self, s: GroupElement) -> np.ndarray:
-        return self._stack_fn(EvalPoints.of(self.group, [s]))[0]
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
@@ -461,6 +461,16 @@ class Constant(Section):
         return Constant(self.codomain, np.zeros(self.codomain.shape), group=self.group)
 
 
+class _Rows(Section):
+    """u* rho(x) per point: a :class:`MatrixCoefficient`'s child, cached as its values are."""
+
+    def __init__(self, rep: UnitaryRep, u: np.ndarray):
+        self.rep, self.u, self.group, self.children = rep, u, rep.group, ()
+
+    def _values(self, pts: EvalPoints) -> np.ndarray:
+        return self.u.conj() @ pts.rep_stack(self.rep)
+
+
 class MatrixCoefficient(Section):
     """The section x -> u* rho(x) v, linear in v and conjugate-linear in u.
 
@@ -485,19 +495,16 @@ class MatrixCoefficient(Section):
         self.deriv_order = 1
         self.bandwidth = rep.spin
         self.krep = krep
-        self.children = ()
+        self.children = (_Rows(rep, self.u),)
         # drho(e_a) v for each algebra axis a, flattened to one row per axis
         self._dv = (rep.generators @ self.v.reshape(rep.dim, -1)).reshape(self.group.dim, -1)
 
-    def _rows(self, pts: EvalPoints) -> np.ndarray:
-        return self.u.conj() @ pts.rep_stack(self.rep)  # u* rho(x), one row per point
-
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        return (self._rows(pts) @ self.v).reshape((pts.n,) + self.codomain.shape)
+        return (self.children[0].values(pts) @ self.v).reshape((pts.n,) + self.codomain.shape)
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         dv = (dirs @ self._dv).reshape((len(dirs), self.rep.dim, -1))  # drho(Y) v
-        rows = self._rows(pts)
+        rows = self.children[0].values(pts)
         # one product for a shared direction, one small product per point otherwise
         out = rows @ dv[0] if len(dv) == 1 else (rows[:, None] @ dv)[:, 0]
         return out.reshape((pts.n,) + self.codomain.shape)
@@ -753,12 +760,11 @@ class Translate(Section):
 class KAverage(Section):
     """Equivariant projection: average of pi_s child(x s) over the subgroup rule.
 
-    Idempotent on already-equivariant sections; the output satisfies the
-    defining equivariance condition exactly whenever the subgroup rule
-    integrates the (band-limited) integrand exactly.  The package builds none:
-    it is the quadrature oracle of :meth:`MatrixKRep.invariant` and the benchmark's spinor path.
-    Each evaluation builds its own batch of the points x s, which nothing caches; on the
-    trivial subgroup the child is evaluated on the caller's batch itself.
+    Idempotent on equivariant sections, and exactly equivariant whenever the subgroup rule
+    integrates the (band-limited) integrand exactly.  The package builds none: it is the
+    quadrature oracle of :meth:`MatrixKRep.invariant` and the benchmark's spinor path.  Each
+    evaluation builds a new, uncached batch of the points x s; on the trivial subgroup, the
+    average over {e} with weight 1, it returns its child's values and derivatives bit for bit.
     """
 
     def __init__(self, child: Section, krep, group: GroupModel):
@@ -778,17 +784,18 @@ class KAverage(Section):
         return np.tensordot(self.rule.weights, vals, axes=1)
 
     def _orbit(self, pts: EvalPoints) -> EvalPoints:
-        """The points x s for every rule node s, node-major, as a new uncached batch; the
-        trivial subgroup's one node is the identity, so its orbit is ``pts`` itself."""
-        if self.group.k_dim == 0:
-            return pts
+        """The points x s for every rule node s, node-major, as a new uncached batch."""
         prod = pts.matrices[None] @ self.rule.matrices[:, None]  # x_i s_k at index k * n + i
         return EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
+        if self.group.k_dim == 0:  # the average over {e} with weight 1
+            return self.children[0].values(pts)
         return self._average(self.children[0].values(self._orbit(pts)))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
+        if self.group.k_dim == 0:
+            return self.children[0].derivs(pts, dirs)
         # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
         nodes = EvalPoints.for_rule(self.group, self.rule)
         pulled = dirs @ nodes.ad_stack()

@@ -20,6 +20,7 @@ from homogdirac.sections import (
     Sum,
     lambda_deriv,
 )
+from test_sections import krep_matrix
 
 CONFIGS = {
     "clifford": dict(bundle="clifford", seed=11),
@@ -111,7 +112,7 @@ def _frame_equivariance(ctx):
     worst = 0.0
     for eta in build_frame(b):
         for s in g.k_rule.nodes[:5]:
-            rhs = eta.krep.matrix(s).conj().T @ eta.value(x)
+            rhs = krep_matrix(eta.krep, s).conj().T @ eta.value(x)
             worst = max(worst, float(np.linalg.norm(eta.value(x @ s) - rhs)))
     return worst, 5 * b.ambient_dim
 

@@ -42,6 +42,7 @@ from homogdirac import (
     equivariance_defect,
 )
 from homogdirac.dirac import _balanced_random_gamma, _random_skew
+from test_sections import krep_matrix
 
 
 def unit_spinor(group):
@@ -473,7 +474,8 @@ def test_isotypic_coefficients_match_brute_force_average(sphere, rng):
     # coefficient-space projection: same subgroup average on the profile
     proj_c = np.zeros_like(c_raw)
     for s, w in zip(sphere.k_rule.nodes, sphere.k_rule.weights):
-        proj_c += w * (rep.matrix(s).conj().T @ c_raw @ ckrep.matrix(s).real)
+        proj_c += w * (rep.matrix_stack(s.matrix[None])[0].conj().T @ c_raw
+                       @ krep_matrix(ckrep, s).real)
     direct = HarmonicSpinor(rep, row, proj_c, alg)
     assert np.abs(averaged.values(pts) - direct.values(pts)).max() < 1e-12
     # and the projected profile lies in the span of the invariant basis

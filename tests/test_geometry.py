@@ -474,9 +474,15 @@ def test_gamma_round_trip(full_group, rng):
     assert np.abs(corr - expect).max() < 1e-12
 
 
+def symmetric_space_residual(group):
+    """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
+    brackets = group.ad(group.m_frame) @ group.m_frame.T  # [Y_a, Y_b] in column b
+    return float(np.linalg.norm(group.proj_m @ brackets, axis=1).max(initial=0.0))
+
+
 def symmetric_space_check(group):
     """(is_symmetric, residual): whether tangent brackets fall into the isotropy algebra."""
-    residual = group.symmetric_space_residual()
+    residual = symmetric_space_residual(group)
     return residual <= 1e-12, residual
 
 

@@ -111,17 +111,17 @@ def test_selfadjoint_defect_peak_holds_no_constant_copies_or_jacobians(full_grou
 
 def test_a_sweep_leaves_only_its_operands_values_on_the_rule(full_group, rng):
     """After one call on 8 fresh spinor pairs over haar_rule(8) (1,445 nodes), the rule's batch
-    holds at most 4 MB (about 13.6 MB before): the pairs' own values, their Gram stacks and
-    representation stacks, but no value or Jacobian of a node below a pair."""
+    holds at most 0.5 MB: representation stacks and the pairs' Gram stacks only.  No node keeps
+    its values or Jacobian, not even a pair's own (those values alone took about 3.2 MB while
+    an operand outlived its last Gram row)."""
     rule = full_group.haar_rule(8)
     algebra = spinor_algebra(full_group)
     pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))
              for _ in range(8)]
     selfadjoint_defect(canonical_connection(full_group), pairs, rule)
     pts = rule.points
-    assert pts.retained_bytes() <= 4e6
-    operands = {s for pair in pairs for s in pair}
-    assert set(pts._vals) <= operands and not pts._jac
+    assert pts.retained_bytes() <= 0.5e6
+    assert not pts._vals and not pts._jac
 
 
 def _own_bytes(pts) -> int:
@@ -176,13 +176,21 @@ def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch)
 
 
 def test_cache_entries_die_with_their_keys(sphere, rng, direct_sum):
-    """A node's value and Jacobian entries, a pair's Gram stacks, and an action's basis entry,
-    are dropped with their key: a Gram stack with either of its two sections."""
+    """A node's value and Jacobian entries, a matrix coefficient's rows, a pair's Gram stacks,
+    and an action's basis entry, are dropped with their key: a Gram stack with either of its
+    two sections, the rows with their coefficient and with the batch."""
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    kept = [weakref.ref(f.values(pts)), weakref.ref(f.frame_derivs(pts))]
+    kept = [weakref.ref(f.values(pts)), weakref.ref(f.frame_derivs(pts)),
+            weakref.ref(f.children[0]), weakref.ref(pts._vals[f.children[0]])]
     assert f in pts._vals and f in pts._jac
+    batch = EvalPoints.of(sphere, sphere.random_elements(rng, 3))
+    f.values(batch)
+    on_batch = weakref.ref(batch._vals[f.children[0]])
+    del batch
+    gc.collect()
+    assert on_batch() is None and f.children[0] in pts._vals  # the rows die with the batch
     algebra = spinor_algebra(sphere)
     phi, psi = _spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng)
     weights = np.full(pts.n, 1.0 / pts.n)

@@ -60,6 +60,11 @@ def assert_not_negligible(section, group):
     return section
 
 
+def krep_matrix(krep, s):
+    """pi_s at one subgroup element: the action's stack on a one-point batch."""
+    return krep._stack_fn(EvalPoints.of(krep.group, [s]))[0]
+
+
 def random_spinor(group, rng, two_j=2):
     alg = spinor_algebra(group)
     rep = spin_rep(group, two_j)
@@ -490,7 +495,7 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
     dirs = rng.standard_normal((6, group.dim)) + 1j * rng.standard_normal((6, group.dim))
 
     def apply(s, values):  # pi_s applied to each row of values
-        return np.einsum("ij,...j->...i", krep.matrix(s), values)
+        return np.einsum("ij,...j->...i", krep_matrix(krep, s), values)
 
     want_vals, want_derivs = 0.0, 0.0
     for s, w in zip(group.k_rule.nodes, group.k_rule.weights):
@@ -533,7 +538,7 @@ def test_rule_stack_matches_single_element_path(space, request):
         assert stack.shape == (len(group.k_rule), krep.dim, krep.dim)
         assert krep.rule_stack() is stack
         for k, s in enumerate(group.k_rule.nodes):
-            assert np.abs(stack[k] - krep.matrix(s)).max() < 1e-13
+            assert np.abs(stack[k] - krep_matrix(krep, s)).max() < 1e-13
     mf = group.m_frame
     for k, s in enumerate(group.k_rule.nodes):
         want = mf @ group.adjoint_matrix(s) @ mf.T
@@ -553,7 +558,7 @@ def test_element_caches_survive_object_recycling(sphere, direct_sum):
     x = sphere.k_rule.nodes[1]
     for two_j in (2, 1, 4, 1, 3, 2):
         rep = direct_sum(spin_rep(sphere, two_j))  # a new object each time
-        m = rep.matrix(x)
+        m = rep.matrix_stack(x.matrix[None])[0]
         assert m.shape == (two_j + 1, two_j + 1)
         assert np.linalg.norm(m @ m.conj().T - np.eye(two_j + 1)) < 1e-12
         del rep, m
@@ -914,7 +919,8 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
     assert pts.retained_bytes() == c.const.nbytes  # the view counts as its base
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    held = c.const.nbytes + f.values(pts).nbytes + pts.rep_stack(rep).nbytes
+    rows = f.children[0].values(pts)  # u* rho(x), cached for the values and every derivative
+    held = c.const.nbytes + f.values(pts).nbytes + pts.rep_stack(rep).nbytes + rows.nbytes
     assert pts.retained_bytes() == held
     jac = f.frame_derivs(pts)
     assert pts.retained_bytes() == held + jac.nbytes
@@ -926,8 +932,8 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
 
 def test_trivial_subgroup_orbit_is_the_batch_itself(full_group, rule8_full, rng, monkeypatch):
     """The trivial subgroup's rule is the identity, and x I = x exactly: a subgroup average
-    evaluates its child on the caller's batch, builds no batch of its own (the subgroup rule's
-    one-point batch is built by a first use and kept), and its values are the child's bits."""
+    evaluates its child on the caller's batch, builds no batch of its own, also after a first
+    use elsewhere, and its values are the child's bits."""
     pts = EvalPoints.for_rule(full_group, rule8_full)
     (node,) = full_group.k_rule.nodes
     assert np.array_equal(pts.matrices @ node.matrix, pts.matrices)
@@ -943,6 +949,63 @@ def test_trivial_subgroup_orbit_is_the_batch_itself(full_group, rule8_full, rng,
     assert np.array_equal(avg.values(pts), child.values(pts))
     assert np.array_equal(avg.frame_derivs(pts), child.frame_derivs(pts))
     assert not built
+
+
+def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
+    """On the trivial subgroup a subgroup average returns its child's values and derivatives,
+    per point and along a shared direction, bit for bit the rule average it replaces (pi_e v
+    weighted by 1 at the rule's one node, directions pulled back by Ad_e), and builds neither
+    the subgroup rule's batch nor the action's rule stack."""
+    group = GroupModel.su2_trivial_k()  # fresh, so no earlier use built either
+    alg = spinor_algebra(group)
+    krep = CliffordKRep(group, alg)
+    child = random_spinor(group, rng).children[0]
+    avg = KAverage(child, krep, group)
+    pts = EvalPoints.of(group, group.random_elements(rng, 7))
+    dirs = rng.standard_normal((pts.n, group.dim)) + 1j * rng.standard_normal((pts.n, group.dim))
+    init = EvalPoints.__init__
+    built = []
+    monkeypatch.setattr(EvalPoints, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    got = [avg.values(pts), avg.derivs(pts, dirs), avg.derivs(pts, dirs[:1])]
+    assert not built and group.k_rule.points is None and krep._rule_stack is None
+    monkeypatch.undo()
+
+    rule = group.k_rule
+    nodes = EvalPoints.for_rule(group, rule)
+    stack = krep._stack_fn(nodes)
+
+    def average(vals):  # the rule average over the orbit batch, which here is pts itself
+        vals = vals.reshape((len(rule), -1) + vals.shape[1:]) @ stack.transpose(0, 2, 1)
+        return np.tensordot(rule.weights, vals, axes=1)
+
+    want = [average(child.values(pts))]
+    for d in (dirs, dirs[:1]):
+        want.append(average(child.derivs(pts, (d @ nodes.ad_stack()).reshape(-1, group.dim))))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[0] is child.values(pts)
+
+
+def test_coefficient_rows_are_computed_once_per_batch(sphere, rng, monkeypatch):
+    """A matrix coefficient's rows u* rho(x) are a cached node value: its values and full frame
+    Jacobian compute them once per batch, not 1 + m_dim times, with the same bits."""
+    rep = spin_rep(sphere, 2)
+    f = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                          rng.standard_normal((3, 4)), Codomain.vector(4))
+    rows_node = f.children[0]
+    calls = []
+    compute = type(rows_node)._values
+    monkeypatch.setattr(type(rows_node), "_values",
+                        lambda self, pts: calls.append(pts) or compute(self, pts))
+    batches = [EvalPoints.of(sphere, sphere.random_elements(rng, 6)) for _ in range(2)]
+    for pts in batches:
+        vals, jac = f.values(pts), f.frame_derivs(pts)
+        rows = f.u.conj() @ pts.rep_stack(rep)
+        assert np.array_equal(vals, rows @ f.v)
+        for b, y in enumerate(sphere.m_frame):
+            assert np.array_equal(jac[b], rows @ (rep.derivative(y) @ f.v))
+    assert [id(pts) for pts in calls] == [id(pts) for pts in batches]
 
 
 def _shared_direction_zoo(group, rng):
