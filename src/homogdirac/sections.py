@@ -240,7 +240,7 @@ class EvalPoints:
     def _drop_below(self, roots, keep) -> None:
         """Drop the values and Jacobians of every node below ``roots``, except ``keep``'s."""
         seen, below = set(keep), [child for root in roots for child in root.children]
-        while below:
+        while below and (self._vals or self._jac):  # none left cached, none left to drop
             node = below.pop()
             if node not in seen:
                 seen.add(node)
