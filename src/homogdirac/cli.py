@@ -11,7 +11,8 @@ Three subcommands:
   operator up to the highest level ``--levels`` and emit them as CSV,
   ordered by level and ascending eigenvalue.  The blocks are closed form:
   no quadrature, so ``--quadrature-bandwidth`` is ignored; the closure
-  column is the worst in-block leakage of D.
+  column is the worst in-block leakage of D.  ``--stats PATH`` writes the
+  blocks' wall times by level to a JSON sidecar.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
   (Euler angles followed by row-major real/imaginary entries).  The
@@ -30,11 +31,9 @@ with that graph.
 
 from __future__ import annotations
 
-import argparse
-import configparser
-import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,12 +103,8 @@ class RunConfig:
         raise ValueError(f"unknown connection {self.connection!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "group": self.group, "subgroup": self.subgroup, "bundle": self.bundle,
-            "charge": self.charge, "level": self.level, "connection": self.connection,
-            "quadrature_bandwidth": self.quadrature_bandwidth,
-            "sample_count": self.sample_count, "seed": self.seed, "levels": self.levels,
-        }
+        """The fields a report echoes, in declaration order: all but tolerances and output."""
+        return {k: v for k, v in vars(self).items() if k not in ("tolerances", "output")}
 
 
 def load_gamma_file(group: GroupModel, path: str) -> Connection:
@@ -129,6 +124,7 @@ def load_config(path: str) -> RunConfig:
 
     An unknown section or ``[run]`` key is rejected, naming it.
     """
+    import configparser  # here, like argparse and json: the run_* functions need none
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
@@ -172,20 +168,22 @@ def run_verify(cfg: RunConfig, stats: dict | None = None) -> dict:
 # -- spectrum ---------------------------------------------------------------------
 
 
-def run_spectrum(cfg: RunConfig) -> list:
-    """Rows (level, index, eigenvalue, asymmetry, closure) for the CSV output."""
+def run_spectrum(cfg: RunConfig, stats: dict | None = None) -> list:
+    """Rows (level, index, eigenvalue, asymmetry, closure) for the CSV output; ``stats``, if
+    given, gets each level's block wall time (``block_seconds``, by level)."""
     group = cfg.validate().make_group()
     if group.k_dim != 1:
         raise ValueError("spectrum blocks are cataloged for circle quotients")
     conn = cfg.make_connection(group)
-    blocks = [spectral_block(conn, lv) for lv in range(cfg.levels + 1)]
+    blocks, seconds = [], {} if stats is None else stats.setdefault("block_seconds", {})
+    for lv in range(cfg.levels + 1):
+        start = time.perf_counter()
+        blocks.append(spectral_block(conn, lv))
+        seconds[lv] = time.perf_counter() - start
     # the worst in-block leakage of D, reported on each row
     closure = max(b.closure for b in blocks)
-    rows = []
-    for b in blocks:
-        for idx, ev in enumerate(np.repeat(b.eigenvalues, b.multiplicity)):
-            rows.append((b.level, idx, float(ev), b.asymmetry, closure))
-    return rows
+    return [(b.level, idx, float(ev), b.asymmetry, closure) for b in blocks
+            for idx, ev in enumerate(np.repeat(b.eigenvalues, b.multiplicity))]
 
 
 # -- monopole ---------------------------------------------------------------------
@@ -219,19 +217,17 @@ def run_monopole(cfg: RunConfig) -> tuple:
 
 
 def _write_json(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    import json
+    _write(json.dumps(report, indent=2) + "\n", path)
 
 
 def _write_csv(header: list, rows: list, path: str | None) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", path)
+
+
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -239,60 +235,53 @@ def _write_csv(header: list, rows: list, path: str | None) -> None:
         print(text, end="")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (overridden by explicit flags)")
-    parser.add_argument("--group", help="group name or group config file")
-    parser.add_argument("--subgroup", help="subgroup name (u1 | trivial)")
-    parser.add_argument("--bundle", help="tangent | clifford | monopole")
-    parser.add_argument("--charge", type=int, help="monopole charge (twice the weight)")
-    parser.add_argument("--level", type=int, help="monopole ambient level (twice the spin)")
-    parser.add_argument("--connection", help="canonical | levi-civita | gamma file")
-    parser.add_argument("--quadrature-bandwidth", type=int, dest="quadrature_bandwidth")
-    parser.add_argument("--sample-count", type=int, dest="sample_count")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--levels", type=int, help="highest isotypic level")
-    parser.add_argument("--out", dest="output", help="output path (stdout if omitted)")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for key in _TEXT_KEYS + _INT_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
-
-
 def main(argv: list | None = None) -> int:
+    import argparse
+    import configparser
     parser = argparse.ArgumentParser(
         prog="homogdirac",
         description="equivariant bundles and Hodge-Dirac operators on homogeneous spaces")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "spectrum", "monopole"):
-        _add_common(sub.add_parser(name))
-    sub.choices["verify"].add_argument(
-        "--stats", help="write check wall times (s) and retained bytes to this JSON file")
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", help="config file (overridden by explicit flags)")
+        cmd.add_argument("--group", help="group name or group config file")
+        cmd.add_argument("--subgroup", help="subgroup name (u1 | trivial)")
+        cmd.add_argument("--bundle", help="tangent | clifford | monopole")
+        cmd.add_argument("--charge", type=int, help="monopole charge (twice the weight)")
+        cmd.add_argument("--level", type=int, help="monopole ambient level (twice the spin)")
+        cmd.add_argument("--connection", help="canonical | levi-civita | gamma file")
+        cmd.add_argument("--quadrature-bandwidth", type=int, dest="quadrature_bandwidth")
+        cmd.add_argument("--sample-count", type=int, dest="sample_count")
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--levels", type=int, help="highest isotypic level")
+        cmd.add_argument("--out", dest="output", help="output path (stdout if omitted)")
+    for name, what in (("verify", "check wall times (s) and retained bytes"),
+                       ("spectrum", "block wall times (s) by level")):
+        sub.choices[name].add_argument("--stats", help=f"write {what} to this JSON file")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _build_config(args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        for key in _TEXT_KEYS + _INT_KEYS:  # explicit flags override the config file
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
+        stats = {} if getattr(args, "stats", None) else None
+        status = 0
         if args.command == "verify":
-            stats = {} if args.stats else None
             report = run_verify(cfg, stats)
             _write_json(report, cfg.output)
-            if stats is not None:
-                _write_json(stats, args.stats)
-            return 0 if report["pass"] else 1
-        if args.command == "spectrum":
-            rows = run_spectrum(cfg)
+            status = 0 if report["pass"] else 1
+        elif args.command == "spectrum":
             header = ["level", "index", "eigenvalue", "asymmetry_norm", "closure_residual"]
-            _write_csv(header, rows, cfg.output)
-            return 0
-        header, rows = run_monopole(cfg)
-        _write_csv(header, rows, cfg.output)
-        return 0
+            _write_csv(header, run_spectrum(cfg, stats), cfg.output)
+        else:
+            _write_csv(*run_monopole(cfg), cfg.output)
+        if stats is not None:
+            _write_json(stats, args.stats)
+        return status
     except (ValueError, KeyError, OSError, NotImplementedError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

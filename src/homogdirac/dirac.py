@@ -26,11 +26,11 @@ left-translation isotypic blocks, and the metric lower-bound estimator
 driven by gradient sup norms.
 
 The blocks are pure linear algebra: on level-l spinors rho(x)[row, :] . C,
-Frobenius reciprocity turns D into M(C) = sum_a (drho(Y_a) . C +
-C . Delta_a^T) . R_a^T (Y_a the tangent frame, Delta_a the connection's
-Clifford derivations, R_a right multiplication by e_a), so by Schur
-orthogonality D on a level is dim(rho) copies of the matrix <C_i, M(C_j)>,
-which a block stores once.
+Frobenius reciprocity turns D into M(C) = sum_a drho(Y_a) C R_a^T + C C_0, with
+[C_0, R_a^T] the connection's ``dirac_stack`` (R_a right multiplication by e_a),
+so by Schur orthogonality D on a level is dim(rho) copies of the matrix
+<C_i, M(C_j)>, which a block stores once.  The C_i span the fixed vectors of
+the subgroup: products of weight vectors whose weights cancel.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .sections import (
     Scale,
     Section,
     Sum,
+    _weights,
     invariant_basis,
 )
 from .geometry import (
@@ -324,20 +325,26 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
     equivariant spinor exactly when rho(s) C = C K(s) for subgroup
     elements s, with K the Clifford extension of the tangent action: the
     :func:`~homogdirac.sections.invariant_basis` of its generators, exact at
-    every level and taken per Clifford grade (the generators preserve grade)
-    so basis members carry a pure grade.  Returns (grade, matrix) pairs.
+    every level: one eigendecomposition per level, with the Clifford side's kept on the
+    group and taken per grade (the generators preserve grade), so basis members carry
+    a pure grade.  Returns (grade, matrix) pairs.
     """
     algebra = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
     dk = CliffordKRep(group, algebra).generators
-    out = []
-    for grade in range(algebra.p + 1):
-        keep = algebra.grades == grade  # the grade's columns of C
-        for v in invariant_basis(rep, dk[:, keep][:, :, keep]):
-            c = np.zeros((rep.dim, algebra.n), dtype=complex)
-            c[:, keep] = v.reshape(rep.dim, -1)
-            out.append((grade, c))
-    return out
+    weights = group.memo("clifford_weights", lambda: _grade_weights(dk, algebra.grades))
+    cs = invariant_basis(rep, dk, weights).reshape(-1, rep.dim, algebra.n)
+    grades = algebra.grades[np.abs(cs).sum(axis=1).argmax(axis=1)]  # of each member's support
+    return [(int(grades[i]), cs[i]) for i in np.argsort(grades, kind="stable")]
+
+
+def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
+    """Eigenpairs of i gens[0], which preserves ``grades``, one grade at a time: pure grades."""
+    b, w = np.zeros(len(grades)), np.zeros((len(grades),) * 2, dtype=complex)
+    for grade in set(grades.tolist()):
+        keep = np.flatnonzero(grades == grade)
+        b[keep], w[np.ix_(keep, keep)] = _weights(gens[:, keep][:, :, keep])
+    return b, w
 
 
 def isotypic_basis(group: GroupModel, level: int) -> list:
@@ -353,12 +360,8 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
     rep = spin_rep(group, 2 * level)
     ckrep = CliffordKRep(group, algebra)
     coeffs = isotypic_coefficients(group, level)
-    basis = []
-    for row in range(rep.dim):
-        for grade, c in coeffs:
-            section = HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra, krep=ckrep)
-            basis.append((row, grade, section))
-    return basis
+    return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra, krep=ckrep))
+            for row in range(rep.dim) for grade, c in coeffs]
 
 
 @dataclass
@@ -397,19 +400,15 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     if not coeffs:
         return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)),
                              0.0, 0.0, 0.0, np.zeros(0))
-    algebra = spinor_algebra(g)
     rep = spin_rep(g, 2 * level)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
-    drho = np.stack([rep.derivative(y) for y in g.m_frame])     # (a, r, r)
-    delta = connection.derivation_stack()                       # (a, T, T)
-    right = algebra.right_generators()                          # (a, T, T)
-    moved = (np.einsum("ars,isT->airT", drho, cs)
-             + np.einsum("irS,aTS->airT", cs, delta))
-    image = np.einsum("airS,aTS->irT", moved, right)            # M(C_i)
-    gram = np.einsum("irT,jrT->ij", cs.conj(), cs)
-    gram_defect = float(np.abs(gram - np.eye(len(coeffs))).max())
-    small = np.einsum("irT,jrT->ij", cs.conj(), image)
-    closure = float(np.abs(image - np.einsum("irT,ij->jrT", cs, small)).max())
+    drho = rep.derivative(g.m_frame)                            # (a, r, r)
+    stack = connection.dirac_stack                              # [C_0, R_a^T]
+    image = (drho[:, None] @ cs @ stack[1:, None]).sum(axis=0) + cs @ stack[0]
+    flat, image = cs.reshape(len(cs), -1), image.reshape(len(cs), -1)
+    gram_defect = float(np.abs(flat.conj() @ flat.T - np.eye(len(cs))).max())
+    small = flat.conj() @ image.T
+    closure = float(np.abs(image - small.T @ flat).max())
     asymmetry = float(np.abs(small - small.conj().T).max())
     eigenvalues = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
     grades = np.array([grade for grade, _ in coeffs])

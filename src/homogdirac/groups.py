@@ -19,7 +19,6 @@ the induced inner product that defines the invariant metric on G/K.
 
 from __future__ import annotations
 
-import configparser
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -295,6 +294,7 @@ class GroupModel:
         parse raises a ValueError naming it; a file that is not valid config
         syntax raises a ``configparser.Error`` naming the file.
         """
+        import configparser  # here, so importing the package does not load it
         cp = configparser.ConfigParser()
         with open(path) as fh:
             cp.read_file(fh)

@@ -43,8 +43,8 @@ class UnitaryRep:
         self._stack_fn = stack_fn
 
     def derivative(self, coords: np.ndarray) -> np.ndarray:
-        """Generator image of the algebra vector with the given coordinates."""
-        return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.generators)
+        """Generator image of the algebra vector with the given coordinates (one per row)."""
+        return np.einsum("...a,aij->...ij", np.asarray(coords, dtype=float), self.generators)
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         """Values at a stack of defining matrices."""

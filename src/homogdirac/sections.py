@@ -39,9 +39,9 @@ left section, and a connection sweep releases each operand after its last row
 a dropped node is evaluated again if asked for.  A batch keeps no derived batch:
 a left translate or a subgroup orbit is a new batch per evaluation.  A subgroup
 action carries its generators, and an equivariant section is a sum of projected
-coefficients u* rho(x) P(v), P the closed-form subgroup average
-(:meth:`MatrixKRep.invariant`); :class:`KAverage`, the average over the subgroup
-rule on the orbit batch (on the trivial subgroup, its child), is its quadrature oracle.
+coefficients u* rho(x) P(v), P the closed-form subgroup average onto weight-vector products
+(:meth:`MatrixKRep.invariant`, :func:`invariant_basis`); :class:`KAverage`, the average over
+the subgroup rule on the orbit batch (on the trivial subgroup, its child), is its quadrature oracle.
 Each node carries a conservative bandwidth bound (total spin of its Peter-Weyl
 content) that :func:`l2_inner` checks against the quadrature rule.
 """
@@ -259,25 +259,37 @@ def _check_group(node: "Section", pts: EvalPoints) -> None:
 # -- equivariance actions of the subgroup ---------------------------------------
 
 
-_RANK_RTOL = 1e-8  # null-space cut, relative to the largest singular value
+_RANK_RTOL = 1e-8  # fixed-vector cut, relative to the largest weight sum or singular value
 
 
-def invariant_basis(rep: UnitaryRep, gens: np.ndarray) -> np.ndarray:
+def invariant_basis(rep: UnitaryRep, gens: np.ndarray, weights: tuple | None = None) -> np.ndarray:
     """Orthonormal rows spanning {V : drho(Z) V + V dpi(Z)^T = 0 for each ``k_frame`` row Z}.
 
-    ``gens`` holds dpi(Z); V (rep.dim x k) is flattened row-major.  The subgroup
-    is connected, so these V are the fixed points of V -> rho(s) V pi(s)^T.
-    Each operator is normal with weight differences as eigenvalues, so
-    nonzero singular values sit far above roundoff.
+    ``gens`` holds dpi(Z); V (rep.dim x k) is flattened row-major.  The subgroup is
+    connected, so these V are the fixed points of V -> rho(s) V pi(s)^T.  The first
+    generator's operator is normal, so its null space is spanned by the u_i w_j^T with
+    a_i + b_j = 0, for the eigenpairs (a, U) of i drho(Z_1) and (b, W) of i dpi(Z_1)
+    (:func:`_weights`, or ``weights`` if given); nonzero sums sit far above roundoff.
+    A thin SVD of the other generators' images on that span cuts it down.
     """
-    d, k = rep.dim, gens.shape[-1]
-    drho = np.array([rep.derivative(z) for z in rep.group.k_frame]).reshape(-1, d, d)
-    # kron(drho, 1) + kron(1, dpi), as vec(A V B) = kron(A, B^T) vec(V), entrywise
-    op = (drho[:, :, None, :, None] * np.eye(k)[:, None]
-          + np.eye(d)[:, None, :, None] * gens[:, None, :, None])
-    _, sv, vh = np.linalg.svd(op.reshape(-1, d * k))
-    rank = int(np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)))
-    return vh[rank:].conj()
+    drho = rep.derivative(rep.group.k_frame)
+    (a, u), (b, w) = _weights(drho), _weights(gens) if weights is None else weights
+    sums = np.abs(a[:, None] + b)
+    i, j = np.nonzero(sums <= _RANK_RTOL * sums.max(initial=0.0))
+    vs = u.T[i][:, :, None] * w.T[j][:, None, :]  # V = u_i w_j^T
+    if len(drho) > 1 and len(vs):  # drho(Z) V + V dpi(Z)^T for the other generators Z
+        image = drho[1:, None] @ vs + vs @ gens[1:, None].swapaxes(-1, -2)
+        image = image.reshape(len(image), len(vs), -1).transpose(0, 2, 1).reshape(-1, len(vs))
+        _, sv, vh = np.linalg.svd(image, full_matrices=False)
+        cut = _RANK_RTOL * max(sums.max(), sv[0])
+        vs = np.tensordot(vh[np.count_nonzero(sv > cut):].conj(), vs, 1)
+    return vs.reshape(len(vs), rep.dim * gens.shape[-1])
+
+
+def _weights(gens: np.ndarray) -> tuple:
+    """Eigenpairs of i gens[0]; with no generator, weight 0 on the standard basis, no eigensolve."""
+    k = gens.shape[-1]
+    return np.linalg.eigh(1j * gens[0]) if len(gens) else (np.zeros(k), np.eye(k))
 
 
 class _KRep:

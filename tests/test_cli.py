@@ -253,7 +253,21 @@ def test_verify_stats_sidecar_times_every_check(tmp_path):
     retained = sidecar["retained_bytes"]
     assert list(retained) == ["samples", "rule"]
     assert all(isinstance(b, int) and b > 0 for b in retained.values())
-    assert main(["spectrum", "--stats", stats]) == 2  # a verify option only
+    assert main(["monopole", "--stats", stats]) == 2  # a verify and spectrum option only
+
+
+def test_spectrum_stats_sidecar_times_every_level(tmp_path):
+    """The sidecar holds each level's block seconds; the CSV with it equals the one without."""
+    args = ["spectrum", "--connection", "levi-civita", "--levels", "3"]
+    out, plain, stats = (os.path.join(tmp_path, n) for n in ("s.csv", "p.csv", "s.json"))
+    assert main(args + ["--out", out, "--stats", stats]) == 0
+    assert main(args + ["--out", plain]) == 0
+    assert open(out).read() == open(plain).read()
+    sidecar = json.load(open(stats))
+    assert list(sidecar) == ["block_seconds"]
+    seconds = sidecar["block_seconds"]
+    assert list(seconds) == [str(level) for level in range(4)]  # JSON keys are strings
+    assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
 
 
 def test_threads_env_gives_same_spectrum(tmp_path, monkeypatch):

@@ -439,6 +439,37 @@ def test_isotypic_coefficients_match_subgroup_average(scale):
             assert np.abs(ours - oracle).max() <= 1e-12, (scale, level, grade)
 
 
+def test_spectrum_takes_no_svd_and_one_eigendecomposition_per_level(monkeypatch):
+    """su2/u1 to level 20: no SVD, one eigh per level plus one per Clifford grade, and every
+    coefficient stack orthonormal with each member of pure grade."""
+    from homogdirac import GroupModel
+    from homogdirac.cli import RunConfig, run_spectrum
+    from homogdirac.dirac import isotypic_coefficients
+
+    calls, eigh = [], np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the spectrum path took an SVD")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    levels = 20
+    run_spectrum(RunConfig(group="su2", subgroup="u1", connection="levi-civita", levels=levels))
+    group = GroupModel.su2()
+    alg = spinor_algebra(group)
+    assert 0 < len(calls) <= (levels + 1) + (alg.p + 1)
+    for level in range(levels + 1):
+        coeffs = isotypic_coefficients(group, level)
+        flat = np.array([c.reshape(-1) for _, c in coeffs])
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max() < 1e-13, level
+        for grade, c in coeffs:
+            assert not np.any(c[:, alg.grades != grade]), (level, grade)
+
+
 def test_every_coefficient_is_invariant_over_the_trivial_subgroup(full_group):
     from homogdirac.dirac import isotypic_coefficients
     alg = spinor_algebra(full_group)

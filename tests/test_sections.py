@@ -42,7 +42,9 @@ from homogdirac import (
     translate,
 )
 from homogdirac.bundles import _section_spins
-from homogdirac.sections import ConjugatedProjection, Pointwise, Product
+from homogdirac.groups import _su2_raw_basis
+from homogdirac.sections import (_RANK_RTOL, ConjugatedProjection, Pointwise, Product,
+                                  invariant_basis)
 
 
 def fd_deriv(group, section, x, direction, h):
@@ -723,6 +725,66 @@ def test_invariant_is_the_rule_average_and_idempotent(space, request, rng):
             assert proj.shape == v.shape
             assert np.abs(proj - _rule_average(group, rep, v, krep)).max() < 1e-13, (name, two_j)
             assert np.abs(krep.invariant(rep, proj) - proj).max() < 1e-13, (name, two_j)
+
+
+def _svd_invariant_basis(rep, gens):
+    """The null space of the whole stacked operator by one SVD, at (dk)^3 cost: the oracle."""
+    d, k = rep.dim, gens.shape[-1]
+    drho = np.array([rep.derivative(z) for z in rep.group.k_frame]).reshape(-1, d, d)
+    # kron(drho, 1) + kron(1, dpi), as vec(A V B) = kron(A, B^T) vec(V), entrywise
+    op = (drho[:, :, None, :, None] * np.eye(k)[:, None]
+          + np.eye(d)[:, None, :, None] * gens[:, None, :, None])
+    _, sv, vh = np.linalg.svd(op.reshape(-1, d * k))
+    rank = int(np.sum(sv > _RANK_RTOL * sv.max(initial=0.0)))
+    return vh[rank:].conj()
+
+
+def _generator_cases(group):
+    """(name, dpi stack) for the trivial, tangent and Clifford actions, the last per grade too."""
+    alg = spinor_algebra(group)
+    clifford = CliffordKRep(group, alg).generators
+    cases = [("trivial", np.zeros((group.k_dim, 1, 1))),
+             ("tangent", TangentKRep(group).generators), ("clifford", clifford)]
+    for grade in range(alg.p + 1):
+        keep = alg.grades == grade
+        cases.append((f"clifford-grade-{grade}", clifford[:, keep][:, :, keep]))
+    return cases
+
+
+def _assert_same_invariant_space(rep, gens, label):
+    ours, oracle = invariant_basis(rep, gens), _svd_invariant_basis(rep, gens)
+    assert ours.shape == oracle.shape, label
+    assert np.abs(ours.conj() @ ours.T - np.eye(len(ours))).max(initial=0.0) < 1e-13, label
+    assert np.abs(ours.T @ ours.conj() - oracle.T @ oracle.conj()).max(initial=0.0) < 1e-13, label
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated", "reordered"])
+def test_invariant_basis_matches_the_svd_route(space, request):
+    """Weight pairs from one eigendecomposition span the SVD null space: equal dimensions and
+    projectors B^T conj(B) for every action on spin 0 to 20."""
+    if space == "reordered":  # the circle along the first declared basis axis
+        group = GroupModel("reordered", _su2_raw_basis()[[2, 0, 1]], subgroup_indices=(0,))
+    else:
+        group = space_group(space, request)
+    for name, gens in _generator_cases(group):
+        for two_j in range(41):
+            _assert_same_invariant_space(spin_rep(group, two_j), gens, (space, name, two_j))
+
+
+def test_invariant_basis_matches_the_svd_route_on_a_three_dimensional_subgroup():
+    """SU(2) x SU(2) / diagonal SU(2): two more generators cut the first one's fixed span down
+    by a restricted SVD."""
+    raw = _su2_raw_basis()
+    zero = np.zeros((2, 2))
+    basis = ([np.block([[x, zero], [zero, x]]) for x in raw]
+             + [np.block([[x, zero], [zero, -x]]) for x in raw])
+    group = GroupModel("su2xsu2", basis, subgroup_indices=(0, 1, 2))
+    rep = adjoint_rep(group)
+    for name, gens in _generator_cases(group):
+        _assert_same_invariant_space(rep, gens, name)
+    # the algebra is two copies of the diagonal's spin 1 and holds no invariant vector
+    assert len(invariant_basis(rep, TangentKRep(group).generators)) == 2
+    assert len(invariant_basis(rep, np.zeros((3, 1, 1)))) == 0
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
