@@ -41,7 +41,7 @@ from .geometry import (
     tangent_frame,
     torsion,
 )
-from .groups import GroupElement, GroupModel, expm_skew
+from .groups import GroupElement, GroupModel, _one_parameter_period, expm_skew
 from .reps import spin_rep
 from .sections import (
     AInner,
@@ -270,7 +270,11 @@ def _check_product_rule(ctx: _Context):
 
 def _check_frame_equivariance(ctx: _Context):
     b, g = ctx.bundle, ctx.group
-    nodes = g.k_rule.nodes[:5]
+    nodes = [g.identity()]  # on a nontrivial subgroup, exp(t_k Z_1) at t_k = period k / 33, k < 5
+    if g.k_dim:
+        z = np.einsum("a,aij->ij", g.k_frame[0], g.basis)
+        ts = _one_parameter_period(z) * np.arange(5) / 33
+        nodes = [GroupElement(m) for m in expm_skew(ts[:, None, None] * z)]
     worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes).max())
                 for eta in build_frame(b))
     return worst, 5 * b.ambient_dim

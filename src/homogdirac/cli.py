@@ -24,9 +24,11 @@ configurations produce byte-identical outputs.  Every command runs in one
 thread; ``HOMOG_DIRAC_THREADS`` is accepted and ignored.
 
 Evaluation caches live no longer than the objects they serve: ``verify``
-keeps its quadrature rule, and with it the rule's evaluation points, for
-its whole run, while the values cached there for a section graph go away
-with that graph.
+keeps its quadrature rule for its whole run, and with it the rule's
+evaluation points and the representations they hold stacks of, while the
+values cached there for a section graph go away with that graph.
+``spectrum`` holds a level's spin representation only while it builds
+that level's block.
 """
 
 from __future__ import annotations

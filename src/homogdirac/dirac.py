@@ -396,11 +396,11 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     its asymmetry reported, so violating connections get real eigenvalues.
     """
     g = connection.group
+    rep = spin_rep(g, 2 * level)  # held here, so isotypic_coefficients builds no second one
     coeffs = isotypic_coefficients(g, level)
     if not coeffs:
         return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)),
                              0.0, 0.0, 0.0, np.zeros(0))
-    rep = spin_rep(g, 2 * level)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
     drho = rep.derivative(g.m_frame)                            # (a, r, r)
     stack = connection.dirac_stack                              # [C_0, R_a^T]

@@ -19,8 +19,8 @@ the induced inner product that defines the invariant metric on G/K.
 
 from __future__ import annotations
 
-import functools
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,9 +39,6 @@ __all__ = [
 _EXPANSION_TOL = 1e-10
 _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
-# nodes of the circle subgroup's uniform rule: subgroup averages of
-# functions on G (sections.KAverage) are exact up to frequency 16
-_K_RULE_SIZE = 33
 
 
 class GroupElement:
@@ -84,7 +81,7 @@ class QuadratureRule:
     """Nodes and weights for integration over a compact group, the ``group`` it was built for.
 
     The nodes are held as one (count, N, N) stack of defining ``matrices``, from which the
-    rule's evaluation batch is built; :attr:`nodes` wraps them as elements only when asked.
+    rule's evaluation batch is built.
     ``kind`` is "exact" for rules integrating all products of matrix
     coefficients of total spin <= ``bandwidth`` exactly, "monte-carlo"
     for sampled rules whose statistical error scales like ``mc_sigma``.
@@ -101,11 +98,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    @property
-    def nodes(self) -> list:
-        """The nodes as group elements, in node order; a new list on each access."""
-        return [GroupElement(m) for m in self.matrices]
 
     def warn_if_inexact(self, bound: float) -> None:
         """Warn the caller's caller if an exact rule is below an integrand's bandwidth ``bound``."""
@@ -227,7 +219,8 @@ class GroupModel:
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
         # row Z; the subgroup is connected, so these decide its invariants
         self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
-        self.spin_reps: dict = {}  # reps.spin_rep, by two_j
+        # reps.spin_rep, by two_j, while a user holds it: a batch holds those it has stacks of
+        self.spin_reps = weakref.WeakValueDictionary()
         self._memo: dict = {}  # memo's values, by key
 
     def memo(self, key: str, build):
@@ -246,27 +239,6 @@ class GroupModel:
         brackets = self.ad(self.k_frame) @ self.k_frame.T  # [Z_i, Z_j] in column j
         if np.any(np.linalg.norm(self.proj_m @ brackets, axis=1) > _SUBALGEBRA_TOL):
             raise ValueError("declared subgroup basis does not close under brackets")
-
-    @functools.cached_property
-    def k_rule(self) -> QuadratureRule:
-        """Uniform quadrature over the subgroup, built on first use and kept.
-
-        Only trivial and one-parameter subgroups have a rule; for others,
-        construction succeeds and this raises NotImplementedError.
-        """
-        if self.k_dim == 0:
-            return QuadratureRule(self.identity().matrix[None], np.array([1.0]), np.inf, self)
-        if self.k_dim == 1:
-            # Circle subgroup: uniform rule over one full period.  The
-            # generator is normalized so the period of exp(t Z) is read off
-            # the defining matrices; for the su(2) catalog it is 4*pi.
-            z = np.einsum("a,aij->ij", self.k_frame[0], self.basis)
-            period = _one_parameter_period(z)
-            ts = period * np.arange(_K_RULE_SIZE) / _K_RULE_SIZE
-            return QuadratureRule(expm_skew(ts[:, None, None] * z),
-                                  np.full(_K_RULE_SIZE, 1.0 / _K_RULE_SIZE),
-                                  (_K_RULE_SIZE - 1) / 2, self)
-        raise NotImplementedError("only trivial and one-parameter subgroups are cataloged")
 
     # -- catalog ---------------------------------------------------------------
 
@@ -424,9 +396,6 @@ class GroupModel:
         if sampler == "euler":
             return _euler_matrices(*np.transpose(draws))
         return _qr_haar_unitaries(draws, sampler == "su")
-
-    def random_element(self, rng: np.random.Generator) -> GroupElement:
-        return self.random_elements(rng, 1)[0]
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list:
         """``count`` Haar samples, drawn column by column (each draw for all samples in turn)."""

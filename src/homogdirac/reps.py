@@ -44,7 +44,9 @@ class UnitaryRep:
 
     def derivative(self, coords: np.ndarray) -> np.ndarray:
         """Generator image of the algebra vector with the given coordinates (one per row)."""
-        return np.einsum("...a,aij->...ij", np.asarray(coords, dtype=float), self.generators)
+        coords = np.asarray(coords, dtype=float)
+        flat = coords @ self.generators.reshape(len(self.generators), -1)  # one matmul
+        return flat.reshape(coords.shape[:-1] + self.generators.shape[1:])
 
     def matrix_stack(self, matrices: np.ndarray) -> np.ndarray:
         """Values at a stack of defining matrices."""
@@ -102,20 +104,20 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
     basis the third algebra axis acts diagonally with eigenvalues -i*m,
     m = j, j-1, ..., -j, scaled with the metric normalization).  Its
     generators are the derivatives of that formula along ``group.basis``,
-    so values and generators agree for any basis of su(2).  The one object
-    per (group, two_j) is kept on the group.
+    so values and generators agree for any basis of su(2).  The group keeps
+    the one object per (group, two_j) while something else holds it.
     """
     if group.matrix_dim != 2 or group.dim != 3:
         raise ValueError("spin representations are cataloged for SU(2) groups")
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a nonnegative integer")
-    if two_j in group.spin_reps:
-        return group.spin_reps[two_j]
-    n = int(two_j)
-    group.spin_reps[two_j] = UnitaryRep(
-        group, _symmetric_power_generators(group.basis, n), f"spin-{two_j}/2", spin=n / 2.0,
-        stack_fn=partial(_symmetric_power_stack, n=n))
-    return group.spin_reps[two_j]
+    rep = group.spin_reps.get(two_j)
+    if rep is None:
+        n = int(two_j)
+        rep = group.spin_reps[two_j] = UnitaryRep(
+            group, _symmetric_power_generators(group.basis, n), f"spin-{two_j}/2",
+            spin=n / 2.0, stack_fn=partial(_symmetric_power_stack, n=n))
+    return rep
 
 
 def adjoint_rep(group: GroupModel) -> UnitaryRep:

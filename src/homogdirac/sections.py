@@ -27,21 +27,20 @@ and a section, which carries its group, is evaluated only on batches of that
 group (another group's batch raises ValueError).  A derivative takes one
 direction per point or one shared by all points; a frame Jacobian asks for
 each frame row as one shared direction.  A batch caches what a later step
-reads again, each cache a ``weakref.WeakKeyDictionary`` whose entries live at
-most as long as the batch and their key: representation stacks, node values (a
-constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are
-its child node's, so one product serves its values and every derivative), the
-frame Jacobians that a covariant derivative contracts with a direction field,
-and weighted Gram stacks of node pairs, which pin no Jacobian.  Once built, a
-Gram row (:meth:`EvalPoints.gram_row`) drops the values and Jacobians below its
-left section, and a connection sweep releases each operand after its last row
-(:meth:`EvalPoints.release`), so it leaves representation and Gram stacks only;
-a dropped node is evaluated again if asked for.  A batch keeps no derived batch:
-a left translate or a subgroup orbit is a new batch per evaluation.  A subgroup
-action carries its generators, and an equivariant section is a sum of projected
-coefficients u* rho(x) P(v), P the closed-form subgroup average onto weight-vector products
-(:meth:`MatrixKRep.invariant`, :func:`invariant_basis`); :class:`KAverage`, the average over
-the subgroup rule on the orbit batch (on the trivial subgroup, its child), is its quadrature oracle.
+reads again: representation stacks, held with their representations for the
+batch's life, and in ``weakref.WeakKeyDictionary`` caches whose entries die with
+their key, node values (a constant's are a read-only view of it; a matrix
+coefficient's rows u* rho(x) are its child node's, so one product serves its values
+and every derivative), the frame Jacobians that a covariant derivative contracts
+with a direction field, and weighted Gram stacks of node pairs, which pin no
+Jacobian.  Once built, a Gram row (:meth:`EvalPoints.gram_row`) drops the values
+and Jacobians below its left section, and a connection sweep releases each operand
+after its last row (:meth:`EvalPoints.release`), so it leaves representation and
+Gram stacks only; a dropped node is evaluated again if asked for.  A batch keeps no
+derived batch: a left translate is a new batch per evaluation.  A subgroup action
+carries its generators, and an equivariant section is a sum of projected coefficients
+u* rho(x) P(v), P the closed-form subgroup average (:meth:`MatrixKRep.invariant`,
+:func:`invariant_basis`); :class:`KAverage` is the trivial subgroup's, its child.
 Each node carries a conservative bandwidth bound (total spin of its Peter-Weyl
 content) that :func:`l2_inner` checks against the quadrature rule.
 """
@@ -132,7 +131,7 @@ class EvalPoints:
     def __init__(self, group: GroupModel, matrices: np.ndarray):
         self.group = group
         self.matrices = np.asarray(matrices, dtype=complex)
-        self._reps = weakref.WeakKeyDictionary()
+        self._reps = {}  # {rep: stack}: the batch holds each representation it has a stack of
         self._vals = weakref.WeakKeyDictionary()
         self._jac = weakref.WeakKeyDictionary()
         self._gram = weakref.WeakKeyDictionary()  # {phi: {psi: Gram stack}}
@@ -324,8 +323,6 @@ class MatrixKRep(_KRep):
 
     ``stack_fn`` maps an :class:`EvalPoints` batch of subgroup elements to
     their (n, dim, dim) matrices, and ``generators`` are their derivatives.
-    The stack on the subgroup rule's nodes, for :class:`KAverage` on a nontrivial
-    subgroup, is computed once and kept.
     """
 
     def __init__(self, group: GroupModel, stack_fn, dim: int, generators):
@@ -333,15 +330,7 @@ class MatrixKRep(_KRep):
         self._stack_fn = stack_fn
         self.dim = dim
         self.generators = np.reshape(generators, (-1, dim, dim))
-        self._rule_stack: np.ndarray | None = None
         self._bases = weakref.WeakKeyDictionary()
-
-    def rule_stack(self) -> np.ndarray:
-        """Matrices at the nodes of ``group.k_rule``, in node order."""
-        if self._rule_stack is None:
-            self._rule_stack = self._stack_fn(
-                EvalPoints.for_rule(self.group, self.group.k_rule))
-        return self._rule_stack
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
@@ -438,12 +427,6 @@ class Section:
     def frame_derivs(self, pts: EvalPoints) -> np.ndarray:
         """Derivatives along each complement-frame row, (m_dim, n, *shape); cached on the batch."""
         return pts.frame_derivs(self)
-
-    def value(self, x: GroupElement):
-        return self.values(EvalPoints.of(self.group, [x]))[0]
-
-    def deriv(self, x: GroupElement, direction: np.ndarray):
-        return self.derivs(EvalPoints.of(self.group, [x]), np.asarray(direction)[None])[0]
 
     def _lambda(self, coords: np.ndarray) -> "Section":
         raise NotImplementedError(
@@ -770,51 +753,26 @@ class Translate(Section):
 
 
 class KAverage(Section):
-    """Equivariant projection: average of pi_s child(x s) over the subgroup rule.
-
-    Idempotent on equivariant sections, and exactly equivariant whenever the subgroup rule
-    integrates the (band-limited) integrand exactly.  The package builds none: it is the
-    quadrature oracle of :meth:`MatrixKRep.invariant` and the benchmark's spinor path.  Each
-    evaluation builds a new, uncached batch of the points x s; on the trivial subgroup, the
-    average over {e} with weight 1, it returns its child's values and derivatives bit for bit.
-    """
+    """The average of pi_s child(x s) over the trivial subgroup {e}, tagged with ``krep``: its
+    child, bit for bit.  Over a nontrivial subgroup it raises ValueError; there,
+    :meth:`MatrixKRep.invariant` projects coefficients in closed form."""
 
     def __init__(self, child: Section, krep, group: GroupModel):
+        if group.k_dim:
+            raise ValueError(f"KAverage averages over the trivial subgroup only; on {group.name!r} "
+                             "project coefficients with MatrixKRep.invariant")
         self.children = (child,)
         self.group = group
         self.codomain = child.codomain
         self.deriv_order = child.deriv_order
         self.bandwidth = child.bandwidth
         self.krep = krep
-        self.rule = group.k_rule
-
-    def _average(self, vals: np.ndarray) -> np.ndarray:
-        # vals holds the child on the orbit batch, node-major
-        vals = vals.reshape((len(self.rule), -1) + vals.shape[1:])
-        if not isinstance(self.krep, TrivialKRep):
-            vals = vals @ self.krep.rule_stack().transpose(0, 2, 1)  # pi_s v at node s
-        return np.tensordot(self.rule.weights, vals, axes=1)
-
-    def _orbit(self, pts: EvalPoints) -> EvalPoints:
-        """The points x s for every rule node s, node-major, as a new uncached batch."""
-        prod = pts.matrices[None] @ self.rule.matrices[:, None]  # x_i s_k at index k * n + i
-        return EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
-        if self.group.k_dim == 0:  # the average over {e} with weight 1
-            return self.children[0].values(pts)
-        return self._average(self.children[0].values(self._orbit(pts)))
+        return self.children[0].values(pts)
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        if self.group.k_dim == 0:
-            return self.children[0].derivs(pts, dirs)
-        # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
-        nodes = EvalPoints.for_rule(self.group, self.rule)
-        pulled = dirs @ nodes.ad_stack()
-        if len(pulled) > 1:  # the orbit's K n points take K different directions
-            pulled = np.broadcast_to(pulled, (len(pulled), pts.n, dirs.shape[-1]))
-        return self._average(self.children[0].derivs(self._orbit(pts),
-                                                     pulled.reshape(-1, dirs.shape[-1])))
+        return self.children[0].derivs(pts, dirs)
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return KAverage(self.children[0]._lambda(coords), self.krep, self.group)

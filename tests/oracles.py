@@ -1,0 +1,173 @@
+"""Test-only code that the package does not carry: oracles and one-point helpers.
+
+The subgroup orbit average (:class:`OrbitAverage`) is the quadrature reference for the
+closed-form projector ``MatrixKRep.invariant``: the average of pi_s child(x s) over a
+uniform rule on the subgroup (:func:`k_rule`), with pi_s from the action's stack on the
+rule's nodes (:func:`rule_stack`).  The one-point helpers evaluate a section at one
+element, and the rest are the representation, action and report helpers whose only
+callers are tests.
+"""
+
+import weakref
+
+import numpy as np
+
+from homogdirac import EvalPoints, GroupElement, QuadratureRule, Section, TrivialKRep, UnitaryRep
+from homogdirac.groups import _one_parameter_period, expm_skew
+
+# nodes of the circle subgroup's uniform rule: orbit averages of functions
+# on G (OrbitAverage) are exact up to frequency 16
+K_RULE_SIZE = 33
+
+
+def k_rule(group) -> QuadratureRule:
+    """Uniform quadrature over the subgroup, built on first use and kept on the group.
+
+    The trivial subgroup's rule is the identity with weight 1, and a circle's is K_RULE_SIZE
+    equally spaced points over one period; other subgroups raise NotImplementedError.
+    """
+    def build():
+        if group.k_dim == 0:
+            return QuadratureRule(group.identity().matrix[None], np.array([1.0]), np.inf, group)
+        if group.k_dim == 1:
+            # the generator's period is read off the defining matrices; 4*pi for su(2)
+            z = np.einsum("a,aij->ij", group.k_frame[0], group.basis)
+            ts = _one_parameter_period(z) * np.arange(K_RULE_SIZE) / K_RULE_SIZE
+            return QuadratureRule(expm_skew(ts[:, None, None] * z),
+                                  np.full(K_RULE_SIZE, 1.0 / K_RULE_SIZE),
+                                  (K_RULE_SIZE - 1) / 2, group)
+        raise NotImplementedError("only trivial and one-parameter subgroups have a rule")
+
+    return group.memo("k_rule", build)
+
+
+def k_nodes(group) -> list:
+    """The nodes of :func:`k_rule` as group elements, in node order."""
+    return [GroupElement(m) for m in k_rule(group).matrices]
+
+
+_RULE_STACKS = weakref.WeakKeyDictionary()  # {action: its matrices at the k_rule nodes}
+
+
+def rule_stack(krep) -> np.ndarray:
+    """A matrix action's matrices at the nodes of ``k_rule``, in node order; kept while it lives."""
+    stack = _RULE_STACKS.get(krep)
+    if stack is None:
+        group = krep.group
+        stack = _RULE_STACKS[krep] = krep._stack_fn(EvalPoints.for_rule(group, k_rule(group)))
+    return stack
+
+
+class OrbitAverage(Section):
+    """Equivariant projection: average of pi_s child(x s) over the subgroup rule.
+
+    Idempotent on equivariant sections, and exactly equivariant whenever the subgroup rule
+    integrates the (band-limited) integrand exactly.  Each evaluation builds a new, uncached
+    batch of the points x s; on the trivial subgroup, the average over {e} with weight 1, it
+    returns its child's values and derivatives bit for bit.
+    """
+
+    def __init__(self, child: Section, krep, group):
+        self.children = (child,)
+        self.group = group
+        self.codomain = child.codomain
+        self.deriv_order = child.deriv_order
+        self.bandwidth = child.bandwidth
+        self.krep = krep
+        self.rule = k_rule(group)
+
+    def _average(self, vals: np.ndarray) -> np.ndarray:
+        # vals holds the child on the orbit batch, node-major
+        vals = vals.reshape((len(self.rule), -1) + vals.shape[1:])
+        if not isinstance(self.krep, TrivialKRep):
+            vals = vals @ rule_stack(self.krep).transpose(0, 2, 1)  # pi_s v at node s
+        return np.tensordot(self.rule.weights, vals, axes=1)
+
+    def _orbit(self, pts: EvalPoints) -> EvalPoints:
+        """The points x s for every rule node s, node-major, as a new uncached batch."""
+        prod = pts.matrices[None] @ self.rule.matrices[:, None]  # x_i s_k at index k * n + i
+        return EvalPoints(self.group, prod.reshape((-1,) + prod.shape[2:]))
+
+    def _values(self, pts: EvalPoints) -> np.ndarray:
+        if self.group.k_dim == 0:  # the average over {e} with weight 1
+            return self.children[0].values(pts)
+        return self._average(self.children[0].values(self._orbit(pts)))
+
+    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
+        if self.group.k_dim == 0:
+            return self.children[0].derivs(pts, dirs)
+        # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
+        pulled = dirs @ EvalPoints.for_rule(self.group, self.rule).ad_stack()
+        if len(pulled) > 1:  # the orbit's K n points take K different directions
+            pulled = np.broadcast_to(pulled, (len(pulled), pts.n, dirs.shape[-1]))
+        return self._average(self.children[0].derivs(self._orbit(pts),
+                                                     pulled.reshape(-1, dirs.shape[-1])))
+
+    def _lambda(self, coords: np.ndarray) -> Section:
+        return OrbitAverage(self.children[0]._lambda(coords), self.krep, self.group)
+
+
+# -- one-point helpers --------------------------------------------------------------
+
+
+def value(section, x: GroupElement):
+    """The section's value at one element: its values on a one-point batch."""
+    return section.values(EvalPoints.of(section.group, [x]))[0]
+
+
+def deriv(section, x: GroupElement, direction):
+    """The section's derivative at one element along one algebra direction."""
+    return section.derivs(EvalPoints.of(section.group, [x]), np.asarray(direction)[None])[0]
+
+
+def random_element(group, rng) -> GroupElement:
+    """One Haar sample: the one-point case of ``random_elements``."""
+    return group.random_elements(rng, 1)[0]
+
+
+# -- representations, actions and reports -------------------------------------------
+
+
+def krep_matrix(krep, s: GroupElement) -> np.ndarray:
+    """pi_s at one subgroup element: the action's stack on a one-point batch."""
+    return krep._stack_fn(EvalPoints.of(krep.group, [s]))[0]
+
+
+def direct_sum(*reps) -> UnitaryRep:
+    """Block-diagonal direct sum of representations of one group; a new object per call."""
+    dim = sum(r.dim for r in reps)
+
+    def block_diagonal(blocks):
+        out = np.zeros(blocks[0].shape[:-2] + (dim, dim), dtype=complex)
+        off = 0
+        for r, block in zip(reps, blocks):
+            out[..., off:off + r.dim, off:off + r.dim] = block
+            off += r.dim
+        return out
+
+    return UnitaryRep(reps[0].group, block_diagonal([r.generators for r in reps]),
+                      "+".join(r.name for r in reps), spin=max(r.spin for r in reps),
+                      stack_fn=lambda m: block_diagonal([r.matrix_stack(m) for r in reps]))
+
+
+def symmetric_space_residual(group) -> float:
+    """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
+    brackets = group.ad(group.m_frame) @ group.m_frame.T  # [Y_a, Y_b] in column b
+    return float(np.linalg.norm(group.proj_m @ brackets, axis=1).max(initial=0.0))
+
+
+def symmetric_space_check(group) -> tuple:
+    """(is_symmetric, residual): whether tangent brackets fall into the isotropy algebra."""
+    residual = symmetric_space_residual(group)
+    return residual <= 1e-12, residual
+
+
+def vector_part(alg, a) -> np.ndarray:
+    """The grade-one coefficients of ``a``, in generator order."""
+    return np.asarray(a)[..., [1 << b for b in range(alg.p)]]
+
+
+def criteria_consistent(report) -> bool:
+    """The two equivalent residuals of a criterion report pass or fail together."""
+    return ((report.torsion_trace_max <= report.tolerance)
+            == (report.correction_sum_residual <= report.tolerance))

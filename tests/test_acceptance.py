@@ -18,7 +18,6 @@ from homogdirac import (
     MatrixCoefficient,
     OpApply,
     RealPart,
-    KAverage,
     Scale,
     Sum,
     TrivialKRep,
@@ -48,7 +47,9 @@ from homogdirac import (
     torsion,
     translate,
 )
-from test_dirac import criteria_consistent, geodesic_arc
+from test_dirac import geodesic_arc
+from oracles import OrbitAverage, criteria_consistent, deriv, random_element, value
+
 
 SEED = 20250810
 
@@ -73,13 +74,13 @@ def band_limited_spinor(group, rng, two_j):
         rep = spin_rep(group, two_j)
         raw = Scale(const, RealPart(MatrixCoefficient(
             rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))))
-    return KAverage(raw, CliffordKRep(group, alg), group)
+    return OrbitAverage(raw, CliffordKRep(group, alg), group)
 
 
 def invariant_scalar(group, rng, two_j=2):
     rep = spin_rep(group, two_j)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
-    return RealPart(KAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(), group))
 
 
 def test_criterion_1_frames_and_projectivity(sphere):
@@ -142,9 +143,9 @@ def test_criterion_3_tangent_suite(sphere, full_group):
                         lambda_deriv(lambda_deriv(f, a), b)], [1.0, -1.0])
             field = fundamental_field(group, group.bracket(a, b))
             for x in group.random_elements(rng, 10):
-                direction = group.from_m(field.value(x).real)
+                direction = group.from_m(value(field, x).real)
                 worst_bracket = max(worst_bracket, abs(
-                    complex(comm.value(x)) - complex(f.deriv(x, direction))))
+                    complex(value(comm, x)) - complex(deriv(f, x, direction))))
     ok = worst_frame <= 1e-10 and worst_norm <= 1e-10 and worst_bracket <= 1e-10
     report("criterion-3 tangent suite", ok,
            f"frame {worst_frame:.2e}, norm-sum {worst_norm:.2e}, "
@@ -167,7 +168,7 @@ def test_criterion_4_connection_suite(sphere, full_group):
             rhs = (AInner(ApplyConnection(lc, wj, xi), eta).values(pts)
                    + AInner(xi, ApplyConnection(lc, wj, eta)).values(pts))
             worst_leib = max(worst_leib, float(np.abs(lhs - rhs).max()))
-        y = group.random_element(rng)
+        y = random_element(group, rng)
         from homogdirac import Translate
         lhs = Translate(ApplyConnection(nab0, xi, eta), y).values(pts)
         rhs = ApplyConnection(nab0, Translate(xi, y), Translate(eta, y)).values(pts)
@@ -186,7 +187,7 @@ def test_criterion_4_connection_suite(sphere, full_group):
     worst_formula = float(np.abs(tv - expect).max())
     w1, w2 = tangent_frame(g)[0], tangent_frame(g)[1]
     t12 = torsion(canonical_connection(g), w1, w2)
-    e_val = t12.value(g.identity()).real
+    e_val = value(t12, g.identity()).real
     value_ok = np.linalg.norm(e_val + np.eye(3)[2]) <= 1e-10  # -P[X1,X2] = -X3
     norm_ok = np.linalg.norm(t12.values(pts), axis=1).max() >= 0.1
     ok = (worst_leib <= 1e-9 and worst_inv <= 1e-9 and worst_lc <= 1e-10
@@ -213,7 +214,7 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
         q, _ = np.linalg.qr(rng.standard_normal((group.dim, group.dim)))
         other = hodge_dirac(lc, phi, frame=tangent_frame(group, q.T)).values(pts)
         worst_frame = max(worst_frame, float(np.abs(base - other).max()))
-        y = group.random_element(rng)
+        y = random_element(group, rng)
         lhs = translate(hodge_dirac(lc, phi), y).values(pts)
         rhs = hodge_dirac(lc, translate(phi, y), frame=tangent_frame(group)).values(pts)
         worst_lambda = max(worst_lambda, float(np.abs(lhs - rhs).max()))

@@ -22,6 +22,7 @@ from homogdirac import (
     tangent_bundle,
 )
 from homogdirac.bundles import _section_spins
+from oracles import direct_sum, k_nodes, k_rule
 
 
 def conjugation_intertwiner(two_j: int) -> np.ndarray:
@@ -87,7 +88,7 @@ def test_monopole_bundles(sphere, sample_pts, charge, two_level, rng):
     frame = build_frame(b)
 
     for eta in frame:
-        for s in sphere.k_rule.nodes[::8]:
+        for s in k_nodes(sphere)[::8]:
             assert equivariance_defect(eta, GroupElement(sample_pts.matrices[0]), s) < 1e-10
 
     xi = random_equivariant_section(b, rng)
@@ -116,7 +117,7 @@ def test_projection_is_right_invariant(sphere, rng):
     b = monopole_bundle(sphere, 1, 1)
     p = projection_section(b)
     xs = sphere.random_elements(rng, 5)
-    s = sphere.k_rule.nodes[3]
+    s = k_nodes(sphere)[3]
     lhs = p.values(EvalPoints.of(sphere, [x @ s for x in xs]))
     rhs = p.values(EvalPoints.of(sphere, xs))
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -133,7 +134,7 @@ def test_opposite_charges_conjugate(sphere, sample_pts, charge, two_level):
     assert np.abs(np.conj(pv) - moved).max() < 1e-12
 
 
-def test_frame_members_can_vanish_identically(sphere, sample_pts, rng, direct_sum):
+def test_frame_members_can_vanish_identically(sphere, sample_pts, rng):
     """A fiber inside a reducible ambient: sections from the other summand vanish."""
     amb = direct_sum(spin_rep(sphere, 0), spin_rep(sphere, 2))
     embed = np.zeros((4, 1), dtype=complex)
@@ -162,7 +163,7 @@ def test_rank_one_endomorphism(sphere, sample_pts, rng):
     lhs = OpApply(t, xi).values(sample_pts)
     rhs = Scale(zeta, AInner(eta, xi)).values(sample_pts)
     assert np.abs(lhs - rhs).max() < 1e-12
-    s = sphere.k_rule.nodes[5]
+    s = k_nodes(sphere)[5]
     assert equivariance_defect(t, GroupElement(sample_pts.matrices[0]), s) < 1e-10
 
 
@@ -239,7 +240,7 @@ def test_fiber_must_be_invariant(sphere):
 def _rule_stack_invariant(group, rep, embed):
     """Fiber invariance at the subgroup rule's nodes: the former route."""
     proj = embed @ embed.conj().T
-    ms = EvalPoints.for_rule(group, group.k_rule).rep_stack(rep)
+    ms = EvalPoints.for_rule(group, k_rule(group)).rep_stack(rep)
     return np.linalg.norm(ms @ proj - proj @ ms, axis=(1, 2)).max() <= 1e-10
 
 
@@ -252,7 +253,7 @@ def _bundle_accepts(group, rep, embed):
     return True
 
 
-def test_fiber_verdict_matches_rule_stack_form(sphere, rng, direct_sum):
+def test_fiber_verdict_matches_rule_stack_form(sphere, rng):
     """The Lie-algebra test in InducedBundle agrees with the finite test at the rule's nodes."""
     cases = [(b.rep_tilde, b.embed) for b in
              [monopole_bundle(sphere, q, lv) for lv in range(5) for q in range(-lv, lv + 1, 2)]

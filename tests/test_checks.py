@@ -20,7 +20,7 @@ from homogdirac.sections import (
     Sum,
     lambda_deriv,
 )
-from test_sections import krep_matrix
+from oracles import deriv, k_nodes, k_rule, krep_matrix, random_element, value
 
 CONFIGS = {
     "clifford": dict(bundle="clifford", seed=11),
@@ -42,7 +42,7 @@ def _ad_invariance(ctx):
     g, rng = ctx.group, ctx.rng
     worst = 0.0
     for _ in range(200):
-        x = g.random_element(rng)
+        x = random_element(g, rng)
         a, b = g.random_algebra(rng), g.random_algebra(rng)
         worst = max(worst, abs(float(np.dot(g.adjoint(x, a), g.adjoint(x, b)) - np.dot(a, b))))
     return worst, 200
@@ -61,15 +61,15 @@ def _derivative_samples(ctx):
     for sec in sections:
         exact, fd = [], []
         for _ in range(8):
-            x = g.random_element(rng)
+            x = random_element(g, rng)
             y = g.random_algebra(rng)
-            exact.append(np.atleast_1d(sec.deriv(x, y)))
+            exact.append(np.atleast_1d(deriv(sec, x, y)))
             quotients = []
             for h in (1e-4, 5e-5):
                 xp = GroupElement(x.matrix @ g.exp(y, h).matrix)
                 xm = GroupElement(x.matrix @ g.exp(y, -h).matrix)
-                quotients.append((np.atleast_1d(sec.value(xp))
-                                  - np.atleast_1d(sec.value(xm))) / (2 * h))
+                quotients.append((np.atleast_1d(value(sec, xp))
+                                  - np.atleast_1d(value(sec, xm))) / (2 * h))
             fd.append(quotients)
         out.append((np.array(exact), np.array(fd).transpose(1, 0, 2)))
     return out
@@ -81,10 +81,10 @@ def _product_rule(ctx):
     prod = CliffordProduct(alg, a, b)
     worst = 0.0
     for _ in range(20):
-        x = g.random_element(rng)
+        x = random_element(g, rng)
         y = g.random_algebra(rng)
-        lhs = prod.deriv(x, y)
-        rhs = alg.mul(a.deriv(x, y), b.value(x)) + alg.mul(a.value(x), b.deriv(x, y))
+        lhs = deriv(prod, x, y)
+        rhs = alg.mul(deriv(a, x, y), value(b, x)) + alg.mul(value(a, x), deriv(b, x, y))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst, 20
 
@@ -99,8 +99,8 @@ def _bracket_identity(ctx):
                     lambda_deriv(lambda_deriv(f, a), b)], [1.0, -1.0])
         bracket_field = FundamentalField(g, g.bracket(a, b))
         for x in ctx.samples[:10]:
-            direction = g.from_m(bracket_field.value(x).real)
-            worst = max(worst, abs(complex(comm.value(x)) - complex(f.deriv(x, direction))))
+            direction = g.from_m(value(bracket_field, x).real)
+            worst = max(worst, abs(complex(value(comm, x)) - complex(deriv(f, x, direction))))
             count += 1
     return worst, count
 
@@ -111,9 +111,9 @@ def _frame_equivariance(ctx):
     x = ctx.samples[0]
     worst = 0.0
     for eta in build_frame(b):
-        for s in g.k_rule.nodes[:5]:
-            rhs = krep_matrix(eta.krep, s).conj().T @ eta.value(x)
-            worst = max(worst, float(np.linalg.norm(eta.value(x @ s) - rhs)))
+        for s in k_nodes(g)[:5]:
+            rhs = krep_matrix(eta.krep, s).conj().T @ value(eta, x)
+            worst = max(worst, float(np.linalg.norm(value(eta, x @ s) - rhs)))
     return worst, 5 * b.ambient_dim
 
 
@@ -143,6 +143,20 @@ def test_batched_checks_match_their_former_loops(config):
         (ours, count), (theirs, former_count) = _from_one_state(ctx, batched, former)
         assert count == former_count
         assert abs(ours - theirs) <= 1e-14, batched.__name__
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+def test_frame_equivariance_points_are_the_first_subgroup_rule_nodes(config, monkeypatch):
+    """The check's points exp(t_k Z_1), t_k = period k / 33, are the first five nodes of the
+    33-point subgroup rule bit for bit; on the trivial subgroup, its one node, the identity."""
+    ctx = _context(config)
+    seen = []
+    defect = checks.equivariance_defect
+    monkeypatch.setattr(checks, "equivariance_defect",
+                        lambda eta, x, s: seen.append(s) or defect(eta, x, s))
+    checks._check_frame_equivariance(ctx)
+    want = k_rule(ctx.group).matrices[:5]
+    assert seen and all(np.array_equal(np.stack([e.matrix for e in s]), want) for s in seen)
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())

@@ -4,6 +4,7 @@ import pytest
 from homogdirac import CliffordAlgebra
 from homogdirac.cliffordalg import _subset_mul_sign
 from homogdirac.groups import expm_skew
+from oracles import vector_part
 
 
 def naive_subset_product(s_bits, t_bits, p):
@@ -173,11 +174,6 @@ def test_star_representation_property(rng):
         a, u, v = (alg.random(rng) for _ in range(3))
         assert abs(alg.inner(alg.mul(a, u), v)
                    - alg.inner(u, alg.mul(alg.star(a), v))) < 1e-12
-
-
-def vector_part(alg, a):
-    """The grade-one coefficients of ``a``, in generator order."""
-    return np.asarray(a)[..., [1 << b for b in range(alg.p)]]
 
 
 def test_derivation_kills_unit_and_extends_generator_action(rng):

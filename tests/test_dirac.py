@@ -13,7 +13,6 @@ from homogdirac import (
     Connection,
     Constant,
     EvalPoints,
-    KAverage,
     MatrixCoefficient,
     RealPart,
     Scale,
@@ -42,7 +41,8 @@ from homogdirac import (
     equivariance_defect,
 )
 from homogdirac.dirac import _balanced_random_gamma, _random_skew
-from test_sections import krep_matrix
+from oracles import (OrbitAverage, criteria_consistent, k_nodes, k_rule, krep_matrix,
+                     random_element, rule_stack, value)
 
 
 def unit_spinor(group):
@@ -57,24 +57,18 @@ def random_spinor(group, rng, two_j=2):
     const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
     f = RealPart(MatrixCoefficient(rep, rng.standard_normal(rep.dim),
                                    rng.standard_normal(rep.dim)))
-    return KAverage(Scale(const, f), CliffordKRep(group, alg), group)
+    return OrbitAverage(Scale(const, f), CliffordKRep(group, alg), group)
 
 
 def invariant_scalar(group, rng, two_j=2):
     rep = spin_rep(group, two_j)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
     from homogdirac import TrivialKRep
-    return RealPart(KAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(), group))
 
 
 def sample_pts(group, rng, n=20):
     return EvalPoints.of(group, group.random_elements(rng, n))
-
-
-def criteria_consistent(report):
-    """The two equivalent residuals of a criterion report pass or fail together."""
-    return ((report.torsion_trace_max <= report.tolerance)
-            == (report.correction_sum_residual <= report.tolerance))
 
 
 def test_dirac_kills_the_unit(sphere, full_group, rng):
@@ -112,7 +106,7 @@ def test_translation_commutation(space, request, rng):
     phi = random_spinor(g, rng)
     pts = sample_pts(g, rng)
     for _ in range(3):
-        y = g.random_element(rng)
+        y = random_element(g, rng)
         lhs = translate(hodge_dirac(conn, phi), y).values(pts)
         # one side through the frame sum, whose frame moves under translation
         rhs = hodge_dirac(conn, translate(phi, y), frame=tangent_frame(g)).values(pts)
@@ -156,8 +150,8 @@ def test_closed_form_raises_like_the_frame_sum(sphere, rng):
 def test_dirac_output_is_equivariant(sphere, rng):
     conn = canonical_connection(sphere)
     dphi = hodge_dirac(conn, random_spinor(sphere, rng))
-    x = sphere.random_element(rng)
-    for s in sphere.k_rule.nodes[::6]:
+    x = random_element(sphere, rng)
+    for s in k_nodes(sphere)[::6]:
         assert equivariance_defect(dphi, x, s) < 1e-10
 
 
@@ -411,10 +405,10 @@ def _subgroup_average_projector(group, level):
     """The subgroup rule's average of rho(s)^-1 C K(s) on vec(C): the former route."""
     alg = spinor_algebra(group)
     rep = spin_rep(group, 2 * level)
-    nodes = EvalPoints.for_rule(group, group.k_rule)
-    kstack = CliffordKRep(group, alg).rule_stack()
+    nodes = EvalPoints.for_rule(group, k_rule(group))
+    kstack = rule_stack(CliffordKRep(group, alg))
     proj = sum(w * np.kron(rho.conj().T, kmat.real.T)
-               for w, rho, kmat in zip(group.k_rule.weights, nodes.rep_stack(rep), kstack))
+               for w, rho, kmat in zip(k_rule(group).weights, nodes.rep_stack(rep), kstack))
     return proj
 
 
@@ -482,8 +476,8 @@ def test_every_coefficient_is_invariant_over_the_trivial_subgroup(full_group):
 
 
 def test_isotypic_basis_is_equivariant(sphere, rng):
-    x = sphere.random_element(rng)
-    s = sphere.k_rule.nodes[4]
+    x = random_element(sphere, rng)
+    s = k_nodes(sphere)[4]
     for _, _, sec in isotypic_basis(sphere, 1):
         assert equivariance_defect(sec, x, s) < 1e-12
 
@@ -501,10 +495,10 @@ def test_isotypic_coefficients_match_brute_force_average(sphere, rng):
     c_raw = rng.standard_normal((rep.dim, alg.n)) + 1j * rng.standard_normal((rep.dim, alg.n))
     row = 1
     raw = HarmonicSpinor(rep, row, c_raw, alg)
-    averaged = KAverage(raw, ckrep, sphere)
+    averaged = OrbitAverage(raw, ckrep, sphere)
     # coefficient-space projection: same subgroup average on the profile
     proj_c = np.zeros_like(c_raw)
-    for s, w in zip(sphere.k_rule.nodes, sphere.k_rule.weights):
+    for s, w in zip(k_nodes(sphere), k_rule(sphere).weights):
         proj_c += w * (rep.matrix_stack(s.matrix[None])[0].conj().T @ c_raw
                        @ krep_matrix(ckrep, s).real)
     direct = HarmonicSpinor(rep, row, proj_c, alg)
@@ -536,10 +530,10 @@ def geodesic_arc(group, p, q, count=64):
 
 
 def test_metric_estimate_basics(sphere, rule8, rng):
-    p = sphere.random_element(rng)
+    p = random_element(sphere, rng)
     fam = coefficient_family(sphere, max_two_j=4, vectors=[np.eye(3)[0]])
     assert metric_estimate(sphere, p, p, fam, rule8) < 1e-13
-    q = sphere.random_element(rng)
+    q = random_element(sphere, rng)
     est1 = metric_estimate(sphere, p, q, fam[:3], rule8)
     est2 = metric_estimate(sphere, p, q, fam, rule8)
     assert est2 >= est1 - 1e-15  # monotone in the family
@@ -565,9 +559,9 @@ def test_spinor_product_stays_equivariant(sphere, rng):
     a, b = random_spinor(sphere, rng), random_spinor(sphere, rng, 4)
     prod = CliffordProduct(alg, a, b)
     assert prod.krep is not None
-    x = sphere.random_element(rng)
-    assert np.abs(prod.value(x)).max() > 1e-3  # a vanishing product tests nothing
-    for s in sphere.k_rule.nodes[::8]:
+    x = random_element(sphere, rng)
+    assert np.abs(value(prod, x)).max() > 1e-3  # a vanishing product tests nothing
+    for s in k_nodes(sphere)[::8]:
         assert equivariance_defect(prod, x, s) < 1e-10
 
 
@@ -584,7 +578,7 @@ def test_coefficient_family_is_subgroup_invariant(basis, rng):
     assert sum(np.abs(f.values(pts)).max() > 1e-3 for f in fam) > len(fam) // 2
     for f in fam:
         vals = f.values(pts)
-        for s in group.k_rule.nodes:
+        for s in k_nodes(group):
             shifted = EvalPoints(group, pts.matrices @ s.matrix)
             assert np.abs(f.values(shifted) - vals).max() < 1e-13
 
@@ -736,7 +730,7 @@ def test_a_sweep_drops_nodes_below_its_operands_and_they_evaluate_again(space, r
     rep = spin_rep(group, 2)
     factor = RealPart(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)))
     const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
-    phi = KAverage(Scale(const, factor), CliffordKRep(group, alg), group)
+    phi = OrbitAverage(Scale(const, factor), CliffordKRep(group, alg), group)
     other = Scale(factor, factor)  # a live section through the same node
     before, inner = factor.values(pts).copy(), l2_inner(other, factor, rule)
     pairs = [(phi, random_spinor(group, rng)), (random_spinor(group, rng), phi)]

@@ -10,7 +10,6 @@ from homogdirac import (
     EvalPoints,
     GroupModel,
     MatrixCoefficient,
-    KAverage,
     RealPart,
     Scale,
     Sum,
@@ -32,6 +31,8 @@ from homogdirac import (
     torsion_trace,
 )
 from homogdirac.geometry import ApplyConnection
+from oracles import (OrbitAverage, k_nodes, k_rule, random_element, rule_stack,
+                     symmetric_space_check, value)
 
 E3 = np.eye(3)
 
@@ -43,21 +44,21 @@ def sample_pts(group, rng, n=25):
 def invariant_scalar(group, rng):
     rep = spin_rep(group, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    return RealPart(KAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(), group))
 
 
 def test_fundamental_field_examples(sphere):
     # isotropy generators vanish at the identity; tangent ones hit -X
     wk = fundamental_field(sphere, sphere.k_frame[0])
-    assert np.linalg.norm(wk.value(sphere.identity())) < 1e-14
+    assert np.linalg.norm(value(wk, sphere.identity())) < 1e-14
     wm = fundamental_field(sphere, E3[0])
-    assert np.allclose(wm.value(sphere.identity()), -sphere.to_m(E3[0]))
+    assert np.allclose(value(wm, sphere.identity()), -sphere.to_m(E3[0]))
 
 
 def test_fundamental_fields_are_equivariant(sphere, rng):
     w = fundamental_field(sphere, sphere.random_algebra(rng))
-    for s in sphere.k_rule.nodes[::8]:
-        x = sphere.random_element(rng)
+    for s in k_nodes(sphere)[::8]:
+        x = random_element(sphere, rng)
         assert equivariance_defect(w, x, s) < 1e-10
 
 
@@ -76,7 +77,7 @@ def test_frame_identity_and_norm_sum(space, request, rng):
 def test_trivial_subgroup_frame_at_identity(full_group):
     frame = tangent_frame(full_group)
     e = full_group.identity()
-    vals = np.stack([fj.value(e) for fj in frame])
+    vals = np.stack([value(fj, e) for fj in frame])
     assert np.allclose(vals.real, -np.eye(3))
 
 
@@ -84,7 +85,7 @@ def test_canonical_derivative_of_invariant_constant(sphere, rng):
     c = Constant(Codomain.scalar(), 3.0, krep=TrivialKRep(), group=sphere)
     frame = tangent_frame(sphere)
     nab = ApplyConnection(canonical_connection(sphere), frame[0], c)
-    assert abs(nab.value(sphere.random_element(rng))) < 1e-14
+    assert abs(value(nab, random_element(sphere, rng))) < 1e-14
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
@@ -119,8 +120,8 @@ def test_correction_term_is_equivariant(full_group, rng):
     xi = fundamental_field(full_group, full_group.random_algebra(rng))
     nab = ApplyConnection(conn, frame[0], xi)
     assert nab.krep is not None
-    x = full_group.random_element(rng)
-    for s in full_group.k_rule.nodes:
+    x = random_element(full_group, rng)
+    for s in k_nodes(full_group):
         assert equivariance_defect(nab, x, s) < 1e-10
 
 
@@ -129,8 +130,8 @@ def test_equivariant_outputs_on_sphere(sphere, rng):
     frame = tangent_frame(sphere)
     xi = fundamental_field(sphere, sphere.random_algebra(rng))
     nab = ApplyConnection(conn, frame[1], xi)
-    x = sphere.random_element(rng)
-    for s in sphere.k_rule.nodes[::6]:
+    x = random_element(sphere, rng)
+    for s in k_nodes(sphere)[::6]:
         assert equivariance_defect(nab, x, s) < 1e-10
 
 
@@ -145,7 +146,7 @@ def _rule_stack_intertwines(group, gamma):
     """The intertwining condition at the subgroup rule's nodes: the former route."""
     if np.all(gamma == 0):
         return True
-    ts = TangentKRep(group).rule_stack().real[:, None]   # (node, 1, p, p)
+    ts = rule_stack(TangentKRep(group)).real[:, None]   # (node, 1, p, p)
     lhs = np.einsum("nba,bij->naij", ts[:, 0], gamma)   # gamma(Ad_s u_a)
     rhs = ts @ gamma @ ts.transpose(0, 1, 3, 2)
     return float(np.abs(lhs - rhs).max()) <= 1e-8
@@ -162,9 +163,9 @@ def _connection_accepts(group, gamma):
 
 def _project_to_intertwiners(group, gamma):
     """Subgroup average of Ad_s^-1 gamma(Ad_s .) Ad_s, exact on the rule for constant gamma."""
-    ts = TangentKRep(group).rule_stack().real
+    ts = rule_stack(TangentKRep(group)).real
     return sum(w * t.T @ np.einsum("ba,bij->aij", t, gamma) @ t
-               for w, t in zip(group.k_rule.weights, ts))
+               for w, t in zip(k_rule(group).weights, ts))
 
 
 def test_intertwining_verdict_matches_rule_stack_form(sphere, full_group, rng):
@@ -226,7 +227,7 @@ def test_connection_translation_invariance(space, request, rng):
     w = fundamental_field(group, group.random_algebra(rng))
     xi = fundamental_field(group, group.random_algebra(rng))
     for conn in (canonical_connection(group), levi_civita_connection(group)):
-        y = group.random_element(rng)
+        y = random_element(group, rng)
         lhs = Translate(ApplyConnection(conn, w, xi), y).values(pts)
         rhs = ApplyConnection(conn, Translate(w, y), Translate(xi, y)).values(pts)
         assert np.abs(lhs - rhs).max() < 1e-9
@@ -263,7 +264,7 @@ def test_canonical_torsion_value_on_full_group(full_group):
     t = torsion(conn, w1, w2)
     # at the identity the fields take values -X1, -X2, so the torsion is
     # -P[-X1, -X2] = -X3
-    assert np.allclose(t.value(e).real, -E3[2], atol=1e-12)
+    assert np.allclose(value(t, e).real, -E3[2], atol=1e-12)
     pts = sample_pts(full_group, np.random.default_rng(5), 20)
     assert np.linalg.norm(t.values(pts), axis=1).max() >= 0.1
 
@@ -460,8 +461,8 @@ def test_gamma_round_trip(full_group, rng):
             # both frame and argument fields take the values -u_a, -u_b at
             # the identity, so the two sign flips cancel
             xi = fundamental_field(full_group, E3[b])
-            diff = (ApplyConnection(conn, frame[a], xi).value(e)
-                    - ApplyConnection(canon, frame[a], xi).value(e))
+            diff = (value(ApplyConnection(conn, frame[a], xi), e)
+                    - value(ApplyConnection(canon, frame[a], xi), e))
             recovered[a, :, b] = diff
     assert np.abs(recovered - gamma).max() < 1e-12
     # and the correction term is pointwise gamma of the direction value
@@ -472,18 +473,6 @@ def test_gamma_round_trip(full_group, rng):
             - ApplyConnection(canon, w, xi).values(pts))
     expect = np.einsum("na,aij,nj->ni", w.values(pts), gamma, xi.values(pts))
     assert np.abs(corr - expect).max() < 1e-12
-
-
-def symmetric_space_residual(group):
-    """max ||P [Y_a, Y_b]|| over complement-frame pairs; 0 for symmetric spaces."""
-    brackets = group.ad(group.m_frame) @ group.m_frame.T  # [Y_a, Y_b] in column b
-    return float(np.linalg.norm(group.proj_m @ brackets, axis=1).max(initial=0.0))
-
-
-def symmetric_space_check(group):
-    """(is_symmetric, residual): whether tangent brackets fall into the isotropy algebra."""
-    residual = symmetric_space_residual(group)
-    return residual <= 1e-12, residual
 
 
 def test_symmetric_space_check(sphere, full_group):

@@ -9,7 +9,8 @@ import pytest
 import homogdirac
 from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
 from homogdirac.groups import _euler_matrices, _gauss_legendre, _su2_raw_basis, expm_skew
-from test_geometry import su3_circle, symmetric_space_residual
+from oracles import k_nodes, k_rule, random_element, symmetric_space_residual
+from test_geometry import su3_circle
 
 E3 = np.eye(3)
 
@@ -85,7 +86,7 @@ def test_adjoint_at_identity(sphere, rng):
 
 def test_adjoint_homomorphism_and_isometry(sphere, rng):
     for _ in range(10):
-        x = sphere.random_element(rng)
+        x = random_element(sphere, rng)
         a, b = sphere.random_algebra(rng), sphere.random_algebra(rng)
         lhs = sphere.adjoint(x, sphere.bracket(a, b))
         rhs = sphere.bracket(sphere.adjoint(x, a), sphere.adjoint(x, b))
@@ -104,7 +105,7 @@ def test_adjoint_of_circle_elements_rotates_tangent_plane(sphere):
 
 def test_ad_invariance_of_inner_product(sphere, rng):
     for _ in range(200):
-        x = sphere.random_element(rng)
+        x = random_element(sphere, rng)
         a, b = sphere.random_algebra(rng), sphere.random_algebra(rng)
         defect = abs(np.dot(sphere.adjoint(x, a), sphere.adjoint(x, b)) - np.dot(a, b))
         assert defect < 1e-12
@@ -169,14 +170,14 @@ def test_a_haar_rule_imports_no_numpy_submodule():
 
 
 def test_rule_nodes_are_the_rule_matrices(sphere, full_group, rng):
-    rules = [sphere.haar_rule(3), sphere.k_rule, full_group.k_rule,
+    rules = [sphere.haar_rule(3), k_rule(sphere), k_rule(full_group),
              full_group.haar_rule(2, kind="monte-carlo", node_count=7, rng=rng)]
     for rule in rules:
-        nodes = rule.nodes
-        assert len(nodes) == len(rule) == len(rule.matrices) == len(rule.weights)
-        for i, node in enumerate(nodes):
-            assert np.array_equal(node.matrix, rule.matrices[i])
+        assert len(rule) == len(rule.matrices) == len(rule.weights)
         assert np.array_equal(EvalPoints.for_rule(rule.group, rule).matrices, rule.matrices)
+    for group in (sphere, full_group):
+        nodes = np.stack([s.matrix for s in k_nodes(group)])
+        assert np.array_equal(nodes, k_rule(group).matrices)
 
 
 def test_quadrature_schur_orthogonality(sphere, rule8):
@@ -202,7 +203,7 @@ def test_quadrature_left_invariance(sphere, rule8, rng):
     pts = EvalPoints.for_rule(sphere, rule8)
     base = np.dot(rule8.weights, f.values(pts))
     for _ in range(5):
-        y = sphere.random_element(rng)
+        y = random_element(sphere, rng)
         shifted = np.dot(rule8.weights, f.values(pts.left_translated(y.inverse)))
         assert abs(base - shifted) < 1e-10
 
@@ -222,7 +223,7 @@ def test_closed_form_euler_matrices_match_exponentials(rng):
 
 
 def test_diagonal_subgroup_of_su2_squared_constructs_without_its_rule():
-    """SU(2) x SU(2) / diagonal SU(2): a three-dimensional subgroup has no rule, yet the group builds."""
+    """SU(2) x SU(2) / diagonal SU(2): a group with a three-dimensional subgroup builds."""
     raw = _su2_raw_basis()
     zero = np.zeros((2, 2))
     basis = ([np.block([[x, zero], [zero, x]]) for x in raw]
@@ -233,8 +234,6 @@ def test_diagonal_subgroup_of_su2_squared_constructs_without_its_rule():
     # the isotropy acts on the complement X + (-X) as on the diagonal X + X
     assert np.abs(g.k_tangent - g.k_frame @ g.ad(g.k_frame) @ g.k_frame.T).max() < 1e-14
     assert symmetric_space_residual(g) < 1e-15
-    with pytest.raises(NotImplementedError):
-        g.k_rule
 
 
 def test_monte_carlo_rule(sphere, rng):
@@ -284,7 +283,7 @@ def test_per_sample_draws_build_the_former_per_point_samples(name):
     # random_elements keeps its column-ordered stream, and its one-point case is the draw
     assert np.array_equal(np.stack([x.matrix for x in group.random_elements(rng, 25)]),
                           _former_random_elements(group, former_rng, 25))
-    assert np.array_equal(group.random_element(rng).matrix,
+    assert np.array_equal(random_element(group, rng).matrix,
                           group.haar_matrices(group.draw(former_rng)[None])[0])
 
 
@@ -299,7 +298,7 @@ def test_samplers_follow_the_haar_rule_cases(rng):
     for a, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         rotations[a, i, j], rotations[a, j, i] = -1.0, 1.0
     so3 = GroupModel("so3", rotations)
-    for sample in (so3.draw, lambda r: so3.random_elements(r, 5), so3.random_element,
+    for sample in (so3.draw, lambda r: so3.random_elements(r, 5),
                    lambda r: so3.haar_rule(2, rng=r)):
         with pytest.raises(NotImplementedError, match="no Haar sampler"):
             sample(rng)

@@ -19,7 +19,6 @@ from homogdirac import (
     EvalPoints,
     GroupModel,
     KAverage,
-    MatrixKRep,
     MatrixCoefficient,
     RealPart,
     Scale,
@@ -38,7 +37,8 @@ from homogdirac import (
     tangent_bundle,
     translate,
 )
-from homogdirac.cli import RunConfig, run_verify
+from homogdirac.cli import RunConfig, run_spectrum, run_verify
+from oracles import OrbitAverage, direct_sum, k_rule, random_element, rule_stack
 
 # a leak here holds tens of KB per call (one translated batch, or one
 # graph's node values, over the rule's nodes); the allowance is for
@@ -67,7 +67,7 @@ def _spinor(group, algebra, rng):
         rep = spin_rep(group, 2)
         parts.append(Scale(c, RealPart(MatrixCoefficient(
             rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim)))))
-    return KAverage(Sum(parts), CliffordKRep(group, algebra), group)
+    return OrbitAverage(Sum(parts), CliffordKRep(group, algebra), group)
 
 
 def test_selfadjoint_defect_retains_nothing_per_call(full_group, rng):
@@ -147,15 +147,15 @@ def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch)
     a, b, c = (_spinor(sphere, algebra, rng) for _ in range(3))
     pairs = [(a, b), (a, c), (b, c)]  # each spinor enters two pairs
     built = []  # (averaging section, weak reference to the orbit batch it built)
-    orbit = KAverage._orbit
+    orbit = OrbitAverage._orbit
 
     def tracked(self, pts):
         batch = orbit(self, pts)
-        assert batch is not pts and batch.n == len(sphere.k_rule) * pts.n
+        assert batch is not pts and batch.n == len(k_rule(sphere)) * pts.n
         built.append((self, weakref.ref(batch)))
         return batch
 
-    monkeypatch.setattr(KAverage, "_orbit", tracked)
+    monkeypatch.setattr(OrbitAverage, "_orbit", tracked)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -176,7 +176,7 @@ def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch)
     assert len(built) == 2 * count and all(r() is None for _, r in built)
 
 
-def test_cache_entries_die_with_their_keys(sphere, rng, direct_sum):
+def test_cache_entries_die_with_their_keys(sphere, rng):
     """A node's value and Jacobian entries, a matrix coefficient's rows, a pair's Gram stacks,
     and an action's basis entry, are dropped with their key: a Gram stack with either of its
     two sections, the rows with their coefficient and with the batch."""
@@ -237,7 +237,7 @@ def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
     one = Constant(Codomain.scalar(), 1.0, group=sphere)
     growth = _retained_growth(
-        lambda: l2_inner(one, translate(f, sphere.random_element(rng)), rule))
+        lambda: l2_inner(one, translate(f, random_element(sphere, rng)), rule))
     assert growth < _GROWTH_BYTES
 
 
@@ -245,16 +245,16 @@ def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng, monkeypatch)
     """A batch and the orbit batches a subgroup average builds on it form no cycle: no cyclic
     collection is needed to free them."""
     built = []  # weak references to each orbit batch built
-    orbit = KAverage._orbit
+    orbit = OrbitAverage._orbit
 
     def tracked(self, pts):
         batch = orbit(self, pts)
         built.append(weakref.ref(batch))
         return batch
 
-    monkeypatch.setattr(KAverage, "_orbit", tracked)
+    monkeypatch.setattr(OrbitAverage, "_orbit", tracked)
     rep = spin_rep(sphere, 2)
-    f = KAverage(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)),
+    f = OrbitAverage(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)),
                  TrivialKRep(), sphere)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -276,10 +276,10 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     algebra = spinor_algebra(group)
     assert spin_rep(group, 3) is spin_rep(group, 3)
     assert CliffordKRep(group, algebra) is CliffordKRep(group, algebra)
-    CliffordKRep(group, algebra).rule_stack()
+    rule_stack(CliffordKRep(group, algebra))
     assert adjoint_rep(group) is adjoint_rep(group)
     assert TangentKRep(group) is TangentKRep(group)
-    TangentKRep(group).rule_stack()
+    rule_stack(TangentKRep(group))
     ref = weakref.ref(group)
     kept = [weakref.ref(adjoint_rep(group)), weakref.ref(TangentKRep(group))]
     del group
@@ -294,17 +294,18 @@ def test_invariant_bases_are_solved_once_and_die_with_the_group():
     algebra = spinor_algebra(group)
     kreps = [TrivialKRep(), TangentKRep(group), CliffordKRep(group, algebra),
              tangent_bundle(group).krep]
+    reps = [spin_rep(group, 1), spin_rep(group, 2)]  # the group keeps them only while we do
     trivial_entries = len(TrivialKRep._bases)
     kept = []
     for krep, k in zip(kreps, (1, group.m_dim, algebra.n, 2)):
-        for two_j in (1, 2):
-            basis = krep.basis(spin_rep(group, two_j), k)
-            assert krep.basis(spin_rep(group, two_j), k) is basis
+        for rep in reps:
+            basis = krep.basis(rep, k)
+            assert krep.basis(rep, k) is basis
             kept.append(weakref.ref(basis))
-    assert TrivialKRep().basis(spin_rep(group, 2), 1) is kept[1]()  # one trivial action
+    assert TrivialKRep().basis(reps[1], 1) is kept[1]()  # one trivial action
     assert len(TrivialKRep._bases) == trivial_entries + 2
     ref = weakref.ref(group)
-    del group, kreps, krep, basis
+    del group, kreps, krep, basis, reps, rep
     gc.collect()
     assert ref() is None
     assert all(r() is None for r in kept)
@@ -326,10 +327,27 @@ def test_spectral_blocks_hold_one_copy_per_level(sphere):
     dict(subgroup="trivial", connection="levi-civita", seed=3),
 ], ids=["clifford", "tangent", "monopole", "trivial-k-levi-civita"])
 def test_verify_builds_no_orbit_batch(config, monkeypatch):
-    """Equivariant sections are projected coefficients: no check evaluates a subgroup average."""
+    """Equivariant sections are projected coefficients: no check builds a subgroup average."""
     def refuse(*args):
-        raise AssertionError("verify built a subgroup-rule batch")
+        raise AssertionError("verify built a subgroup average")
 
-    monkeypatch.setattr(KAverage, "_orbit", refuse)
-    monkeypatch.setattr(MatrixKRep, "rule_stack", refuse)
+    monkeypatch.setattr(KAverage, "__init__", refuse)
     assert run_verify(RunConfig(group="su2", **config))["pass"] is True
+
+
+def test_a_spectrum_run_leaves_no_spin_rep_on_the_group(monkeypatch):
+    """The group keeps a spin representation only while a user holds it: once a spectrum run
+    has built its blocks, levels 0-20, none is left on its group, without a cyclic collection."""
+    made = []
+    make = RunConfig.make_group
+    monkeypatch.setattr(RunConfig, "make_group", lambda self: made.append(make(self)) or made[-1])
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = run_spectrum(RunConfig(group="su2", levels=20, connection="levi-civita"))
+    finally:
+        if was_enabled:
+            gc.enable()
+    (group,) = made
+    assert len(rows) == 2 + sum(4 * (2 * level + 1) for level in range(1, 21))
+    assert len(group.spin_reps) == 0

@@ -6,6 +6,7 @@ import pytest
 from homogdirac import GroupModel, adjoint_rep, spin_rep
 from homogdirac.groups import _su2_raw_basis, expm_skew
 from homogdirac.reps import _symmetric_power_stack
+from oracles import direct_sum
 
 
 def rotated_su2(metric_scale=2.5):
@@ -42,7 +43,7 @@ GROUPS = {"su2": GroupModel.su2, "su2-scale-4": lambda: GroupModel.su2(metric_sc
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-def test_matrix_stack_is_the_exponential_of_the_generators(name, rng, direct_sum):
+def test_matrix_stack_is_the_exponential_of_the_generators(name, rng):
     """rho(exp X) = exp(drho(X)); the eigendecomposition exponential is the oracle."""
     group = GROUPS[name]()
     reps = [spin_rep(group, two_j) for two_j in range(41)]

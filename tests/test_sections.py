@@ -45,13 +45,15 @@ from homogdirac.bundles import _section_spins
 from homogdirac.groups import _su2_raw_basis
 from homogdirac.sections import (_RANK_RTOL, ConjugatedProjection, Pointwise, Product,
                                   invariant_basis)
+from oracles import (OrbitAverage, deriv, direct_sum, k_nodes, k_rule, krep_matrix,
+                     random_element, rule_stack, value)
 
 
 def fd_deriv(group, section, x, direction, h):
     xp = GroupElement(x.matrix @ group.exp(direction, h).matrix)
     xm = GroupElement(x.matrix @ group.exp(direction, -h).matrix)
-    return (np.atleast_1d(section.value(xp))
-            - np.atleast_1d(section.value(xm))) / (2 * h)
+    return (np.atleast_1d(value(section, xp))
+            - np.atleast_1d(value(section, xm))) / (2 * h)
 
 
 def assert_not_negligible(section, group):
@@ -62,53 +64,48 @@ def assert_not_negligible(section, group):
     return section
 
 
-def krep_matrix(krep, s):
-    """pi_s at one subgroup element: the action's stack on a one-point batch."""
-    return krep._stack_fn(EvalPoints.of(krep.group, [s]))[0]
-
-
 def random_spinor(group, rng, two_j=2):
     alg = spinor_algebra(group)
     rep = spin_rep(group, two_j)
     const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
     return assert_not_negligible(
-        KAverage(Scale(const, RealPart(f)), CliffordKRep(group, alg), group), group)
+        OrbitAverage(Scale(const, RealPart(f)), CliffordKRep(group, alg), group), group)
 
 
 def test_constant_evaluation(sphere, rng):
     c = Constant(Codomain.scalar(), 2.5 + 1.0j, group=sphere)
-    x = sphere.random_element(rng)
-    assert c.value(x) == 2.5 + 1.0j
-    assert c.deriv(x, sphere.random_algebra(rng)) == 0.0
+    x = random_element(sphere, rng)
+    assert value(c, x) == 2.5 + 1.0j
+    assert deriv(c, x, sphere.random_algebra(rng)) == 0.0
 
 
 def test_trivial_rep_coefficient_is_one(sphere, rng):
     rep = spin_rep(sphere, 0)
     f = MatrixCoefficient(rep, np.array([1.0]), np.array([1.0]))
     for _ in range(5):
-        assert abs(f.value(sphere.random_element(rng)) - 1.0) < 1e-14
+        assert abs(value(f, random_element(sphere, rng)) - 1.0) < 1e-14
 
 
 def test_fundamental_field_at_identity(sphere, rng):
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
-    val = w.value(sphere.identity())
+    val = value(w, sphere.identity())
     assert np.linalg.norm(val + sphere.to_m(sphere.project_m(coords))) < 1e-14
     # isotropy generators vanish at the identity coset
     wk = FundamentalField(sphere, sphere.k_frame[0])
-    assert np.linalg.norm(wk.value(sphere.identity())) < 1e-14
+    assert np.linalg.norm(value(wk, sphere.identity())) < 1e-14
 
 
 def test_fundamental_field_derivative_formula(sphere, rng):
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
     for _ in range(10):
-        x = sphere.random_element(rng)
+        x = random_element(sphere, rng)
         y = sphere.random_algebra(rng)
         pulled = sphere.adjoint(x.inverse, coords)
         expect = sphere.to_m(sphere.bracket(y, pulled))
-        assert np.linalg.norm(w.deriv(x, y) - expect) < 1e-13
+        assert np.linalg.norm(deriv(w, x, y) - expect) < 1e-13
 
 
 def node_zoo(group, rng):
@@ -126,8 +123,8 @@ def node_zoo(group, rng):
         Scale(ff, mc),
         CliffordProduct(alg, random_spinor(group, rng), random_spinor(group, rng, 4)),
         AInner(ff, FundamentalField(group, group.random_algebra(rng))),
-        translate(mc, group.random_element(rng)),
-        KAverage(mc, TrivialKRep(), group),
+        translate(mc, random_element(group, rng)),
+        OrbitAverage(mc, TrivialKRep(), group),
         RealPart(mc),
         ImagPart(mc),
     ]
@@ -139,9 +136,9 @@ def test_richardson_consistency_all_nodes(space, request, rng):
     group = request.getfixturevalue(space)
     for section in node_zoo(group, rng):
         for _ in range(5):
-            x = group.random_element(rng)
+            x = random_element(group, rng)
             y = group.random_algebra(rng)
-            exact = np.atleast_1d(section.deriv(x, y))
+            exact = np.atleast_1d(deriv(section, x, y))
             e1 = np.linalg.norm(fd_deriv(group, section, x, y, 1e-4) - exact)
             e2 = np.linalg.norm(fd_deriv(group, section, x, y, 5e-5) - exact)
             scale = max(1.0, float(np.linalg.norm(exact)))
@@ -153,10 +150,10 @@ def test_richardson_consistency_all_nodes(space, request, rng):
 def test_derivative_linearity_in_direction(sphere, rng):
     rep = spin_rep(sphere, 3)
     f = MatrixCoefficient(rep, rng.standard_normal(4), rng.standard_normal(4))
-    x = sphere.random_element(rng)
+    x = random_element(sphere, rng)
     y1, y2 = sphere.random_algebra(rng), sphere.random_algebra(rng)
-    lhs = f.deriv(x, 2.0 * y1 - 0.5 * y2)
-    rhs = 2.0 * f.deriv(x, y1) - 0.5 * f.deriv(x, y2)
+    lhs = deriv(f, x, 2.0 * y1 - 0.5 * y2)
+    rhs = 2.0 * deriv(f, x, y1) - 0.5 * deriv(f, x, y2)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -166,10 +163,10 @@ def test_product_rule(full_group, rng):
     b = random_spinor(full_group, rng, 1)
     prod = CliffordProduct(alg, a, b)
     for _ in range(10):
-        x = full_group.random_element(rng)
+        x = random_element(full_group, rng)
         y = full_group.random_algebra(rng)
-        lhs = prod.deriv(x, y)
-        rhs = alg.mul(a.deriv(x, y), b.value(x)) + alg.mul(a.value(x), b.deriv(x, y))
+        lhs = deriv(prod, x, y)
+        rhs = alg.mul(deriv(a, x, y), value(b, x)) + alg.mul(value(a, x), deriv(b, x, y))
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -182,39 +179,39 @@ def test_derivative_order_exhaustion(sphere, rng):
     once = ApplyConnection(canonical_connection(sphere), frame[0], f)
     assert once.deriv_order == 0
     with pytest.raises(DerivativeOrderError):
-        once.deriv(sphere.random_element(rng), sphere.random_algebra(rng))
+        deriv(once, random_element(sphere, rng), sphere.random_algebra(rng))
 
 
 def test_translate_by_identity(sphere, rng):
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
     t = translate(f, sphere.identity())
-    x = sphere.random_element(rng)
-    assert abs(t.value(x) - f.value(x)) < 1e-14
+    x = random_element(sphere, rng)
+    assert abs(value(t, x) - value(f, x)) < 1e-14
 
 
 def test_translate_fundamental_field_covariance(sphere, rng):
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
-    y = sphere.random_element(rng)
+    y = random_element(sphere, rng)
     moved = translate(w, y)
     expect = FundamentalField(sphere, sphere.adjoint(y, coords))
     for _ in range(10):
-        x = sphere.random_element(rng)
-        assert np.linalg.norm(moved.value(x) - expect.value(x)) < 1e-12
+        x = random_element(sphere, rng)
+        assert np.linalg.norm(value(moved, x) - value(expect, x)) < 1e-12
 
 
 def test_translate_module_covariance(sphere, rng):
     rep = spin_rep(sphere, 2)
-    f = RealPart(KAverage(MatrixCoefficient(
+    f = RealPart(OrbitAverage(MatrixCoefficient(
         rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
     w = FundamentalField(sphere, sphere.random_algebra(rng))
-    y = sphere.random_element(rng)
+    y = random_element(sphere, rng)
     lhs = translate(Scale(w, f), y)
     rhs = Scale(translate(w, y), translate(f, y))
     for _ in range(5):
-        x = sphere.random_element(rng)
-        assert np.linalg.norm(lhs.value(x) - rhs.value(x)) < 1e-13
+        x = random_element(sphere, rng)
+        assert np.linalg.norm(value(lhs, x) - value(rhs, x)) < 1e-13
 
 
 def test_a_inner_properties(sphere, rng):
@@ -223,31 +220,31 @@ def test_a_inner_properties(sphere, rng):
     inner = AInner(wx, wy)
     # value at the identity is the projected algebra pairing
     expect = np.dot(sphere.project_m(x), sphere.project_m(y))
-    assert abs(inner.value(sphere.identity()) - expect) < 1e-13
+    assert abs(value(inner, sphere.identity()) - expect) < 1e-13
     norm = AInner(wx, wx)
     for _ in range(10):
-        assert norm.value(sphere.random_element(rng)).real >= 0.0
+        assert value(norm, random_element(sphere, rng)).real >= 0.0
 
 
 def test_a_inner_translation_invariance(sphere, rng):
     wx = FundamentalField(sphere, sphere.random_algebra(rng))
     wy = FundamentalField(sphere, sphere.random_algebra(rng))
-    y = sphere.random_element(rng)
+    y = random_element(sphere, rng)
     lhs = translate(AInner(wx, wy), y)
     rhs = AInner(translate(wx, y), translate(wy, y))
     for _ in range(5):
-        x = sphere.random_element(rng)
-        assert abs(lhs.value(x) - rhs.value(x)) < 1e-13
+        x = random_element(sphere, rng)
+        assert abs(value(lhs, x) - value(rhs, x)) < 1e-13
 
 
 def test_a_inner_right_invariance_for_equivariant_inputs(sphere, rng):
     wx = FundamentalField(sphere, sphere.random_algebra(rng))
     wy = FundamentalField(sphere, sphere.random_algebra(rng))
     inner = AInner(wx, wy)
-    for s in sphere.k_rule.nodes[::8]:
+    for s in k_nodes(sphere)[::8]:
         for _ in range(3):
-            x = sphere.random_element(rng)
-            assert abs(inner.value(x @ s) - inner.value(x)) < 1e-10
+            x = random_element(sphere, rng)
+            assert abs(value(inner, x @ s) - value(inner, x)) < 1e-10
 
 
 def test_clifford_star_representation_pointwise(sphere, rng):
@@ -257,12 +254,12 @@ def test_clifford_star_representation_pointwise(sphere, rng):
     psi = random_spinor(sphere, rng, 4)
     lhs = AInner(CliffordProduct(alg, theta, phi), psi)
     for _ in range(5):
-        x = sphere.random_element(rng)
-        tv = theta.value(x)
-        lhs_v = alg.inner(alg.mul(tv, phi.value(x)), psi.value(x))
-        rhs_v = alg.inner(phi.value(x), alg.mul(alg.star(tv), psi.value(x)))
+        x = random_element(sphere, rng)
+        tv = value(theta, x)
+        lhs_v = alg.inner(alg.mul(tv, value(phi, x)), value(psi, x))
+        rhs_v = alg.inner(value(phi, x), alg.mul(alg.star(tv), value(psi, x)))
         assert abs(lhs_v - rhs_v) < 1e-12
-        assert abs(lhs.value(x) - lhs_v) < 1e-12
+        assert abs(value(lhs, x) - lhs_v) < 1e-12
 
 
 def test_l2_inner_normalization_and_positivity(sphere, rule8, rng):
@@ -289,7 +286,7 @@ def test_l2_translation_invariance(sphere, rule8, rng):
     h = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
     base = l2_inner(f, h, rule8)
     for _ in range(3):
-        y = sphere.random_element(rng)
+        y = random_element(sphere, rng)
         moved = l2_inner(translate(f, y), translate(h, y), rule8)
         assert abs(base - moved) < 1e-9
 
@@ -341,7 +338,7 @@ def test_a_rule_keeps_one_batch_of_its_own_group(sphere, full_group, rng):
     from homogdirac import canonical_connection, selfadjoint_defect
     rule = sphere.haar_rule(2)
     mc = full_group.haar_rule(2, kind="monte-carlo", node_count=16, rng=rng)
-    assert (rule.group, sphere.k_rule.group, mc.group) == (sphere, sphere, full_group)
+    assert (rule.group, k_rule(sphere).group, mc.group) == (sphere, sphere, full_group)
     f = MatrixCoefficient(spin_rep(sphere, 1), rng.standard_normal(2), rng.standard_normal(2))
     pts = EvalPoints.for_rule(sphere, rule)
     l2_inner(f, f, rule)
@@ -362,40 +359,40 @@ def test_equivariant_projection_idempotent(sphere, rng):
     alg = spinor_algebra(sphere)
     raw = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
     krep = CliffordKRep(sphere, alg)
-    once = KAverage(raw, krep, sphere)
-    twice = KAverage(once, krep, sphere)
+    once = OrbitAverage(raw, krep, sphere)
+    twice = OrbitAverage(once, krep, sphere)
     for _ in range(5):
-        x = sphere.random_element(rng)
-        assert np.abs(once.value(x) - twice.value(x)).max() < 1e-12
+        x = random_element(sphere, rng)
+        assert np.abs(value(once, x) - value(twice, x)).max() < 1e-12
 
 
 def test_equivariant_projection_fixes_trivial_constants(sphere, rng):
     c = Constant(Codomain.scalar(), 1.5, krep=TrivialKRep(), group=sphere)
-    proj = KAverage(c, TrivialKRep(), sphere)
-    x = sphere.random_element(rng)
-    assert abs(proj.value(x) - 1.5) < 1e-14
+    proj = OrbitAverage(c, TrivialKRep(), sphere)
+    x = random_element(sphere, rng)
+    assert abs(value(proj, x) - 1.5) < 1e-14
 
 
 def test_equivariant_projection_satisfies_defining_condition(sphere, rng):
     alg = spinor_algebra(sphere)
     raw = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
-    proj = KAverage(raw, CliffordKRep(sphere, alg), sphere)
-    for s in sphere.k_rule.nodes[::6]:
-        x = sphere.random_element(rng)
+    proj = OrbitAverage(raw, CliffordKRep(sphere, alg), sphere)
+    for s in k_nodes(sphere)[::6]:
+        x = random_element(sphere, rng)
         assert equivariance_defect(proj, x, s) < 1e-10
 
 
 def test_delta_along_fundamental_equals_lambda(sphere, rng):
     rep = spin_rep(sphere, 2)
-    f = RealPart(KAverage(MatrixCoefficient(
+    f = RealPart(OrbitAverage(MatrixCoefficient(
         rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
     lam = lambda_deriv(f, coords)
     for _ in range(10):
-        x = sphere.random_element(rng)
-        delta = f.deriv(x, sphere.from_m(w.value(x).real))
-        assert abs(delta - lam.value(x)) < 1e-12
+        x = random_element(sphere, rng)
+        delta = deriv(f, x, sphere.from_m(value(w, x).real))
+        assert abs(delta - value(lam, x)) < 1e-12
 
 
 def pointwise_operation(name, group, rng):
@@ -444,11 +441,11 @@ def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
     assert isinstance(section, (Product, Pointwise))
     h = 1e-5
     for _ in range(3):
-        x = sphere.random_element(rng)
+        x = random_element(sphere, rng)
         y = sphere.random_algebra(rng)
-        exact = lambda_deriv(section, y).value(x)
-        fd = (translate(section, sphere.exp(y, h)).value(x)
-              - translate(section, sphere.exp(y, -h)).value(x)) / (2 * h)
+        exact = value(lambda_deriv(section, y), x)
+        fd = (value(translate(section, sphere.exp(y, h)), x)
+              - value(translate(section, sphere.exp(y, -h)), x)) / (2 * h)
         assert np.shape(exact) == np.shape(fd) == section.codomain.shape
         assert np.linalg.norm(exact) > 1e-3  # no case passes on a vanishing derivative
         assert np.linalg.norm(np.atleast_1d(exact - fd)) < 1e-8 * max(1.0, np.linalg.norm(exact))
@@ -463,7 +460,7 @@ def test_pointwise_operations_keep_the_equivariance_tag_rule(sphere, rng):
     bare = MatrixCoefficient(adjoint_rep(sphere), coords, -sphere.m_frame.T,
                              Codomain.tangent(sphere))  # the same field, untagged
     mc = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    f = RealPart(KAverage(mc, TrivialKRep(), sphere))
+    f = RealPart(OrbitAverage(mc, TrivialKRep(), sphere))
     y = sphere.random_algebra(rng)
     assert Scale(ff, f).krep is TangentKRep(sphere)
     assert Scale(ff, mc).krep is None and Scale(bare, f).krep is None
@@ -492,7 +489,7 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
     child = Sum([Scale(const, mc),
                  EmbedTangent(alg, FundamentalField(group, group.random_algebra(rng)))])
     krep = CliffordKRep(group, alg)
-    avg = KAverage(child, krep, group)
+    avg = OrbitAverage(child, krep, group)
     pts = EvalPoints.of(group, group.random_elements(rng, 6))
     dirs = rng.standard_normal((6, group.dim)) + 1j * rng.standard_normal((6, group.dim))
 
@@ -500,7 +497,7 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
         return np.einsum("ij,...j->...i", krep_matrix(krep, s), values)
 
     want_vals, want_derivs = 0.0, 0.0
-    for s, w in zip(group.k_rule.nodes, group.k_rule.weights):
+    for s, w in zip(k_nodes(group), k_rule(group).weights):
         shifted = EvalPoints(group, pts.matrices @ s.matrix)
         want_vals = want_vals + w * apply(s, child.values(shifted))
         pulled = dirs @ group.adjoint_matrix(s)
@@ -509,7 +506,7 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
     assert np.abs(avg.derivs(pts, dirs) - want_derivs).max() < 1e-12
 
     # on an orbit batch, the product formula rho(x_i s_k) = rho(x_i) rho(s_k) at index k * n + i
-    nodes = group.k_rule.matrices
+    nodes = k_rule(group).matrices
     orbit = EvalPoints(group, (pts.matrices[None] @ nodes[:, None]).reshape(-1, 2, 2))
     for r in (rep, adjoint_rep(group)):
         stack = orbit.rep_stack(r).reshape(len(nodes), pts.n, r.dim, r.dim)
@@ -536,18 +533,18 @@ def test_rule_stack_matches_single_element_path(space, request):
     if space == "sphere":
         kreps += [tangent_bundle(group).krep, monopole_bundle(group, 3).krep]
     for krep in kreps:
-        stack = krep.rule_stack()
-        assert stack.shape == (len(group.k_rule), krep.dim, krep.dim)
-        assert krep.rule_stack() is stack
-        for k, s in enumerate(group.k_rule.nodes):
+        stack = rule_stack(krep)
+        assert stack.shape == (len(k_rule(group)), krep.dim, krep.dim)
+        assert rule_stack(krep) is stack
+        for k, s in enumerate(k_nodes(group)):
             assert np.abs(stack[k] - krep_matrix(krep, s)).max() < 1e-13
     mf = group.m_frame
-    for k, s in enumerate(group.k_rule.nodes):
+    for k, s in enumerate(k_nodes(group)):
         want = mf @ group.adjoint_matrix(s) @ mf.T
-        assert np.abs(kreps[0].rule_stack()[k] - want).max() < 1e-13
+        assert np.abs(rule_stack(kreps[0])[k] - want).max() < 1e-13
 
 
-def test_element_caches_survive_object_recycling(sphere, direct_sum):
+def test_element_caches_survive_object_recycling(sphere):
     """Short-lived representations evaluated at one element stay correct.
 
     Nothing caches values per group element: a representation computes
@@ -557,7 +554,7 @@ def test_element_caches_survive_object_recycling(sphere, direct_sum):
     never serve stale values of the wrong dimension.
     """
     import gc
-    x = sphere.k_rule.nodes[1]
+    x = k_nodes(sphere)[1]
     for two_j in (2, 1, 4, 1, 3, 2):
         rep = direct_sum(spin_rep(sphere, two_j))  # a new object each time
         m = rep.matrix_stack(x.matrix[None])[0]
@@ -597,7 +594,7 @@ def test_fundamental_field_matches_bracket_formulas(space, request, rng):
     coords = group.random_algebra(rng)
     w = FundamentalField(group, coords)
     pts = EvalPoints.of(group, group.random_elements(rng, 7))
-    orbit = EvalPoints(group, (pts.matrices[None] @ group.k_rule.matrices[:, None]).reshape(-1, 2, 2))
+    orbit = EvalPoints(group, (pts.matrices[None] @ k_rule(group).matrices[:, None]).reshape(-1, 2, 2))
     for batch in (pts, orbit):
         dirs = (rng.standard_normal((batch.n, group.dim))
                 + 1j * rng.standard_normal((batch.n, group.dim)))
@@ -661,12 +658,12 @@ def test_matrix_coefficient_columns_are_scalar_coefficients(sphere, rng):
 
 def test_tangent_sums_keep_the_equivariance_tag(sphere, rng):
     rep = spin_rep(sphere, 2)
-    f = RealPart(KAverage(MatrixCoefficient(
+    f = RealPart(OrbitAverage(MatrixCoefficient(
         rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
     grad = gradient(sphere, f)
     assert grad.krep is TangentKRep(sphere)
     assert Sum(tangent_frame(sphere)[:2]).krep is TangentKRep(sphere)
-    x = sphere.random_element(rng)
+    x = random_element(sphere, rng)
     for t in (0.7, 2.9):
         s = sphere.exp(sphere.k_frame[0], t)
         assert equivariance_defect(grad, x, s) <= 1e-12
@@ -706,11 +703,11 @@ def subgroup_actions(group):
 def _rule_average(group, rep, v, krep):
     """The subgroup rule's average of rho(s) v pi(s)^T: the quadrature oracle."""
     flat = v.reshape(rep.dim, -1)
-    stacks = (np.ones((len(group.k_rule), 1, 1)) if isinstance(krep, TrivialKRep)
-              else krep.rule_stack())
-    nodes = EvalPoints.for_rule(group, group.k_rule)
+    stacks = (np.ones((len(k_rule(group)), 1, 1)) if isinstance(krep, TrivialKRep)
+              else rule_stack(krep))
+    nodes = EvalPoints.for_rule(group, k_rule(group))
     return sum(w * r @ flat @ k.T for w, r, k in
-               zip(group.k_rule.weights, nodes.rep_stack(rep), stacks)).reshape(v.shape)
+               zip(k_rule(group).weights, nodes.rep_stack(rep), stacks)).reshape(v.shape)
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
@@ -789,7 +786,7 @@ def test_invariant_basis_matches_the_svd_route_on_a_three_dimensional_subgroup()
 
 @pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
 def test_projected_coefficients_match_the_subgroup_average(space, request, rng):
-    """u* rho(x) P(v) against KAverage of u* rho(x) v, the quadrature oracle.
+    """u* rho(x) P(v) against OrbitAverage of u* rho(x) v, the quadrature oracle.
 
     For the real actions the real part commutes with the average too.
     """
@@ -805,9 +802,9 @@ def test_projected_coefficients_match_the_subgroup_average(space, request, rng):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             child = MatrixCoefficient(rep, u, v, codomain)
             pairs = [(MatrixCoefficient(rep, u, krep.invariant(rep, v), codomain, krep),
-                      KAverage(child, krep, group))]
+                      OrbitAverage(child, krep, group))]
             if name in ("trivial", "tangent", "clifford"):
-                pairs.append((RealPart(pairs[0][0]), KAverage(RealPart(child), krep, group)))
+                pairs.append((RealPart(pairs[0][0]), OrbitAverage(RealPart(child), krep, group)))
             for ours, oracle in pairs:
                 assert ours.krep is oracle.krep
                 for a, b in [(ours.values(pts), oracle.values(pts)),
@@ -825,7 +822,7 @@ def _former_constructors(ctx, bundle):
     def scalar():
         rep = spin_rep(g, 2)
         f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
-        return RealPart(KAverage(f, TrivialKRep(), g))
+        return RealPart(OrbitAverage(f, TrivialKRep(), g))
 
     def spinor(max_two_j=2):
         parts = []
@@ -838,7 +835,7 @@ def _former_constructors(ctx, bundle):
                 c = Scale(c, RealPart(MatrixCoefficient(
                     rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))))
             parts.append(c)
-        return KAverage(Sum(parts), CliffordKRep(g, alg), g)
+        return OrbitAverage(Sum(parts), CliffordKRep(g, alg), g)
 
     def section():
         parts = []
@@ -853,7 +850,7 @@ def _former_constructors(ctx, bundle):
             u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             parts.append(Scale(const, MatrixCoefficient(rep, u, v)))
-        return KAverage(Sum(parts), bundle.krep, g)
+        return OrbitAverage(Sum(parts), bundle.krep, g)
 
     return scalar, spinor, section
 
@@ -885,7 +882,7 @@ def test_verify_sections_are_the_former_subgroup_averages(subgroup, bundle):
 def test_real_part_keeps_only_a_real_action_tag(sphere, rng):
     """Re commutes with a real subgroup action, not with the monopole's complex one."""
     alg = spinor_algebra(sphere)
-    x, s = sphere.random_element(rng), sphere.k_rule.nodes[5]
+    x, s = random_element(sphere, rng), k_nodes(sphere)[5]
     cases = [(TangentKRep(sphere), Codomain.tangent(sphere), 2),
              (CliffordKRep(sphere, alg), Codomain.clifford(alg), 2),
              (tangent_bundle(sphere).krep, Codomain.vector(2), 2),
@@ -987,7 +984,7 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
     jac = f.frame_derivs(pts)
     assert pts.retained_bytes() == held + jac.nbytes
     # a subgroup average adds its own values: its orbit batch and the child's values there are gone
-    avg = KAverage(Scale(f, f), TrivialKRep(), sphere)
+    avg = OrbitAverage(Scale(f, f), TrivialKRep(), sphere)
     held += avg.values(pts).nbytes
     assert pts.retained_bytes() == held + jac.nbytes
 
@@ -997,7 +994,7 @@ def test_trivial_subgroup_orbit_is_the_batch_itself(full_group, rule8_full, rng,
     evaluates its child on the caller's batch, builds no batch of its own, also after a first
     use elsewhere, and its values are the child's bits."""
     pts = EvalPoints.for_rule(full_group, rule8_full)
-    (node,) = full_group.k_rule.nodes
+    (node,) = k_nodes(full_group)
     assert np.array_equal(pts.matrices @ node.matrix, pts.matrices)
     alg = spinor_algebra(full_group)
     child = random_spinor(full_group, rng).children[0]
@@ -1016,8 +1013,7 @@ def test_trivial_subgroup_orbit_is_the_batch_itself(full_group, rule8_full, rng,
 def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
     """On the trivial subgroup a subgroup average returns its child's values and derivatives,
     per point and along a shared direction, bit for bit the rule average it replaces (pi_e v
-    weighted by 1 at the rule's one node, directions pulled back by Ad_e), and builds neither
-    the subgroup rule's batch nor the action's rule stack."""
+    weighted by 1 at the rule's one node, directions pulled back by Ad_e), and builds no batch."""
     group = GroupModel.su2_trivial_k()  # fresh, so no earlier use built either
     alg = spinor_algebra(group)
     krep = CliffordKRep(group, alg)
@@ -1030,10 +1026,10 @@ def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
     monkeypatch.setattr(EvalPoints, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     got = [avg.values(pts), avg.derivs(pts, dirs), avg.derivs(pts, dirs[:1])]
-    assert not built and group.k_rule.points is None and krep._rule_stack is None
+    assert not built
     monkeypatch.undo()
 
-    rule = group.k_rule
+    rule = k_rule(group)
     nodes = EvalPoints.for_rule(group, rule)
     stack = krep._stack_fn(nodes)
 
@@ -1047,6 +1043,14 @@ def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
     assert got[0] is child.values(pts)
+
+
+def test_subgroup_average_over_a_circle_names_the_projector(sphere, rng):
+    """KAverage averages over the trivial subgroup only: over su2/u1 it raises ValueError
+    naming MatrixKRep.invariant, the closed-form projector."""
+    child = random_spinor(sphere, rng).children[0]
+    with pytest.raises(ValueError, match="MatrixKRep.invariant"):
+        KAverage(child, CliffordKRep(sphere, spinor_algebra(sphere)), sphere)
 
 
 def test_coefficient_rows_are_computed_once_per_batch(sphere, rng, monkeypatch):
@@ -1082,11 +1086,11 @@ def _shared_direction_zoo(group, rng):
     return [
         ("MatrixCoefficient-vector", vec),
         ("MatrixCoefficient-matrix", mat),
-        ("KAverage", spinor),
+        ("OrbitAverage", spinor),
         ("ConjugatedProjection", ConjugatedProjection(rep, rng.standard_normal((3, 3)))),
         ("FrameField", frame[0]),
         ("GramSection", GramSection(frame)),
-        ("Translate", translate(mat, group.random_element(rng))),
+        ("Translate", translate(mat, random_element(group, rng))),
         ("Sum", Sum([vec, RealPart(vec)], [0.5, 2.0])),
         ("Product", CliffordProduct(alg, mat, spinor)),
         ("Pointwise", ImagPart(vec)),
