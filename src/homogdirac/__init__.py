@@ -10,13 +10,14 @@ metric lower-bound estimator built from Dirac commutators.
 
 from .groups import GroupElement, GroupModel, QuadratureRule, expm_skew
 from .cliffordalg import CliffordAlgebra
-from .reps import UnitaryRep, adjoint_rep, spin_rep
+from .reps import UnitaryRep, adjoint_rep, dual_rep, spin_rep
 from .sections import (
     AInner,
     BandwidthWarning,
     CliffordKRep,
     CliffordProduct,
     Codomain,
+    ConjugatedProjection,
     Constant,
     DerivativeOrderError,
     EmbedTangent,
@@ -45,15 +46,12 @@ from .sections import (
     translate,
 )
 from .bundles import (
-    FrameField,
     InducedBundle,
-    build_frame,
     frame_gram,
     module_map_values,
     monopole_bundle,
     projection_section,
     random_equivariant_section,
-    rank_one_endo,
     tangent_bundle,
 )
 from .geometry import (
@@ -61,7 +59,6 @@ from .geometry import (
     Connection,
     canonical_connection,
     canonical_derivative,
-    fundamental_field,
     levi_civita_connection,
     spinor_algebra,
     tangent_frame,

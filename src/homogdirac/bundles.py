@@ -1,12 +1,15 @@
 """Induced equivariant vector bundles over G/K, given by global frames.
 
-A bundle is specified by an ambient representation of the whole group
-together with an isometric embedding of the fiber as a subgroup-invariant
+A bundle is specified by an ambient representation rho of the whole group
+together with an isometric embedding E of the fiber as a subgroup-invariant
 subspace.  Cross-sections are the equivariant fiber-valued functions on
-the group; the global frame obtained by sweeping an orthonormal ambient
-basis satisfies the reproducing formula and exhibits the section module
-as a direct summand of a free module, with the pointwise frame Gram
-matrix equal to the conjugated-projection section.
+the group.  The standard frame sweeps the ambient orthonormal basis:
+eta_j(x) = E* rho(x)^-1 e_j, and since rho(x)^-1 = rho(x)^* this is the
+matrix coefficient x -> e_j* conj(rho(x)) conj(E) of the contragredient
+(:func:`~homogdirac.reps.dual_rep`).  A real rho, such as the adjoint
+representation, is its own contragredient.  The frame satisfies the reproducing
+formula and exhibits the section module as a direct summand of a free module,
+with the pointwise frame Gram matrix equal to the conjugated-projection section.
 
 The monopole family over the two-sphere arises from weight lines of the
 irreducible representations of SU(2) restricted to the circle subgroup;
@@ -16,20 +19,20 @@ the tangent complement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .groups import GroupModel
-from .reps import UnitaryRep, adjoint_rep, spin_rep
+from .reps import UnitaryRep, adjoint_rep, dual_rep, spin_rep
 from .sections import (
     Codomain,
     ConjugatedProjection,
     GramSection,
     MatrixCoefficient,
     MatrixKRep,
-    RankOne,
     RestrictedKRep,
     Section,
     Sum,
@@ -37,11 +40,8 @@ from .sections import (
 
 __all__ = [
     "InducedBundle",
-    "FrameField",
-    "build_frame",
     "projection_section",
     "frame_gram",
-    "rank_one_endo",
     "monopole_bundle",
     "tangent_bundle",
     "random_equivariant_section",
@@ -59,8 +59,8 @@ class InducedBundle:
     name: str = "bundle"
     # built from the fields above and kept for the bundle's life
     krep: MatrixKRep = field(init=False, repr=False)
-    frame: list = field(init=False, repr=False)  # build_frame
-    spins: dict = field(default_factory=dict, init=False, repr=False)  # _section_spins, by count
+    dual: UnitaryRep = field(init=False, repr=False)  # the contragredient of rep_tilde
+    frame: list = field(init=False, repr=False)  # frame section j: e_j* dual(x) conj(E)
 
     def __post_init__(self):
         self.embed = np.asarray(self.embed, dtype=complex)
@@ -76,7 +76,9 @@ class InducedBundle:
             if np.linalg.norm(d @ proj - proj @ d) > 1e-10:
                 raise ValueError("fiber is not invariant under the subgroup")
         self.krep = RestrictedKRep(self.rep_tilde, self.embed)
-        self.frame = [FrameField(self, j) for j in range(self.ambient_dim)]
+        self.dual = dual_rep(self.rep_tilde)
+        self.frame = [MatrixCoefficient(self.dual, e_j, self.embed.conj(), self.codomain(),
+                                        self.krep) for e_j in np.eye(self.ambient_dim)]
 
     @property
     def fiber_dim(self) -> int:
@@ -89,38 +91,13 @@ class InducedBundle:
     def codomain(self) -> Codomain:
         return Codomain.vector(self.fiber_dim)
 
-
-class FrameField(Section):
-    """Frame section j: the fiber projection of the pulled-back ambient basis vector."""
-
-    def __init__(self, bundle: InducedBundle, j: int):
-        self.bundle = bundle
-        self.group = bundle.group
-        self.j = int(j)
-        self.codomain = bundle.codomain()
-        self.deriv_order = 1
-        self.bandwidth = bundle.rep_tilde.spin
-        self.krep = bundle.krep
-        self.children = ()
-
-    def _values(self, pts) -> np.ndarray:
-        stack = pts.rep_stack(self.bundle.rep_tilde)
-        # row j of rho(x), conjugated, is rho(x)^* e_j; then restrict to the fiber
-        return np.conj(stack[:, self.j, :] @ self.bundle.embed)
-
-    def _derivs(self, pts, dirs) -> np.ndarray:
-        rep = self.bundle.rep_tilde
-        w = np.conj(pts.rep_stack(rep)[:, self.j, :])  # rho(x)^* e_j
-        # d/dt rho(x exp(tY))^* e_j = -drho(Y) rho(x)^* e_j, restricted to the fiber:
-        # E* drho(e_a) w for every axis a, then contracted with the direction
-        egen = (self.bundle.embed.conj().T @ rep.generators).reshape(-1, rep.dim)
-        ew = (w @ egen.T).reshape(pts.n, -1, self.bundle.fiber_dim)
-        return -(dirs[:, None] @ ew)[:, 0]
-
-
-def build_frame(bundle: InducedBundle) -> list:
-    """The standard global frame swept from the ambient orthonormal basis."""
-    return bundle.frame
+    @functools.cached_property
+    def section_reps(self) -> list:
+        """The spin representations of the three least two_j whose coefficients have a nonzero
+        invariant part, built on first use and kept for the bundle's life."""
+        reps = (spin_rep(self.group, two_j) for two_j in itertools.count())
+        return list(itertools.islice(
+            (rep for rep in reps if len(self.krep.basis(rep, self.fiber_dim))), 3))
 
 
 def projection_section(bundle: InducedBundle) -> Section:
@@ -131,12 +108,7 @@ def projection_section(bundle: InducedBundle) -> Section:
 
 def frame_gram(bundle: InducedBundle) -> Section:
     """Pointwise Gram matrix of the frame; a projection of rank fiber_dim."""
-    return GramSection(build_frame(bundle))
-
-
-def rank_one_endo(zeta: Section, eta: Section) -> Section:
-    """The endomorphism section acting as xi -> zeta <eta, xi>."""
-    return RankOne(zeta, eta)
+    return GramSection(bundle.frame)
 
 
 def monopole_bundle(group: GroupModel, charge: int,
@@ -172,28 +144,17 @@ def tangent_bundle(group: GroupModel) -> InducedBundle:
                          group.m_frame.T.astype(complex), name="tangent")
 
 
-def _section_spins(bundle: InducedBundle, count: int) -> list:
-    """The ``count`` smallest two_j whose coefficients have a nonzero invariant part."""
-    if count not in bundle.spins:
-        spins = (two_j for two_j in itertools.count()
-                 if len(bundle.krep.basis(spin_rep(bundle.group, two_j), bundle.fiber_dim)))
-        bundle.spins[count] = list(itertools.islice(spins, count))
-    return bundle.spins[count]
+def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator) -> Section:
+    """A random band-limited equivariant section: a sum of two coefficients u* rho(x) P(v a^T).
 
-
-def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator,
-                               two_j_max: int = 2, terms: int = 2) -> Section:
-    """A random band-limited equivariant section: a sum of coefficients u* rho(x) P(v a^T).
-
-    Each two_j is one of the ``two_j_max + 1`` least spins with P nonzero, so no term vanishes.
+    Each rho is one of the bundle's :attr:`~InducedBundle.section_reps`, so no term vanishes.
     """
     parts = []
-    for _ in range(terms):
+    for _ in range(2):
         vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
-        two_j = _section_spins(bundle, two_j_max + 1)[int(rng.integers(0, two_j_max + 1))]
-        rep = spin_rep(bundle.group, two_j)
+        rep = bundle.section_reps[int(rng.integers(0, 3))]
         u = v = np.ones(1)
-        if two_j:
+        if rep.dim > 1:
             u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
         parts.append(MatrixCoefficient(rep, u, bundle.krep.invariant(rep, np.outer(v, vec)),

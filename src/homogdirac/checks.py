@@ -18,13 +18,11 @@ import time
 import numpy as np
 
 from .bundles import (
-    build_frame,
     frame_gram,
     module_map_values,
     monopole_bundle,
     projection_section,
     random_equivariant_section,
-    rank_one_endo,
     tangent_bundle,
 )
 from .dirac import (
@@ -53,6 +51,7 @@ from .sections import (
     FundamentalField,
     MatrixCoefficient,
     OpApply,
+    RankOne,
     RealPart,
     Scale,
     Sum,
@@ -276,13 +275,13 @@ def _check_frame_equivariance(ctx: _Context):
         ts = _one_parameter_period(z) * np.arange(5) / 33
         nodes = [GroupElement(m) for m in expm_skew(ts[:, None, None] * z)]
     worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes).max())
-                for eta in build_frame(b))
+                for eta in b.frame)
     return worst, 5 * b.ambient_dim
 
 
 def _check_reproducing(ctx: _Context):
     b, g = ctx.bundle, ctx.group
-    frame = build_frame(b)
+    frame = b.frame
     worst = 0.0
     for _ in range(3):
         xi = random_equivariant_section(b, ctx.rng)
@@ -322,13 +321,13 @@ def _check_module_map_range(ctx: _Context):
 
 def _check_endo_reconstruction(ctx: _Context):
     b = ctx.bundle
-    frame = build_frame(b)
+    frame = b.frame
     worst = 0.0
     for _ in range(20):
         zeta = random_equivariant_section(b, ctx.rng)
         eta = random_equivariant_section(b, ctx.rng)
-        t = rank_one_endo(zeta, eta)
-        recon = Sum([rank_one_endo(OpApply(t, fj), fj) for fj in frame])
+        t = RankOne(zeta, eta)
+        recon = Sum([RankOne(OpApply(t, fj), fj) for fj in frame])
         worst = max(worst, float(np.abs(recon.values(ctx.pts) - t.values(ctx.pts)).max()))
     return worst, 20 * ctx.pts.n
 

@@ -48,7 +48,6 @@ __all__ = [
     "ApplyConnection",
     "canonical_connection",
     "levi_civita_connection",
-    "fundamental_field",
     "tangent_frame",
     "canonical_derivative",
     "torsion",
@@ -159,11 +158,6 @@ def levi_civita_connection(group: GroupModel) -> Connection:
 def _complement_brackets(group: GroupModel) -> np.ndarray:
     """P[u_a, u_b] in column b of entry a, the layout of ``gamma``."""
     return group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T
-
-
-def fundamental_field(group: GroupModel, coords: np.ndarray) -> Section:
-    """The tangent section generated by an algebra vector."""
-    return FundamentalField(group, coords)
 
 
 def tangent_frame(group: GroupModel, basis: np.ndarray | None = None) -> list:

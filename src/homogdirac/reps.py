@@ -8,9 +8,10 @@ the section engine need nothing beyond the generators.
 
 The catalog covers the irreducible representations of SU(2) indexed by
 ``two_j`` (twice the spin), evaluated as symmetric powers of the defining
-2x2 matrix, and the adjoint representation of any cataloged group (one
-product with the Kronecker square of the defining matrix).  No value takes
-a logarithm or an exponential.
+2x2 matrix, the adjoint representation of any cataloged group (one
+product with the Kronecker square of the defining matrix), and the dual
+(contragredient) of any representation, the complex conjugate of its
+values.  No value takes a logarithm or an exponential.
 """
 
 from __future__ import annotations
@@ -25,14 +26,18 @@ __all__ = [
     "UnitaryRep",
     "spin_rep",
     "adjoint_rep",
+    "dual_rep",
 ]
 
 
 class UnitaryRep:
-    """A unitary representation given by its generator images and its stack function."""
+    """A unitary representation given by its generator images and its stack function.
+
+    A dual records in ``conjugates`` the representation whose values it conjugates.
+    """
 
     def __init__(self, group: GroupModel, generators: np.ndarray, name: str,
-                 spin: float, stack_fn):
+                 spin: float, stack_fn, conjugates: UnitaryRep | None = None):
         self.group = group
         self.generators = np.asarray(generators, dtype=complex)
         self.dim = self.generators.shape[1]
@@ -41,6 +46,7 @@ class UnitaryRep:
         # quadrature bandwidth accounting
         self.spin = float(spin)
         self._stack_fn = stack_fn
+        self.conjugates = conjugates
 
     def derivative(self, coords: np.ndarray) -> np.ndarray:
         """Generator image of the algebra vector with the given coordinates (one per row)."""
@@ -132,3 +138,14 @@ def adjoint_rep(group: GroupModel) -> UnitaryRep:
         spin=1.0 if group.matrix_dim == 2 and group.dim == 3 else np.inf,
         stack_fn=group.adjoint_stack))
 
+
+def dual_rep(rep: UnitaryRep) -> UnitaryRep:
+    """The contragredient x -> rho(x^-1)^T = conj(rho(x)): generators conj(drho).
+
+    A representation with real generators has real values, so it is its own dual and is
+    returned.  A batch reads another dual's stack as the conjugate of ``rep``'s.
+    """
+    if not np.any(rep.generators.imag):
+        return rep
+    return UnitaryRep(rep.group, rep.generators.conj(), f"dual-{rep.name}", rep.spin,
+                      stack_fn=lambda matrices: rep.matrix_stack(matrices).conj(), conjugates=rep)

@@ -12,8 +12,9 @@ Derivatives are symbolic per node, never finite differences; finite
 differencing appears only in the test suite as an independent oracle.
 Functions on the group enter as matrix coefficients x -> u* rho(x) v
 (:class:`MatrixCoefficient`): fundamental fields are coefficients of the
-adjoint representation and harmonic spinors those of a spin
-representation, each with one value per column of a matrix ``v``.
+adjoint representation, harmonic spinors those of a spin representation
+and a bundle's frame those of the contragredient of its ambient one, each
+with one value per column of a matrix ``v``.
 Every pointwise module operation is one of two nodes: a bilinear map of
 two sections (:class:`Product`: the module action, Clifford product, fiber
 inner product, rank-one endomorphisms and applying an endomorphism), which
@@ -21,28 +22,31 @@ carries the product rule once, or a fixed real-linear map of one section
 (:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
-Evaluation is batched: an :class:`EvalPoints` wraps a stack of defining
-matrices of one group (a quadrature rule's batch wraps the rule's own stack),
-and a section, which carries its group, is evaluated only on batches of that
-group (another group's batch raises ValueError).  A derivative takes one
-direction per point or one shared by all points; a frame Jacobian asks for
-each frame row as one shared direction.  A batch caches what a later step
-reads again: representation stacks, held with their representations for the
-batch's life, and in ``weakref.WeakKeyDictionary`` caches whose entries die with
-their key, node values (a constant's are a read-only view of it; a matrix
-coefficient's rows u* rho(x) are its child node's, so one product serves its values
-and every derivative), the frame Jacobians that a covariant derivative contracts
-with a direction field, and weighted Gram stacks of node pairs, which pin no
-Jacobian.  Once built, a Gram row (:meth:`EvalPoints.gram_row`) drops the values
-and Jacobians below its left section, and a connection sweep releases each operand
-after its last row (:meth:`EvalPoints.release`), so it leaves representation and
-Gram stacks only; a dropped node is evaluated again if asked for.  A batch keeps no
-derived batch: a left translate is a new batch per evaluation.  A subgroup action
-carries its generators, and an equivariant section is a sum of projected coefficients
-u* rho(x) P(v), P the closed-form subgroup average (:meth:`MatrixKRep.invariant`,
-:func:`invariant_basis`); :class:`KAverage` is the trivial subgroup's, its child.
-Each node carries a conservative bandwidth bound (total spin of its Peter-Weyl
-content) that :func:`l2_inner` checks against the quadrature rule.
+Evaluation is batched: an :class:`EvalPoints` wraps a stack of defining matrices of
+one group (a quadrature rule's batch wraps the rule's own stack), and a section, which
+carries its group, is evaluated only on batches of that group (another group's batch
+raises ValueError).  A derivative takes one direction per point or one shared by all
+points; a frame Jacobian asks for each frame row as one shared direction.  A batch
+caches what a later step reads again: representation stacks (a dual's is the conjugate
+of its partner's), held with their representations for the batch's life, and in
+``weakref.WeakKeyDictionary`` caches whose entries die with their key, node values (a
+constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are its
+child node's, so one product serves its values and every derivative), the frame
+Jacobians that a covariant derivative contracts with a direction field, and weighted
+Gram stacks of node pairs, which pin no Jacobian.  Once built, a Gram row
+(:meth:`EvalPoints.gram_row`) drops the values and Jacobians below its left section,
+and a connection sweep releases each operand after its last row
+(:meth:`EvalPoints.release`), so it leaves representation and Gram stacks only; a
+dropped node is evaluated again if asked for.  A batch keeps no derived batch: a left
+translate is a new batch per evaluation.  Every subgroup action carries its
+generators; the tangent and bundle-fiber actions restrict a representation to an
+invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it, and
+the Clifford action extends the tangent one.  An equivariant section is a sum of
+projected coefficients u* rho(x) P(v), P the closed-form subgroup average
+(:meth:`MatrixKRep.invariant`, :func:`invariant_basis`); :class:`KAverage` is the
+trivial subgroup's, its child.  Each node carries a conservative bandwidth bound
+(total spin of its Peter-Weyl content) that :func:`l2_inner` checks against the
+quadrature rule.
 """
 
 from __future__ import annotations
@@ -163,14 +167,12 @@ class EvalPoints:
     # -- cached stacks ----------------------------------------------------------
 
     def rep_stack(self, rep: UnitaryRep) -> np.ndarray:
+        """rho(x) for each point; a dual's is the conjugate of its partner's, so one Sym^n."""
         stack = self._reps.get(rep)
         if stack is None:
-            stack = self._reps[rep] = rep.matrix_stack(self.matrices)
+            stack = self._reps[rep] = (rep.matrix_stack(self.matrices) if rep.conjugates is None
+                                       else self.rep_stack(rep.conjugates).conj())
         return stack
-
-    def ad_stack(self) -> np.ndarray:
-        """Adjoint matrices Ad_x for each point: the (real) adjoint representation's stack."""
-        return self.rep_stack(adjoint_rep(self.group))
 
     def node_values(self, node: "Section") -> np.ndarray:
         vals = self._vals.get(node)
@@ -321,20 +323,20 @@ class TrivialKRep(_KRep):
 class MatrixKRep(_KRep):
     """Action through unitary matrices, given on batches of subgroup elements.
 
-    ``stack_fn`` maps an :class:`EvalPoints` batch of subgroup elements to
+    ``stack`` maps an :class:`EvalPoints` batch of subgroup elements to
     their (n, dim, dim) matrices, and ``generators`` are their derivatives.
     """
 
-    def __init__(self, group: GroupModel, stack_fn, dim: int, generators):
+    def __init__(self, group: GroupModel, stack, dim: int, generators):
         self.group = group
-        self._stack_fn = stack_fn
+        self.stack = stack
         self.dim = dim
         self.generators = np.reshape(generators, (-1, dim, dim))
         self._bases = weakref.WeakKeyDictionary()
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
-        return np.einsum("nji,n...j->n...i", self._stack_fn(s).conj(), values)
+        return np.einsum("nji,n...j->n...i", self.stack(s).conj(), values)
 
 
 def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
@@ -344,18 +346,13 @@ def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
                       [e.conj().T @ rep.derivative(z) @ e for z in rep.group.k_frame])
 
 
-def _tangent_stack(group: GroupModel, pts: EvalPoints) -> np.ndarray:
-    return group.m_frame @ pts.ad_stack() @ group.m_frame.T
-
-
 def TangentKRep(group: GroupModel) -> MatrixKRep:
-    """Adjoint action on the tangent complement, in complement-frame coordinates.
+    """Adjoint action on the tangent complement, in complement-frame coordinates: the
+    adjoint representation restricted to it, so its stack reads the batch's adjoint stack.
 
     One action per group, kept on it, so sums of tangent sections keep their tag.
     """
-    return group.memo("TangentKRep", lambda: MatrixKRep(
-        group, lambda pts: _tangent_stack(group, pts).astype(complex), group.m_dim,
-        group.k_tangent))
+    return group.memo("TangentKRep", lambda: RestrictedKRep(adjoint_rep(group), group.m_frame.T))
 
 
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
@@ -367,12 +364,12 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
         raise ValueError(f"a Clifford algebra on {algebra.p} generators for a tangent "
                          f"complement of dimension {group.m_dim}")
 
-    def stack_fn(pts: EvalPoints) -> np.ndarray:
+    def stack(pts: EvalPoints) -> np.ndarray:
         return np.array([algebra.orthogonal_extend(t)
-                         for t in _tangent_stack(group, pts)]).astype(complex)
+                         for t in TangentKRep(group).stack(pts).real]).astype(complex)
 
     return group.memo("CliffordKRep", lambda: MatrixKRep(
-        group, stack_fn, algebra.n, algebra.derivation_stack(group.k_tangent)))
+        group, stack, algebra.n, algebra.derivation_stack(group.k_tangent)))
 
 
 class OperatorKRep:
@@ -382,7 +379,7 @@ class OperatorKRep:
         self.inner = inner
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
-        m = self.inner._stack_fn(s)
+        m = self.inner.stack(s)
         return m.conj().transpose(0, 2, 1) @ values @ m
 
 
@@ -472,9 +469,9 @@ class MatrixCoefficient(Section):
     A vector ``v`` gives a scalar section; a (dim, k) matrix ``v`` gives one
     coefficient per column, as a section in ``codomain`` (of shape (k,)).
     The right derivative along Y is u* rho(x) drho(Y) v, with drho(e_a) v
-    contracted once here.  Fundamental fields and harmonic spinors are
-    coefficients of this form; see :func:`FundamentalField` and
-    :func:`HarmonicSpinor`.
+    contracted once here.  Fundamental fields, harmonic spinors and bundle
+    frames are coefficients of this form; see :func:`FundamentalField`,
+    :func:`HarmonicSpinor` and :class:`~homogdirac.bundles.InducedBundle`.
     """
 
     def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray,

@@ -3,7 +3,9 @@
 The subgroup orbit average (:class:`OrbitAverage`) is the quadrature reference for the
 closed-form projector ``MatrixKRep.invariant``: the average of pi_s child(x s) over a
 uniform rule on the subgroup (:func:`k_rule`), with pi_s from the action's stack on the
-rule's nodes (:func:`rule_stack`).  The one-point helpers evaluate a section at one
+rule's nodes (:func:`rule_stack`).  The frame formulas of the former hand-written frame
+node (:func:`frame_values`, :func:`frame_derivs`) are the reference for a bundle's frame
+of contragredient coefficients.  The one-point helpers evaluate a section at one
 element, and the rest are the representation, action and report helpers whose only
 callers are tests.
 """
@@ -12,7 +14,8 @@ import weakref
 
 import numpy as np
 
-from homogdirac import EvalPoints, GroupElement, QuadratureRule, Section, TrivialKRep, UnitaryRep
+from homogdirac import (EvalPoints, GroupElement, QuadratureRule, Section, TrivialKRep, UnitaryRep,
+                        adjoint_rep)
 from homogdirac.groups import _one_parameter_period, expm_skew
 
 # nodes of the circle subgroup's uniform rule: orbit averages of functions
@@ -54,7 +57,7 @@ def rule_stack(krep) -> np.ndarray:
     stack = _RULE_STACKS.get(krep)
     if stack is None:
         group = krep.group
-        stack = _RULE_STACKS[krep] = krep._stack_fn(EvalPoints.for_rule(group, k_rule(group)))
+        stack = _RULE_STACKS[krep] = krep.stack(EvalPoints.for_rule(group, k_rule(group)))
     return stack
 
 
@@ -97,7 +100,8 @@ class OrbitAverage(Section):
         if self.group.k_dim == 0:
             return self.children[0].derivs(pts, dirs)
         # Ad_{s^{-1}} dirs for every node s, rowwise: (K, 1 or n, dim)
-        pulled = dirs @ EvalPoints.for_rule(self.group, self.rule).ad_stack()
+        pulled = dirs @ EvalPoints.for_rule(self.group, self.rule).rep_stack(
+            adjoint_rep(self.group))
         if len(pulled) > 1:  # the orbit's K n points take K different directions
             pulled = np.broadcast_to(pulled, (len(pulled), pts.n, dirs.shape[-1]))
         return self._average(self.children[0].derivs(self._orbit(pts),
@@ -125,12 +129,29 @@ def random_element(group, rng) -> GroupElement:
     return group.random_elements(rng, 1)[0]
 
 
+# -- the former frame formulas -------------------------------------------------------
+
+
+def frame_values(bundle, j: int, pts: EvalPoints) -> np.ndarray:
+    """Frame section j as the former hand-written node gave it: conj(rho(x)[j, :] E)."""
+    return np.conj(pts.rep_stack(bundle.rep_tilde)[:, j, :] @ bundle.embed)
+
+
+def frame_derivs(bundle, j: int, pts: EvalPoints, dirs) -> np.ndarray:
+    """Its right derivatives in the former form -E* drho(Y) rho(x)^* e_j, complex-linear in Y."""
+    rep = bundle.rep_tilde
+    w = np.conj(pts.rep_stack(rep)[:, j, :])  # rho(x)^* e_j
+    egen = (bundle.embed.conj().T @ rep.generators).reshape(-1, rep.dim)  # E* drho(e_a)
+    ew = (w @ egen.T).reshape(pts.n, -1, bundle.fiber_dim)
+    return -(np.asarray(dirs)[:, None] @ ew)[:, 0]
+
+
 # -- representations, actions and reports -------------------------------------------
 
 
 def krep_matrix(krep, s: GroupElement) -> np.ndarray:
     """pi_s at one subgroup element: the action's stack on a one-point batch."""
-    return krep._stack_fn(EvalPoints.of(krep.group, [s]))[0]
+    return krep.stack(EvalPoints.of(krep.group, [s]))[0]
 
 
 def direct_sum(*reps) -> UnitaryRep:

@@ -15,20 +15,20 @@ from homogdirac import (
     Codomain,
     Constant,
     EvalPoints,
+    FundamentalField,
     MatrixCoefficient,
     OpApply,
+    RankOne,
     RealPart,
     Scale,
     Sum,
     TrivialKRep,
-    build_frame,
     canonical_connection,
     casimir_value,
     coefficient_family,
     commutator_defect,
     connection_test_matrix,
     criterion_check,
-    fundamental_field,
     grade_compressed_square,
     hodge_dirac,
     kernel_count,
@@ -38,7 +38,6 @@ from homogdirac import (
     orbit_vector,
     projection_section,
     random_equivariant_section,
-    rank_one_endo,
     selfadjoint_defect,
     spectral_block,
     spin_rep,
@@ -91,7 +90,7 @@ def test_criterion_1_frames_and_projectivity(sphere):
     for two_level in range(5):  # ambient spins up to 2
         for charge in range(-two_level, two_level + 1, 2):
             bundle = monopole_bundle(sphere, charge, two_level)
-            frame = build_frame(bundle)
+            frame = bundle.frame
             xi = random_equivariant_section(bundle, rng)
             recon = Sum([Scale(eta, AInner(eta, xi)) for eta in frame])
             worst_rep = max(worst_rep, float(
@@ -111,11 +110,11 @@ def test_criterion_2_endomorphism_reconstruction(sphere):
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 60))
     worst = 0.0
     for bundle in (monopole_bundle(sphere, 1, 3), monopole_bundle(sphere, 2, 4)):
-        frame = build_frame(bundle)
+        frame = bundle.frame
         for _ in range(10):
-            t = rank_one_endo(random_equivariant_section(bundle, rng),
+            t = RankOne(random_equivariant_section(bundle, rng),
                               random_equivariant_section(bundle, rng))
-            recon = Sum([rank_one_endo(OpApply(t, fj), fj) for fj in frame])
+            recon = Sum([RankOne(OpApply(t, fj), fj) for fj in frame])
             worst = max(worst, float(np.abs(recon.values(pts) - t.values(pts)).max()))
     report("criterion-2 endomorphism reconstruction",
            worst <= 1e-10, f"20 endomorphisms, residual {worst:.2e} (tol 1e-10)")
@@ -141,7 +140,7 @@ def test_criterion_3_tangent_suite(sphere, full_group):
             a, b = group.random_algebra(rng), group.random_algebra(rng)
             comm = Sum([lambda_deriv(lambda_deriv(f, b), a),
                         lambda_deriv(lambda_deriv(f, a), b)], [1.0, -1.0])
-            field = fundamental_field(group, group.bracket(a, b))
+            field = FundamentalField(group, group.bracket(a, b))
             for x in group.random_elements(rng, 10):
                 direction = group.from_m(value(field, x).real)
                 worst_bracket = max(worst_bracket, abs(
@@ -160,8 +159,8 @@ def test_criterion_4_connection_suite(sphere, full_group):
         frame = tangent_frame(group)
         lc = levi_civita_connection(group)
         nab0 = canonical_connection(group)
-        xi = fundamental_field(group, group.random_algebra(rng))
-        eta = fundamental_field(group, group.random_algebra(rng))
+        xi = FundamentalField(group, group.random_algebra(rng))
+        eta = FundamentalField(group, group.random_algebra(rng))
         from homogdirac.geometry import ApplyConnection
         for wj in frame:
             lhs = ApplyConnection(lc, wj, AInner(xi, eta)).values(pts)
@@ -179,8 +178,8 @@ def test_criterion_4_connection_suite(sphere, full_group):
     # bracket, nonzero, with the expected value on the first two axes
     g = full_group
     pts = EvalPoints.of(g, g.random_elements(rng, 40))
-    v = fundamental_field(g, g.random_algebra(rng))
-    w = fundamental_field(g, g.random_algebra(rng))
+    v = FundamentalField(g, g.random_algebra(rng))
+    w = FundamentalField(g, g.random_algebra(rng))
     tv = torsion(canonical_connection(g), v, w).values(pts)
     vv, wv = v.values(pts), w.values(pts)
     expect = -np.stack([g.bracket_m(vv[n].real, wv[n].real) for n in range(pts.n)])

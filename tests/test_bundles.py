@@ -6,22 +6,25 @@ from homogdirac import (
     GroupModel,
     AInner,
     EvalPoints,
+    FundamentalField,
     InducedBundle,
     OpApply,
+    RankOne,
     Scale,
     Sum,
-    build_frame,
+    UnitaryRep,
+    adjoint_rep,
     equivariance_defect,
     frame_gram,
+    lambda_deriv,
     module_map_values,
     monopole_bundle,
     projection_section,
     random_equivariant_section,
-    rank_one_endo,
     spin_rep,
     tangent_bundle,
 )
-from homogdirac.bundles import _section_spins
+import oracles
 from oracles import direct_sum, k_nodes, k_rule
 
 
@@ -69,7 +72,7 @@ def test_trivial_bundle_projection_is_identity(sphere, sample_pts):
 def test_trivial_ambient_frame_is_constant_basis(sphere, sample_pts):
     rep = spin_rep(sphere, 0)
     b = InducedBundle(sphere, rep, np.eye(1, dtype=complex))
-    (eta,) = build_frame(b)
+    (eta,) = b.frame
     assert np.abs(eta.values(sample_pts) - 1.0).max() < 1e-13
 
 
@@ -85,7 +88,7 @@ def test_full_fiber_gram_is_constant_identity(full_group, rng):
 @pytest.mark.parametrize("charge,two_level", [(1, 1), (-1, 1), (2, 2), (0, 2), (1, 3), (4, 4)])
 def test_monopole_bundles(sphere, sample_pts, charge, two_level, rng):
     b = monopole_bundle(sphere, charge, two_level)
-    frame = build_frame(b)
+    frame = b.frame
 
     for eta in frame:
         for s in k_nodes(sphere)[::8]:
@@ -140,7 +143,7 @@ def test_frame_members_can_vanish_identically(sphere, sample_pts, rng):
     embed = np.zeros((4, 1), dtype=complex)
     embed[0, 0] = 1.0
     b = InducedBundle(sphere, amb, embed)
-    frame = build_frame(b)
+    frame = b.frame
     norms = [np.abs(eta.values(sample_pts)).max() for eta in frame]
     assert norms[0] > 0.9
     assert max(norms[1:]) < 1e-14
@@ -155,10 +158,10 @@ def test_rank_one_endomorphism(sphere, sample_pts, rng):
     zeta = random_equivariant_section(b, rng)
     eta = random_equivariant_section(b, rng)
     xi = random_equivariant_section(b, rng)
-    t = rank_one_endo(zeta, eta)
+    t = RankOne(zeta, eta)
     # zero second factor gives the zero endomorphism
     zero_scalar = Constant(Codomain.scalar(), 0.0, group=sphere)
-    zero = rank_one_endo(zeta, Scale(eta, zero_scalar))
+    zero = RankOne(zeta, Scale(eta, zero_scalar))
     assert np.abs(zero.values(sample_pts)).max() == 0.0
     lhs = OpApply(t, xi).values(sample_pts)
     rhs = Scale(zeta, AInner(eta, xi)).values(sample_pts)
@@ -169,11 +172,11 @@ def test_rank_one_endomorphism(sphere, sample_pts, rng):
 
 def test_rank_one_reconstruction(sphere, sample_pts, rng):
     b = monopole_bundle(sphere, 1, 3)
-    frame = build_frame(b)
+    frame = b.frame
     for _ in range(5):
-        t = rank_one_endo(random_equivariant_section(b, rng),
+        t = RankOne(random_equivariant_section(b, rng),
                           random_equivariant_section(b, rng))
-        recon = Sum([rank_one_endo(OpApply(t, fj), fj) for fj in frame])
+        recon = Sum([RankOne(OpApply(t, fj), fj) for fj in frame])
         assert np.abs(recon.values(sample_pts) - t.values(sample_pts)).max() < 1e-10
 
 
@@ -181,7 +184,7 @@ def test_tangent_bundle_through_generic_machinery(sphere, sample_pts, rng):
     b = tangent_bundle(sphere)
     assert b.fiber_dim == sphere.m_dim
     xi = random_equivariant_section(b, rng)
-    frame = build_frame(b)
+    frame = b.frame
     recon = Sum([Scale(eta, AInner(eta, xi)) for eta in frame])
     assert np.abs(recon.values(sample_pts) - xi.values(sample_pts)).max() < 1e-10
     pv = projection_section(b).values(sample_pts)
@@ -197,8 +200,8 @@ _BUNDLES = {"tangent": tangent_bundle, **{
     ("monopole+2", [2, 4, 6]), ("monopole-2", [2, 4, 6])])
 def test_section_spins_are_those_with_invariant_coefficients(sphere, full_group, name, spins):
     """The fiber weight fixes the parity and the least spin; a trivial subgroup takes all."""
-    assert _section_spins(_BUNDLES[name](sphere), 3) == spins
-    assert _section_spins(tangent_bundle(full_group), 3) == [0, 1, 2]
+    assert [2 * rep.spin for rep in _BUNDLES[name](sphere).section_reps] == spins
+    assert [2 * rep.spin for rep in tangent_bundle(full_group).section_reps] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("name", _BUNDLES)
@@ -299,8 +302,109 @@ def test_frame_and_projection_derivatives_match_einsum_form(sphere, sample_pts, 
     line = monopole_bundle(sphere, 1, 3)
     for bundle in (tangent_bundle(sphere), line, monopole_bundle(sphere, -2),
                    InducedBundle(sphere, line.rep_tilde, np.exp(0.7j) * line.embed)):
-        for j, f in enumerate(build_frame(bundle)):
+        for j, f in enumerate(bundle.frame):
             want = _einsum_form_frame_derivs(bundle, j, sample_pts, dirs)
             assert np.abs(f.derivs(sample_pts, dirs) - want).max() < 1e-13
         want = _einsum_form_projection_derivs(bundle, sample_pts, dirs)
         assert np.abs(projection_section(bundle).derivs(sample_pts, dirs) - want).max() < 1e-13
+
+
+def _frame_cases(group):
+    """(name, bundle): the tangent bundle, the monopole lines of charge +-1 and +-2 and a
+    phase-rotated line; a trivial subgroup fixes every line, so there they are built from
+    the same weight vectors."""
+    def line(charge):
+        if group.k_dim:
+            return monopole_bundle(group, charge)
+        two_level = abs(charge)
+        return InducedBundle(group, spin_rep(group, two_level),
+                             np.eye(two_level + 1)[:, [(two_level - charge) // 2]])
+
+    cases = [("tangent", tangent_bundle(group))]
+    cases += [(f"charge{q:+d}", line(q)) for q in (1, -1, 2, -2)]
+    rotated = line(1)
+    cases.append(("rotated", InducedBundle(group, rotated.rep_tilde,
+                                           np.exp(0.7j) * rotated.embed)))
+    return cases
+
+
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_frames_match_the_former_frame_formulas(space, request, rng):
+    """Contragredient coefficients give the former frame's values bit for bit, and its
+    derivatives along real and complex directions and its frame Jacobian to roundoff."""
+    group = request.getfixturevalue(space)
+    pts = EvalPoints.of(group, group.random_elements(rng, 12))
+    real = rng.standard_normal((pts.n, group.dim))
+    complex_dirs = real + 1j * rng.standard_normal(real.shape)
+    for name, bundle in _frame_cases(group):
+        assert bundle.dual.conjugates is (None if name == "tangent" else bundle.rep_tilde)
+        for j, eta in enumerate(bundle.frame):
+            assert np.array_equal(eta.values(pts), oracles.frame_values(bundle, j, pts)), name
+            for dirs in (real, complex_dirs):
+                want = oracles.frame_derivs(bundle, j, pts, dirs)
+                assert np.abs(eta.derivs(pts, dirs) - want).max() < 1e-13, name
+            want = np.stack([oracles.frame_derivs(bundle, j, pts, y[None]) for y in group.m_frame])
+            assert np.abs(eta.frame_derivs(pts) - want).max() < 1e-13, name
+
+
+def test_frame_left_derivative_is_a_central_difference(sphere, rng):
+    """lambda_deriv of a frame field is d/dt eta(exp(-tY) x) at t = 0."""
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 8))
+    h = 1e-5
+    for name, bundle in _frame_cases(sphere):
+        y = sphere.random_algebra(rng)
+        shifted = [EvalPoints(sphere, sphere.exp(y, -t).matrix @ pts.matrices) for t in (h, -h)]
+        for eta in bundle.frame:
+            want = (eta.values(shifted[0]) - eta.values(shifted[1])) / (2 * h)
+            assert np.abs(lambda_deriv(eta, y).values(pts) - want).max() < 1e-8, name
+
+
+@pytest.mark.parametrize("charge", [1, -2])
+def test_frame_and_projection_build_one_symmetric_power(sphere, rng, charge, monkeypatch):
+    """A monopole frame reads the conjugate of the batch's stack of rho, which its
+    projection section reads too: one batch computes one matrix stack."""
+    bundle = monopole_bundle(sphere, charge, 3 if charge % 2 else 4)
+    built = []
+    stack = UnitaryRep.matrix_stack
+    monkeypatch.setattr(UnitaryRep, "matrix_stack",
+                        lambda self, m: built.append(self) or stack(self, m))
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 6))
+    frame_gram(bundle).values(pts)
+    for eta in bundle.frame:
+        eta.frame_derivs(pts)
+    projection = projection_section(bundle)
+    projection.values(pts)
+    projection.derivs(pts, sphere.random_algebra(rng)[None])
+    assert built == [bundle.rep_tilde]
+    assert np.array_equal(pts.rep_stack(bundle.dual), pts.rep_stack(bundle.rep_tilde).conj())
+
+
+def test_tangent_frame_fields_and_projection_read_one_adjoint_stack(sphere, rng, monkeypatch):
+    """The adjoint representation is real, so it is its own dual: the tangent bundle's frame,
+    the fundamental fields and the projection section share the batch's one adjoint stack."""
+    bundle = tangent_bundle(sphere)
+    assert bundle.dual is bundle.rep_tilde is adjoint_rep(sphere)
+    built = []
+    stack = UnitaryRep.matrix_stack
+    monkeypatch.setattr(UnitaryRep, "matrix_stack",
+                        lambda self, m: built.append(self) or stack(self, m))
+    pts = EvalPoints.of(sphere, sphere.random_elements(rng, 6))
+    for section in [*bundle.frame, FundamentalField(sphere, sphere.random_algebra(rng)),
+                    projection_section(bundle)]:
+        section.values(pts)
+        section.frame_derivs(pts)
+    assert built == [adjoint_rep(sphere)]
+
+
+@pytest.mark.parametrize("name", _BUNDLES)
+def test_a_second_random_section_builds_no_rep(sphere, rng, name, monkeypatch):
+    """The bundle keeps the representations of its section spins, so a second draw builds none."""
+    bundle = _BUNDLES[name](sphere)
+    random_equivariant_section(bundle, rng)
+    built = []
+    init = UnitaryRep.__init__
+    monkeypatch.setattr(UnitaryRep, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    for _ in range(5):
+        random_equivariant_section(bundle, rng)
+    assert built == []

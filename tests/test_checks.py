@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from homogdirac import GroupElement, checks
-from homogdirac.bundles import build_frame
 from homogdirac.cli import RunConfig, run_verify
 from homogdirac.reps import spin_rep
 from homogdirac.sections import (
@@ -110,7 +109,7 @@ def _frame_equivariance(ctx):
     b, g = ctx.bundle, ctx.group
     x = ctx.samples[0]
     worst = 0.0
-    for eta in build_frame(b):
+    for eta in b.frame:
         for s in k_nodes(g)[:5]:
             rhs = krep_matrix(eta.krep, s).conj().T @ value(eta, x)
             worst = max(worst, float(np.linalg.norm(value(eta, x @ s) - rhs)))

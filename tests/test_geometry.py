@@ -8,6 +8,7 @@ from homogdirac import (
     Constant,
     EmbedTangent,
     EvalPoints,
+    FundamentalField,
     GroupModel,
     MatrixCoefficient,
     RealPart,
@@ -16,11 +17,10 @@ from homogdirac import (
     TangentKRep,
     Translate,
     TrivialKRep,
-    build_frame,
+    adjoint_rep,
     canonical_connection,
     connection_test_matrix,
     equivariance_defect,
-    fundamental_field,
     lambda_deriv,
     levi_civita_connection,
     spin_rep,
@@ -49,14 +49,14 @@ def invariant_scalar(group, rng):
 
 def test_fundamental_field_examples(sphere):
     # isotropy generators vanish at the identity; tangent ones hit -X
-    wk = fundamental_field(sphere, sphere.k_frame[0])
+    wk = FundamentalField(sphere, sphere.k_frame[0])
     assert np.linalg.norm(value(wk, sphere.identity())) < 1e-14
-    wm = fundamental_field(sphere, E3[0])
+    wm = FundamentalField(sphere, E3[0])
     assert np.allclose(value(wm, sphere.identity()), -sphere.to_m(E3[0]))
 
 
 def test_fundamental_fields_are_equivariant(sphere, rng):
-    w = fundamental_field(sphere, sphere.random_algebra(rng))
+    w = FundamentalField(sphere, sphere.random_algebra(rng))
     for s in k_nodes(sphere)[::8]:
         x = random_element(sphere, rng)
         assert equivariance_defect(w, x, s) < 1e-10
@@ -92,10 +92,10 @@ def test_canonical_derivative_of_invariant_constant(sphere, rng):
 def test_canonical_derivative_formula_on_fundamental_fields(space, request, rng):
     group = request.getfixturevalue(space)
     x_c, y_c = group.random_algebra(rng), group.random_algebra(rng)
-    wx, wy = fundamental_field(group, x_c), fundamental_field(group, y_c)
+    wx, wy = FundamentalField(group, x_c), FundamentalField(group, y_c)
     pts = sample_pts(group, rng)
     vals = ApplyConnection(canonical_connection(group), wx, wy).values(pts)
-    ads = pts.ad_stack()
+    ads = pts.rep_stack(adjoint_rep(group))
     zx = np.einsum("nba,b->na", ads, x_c)
     zy = np.einsum("nba,b->na", ads, y_c)
     expect = -np.einsum("abc,na,nb->nc", group.structure,
@@ -106,7 +106,7 @@ def test_canonical_derivative_formula_on_fundamental_fields(space, request, rng)
 def test_gamma_zero_reduces_to_canonical(full_group, rng):
     zero = Connection(full_group, np.zeros((3, 3, 3)), name="explicit-zero")
     frame = tangent_frame(full_group)
-    w = fundamental_field(full_group, full_group.random_algebra(rng))
+    w = FundamentalField(full_group, full_group.random_algebra(rng))
     pts = sample_pts(full_group, rng, 10)
     a = ApplyConnection(zero, frame[0], w).values(pts)
     b = ApplyConnection(canonical_connection(full_group), frame[0], w).values(pts)
@@ -117,7 +117,7 @@ def test_correction_term_is_equivariant(full_group, rng):
     """The zero-order term sends equivariant sections to equivariant sections."""
     conn = levi_civita_connection(full_group)
     frame = tangent_frame(full_group)
-    xi = fundamental_field(full_group, full_group.random_algebra(rng))
+    xi = FundamentalField(full_group, full_group.random_algebra(rng))
     nab = ApplyConnection(conn, frame[0], xi)
     assert nab.krep is not None
     x = random_element(full_group, rng)
@@ -128,7 +128,7 @@ def test_correction_term_is_equivariant(full_group, rng):
 def test_equivariant_outputs_on_sphere(sphere, rng):
     conn = canonical_connection(sphere)
     frame = tangent_frame(sphere)
-    xi = fundamental_field(sphere, sphere.random_algebra(rng))
+    xi = FundamentalField(sphere, sphere.random_algebra(rng))
     nab = ApplyConnection(conn, frame[1], xi)
     x = random_element(sphere, rng)
     for s in k_nodes(sphere)[::6]:
@@ -210,8 +210,8 @@ def test_compatibility_leibniz(space, request, rng):
     group = request.getfixturevalue(space)
     conn = levi_civita_connection(group)
     frame = tangent_frame(group)
-    xi = fundamental_field(group, group.random_algebra(rng))
-    eta = fundamental_field(group, group.random_algebra(rng))
+    xi = FundamentalField(group, group.random_algebra(rng))
+    eta = FundamentalField(group, group.random_algebra(rng))
     pts = sample_pts(group, rng)
     for wj in frame:
         lhs = ApplyConnection(conn, wj, AInner(xi, eta)).values(pts)
@@ -224,8 +224,8 @@ def test_compatibility_leibniz(space, request, rng):
 def test_connection_translation_invariance(space, request, rng):
     group = request.getfixturevalue(space)
     pts = sample_pts(group, rng, 15)
-    w = fundamental_field(group, group.random_algebra(rng))
-    xi = fundamental_field(group, group.random_algebra(rng))
+    w = FundamentalField(group, group.random_algebra(rng))
+    xi = FundamentalField(group, group.random_algebra(rng))
     for conn in (canonical_connection(group), levi_civita_connection(group)):
         y = random_element(group, rng)
         lhs = Translate(ApplyConnection(conn, w, xi), y).values(pts)
@@ -235,9 +235,9 @@ def test_connection_translation_invariance(space, request, rng):
 
 def test_torsion_vanishes_on_equal_arguments(full_group, rng):
     conn = canonical_connection(full_group)
-    v = Sum([Scale(fundamental_field(full_group, full_group.random_algebra(rng)),
+    v = Sum([Scale(FundamentalField(full_group, full_group.random_algebra(rng)),
                    invariant_scalar(full_group, rng)),
-             fundamental_field(full_group, full_group.random_algebra(rng))])
+             FundamentalField(full_group, full_group.random_algebra(rng))])
     pts = sample_pts(full_group, rng, 10)
     assert np.abs(torsion(conn, v, v).values(pts)).max() < 1e-11
 
@@ -246,8 +246,8 @@ def test_torsion_vanishes_on_equal_arguments(full_group, rng):
 def test_canonical_torsion_pointwise_formula(space, request, rng):
     group = request.getfixturevalue(space)
     conn = canonical_connection(group)
-    v = fundamental_field(group, group.random_algebra(rng))
-    w = fundamental_field(group, group.random_algebra(rng))
+    v = FundamentalField(group, group.random_algebra(rng))
+    w = FundamentalField(group, group.random_algebra(rng))
     pts = sample_pts(group, rng)
     tv = torsion(conn, v, w).values(pts)
     vv, wv = v.values(pts), w.values(pts)
@@ -258,8 +258,8 @@ def test_canonical_torsion_pointwise_formula(space, request, rng):
 def test_canonical_torsion_value_on_full_group(full_group):
     """On the trivial-subgroup quotient the canonical torsion is nonzero."""
     conn = canonical_connection(full_group)
-    w1 = fundamental_field(full_group, E3[0])
-    w2 = fundamental_field(full_group, E3[1])
+    w1 = FundamentalField(full_group, E3[0])
+    w2 = FundamentalField(full_group, E3[1])
     e = full_group.identity()
     t = torsion(conn, w1, w2)
     # at the identity the fields take values -X1, -X2, so the torsion is
@@ -273,8 +273,8 @@ def test_canonical_torsion_value_on_full_group(full_group):
 def test_levi_civita_is_torsion_free(space, request, rng):
     group = request.getfixturevalue(space)
     lc = levi_civita_connection(group)
-    v = fundamental_field(group, group.random_algebra(rng))
-    w = fundamental_field(group, group.random_algebra(rng))
+    v = FundamentalField(group, group.random_algebra(rng))
+    w = FundamentalField(group, group.random_algebra(rng))
     pts = sample_pts(group, rng)
     assert np.abs(torsion(lc, v, w).values(pts)).max() < 1e-10
 
@@ -282,8 +282,8 @@ def test_levi_civita_is_torsion_free(space, request, rng):
 def test_torsion_module_bilinearity(full_group, rng):
     conn = canonical_connection(full_group)
     f = invariant_scalar(full_group, rng)
-    v = fundamental_field(full_group, full_group.random_algebra(rng))
-    w = fundamental_field(full_group, full_group.random_algebra(rng))
+    v = FundamentalField(full_group, full_group.random_algebra(rng))
+    w = FundamentalField(full_group, full_group.random_algebra(rng))
     pts = sample_pts(full_group, rng, 10)
     lhs = torsion(conn, Scale(v, f), w).values(pts)
     rhs = Scale(torsion(conn, v, w), f).values(pts)
@@ -293,7 +293,7 @@ def test_torsion_module_bilinearity(full_group, rng):
 def test_torsion_trace(full_group, sphere, rng):
     # torsion-free connections have identically vanishing trace
     lc = levi_civita_connection(full_group)
-    u = fundamental_field(full_group, full_group.random_algebra(rng))
+    u = FundamentalField(full_group, full_group.random_algebra(rng))
     pts = sample_pts(full_group, rng, 15)
     assert np.abs(torsion_trace(lc, u).values(pts)).max() < 1e-10
     # the canonical connection passes despite nonzero torsion
@@ -319,7 +319,7 @@ def former_torsion_pair(connection, i, j):
     br = g.bracket(np.eye(g.dim)[i], np.eye(g.dim)[j])
     return Sum([ApplyConnection(connection, frame[i], frame[j]),
                 ApplyConnection(connection, frame[j], frame[i]),
-                fundamental_field(g, br)], [1.0, -1.0, -1.0])
+                FundamentalField(g, br)], [1.0, -1.0, -1.0])
 
 
 def former_torsion(connection, v, w):
@@ -371,10 +371,10 @@ def test_torsion_matches_frame_pair_expansion(space, rng):
     """The closed-form node against the former frame-pair expansion: values and lambda_deriv."""
     g = torsion_space(space)
     f = Sum([invariant_scalar(g, rng), invariant_scalar(g, rng)], [1.0, 1j])
-    v = Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
-             fundamental_field(g, g.random_algebra(rng))])
-    w = Sum([fundamental_field(g, g.random_algebra(rng)),
-             fundamental_field(g, g.random_algebra(rng))], [1.0, 0.5j])
+    v = Sum([Scale(FundamentalField(g, g.random_algebra(rng)), f),
+             FundamentalField(g, g.random_algebra(rng))])
+    w = Sum([FundamentalField(g, g.random_algebra(rng)),
+             FundamentalField(g, g.random_algebra(rng))], [1.0, 0.5j])
     y = g.random_algebra(rng)
     pts = sample_pts(g, rng, 12)
     assert np.abs(f.values(pts).imag).max() > 1e-2
@@ -395,8 +395,8 @@ def test_torsion_trace_is_the_frame_trace(space, rng):
     """The trace node against sum_j <W_j, T(u, W_j)> over the tangent frame and a rotated one."""
     g = torsion_space(space)
     f = Sum([invariant_scalar(g, rng), invariant_scalar(g, rng)], [1.0, 1j])
-    u = Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
-             fundamental_field(g, g.random_algebra(rng))])
+    u = Sum([Scale(FundamentalField(g, g.random_algebra(rng)), f),
+             FundamentalField(g, g.random_algebra(rng))])
     q, _ = np.linalg.qr(rng.standard_normal((g.dim, g.dim)))
     pts = sample_pts(g, rng, 12)
     for conn in oracle_connections(g, rng):
@@ -427,9 +427,9 @@ def test_torsion_tensor_intertwines_the_isotropy_action(space, rng):
 
 def test_torsion_rejects_non_tangent_sections(full_group):
     conn = canonical_connection(full_group)
-    v = fundamental_field(full_group, E3[0])
+    v = FundamentalField(full_group, E3[0])
     scalar = Constant(Codomain.scalar(), 1.0, TrivialKRep(), group=full_group)
-    vector = build_frame(tangent_bundle(full_group))[0]
+    vector = tangent_bundle(full_group).frame[0]
     for bad in (scalar, vector):
         with pytest.raises(ValueError):
             torsion(conn, v, bad)
@@ -441,7 +441,7 @@ def test_torsion_rejects_non_tangent_sections(full_group):
 
 def test_torsion_is_one_node_on_its_arguments(full_group):
     conn = levi_civita_connection(full_group)
-    v, w = fundamental_field(full_group, E3[0]), fundamental_field(full_group, E3[1])
+    v, w = FundamentalField(full_group, E3[0]), FundamentalField(full_group, E3[1])
     t = torsion(conn, v, w)
     assert len(t.children) == 2
     assert t.children[0] is v and t.children[1] is w
@@ -460,15 +460,15 @@ def test_gamma_round_trip(full_group, rng):
         for b in range(3):
             # both frame and argument fields take the values -u_a, -u_b at
             # the identity, so the two sign flips cancel
-            xi = fundamental_field(full_group, E3[b])
+            xi = FundamentalField(full_group, E3[b])
             diff = (value(ApplyConnection(conn, frame[a], xi), e)
                     - value(ApplyConnection(canon, frame[a], xi), e))
             recovered[a, :, b] = diff
     assert np.abs(recovered - gamma).max() < 1e-12
     # and the correction term is pointwise gamma of the direction value
     pts = sample_pts(full_group, rng, 10)
-    w = fundamental_field(full_group, full_group.random_algebra(rng))
-    xi = fundamental_field(full_group, full_group.random_algebra(rng))
+    w = FundamentalField(full_group, full_group.random_algebra(rng))
+    xi = FundamentalField(full_group, full_group.random_algebra(rng))
     corr = (ApplyConnection(conn, w, xi).values(pts)
             - ApplyConnection(canon, w, xi).values(pts))
     expect = np.einsum("na,aij,nj->ni", w.values(pts), gamma, xi.values(pts))
@@ -491,7 +491,7 @@ def test_abelian_group_is_symmetric():
 
 def test_torsion_trace_is_module_linear(full_group, rng):
     conn = canonical_connection(full_group)
-    u = fundamental_field(full_group, full_group.random_algebra(rng))
+    u = FundamentalField(full_group, full_group.random_algebra(rng))
     f = invariant_scalar(full_group, rng)
     pts = sample_pts(full_group, rng, 10)
     viol = __import__("homogdirac").minimal_violating_connection(full_group)
@@ -514,12 +514,12 @@ def test_connection_correction_matches_einsum_form(full_group, rng):
     alg = spinor_algebra(g)
     a = rng.standard_normal((3, 3, 3))
     skew = Connection(g, a - a.transpose(0, 2, 1), name="random-skew")
-    direction = Sum([fundamental_field(g, g.random_algebra(rng)),
-                     fundamental_field(g, g.random_algebra(rng))], [1.0, 0.5j])
+    direction = Sum([FundamentalField(g, g.random_algebra(rng)),
+                     FundamentalField(g, g.random_algebra(rng))], [1.0, 0.5j])
     targets = {
-        "vector": build_frame(tangent_bundle(g))[1],
-        "tangent": fundamental_field(g, g.random_algebra(rng)),
-        "clifford": EmbedTangent(alg, fundamental_field(g, g.random_algebra(rng))),
+        "vector": tangent_bundle(g).frame[1],
+        "tangent": FundamentalField(g, g.random_algebra(rng)),
+        "clifford": EmbedTangent(alg, FundamentalField(g, g.random_algebra(rng))),
     }
     pts = sample_pts(g, rng, 9)
     wvals = direction.values(pts)
@@ -550,12 +550,12 @@ def test_jacobian_contraction_matches_directional_derivative(space, request, rng
     g = request.getfixturevalue(space)
     alg = spinor_algebra(g)
     f = invariant_scalar(g, rng)
-    directions = [fundamental_field(g, g.random_algebra(rng)),
-                  Sum([Scale(fundamental_field(g, g.random_algebra(rng)), f),
-                       fundamental_field(g, g.random_algebra(rng))])]
-    targets = [f, fundamental_field(g, g.random_algebra(rng)),
-               build_frame(tangent_bundle(g))[1],
-               EmbedTangent(alg, fundamental_field(g, g.random_algebra(rng)))]
+    directions = [FundamentalField(g, g.random_algebra(rng)),
+                  Sum([Scale(FundamentalField(g, g.random_algebra(rng)), f),
+                       FundamentalField(g, g.random_algebra(rng))])]
+    targets = [f, FundamentalField(g, g.random_algebra(rng)),
+               tangent_bundle(g).frame[1],
+               EmbedTangent(alg, FundamentalField(g, g.random_algebra(rng)))]
     for pts in (sample_pts(g, rng, 12), EvalPoints.for_rule(g, g.haar_rule(3))):
         for conn in (canonical_connection(g), levi_civita_connection(g)):
             for direction in directions:
@@ -572,8 +572,8 @@ def test_complex_directions_act_complex_linearly_on_real_parts(full_group, rng):
     rep = spin_rep(g, 2)
     f = RealPart(MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
                                    rng.standard_normal(3)))
-    v = fundamental_field(g, g.random_algebra(rng))
-    w = fundamental_field(g, g.random_algebra(rng))
+    v = FundamentalField(g, g.random_algebra(rng))
+    w = FundamentalField(g, g.random_algebra(rng))
     pts = sample_pts(g, rng, 10)
     conn = canonical_connection(g)
     mixed = ApplyConnection(conn, Sum([v, w], [1.0, 1j]), f).values(pts)

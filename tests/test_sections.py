@@ -41,7 +41,6 @@ from homogdirac import (
     tangent_frame,
     translate,
 )
-from homogdirac.bundles import _section_spins
 from homogdirac.groups import _su2_raw_basis
 from homogdirac.sections import (_RANK_RTOL, ConjugatedProjection, Pointwise, Product,
                                   invariant_basis)
@@ -512,7 +511,7 @@ def test_orbit_batch_matches_per_node_translates(space, request, rng):
         stack = orbit.rep_stack(r).reshape(len(nodes), pts.n, r.dim, r.dim)
         assert np.abs(stack - pts.rep_stack(r)[None] @ r.matrix_stack(nodes)[:, None]).max() < 1e-12
     direct_ad = np.stack([group.adjoint_matrix(GroupElement(m)) for m in orbit.matrices])
-    assert np.abs(orbit.ad_stack() - direct_ad).max() < 1e-12
+    assert np.abs(orbit.rep_stack(adjoint_rep(group)) - direct_ad).max() < 1e-12
 
 
 def test_clifford_action_rejects_an_algebra_of_another_size():
@@ -675,8 +674,8 @@ def test_adjoint_stack_is_the_adjoint_representation_stack(sphere, rng):
     assert TangentKRep(sphere) is TangentKRep(sphere)
     assert tangent_bundle(sphere).rep_tilde is adjoint_rep(sphere)
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
-    stack = pts.ad_stack()
-    assert stack is pts.rep_stack(adjoint_rep(sphere)) and stack.dtype == float
+    stack = pts.rep_stack(adjoint_rep(sphere))
+    assert stack.dtype == float
     assert np.array_equal(stack, sphere.adjoint_stack(pts.matrices))
 
 
@@ -842,7 +841,7 @@ def _former_constructors(ctx, bundle):
         for _ in range(2):
             vec = rng.standard_normal(bundle.fiber_dim) + 1j * rng.standard_normal(bundle.fiber_dim)
             const = Constant(bundle.codomain(), vec, group=g)
-            two_j = _section_spins(bundle, 3)[int(rng.integers(0, 3))]
+            two_j = int(2 * bundle.section_reps[int(rng.integers(0, 3))].spin)
             if two_j == 0:
                 parts.append(const)
                 continue
@@ -1031,7 +1030,7 @@ def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
 
     rule = k_rule(group)
     nodes = EvalPoints.for_rule(group, rule)
-    stack = krep._stack_fn(nodes)
+    stack = krep.stack(nodes)
 
     def average(vals):  # the rule average over the orbit batch, which here is pts itself
         vals = vals.reshape((len(rule), -1) + vals.shape[1:]) @ stack.transpose(0, 2, 1)
@@ -1039,7 +1038,7 @@ def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
 
     want = [average(child.values(pts))]
     for d in (dirs, dirs[:1]):
-        want.append(average(child.derivs(pts, (d @ nodes.ad_stack()).reshape(-1, group.dim))))
+        want.append(average(child.derivs(pts, (d @ nodes.rep_stack(adjoint_rep(group))).reshape(-1, group.dim))))
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
     assert got[0] is child.values(pts)
@@ -1088,7 +1087,7 @@ def _shared_direction_zoo(group, rng):
         ("MatrixCoefficient-matrix", mat),
         ("OrbitAverage", spinor),
         ("ConjugatedProjection", ConjugatedProjection(rep, rng.standard_normal((3, 3)))),
-        ("FrameField", frame[0]),
+        ("frame", frame[0]),
         ("GramSection", GramSection(frame)),
         ("Translate", translate(mat, random_element(group, rng))),
         ("Sum", Sum([vec, RealPart(vec)], [0.5, 2.0])),
