@@ -78,6 +78,9 @@ class _Context:
         self.rule = group.haar_rule(cfg.quadrature_bandwidth)
         self.connection = cfg.make_connection(group)
         self.algebra = spinor_algebra(group)
+        # the spin representations the checks draw from (two_j 0-2; 3 for derivatives), kept
+        # for the run so that none is built twice; the group keeps them only while used
+        self.spin_reps = [spin_rep(group, two_j) for two_j in range(4)]
         if cfg.bundle == "monopole":
             self.bundle = monopole_bundle(group, cfg.charge,
                                           cfg.level if cfg.level >= 0 else None)
@@ -88,7 +91,7 @@ class _Context:
     def scalar_section(self):
         """A band-limited right-invariant scalar test function."""
         if self._scalar is None:
-            rep, krep = spin_rep(self.group, 2), TrivialKRep()
+            rep, krep = self.spin_reps[2], TrivialKRep()
             u, v = self.rng.standard_normal(rep.dim), self.rng.standard_normal(rep.dim)
             self._scalar = RealPart(MatrixCoefficient(rep, u, krep.invariant(rep, v), krep=krep))
         return self._scalar
@@ -107,7 +110,7 @@ class _Context:
             a = rng.standard_normal(alg.n)
             two_j = (2 * int(rng.integers(1, max_two_j // 2 + 1)) if first
                      else int(rng.integers(0, max_two_j + 1)))
-            rep = spin_rep(g, two_j)
+            rep = self.spin_reps[two_j]
             u = v = np.ones(1)
             if two_j:
                 u, v = rng.standard_normal(rep.dim), rng.standard_normal(rep.dim)
@@ -162,7 +165,7 @@ def _translations(ctx: _Context) -> list:
 
 def _check_left_invariance(ctx: _Context):
     g, rng, rule = ctx.group, ctx.rng, ctx.rule
-    rep = spin_rep(g, 2)
+    rep = ctx.spin_reps[2]
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
     f2 = Scale(f, MatrixCoefficient(rep, rng.standard_normal(rep.dim),
                                     rng.standard_normal(rep.dim)))
@@ -219,7 +222,7 @@ def _derivative_samples(ctx: _Context) -> list:
     """Per test section: exact derivatives at 8 draws (x, y), shape (8, k), and for each
     step h the quotients (f(x exp(hy)) - f(x exp(-hy))) / 2h, shape (steps, 8, k)."""
     g, rng = ctx.group, ctx.rng
-    rep = spin_rep(g, 3)
+    rep = ctx.spin_reps[3]
     sections = [
         MatrixCoefficient(rep, rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim),
                           rng.standard_normal(rep.dim)),
@@ -497,7 +500,8 @@ def _check_dirac_defect(ctx: _Context):
                    krep=CliffordKRep(g, alg), group=g)
     pairs = [(ctx.spinor(), ctx.spinor()) for _ in range(4)]
     pairs += [(ctx.spinor(), one)]
-    return selfadjoint_defect(conn, pairs, ctx.rule), len(pairs) * len(ctx.rule)
+    top = max(s.bandwidth for pair in pairs for s in pair)  # the blocks read: two_j = 0 ... 2 top
+    return selfadjoint_defect(conn, pairs), int(2 * top) + 1
 
 
 _GROUP_CHECKS = [

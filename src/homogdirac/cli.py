@@ -225,7 +225,7 @@ def _write_json(report: dict, path: str | None) -> None:
 
 def _write_csv(header: list, rows: list, path: str | None) -> None:
     lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    lines += [",".join(map(repr, row)) for row in rows]  # each value a Python int or float
     _write("\n".join(lines) + "\n", path)
 
 

@@ -30,7 +30,11 @@ Frobenius reciprocity turns D into M(C) = sum_a drho(Y_a) C R_a^T + C C_0, with
 [C_0, R_a^T] the connection's ``dirac_stack`` (R_a right multiplication by e_a),
 so by Schur orthogonality D on a level is dim(rho) copies of the matrix
 <C_i, M(C_j)>, which a block stores once.  The C_i span the fixed vectors of
-the subgroup: products of weight vectors whose weights cancel.
+the subgroup: products of weight vectors whose weights cancel.  Formal
+self-adjointness on band-limited equivariant spinors is therefore a finite
+statement, that every block up to their bandwidth is Hermitian, and
+:func:`selfadjoint_defect` reads it off the blocks' asymmetry without quadrature;
+the pairing <D phi, psi> - <phi, D psi> of two quadratures is its independent check.
 """
 
 from __future__ import annotations
@@ -172,36 +176,27 @@ def commutator_defect(connection: Connection, f: Section, phi: Section,
     return float(np.linalg.norm(vals, axis=1).max())
 
 
-def selfadjoint_defect(connection: Connection, pairs: list,
-                       rule: QuadratureRule) -> float:
-    """max | <D phi, psi> - <phi, D psi> | over the test pairs.
+def selfadjoint_defect(connection: Connection, pairs: list, rule=None) -> float:
+    """The largest block asymmetry |m - m^H| over the levels the pairs' spinors reach.
 
-    D phi = sum_k X_k A_k, X = [phi, its frame Jacobian], is affine in the connection's
-    ``dirac_stack`` A: <D phi, psi> = sum conj(A) G(phi, psi) and <phi, D psi> is the conjugate
-    of sum conj(A) G(psi, phi), G the Gram stacks that the rule's batch keeps per phi, then psi,
-    until either section or the batch dies (:meth:`~homogdirac.sections.EvalPoints.gram_row`),
-    so a sweep pays for each pair once, and for each Jacobian once per call; each operand is
-    released after its last Gram row, so a call leaves representation and Gram stacks only.
+    D maps each left-translation isotypic level into itself, so on equivariant spinors of
+    spin at most B it is formally self-adjoint exactly when the :func:`spectral_block` of
+    every two_j = 0 ... 2B is Hermitian, B the largest ``bandwidth`` of the pairs' sections.
+    No section is evaluated.  ``rule`` is accepted and unused, for callers that still pass
+    one.  Raises ValueError for an incompatible connection or a complex gamma, and for a
+    section that is not Clifford-valued or not on the connection's group.
     """
-    stack = connection.dirac_stack  # raises for incompatible connections
-    pts = EvalPoints.for_rule(connection.group, rule)
-    rows = {}  # left operand -> right operands
-    for phi, psi in pairs:
-        if phi.codomain.kind != "clifford" or psi.codomain.kind != "clifford":
+    g = connection.group
+    sections = [s for pair in pairs for s in pair]
+    for s in sections:
+        if s.codomain.kind != "clifford":
             raise ValueError("the Hodge-Dirac operator acts on Clifford-valued sections")
-        rule.warn_if_inexact(phi.bandwidth + 2 * adjoint_rep(connection.group).spin + psi.bandwidth)
-        rows.setdefault(phi, []).append(psi)
-        rows.setdefault(psi, []).append(phi)
-    last = {s: i for i, (phi, psis) in enumerate(rows.items()) for s in (phi, *psis)}
-    for i, (phi, psis) in enumerate(rows.items()):
-        pts.gram_row(phi, psis, rule.weights)
-        pts.release([s for s in (phi, *psis) if last[s] == i])
-    worst = 0.0
-    for phi, psi in pairs:
-        a = np.vdot(stack, pts.gram_stack(phi, psi, rule.weights))
-        b = np.vdot(stack, pts.gram_stack(psi, phi, rule.weights)).conjugate()
-        worst = max(worst, abs(a - b))
-    return float(worst)
+        if s.group is not g:
+            raise ValueError(f"{type(s).__name__} on group {s.group.name!r} paired under "
+                             f"a connection on group {g.name!r}")
+    top = max(s.bandwidth for s in sections)
+    return max(spectral_block(connection, two_j / 2).asymmetry
+               for two_j in range(int(2 * top) + 1))
 
 
 @dataclass
@@ -330,7 +325,7 @@ def isotypic_coefficients(group: GroupModel, level: int) -> list:
     a pure grade.  Returns (grade, matrix) pairs.
     """
     algebra = spinor_algebra(group)
-    rep = spin_rep(group, 2 * level)
+    rep = spin_rep(group, round(2 * level))
     dk = CliffordKRep(group, algebra).generators
     weights = group.memo("clifford_weights", lambda: _grade_weights(dk, algebra.grades))
     cs = invariant_basis(rep, dk, weights).reshape(-1, rep.dim, algebra.n)
@@ -357,7 +352,7 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
     of m per row.
     """
     algebra = spinor_algebra(group)
-    rep = spin_rep(group, 2 * level)
+    rep = spin_rep(group, round(2 * level))
     ckrep = CliffordKRep(group, algebra)
     coeffs = isotypic_coefficients(group, level)
     return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra, krep=ckrep))
@@ -396,7 +391,7 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     its asymmetry reported, so violating connections get real eigenvalues.
     """
     g = connection.group
-    rep = spin_rep(g, 2 * level)  # held here, so isotypic_coefficients builds no second one
+    rep = spin_rep(g, round(2 * level))  # held here, so isotypic_coefficients builds no second one
     coeffs = isotypic_coefficients(g, level)
     if not coeffs:
         return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)),

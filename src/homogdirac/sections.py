@@ -28,20 +28,15 @@ carries its group, is evaluated only on batches of that group (another group's b
 raises ValueError).  A derivative takes one direction per point or one shared by all
 points; a frame Jacobian asks for each frame row as one shared direction.  A batch
 caches what a later step reads again: representation stacks (a dual's is the conjugate
-of its partner's), held with their representations for the batch's life, and in
+of its partner's), held with their representations for the batch's life, and in two
 ``weakref.WeakKeyDictionary`` caches whose entries die with their key, node values (a
 constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are its
-child node's, so one product serves its values and every derivative), the frame
-Jacobians that a covariant derivative contracts with a direction field, and weighted
-Gram stacks of node pairs, which pin no Jacobian.  Once built, a Gram row
-(:meth:`EvalPoints.gram_row`) drops the values and Jacobians below its left section,
-and a connection sweep releases each operand after its last row
-(:meth:`EvalPoints.release`), so it leaves representation and Gram stacks only; a
-dropped node is evaluated again if asked for.  A batch keeps no derived batch: a left
-translate is a new batch per evaluation.  Every subgroup action carries its
-generators; the tangent and bundle-fiber actions restrict a representation to an
-invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it, and
-the Clifford action extends the tangent one.  An equivariant section is a sum of
+child node's, so one product serves its values and every derivative) and the frame
+Jacobians that a covariant derivative contracts with a direction field.  A batch keeps
+no derived batch: a left translate is a new batch per evaluation.  Every subgroup action
+carries its generators; the tangent and bundle-fiber actions restrict a representation
+to an invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it,
+and the Clifford action extends the tangent one.  An equivariant section is a sum of
 projected coefficients u* rho(x) P(v), P the closed-form subgroup average
 (:meth:`MatrixKRep.invariant`, :func:`invariant_basis`); :class:`KAverage` is the
 trivial subgroup's, its child.  Each node carries a conservative bandwidth bound
@@ -138,7 +133,6 @@ class EvalPoints:
         self._reps = {}  # {rep: stack}: the batch holds each representation it has a stack of
         self._vals = weakref.WeakKeyDictionary()
         self._jac = weakref.WeakKeyDictionary()
-        self._gram = weakref.WeakKeyDictionary()  # {phi: {psi: Gram stack}}
 
     # -- constructors ---------------------------------------------------------
 
@@ -185,69 +179,22 @@ class EvalPoints:
         """The node's derivatives along each complement-frame row, shape (m_dim, n, *shape)."""
         jac = self._jac.get(node)
         if jac is None:
-            jac = self._jac[node] = self._frame_jacobian(node)
+            frame = self.group.m_frame
+            jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
+            for b, y in enumerate(frame):  # one row at a time: its temporaries die before the next
+                jac[b] = node.derivs(self, y[None])
+            self._jac[node] = jac
         return jac
 
     def retained_bytes(self) -> int:
         """Bytes of the distinct base buffers this batch's caches hold: a view counts as its
         base, once."""
         bases = {}
-        for a in [*self._reps.values(), *self._vals.values(), *self._jac.values(),
-                  *(g for row in self._gram.values() for g in row.values())]:
+        for a in [*self._reps.values(), *self._vals.values(), *self._jac.values()]:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             bases[id(a)] = a.nbytes
         return sum(bases.values())
-
-    def _frame_jacobian(self, node: "Section") -> np.ndarray:
-        frame = self.group.m_frame
-        jac = np.empty((len(frame), self.n) + node.codomain.shape, dtype=complex)
-        for b, y in enumerate(frame):  # one row at a time: a row's temporaries die before the next
-            jac[b] = node.derivs(self, y[None])
-        return jac
-
-    def gram_stack(self, phi: "Section", psi: "Section", weights: np.ndarray) -> np.ndarray:
-        """sum_x w_x X_k(x)^* psi(x), X = [phi, phi's frame Jacobian], shape (1 + m_dim, S, T):
-        kept while phi, psi and the batch live, so ``weights`` are those of the batch's rule."""
-        return self.gram_row(phi, [psi], weights)[psi]
-
-    def gram_row(self, phi: "Section", psis, weights: np.ndarray) -> weakref.WeakKeyDictionary:
-        """phi's :meth:`gram_stack` by right operand, with each of ``psis``.
-
-        The missing ones share phi's cached frame Jacobian, or one made for them alone and
-        then dropped.  Once they are built, the batch drops the values and Jacobians of every
-        node below phi but the row's operands, which a later row may read until :meth:`release`
-        drops them: the Gram stacks are what a later connection reads.
-        """
-        row = self._gram.setdefault(phi, weakref.WeakKeyDictionary())
-        psis = dict.fromkeys(psis)
-        missing = [psi for psi in psis if psi not in row]
-        if missing:
-            jac = self._jac[phi] if phi in self._jac else self._frame_jacobian(phi)
-            for psi in missing:
-                w_psi = (weights[:, None] * psi.values(self)).conj().T  # no copy of phi's arrays
-                parts = (w_psi @ phi.values(self))[None], w_psi @ jac
-                row[psi] = np.concatenate(parts).conj().transpose(0, 2, 1)
-            self._drop_below([phi], keep=(phi, *psis))
-        return row
-
-    def release(self, nodes) -> None:
-        """Drop the values of ``nodes`` (not a Jacobian that :meth:`frame_derivs` cached) and
-        the values and Jacobians of every node below them."""
-        for node in nodes:
-            self._vals.pop(node, None)
-        self._drop_below(nodes, keep=nodes)
-
-    def _drop_below(self, roots, keep) -> None:
-        """Drop the values and Jacobians of every node below ``roots``, except ``keep``'s."""
-        seen, below = set(keep), [child for root in roots for child in root.children]
-        while below and (self._vals or self._jac):  # none left cached, none left to drop
-            node = below.pop()
-            if node not in seen:
-                seen.add(node)
-                self._vals.pop(node, None)
-                self._jac.pop(node, None)
-                below.extend(node.children)
 
 
 def _check_group(node: "Section", pts: EvalPoints) -> None:

@@ -58,11 +58,9 @@ def test_traced_workload_matches_its_untraced_digest_at_seed_7(name):
     assert workload.digest(output) == untraced
 
 
-def test_selfadjoint_matrix_spinors_evaluate_on_the_rule_batch(monkeypatch):
-    """The selfadjoint-matrix spinors, subgroup averages on su2-trivial-k, are evaluated on
-    the rule's batch: a defect call builds that batch and no other, not even the subgroup rule's
-    one point, so no orbit enters the workload's memory profile, and it leaves no operand's
-    values on the batch."""
+def test_selfadjoint_matrix_defect_builds_no_batch(monkeypatch):
+    """The selfadjoint-matrix defect call, on the workload's spinors and with its rule, reads
+    the isotypic blocks: it builds no evaluation batch, not even the rule's own."""
     hd = worker.import_program()
     workload = workloads.WORKLOADS["selfadjoint-matrix"]
     group = hd.groups.GroupModel.su2_trivial_k()
@@ -72,10 +70,9 @@ def test_selfadjoint_matrix_spinors_evaluate_on_the_rule_batch(monkeypatch):
              for _ in range(2)]
     assert all(isinstance(s, hd.sections.KAverage) for pair in pairs for s in pair)
     rule = group.haar_rule(workload.bandwidth)
-    sizes = []
-    init = hd.sections.EvalPoints.__init__
-    monkeypatch.setattr(hd.sections.EvalPoints, "__init__",
-                        lambda self, g, matrices: sizes.append(len(matrices)) or init(self, g, matrices))
+
+    def refuse(*args):
+        raise AssertionError("the defect built an evaluation batch")
+    monkeypatch.setattr(hd.sections.EvalPoints, "__init__", refuse)
     hd.dirac.selfadjoint_defect(hd.dirac.canonical_connection(group), pairs, rule)
-    assert sizes == [len(rule)]
-    assert not any(s in rule.points._vals for pair in pairs for s in pair)
+    assert rule.points is None

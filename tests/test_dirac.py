@@ -590,11 +590,11 @@ def test_catalog_coefficient_family_uses_the_zero_weight_columns(sphere):
         assert np.array_equal(coef.v, np.eye(coef.rep.dim)[coef.rep.dim // 2])
 
 
-# -- the Gram-stack defect against the quadrature pairing it replaces ----------
+# -- the block defect against the quadrature pairing ------------------------------
 
 
 def pairing_defect(conn, phi, psi, rule, frame=None):
-    """<D phi, psi> - <phi, D psi> as two quadrature pairings of Dirac nodes: the former route."""
+    """<D phi, psi> - <phi, D psi> as two quadrature pairings of Dirac nodes: the oracle."""
     return (l2_inner(hodge_dirac(conn, phi, frame=frame), psi, rule)
             - l2_inner(phi, hodge_dirac(conn, psi, frame=frame), rule))
 
@@ -609,8 +609,10 @@ def complex_skew_hermitian_gamma(group, rng):
 
 @pytest.mark.parametrize("space", ["full_group", "sphere", "rotated"])
 def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path, rng):
-    """Each pair's Gram-stack defect equals the pairing of D phi and D psi on the same rule,
-    through the closed-form node and through the frame sum, for every test-matrix connection."""
+    """The block defect gives the quadrature oracle's verdict: for every test-matrix connection
+    it is <= 1e-8 exactly when the pairing of D phi and D psi is on every pair, through the
+    closed-form node and through the frame sum, and the criterion passes.  A violation reads
+    >= 1e-6 both ways."""
     if space == "rotated":
         from homogdirac import GroupModel
         from test_cli import _custom_su2_file
@@ -627,17 +629,39 @@ def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path,
                                 rng.standard_normal((3, alg.n)), Codomain.clifford(alg))
               for _ in range(2))
     pairs += [(c1, c2), (c1, pairs[-1][1]), (c2, c2)]
-    connections = connection_test_matrix(g, rng)
+    pts = sample_pts(g, rng)
     frame = tangent_frame(g)
     violated = 0
-    for name, conn in connections:
-        for phi, psi in pairs:
-            defect = selfadjoint_defect(conn, [(phi, psi)], rule)
-            tol = 1e-12 * max(1.0, defect)
-            assert abs(defect - abs(pairing_defect(conn, phi, psi, rule))) <= tol, name
-            assert abs(defect - abs(pairing_defect(conn, phi, psi, rule, frame))) <= tol, name
-            violated += defect > 1e-6
+    for name, conn in connection_test_matrix(g, rng):
+        defect = selfadjoint_defect(conn, pairs, rule)
+        oracle = max(abs(pairing_defect(conn, phi, psi, rule, f))
+                     for phi, psi in pairs for f in (None, frame))
+        passes = criterion_check(conn, pts).passes
+        assert (defect <= 1e-8) == (oracle <= 1e-8) == passes, name
+        assert passes or min(defect, oracle) >= 1e-6, name
+        violated += not passes
     assert violated > 0 if g.k_dim == 0 else violated == 0  # a defect of 0 alone tests nothing
+
+
+def test_half_integer_blocks_on_the_trivial_quotient(full_group, rng, monkeypatch):
+    """The two_j = 1 and 3 blocks, which the selfadjoint-matrix spinors reach, are closed and
+    orthonormal for every test-matrix connection, and Hermitian for all but the violating ones.
+    Their representations are built from an integer two_j, so named spin-1/2 and spin-3/2."""
+    from homogdirac import dirac
+    names = []
+
+    def named(group, two_j):
+        rep = spin_rep(group, two_j)
+        names.append(rep.name)
+        return rep
+    monkeypatch.setattr(dirac, "spin_rep", named)
+    for name, conn in connection_test_matrix(full_group, rng):
+        for two_j in (1, 3):
+            b = spectral_block(conn, two_j / 2)
+            assert (b.multiplicity, len(b.eigenvalues)) == (two_j + 1, (two_j + 1) * 8)
+            assert max(b.gram_defect, b.closure) <= 1e-12, name
+            assert name.startswith("violating") or b.asymmetry <= 1e-14, name
+    assert set(names) == {"spin-1/2", "spin-3/2"}
 
 
 def test_a_complex_gamma_has_no_clifford_extension(full_group, rng):
@@ -664,21 +688,16 @@ def test_a_complex_gamma_has_no_clifford_extension(full_group, rng):
     assert np.abs(full - real - imag).max() < 1e-12
 
 
-def test_selfadjoint_defect_warns_and_raises_like_the_pairing_oracle(sphere, full_group, rng):
-    """The BandwidthWarning condition is l2_inner's on D phi and psi; bad inputs raise as in hodge_dirac."""
+def test_selfadjoint_defect_raises_like_the_pairing_oracle(sphere, full_group, rng):
+    """Bad inputs raise as in hodge_dirac, and a section of another group than the
+    connection's raises, naming both.  The defect evaluates nothing, so a rule too coarse
+    for the pairing gives no BandwidthWarning."""
     rule = sphere.haar_rule(2)
     conn = canonical_connection(sphere)
-    one, phi = unit_spinor(sphere), random_spinor(sphere, rng, 2)
-    for pair in [(one, one), (one, phi), (phi, one), (phi, phi)]:
-        caught = []
-        for route in (lambda: pairing_defect(conn, *pair, rule),
-                      lambda: selfadjoint_defect(conn, [pair], rule)):
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                route()
-            caught.append({(w.category, str(w.message)) for w in seen})
-        assert caught[0] == caught[1]
-        assert bool(caught[0]) == (pair != (one, one))  # bound 2 meets the rule; 3 and 4 do not
+    phi = random_spinor(sphere, rng, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        selfadjoint_defect(conn, [(phi, phi)], rule)
     scalar = invariant_scalar(sphere, rng)
     for route in (pairing_defect, lambda c, a, b, r: selfadjoint_defect(c, [(a, b)], r)):
         with pytest.raises(ValueError, match="Clifford-valued"):
@@ -687,93 +706,6 @@ def test_selfadjoint_defect_warns_and_raises_like_the_pairing_oracle(sphere, ful
         unbalanced = Connection(full_group, rng.standard_normal((3, 3, 3)))  # not skew-valued
         with pytest.raises(ValueError, match="metric-compatible|skew-valued"):
             route(unbalanced, one, one, full_group.haar_rule(2))
-
-
-def test_a_second_connection_reuses_every_gram_stack(full_group, rng, monkeypatch):
-    """After one connection, another on the same pairs and rule evaluates no section
-    values, frame Jacobians or Gram stacks: it contracts its operator stack only."""
-    rule = full_group.haar_rule(4)
-    pairs = defect_pairs(full_group, rng, 6)
-    first, second = [c for _, c in connection_test_matrix(full_group, rng, n_good=1, n_bad=1)][2:]
-    selfadjoint_defect(first, pairs, rule)
-    pts = rule.points
-    grams = {(phi, psi): pts._gram[phi][psi] for pair in pairs
-             for phi, psi in (pair, pair[::-1])}
-    misses = []
-
-    def only_hits(name, cached):
-        fetch = getattr(EvalPoints, name)
-
-        def hit(self, *key_and_args):
-            if not cached(self, *key_and_args):
-                misses.append((name, key_and_args[0]))
-            return fetch(self, *key_and_args)
-        monkeypatch.setattr(EvalPoints, name, hit)
-
-    only_hits("node_values", lambda self, node: node in self._vals)
-    only_hits("frame_derivs", lambda self, node: node in self._jac)
-    only_hits("gram_stack", lambda self, phi, psi, w: psi in self._gram.get(phi, {}))
-    selfadjoint_defect(second, pairs, rule)
-    assert not misses
-    assert all(pts._gram[phi][psi] is gram for (phi, psi), gram in grams.items())
-
-
-@pytest.mark.parametrize("space", ["sphere", "full_group"])
-def test_a_sweep_drops_nodes_below_its_operands_and_they_evaluate_again(space, request, rng):
-    """The Gram rows drop the values of the nodes below a pair's sections from the batch.
-    A dropped node that another live section shares evaluates again to the same bits, and a
-    second connection's defect equals that of a fresh, uncached run."""
-    group = request.getfixturevalue(space)
-    rule = group.haar_rule(4)
-    pts = EvalPoints.for_rule(group, rule)
-    alg = spinor_algebra(group)
-    rep = spin_rep(group, 2)
-    factor = RealPart(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)))
-    const = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=group)
-    phi = OrbitAverage(Scale(const, factor), CliffordKRep(group, alg), group)
-    other = Scale(factor, factor)  # a live section through the same node
-    before, inner = factor.values(pts).copy(), l2_inner(other, factor, rule)
-    pairs = [(phi, random_spinor(group, rng)), (random_spinor(group, rng), phi)]
-    selfadjoint_defect(canonical_connection(group), pairs, rule)
-    kept = {s for pair in pairs for s in pair} | {other}
-    assert set(pts._vals) <= kept and not pts._jac
-    assert np.array_equal(factor.values(pts), before)
-    assert l2_inner(other, factor, rule) == inner
-    _, conn = connection_test_matrix(group, rng, n_good=1, n_bad=1)[-1]  # violating if any
-    assert selfadjoint_defect(conn, pairs, rule) == selfadjoint_defect(
-        conn, pairs, group.haar_rule(4))
-
-
-def test_gram_stacks_die_with_the_rule_batch(sphere, rng):
-    """The rule's batch owns the Gram stacks: nothing keeps them once the rule is gone."""
-    import gc
-    import weakref
-    rule = sphere.haar_rule(4)
-    pairs = defect_pairs(sphere, rng, 4)
-    selfadjoint_defect(canonical_connection(sphere), pairs, rule)
-    kept = [weakref.ref(g) for row in rule.points._gram.values() for g in row.values()]
-    assert len(kept) == 2 * len(pairs)
-    del rule
-    gc.collect()
-    assert all(r() is None for r in kept)
-
-
-def test_gram_stacks_pin_no_frame_jacobian(full_group, rng, monkeypatch):
-    """A call computes each section's frame Jacobian once, also for a section in two pairs,
-    and keeps none; a Jacobian that frame_derivs cached is used, not recomputed."""
-    rule = full_group.haar_rule(4)
-    pts = EvalPoints.for_rule(full_group, rule)
-    phi, psi, chi, cached = (random_spinor(full_group, rng) for _ in range(4))
-    jac = cached.frame_derivs(pts)
-    computed = []
-    compute = EvalPoints._frame_jacobian
-    monkeypatch.setattr(EvalPoints, "_frame_jacobian",
-                        lambda self, node: computed.append(node) or compute(self, node))
-    pairs = [(phi, chi), (chi, psi), (psi, psi), (cached, phi)]
-    conn = minimal_violating_connection(full_group)
-    defect = selfadjoint_defect(conn, pairs, rule)
-    assert sorted(map(id, computed)) == sorted(map(id, (phi, psi, chi)))
-    assert not any(s in pts._jac for s in (phi, psi, chi)) and pts._jac[cached] is jac
-    monkeypatch.undo()
-    oracle = max(abs(pairing_defect(conn, a, b, rule)) for a, b in pairs)
-    assert oracle > 1e-6 and abs(defect - oracle) <= 1e-12 * oracle
+    with pytest.raises(ValueError, match="group 'su2-trivial-k' paired under a connection "
+                                         "on group 'su2'"):
+        selfadjoint_defect(conn, [(phi, unit_spinor(full_group))])

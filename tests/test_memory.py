@@ -9,7 +9,6 @@ import gc
 import tracemalloc
 import weakref
 
-import numpy as np
 import pytest
 
 from homogdirac import (
@@ -38,7 +37,7 @@ from homogdirac import (
     translate,
 )
 from homogdirac.cli import RunConfig, run_spectrum, run_verify
-from oracles import OrbitAverage, direct_sum, k_rule, random_element, rule_stack
+from oracles import OrbitAverage, direct_sum, random_element, rule_stack
 
 # a leak here holds tens of KB per call (one translated batch, or one
 # graph's node values, over the rule's nodes); the allowance is for
@@ -80,7 +79,7 @@ def test_selfadjoint_defect_retains_nothing_per_call(full_group, rng):
 
 
 def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rng):
-    """Each call caches values and Gram stacks of new spinors on the shared rule; they die with them."""
+    """Each call reads the blocks up to new spinors' bandwidth and keeps nothing of them."""
     rule = sphere.haar_rule(4)
     algebra = spinor_algebra(sphere)
     conn = canonical_connection(sphere)
@@ -89,97 +88,9 @@ def test_selfadjoint_defect_on_fresh_spinors_retains_nothing_per_call(sphere, rn
     assert growth < _GROWTH_BYTES
 
 
-def test_selfadjoint_defect_peak_holds_no_constant_copies_or_jacobians(full_group, rng):
-    """One call on 8 fresh spinor pairs over haar_rule(8) (1,445 nodes) peaks at most 4 MB
-    (2.77 MB measured): constants are views, Gram stacks keep no frame Jacobian and each
-    operand is released after its last Gram row (about 29 MB before the first two)."""
-    rule = full_group.haar_rule(8)
-    algebra = spinor_algebra(full_group)
-    conn = canonical_connection(full_group)
-    # the rule's batch and its representation stacks outlive any one call
-    selfadjoint_defect(conn, [(_spinor(full_group, algebra, rng),) * 2], rule)
-    pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))
-             for _ in range(8)]
-    gc.collect()
-    tracemalloc.start()
-    try:
-        selfadjoint_defect(conn, pairs, rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
-
-
-def test_a_sweep_leaves_only_its_operands_values_on_the_rule(full_group, rng):
-    """After one call on 8 fresh spinor pairs over haar_rule(8) (1,445 nodes), the rule's batch
-    holds at most 0.5 MB: representation stacks and the pairs' Gram stacks only.  No node keeps
-    its values or Jacobian, not even a pair's own (those values alone took about 3.2 MB while
-    an operand outlived its last Gram row)."""
-    rule = full_group.haar_rule(8)
-    algebra = spinor_algebra(full_group)
-    pairs = [(_spinor(full_group, algebra, rng), _spinor(full_group, algebra, rng))
-             for _ in range(8)]
-    selfadjoint_defect(canonical_connection(full_group), pairs, rule)
-    pts = rule.points
-    assert pts.retained_bytes() <= 0.5e6
-    assert not pts._vals and not pts._jac
-
-
-def _own_bytes(pts) -> int:
-    """Distinct base buffers of the batch's own caches."""
-    bases = {}
-    for a in [*pts._reps.values(), *pts._vals.values(), *pts._jac.values(),
-              *(g for row in pts._gram.values() for g in row.values())]:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        bases[id(a)] = a.nbytes
-    return sum(bases.values())
-
-
-def test_a_sweep_builds_the_orbit_once_and_releases_it(sphere, rng, monkeypatch):
-    """One call on su2/u1 builds each spinor's orbit once per evaluation: one batch for its
-    values and one per frame-Jacobian row, however many pairs the spinor enters.  Every one is
-    freed, without a cyclic collection, by the time the call returns, and the rule's batch
-    holds only its own caches.  The next connection reads the Gram stacks and builds no orbit;
-    a fresh rule builds them again."""
-    rule = sphere.haar_rule(4)
-    algebra = spinor_algebra(sphere)
-    a, b, c = (_spinor(sphere, algebra, rng) for _ in range(3))
-    pairs = [(a, b), (a, c), (b, c)]  # each spinor enters two pairs
-    built = []  # (averaging section, weak reference to the orbit batch it built)
-    orbit = OrbitAverage._orbit
-
-    def tracked(self, pts):
-        batch = orbit(self, pts)
-        assert batch is not pts and batch.n == len(k_rule(sphere)) * pts.n
-        built.append((self, weakref.ref(batch)))
-        return batch
-
-    monkeypatch.setattr(OrbitAverage, "_orbit", tracked)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        selfadjoint_defect(canonical_connection(sphere), pairs, rule)
-        assert all(r() is None for _, r in built)
-    finally:
-        if was_enabled:
-            gc.enable()
-    per_spinor = [sum(f is s for f, _ in built) for s in (a, b, c)]
-    assert per_spinor == [1 + sphere.m_dim] * 3 and len(built) == sum(per_spinor)
-    pts = rule.points
-    assert pts.retained_bytes() == _own_bytes(pts)
-    lc = levi_civita_connection(sphere)
-    count = len(built)
-    cached = selfadjoint_defect(lc, pairs, rule)
-    assert len(built) == count
-    assert cached == selfadjoint_defect(lc, pairs, sphere.haar_rule(4))
-    assert len(built) == 2 * count and all(r() is None for _, r in built)
-
-
 def test_cache_entries_die_with_their_keys(sphere, rng):
-    """A node's value and Jacobian entries, a matrix coefficient's rows, a pair's Gram stacks,
-    and an action's basis entry, are dropped with their key: a Gram stack with either of its
-    two sections, the rows with their coefficient and with the batch."""
+    """A node's value and Jacobian entries, a matrix coefficient's rows, and an action's basis
+    entry, are dropped with their key: the rows with their coefficient and with the batch."""
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 5))
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
@@ -192,26 +103,16 @@ def test_cache_entries_die_with_their_keys(sphere, rng):
     del batch
     gc.collect()
     assert on_batch() is None and f.children[0] in pts._vals  # the rows die with the batch
-    algebra = spinor_algebra(sphere)
-    phi, psi = _spinor(sphere, algebra, rng), _spinor(sphere, algebra, rng)
-    weights = np.full(pts.n, 1.0 / pts.n)
-    kept += [weakref.ref(pts.gram_stack(phi, psi, weights)),
-             weakref.ref(pts.gram_stack(psi, phi, weights))]
-    assert psi in pts._gram[phi] and phi in pts._gram[psi]
     krep = TangentKRep(sphere)
     other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
     kept.append(weakref.ref(krep.basis(other, sphere.m_dim)))
     assert other in krep._bases
     gc.collect()  # the action is shared, so first drop entries other tests left to the collector
     entries = len(krep._bases)
-    del f, other, psi  # psi keys one Gram stack's row and the other's entry
+    del f, other
     gc.collect()
     assert all(r() is None for r in kept)
-    assert list(pts._gram) == [phi] and len(pts._gram[phi]) == 0
-    del phi
-    gc.collect()
-    assert (len(pts._vals), len(pts._jac), len(pts._gram), len(krep._bases)) == (0, 0, 0,
-                                                                                 entries - 1)
+    assert (len(pts._vals), len(pts._jac), len(krep._bases)) == (0, 0, entries - 1)
 
 
 def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
@@ -351,3 +252,20 @@ def test_a_spectrum_run_leaves_no_spin_rep_on_the_group(monkeypatch):
     (group,) = made
     assert len(rows) == 2 + sum(4 * (2 * level + 1) for level in range(1, 21))
     assert len(group.spin_reps) == 0
+
+
+def test_a_verify_run_builds_each_representation_once(monkeypatch):
+    """One su2/u1 clifford canonical run holds the spin representations its checks draw from,
+    so no check rebuilds one that an earlier check dropped: 8 distinct representations, each
+    built once (13 builds when the helpers' representations died between checks)."""
+    from homogdirac import UnitaryRep
+    built = []
+    init = UnitaryRep.__init__
+
+    def counted(self, group, generators, name, *args, **kwargs):
+        built.append(name)
+        init(self, group, generators, name, *args, **kwargs)
+    monkeypatch.setattr(UnitaryRep, "__init__", counted)
+    assert run_verify(RunConfig(group="su2", bundle="clifford", connection="canonical",
+                                seed=7))["pass"] is True
+    assert len(built) == len(set(built)) == 8

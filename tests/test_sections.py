@@ -334,7 +334,6 @@ def test_a_section_is_evaluated_only_on_its_own_group(sphere, full_group, rule8_
 def test_a_rule_keeps_one_batch_of_its_own_group(sphere, full_group, rng):
     """A rule records the group it was built for: its batch is built once and kept,
     and sections of another group raise, naming both, instead of rebuilding it."""
-    from homogdirac import canonical_connection, selfadjoint_defect
     rule = sphere.haar_rule(2)
     mc = full_group.haar_rule(2, kind="monte-carlo", node_count=16, rng=rng)
     assert (rule.group, k_rule(sphere).group, mc.group) == (sphere, sphere, full_group)
@@ -347,8 +346,6 @@ def test_a_rule_keeps_one_batch_of_its_own_group(sphere, full_group, rng):
     match = "rule of group 'su2' used on group 'su2-trivial-k'"
     with pytest.raises(ValueError, match=match):
         l2_inner(one, one, rule)
-    with pytest.raises(ValueError, match=match):
-        selfadjoint_defect(canonical_connection(full_group), [(one, one)], rule)
     with pytest.raises(ValueError, match="rule of group 'su2-trivial-k' used on group 'su2'"):
         EvalPoints.for_rule(sphere, mc)
     assert rule.points is pts and mc.points is None
