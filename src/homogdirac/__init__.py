@@ -30,7 +30,6 @@ from .sections import (
     MatrixCoefficient,
     MatrixKRep,
     OpApply,
-    OperatorKRep,
     RankOne,
     RealPart,
     RestrictedKRep,
@@ -43,7 +42,6 @@ from .sections import (
     equivariance_defect,
     l2_inner,
     lambda_deriv,
-    translate,
 )
 from .bundles import (
     InducedBundle,
@@ -58,7 +56,6 @@ from .geometry import (
     ApplyConnection,
     Connection,
     canonical_connection,
-    canonical_derivative,
     levi_civita_connection,
     spinor_algebra,
     tangent_frame,

@@ -77,8 +77,8 @@ class InducedBundle:
                 raise ValueError("fiber is not invariant under the subgroup")
         self.krep = RestrictedKRep(self.rep_tilde, self.embed)
         self.dual = dual_rep(self.rep_tilde)
-        self.frame = [MatrixCoefficient(self.dual, e_j, self.embed.conj(), self.codomain(),
-                                        self.krep) for e_j in np.eye(self.ambient_dim)]
+        self.frame = [MatrixCoefficient(self.dual, e_j, self.embed.conj(), self.codomain())
+                      for e_j in np.eye(self.ambient_dim)]
 
     @property
     def fiber_dim(self) -> int:
@@ -158,7 +158,7 @@ def random_equivariant_section(bundle: InducedBundle, rng: np.random.Generator) 
             u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
         parts.append(MatrixCoefficient(rep, u, bundle.krep.invariant(rep, np.outer(v, vec)),
-                                       bundle.codomain(), bundle.krep))
+                                       bundle.codomain()))
     return Sum(parts)
 
 

@@ -60,7 +60,6 @@ from .sections import (
     equivariance_defect,
     l2_inner,
     lambda_deriv,
-    translate,
 )
 
 __all__ = ["ANCHORS", "run_suite"]
@@ -93,7 +92,7 @@ class _Context:
         if self._scalar is None:
             rep, krep = self.spin_reps[2], TrivialKRep()
             u, v = self.rng.standard_normal(rep.dim), self.rng.standard_normal(rep.dim)
-            self._scalar = RealPart(MatrixCoefficient(rep, u, krep.invariant(rep, v), krep=krep))
+            self._scalar = RealPart(MatrixCoefficient(rep, u, krep.invariant(rep, v)))
         return self._scalar
 
     def spinor(self, max_two_j: int = 2):
@@ -115,7 +114,7 @@ class _Context:
             if two_j:
                 u, v = rng.standard_normal(rep.dim), rng.standard_normal(rep.dim)
             parts.append(RealPart(MatrixCoefficient(
-                rep, u, krep.invariant(rep, np.outer(v, a)), Codomain.clifford(alg), krep)))
+                rep, u, krep.invariant(rep, np.outer(v, a)), Codomain.clifford(alg))))
         return Sum(parts)
 
 
@@ -169,9 +168,9 @@ def _check_left_invariance(ctx: _Context):
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
     f2 = Scale(f, MatrixCoefficient(rep, rng.standard_normal(rep.dim),
                                     rng.standard_normal(rep.dim)))
-    one = Constant(Codomain.scalar(), 1.0, krep=TrivialKRep(), group=g)
+    one = Constant(Codomain.scalar(), 1.0, group=g)
     a = l2_inner(one, f2, rule)
-    worst = max(abs(a - l2_inner(one, translate(f2, y), rule)) for y in _translations(ctx))
+    worst = max(abs(a - l2_inner(one, Translate(f2, y), rule)) for y in _translations(ctx))
     return worst, 3 * len(rule)
 
 
@@ -277,7 +276,7 @@ def _check_frame_equivariance(ctx: _Context):
         z = np.einsum("a,aij->ij", g.k_frame[0], g.basis)
         ts = _one_parameter_period(z) * np.arange(5) / 33
         nodes = [GroupElement(m) for m in expm_skew(ts[:, None, None] * z)]
-    worst = max(float(equivariance_defect(eta, ctx.samples[0], nodes).max())
+    worst = max(float(equivariance_defect(eta, b.krep, ctx.samples[0], nodes).max())
                 for eta in b.frame)
     return worst, 5 * b.ambient_dim
 
@@ -469,9 +468,9 @@ def _check_dirac_translation(ctx: _Context):
     phi = ctx.spinor()
     worst = 0.0
     for y in _translations(ctx):
-        left = translate(hodge_dirac(conn, phi), y).values(ctx.pts)
+        left = Translate(hodge_dirac(conn, phi), y).values(ctx.pts)
         # the frame-sum side moves its frame with the point; the closed form has none
-        right = hodge_dirac(conn, translate(phi, y), frame=tangent_frame(g)).values(ctx.pts)
+        right = hodge_dirac(conn, Translate(phi, y), frame=tangent_frame(g)).values(ctx.pts)
         worst = max(worst, float(np.abs(left - right).max()))
     return worst, 3 * ctx.pts.n
 
@@ -496,8 +495,7 @@ def _check_dirac_defect(ctx: _Context):
     if conn is None:
         return float("inf"), 0
     g, alg = ctx.group, ctx.algebra
-    one = Constant(Codomain.clifford(alg), alg.unit(),
-                   krep=CliffordKRep(g, alg), group=g)
+    one = Constant(Codomain.clifford(alg), alg.unit(), group=g)
     pairs = [(ctx.spinor(), ctx.spinor()) for _ in range(4)]
     pairs += [(ctx.spinor(), one)]
     top = max(s.bandwidth for pair in pairs for s in pair)  # the blocks read: two_j = 0 ... 2 top

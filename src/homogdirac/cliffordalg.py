@@ -20,6 +20,8 @@ inner product is taken Hermitian in the first slot.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["CliffordAlgebra"]
@@ -60,7 +62,6 @@ class CliffordAlgebra:
         self._xor = idx[:, None] ^ idx[None, :]
         self._gather_sign = self._sign[idx[:, None], self._xor]  # sign(s, s ^ k)
         self._star_signs = (-1.0) ** (self.grades * (self.grades + 1) // 2)
-        self._right_generators: np.ndarray | None = None
 
     # -- element constructors --------------------------------------------------
 
@@ -119,13 +120,11 @@ class CliffordAlgebra:
         # entry [k, s] comes from e_s . e_{s^k}
         return np.asarray(a)[self._xor] * self._gather_sign.T
 
+    @functools.cached_property
     def right_generators(self) -> np.ndarray:
         """Matrices of right multiplication by each generator, shape (p, n, n); built once."""
-        if self._right_generators is None:
-            self._right_generators = np.array(
-                [self.right_matrix(self.generator(a)) for a in range(self.p)]
-            ).reshape(self.p, self.n, self.n)
-        return self._right_generators
+        gens = [self.right_matrix(self.generator(a)) for a in range(self.p)]
+        return np.array(gens).reshape(self.p, self.n, self.n)
 
     def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
         """The derivation extending a skew operator on the generator span.

@@ -62,7 +62,6 @@ from .geometry import (
     ApplyConnection,
     Connection,
     canonical_connection,
-    canonical_derivative,
     levi_civita_connection,
     spinor_algebra,
     tangent_frame,
@@ -113,7 +112,6 @@ class _HodgeDirac(Section):
         self.deriv_order = 0
         # the frame sum's bound (phi times two frame fields), so both forms warn alike
         self.bandwidth = phi.bandwidth + 2 * adjoint_rep(g).spin
-        self.krep = phi.krep
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         phi = self.children[0]
@@ -155,7 +153,8 @@ def gradient(group: GroupModel, f: Section, frame: list | None = None) -> Sectio
     if f.codomain.kind != "scalar":
         raise ValueError("gradients are defined for scalar sections")
     frame = frame if frame is not None else tangent_frame(group)
-    return Sum([Scale(wj, canonical_derivative(group, wj, f)) for wj in frame])
+    conn = canonical_connection(group)
+    return Sum([Scale(wj, ApplyConnection(conn, wj, f)) for wj in frame])
 
 
 def commutator_defect(connection: Connection, f: Section, phi: Section,
@@ -353,9 +352,8 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
     """
     algebra = spinor_algebra(group)
     rep = spin_rep(group, round(2 * level))
-    ckrep = CliffordKRep(group, algebra)
     coeffs = isotypic_coefficients(group, level)
-    return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra, krep=ckrep))
+    return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra))
             for row in range(rep.dim) for grade, c in coeffs]
 
 

@@ -38,8 +38,6 @@ from .sections import (
     Pointwise,
     Product,
     Section,
-    TangentKRep,
-    TrivialKRep,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "canonical_connection",
     "levi_civita_connection",
     "tangent_frame",
-    "canonical_derivative",
     "torsion",
     "torsion_trace",
 ]
@@ -97,7 +94,6 @@ class Connection:
         self.is_compatible = skew_defect <= _SKEW_TOL * max(
             1.0, float(np.linalg.norm(self.gamma)))
         self._check_equivariance()
-        self._derivations: np.ndarray | None = None
 
     def _check_equivariance(self) -> None:
         """gamma(ad_Z X) = [ad_Z, gamma(X)] for each ad_Z in ``group.k_tangent``.
@@ -111,25 +107,24 @@ class Connection:
             raise ValueError(
                 f"gamma violates the subgroup intertwining condition (residual {worst:.2e})")
 
+    @functools.cached_property
     def derivation_stack(self) -> np.ndarray:
         """Derivation matrices extending each gamma(u_a) to the Clifford algebra; an imaginary
-        (symmetric) part of gamma has no such extension and raises ValueError."""
+        (symmetric) part of gamma has no such extension and raises ValueError on each access."""
         if not self.is_compatible:
             raise ValueError("only skew-valued corrections extend to the Clifford bundle")
         imag = float(np.linalg.norm(self.gamma.imag))
         if imag > _SKEW_TOL * max(1.0, float(np.linalg.norm(self.gamma))):
             raise ValueError(f"gamma's imaginary part of norm {imag:.2e} has no Clifford extension")
-        if self._derivations is None:
-            self._derivations = spinor_algebra(self.group).derivation_stack(self.gamma.real)
-        return self._derivations
+        return spinor_algebra(self.group).derivation_stack(self.gamma.real)
 
     @functools.cached_property
     def dirac_stack(self) -> np.ndarray:
         """A = [C, R_1^T, ..., R_p^T], complex: D phi = phi C + sum_b J_b R_b^T on row values,
         J_b phi's derivative along complement-frame row b, R_b right multiplication by e_b
         and C = sum_b Delta_b^T R_b^T (Delta_b extends gamma(u_b)), zero if canonical."""
-        right = spinor_algebra(self.group).right_generators()
-        correction = np.einsum("bST,bUS->TU", self.derivation_stack(), right)
+        right = spinor_algebra(self.group).right_generators
+        correction = np.einsum("bST,bUS->TU", self.derivation_stack, right)
         return np.concatenate([correction[None], right.transpose(0, 2, 1)]).astype(complex)
 
     @functools.cached_property
@@ -199,7 +194,6 @@ class ApplyConnection(Section):
         self.deriv_order = 0
         self.bandwidth = target.bandwidth + direction.bandwidth
         self.group = connection.group
-        self.krep = target.krep if direction.krep is not None else None
 
     def _values(self, pts) -> np.ndarray:
         direction, target = self.children
@@ -212,17 +206,12 @@ class ApplyConnection(Section):
         if conn.is_canonical or kind == "scalar":
             return out
         # gamma(W(x)), or its derivation extension, applied to the target value
-        ops = conn.derivation_stack() if kind == "clifford" else conn.gamma
+        ops = conn.derivation_stack if kind == "clifford" else conn.gamma
         applied = target.values(pts) @ ops.transpose(0, 2, 1)  # (direction, point, fiber)
         return out + np.einsum("na,ani->ni", wvals, applied)
 
     def _derivs(self, pts, dirs):  # pragma: no cover - guarded by deriv_order
         raise DerivativeOrderError("covariant derivatives are exact to first order only")
-
-
-def canonical_derivative(group: GroupModel, direction: Section, target: Section) -> Section:
-    """The canonical covariant derivative (zero correction) along a direction field."""
-    return ApplyConnection(canonical_connection(group), direction, target)
 
 
 def torsion(connection: Connection, v: Section, w: Section) -> Product:
@@ -235,8 +224,7 @@ def torsion(connection: Connection, v: Section, w: Section) -> Product:
         raise ValueError("torsion arguments must be tangent sections")
     t0 = connection.torsion_tensor
     return Product(lambda a, b: np.einsum("...a,aib,...b->...i", a, t0, b),
-                   functools.partial(torsion, connection), v, w, v.codomain,
-                   TangentKRep(connection.group))
+                   functools.partial(torsion, connection), v, w, v.codomain)
 
 
 def torsion_trace(connection: Connection, u: Section) -> Pointwise:
@@ -250,5 +238,5 @@ def torsion_trace(connection: Connection, u: Section) -> Pointwise:
         raise ValueError("the torsion trace takes a tangent section")
     t = np.einsum("abb->a", connection.torsion_tensor)
     return Pointwise(lambda vals: vals @ t, functools.partial(torsion_trace, connection), u,
-                     Codomain.scalar(), TrivialKRep() if u.krep is not None else None)
+                     Codomain.scalar())
 

@@ -107,11 +107,15 @@ class QuadratureRule:
 
 
 def parse_value(kind, name: str, text: str):
-    """``kind(text)``; a ValueError naming the field ``name`` if the text does not parse."""
+    """``kind(text)``; a ValueError naming the field ``name`` if the text does not parse, or
+    parses to a non-finite float (nan, inf)."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError(f"{name} must parse as {kind.__name__}; got {text!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number; got {text!r}")
+    return value
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:

@@ -36,12 +36,12 @@ Jacobians that a covariant derivative contracts with a direction field.  A batch
 no derived batch: a left translate is a new batch per evaluation.  Every subgroup action
 carries its generators; the tangent and bundle-fiber actions restrict a representation
 to an invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it,
-and the Clifford action extends the tangent one.  An equivariant section is a sum of
-projected coefficients u* rho(x) P(v), P the closed-form subgroup average
-(:meth:`MatrixKRep.invariant`, :func:`invariant_basis`); :class:`KAverage` is the
-trivial subgroup's, its child.  Each node carries a conservative bandwidth bound
-(total spin of its Peter-Weyl content) that :func:`l2_inner` checks against the
-quadrature rule.
+and the Clifford action extends the tangent one.  A section carries no action: an
+equivariant one is a sum of projected coefficients u* rho(x) P(v), P the closed-form
+subgroup average (:meth:`MatrixKRep.invariant`, :func:`invariant_basis`), and
+:func:`equivariance_defect` measures a section against the action it is given.  Each
+node carries a conservative bandwidth bound (total spin of its Peter-Weyl content) that
+:func:`l2_inner` checks against the quadrature rule.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ __all__ = [
     "RestrictedKRep",
     "TangentKRep",
     "CliffordKRep",
-    "OperatorKRep",
-    "translate",
     "l2_inner",
     "lambda_deriv",
     "equivariance_defect",
@@ -258,7 +256,7 @@ class _KRep:
 
 
 class TrivialKRep(_KRep):
-    """Trivial action; tags right-K-invariant scalar sections."""
+    """Trivial action: that of right-K-invariant scalar sections."""
 
     generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
     _bases = weakref.WeakKeyDictionary()  # one trivial action, so one cache for every instance
@@ -297,7 +295,7 @@ def TangentKRep(group: GroupModel) -> MatrixKRep:
     """Adjoint action on the tangent complement, in complement-frame coordinates: the
     adjoint representation restricted to it, so its stack reads the batch's adjoint stack.
 
-    One action per group, kept on it, so sums of tangent sections keep their tag.
+    One action per group, kept on it, so its invariant bases are built once.
     """
     return group.memo("TangentKRep", lambda: RestrictedKRep(adjoint_rep(group), group.m_frame.T))
 
@@ -319,17 +317,6 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
         group, stack, algebra.n, algebra.derivation_stack(group.k_tangent)))
 
 
-class OperatorKRep:
-    """Conjugation action on operator-valued sections: T -> pi_s T pi_s^{-1}."""
-
-    def __init__(self, inner: MatrixKRep):
-        self.inner = inner
-
-    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
-        m = self.inner.stack(s)
-        return m.conj().transpose(0, 2, 1) @ values @ m
-
-
 # -- section nodes ----------------------------------------------------------------
 
 
@@ -340,7 +327,6 @@ class Section:
     codomain: Codomain
     deriv_order: int
     bandwidth: float
-    krep = None
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         raise NotImplementedError
@@ -381,12 +367,11 @@ class Constant(Section):
     """A constant section: its values are a read-only stride-0 view of ``const``, not a
     copy per point, and its zero derivative adds no term to a :class:`Sum` or :class:`Product`."""
 
-    def __init__(self, codomain: Codomain, value, krep=None, *, group: GroupModel):
+    def __init__(self, codomain: Codomain, value, *, group: GroupModel):
         self.codomain = codomain
         self.const = np.asarray(value, dtype=complex).reshape(codomain.shape)
         self.deriv_order = 1
         self.bandwidth = 0.0
-        self.krep = krep
         self.group = group
         self.children = ()
 
@@ -422,7 +407,7 @@ class MatrixCoefficient(Section):
     """
 
     def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray,
-                 codomain: Codomain | None = None, krep=None):
+                 codomain: Codomain | None = None):
         self.rep = rep
         self.group = rep.group
         self.u = np.asarray(u)
@@ -433,7 +418,6 @@ class MatrixCoefficient(Section):
                              f"values of shape {self.codomain.shape}")
         self.deriv_order = 1
         self.bandwidth = rep.spin
-        self.krep = krep
         self.children = (_Rows(rep, self.u),)
         # drho(e_a) v for each algebra axis a, flattened to one row per axis
         self._dv = (rep.generators @ self.v.reshape(rep.dim, -1)).reshape(self.group.dim, -1)
@@ -450,7 +434,7 @@ class MatrixCoefficient(Section):
 
     def _lambda(self, coords: np.ndarray) -> Section:
         return MatrixCoefficient(self.rep, self.rep.derivative(coords) @ self.u, self.v,
-                                 self.codomain, self.krep)
+                                 self.codomain)
 
 
 def FundamentalField(group: GroupModel, coords: np.ndarray) -> MatrixCoefficient:
@@ -461,7 +445,7 @@ def FundamentalField(group: GroupModel, coords: np.ndarray) -> MatrixCoefficient
     projected bracket P [Y, Ad_x^-1 X], and its left derivative is the field of [Y, X].
     """
     return MatrixCoefficient(adjoint_rep(group), np.asarray(coords, dtype=float),
-                             -group.m_frame.T, Codomain.tangent(group), TangentKRep(group))
+                             -group.m_frame.T, Codomain.tangent(group))
 
 
 class Sum(Section):
@@ -481,12 +465,6 @@ class Sum(Section):
         self.deriv_order = min(c.deriv_order for c in children)
         self.bandwidth = max(c.bandwidth for c in children)
         self.group = children[0].group
-        if all(isinstance(c.krep, TrivialKRep) for c in children):
-            self.krep = TrivialKRep()
-        elif len({id(c.krep) for c in children}) == 1:
-            self.krep = children[0].krep
-        else:
-            self.krep = None
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         out = self.coeffs[0] * self.children[0].values(pts)
@@ -513,12 +491,10 @@ class Product(Section):
 
     Values are mul(a, b) and right derivatives mul(da, b) + mul(a, db).  The
     left derivative make(a', b) + make(a, b') is rebuilt through ``make``,
-    the public constructor that built this node, so it passes the same
-    checks and gets the same tag.  A bilinear map of equivariant sections is
-    equivariant: the node carries ``krep`` when both factors carry a tag.
+    the public constructor that built this node, so it passes the same checks.
     """
 
-    def __init__(self, mul, make, a: Section, b: Section, codomain: Codomain, krep):
+    def __init__(self, mul, make, a: Section, b: Section, codomain: Codomain):
         self.mul = mul
         self.make = make
         self.children = (a, b)
@@ -526,7 +502,6 @@ class Product(Section):
         self.deriv_order = min(a.deriv_order, b.deriv_order)
         self.bandwidth = a.bandwidth + b.bandwidth
         self.group = a.group
-        self.krep = krep if a.krep is not None and b.krep is not None else None
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         a, b = self.children
@@ -553,7 +528,7 @@ class Pointwise(Section):
     constructor that built this node.
     """
 
-    def __init__(self, fn, make, child: Section, codomain: Codomain, krep):
+    def __init__(self, fn, make, child: Section, codomain: Codomain):
         self.fn = fn
         self.make = make
         self.children = (child,)
@@ -561,7 +536,6 @@ class Pointwise(Section):
         self.deriv_order = child.deriv_order
         self.bandwidth = child.bandwidth
         self.group = child.group
-        self.krep = krep
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self.fn(self.children[0].values(pts))
@@ -597,7 +571,7 @@ def Scale(child: Section, scalar: Section) -> Product:
     """
     if scalar.codomain.kind != "scalar":
         raise ValueError("scale factor must be a scalar section")
-    return Product(_scale, Scale, child, scalar, child.codomain, child.krep)
+    return Product(_scale, Scale, child, scalar, child.codomain)
 
 
 def CliffordProduct(algebra: CliffordAlgebra, a: Section, b: Section) -> Product:
@@ -606,7 +580,7 @@ def CliffordProduct(algebra: CliffordAlgebra, a: Section, b: Section) -> Product
         raise ValueError("both factors must be Clifford-valued")
     if a.codomain != b.codomain:
         raise ValueError("factors live in different algebras")
-    return Product(algebra.mul, partial(CliffordProduct, algebra), a, b, a.codomain, a.krep)
+    return Product(algebra.mul, partial(CliffordProduct, algebra), a, b, a.codomain)
 
 
 def AInner(a: Section, b: Section) -> Product:
@@ -621,15 +595,14 @@ def AInner(a: Section, b: Section) -> Product:
         raise ValueError("fiber inner product needs matching codomains")
     if a.codomain.kind == "operator":
         raise ValueError("operator sections have no fiber inner product here")
-    return Product(_pairing, AInner, a, b, Codomain.scalar(), TrivialKRep())
+    return Product(_pairing, AInner, a, b, Codomain.scalar())
 
 
 def RankOne(zeta: Section, eta: Section) -> Product:
     """The operator-valued section zeta(x) eta(x)^*, acting as xi -> zeta <eta, xi>."""
     if zeta.codomain != eta.codomain or zeta.codomain.kind not in ("vector", "tangent"):
         raise ValueError("rank-one sections need two matching vector sections")
-    return Product(_outer, RankOne, zeta, eta, Codomain.operator(zeta.codomain.shape[0]),
-                   OperatorKRep(zeta.krep))
+    return Product(_outer, RankOne, zeta, eta, Codomain.operator(zeta.codomain.shape[0]))
 
 
 def OpApply(op: Section, xi: Section) -> Product:
@@ -638,7 +611,7 @@ def OpApply(op: Section, xi: Section) -> Product:
         raise ValueError("first factor must be operator-valued")
     if xi.codomain.shape[0] != op.codomain.shape[1]:
         raise ValueError("operator and argument dimensions differ")
-    return Product(_apply, OpApply, op, xi, xi.codomain, xi.krep)
+    return Product(_apply, OpApply, op, xi, xi.codomain)
 
 
 def _real(vals: np.ndarray) -> np.ndarray:
@@ -650,26 +623,23 @@ def _imag(vals: np.ndarray) -> np.ndarray:
 
 
 def RealPart(child: Section) -> Pointwise:
-    """Entrywise real part (an R-linear node); equivariant, so tagged, for a real action only."""
-    real = np.all(np.isreal(getattr(child.krep, "generators", 1j)))
-    return Pointwise(_real, RealPart, child, child.codomain, child.krep if real else None)
+    """Entrywise real part (an R-linear node); it keeps equivariance under a real action only."""
+    return Pointwise(_real, RealPart, child, child.codomain)
 
 
 def ImagPart(child: Section) -> Pointwise:
     """Imaginary part of a scalar section (an R-linear node)."""
     if child.codomain.kind != "scalar":
         raise ValueError("imaginary part applies to scalar sections")
-    return Pointwise(_imag, ImagPart, child, Codomain.scalar(), child.krep)
+    return Pointwise(_imag, ImagPart, child, Codomain.scalar())
 
 
-def EmbedTangent(algebra: CliffordAlgebra, child: Section, clifford_krep=None) -> Pointwise:
+def EmbedTangent(algebra: CliffordAlgebra, child: Section) -> Pointwise:
     """Embed a tangent section into grade one of the Clifford bundle."""
     if child.codomain.kind != "tangent":
         raise ValueError("only tangent sections embed into the Clifford bundle")
-    krep = clifford_krep if clifford_krep is not None else (
-        CliffordKRep(child.group, algebra) if child.krep is not None else None)
-    return Pointwise(algebra.embed_vector, partial(EmbedTangent, algebra, clifford_krep=krep),
-                     child, Codomain.clifford(algebra), krep)
+    return Pointwise(algebra.embed_vector, partial(EmbedTangent, algebra), child,
+                     Codomain.clifford(algebra))
 
 
 class Translate(Section):
@@ -682,7 +652,6 @@ class Translate(Section):
         self.deriv_order = child.deriv_order
         self.bandwidth = child.bandwidth
         self.group = child.group
-        self.krep = child.krep
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self.children[0].values(pts.left_translated(self.y.inverse))
@@ -696,30 +665,14 @@ class Translate(Section):
         return Translate(self.children[0]._lambda(pulled), self.y)
 
 
-class KAverage(Section):
-    """The average of pi_s child(x s) over the trivial subgroup {e}, tagged with ``krep``: its
-    child, bit for bit.  Over a nontrivial subgroup it raises ValueError; there,
+def KAverage(child: Section, krep, group: GroupModel) -> Section:
+    """The average of pi_s child(x s) over the trivial subgroup {e}: ``child`` itself, for any
+    action ``krep``.  Over a nontrivial subgroup it raises ValueError; there,
     :meth:`MatrixKRep.invariant` projects coefficients in closed form."""
-
-    def __init__(self, child: Section, krep, group: GroupModel):
-        if group.k_dim:
-            raise ValueError(f"KAverage averages over the trivial subgroup only; on {group.name!r} "
-                             "project coefficients with MatrixKRep.invariant")
-        self.children = (child,)
-        self.group = group
-        self.codomain = child.codomain
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.krep = krep
-
-    def _values(self, pts: EvalPoints) -> np.ndarray:
-        return self.children[0].values(pts)
-
-    def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        return self.children[0].derivs(pts, dirs)
-
-    def _lambda(self, coords: np.ndarray) -> Section:
-        return KAverage(self.children[0]._lambda(coords), self.krep, self.group)
+    if group.k_dim:
+        raise ValueError(f"KAverage averages over the trivial subgroup only; on {group.name!r} "
+                         "project coefficients with MatrixKRep.invariant")
+    return child
 
 
 class ConjugatedProjection(Section):
@@ -759,7 +712,6 @@ class GramSection(Section):
         self.deriv_order = min(f.deriv_order for f in frame)
         self.bandwidth = 2 * max(f.bandwidth for f in frame)
         self.group = frame[0].group
-        self.krep = TrivialKRep() if all(f.krep is not None for f in frame) else None
 
     @staticmethod
     def _flat(stack: np.ndarray) -> np.ndarray:
@@ -777,7 +729,7 @@ class GramSection(Section):
 
 
 def HarmonicSpinor(rep: UnitaryRep, row: int, coeff: np.ndarray,
-                   algebra: CliffordAlgebra, krep=None) -> MatrixCoefficient:
+                   algebra: CliffordAlgebra) -> MatrixCoefficient:
     """A Clifford-valued section with a single-level Peter-Weyl profile.
 
     value(x) = sum_{r,T} rho(x)[row, r] * coeff[r, T] * e_T, the coefficient
@@ -787,14 +739,10 @@ def HarmonicSpinor(rep: UnitaryRep, row: int, coeff: np.ndarray,
     spinor module, and their quadrature-free orthogonality follows from
     Schur orthogonality of the matrix coefficients.
     """
-    return MatrixCoefficient(rep, np.eye(rep.dim)[row], coeff, Codomain.clifford(algebra), krep)
+    return MatrixCoefficient(rep, np.eye(rep.dim)[row], coeff, Codomain.clifford(algebra))
 
 
 # -- module-level operations -------------------------------------------------------
-
-
-def translate(section: Section, y: GroupElement) -> Section:
-    return Translate(section, y)
 
 
 def l2_inner(a: Section, b: Section, rule: QuadratureRule) -> complex:
@@ -813,7 +761,7 @@ def l2_inner(a: Section, b: Section, rule: QuadratureRule) -> complex:
 def lambda_deriv(section: Section, coords: np.ndarray) -> Section:
     """The left-translation derivative generated by an algebra vector.
 
-    This is the derivative of t -> translate(section, exp(t Y)), that is of
+    This is the derivative of t -> Translate(section, exp(t Y)), that is of
     x -> section(exp(-t Y) x), at t = 0,
     built structurally so the result is again an exactly differentiable
     section.  It is kept separate from the right-direction derivative used
@@ -822,19 +770,18 @@ def lambda_deriv(section: Section, coords: np.ndarray) -> Section:
     return section._lambda(np.asarray(coords, dtype=float))
 
 
-def equivariance_defect(section: Section, x: GroupElement, s):
-    """Residual of the defining equivariance condition at (x, s).
+def equivariance_defect(section: Section, krep, x: GroupElement, s):
+    """Residual of the equivariance condition section(x s) = pi_s^-1 section(x) under the
+    subgroup action ``krep``, at (x, s).
 
     For a list ``s`` of subgroup elements, the array of residuals at each,
     with x and every x s evaluated as one batch.
     """
-    if section.krep is None:
-        raise ValueError("section carries no equivariance tag")
     g = section.group
     one = isinstance(s, GroupElement)
     subgroup = EvalPoints.of(g, [s] if one else s)
     vals = section.values(EvalPoints(g, np.concatenate([x.matrix[None],
                                                         x.matrix @ subgroup.matrices])))
-    rhs = section.krep.apply_inverse(subgroup, np.broadcast_to(vals[0], vals[1:].shape))
+    rhs = krep.apply_inverse(subgroup, np.broadcast_to(vals[0], vals[1:].shape))
     res = np.linalg.norm((vals[1:] - rhs).reshape(subgroup.n, -1), axis=1)
     return float(res[0]) if one else res

@@ -7,7 +7,8 @@ rule's nodes (:func:`rule_stack`).  The frame formulas of the former hand-writte
 node (:func:`frame_values`, :func:`frame_derivs`) are the reference for a bundle's frame
 of contragredient coefficients.  The one-point helpers evaluate a section at one
 element, and the rest are the representation, action and report helpers whose only
-callers are tests.
+callers are tests: among them the conjugation action on operator sections
+(:class:`OperatorKRep`), against which rank-one endomorphisms are equivariant.
 """
 
 import weakref
@@ -152,6 +153,17 @@ def frame_derivs(bundle, j: int, pts: EvalPoints, dirs) -> np.ndarray:
 def krep_matrix(krep, s: GroupElement) -> np.ndarray:
     """pi_s at one subgroup element: the action's stack on a one-point batch."""
     return krep.stack(EvalPoints.of(krep.group, [s]))[0]
+
+
+class OperatorKRep:
+    """Conjugation action on operator-valued sections: T -> pi_s T pi_s^{-1}."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
+        m = self.inner.stack(s)
+        return m.conj().transpose(0, 2, 1) @ values @ m
 
 
 def direct_sum(*reps) -> UnitaryRep:

@@ -22,6 +22,7 @@ from homogdirac import (
     RealPart,
     Scale,
     Sum,
+    Translate,
     TrivialKRep,
     canonical_connection,
     casimir_value,
@@ -44,7 +45,6 @@ from homogdirac import (
     spinor_algebra,
     tangent_frame,
     torsion,
-    translate,
 )
 from test_dirac import geodesic_arc
 from oracles import OrbitAverage, criteria_consistent, deriv, random_element, value
@@ -60,8 +60,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def unit_spinor(group):
     alg = spinor_algebra(group)
-    return Constant(Codomain.clifford(alg), alg.unit(),
-                    krep=CliffordKRep(group, alg), group=group)
+    return Constant(Codomain.clifford(alg), alg.unit(), group=group)
 
 
 def band_limited_spinor(group, rng, two_j):
@@ -214,8 +213,8 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
         other = hodge_dirac(lc, phi, frame=tangent_frame(group, q.T)).values(pts)
         worst_frame = max(worst_frame, float(np.abs(base - other).max()))
         y = random_element(group, rng)
-        lhs = translate(hodge_dirac(lc, phi), y).values(pts)
-        rhs = hodge_dirac(lc, translate(phi, y), frame=tangent_frame(group)).values(pts)
+        lhs = Translate(hodge_dirac(lc, phi), y).values(pts)
+        rhs = hodge_dirac(lc, Translate(phi, y), frame=tangent_frame(group)).values(pts)
         worst_lambda = max(worst_lambda, float(np.abs(lhs - rhs).max()))
 
     # the self-adjointness matrix on the trivial-subgroup quotient
@@ -223,8 +222,7 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
     alg = spinor_algebra(g)
     pairs = [(unit_spinor(g), unit_spinor(g))]
     for a in range(3):
-        vec = Constant(Codomain.clifford(alg), alg.embed_vector(np.eye(3)[a]),
-                       krep=CliffordKRep(g, alg), group=g)
+        vec = Constant(Codomain.clifford(alg), alg.embed_vector(np.eye(3)[a]), group=g)
         pairs.append((vec, unit_spinor(g)))
     while len(pairs) < 20:
         pairs.append((band_limited_spinor(g, rng, int(rng.integers(0, 3))),

@@ -92,7 +92,7 @@ def test_monopole_bundles(sphere, sample_pts, charge, two_level, rng):
 
     for eta in frame:
         for s in k_nodes(sphere)[::8]:
-            assert equivariance_defect(eta, GroupElement(sample_pts.matrices[0]), s) < 1e-10
+            assert equivariance_defect(eta, b.krep, GroupElement(sample_pts.matrices[0]), s) < 1e-10
 
     xi = random_equivariant_section(b, rng)
     recon = Sum([Scale(eta, AInner(eta, xi)) for eta in frame])
@@ -167,7 +167,8 @@ def test_rank_one_endomorphism(sphere, sample_pts, rng):
     rhs = Scale(zeta, AInner(eta, xi)).values(sample_pts)
     assert np.abs(lhs - rhs).max() < 1e-12
     s = k_nodes(sphere)[5]
-    assert equivariance_defect(t, GroupElement(sample_pts.matrices[0]), s) < 1e-10
+    action = oracles.OperatorKRep(b.krep)
+    assert equivariance_defect(t, action, GroupElement(sample_pts.matrices[0]), s) < 1e-10
 
 
 def test_rank_one_reconstruction(sphere, sample_pts, rng):

@@ -111,7 +111,7 @@ def _frame_equivariance(ctx):
     worst = 0.0
     for eta in b.frame:
         for s in k_nodes(g)[:5]:
-            rhs = krep_matrix(eta.krep, s).conj().T @ value(eta, x)
+            rhs = krep_matrix(b.krep, s).conj().T @ value(eta, x)
             worst = max(worst, float(np.linalg.norm(value(eta, x @ s) - rhs)))
     return worst, 5 * b.ambient_dim
 
@@ -152,7 +152,7 @@ def test_frame_equivariance_points_are_the_first_subgroup_rule_nodes(config, mon
     seen = []
     defect = checks.equivariance_defect
     monkeypatch.setattr(checks, "equivariance_defect",
-                        lambda eta, x, s: seen.append(s) or defect(eta, x, s))
+                        lambda eta, krep, x, s: seen.append(s) or defect(eta, krep, x, s))
     checks._check_frame_equivariance(ctx)
     want = k_rule(ctx.group).matrices[:5]
     assert seen and all(np.array_equal(np.stack([e.matrix for e in s]), want) for s in seen)

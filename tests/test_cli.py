@@ -220,6 +220,9 @@ def test_invalid_tolerance_rejected(tmp_path):
     ("[tolerances]\ndirac.selfadjoint_defect = 1e-3\n", "dirac.selfadjoint_defect"),
     ("[run]\nsample_count = five\n", "sample_count"),
     ("[tolerances]\nbundle.reproducing-formula = tiny\n", "bundle.reproducing-formula"),
+    # a NaN tolerance fails every comparison, and an infinite one passes every residual
+    ("[tolerances]\ngeometry.frame-norm-sum = nan\n", "geometry.frame-norm-sum"),
+    ("[tolerances]\ngeometry.frame-norm-sum = inf\n", "geometry.frame-norm-sum"),
 ])
 def test_unknown_config_key_exits_config_error(tmp_path, text, name, capsys):
     path = os.path.join(tmp_path, "run.cfg")
@@ -381,9 +384,11 @@ def test_matrix_coefficient_on_a_custom_su2_basis_matches_central_differences(
     ({"scale": "large"}, "scale"),
     ({"subgroups": "2"}, "subgroups"),
     ({"basis_3": "0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0"}, "basis_3"),
+    ({"basis_2": "0.0 nan 0.0 0.0 0.0 0.0 0.0 0.0"}, "[group] basis_2 must be a finite"),
+    ({"scale": "inf"}, "[group] scale must be a finite"),
 ], ids=["well-formed", "matrix_dim", "basis_count", "basis_1", "basis_0", "subgroup-5",
         "subgroup-negative", "subgroup-repeated", "subgroup-text", "scale",
-        "unknown-key", "basis-beyond-count"])
+        "unknown-key", "basis-beyond-count", "basis-nan", "scale-inf"])
 def test_bad_group_config_exits_config_error(tmp_path, overrides, name, capsys):
     path = os.path.join(tmp_path, "group.cfg")
     with open(path, "w") as fh:
@@ -413,6 +418,16 @@ def test_unparsable_gamma_file_names_the_file(tmp_path, capsys):
     assert main(["verify", "--group", "su2", "--subgroup", "trivial",
                  "--connection", path]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_non_finite_gamma_file_exits_config_error(tmp_path, capsys):
+    """A NaN in a gamma file would read as a passing torsion row: max() drops it."""
+    path = os.path.join(tmp_path, "gamma.txt")
+    with open(path, "w") as fh:
+        fh.write("nan 0 0 0 0 0 0 0\n")
+    assert main(["verify", "--connection", path, "--sample-count", "5"]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "finite" in err
 
 
 @pytest.mark.parametrize("flag, text", [

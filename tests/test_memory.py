@@ -17,12 +17,12 @@ from homogdirac import (
     Constant,
     EvalPoints,
     GroupModel,
-    KAverage,
     MatrixCoefficient,
     RealPart,
     Scale,
     Sum,
     TangentKRep,
+    Translate,
     TrivialKRep,
     adjoint_rep,
     canonical_connection,
@@ -34,7 +34,6 @@ from homogdirac import (
     spin_rep,
     spinor_algebra,
     tangent_bundle,
-    translate,
 )
 from homogdirac.cli import RunConfig, run_spectrum, run_verify
 from oracles import OrbitAverage, direct_sum, random_element, rule_stack
@@ -138,7 +137,7 @@ def test_translated_l2_inner_retains_nothing_per_call(sphere, rng):
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
     one = Constant(Codomain.scalar(), 1.0, group=sphere)
     growth = _retained_growth(
-        lambda: l2_inner(one, translate(f, random_element(sphere, rng)), rule))
+        lambda: l2_inner(one, Translate(f, random_element(sphere, rng)), rule))
     assert growth < _GROWTH_BYTES
 
 
@@ -228,11 +227,17 @@ def test_spectral_blocks_hold_one_copy_per_level(sphere):
     dict(subgroup="trivial", connection="levi-civita", seed=3),
 ], ids=["clifford", "tangent", "monopole", "trivial-k-levi-civita"])
 def test_verify_builds_no_orbit_batch(config, monkeypatch):
-    """Equivariant sections are projected coefficients: no check builds a subgroup average."""
+    """Equivariant sections are projected coefficients: no check builds a subgroup average,
+    through the package's KAverage or any layer's binding of it."""
+    import homogdirac
+    from homogdirac import bundles, checks, dirac, geometry, sections
+
     def refuse(*args):
         raise AssertionError("verify built a subgroup average")
 
-    monkeypatch.setattr(KAverage, "__init__", refuse)
+    for module in (homogdirac, sections, bundles, geometry, dirac, checks):
+        if hasattr(module, "KAverage"):
+            monkeypatch.setattr(module, "KAverage", refuse)
     assert run_verify(RunConfig(group="su2", **config))["pass"] is True
 
 

@@ -28,6 +28,7 @@ from homogdirac import (
     Scale,
     Sum,
     TangentKRep,
+    Translate,
     TrivialKRep,
     adjoint_rep,
     equivariance_defect,
@@ -39,7 +40,6 @@ from homogdirac import (
     spinor_algebra,
     tangent_bundle,
     tangent_frame,
-    translate,
 )
 from homogdirac.groups import _su2_raw_basis
 from homogdirac.sections import (_RANK_RTOL, ConjugatedProjection, Pointwise, Product,
@@ -122,7 +122,7 @@ def node_zoo(group, rng):
         Scale(ff, mc),
         CliffordProduct(alg, random_spinor(group, rng), random_spinor(group, rng, 4)),
         AInner(ff, FundamentalField(group, group.random_algebra(rng))),
-        translate(mc, random_element(group, rng)),
+        Translate(mc, random_element(group, rng)),
         OrbitAverage(mc, TrivialKRep(), group),
         RealPart(mc),
         ImagPart(mc),
@@ -184,7 +184,7 @@ def test_derivative_order_exhaustion(sphere, rng):
 def test_translate_by_identity(sphere, rng):
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    t = translate(f, sphere.identity())
+    t = Translate(f, sphere.identity())
     x = random_element(sphere, rng)
     assert abs(value(t, x) - value(f, x)) < 1e-14
 
@@ -193,7 +193,7 @@ def test_translate_fundamental_field_covariance(sphere, rng):
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
     y = random_element(sphere, rng)
-    moved = translate(w, y)
+    moved = Translate(w, y)
     expect = FundamentalField(sphere, sphere.adjoint(y, coords))
     for _ in range(10):
         x = random_element(sphere, rng)
@@ -206,8 +206,8 @@ def test_translate_module_covariance(sphere, rng):
         rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
     w = FundamentalField(sphere, sphere.random_algebra(rng))
     y = random_element(sphere, rng)
-    lhs = translate(Scale(w, f), y)
-    rhs = Scale(translate(w, y), translate(f, y))
+    lhs = Translate(Scale(w, f), y)
+    rhs = Scale(Translate(w, y), Translate(f, y))
     for _ in range(5):
         x = random_element(sphere, rng)
         assert np.linalg.norm(value(lhs, x) - value(rhs, x)) < 1e-13
@@ -229,8 +229,8 @@ def test_a_inner_translation_invariance(sphere, rng):
     wx = FundamentalField(sphere, sphere.random_algebra(rng))
     wy = FundamentalField(sphere, sphere.random_algebra(rng))
     y = random_element(sphere, rng)
-    lhs = translate(AInner(wx, wy), y)
-    rhs = AInner(translate(wx, y), translate(wy, y))
+    lhs = Translate(AInner(wx, wy), y)
+    rhs = AInner(Translate(wx, y), Translate(wy, y))
     for _ in range(5):
         x = random_element(sphere, rng)
         assert abs(value(lhs, x) - value(rhs, x)) < 1e-13
@@ -262,7 +262,7 @@ def test_clifford_star_representation_pointwise(sphere, rng):
 
 
 def test_l2_inner_normalization_and_positivity(sphere, rule8, rng):
-    one = Constant(Codomain.scalar(), 1.0, krep=TrivialKRep(), group=sphere)
+    one = Constant(Codomain.scalar(), 1.0, group=sphere)
     assert abs(l2_inner(one, one, rule8) - 1.0) < 1e-13
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
@@ -270,7 +270,7 @@ def test_l2_inner_normalization_and_positivity(sphere, rule8, rng):
 
 
 def test_l2_inner_kills_lambda_derivatives(sphere, rule8, rng):
-    one = Constant(Codomain.scalar(), 1.0, krep=TrivialKRep(), group=sphere)
+    one = Constant(Codomain.scalar(), 1.0, group=sphere)
     rep = spin_rep(sphere, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
                           rng.standard_normal(3))
@@ -286,7 +286,7 @@ def test_l2_translation_invariance(sphere, rule8, rng):
     base = l2_inner(f, h, rule8)
     for _ in range(3):
         y = random_element(sphere, rng)
-        moved = l2_inner(translate(f, y), translate(h, y), rule8)
+        moved = l2_inner(Translate(f, y), Translate(h, y), rule8)
         assert abs(base - moved) < 1e-9
 
 
@@ -363,7 +363,7 @@ def test_equivariant_projection_idempotent(sphere, rng):
 
 
 def test_equivariant_projection_fixes_trivial_constants(sphere, rng):
-    c = Constant(Codomain.scalar(), 1.5, krep=TrivialKRep(), group=sphere)
+    c = Constant(Codomain.scalar(), 1.5, group=sphere)
     proj = OrbitAverage(c, TrivialKRep(), sphere)
     x = random_element(sphere, rng)
     assert abs(value(proj, x) - 1.5) < 1e-14
@@ -372,10 +372,11 @@ def test_equivariant_projection_fixes_trivial_constants(sphere, rng):
 def test_equivariant_projection_satisfies_defining_condition(sphere, rng):
     alg = spinor_algebra(sphere)
     raw = Constant(Codomain.clifford(alg), rng.standard_normal(alg.n), group=sphere)
-    proj = OrbitAverage(raw, CliffordKRep(sphere, alg), sphere)
+    krep = CliffordKRep(sphere, alg)
+    proj = OrbitAverage(raw, krep, sphere)
     for s in k_nodes(sphere)[::6]:
         x = random_element(sphere, rng)
-        assert equivariance_defect(proj, x, s) < 1e-10
+        assert equivariance_defect(proj, krep, x, s) < 1e-10
 
 
 def test_delta_along_fundamental_equals_lambda(sphere, rng):
@@ -430,7 +431,7 @@ def pointwise_operation(name, group, rng):
 def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
     """The shared left-derivative rule against a central difference of left translates.
 
-    lambda_deriv(s, Y)(x) is the derivative of translate(s, exp(tY))(x) = s(exp(-tY) x)
+    lambda_deriv(s, Y)(x) is the derivative of Translate(s, exp(tY))(x) = s(exp(-tY) x)
     at t = 0.
     """
     section = pointwise_operation(name, sphere, rng)
@@ -440,33 +441,11 @@ def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
         x = random_element(sphere, rng)
         y = sphere.random_algebra(rng)
         exact = value(lambda_deriv(section, y), x)
-        fd = (value(translate(section, sphere.exp(y, h)), x)
-              - value(translate(section, sphere.exp(y, -h)), x)) / (2 * h)
+        fd = (value(Translate(section, sphere.exp(y, h)), x)
+              - value(Translate(section, sphere.exp(y, -h)), x)) / (2 * h)
         assert np.shape(exact) == np.shape(fd) == section.codomain.shape
         assert np.linalg.norm(exact) > 1e-3  # no case passes on a vanishing derivative
         assert np.linalg.norm(np.atleast_1d(exact - fd)) < 1e-8 * max(1.0, np.linalg.norm(exact))
-
-
-def test_pointwise_operations_keep_the_equivariance_tag_rule(sphere, rng):
-    """A product is tagged only when both factors are; a left derivative keeps the tag."""
-    alg = spinor_algebra(sphere)
-    rep = spin_rep(sphere, 2)
-    coords = sphere.random_algebra(rng)
-    ff = FundamentalField(sphere, coords)
-    bare = MatrixCoefficient(adjoint_rep(sphere), coords, -sphere.m_frame.T,
-                             Codomain.tangent(sphere))  # the same field, untagged
-    mc = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    f = RealPart(OrbitAverage(mc, TrivialKRep(), sphere))
-    y = sphere.random_algebra(rng)
-    assert Scale(ff, f).krep is TangentKRep(sphere)
-    assert Scale(ff, mc).krep is None and Scale(bare, f).krep is None
-    assert isinstance(AInner(ff, ff).krep, TrivialKRep) and AInner(ff, bare).krep is None
-    assert RealPart(mc).krep is None and isinstance(f.krep, TrivialKRep)
-    assert EmbedTangent(alg, ff).krep is CliffordKRep(sphere, alg)
-    assert EmbedTangent(alg, bare).krep is None
-    embedded = EmbedTangent(alg, bare, clifford_krep=CliffordKRep(sphere, alg))
-    assert embedded.krep is lambda_deriv(embedded, y).krep is CliffordKRep(sphere, alg)
-    assert lambda_deriv(Scale(ff, f), y).krep is TangentKRep(sphere)
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
@@ -602,7 +581,6 @@ def test_fundamental_field_matches_bracket_formulas(space, request, rng):
     vals, _ = _bracket_form_fundamental_field(group, group.bracket(y, coords), pts, dirs[:7])
     lam = lambda_deriv(w, y)
     assert np.abs(lam.values(pts) - vals).max() < 1e-13
-    assert lam.krep is w.krep is TangentKRep(group)
     assert w.bandwidth == lam.bandwidth == adjoint_rep(group).spin
 
 
@@ -652,17 +630,16 @@ def test_matrix_coefficient_columns_are_scalar_coefficients(sphere, rng):
         MatrixCoefficient(rep, u, v, Codomain.vector(4))
 
 
-def test_tangent_sums_keep_the_equivariance_tag(sphere, rng):
+def test_tangent_sums_are_tangent_equivariant(sphere, rng):
+    """The gradient of an invariant scalar and a sum of frame fields, under the tangent action."""
     rep = spin_rep(sphere, 2)
     f = RealPart(OrbitAverage(MatrixCoefficient(
         rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
-    grad = gradient(sphere, f)
-    assert grad.krep is TangentKRep(sphere)
-    assert Sum(tangent_frame(sphere)[:2]).krep is TangentKRep(sphere)
     x = random_element(sphere, rng)
-    for t in (0.7, 2.9):
-        s = sphere.exp(sphere.k_frame[0], t)
-        assert equivariance_defect(grad, x, s) <= 1e-12
+    for field in (gradient(sphere, f), Sum(tangent_frame(sphere)[:2])):
+        for t in (0.7, 2.9):
+            s = sphere.exp(sphere.k_frame[0], t)
+            assert equivariance_defect(field, TangentKRep(sphere), x, s) <= 1e-12
 
 
 def test_adjoint_stack_is_the_adjoint_representation_stack(sphere, rng):
@@ -797,12 +774,11 @@ def test_projected_coefficients_match_the_subgroup_average(space, request, rng):
             u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             child = MatrixCoefficient(rep, u, v, codomain)
-            pairs = [(MatrixCoefficient(rep, u, krep.invariant(rep, v), codomain, krep),
+            pairs = [(MatrixCoefficient(rep, u, krep.invariant(rep, v), codomain),
                       OrbitAverage(child, krep, group))]
             if name in ("trivial", "tangent", "clifford"):
                 pairs.append((RealPart(pairs[0][0]), OrbitAverage(RealPart(child), krep, group)))
             for ours, oracle in pairs:
-                assert ours.krep is oracle.krep
                 for a, b in [(ours.values(pts), oracle.values(pts)),
                              (ours.derivs(pts, dirs), oracle.derivs(pts, dirs)),
                              (ours.frame_derivs(pts), oracle.frame_derivs(pts)),
@@ -868,35 +844,27 @@ def test_verify_sections_are_the_former_subgroup_averages(subgroup, bundle):
             a = ours()
             ctx.rng.bit_generator.state = state
             b = former()
-            assert a.krep is b.krep or {type(a.krep), type(b.krep)} == {TrivialKRep}
             assert np.abs(a.values(ctx.pts) - b.values(ctx.pts)).max() < 1e-13
             assert np.abs(a.derivs(ctx.pts, dirs) - b.derivs(ctx.pts, dirs)).max() < 1e-13
             ctx._scalar = None
 
 
 
-def test_real_part_keeps_only_a_real_action_tag(sphere, rng):
+def test_real_part_is_equivariant_under_a_real_action_only(sphere, rng):
     """Re commutes with a real subgroup action, not with the monopole's complex one."""
     alg = spinor_algebra(sphere)
     x, s = random_element(sphere, rng), k_nodes(sphere)[5]
-    cases = [(TangentKRep(sphere), Codomain.tangent(sphere), 2),
-             (CliffordKRep(sphere, alg), Codomain.clifford(alg), 2),
-             (tangent_bundle(sphere).krep, Codomain.vector(2), 2),
-             (monopole_bundle(sphere, 1).krep, Codomain.vector(1), 1)]
-    for krep, codomain, two_j in cases:
+    cases = [(TangentKRep(sphere), Codomain.tangent(sphere), 2, True),
+             (CliffordKRep(sphere, alg), Codomain.clifford(alg), 2, True),
+             (tangent_bundle(sphere).krep, Codomain.vector(2), 2, True),
+             (monopole_bundle(sphere, 1).krep, Codomain.vector(1), 1, False)]
+    for krep, codomain, two_j, real in cases:
         rep = spin_rep(sphere, two_j)
         shape = (rep.dim,) + codomain.shape
         u = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
         v = krep.invariant(rep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        part = RealPart(MatrixCoefficient(rep, u, v, codomain, krep))
-        # the part measured against the action it would carry
-        defect = equivariance_defect(
-            Pointwise(part.fn, RealPart, part.children[0], codomain, krep), x, s)
-        if part.krep is None:
-            assert defect > 1e-3
-        else:
-            assert part.krep is krep and defect < 1e-12
-    assert part.krep is None  # the last case: the monopole's action is complex
+        defect = equivariance_defect(RealPart(MatrixCoefficient(rep, u, v, codomain)), krep, x, s)
+        assert defect < 1e-12 if real else defect > 1e-3
 
 
 def test_constant_values_are_read_only_views_of_the_constant(full_group, rule8_full, rng):
@@ -1041,6 +1009,12 @@ def test_trivial_subgroup_average_is_its_child(rng, monkeypatch):
     assert got[0] is child.values(pts)
 
 
+def test_trivial_subgroup_average_returns_its_child(rng):
+    child = random_spinor(GroupModel.su2_trivial_k(), rng).children[0]
+    krep = CliffordKRep(child.group, spinor_algebra(child.group))
+    assert KAverage(child, krep, child.group) is child
+
+
 def test_subgroup_average_over_a_circle_names_the_projector(sphere, rng):
     """KAverage averages over the trivial subgroup only: over su2/u1 it raises ValueError
     naming MatrixKRep.invariant, the closed-form projector."""
@@ -1086,7 +1060,7 @@ def _shared_direction_zoo(group, rng):
         ("ConjugatedProjection", ConjugatedProjection(rep, rng.standard_normal((3, 3)))),
         ("frame", frame[0]),
         ("GramSection", GramSection(frame)),
-        ("Translate", translate(mat, random_element(group, rng))),
+        ("Translate", Translate(mat, random_element(group, rng))),
         ("Sum", Sum([vec, RealPart(vec)], [0.5, 2.0])),
         ("Product", CliffordProduct(alg, mat, spinor)),
         ("Pointwise", ImagPart(vec)),
