@@ -183,7 +183,7 @@ def run_spectrum(cfg: RunConfig, stats: dict | None = None) -> list:
         blocks.append(spectral_block(conn, lv))
         seconds[lv] = time.perf_counter() - start
     # the worst in-block leakage of D, reported on each row
-    closure = max(b.closure for b in blocks)
+    closure = float(np.max([b.closure for b in blocks]))
     return [(b.level, idx, float(ev), b.asymmetry, closure) for b in blocks
             for idx, ev in enumerate(np.repeat(b.eigenvalues, b.multiplicity))]
 

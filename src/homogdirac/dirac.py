@@ -39,6 +39,7 @@ the pairing <D phi, psi> - <phi, D psi> of two quadratures is its independent ch
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,8 +195,8 @@ def selfadjoint_defect(connection: Connection, pairs: list, rule=None) -> float:
             raise ValueError(f"{type(s).__name__} on group {s.group.name!r} paired under "
                              f"a connection on group {g.name!r}")
     top = max(s.bandwidth for s in sections)
-    return max(spectral_block(connection, two_j / 2).asymmetry
-               for two_j in range(int(2 * top) + 1))
+    return float(np.max([spectral_block(connection, two_j / 2).asymmetry
+                         for two_j in range(int(2 * top) + 1)]))
 
 
 @dataclass
@@ -225,8 +226,8 @@ def criterion_check(connection: Connection, pts: EvalPoints,
         raise ValueError("the criterion applies to metric-compatible connections")
     g = connection.group
     frame = tangent_frame(g)
-    trace_max = max(float(np.abs(torsion_trace(connection, u).values(pts)).max())
-                    for u in frame)
+    trace_max = float(np.max([np.abs(torsion_trace(connection, u).values(pts)).max()
+                              for u in frame]))
     canon = canonical_connection(g)
     correction = Sum([
         Sum([ApplyConnection(connection, wj, wj),
@@ -364,7 +365,8 @@ class SpectralBlock:
     ``matrix``, ``grades`` and ``eigenvalues`` (ascending) describe one
     copy, indexed like ``isotypic_coefficients``; on ``isotypic_basis`` D
     is kron(I_multiplicity, matrix).  ``closure`` is the part of D's image
-    leaving the level's span, the only leakage not identically zero.
+    leaving the level's span, the only leakage not identically zero.  The
+    eigenvalues are solved for on first read: the defect reads only ``asymmetry``.
     """
 
     level: int
@@ -374,11 +376,14 @@ class SpectralBlock:
     gram_defect: float
     asymmetry: float
     closure: float
-    eigenvalues: np.ndarray
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:  # of the symmetrized matrix
+        return np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2.0)
 
     @property
     def dim(self) -> int:  # of the whole level
-        return self.multiplicity * len(self.eigenvalues)
+        return self.multiplicity * len(self.grades)
 
 
 def spectral_block(connection: Connection, level: int) -> SpectralBlock:
@@ -392,8 +397,7 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     rep = spin_rep(g, round(2 * level))  # held here, so isotypic_coefficients builds no second one
     coeffs = isotypic_coefficients(g, level)
     if not coeffs:
-        return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)),
-                             0.0, 0.0, 0.0, np.zeros(0))
+        return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)), 0.0, 0.0, 0.0)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
     drho = rep.derivative(g.m_frame)                            # (a, r, r)
     stack = connection.dirac_stack                              # [C_0, R_a^T]
@@ -403,10 +407,8 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     small = flat.conj() @ image.T
     closure = float(np.abs(image - small.T @ flat).max())
     asymmetry = float(np.abs(small - small.conj().T).max())
-    eigenvalues = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
     grades = np.array([grade for grade, _ in coeffs])
-    return SpectralBlock(level, rep.dim, grades, small, gram_defect, asymmetry, closure,
-                         eigenvalues)
+    return SpectralBlock(level, rep.dim, grades, small, gram_defect, asymmetry, closure)
 
 
 def kernel_count(blocks: list, tol: float = 1e-6) -> int:
@@ -461,16 +463,15 @@ def metric_estimate(group: GroupModel, p: GroupElement, q: GroupElement,
     if extra_points:
         eval_pts.append(EvalPoints.of(group, list(extra_points)))
     ends = EvalPoints.of(group, [p, q])
-    best = 0.0
+    separations = []
     for f in family:
         grad = gradient(group, f)
-        sup = max(float(np.linalg.norm(grad.values(ep), axis=1).max())
-                  for ep in eval_pts)
+        sup = float(np.max([np.linalg.norm(grad.values(ep), axis=1).max() for ep in eval_pts]))
         if sup < 1e-14:
             continue
         fp, fq = f.values(ends)
-        best = max(best, float(abs((fp - fq).real) / sup))
-    return best
+        separations.append(abs((fp - fq).real) / sup)
+    return float(np.max(separations, initial=0.0))
 
 
 def coefficient_family(group: GroupModel, max_two_j: int = 4,

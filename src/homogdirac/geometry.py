@@ -89,10 +89,13 @@ class Connection:
             raise ValueError(f"gamma must have shape {(p, p, p)}, one tangent operator "
                              f"per tangent direction; got {self.gamma.shape}")
         self.is_canonical = bool(np.all(self.gamma == 0))
-        skew_defect = max(
-            (float(np.linalg.norm(gm + gm.conj().T)) for gm in self.gamma), default=0.0)
-        self.is_compatible = skew_defect <= _SKEW_TOL * max(
-            1.0, float(np.linalg.norm(self.gamma)))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.gamma))
+        if not np.isfinite(norm):  # an overflowing norm would make the skew tolerance inf
+            raise ValueError(f"connection {name!r}: the norm of gamma is not finite; got {norm}")
+        skew_defect = float(np.max([np.linalg.norm(gm + gm.conj().T) for gm in self.gamma],
+                                   initial=0.0))
+        self.is_compatible = skew_defect <= _SKEW_TOL * max(1.0, norm)
         self._check_equivariance()
 
     def _check_equivariance(self) -> None:

@@ -139,9 +139,53 @@ def test_batched_checks_match_their_former_loops(config):
                             (checks._check_product_rule, _product_rule),
                             (checks._check_bracket_identity, _bracket_identity),
                             (checks._check_frame_equivariance, _frame_equivariance)]:
-        (ours, count), (theirs, former_count) = _from_one_state(ctx, batched, former)
+        (residuals, count), (theirs, former_count) = _from_one_state(ctx, batched, former)
         assert count == former_count
-        assert abs(ours - theirs) <= 1e-14, batched.__name__
+        assert abs(checks._worst(residuals) - theirs) <= 1e-14, batched.__name__
+
+
+def test_worst_residual_keeps_a_nan():
+    """The suite's one reduction: largest absolute value, 0.0 with no terms, NaN kept."""
+    assert checks._worst([]) == 0.0
+    assert checks._worst(np.array([-3.0, 1.0])) == 3.0
+    assert checks._worst([np.array([1.0, 2j]), -0.5]) == 2.0
+    assert np.isnan(checks._worst([np.array([1.0, np.nan]), 2.0]))
+    assert np.isnan(checks._worst([np.nan, np.zeros(0)]))
+
+
+def test_a_nan_residual_fails_its_row(monkeypatch):
+    """One NaN unitarity defect among twenty makes the row read NaN and fail the report."""
+    calls, defect = [], GroupElement.unitary_defect
+
+    def fifth_is_nan(self):
+        calls.append(self)
+        return float("nan") if len(calls) == 5 else defect(self)
+
+    monkeypatch.setattr(GroupElement, "unitary_defect", fifth_is_nan)
+    report = run_verify(RunConfig(seed=7))
+    row = next(r for r in report["checks"] if r["anchor"] == "algebra.exp-unitarity")
+    assert np.isnan(row["residual"]) and row["pass"] is False
+    assert report["pass"] is False
+
+
+def test_incompatible_gamma_file_gates_dirac_and_measures_itself(tmp_path, monkeypatch):
+    """A symmetric gamma: each dirac.* row reads inf over 0 samples without running, and
+    the Leibniz row measures this connection, not a compatible stand-in, and fails."""
+    gamma = np.zeros((3, 3, 3))
+    gamma[0, 0, 1] = gamma[0, 1, 0] = 0.3
+    path = tmp_path / "symmetric.txt"
+    path.write_text(" ".join(map(str, gamma.reshape(-1).tolist())) + "\n")
+    ran = []
+    for fn in ("commutator_defect", "criterion_check", "hodge_dirac", "selfadjoint_defect"):
+        monkeypatch.setattr(checks, fn, lambda *args, fn=fn, **kw: ran.append(fn))
+    cfg = RunConfig(group="su2", subgroup="trivial", connection=str(path), seed=3)
+    report = run_verify(cfg)
+    rows = {r["anchor"]: r for r in report["checks"]}
+    dirac = [r for anchor, r in rows.items() if anchor.startswith("dirac.")]
+    assert len(dirac) == 5 and not ran
+    assert all(r["residual"] == np.inf and r["samples"] == 0 and not r["pass"] for r in dirac)
+    leibniz = rows["geometry.compatibility-leibniz"]
+    assert leibniz["residual"] > 1e-2 and leibniz["pass"] is False
 
 
 @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())

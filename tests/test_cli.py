@@ -421,13 +421,29 @@ def test_unparsable_gamma_file_names_the_file(tmp_path, capsys):
 
 
 def test_non_finite_gamma_file_exits_config_error(tmp_path, capsys):
-    """A NaN in a gamma file would read as a passing torsion row: max() drops it."""
-    path = os.path.join(tmp_path, "gamma.txt")
-    with open(path, "w") as fh:
-        fh.write("nan 0 0 0 0 0 0 0\n")
-    assert main(["verify", "--connection", path, "--sample-count", "5"]) == 2
-    err = capsys.readouterr().err
-    assert path in err and "finite" in err
+    """A NaN entry, or finite entries whose norm overflows, exits 2 naming the file.
+
+    A NaN entry is refused as the file is read, naming its path.  A huge gamma
+    parses, but its norm overflows to inf, which made the relative skew tolerance
+    inf: the symmetric 1e300 gamma then read as compatible, and the alternating
+    1.7e308 one ended in an eigensolver error naming no field.  The connection
+    refuses a non-finite norm, naming the file.
+    """
+    symmetric = np.zeros((3, 3, 3))
+    symmetric[0, 0, 1] = symmetric[0, 1, 0] = symmetric[1, 2, 2] = 1e300
+    trivial_k = ["--group", "su2", "--subgroup", "trivial"]
+    for name, text, args in [
+        ("nan.txt", "nan 0 0 0 0 0 0 0", []),
+        ("symmetric-1e300.txt", " ".join(map(str, symmetric.reshape(-1).tolist())), trivial_k),
+        ("alternating-1.7e308.txt", " ".join(["1.7e308", "-1.7e308"] * 13 + ["1.7e308"]),
+         trivial_k),
+    ]:
+        path = os.path.join(tmp_path, name)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        assert main(["verify", "--connection", path, "--sample-count", "5"] + args) == 2, name
+        err = capsys.readouterr().err
+        assert (path if name == "nan.txt" else name) in err and "finite" in err, err
 
 
 @pytest.mark.parametrize("flag, text", [

@@ -553,6 +553,25 @@ def test_metric_estimate_against_geodesic(sphere, rule8, rng):
         assert est >= 2 * np.sin(geo / 2) - 1e-9
 
 
+def test_selfadjoint_defect_solves_no_eigenvalues(sphere, rng, monkeypatch):
+    """The defect reads each block's asymmetry only: no eigvalsh, where each block took one;
+    a block reading its eigenvalues takes one, once."""
+    conn = levi_civita_connection(sphere)
+    pairs = [(random_spinor(sphere, rng), random_spinor(sphere, rng, 4)),
+             (random_spinor(sphere, rng), unit_spinor(sphere))]
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    assert selfadjoint_defect(conn, pairs) < 1e-10
+    assert calls == []
+    block = spectral_block(conn, 1)
+    assert block.eigenvalues is block.eigenvalues and len(calls) == 1
+
+
 def test_spinor_product_stays_equivariant(sphere, rng):
     alg = spinor_algebra(sphere)
     a, b = random_spinor(sphere, rng), random_spinor(sphere, rng, 4)
