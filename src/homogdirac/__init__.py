@@ -60,7 +60,6 @@ from .geometry import (
     spinor_algebra,
     tangent_frame,
     torsion,
-    torsion_trace,
 )
 from .dirac import (
     CriterionReport,

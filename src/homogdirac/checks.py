@@ -471,17 +471,13 @@ def _check_dirac_commutator(ctx: _Context):
 
 
 def _check_dirac_criterion(ctx: _Context):
-    report = criterion_check(ctx.connection, ctx.pts)
-    return [report.torsion_trace_max, report.correction_sum_residual], ctx.pts.n
+    report = criterion_check(ctx.connection)
+    return [report.torsion_trace_max, report.correction_sum_residual], 1  # one connection read
 
 
 def _check_dirac_defect(ctx: _Context):
-    g, alg = ctx.group, ctx.algebra
-    one = Constant(Codomain.clifford(alg), alg.unit(), group=g)
-    pairs = [(ctx.spinor(), ctx.spinor()) for _ in range(4)]
-    pairs += [(ctx.spinor(), one)]
-    top = max(s.bandwidth for pair in pairs for s in pair)  # the blocks read: two_j = 0 ... 2 top
-    return selfadjoint_defect(ctx.connection, pairs), int(2 * top) + 1
+    phi = ctx.spinor()  # only its bandwidth matters: the blocks read are two_j = 0 ... 2 B
+    return selfadjoint_defect(ctx.connection, [(phi, phi)]), int(2 * phi.bandwidth) + 1
 
 
 _GROUP_CHECKS = [

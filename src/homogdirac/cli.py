@@ -45,6 +45,7 @@ from .dirac import spectral_block
 from .geometry import Connection, canonical_connection, levi_civita_connection
 from .groups import GroupModel, parse_value
 from .bundles import frame_gram, monopole_bundle, projection_section
+from .reps import spin_rep
 from .sections import EvalPoints
 
 __all__ = ["RunConfig", "load_config", "run_verify", "run_spectrum", "run_monopole", "main"]
@@ -180,11 +181,11 @@ def run_spectrum(cfg: RunConfig, stats: dict | None = None) -> list:
     blocks, seconds = [], {} if stats is None else stats.setdefault("block_seconds", {})
     for lv in range(cfg.levels + 1):
         start = time.perf_counter()
-        blocks.append(spectral_block(conn, lv))
+        blocks.append(spectral_block(conn, spin_rep(group, 2 * lv)))
         seconds[lv] = time.perf_counter() - start
     # the worst in-block leakage of D, reported on each row
     closure = float(np.max([b.closure for b in blocks]))
-    return [(b.level, idx, float(ev), b.asymmetry, closure) for b in blocks
+    return [(lv, idx, float(ev), b.asymmetry, closure) for lv, b in enumerate(blocks)
             for idx, ev in enumerate(np.repeat(b.eigenvalues, b.multiplicity))]
 
 

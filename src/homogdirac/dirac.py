@@ -21,14 +21,15 @@ kept as its oracle.  The module provides the operator itself, the
 gradient on scalar functions, the defect measurements for the
 multiplication-commutator identity and for formal self-adjointness, the
 equivalent trace/correction criteria that decide self-adjointness for
-compatible invariant connections, exact finite matrices of D on
-left-translation isotypic blocks, and the metric lower-bound estimator
+compatible invariant connections, read off the torsion tensor T0 and ``gamma``
+(sampling their frame fields is the tests' oracle), exact finite matrices of D
+on left-translation isotypic blocks, and the metric lower-bound estimator
 driven by gradient sup norms.
 
-The blocks are pure linear algebra: on level-l spinors rho(x)[row, :] . C,
+The blocks are pure linear algebra: on spinors rho(x)[row, :] . C of an irrep rho,
 Frobenius reciprocity turns D into M(C) = sum_a drho(Y_a) C R_a^T + C C_0, with
 [C_0, R_a^T] the connection's ``dirac_stack`` (R_a right multiplication by e_a),
-so by Schur orthogonality D on a level is dim(rho) copies of the matrix
+so by Schur orthogonality D on rho's block is dim(rho) copies of the matrix
 <C_i, M(C_j)>, which a block stores once.  The C_i span the fixed vectors of
 the subgroup: products of weight vectors whose weights cancel.  Formal
 self-adjointness on band-limited equivariant spinors is therefore a finite
@@ -66,7 +67,6 @@ from .geometry import (
     levi_civita_connection,
     spinor_algebra,
     tangent_frame,
-    torsion_trace,
 )
 
 __all__ = [
@@ -90,9 +90,6 @@ __all__ = [
     "orbit_vector",
     "coefficient_family",
 ]
-
-_CRITERION_TOL = 1e-8
-
 
 class _HodgeDirac(Section):
     """D phi in constant-frame form: phi C + sum_b J_b R_b^T, one node.
@@ -177,9 +174,9 @@ def commutator_defect(connection: Connection, f: Section, phi: Section,
 
 
 def selfadjoint_defect(connection: Connection, pairs: list, rule=None) -> float:
-    """The largest block asymmetry |m - m^H| over the levels the pairs' spinors reach.
+    """The largest block asymmetry |m - m^H| over the irreps the pairs' spinors reach.
 
-    D maps each left-translation isotypic level into itself, so on equivariant spinors of
+    D maps each left-translation isotypic block into itself, so on equivariant spinors of
     spin at most B it is formally self-adjoint exactly when the :func:`spectral_block` of
     every two_j = 0 ... 2B is Hermitian, B the largest ``bandwidth`` of the pairs' sections.
     No section is evaluated.  ``rule`` is accepted and unused, for callers that still pass
@@ -195,17 +192,18 @@ def selfadjoint_defect(connection: Connection, pairs: list, rule=None) -> float:
             raise ValueError(f"{type(s).__name__} on group {s.group.name!r} paired under "
                              f"a connection on group {g.name!r}")
     top = max(s.bandwidth for s in sections)
-    return float(np.max([spectral_block(connection, two_j / 2).asymmetry
+    return float(np.max([spectral_block(connection, spin_rep(g, two_j)).asymmetry
                          for two_j in range(int(2 * top) + 1)]))
 
 
 @dataclass
 class CriterionReport:
-    """Result of the self-adjointness criterion for a compatible connection."""
+    """Result of the self-adjointness criterion for a compatible connection: the 2-norms of
+    the torsion trace t and of the correction sum c."""
 
     torsion_trace_max: float
     correction_sum_residual: float
-    tolerance: float = _CRITERION_TOL
+    tolerance: float = 1e-8
 
     @property
     def passes(self) -> bool:
@@ -213,29 +211,19 @@ class CriterionReport:
                 and self.correction_sum_residual <= self.tolerance)
 
 
-def criterion_check(connection: Connection, pts: EvalPoints,
-                    tolerance: float = _CRITERION_TOL) -> CriterionReport:
-    """Evaluate both equivalent self-adjointness criteria on sample points.
+def criterion_check(connection: Connection, pts: EvalPoints | None = None) -> CriterionReport:
+    """Both equivalent self-adjointness criteria, read off the connection's tensors.
 
-    The trace criterion measures the per-direction torsion trace over the
-    frame directions; the correction criterion measures the frame sum of
-    the zero-order term applied to the frame itself.  For compatible
-    invariant connections the two vanish together.
+    The torsion trace t_a = sum_b T(u_a, u_b)_b and the correction sum
+    c = sum_a gamma(u_a) u_a are constant vectors, and for compatible invariant
+    connections they vanish together.  No section is evaluated: ``pts`` is
+    accepted and unused, for callers that still pass one.
     """
     if not connection.is_compatible:
         raise ValueError("the criterion applies to metric-compatible connections")
-    g = connection.group
-    frame = tangent_frame(g)
-    trace_max = float(np.max([np.abs(torsion_trace(connection, u).values(pts)).max()
-                              for u in frame]))
-    canon = canonical_connection(g)
-    correction = Sum([
-        Sum([ApplyConnection(connection, wj, wj),
-             ApplyConnection(canon, wj, wj)], [1.0, -1.0])
-        for wj in frame
-    ])
-    corr_res = float(np.linalg.norm(correction.values(pts), axis=1).max())
-    return CriterionReport(trace_max, corr_res, tolerance)
+    trace = np.einsum("abb->a", connection.torsion_tensor)
+    correction = np.einsum("aia->i", connection.gamma)
+    return CriterionReport(float(np.linalg.norm(trace)), float(np.linalg.norm(correction)))
 
 
 def _balanced_random_gamma(group: GroupModel, rng: np.random.Generator) -> np.ndarray:
@@ -313,19 +301,19 @@ def connection_test_matrix(group: GroupModel, rng: np.random.Generator,
 # -- isotypic blocks -----------------------------------------------------------
 
 
-def isotypic_coefficients(group: GroupModel, level: int) -> list:
-    """Per-grade orthonormal bases of the invariant coefficient space.
+def isotypic_coefficients(rep: UnitaryRep) -> list:
+    """Per-grade orthonormal bases of the invariant coefficient space of the irrep ``rep``.
 
-    A level-``level`` profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an
+    A profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an
     equivariant spinor exactly when rho(s) C = C K(s) for subgroup
     elements s, with K the Clifford extension of the tangent action: the
-    :func:`~homogdirac.sections.invariant_basis` of its generators, exact at
-    every level: one eigendecomposition per level, with the Clifford side's kept on the
+    :func:`~homogdirac.sections.invariant_basis` of its generators, exact for
+    every irrep: one eigendecomposition per irrep, with the Clifford side's kept on the
     group and taken per grade (the generators preserve grade), so basis members carry
     a pure grade.  Returns (grade, matrix) pairs.
     """
+    group = rep.group
     algebra = spinor_algebra(group)
-    rep = spin_rep(group, round(2 * level))
     dk = CliffordKRep(group, algebra).generators
     weights = group.memo("clifford_weights", lambda: _grade_weights(dk, algebra.grades))
     cs = invariant_basis(rep, dk, weights).reshape(-1, rep.dim, algebra.n)
@@ -342,8 +330,8 @@ def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
     return b, w
 
 
-def isotypic_basis(group: GroupModel, level: int) -> list:
-    """Orthonormal spinor basis of the left-translation isotypic level.
+def isotypic_basis(rep: UnitaryRep) -> list:
+    """Orthonormal spinor basis of the left-translation isotypic block of the irrep ``rep``.
 
     Entries are (row, grade, section); the scaling by sqrt(dim) makes the
     family orthonormal for the quadrature inner product by Schur
@@ -351,25 +339,22 @@ def isotypic_basis(group: GroupModel, level: int) -> list:
     alone; these sections give the quadrature route to kron(I, m), one copy
     of m per row.
     """
-    algebra = spinor_algebra(group)
-    rep = spin_rep(group, round(2 * level))
-    coeffs = isotypic_coefficients(group, level)
+    algebra = spinor_algebra(rep.group)
     return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra))
-            for row in range(rep.dim) for grade, c in coeffs]
+            for row in range(rep.dim) for grade, c in isotypic_coefficients(rep)]
 
 
 @dataclass
 class SpectralBlock:
-    """D on one left-translation isotypic level: ``multiplicity`` (dim rho) copies of ``matrix``.
+    """D on one left-translation isotypic block: ``multiplicity`` (dim rho) copies of ``matrix``.
 
     ``matrix``, ``grades`` and ``eigenvalues`` (ascending) describe one
     copy, indexed like ``isotypic_coefficients``; on ``isotypic_basis`` D
     is kron(I_multiplicity, matrix).  ``closure`` is the part of D's image
-    leaving the level's span, the only leakage not identically zero.  The
+    leaving the block's span, the only leakage not identically zero.  The
     eigenvalues are solved for on first read: the defect reads only ``asymmetry``.
     """
 
-    level: int
     multiplicity: int
     grades: np.ndarray
     matrix: np.ndarray
@@ -382,22 +367,25 @@ class SpectralBlock:
         return np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2.0)
 
     @property
-    def dim(self) -> int:  # of the whole level
+    def dim(self) -> int:  # of the whole block
         return self.multiplicity * len(self.grades)
 
 
-def spectral_block(connection: Connection, level: int) -> SpectralBlock:
-    """Assemble and diagonalize D restricted to one isotypic level.
+def spectral_block(connection: Connection, rep: UnitaryRep) -> SpectralBlock:
+    """Assemble D restricted to the isotypic block of the irrep ``rep``.
 
     The block holds one copy, m[i, j] = <C_i, M(C_j)> on the basis of
     ``isotypic_coefficients``; m is symmetrized before the eigensolve and
     its asymmetry reported, so violating connections get real eigenvalues.
+    Raises ValueError when ``rep`` is not a representation of the connection's group.
     """
     g = connection.group
-    rep = spin_rep(g, round(2 * level))  # held here, so isotypic_coefficients builds no second one
-    coeffs = isotypic_coefficients(g, level)
+    if rep.group is not g:
+        raise ValueError(f"{rep.name} of group {rep.group.name!r} for a connection on "
+                         f"group {g.name!r}")
+    coeffs = isotypic_coefficients(rep)
     if not coeffs:
-        return SpectralBlock(level, 0, np.zeros(0, int), np.zeros((0, 0)), 0.0, 0.0, 0.0)
+        return SpectralBlock(0, np.zeros(0, int), np.zeros((0, 0)), 0.0, 0.0, 0.0)
     cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
     drho = rep.derivative(g.m_frame)                            # (a, r, r)
     stack = connection.dirac_stack                              # [C_0, R_a^T]
@@ -408,11 +396,11 @@ def spectral_block(connection: Connection, level: int) -> SpectralBlock:
     closure = float(np.abs(image - small.T @ flat).max())
     asymmetry = float(np.abs(small - small.conj().T).max())
     grades = np.array([grade for grade, _ in coeffs])
-    return SpectralBlock(level, rep.dim, grades, small, gram_defect, asymmetry, closure)
+    return SpectralBlock(rep.dim, grades, small, gram_defect, asymmetry, closure)
 
 
 def kernel_count(blocks: list, tol: float = 1e-6) -> int:
-    """Dimension of D's kernel on the blocks' levels: each block's zero modes times its multiplicity."""
+    """Dimension of D's kernel on the blocks: each block's zero modes times its multiplicity."""
     return int(sum(b.multiplicity * int(np.sum(np.abs(b.eigenvalues) < tol)) for b in blocks))
 
 

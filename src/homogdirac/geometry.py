@@ -35,7 +35,6 @@ from .sections import (
     Codomain,
     DerivativeOrderError,
     FundamentalField,
-    Pointwise,
     Product,
     Section,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "levi_civita_connection",
     "tangent_frame",
     "torsion",
-    "torsion_trace",
 ]
 
 _SKEW_TOL = 1e-10
@@ -228,18 +226,3 @@ def torsion(connection: Connection, v: Section, w: Section) -> Product:
     t0 = connection.torsion_tensor
     return Product(lambda a, b: np.einsum("...a,aib,...b->...i", a, t0, b),
                    functools.partial(torsion, connection), v, w, v.codomain)
-
-
-def torsion_trace(connection: Connection, u: Section) -> Pointwise:
-    """The trace of W -> T(u, W): the scalar section x -> sum_a t_a u_a(x).
-
-    t_a = sum_b T(u_a, u_b)_b; over any orthonormal module frame W_j this
-    is sum_j <W_j, T(u, W_j)>.  t is invariant under the isotropy action,
-    so the trace of an equivariant field is an invariant scalar.
-    """
-    if u.codomain != Codomain.tangent(connection.group):
-        raise ValueError("the torsion trace takes a tangent section")
-    t = np.einsum("abb->a", connection.torsion_tensor)
-    return Pointwise(lambda vals: vals @ t, functools.partial(torsion_trace, connection), u,
-                     Codomain.scalar())
-

@@ -188,6 +188,8 @@ class GroupModel:
         self.matrix_dim = raw.shape[1]
         self.dim = raw.shape[0]
         self.metric_scale = float(metric_scale)
+        if not self.metric_scale > 0:
+            raise ValueError(f"scale must be positive, got {self.metric_scale}")
 
         # Fix c in <A,B> = -c tr(AB) so the declared basis has average
         # unit norm, then absorb the optional metric scale.
@@ -213,6 +215,8 @@ class GroupModel:
         for i in idx:
             if not 0 <= i < self.dim or idx.count(i) > 1:
                 raise ValueError(f"subgroup index {i} must be distinct and in 0..{self.dim - 1}")
+        if len(idx) == self.dim:
+            raise ValueError(f"subgroup must be proper: it lists all {self.dim} basis indices")
         eye = np.eye(self.dim)
         self.k_frame = eye[idx]
         self.m_frame = eye[[a for a in range(self.dim) if a not in idx]]

@@ -8,16 +8,21 @@ node (:func:`frame_values`, :func:`frame_derivs`) are the reference for a bundle
 of contragredient coefficients.  The one-point helpers evaluate a section at one
 element, and the rest are the representation, action and report helpers whose only
 callers are tests: among them the conjugation action on operator sections
-(:class:`OperatorKRep`), against which rank-one endomorphisms are equivariant.
+(:class:`OperatorKRep`), against which rank-one endomorphisms are equivariant.  The
+sampled self-adjointness criterion (:func:`sampled_criterion`, through the torsion
+trace section :func:`torsion_trace`) is the oracle of the closed-form ``criterion_check``.
 """
 
+import functools
 import weakref
 
 import numpy as np
 
-from homogdirac import (EvalPoints, GroupElement, QuadratureRule, Section, TrivialKRep, UnitaryRep,
-                        adjoint_rep)
+from homogdirac import (ApplyConnection, Codomain, CriterionReport, EvalPoints, GroupElement,
+                        QuadratureRule, Section, Sum, TrivialKRep, UnitaryRep, adjoint_rep,
+                        canonical_connection, tangent_frame)
 from homogdirac.groups import _one_parameter_period, expm_skew
+from homogdirac.sections import Pointwise
 
 # nodes of the circle subgroup's uniform rule: orbit averages of functions
 # on G (OrbitAverage) are exact up to frequency 16
@@ -204,3 +209,43 @@ def criteria_consistent(report) -> bool:
     """The two equivalent residuals of a criterion report pass or fail together."""
     return ((report.torsion_trace_max <= report.tolerance)
             == (report.correction_sum_residual <= report.tolerance))
+
+
+# -- the sampled self-adjointness criterion ------------------------------------------
+
+
+def torsion_trace(connection, u: Section) -> Pointwise:
+    """The trace of W -> T(u, W): the scalar section x -> sum_a t_a u_a(x).
+
+    t_a = sum_b T(u_a, u_b)_b; over any orthonormal module frame W_j this
+    is sum_j <W_j, T(u, W_j)>.  t is invariant under the isotropy action,
+    so the trace of an equivariant field is an invariant scalar.
+    """
+    if u.codomain != Codomain.tangent(connection.group):
+        raise ValueError("the torsion trace takes a tangent section")
+    t = np.einsum("abb->a", connection.torsion_tensor)
+    return Pointwise(lambda vals: vals @ t, functools.partial(torsion_trace, connection), u,
+                     Codomain.scalar())
+
+
+def sampled_criterion(connection, pts: EvalPoints) -> CriterionReport:
+    """Both criteria measured on sections at sample points, the former ``criterion_check``.
+
+    The trace residual is the largest |t . W_j(x)| over the fundamental frame, which
+    approaches |t| from below; the correction residual is the largest norm of the frame sum
+    sum_j (nabla_{W_j} W_j - nabla^0_{W_j} W_j), the constant c at every point.
+    """
+    if not connection.is_compatible:
+        raise ValueError("the criterion applies to metric-compatible connections")
+    g = connection.group
+    frame = tangent_frame(g)
+    trace_max = float(np.max([np.abs(torsion_trace(connection, u).values(pts)).max()
+                              for u in frame]))
+    canon = canonical_connection(g)
+    correction = Sum([
+        Sum([ApplyConnection(connection, wj, wj),
+             ApplyConnection(canon, wj, wj)], [1.0, -1.0])
+        for wj in frame
+    ])
+    corr_res = float(np.linalg.norm(correction.values(pts), axis=1).max())
+    return CriterionReport(trace_max, corr_res)

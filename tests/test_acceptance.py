@@ -260,7 +260,8 @@ def test_criterion_5_dirac_suite(sphere, full_group, rule8, rule8_full):
 
 def test_criterion_6_spectral_suite(sphere):
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, level) for level in range(5)]
+    reps = [spin_rep(sphere, 2 * level) for level in range(5)]
+    blocks = [spectral_block(lc, rep) for rep in reps]
     closure = max(b.closure for b in blocks)
     worst_sym = 0.0
     for b in blocks:
@@ -268,9 +269,9 @@ def test_criterion_6_spectral_suite(sphere):
         worst_sym = max(worst_sym, float(np.abs(ev + ev[::-1]).max()))
     kernel = kernel_count(blocks, tol=1e-6)
     worst_casimir = 0.0
-    for b in blocks[1:]:
+    for rep, b in zip(reps[1:], blocks[1:]):
         eigs = grade_compressed_square(b)
-        oracle = casimir_value(spin_rep(sphere, 2 * b.level))
+        oracle = casimir_value(rep)
         worst_casimir = max(worst_casimir, float(np.abs(eigs - oracle).max() / oracle))
     ok = (closure <= 1e-8 and worst_sym <= 1e-7 and kernel == 2
           and worst_casimir <= 1e-6)

@@ -77,3 +77,19 @@ def test_selfadjoint_matrix_defect_builds_no_batch(monkeypatch):
     monkeypatch.setattr(hd.sections.EvalPoints, "__init__", refuse)
     hd.dirac.selfadjoint_defect(hd.dirac.canonical_connection(group), pairs, rule)
     assert rule.points is None
+
+
+def test_selfadjoint_matrix_criterion_evaluates_no_node(monkeypatch):
+    """The workload's call criterion_check(conn, pts) reads the connection's tensors: it
+    evaluates no node on its sample batch, and gives the report of criterion_check(conn)."""
+    hd = worker.import_program()
+    group = hd.groups.GroupModel.su2_trivial_k()
+    rng = np.random.default_rng(7)
+    connections = hd.dirac.connection_test_matrix(group, rng)
+    pts = hd.sections.EvalPoints.of(group, group.random_elements(rng, 100))
+
+    def refuse(*args):
+        raise AssertionError("the criterion evaluated a node")
+    monkeypatch.setattr(hd.sections.EvalPoints, "node_values", refuse)
+    for name, conn in connections:
+        assert hd.dirac.criterion_check(conn, pts) == hd.dirac.criterion_check(conn), name

@@ -42,7 +42,7 @@ from homogdirac import (
 )
 from homogdirac.dirac import _balanced_random_gamma, _random_skew
 from oracles import (OrbitAverage, criteria_consistent, k_nodes, k_rule, krep_matrix,
-                     random_element, rule_stack, value)
+                     random_element, rule_stack, sampled_criterion, value)
 
 
 def unit_spinor(group):
@@ -205,6 +205,15 @@ def test_commutator_holds_for_violating_connection(full_group, rng):
                              random_spinor(full_group, rng), pts) < 1e-9
 
 
+def _space(space, request, tmp_path):
+    """A catalog fixture by name, or the sphere declared in a rotated basis by a group file."""
+    if space == "rotated":
+        from homogdirac import GroupModel
+        from test_cli import _custom_su2_file
+        return GroupModel.from_config(_custom_su2_file(tmp_path, "rotated"))
+    return request.getfixturevalue(space)
+
+
 def defect_pairs(group, rng, count=20):
     alg = spinor_algebra(group)
     pairs = [(unit_spinor(group), unit_spinor(group))]
@@ -238,26 +247,40 @@ def test_criterion_and_defect_agree_across_connection_matrix(full_group, rule8_f
 
 
 def test_criterion_check_graph_size(full_group, monkeypatch):
-    """One criterion_check builds the correction sum's 2 dim covariant derivatives and at most dim pairings."""
+    """criterion_check reads T0 and gamma: it builds no covariant derivative, product or
+    pointwise node, where the sampled criterion built 2 dim, dim and dim of them."""
     from homogdirac import geometry, sections
-    built = {"apply": 0, "inner": 0}
-    apply_init, product_init = geometry.ApplyConnection.__init__, sections.Product.__init__
+    built = {"apply": 0, "product": 0, "pointwise": 0}
+    inits = {"apply": geometry.ApplyConnection, "product": sections.Product,
+             "pointwise": sections.Pointwise}
 
-    def count_apply(self, *args, **kwargs):
-        built["apply"] += 1
-        apply_init(self, *args, **kwargs)
+    def counting(key, init):
+        def count(self, *args, **kwargs):
+            built[key] += 1
+            init(self, *args, **kwargs)
+        return count
 
-    def count_product(self, mul, make, *args, **kwargs):
-        built["inner"] += make is sections.AInner
-        product_init(self, mul, make, *args, **kwargs)
+    for key, cls in inits.items():
+        monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
+    assert criterion_check(levi_civita_connection(full_group)).passes
+    assert not criterion_check(minimal_violating_connection(full_group)).passes
+    assert built == {"apply": 0, "product": 0, "pointwise": 0}
 
-    monkeypatch.setattr(geometry.ApplyConnection, "__init__", count_apply)
-    monkeypatch.setattr(sections.Product, "__init__", count_product)
-    pts = sample_pts(full_group, np.random.default_rng(4), 10)
-    report = criterion_check(levi_civita_connection(full_group), pts)
-    assert report.passes
-    assert built["apply"] <= 2 * full_group.dim
-    assert built["inner"] <= full_group.dim
+
+@pytest.mark.parametrize("space", ["full_group", "sphere", "rotated"])
+def test_criterion_matches_the_sampled_oracle(space, request, tmp_path, rng):
+    """On every test-matrix connection the closed form gives the sampled oracle's verdict,
+    each residual is a norm the oracle's sampled maximum does not exceed, and the torsion
+    trace t equals the correction sum c."""
+    g = _space(space, request, tmp_path)
+    pts = sample_pts(g, rng)
+    for name, conn in connection_test_matrix(g, rng):
+        report, oracle = criterion_check(conn), sampled_criterion(conn, pts)
+        assert report.passes == oracle.passes, name
+        assert report.torsion_trace_max >= oracle.torsion_trace_max - 1e-15, name
+        assert report.correction_sum_residual >= oracle.correction_sum_residual - 1e-15, name
+        trace = np.einsum("abb->a", conn.torsion_tensor)
+        assert np.linalg.norm(trace - np.einsum("aia->i", conn.gamma)) <= 1e-14, name
 
 
 def test_sphere_connection_matrix_is_pinned(sphere, rng):
@@ -300,7 +323,7 @@ def test_minimal_violating_connection_shape(full_group):
 
 def test_spectral_block_level_zero(sphere):
     lc = levi_civita_connection(sphere)
-    b = spectral_block(lc, 0)
+    b = spectral_block(lc, spin_rep(sphere, 0))
     assert b.dim == 2  # constants and the volume grade
     assert np.abs(b.eigenvalues).max() < 1e-10
     assert b.gram_defect < 1e-9
@@ -308,14 +331,14 @@ def test_spectral_block_level_zero(sphere):
 
 def test_spectral_blocks_low_levels(sphere):
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, lv) for lv in range(3)]
-    for b in blocks[1:]:
-        assert b.dim == 4 * (2 * b.level + 1)
+    blocks = [spectral_block(lc, spin_rep(sphere, 2 * lv)) for lv in range(3)]
+    for level, b in enumerate(blocks[1:], start=1):
+        assert b.dim == 4 * (2 * level + 1)
         assert b.gram_defect < 1e-9
         assert b.asymmetry < 1e-8
         ev = np.sort(b.eigenvalues)
         assert np.abs(ev + ev[::-1]).max() < 1e-7  # symmetric about zero
-        expect = np.sqrt(b.level * (b.level + 1))
+        expect = np.sqrt(level * (level + 1))
         assert np.abs(np.abs(ev) - expect).max() < 1e-8
     assert kernel_count(blocks) == 2
     assert max(b.closure for b in blocks) < 1e-8
@@ -324,7 +347,7 @@ def test_spectral_blocks_low_levels(sphere):
 def test_spectrum_symmetry_oracle_via_grade_involution(sphere):
     """The grade involution anticommutes with the operator blockwise."""
     lc = levi_civita_connection(sphere)
-    b = spectral_block(lc, 2)
+    b = spectral_block(lc, spin_rep(sphere, 4))
     signs = (-1.0) ** b.grades
     flipped = signs[:, None] * b.matrix * signs[None, :]
     assert np.abs(flipped + b.matrix).max() < 1e-8
@@ -333,15 +356,16 @@ def test_spectrum_symmetry_oracle_via_grade_involution(sphere):
 def test_grade_compression_matches_casimir(sphere):
     lc = levi_civita_connection(sphere)
     for level in (1, 2):
-        eigs = grade_compressed_square(spectral_block(lc, level))
-        oracle = casimir_value(spin_rep(sphere, 2 * level))
+        rep = spin_rep(sphere, 2 * level)
+        eigs = grade_compressed_square(spectral_block(lc, rep))
+        oracle = casimir_value(rep)
         assert np.abs(eigs - oracle).max() < 1e-6 * oracle
 
 
 def _quadrature_values(conn, level, rule):
     """Values of the isotypic basis and of its Dirac images on the rule nodes."""
     pts = EvalPoints.for_rule(conn.group, rule)
-    sections = [sec for _, _, sec in isotypic_basis(conn.group, level)]
+    sections = [sec for _, _, sec in isotypic_basis(spin_rep(conn.group, 2 * level))]
     vals = np.stack([sec.values(pts) for sec in sections])
     dvals = np.stack([hodge_dirac(conn, sec).values(pts) for sec in sections])
     return vals, dvals
@@ -359,7 +383,7 @@ def test_spectral_block_matches_quadrature_assembly(sphere, full_group, rule8, r
     for conn, level, rule in cases:
         vals, dvals = _quadrature_values(conn, level, rule)
         quad = np.einsum("n,anT,bnT->ab", rule.weights, vals.conj(), dvals)
-        block = spectral_block(conn, level)
+        block = spectral_block(conn, spin_rep(conn.group, 2 * level))
         full = np.kron(np.eye(block.multiplicity), block.matrix)
         assert np.abs(full - quad).max() < 1e-12, (conn.name, level)
         assert abs(block.asymmetry - np.abs(quad - quad.conj().T).max()) < 1e-12
@@ -376,10 +400,11 @@ def test_spectral_block_matches_quadrature_assembly(sphere, full_group, rule8, r
 def test_spectral_blocks_to_level_50(sphere):
     """Criterion-6 bounds at every level through 50: no level is capped."""
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, level) for level in range(51)]
-    for b in blocks[1:]:
-        assert b.dim == 4 * (2 * b.level + 1)
-        oracle = casimir_value(spin_rep(sphere, 2 * b.level))
+    reps = [spin_rep(sphere, 2 * level) for level in range(51)]
+    blocks = [spectral_block(lc, rep) for rep in reps]
+    for level, (rep, b) in enumerate(zip(reps[1:], blocks[1:]), start=1):
+        assert b.dim == 4 * (2 * level + 1)
+        oracle = casimir_value(rep)
         assert np.abs(b.eigenvalues ** 2 - oracle).max() <= 1e-6 * oracle
     for b in blocks:
         ev = np.sort(b.eigenvalues)
@@ -390,12 +415,12 @@ def test_spectral_blocks_to_level_50(sphere):
 
 def test_spectral_block_stores_one_copy(sphere, full_group):
     """On su2-trivial-k, level 10 is 21 copies of a 168 x 168 block: dimension 3528."""
-    b = spectral_block(levi_civita_connection(full_group), 10)
+    b = spectral_block(levi_civita_connection(full_group), spin_rep(full_group, 20))
     assert b.matrix.shape == (168, 168)
     assert b.grades.shape == b.eigenvalues.shape == (168,)
     assert (b.multiplicity, b.dim) == (21, 3528)
     assert np.all(np.diff(b.eigenvalues) >= 0)  # ascending, as the spectrum CSV writes them
-    empty = spectral_block(levi_civita_connection(sphere), 0.5)  # no invariant coefficient
+    empty = spectral_block(levi_civita_connection(sphere), spin_rep(sphere, 1))  # none invariant
     assert (empty.multiplicity, empty.dim, kernel_count([empty])) == (0, 0, 0)
 
 
@@ -419,7 +444,7 @@ def test_isotypic_coefficients_match_subgroup_average(scale):
     alg = spinor_algebra(group)
     for level in range(16):
         proj = _subgroup_average_projector(group, level)
-        coeffs = isotypic_coefficients(group, level)
+        coeffs = isotypic_coefficients(spin_rep(group, 2 * level))
         dim_r = 2 * level + 1
         for grade in range(alg.p + 1):
             mask = np.tile(alg.grades == grade, dim_r)
@@ -455,7 +480,7 @@ def test_spectrum_takes_no_svd_and_one_eigendecomposition_per_level(monkeypatch)
     alg = spinor_algebra(group)
     assert 0 < len(calls) <= (levels + 1) + (alg.p + 1)
     for level in range(levels + 1):
-        coeffs = isotypic_coefficients(group, level)
+        coeffs = isotypic_coefficients(spin_rep(group, 2 * level))
         flat = np.array([c.reshape(-1) for _, c in coeffs])
         assert np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max() < 1e-13, level
         for grade, c in coeffs:
@@ -466,7 +491,7 @@ def test_every_coefficient_is_invariant_over_the_trivial_subgroup(full_group):
     from homogdirac.dirac import isotypic_coefficients
     alg = spinor_algebra(full_group)
     for level in range(4):
-        coeffs = isotypic_coefficients(full_group, level)
+        coeffs = isotypic_coefficients(spin_rep(full_group, 2 * level))
         basis = np.array([c.reshape(-1) for _, c in coeffs])
         size = (2 * level + 1) * alg.n
         assert basis.shape == (size, size)
@@ -477,7 +502,7 @@ def test_isotypic_basis_is_equivariant(sphere, rng):
     x = random_element(sphere, rng)
     s = k_nodes(sphere)[4]
     krep = CliffordKRep(sphere, spinor_algebra(sphere))
-    for _, _, sec in isotypic_basis(sphere, 1):
+    for _, _, sec in isotypic_basis(spin_rep(sphere, 2)):
         assert equivariance_defect(sec, krep, x, s) < 1e-12
 
 
@@ -489,7 +514,7 @@ def test_isotypic_coefficients_match_brute_force_average(sphere, rng):
     rep = spin_rep(sphere, 2)
     ckrep = CliffordKRep(sphere, alg)
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 8))
-    coeffs = isotypic_coefficients(sphere, 1)
+    coeffs = isotypic_coefficients(rep)
     # project a random elementary profile through both routes
     c_raw = rng.standard_normal((rep.dim, alg.n)) + 1j * rng.standard_normal((rep.dim, alg.n))
     row = 1
@@ -568,7 +593,7 @@ def test_selfadjoint_defect_solves_no_eigenvalues(sphere, rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     assert selfadjoint_defect(conn, pairs) < 1e-10
     assert calls == []
-    block = spectral_block(conn, 1)
+    block = spectral_block(conn, spin_rep(sphere, 2))
     assert block.eigenvalues is block.eigenvalues and len(calls) == 1
 
 
@@ -630,12 +655,7 @@ def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path,
     it is <= 1e-8 exactly when the pairing of D phi and D psi is on every pair, through the
     closed-form node and through the frame sum, and the criterion passes.  A violation reads
     >= 1e-6 both ways."""
-    if space == "rotated":
-        from homogdirac import GroupModel
-        from test_cli import _custom_su2_file
-        g = GroupModel.from_config(_custom_su2_file(tmp_path, "rotated"))
-    else:
-        g = request.getfixturevalue(space)
+    g = _space(space, request, tmp_path)
     rule = g.haar_rule(8)
     pairs = defect_pairs(g, rng, g.m_dim + 6)
     # complex sections with no equivariance tag, one sharing a pair with a real spinor,
@@ -660,25 +680,21 @@ def test_selfadjoint_defect_matches_the_pairing_oracle(space, request, tmp_path,
     assert violated > 0 if g.k_dim == 0 else violated == 0  # a defect of 0 alone tests nothing
 
 
-def test_half_integer_blocks_on_the_trivial_quotient(full_group, rng, monkeypatch):
+def test_half_integer_blocks_on_the_trivial_quotient(full_group, rng):
     """The two_j = 1 and 3 blocks, which the selfadjoint-matrix spinors reach, are closed and
-    orthonormal for every test-matrix connection, and Hermitian for all but the violating ones.
-    Their representations are built from an integer two_j, so named spin-1/2 and spin-3/2."""
-    from homogdirac import dirac
-    names = []
-
-    def named(group, two_j):
-        rep = spin_rep(group, two_j)
-        names.append(rep.name)
-        return rep
-    monkeypatch.setattr(dirac, "spin_rep", named)
+    orthonormal for every test-matrix connection, and Hermitian for all but the violating ones."""
     for name, conn in connection_test_matrix(full_group, rng):
         for two_j in (1, 3):
-            b = spectral_block(conn, two_j / 2)
+            b = spectral_block(conn, spin_rep(full_group, two_j))
             assert (b.multiplicity, len(b.eigenvalues)) == (two_j + 1, (two_j + 1) * 8)
             assert max(b.gram_defect, b.closure) <= 1e-12, name
             assert name.startswith("violating") or b.asymmetry <= 1e-14, name
-    assert set(names) == {"spin-1/2", "spin-3/2"}
+
+
+def test_spectral_block_refuses_a_rep_of_another_group(sphere, full_group):
+    """An irrep of another SU(2) model has generators on another basis: the block names both."""
+    with pytest.raises(ValueError, match="spin-2/2 of group 'su2-trivial-k'.*group 'su2'"):
+        spectral_block(levi_civita_connection(sphere), spin_rep(full_group, 2))
 
 
 def test_a_complex_gamma_has_no_clifford_extension(full_group, rng):
@@ -692,7 +708,7 @@ def test_a_complex_gamma_has_no_clifford_extension(full_group, rng):
     routes = (lambda: conn.derivation_stack, lambda: conn.dirac_stack,
               lambda: hodge_dirac(conn, phi).values(pts),
               lambda: selfadjoint_defect(conn, [(phi, phi)], full_group.haar_rule(4)),
-              lambda: spectral_block(conn, 1))
+              lambda: spectral_block(conn, spin_rep(full_group, 2)))
     size = re.escape(f"imaginary part of norm {np.linalg.norm(gamma.imag):.2e}")
     for route in routes + routes[:1]:  # the lazy stack raises again on a second access
         with pytest.raises(ValueError, match=size):

@@ -28,11 +28,10 @@ from homogdirac import (
     tangent_bundle,
     tangent_frame,
     torsion,
-    torsion_trace,
 )
 from homogdirac.geometry import ApplyConnection
 from oracles import (OrbitAverage, k_nodes, k_rule, random_element, rule_stack,
-                     symmetric_space_check, value)
+                     symmetric_space_check, torsion_trace, value)
 
 E3 = np.eye(3)
 

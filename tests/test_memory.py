@@ -215,7 +215,7 @@ def test_invariant_bases_are_solved_once_and_die_with_the_group():
 def test_spectral_blocks_hold_one_copy_per_level(sphere):
     """Levels 0-50 of the sphere hold under 1 MB of block arrays: no dim(rho)-fold expansion."""
     lc = levi_civita_connection(sphere)
-    blocks = [spectral_block(lc, level) for level in range(51)]
+    blocks = [spectral_block(lc, spin_rep(sphere, 2 * level)) for level in range(51)]
     held = sum(b.matrix.nbytes + b.grades.nbytes + b.eigenvalues.nbytes for b in blocks)
     assert held < 1 << 20
     assert sum(b.dim for b in blocks) == 2 + sum(4 * (2 * level + 1) for level in range(1, 51))
