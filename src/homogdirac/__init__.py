@@ -4,8 +4,7 @@ Global, coordinate-free constructions over quotients G/K of compact
 matrix groups: induced bundles with standard module frames, invariant
 connections parameterized by their zero-order corrections, the Clifford
 bundle of the tangent module, the Hodge-Dirac operator with its
-self-adjointness criteria, exact isotypic spectral blocks, and the
-metric lower-bound estimator built from Dirac commutators.
+self-adjointness criteria, and exact isotypic spectral blocks.
 """
 
 from .groups import GroupElement, GroupModel, QuadratureRule, expm_skew
@@ -24,8 +23,6 @@ from .sections import (
     EvalPoints,
     FundamentalField,
     GramSection,
-    HarmonicSpinor,
-    ImagPart,
     KAverage,
     MatrixCoefficient,
     MatrixKRep,
@@ -65,19 +62,13 @@ from .dirac import (
     CriterionReport,
     SpectralBlock,
     casimir_value,
-    coefficient_family,
     commutator_defect,
     connection_test_matrix,
     criterion_check,
     gradient,
-    grade_compressed_square,
     hodge_dirac,
-    isotypic_basis,
     isotypic_coefficients,
-    kernel_count,
-    metric_estimate,
     minimal_violating_connection,
-    orbit_vector,
     selfadjoint_defect,
     spectral_block,
 )

@@ -11,8 +11,10 @@ Three subcommands:
   operator up to the highest level ``--levels`` and emit them as CSV,
   ordered by level and ascending eigenvalue.  The blocks are closed form:
   no quadrature, so ``--quadrature-bandwidth`` is ignored; the closure
-  column is the worst in-block leakage of D.  ``--stats PATH`` writes the
-  blocks' wall times by level to a JSON sidecar.
+  column is the worst in-block leakage of D.  The blocks act on the
+  Clifford bundle over a circle quotient: any other ``--bundle``, or a
+  subgroup that is not a circle, exits 2 naming the field.  ``--stats PATH``
+  writes the blocks' wall times by level to a JSON sidecar.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
   (Euler angles followed by row-major real/imaginary entries).  The
@@ -174,9 +176,14 @@ def run_verify(cfg: RunConfig, stats: dict | None = None) -> dict:
 def run_spectrum(cfg: RunConfig, stats: dict | None = None) -> list:
     """Rows (level, index, eigenvalue, asymmetry, closure) for the CSV output; ``stats``, if
     given, gets each level's block wall time (``block_seconds``, by level)."""
-    group = cfg.validate().make_group()
+    cfg.validate()
+    if cfg.bundle != "clifford":
+        raise ValueError(f"spectrum blocks are built on the clifford bundle only; "
+                         f"got bundle {cfg.bundle!r}")
+    group = cfg.make_group()
     if group.k_dim != 1:
-        raise ValueError("spectrum blocks are cataloged for circle quotients")
+        raise ValueError(f"spectrum blocks are cataloged for circle quotients; the subgroup "
+                         f"of {group.name!r} has dimension {group.k_dim}")
     conn = cfg.make_connection(group)
     blocks, seconds = [], {} if stats is None else stats.setdefault("block_seconds", {})
     for lv in range(cfg.levels + 1):

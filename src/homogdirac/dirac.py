@@ -22,9 +22,8 @@ gradient on scalar functions, the defect measurements for the
 multiplication-commutator identity and for formal self-adjointness, the
 equivalent trace/correction criteria that decide self-adjointness for
 compatible invariant connections, read off the torsion tensor T0 and ``gamma``
-(sampling their frame fields is the tests' oracle), exact finite matrices of D
-on left-translation isotypic blocks, and the metric lower-bound estimator
-driven by gradient sup norms.
+(sampling their frame fields is the tests' oracle), and exact finite matrices of
+D on left-translation isotypic blocks.
 
 The blocks are pure linear algebra: on spinors rho(x)[row, :] . C of an irrep rho,
 Frobenius reciprocity turns D into M(C) = sum_a drho(Y_a) C R_a^T + C C_0, with
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupElement, GroupModel, QuadratureRule
+from .groups import GroupModel
 from .reps import UnitaryRep, adjoint_rep, spin_rep
 from .sections import (
     CliffordKRep,
@@ -53,7 +52,6 @@ from .sections import (
     DerivativeOrderError,
     EmbedTangent,
     EvalPoints,
-    HarmonicSpinor,
     Scale,
     Section,
     Sum,
@@ -81,14 +79,8 @@ __all__ = [
     "minimal_violating_connection",
     "SpectralBlock",
     "isotypic_coefficients",
-    "isotypic_basis",
     "spectral_block",
-    "kernel_count",
-    "grade_compressed_square",
     "casimir_value",
-    "metric_estimate",
-    "orbit_vector",
-    "coefficient_family",
 ]
 
 class _HodgeDirac(Section):
@@ -330,29 +322,16 @@ def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
     return b, w
 
 
-def isotypic_basis(rep: UnitaryRep) -> list:
-    """Orthonormal spinor basis of the left-translation isotypic block of the irrep ``rep``.
-
-    Entries are (row, grade, section); the scaling by sqrt(dim) makes the
-    family orthonormal for the quadrature inner product by Schur
-    orthogonality.  ``spectral_block`` works on the coefficient matrices
-    alone; these sections give the quadrature route to kron(I, m), one copy
-    of m per row.
-    """
-    algebra = spinor_algebra(rep.group)
-    return [(row, grade, HarmonicSpinor(rep, row, np.sqrt(rep.dim) * c, algebra))
-            for row in range(rep.dim) for grade, c in isotypic_coefficients(rep)]
-
-
 @dataclass
 class SpectralBlock:
     """D on one left-translation isotypic block: ``multiplicity`` (dim rho) copies of ``matrix``.
 
     ``matrix``, ``grades`` and ``eigenvalues`` (ascending) describe one
-    copy, indexed like ``isotypic_coefficients``; on ``isotypic_basis`` D
-    is kron(I_multiplicity, matrix).  ``closure`` is the part of D's image
-    leaving the block's span, the only leakage not identically zero.  The
-    eigenvalues are solved for on first read: the defect reads only ``asymmetry``.
+    copy, indexed like ``isotypic_coefficients``; on the orthonormal spinors
+    sqrt(dim rho) rho(x)[row, :] . C_i, row-major, D is kron(I_multiplicity, matrix).
+    ``closure`` is the part of D's image leaving the block's span, the only
+    leakage not identically zero.  The eigenvalues are solved for on first
+    read: the defect reads only ``asymmetry``.
     """
 
     multiplicity: int
@@ -399,19 +378,6 @@ def spectral_block(connection: Connection, rep: UnitaryRep) -> SpectralBlock:
     return SpectralBlock(rep.dim, grades, small, gram_defect, asymmetry, closure)
 
 
-def kernel_count(blocks: list, tol: float = 1e-6) -> int:
-    """Dimension of D's kernel on the blocks: each block's zero modes times its multiplicity."""
-    return int(sum(b.multiplicity * int(np.sum(np.abs(b.eigenvalues) < tol)) for b in blocks))
-
-
-def grade_compressed_square(block: SpectralBlock, grade: int = 0) -> np.ndarray:
-    """Eigenvalues of D^2 compressed to the basis vectors of one grade, in one copy of the block."""
-    sym = (block.matrix + block.matrix.conj().T) / 2.0
-    sq = sym @ sym
-    idx = np.where(block.grades == grade)[0]
-    return np.linalg.eigvalsh(sq[np.ix_(idx, idx)])
-
-
 def casimir_value(rep: UnitaryRep) -> float:
     """The quadratic Casimir eigenvalue of an irreducible representation.
 
@@ -420,70 +386,3 @@ def casimir_value(rep: UnitaryRep) -> float:
     """
     total = np.einsum("aij,ajk->ik", rep.generators, rep.generators)
     return float((-np.trace(total) / rep.dim).real)
-
-
-# -- metric estimation -----------------------------------------------------------
-
-
-def orbit_vector(group: GroupModel, x: GroupElement) -> np.ndarray:
-    """Adjoint image of the isotropy axis: the unit-sphere embedding of xK."""
-    if group.k_dim != 1:
-        raise ValueError("orbit vectors are defined for circle quotients")
-    return group.adjoint_matrix(x) @ group.k_frame[0]
-
-
-def metric_estimate(group: GroupModel, p: GroupElement, q: GroupElement,
-                    family: list, rule: QuadratureRule,
-                    extra_points: list | None = None) -> float:
-    """Lower bound on the quotient metric from a family of test functions.
-
-    Each function is normalized by the measured sup of its gradient norm
-    (the operator norm of its Dirac commutator); the estimate is the best
-    normalized separation over the family.  The sup is a max over the
-    quadrature nodes plus optional extra sample points, so callers probing
-    tight bounds should densify near the expected maximizers (the
-    geodesic arc between the two points).
-    """
-    if not family:
-        raise ValueError("empty test function family")
-    pts = EvalPoints.for_rule(group, rule)
-    eval_pts = [pts]
-    if extra_points:
-        eval_pts.append(EvalPoints.of(group, list(extra_points)))
-    ends = EvalPoints.of(group, [p, q])
-    separations = []
-    for f in family:
-        grad = gradient(group, f)
-        sup = float(np.max([np.linalg.norm(grad.values(ep), axis=1).max() for ep in eval_pts]))
-        if sup < 1e-14:
-            continue
-        fp, fq = f.values(ends)
-        separations.append(abs((fp - fq).real) / sup)
-    return float(np.max(separations, initial=0.0))
-
-
-def coefficient_family(group: GroupModel, max_two_j: int = 4,
-                       vectors: list | None = None) -> list:
-    """Real matrix-coefficient test functions on the circle quotient.
-
-    Real and imaginary parts of the coefficients <e_row, rho(x) v> of the
-    integer levels up to ``max_two_j``, for each subgroup-invariant v (its
-    largest entry real and positive); optionally extended by linear
-    functionals of the orbit vector (adjoint coefficients) for the given
-    direction vectors.
-    """
-    from .sections import ImagPart, MatrixCoefficient, RealPart
-
-    fam = []
-    k_axis = group.k_frame[0]
-    ar = adjoint_rep(group)
-    for v in (vectors or []):
-        fam.append(MatrixCoefficient(ar, np.asarray(v, dtype=float), k_axis))
-    for two_j in range(2, max_two_j + 1, 2):
-        rep = spin_rep(group, two_j)
-        for v in invariant_basis(rep, np.zeros((group.k_dim, 1, 1))):
-            top = v[np.argmax(np.abs(v))]
-            for row in range(rep.dim):
-                coef = MatrixCoefficient(rep, np.eye(rep.dim)[row], v * (abs(top) / top))
-                fam += [RealPart(coef), ImagPart(coef)]
-    return fam

@@ -54,15 +54,8 @@ _EQUIVARIANCE_TOL = 1e-8
 
 
 def spinor_algebra(group: GroupModel) -> CliffordAlgebra:
-    """The Clifford algebra over the tangent complement."""
-    return _clifford_algebra(group.m_dim)
-
-
-@functools.cache
-def _clifford_algebra(p: int) -> CliffordAlgebra:
-    # depends on the generator count alone, so one algebra serves every
-    # group of that tangent dimension
-    return CliffordAlgebra(p)
+    """The Clifford algebra over the tangent complement, built on first use and kept on the group."""
+    return group.memo("spinor_algebra", lambda: CliffordAlgebra(group.m_dim))
 
 
 class Connection:

@@ -288,6 +288,9 @@ class GroupModel:
             return parse_value(kind, f"[group] {key}", sec.get(key, default))
 
         n, count = field("matrix_dim", int), field("basis_count", int)
+        for key, v in (("matrix_dim", n), ("basis_count", count)):
+            if v < 1:
+                raise ValueError(f"[group] {key} must be >= 1; got {v}")
         known = {"matrix_dim", "basis_count", "subgroup", "scale", "name",
                  *(f"basis_{i}" for i in range(count))}
         for key in sec:

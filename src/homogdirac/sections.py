@@ -12,14 +12,14 @@ Derivatives are symbolic per node, never finite differences; finite
 differencing appears only in the test suite as an independent oracle.
 Functions on the group enter as matrix coefficients x -> u* rho(x) v
 (:class:`MatrixCoefficient`): fundamental fields are coefficients of the
-adjoint representation, harmonic spinors those of a spin representation
-and a bundle's frame those of the contragredient of its ambient one, each
-with one value per column of a matrix ``v``.
+adjoint representation, a spectral block's spinors those of a spin
+representation and a bundle's frame those of the contragredient of its ambient
+one, each with one value per column of a matrix ``v``.
 Every pointwise module operation is one of two nodes: a bilinear map of
 two sections (:class:`Product`: the module action, Clifford product, fiber
 inner product, rank-one endomorphisms and applying an endomorphism), which
 carries the product rule once, or a fixed real-linear map of one section
-(:class:`Pointwise`: real and imaginary parts and the grade-one embedding).
+(:class:`Pointwise`: the real part and the grade-one embedding).
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a stack of defining matrices of
@@ -70,13 +70,11 @@ __all__ = [
     "Translate",
     "KAverage",
     "RealPart",
-    "ImagPart",
     "EmbedTangent",
     "RankOne",
     "ConjugatedProjection",
     "GramSection",
     "OpApply",
-    "HarmonicSpinor",
     "TrivialKRep",
     "MatrixKRep",
     "RestrictedKRep",
@@ -345,9 +343,9 @@ class Section:
         ``dirs`` is (n, dim), one direction per point, or (1, dim), one direction shared
         by every point; each node broadcasts the shared one only where it must.
         """
-        # linear over the reals in the directions only: RealPart and ImagPart
-        # take parts of complex derivatives, so a complex direction field is
-        # contracted with the real-direction Jacobian (frame_derivs) instead
+        # linear over the reals in the directions only: RealPart takes the real
+        # part of complex derivatives, so a complex direction field is contracted
+        # with the real-direction Jacobian (frame_derivs) instead
         if self.deriv_order < 1:
             raise DerivativeOrderError(
                 f"{type(self).__name__} supports no exact directional derivative")
@@ -401,9 +399,9 @@ class MatrixCoefficient(Section):
     A vector ``v`` gives a scalar section; a (dim, k) matrix ``v`` gives one
     coefficient per column, as a section in ``codomain`` (of shape (k,)).
     The right derivative along Y is u* rho(x) drho(Y) v, with drho(e_a) v
-    contracted once here.  Fundamental fields, harmonic spinors and bundle
-    frames are coefficients of this form; see :func:`FundamentalField`,
-    :func:`HarmonicSpinor` and :class:`~homogdirac.bundles.InducedBundle`.
+    contracted once here.  Fundamental fields, the spinors of a spectral block
+    and bundle frames are coefficients of this form; see :func:`FundamentalField`,
+    :func:`~homogdirac.dirac.spectral_block` and :class:`~homogdirac.bundles.InducedBundle`.
     """
 
     def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray,
@@ -618,20 +616,9 @@ def _real(vals: np.ndarray) -> np.ndarray:
     return vals.real.astype(complex)
 
 
-def _imag(vals: np.ndarray) -> np.ndarray:
-    return vals.imag.astype(complex)
-
-
 def RealPart(child: Section) -> Pointwise:
     """Entrywise real part (an R-linear node); it keeps equivariance under a real action only."""
     return Pointwise(_real, RealPart, child, child.codomain)
-
-
-def ImagPart(child: Section) -> Pointwise:
-    """Imaginary part of a scalar section (an R-linear node)."""
-    if child.codomain.kind != "scalar":
-        raise ValueError("imaginary part applies to scalar sections")
-    return Pointwise(_imag, ImagPart, child, Codomain.scalar())
 
 
 def EmbedTangent(algebra: CliffordAlgebra, child: Section) -> Pointwise:
@@ -726,20 +713,6 @@ class GramSection(Section):
         dstack = self._flat(np.stack([f.derivs(pts, dirs) for f in self.children]))
         return (np.einsum("jnc,knc->njk", dstack.conj(), stack)
                 + np.einsum("jnc,knc->njk", stack.conj(), dstack))
-
-
-def HarmonicSpinor(rep: UnitaryRep, row: int, coeff: np.ndarray,
-                   algebra: CliffordAlgebra) -> MatrixCoefficient:
-    """A Clifford-valued section with a single-level Peter-Weyl profile.
-
-    value(x) = sum_{r,T} rho(x)[row, r] * coeff[r, T] * e_T, the coefficient
-    of ``rep`` between the row's basis vector and the columns of ``coeff``.
-    With a coefficient tensor satisfying the subgroup-invariance constraint
-    these sections span the left-translation isotypic components of the
-    spinor module, and their quadrature-free orthogonality follows from
-    Schur orthogonality of the matrix coefficients.
-    """
-    return MatrixCoefficient(rep, np.eye(rep.dim)[row], coeff, Codomain.clifford(algebra))
 
 
 # -- module-level operations -------------------------------------------------------

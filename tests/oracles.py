@@ -11,6 +11,14 @@ callers are tests: among them the conjugation action on operator sections
 (:class:`OperatorKRep`), against which rank-one endomorphisms are equivariant.  The
 sampled self-adjointness criterion (:func:`sampled_criterion`, through the torsion
 trace section :func:`torsion_trace`) is the oracle of the closed-form ``criterion_check``.
+
+The orthonormal spinors of an isotypic block (:func:`isotypic_basis`) give the quadrature
+route to ``spectral_block``.  Two readings of the blocks, the kernel dimension
+(:func:`kernel_count`) and the grade-compressed square (:func:`grade_compressed_square`),
+stay here until the Hodge decomposition read off the blocks (ROADMAP item 4) calls them.
+The Connes-type distance estimate (:func:`metric_estimate`, with :func:`orbit_vector`
+and the test functions of :func:`coefficient_family`) stays here until the comparison
+with the quantized sphere (ROADMAP item 10) brings back what it calls.
 """
 
 import functools
@@ -19,10 +27,12 @@ import weakref
 import numpy as np
 
 from homogdirac import (ApplyConnection, Codomain, CriterionReport, EvalPoints, GroupElement,
-                        QuadratureRule, Section, Sum, TrivialKRep, UnitaryRep, adjoint_rep,
-                        canonical_connection, tangent_frame)
+                        GroupModel, MatrixCoefficient, QuadratureRule, RealPart, Section,
+                        SpectralBlock, Sum, TrivialKRep, UnitaryRep, adjoint_rep,
+                        canonical_connection, gradient, isotypic_coefficients, spin_rep,
+                        spinor_algebra, tangent_frame)
 from homogdirac.groups import _one_parameter_period, expm_skew
-from homogdirac.sections import Pointwise
+from homogdirac.sections import Pointwise, invariant_basis
 
 # nodes of the circle subgroup's uniform rule: orbit averages of functions
 # on G (OrbitAverage) are exact up to frequency 16
@@ -249,3 +259,102 @@ def sampled_criterion(connection, pts: EvalPoints) -> CriterionReport:
     ])
     corr_res = float(np.linalg.norm(correction.values(pts), axis=1).max())
     return CriterionReport(trace_max, corr_res)
+
+
+# -- the quadrature route to the spectral blocks ---------------------------------------
+
+
+def isotypic_basis(rep: UnitaryRep) -> list:
+    """Orthonormal spinor basis of the left-translation isotypic block of the irrep ``rep``.
+
+    Entries are (row, grade, section); the scaling by sqrt(dim) makes the
+    family orthonormal for the quadrature inner product by Schur
+    orthogonality.  ``spectral_block`` works on the coefficient matrices
+    alone; these sections give the quadrature route to kron(I, m), one copy
+    of m per row.
+    """
+    clifford = Codomain.clifford(spinor_algebra(rep.group))
+    return [(row, grade, MatrixCoefficient(rep, np.eye(rep.dim)[row], np.sqrt(rep.dim) * c,
+                                           clifford))
+            for row in range(rep.dim) for grade, c in isotypic_coefficients(rep)]
+
+
+def kernel_count(blocks: list, tol: float = 1e-6) -> int:
+    """Dimension of D's kernel on the blocks: each block's zero modes times its multiplicity."""
+    return int(sum(b.multiplicity * int(np.sum(np.abs(b.eigenvalues) < tol)) for b in blocks))
+
+
+def grade_compressed_square(block: SpectralBlock, grade: int = 0) -> np.ndarray:
+    """Eigenvalues of D^2 compressed to the basis vectors of one grade, in one copy of the block."""
+    sym = (block.matrix + block.matrix.conj().T) / 2.0
+    sq = sym @ sym
+    idx = np.where(block.grades == grade)[0]
+    return np.linalg.eigvalsh(sq[np.ix_(idx, idx)])
+
+
+# -- the Connes-type distance estimate ---------------------------------------------------
+
+
+def orbit_vector(group: GroupModel, x: GroupElement) -> np.ndarray:
+    """Adjoint image of the isotropy axis: the unit-sphere embedding of xK."""
+    if group.k_dim != 1:
+        raise ValueError("orbit vectors are defined for circle quotients")
+    return group.adjoint_matrix(x) @ group.k_frame[0]
+
+
+def metric_estimate(group: GroupModel, p: GroupElement, q: GroupElement,
+                    family: list, rule: QuadratureRule,
+                    extra_points: list | None = None) -> float:
+    """Lower bound on the quotient metric from a family of test functions.
+
+    Each function is normalized by the measured sup of its gradient norm
+    (the operator norm of its Dirac commutator); the estimate is the best
+    normalized separation over the family.  The sup is a max over the
+    quadrature nodes plus optional extra sample points, so callers probing
+    tight bounds should densify near the expected maximizers (the
+    geodesic arc between the two points).
+    """
+    if not family:
+        raise ValueError("empty test function family")
+    pts = EvalPoints.for_rule(group, rule)
+    eval_pts = [pts]
+    if extra_points:
+        eval_pts.append(EvalPoints.of(group, list(extra_points)))
+    ends = EvalPoints.of(group, [p, q])
+    separations = []
+    for f in family:
+        grad = gradient(group, f)
+        sup = float(np.max([np.linalg.norm(grad.values(ep), axis=1).max() for ep in eval_pts]))
+        if sup < 1e-14:
+            continue
+        fp, fq = f.values(ends)
+        separations.append(abs((fp - fq).real) / sup)
+    return float(np.max(separations, initial=0.0))
+
+
+def coefficient_family(group: GroupModel, max_two_j: int = 4,
+                       vectors: list | None = None) -> list:
+    """Real matrix-coefficient test functions on the circle quotient.
+
+    Real and imaginary parts of the coefficients <e_row, rho(x) v> of the
+    integer levels up to ``max_two_j``, for each subgroup-invariant v (its
+    largest entry real and positive); optionally extended by linear
+    functionals of the orbit vector (adjoint coefficients) for the given
+    direction vectors.  A coefficient is linear in v, so the imaginary part
+    Im(u* rho(x) v) is the real part of the coefficient of -i v.
+    """
+    fam = []
+    k_axis = group.k_frame[0]
+    ar = adjoint_rep(group)
+    for v in (vectors or []):
+        fam.append(MatrixCoefficient(ar, np.asarray(v, dtype=float), k_axis))
+    for two_j in range(2, max_two_j + 1, 2):
+        rep = spin_rep(group, two_j)
+        for v in invariant_basis(rep, np.zeros((group.k_dim, 1, 1))):
+            top = v[np.argmax(np.abs(v))]
+            v = v * (abs(top) / top)
+            for row in range(rep.dim):
+                u = np.eye(rep.dim)[row]
+                fam += [RealPart(MatrixCoefficient(rep, u, v)),
+                        RealPart(MatrixCoefficient(rep, u, -1j * v))]
+    return fam

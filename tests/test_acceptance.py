@@ -26,17 +26,12 @@ from homogdirac import (
     TrivialKRep,
     canonical_connection,
     casimir_value,
-    coefficient_family,
     commutator_defect,
     connection_test_matrix,
     criterion_check,
-    grade_compressed_square,
     hodge_dirac,
-    kernel_count,
     levi_civita_connection,
-    metric_estimate,
     monopole_bundle,
-    orbit_vector,
     projection_section,
     random_equivariant_section,
     selfadjoint_defect,
@@ -47,7 +42,9 @@ from homogdirac import (
     torsion,
 )
 from test_dirac import geodesic_arc
-from oracles import OrbitAverage, criteria_consistent, deriv, random_element, value
+from oracles import (OrbitAverage, coefficient_family, criteria_consistent, deriv,
+                     grade_compressed_square, kernel_count, metric_estimate, orbit_vector,
+                     random_element, value)
 
 
 SEED = 20250810

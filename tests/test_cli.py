@@ -99,6 +99,9 @@ def test_unknown_names_exit_config_error():
     (["verify", "--bundle", "foo"], "bundle"),
     (["spectrum", "--levels", "-1"], "levels"),
     (["verify", "--sample-count", "0"], "sample_count"),
+    (["spectrum", "--levels", "2", "--bundle", "monopole", "--charge", "3"], "bundle"),
+    (["spectrum", "--levels", "2", "--bundle", "tangent"], "bundle"),
+    (["spectrum", "--levels", "2", "--subgroup", "trivial"], "subgroup"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2
@@ -389,10 +392,12 @@ def test_matrix_coefficient_on_a_custom_su2_basis_matches_central_differences(
     ({"scale": "0"}, "scale must be positive"),
     ({"scale": "-1"}, "scale must be positive"),
     ({"subgroup": "0, 1, 2"}, "subgroup must be proper"),
+    ({"matrix_dim": "0"}, "[group] matrix_dim must be >= 1"),
+    ({"basis_count": "0"}, "[group] basis_count must be >= 1"),
 ], ids=["well-formed", "matrix_dim", "basis_count", "basis_1", "basis_0", "subgroup-5",
         "subgroup-negative", "subgroup-repeated", "subgroup-text", "scale",
         "unknown-key", "basis-beyond-count", "basis-nan", "scale-inf", "scale-zero",
-        "scale-negative", "subgroup-whole-group"])
+        "scale-negative", "subgroup-whole-group", "matrix_dim-zero", "basis_count-zero"])
 def test_bad_group_config_exits_config_error(tmp_path, overrides, name, capsys):
     path = os.path.join(tmp_path, "group.cfg")
     with open(path, "w") as fh:

@@ -19,20 +19,14 @@ from homogdirac import (
     Translate,
     canonical_connection,
     casimir_value,
-    coefficient_family,
     commutator_defect,
     connection_test_matrix,
     criterion_check,
-    grade_compressed_square,
     gradient,
     hodge_dirac,
-    isotypic_basis,
-    kernel_count,
     l2_inner,
     levi_civita_connection,
-    metric_estimate,
     minimal_violating_connection,
-    orbit_vector,
     selfadjoint_defect,
     spectral_block,
     spin_rep,
@@ -41,8 +35,10 @@ from homogdirac import (
     equivariance_defect,
 )
 from homogdirac.dirac import _balanced_random_gamma, _random_skew
-from oracles import (OrbitAverage, criteria_consistent, k_nodes, k_rule, krep_matrix,
-                     random_element, rule_stack, sampled_criterion, value)
+from oracles import (OrbitAverage, coefficient_family, criteria_consistent,
+                     grade_compressed_square, isotypic_basis, k_nodes, k_rule, kernel_count,
+                     krep_matrix, metric_estimate, orbit_vector, random_element, rule_stack,
+                     sampled_criterion, value)
 
 
 def unit_spinor(group):
@@ -508,7 +504,6 @@ def test_isotypic_basis_is_equivariant(sphere, rng):
 
 def test_isotypic_coefficients_match_brute_force_average(sphere, rng):
     """Dual route: the coefficient-space projector equals section averaging."""
-    from homogdirac import HarmonicSpinor
     from homogdirac.dirac import isotypic_coefficients
     alg = spinor_algebra(sphere)
     rep = spin_rep(sphere, 2)
@@ -518,14 +513,14 @@ def test_isotypic_coefficients_match_brute_force_average(sphere, rng):
     # project a random elementary profile through both routes
     c_raw = rng.standard_normal((rep.dim, alg.n)) + 1j * rng.standard_normal((rep.dim, alg.n))
     row = 1
-    raw = HarmonicSpinor(rep, row, c_raw, alg)
+    raw = MatrixCoefficient(rep, np.eye(rep.dim)[row], c_raw, Codomain.clifford(alg))
     averaged = OrbitAverage(raw, ckrep, sphere)
     # coefficient-space projection: same subgroup average on the profile
     proj_c = np.zeros_like(c_raw)
     for s, w in zip(k_nodes(sphere), k_rule(sphere).weights):
         proj_c += w * (rep.matrix_stack(s.matrix[None])[0].conj().T @ c_raw
                        @ krep_matrix(ckrep, s).real)
-    direct = HarmonicSpinor(rep, row, proj_c, alg)
+    direct = MatrixCoefficient(rep, np.eye(rep.dim)[row], proj_c, Codomain.clifford(alg))
     assert np.abs(averaged.values(pts) - direct.values(pts)).max() < 1e-12
     # and the projected profile lies in the span of the invariant basis
     basis = np.stack([c for _, c in coeffs])
@@ -626,10 +621,14 @@ def test_coefficient_family_is_subgroup_invariant(basis, rng):
 
 
 def test_catalog_coefficient_family_uses_the_zero_weight_columns(sphere):
-    """On the catalog basis the invariant line of level 2j is the basis vector e_j exactly."""
-    for f in coefficient_family(sphere, max_two_j=4):
-        coef = f.children[0]
-        assert np.array_equal(coef.v, np.eye(coef.rep.dim)[coef.rep.dim // 2])
+    """On the catalog basis the invariant line of level 2j is the basis vector e_j exactly;
+    each real part is followed by its imaginary part, the real part of the coefficient of -i e_j."""
+    fam = coefficient_family(sphere, max_two_j=4)
+    for re, im in zip(fam[::2], fam[1::2]):
+        coef = re.children[0]
+        e_j = np.eye(coef.rep.dim)[coef.rep.dim // 2]
+        assert np.array_equal(coef.v, e_j)
+        assert np.array_equal(im.children[0].v, -1j * e_j)
 
 
 # -- the block defect against the quadrature pairing ------------------------------

@@ -18,8 +18,6 @@ from homogdirac import (
     GramSection,
     GroupElement,
     GroupModel,
-    HarmonicSpinor,
-    ImagPart,
     KAverage,
     MatrixCoefficient,
     OpApply,
@@ -125,7 +123,6 @@ def node_zoo(group, rng):
         Translate(mc, random_element(group, rng)),
         OrbitAverage(mc, TrivialKRep(), group),
         RealPart(mc),
-        ImagPart(mc),
     ]
     return zoo
 
@@ -420,14 +417,13 @@ def pointwise_operation(name, group, rng):
                                    coefficient(Codomain.vector(2))),
         "RealPart": lambda: RealPart(coefficient()),
         "RealPart-clifford": lambda: RealPart(coefficient(Codomain.clifford(alg))),
-        "ImagPart": lambda: ImagPart(coefficient()),
         "EmbedTangent": lambda: EmbedTangent(alg, field()),
     }
     return build[name]()
 
 
 @pytest.mark.parametrize("name", ["Scale", "CliffordProduct", "AInner", "RankOne", "OpApply",
-                                  "RealPart", "RealPart-clifford", "ImagPart", "EmbedTangent"])
+                                  "RealPart", "RealPart-clifford", "EmbedTangent"])
 def test_pointwise_operation_lambda_matches_translates(name, sphere, rng):
     """The shared left-derivative rule against a central difference of left translates.
 
@@ -590,7 +586,8 @@ def test_harmonic_spinor_matches_row_formulas(sphere, rng):
     rep = spin_rep(sphere, 2)
     coeff = rng.standard_normal((rep.dim, alg.n)) + 1j * rng.standard_normal((rep.dim, alg.n))
     row = 1
-    h = HarmonicSpinor(rep, row, coeff, alg)
+    clifford = Codomain.clifford(alg)
+    h = MatrixCoefficient(rep, np.eye(rep.dim)[row], coeff, clifford)
     pts = EvalPoints.of(sphere, sphere.random_elements(rng, 6))
     dirs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     stack = pts.rep_stack(rep)
@@ -601,7 +598,8 @@ def test_harmonic_spinor_matches_row_formulas(sphere, rng):
 
     y = sphere.random_algebra(rng)
     dy = rep.derivative(y)
-    row_sum = Sum([HarmonicSpinor(rep, i, coeff, alg) for i in range(rep.dim)], -dy[row, :])
+    row_sum = Sum([MatrixCoefficient(rep, np.eye(rep.dim)[i], coeff, clifford)
+                   for i in range(rep.dim)], -dy[row, :])
     lam = lambda_deriv(h, y)
     assert isinstance(lam, MatrixCoefficient)
     assert np.abs(lam.values(pts) - row_sum.values(pts)).max() < 1e-13
@@ -1050,7 +1048,8 @@ def _shared_direction_zoo(group, rng):
     alg = spinor_algebra(group)
     vec = MatrixCoefficient(rep, rng.standard_normal(3) + 1j * rng.standard_normal(3),
                             rng.standard_normal(3))
-    mat = HarmonicSpinor(rep, 1, rng.standard_normal((3, alg.n)), alg)
+    mat = MatrixCoefficient(rep, np.eye(3)[1], rng.standard_normal((3, alg.n)),
+                            Codomain.clifford(alg))
     spinor = random_spinor(group, rng)
     frame = tangent_bundle(group).frame
     return [
@@ -1063,7 +1062,7 @@ def _shared_direction_zoo(group, rng):
         ("Translate", Translate(mat, random_element(group, rng))),
         ("Sum", Sum([vec, RealPart(vec)], [0.5, 2.0])),
         ("Product", CliffordProduct(alg, mat, spinor)),
-        ("Pointwise", ImagPart(vec)),
+        ("Pointwise", RealPart(vec)),
     ]
 
 
