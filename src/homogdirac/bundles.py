@@ -36,6 +36,7 @@ from .sections import (
     RestrictedKRep,
     Section,
     Sum,
+    _weights,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ def monopole_bundle(group: GroupModel, charge: int,
     # the fiber is the eigenline of i drho(Z), Z the circle generator, with the
     # weight's place in decreasing order; on the catalog drho(Z) is diagonal
     # and this line is the basis vector e_idx exactly
-    _, lines = np.linalg.eigh(1j * rep.derivative(group.k_frame[0]))
+    _, lines = _weights(rep.derivative(group.k_frame))
     idx = (two_level - charge) // 2
     embed = lines[:, ::-1][:, [idx]]
     return InducedBundle(group, rep, embed, name=f"monopole({charge},{two_level})")

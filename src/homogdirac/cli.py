@@ -1,25 +1,28 @@
 """Configuration-driven command line frontend.
 
-Three subcommands:
+Three subcommands, each accepting only the settings it reads (``_READS``) as flags or as
+``[run]`` keys of a ``--config`` file (explicit flags win); any other exits 2, naming it.
 
 * ``verify``   -- run the invariant checks applicable to the configured
   group/bundle/connection and emit a JSON report, one entry per check
   with its residual, tolerance and verdict.  Exit status 1 if any check
-  fails, 2 on configuration errors.  ``--stats PATH`` writes each check's
+  fails, 2 on configuration errors.  It reads every setting but ``--levels``, and
+  alone reads a config file's ``[tolerances]``.  ``--stats PATH`` writes each check's
   wall time and retained bytes to a JSON sidecar, leaving the report deterministic.
 * ``spectrum`` -- assemble the isotypic blocks of the Hodge-Dirac
   operator up to the highest level ``--levels`` and emit them as CSV,
-  ordered by level and ascending eigenvalue.  The blocks are closed form:
-  no quadrature, so ``--quadrature-bandwidth`` is ignored; the closure
-  column is the worst in-block leakage of D.  The blocks act on the
-  Clifford bundle over a circle quotient: any other ``--bundle``, or a
-  subgroup that is not a circle, exits 2 naming the field.  ``--stats PATH``
-  writes the blocks' wall times by level to a JSON sidecar.
+  ordered by level and ascending eigenvalue.  The blocks are closed form,
+  drawing no sample; the closure column is the worst in-block leakage of D.
+  They act on the Clifford bundle over a circle quotient: it reads the group,
+  subgroup, connection, ``--levels`` and ``--out``, and a subgroup that is not
+  a circle exits 2 naming the field.  ``--stats PATH`` writes the blocks'
+  wall times by level to a JSON sidecar.
 * ``monopole`` -- sample the projection and frame Gram matrices of a
   monopole bundle at Haar-random points and emit them as CSV rows
   (Euler angles followed by row-major real/imaginary entries).  The
   angles are drawn one sample at a time and the points evaluated as one
-  batch.
+  batch.  It reads the group, subgroup, ``--charge``, ``--level``,
+  ``--sample-count``, ``--seed`` and ``--out``.
 
 All randomness is drawn from the configured seed, so identical
 configurations produce byte-identical outputs.  Every command runs in one
@@ -53,8 +56,23 @@ from .sections import EvalPoints
 __all__ = ["RunConfig", "load_config", "run_verify", "run_spectrum", "run_monopole", "main"]
 
 _BUNDLES = ("clifford", "monopole", "tangent")
-_TEXT_KEYS = ("group", "subgroup", "bundle", "connection", "output")
 _INT_KEYS = ("charge", "level", "quadrature_bandwidth", "sample_count", "seed", "levels")
+_HELP = {  # of each setting's flag: --out for output, --name-with-dashes for the others
+    "group": "group name or group config file",
+    "subgroup": "subgroup name (u1 | trivial)",
+    "bundle": "tangent | clifford | monopole",
+    "charge": "monopole charge (twice the weight)",
+    "level": "monopole ambient level (twice the spin)",
+    "connection": "canonical | levi-civita | gamma file",
+    "levels": "highest isotypic level",
+    "output": "output path (stdout if omitted)",
+}
+_READS = {  # the settings, as flags and [run] keys, that each command reads and accepts
+    "verify": ("group", "subgroup", "bundle", "charge", "level", "connection",
+               "quadrature_bandwidth", "sample_count", "seed", "output"),
+    "spectrum": ("group", "subgroup", "connection", "levels", "output"),
+    "monopole": ("group", "subgroup", "charge", "level", "sample_count", "seed", "output"),
+}
 
 
 @dataclass
@@ -124,10 +142,11 @@ def load_gamma_file(group: GroupModel, path: str) -> Connection:
     return Connection(group, gamma, name=os.path.basename(path))
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, command: str = "verify") -> RunConfig:
     """Flat key=value config with [run] and optional [tolerances] sections.
 
-    An unknown section or ``[run]`` key is rejected, naming it.
+    An unknown section, a ``[run]`` key that ``command`` does not read, or a
+    [tolerances] section outside ``verify`` is rejected, naming it.
     """
     import configparser  # here, like argparse and json: the run_* functions need none
     cp = configparser.ConfigParser()
@@ -136,16 +155,16 @@ def load_config(path: str) -> RunConfig:
     for section in cp.sections():
         if section not in ("run", "tolerances"):
             raise ValueError(f"unknown config section [{section}]; expected [run] or [tolerances]")
+    if cp.has_section("tolerances") and command != "verify":
+        raise ValueError(f"{command} reads no [tolerances] section; only verify does")
     cfg = RunConfig()
     if cp.has_section("run"):
         run = cp["run"]
         for key in run:
-            if key in _TEXT_KEYS:
-                setattr(cfg, key, run.get(key))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, parse_value(int, f"[run] {key}", run.get(key)))
-            else:
-                raise ValueError(f"unknown [run] key {key!r}")
+            if key not in _READS[command]:
+                raise ValueError(f"unknown [run] key {key!r} for {command}")
+            setattr(cfg, key, parse_value(int, f"[run] {key}", run.get(key))
+                    if key in _INT_KEYS else run.get(key))
     if cp.has_section("tolerances"):
         for key, val in cp["tolerances"].items():
             v = cfg.tolerances[key] = parse_value(float, f"tolerance {key}", val)
@@ -252,20 +271,13 @@ def main(argv: list | None = None) -> int:
         prog="homogdirac",
         description="equivariant bundles and Hodge-Dirac operators on homogeneous spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "spectrum", "monopole"):
-        cmd = sub.add_parser(name)
+    for name, reads in _READS.items():
+        # no abbreviated flags: spectrum would read --level as its --levels
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", help="config file (overridden by explicit flags)")
-        cmd.add_argument("--group", help="group name or group config file")
-        cmd.add_argument("--subgroup", help="subgroup name (u1 | trivial)")
-        cmd.add_argument("--bundle", help="tangent | clifford | monopole")
-        cmd.add_argument("--charge", type=int, help="monopole charge (twice the weight)")
-        cmd.add_argument("--level", type=int, help="monopole ambient level (twice the spin)")
-        cmd.add_argument("--connection", help="canonical | levi-civita | gamma file")
-        cmd.add_argument("--quadrature-bandwidth", type=int, dest="quadrature_bandwidth")
-        cmd.add_argument("--sample-count", type=int, dest="sample_count")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--levels", type=int, help="highest isotypic level")
-        cmd.add_argument("--out", dest="output", help="output path (stdout if omitted)")
+        for key in reads:
+            cmd.add_argument("--out" if key == "output" else "--" + key.replace("_", "-"),
+                             dest=key, type=int if key in _INT_KEYS else str, help=_HELP.get(key))
     for name, what in (("verify", "check wall times (s) and retained bytes"),
                        ("spectrum", "block wall times (s) by level")):
         sub.choices[name].add_argument("--stats", help=f"write {what} to this JSON file")
@@ -274,9 +286,9 @@ def main(argv: list | None = None) -> int:
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        for key in _TEXT_KEYS + _INT_KEYS:  # explicit flags override the config file
-            if getattr(args, key, None) is not None:
+        cfg = load_config(args.config, args.command) if args.config else RunConfig()
+        for key in _READS[args.command]:  # explicit flags override the config file
+            if getattr(args, key) is not None:
                 setattr(cfg, key, getattr(args, key))
         stats = {} if getattr(args, "stats", None) else None
         status = 0

@@ -55,8 +55,6 @@ from .sections import (
     Scale,
     Section,
     Sum,
-    _weights,
-    invariant_basis,
 )
 from .geometry import (
     ApplyConnection,
@@ -95,13 +93,9 @@ class _HodgeDirac(Section):
         if phi.deriv_order < 1:
             raise DerivativeOrderError("target section has no derivative budget left")
         g = connection.group
-        self.connection = connection
-        self.group = g
-        self.children = (phi,)
-        self.codomain = phi.codomain
-        self.deriv_order = 0
         # the frame sum's bound (phi times two frame fields), so both forms warn alike
-        self.bandwidth = phi.bandwidth + 2 * adjoint_rep(g).spin
+        super().__init__((phi,), phi.codomain, phi.bandwidth + 2 * adjoint_rep(g).spin, 0, g)
+        self.connection = connection
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         phi = self.children[0]
@@ -296,30 +290,16 @@ def connection_test_matrix(group: GroupModel, rng: np.random.Generator,
 def isotypic_coefficients(rep: UnitaryRep) -> list:
     """Per-grade orthonormal bases of the invariant coefficient space of the irrep ``rep``.
 
-    A profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an
-    equivariant spinor exactly when rho(s) C = C K(s) for subgroup
-    elements s, with K the Clifford extension of the tangent action: the
-    :func:`~homogdirac.sections.invariant_basis` of its generators, exact for
-    every irrep: one eigendecomposition per irrep, with the Clifford side's kept on the
-    group and taken per grade (the generators preserve grade), so basis members carry
-    a pure grade.  Returns (grade, matrix) pairs.
+    A profile sum_{r,T} C[r,T] rho(x)[row,r] e_T is an equivariant spinor exactly when
+    rho(s) C = C K(s) for subgroup elements s, with K the Clifford extension of the tangent
+    action (:func:`~homogdirac.sections.CliffordKRep`): its invariant basis, exact for every
+    irrep and kept while ``rep`` lives.  K preserves grade and solves with grade-wise
+    weights, so basis members carry a pure grade.  Returns (grade, matrix) pairs by grade.
     """
-    group = rep.group
-    algebra = spinor_algebra(group)
-    dk = CliffordKRep(group, algebra).generators
-    weights = group.memo("clifford_weights", lambda: _grade_weights(dk, algebra.grades))
-    cs = invariant_basis(rep, dk, weights).reshape(-1, rep.dim, algebra.n)
+    algebra = spinor_algebra(rep.group)
+    cs = CliffordKRep(rep.group, algebra).basis(rep, algebra.n).reshape(-1, rep.dim, algebra.n)
     grades = algebra.grades[np.abs(cs).sum(axis=1).argmax(axis=1)]  # of each member's support
     return [(int(grades[i]), cs[i]) for i in np.argsort(grades, kind="stable")]
-
-
-def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
-    """Eigenpairs of i gens[0], which preserves ``grades``, one grade at a time: pure grades."""
-    b, w = np.zeros(len(grades)), np.zeros((len(grades),) * 2, dtype=complex)
-    for grade in set(grades.tolist()):
-        keep = np.flatnonzero(grades == grade)
-        b[keep], w[np.ix_(keep, keep)] = _weights(gens[:, keep][:, :, keep])
-    return b, w
 
 
 @dataclass

@@ -182,12 +182,9 @@ class ApplyConnection(Section):
             raise ValueError("section fiber does not match the connection")
         if kind == "operator":
             raise ValueError("covariant derivatives of operator sections are not needed here")
+        super().__init__((direction, target), target.codomain,
+                         target.bandwidth + direction.bandwidth, 0, connection.group)
         self.connection = connection
-        self.children = (direction, target)
-        self.codomain = target.codomain
-        self.deriv_order = 0
-        self.bandwidth = target.bandwidth + direction.bandwidth
-        self.group = connection.group
 
     def _values(self, pts) -> np.ndarray:
         direction, target = self.children

@@ -33,15 +33,16 @@ of its partner's), held with their representations for the batch's life, and in 
 constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are its
 child node's, so one product serves its values and every derivative) and the frame
 Jacobians that a covariant derivative contracts with a direction field.  A batch keeps
-no derived batch: a left translate is a new batch per evaluation.  Every subgroup action
-carries its generators; the tangent and bundle-fiber actions restrict a representation
-to an invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it,
-and the Clifford action extends the tangent one.  A section carries no action: an
-equivariant one is a sum of projected coefficients u* rho(x) P(v), P the closed-form
-subgroup average (:meth:`MatrixKRep.invariant`, :func:`invariant_basis`), and
-:func:`equivariance_defect` measures a section against the action it is given.  Each
-node carries a conservative bandwidth bound (total spin of its Peter-Weyl content) that
-:func:`l2_inner` checks against the quadrature rule.
+no derived batch: a left translate is a new batch per evaluation.  An action carries its
+generators and, if it preserves a grading, its weights; the tangent and bundle-fiber
+actions restrict a representation to an invariant subspace (:func:`RestrictedKRep`), so
+they read the batch's stack of it, and the Clifford action extends the tangent one.  A
+section carries no action: an equivariant one is a sum of projected coefficients
+u* rho(x) P(v), P the closed-form subgroup average (:meth:`MatrixKRep.invariant`,
+:func:`invariant_basis`), and :func:`equivariance_defect` measures a section against the
+action it is given.  Every node is built by the one :class:`Section` constructor, with a
+conservative bandwidth bound (total spin of its Peter-Weyl content) that :func:`l2_inner`
+checks against the quadrature rule.
 """
 
 from __future__ import annotations
@@ -236,15 +237,25 @@ def _weights(gens: np.ndarray) -> tuple:
     return np.linalg.eigh(1j * gens[0]) if len(gens) else (np.zeros(k), np.eye(k))
 
 
+def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
+    """Eigenpairs of i gens[0], which preserves ``grades``, one grade at a time: pure grades."""
+    b, w = np.zeros(len(grades)), np.zeros((len(grades),) * 2, dtype=complex)
+    for grade in set(grades.tolist()):
+        keep = np.flatnonzero(grades == grade)
+        b[keep], w[np.ix_(keep, keep)] = _weights(gens[:, keep][:, :, keep])
+    return b, w
+
+
 class _KRep:
-    """A subgroup action carrying ``generators``: dpi(Z) for each ``k_frame`` row Z."""
+    """A subgroup action carrying ``generators``, dpi(Z) for each ``k_frame`` row Z, and, if it
+    preserves a grading, ``weights``: the grade-wise eigenpairs :func:`invariant_basis` reads."""
 
     def basis(self, rep: UnitaryRep, k: int) -> np.ndarray:
         """The :func:`invariant_basis` of ``rep`` with k columns, kept while ``rep`` lives."""
         bases = self._bases.setdefault(rep, {})  # {k: basis}
         if k not in bases:
             gens = np.broadcast_to(self.generators, (rep.group.k_dim, k, k))
-            bases[k] = invariant_basis(rep, gens)
+            bases[k] = invariant_basis(rep, gens, self.weights)
         return bases[k]
 
     def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
@@ -257,6 +268,7 @@ class TrivialKRep(_KRep):
     """Trivial action: that of right-K-invariant scalar sections."""
 
     generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
+    weights = None
     _bases = weakref.WeakKeyDictionary()  # one trivial action, so one cache for every instance
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
@@ -268,13 +280,16 @@ class MatrixKRep(_KRep):
 
     ``stack`` maps an :class:`EvalPoints` batch of subgroup elements to
     their (n, dim, dim) matrices, and ``generators`` are their derivatives.
+    Given ``grades``, a grading the generators preserve, it keeps their grade-wise
+    eigenpairs as ``weights``, so each basis member it solves for has a pure grade.
     """
 
-    def __init__(self, group: GroupModel, stack, dim: int, generators):
+    def __init__(self, group: GroupModel, stack, dim: int, generators, grades=None):
         self.group = group
         self.stack = stack
         self.dim = dim
         self.generators = np.reshape(generators, (-1, dim, dim))
+        self.weights = None if grades is None else _grade_weights(self.generators, grades)
         self._bases = weakref.WeakKeyDictionary()
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
@@ -312,7 +327,7 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
                          for t in TangentKRep(group).stack(pts).real]).astype(complex)
 
     return group.memo("CliffordKRep", lambda: MatrixKRep(
-        group, stack, algebra.n, algebra.derivation_stack(group.k_tangent)))
+        group, stack, algebra.n, algebra.derivation_stack(group.k_tangent), algebra.grades))
 
 
 # -- section nodes ----------------------------------------------------------------
@@ -321,10 +336,16 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
 class Section:
     """Base node: immutable, with batched values and exact first derivatives."""
 
-    group: GroupModel  # composite nodes take their first child's
-    codomain: Codomain
-    deriv_order: int
-    bandwidth: float
+    def __init__(self, children, codomain: Codomain, bandwidth: float,
+                 deriv_order: int | None = None, group: GroupModel | None = None):
+        """Every node's constructor: a composite node takes the least derivative order of its
+        ``children`` and its first child's group unless it is given them; a leaf gives both."""
+        self.children = tuple(children)
+        self.codomain = codomain
+        self.bandwidth = bandwidth
+        self.deriv_order = (min(c.deriv_order for c in self.children) if deriv_order is None
+                            else deriv_order)
+        self.group = self.children[0].group if group is None else group
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         raise NotImplementedError
@@ -366,12 +387,8 @@ class Constant(Section):
     copy per point, and its zero derivative adds no term to a :class:`Sum` or :class:`Product`."""
 
     def __init__(self, codomain: Codomain, value, *, group: GroupModel):
-        self.codomain = codomain
+        super().__init__((), codomain, 0.0, 1, group)
         self.const = np.asarray(value, dtype=complex).reshape(codomain.shape)
-        self.deriv_order = 1
-        self.bandwidth = 0.0
-        self.group = group
-        self.children = ()
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return np.broadcast_to(self.const, (pts.n,) + self.codomain.shape)
@@ -384,10 +401,12 @@ class Constant(Section):
 
 
 class _Rows(Section):
-    """u* rho(x) per point: a :class:`MatrixCoefficient`'s child, cached as its values are."""
+    """u* rho(x) per point: a :class:`MatrixCoefficient`'s child, cached as its values are;
+    its parent differentiates it, so it has no derivative of its own."""
 
     def __init__(self, rep: UnitaryRep, u: np.ndarray):
-        self.rep, self.u, self.group, self.children = rep, u, rep.group, ()
+        super().__init__((), Codomain.vector(rep.dim), rep.spin, 0, rep.group)
+        self.rep, self.u = rep, u
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self.u.conj() @ pts.rep_stack(self.rep)
@@ -407,16 +426,12 @@ class MatrixCoefficient(Section):
     def __init__(self, rep: UnitaryRep, u: np.ndarray, v: np.ndarray,
                  codomain: Codomain | None = None):
         self.rep = rep
-        self.group = rep.group
         self.u = np.asarray(u)
         self.v = np.asarray(v, dtype=complex)
-        self.codomain = codomain or Codomain.scalar()
+        super().__init__((_Rows(rep, self.u),), codomain or Codomain.scalar(), rep.spin, 1)
         if self.v.shape[1:] != self.codomain.shape:
             raise ValueError(f"coefficient vectors of shape {self.v.shape} do not give "
                              f"values of shape {self.codomain.shape}")
-        self.deriv_order = 1
-        self.bandwidth = rep.spin
-        self.children = (_Rows(rep, self.u),)
         # drho(e_a) v for each algebra axis a, flattened to one row per axis
         self._dv = (rep.generators @ self.v.reshape(rep.dim, -1)).reshape(self.group.dim, -1)
 
@@ -456,13 +471,9 @@ class Sum(Section):
         cod = children[0].codomain
         if any(c.codomain != cod for c in children):
             raise ValueError("summands have mismatched codomains")
-        self.children = tuple(children)
+        super().__init__(children, cod, max(c.bandwidth for c in children))
         self.coeffs = (np.ones(len(children), dtype=complex) if coeffs is None
                        else np.asarray(coeffs, dtype=complex))
-        self.codomain = cod
-        self.deriv_order = min(c.deriv_order for c in children)
-        self.bandwidth = max(c.bandwidth for c in children)
-        self.group = children[0].group
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         out = self.coeffs[0] * self.children[0].values(pts)
@@ -493,13 +504,8 @@ class Product(Section):
     """
 
     def __init__(self, mul, make, a: Section, b: Section, codomain: Codomain):
-        self.mul = mul
-        self.make = make
-        self.children = (a, b)
-        self.codomain = codomain
-        self.deriv_order = min(a.deriv_order, b.deriv_order)
-        self.bandwidth = a.bandwidth + b.bandwidth
-        self.group = a.group
+        super().__init__((a, b), codomain, a.bandwidth + b.bandwidth)
+        self.mul, self.make = mul, make
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         a, b = self.children
@@ -527,13 +533,8 @@ class Pointwise(Section):
     """
 
     def __init__(self, fn, make, child: Section, codomain: Codomain):
-        self.fn = fn
-        self.make = make
-        self.children = (child,)
-        self.codomain = codomain
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.group = child.group
+        super().__init__((child,), codomain, child.bandwidth)
+        self.fn, self.make = fn, make
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self.fn(self.children[0].values(pts))
@@ -633,12 +634,8 @@ class Translate(Section):
     """Left translation: value(x) = child(y^{-1} x)."""
 
     def __init__(self, child: Section, y: GroupElement):
-        self.children = (child,)
+        super().__init__((child,), child.codomain, child.bandwidth)
         self.y = y
-        self.codomain = child.codomain
-        self.deriv_order = child.deriv_order
-        self.bandwidth = child.bandwidth
-        self.group = child.group
 
     def _values(self, pts: EvalPoints) -> np.ndarray:
         return self.children[0].values(pts.left_translated(self.y.inverse))
@@ -666,13 +663,9 @@ class ConjugatedProjection(Section):
     """The operator section rho(x) M rho(x)^*, e.g. the bundle projection."""
 
     def __init__(self, rep: UnitaryRep, m: np.ndarray):
+        super().__init__((), Codomain.operator(rep.dim), 2 * rep.spin, 1, rep.group)
         self.rep = rep
-        self.group = rep.group
         self.m = np.asarray(m, dtype=complex)
-        self.codomain = Codomain.operator(rep.dim)
-        self.deriv_order = 1
-        self.bandwidth = 2 * rep.spin
-        self.children = ()
         # the commutators [drho(e_a), M], flattened to one row per algebra axis
         gens = rep.generators
         self._dm = (gens @ self.m - self.m @ gens).reshape(self.group.dim, -1)
@@ -694,11 +687,7 @@ class GramSection(Section):
         frame = list(frame)
         if not frame:
             raise ValueError("empty frame")
-        self.children = tuple(frame)
-        self.codomain = Codomain.operator(len(frame))
-        self.deriv_order = min(f.deriv_order for f in frame)
-        self.bandwidth = 2 * max(f.bandwidth for f in frame)
-        self.group = frame[0].group
+        super().__init__(frame, Codomain.operator(len(frame)), 2 * max(f.bandwidth for f in frame))
 
     @staticmethod
     def _flat(stack: np.ndarray) -> np.ndarray:

@@ -102,6 +102,12 @@ def test_unknown_names_exit_config_error():
     (["spectrum", "--levels", "2", "--bundle", "monopole", "--charge", "3"], "bundle"),
     (["spectrum", "--levels", "2", "--bundle", "tangent"], "bundle"),
     (["spectrum", "--levels", "2", "--subgroup", "trivial"], "subgroup"),
+    # each command accepts only the settings it reads
+    (["spectrum", "--levels", "2", "--seed", "9"], "seed"),
+    (["spectrum", "--levels", "2", "--charge", "7"], "charge"),
+    (["monopole", "--bundle", "tangent"], "bundle"),
+    (["monopole", "--connection", "levi-civita"], "connection"),
+    (["monopole", "--levels", "7"], "levels"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2
@@ -120,7 +126,7 @@ def test_spectrum_runs_to_level_40(tmp_path):
 
 def test_spectrum_determinism_and_kernel(tmp_path):
     args = ["spectrum", "--group", "su2", "--subgroup", "u1",
-            "--connection", "canonical", "--levels", "1", "--seed", "9"]
+            "--connection", "canonical", "--levels", "1"]
     out1, out2 = (os.path.join(tmp_path, n) for n in ("a.csv", "b.csv"))
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
@@ -232,6 +238,18 @@ def test_unknown_config_key_exits_config_error(tmp_path, text, name, capsys):
     with open(path, "w") as fh:
         fh.write(text)
     assert main(["verify", "--config", path]) == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[run]\nseed = 1\n", "seed"),
+    ("[tolerances]\ngeometry.frame-norm-sum = 1e-3\n", "tolerances"),
+])
+def test_spectrum_config_rejects_what_spectrum_does_not_read(tmp_path, text, name, capsys):
+    path = os.path.join(tmp_path, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["spectrum", "--levels", "2", "--config", path]) == 2
     assert name in capsys.readouterr().err
 
 

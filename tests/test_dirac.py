@@ -741,3 +741,36 @@ def test_selfadjoint_defect_raises_like_the_pairing_oracle(sphere, full_group, r
     with pytest.raises(ValueError, match="group 'su2-trivial-k' paired under a connection "
                                          "on group 'su2'"):
         selfadjoint_defect(conn, [(phi, unit_spinor(full_group))])
+
+
+def test_blocks_read_the_clifford_action_bases_solved_once(monkeypatch):
+    """One route from the subgroup action to invariant coefficients: a connection sweep over
+    held representations solves each basis once, and the blocks' coefficients are, bit for
+    bit, the Clifford action's basis rows."""
+    from homogdirac import GroupModel, Sum, dirac, sections
+    from homogdirac.dirac import isotypic_coefficients
+    group = GroupModel.su2_trivial_k()
+    reps = [spin_rep(group, two_j) for two_j in range(3)]  # held, so their bases are kept
+    alg = spinor_algebra(group)
+    spinor = Sum([Constant(Codomain.clifford(alg), np.ones(alg.n), group=group),
+                  MatrixCoefficient(reps[2], np.ones(3), np.ones((3, alg.n)),
+                                    Codomain.clifford(alg))])
+    calls = []
+    for module in (sections, dirac):  # every binding of the solver
+        if hasattr(module, "invariant_basis"):
+            solve = getattr(module, "invariant_basis")
+            monkeypatch.setattr(module, "invariant_basis",
+                                lambda *args, solve=solve: calls.append(1) or solve(*args))
+    connections = connection_test_matrix(group, np.random.default_rng(0))
+    assert len(connections) == 12
+    for _, conn in connections:
+        selfadjoint_defect(conn, [(spinor, spinor)])
+    assert len(calls) <= len(reps)
+    for g in (GroupModel.su2(), group):
+        alg = spinor_algebra(g)
+        for two_j in range(4):
+            rep = spin_rep(g, two_j)
+            rows = CliffordKRep(g, alg).basis(rep, alg.n).reshape(-1, rep.dim, alg.n)
+            coeffs = [c for _, c in isotypic_coefficients(rep)]
+            assert len(coeffs) == len(rows), (g.name, two_j)
+            assert {c.tobytes() for c in coeffs} == {r.tobytes() for r in rows}, (g.name, two_j)

@@ -127,6 +127,38 @@ def node_zoo(group, rng):
     return zoo
 
 
+def test_every_node_is_complete(sphere, rng):
+    """Every node carries the five attributes of the one Section constructor, down to a
+    matrix coefficient's row child, which has no derivative of its own."""
+    import homogdirac
+    from homogdirac import canonical_connection, frame_gram, hodge_dirac, projection_section
+    from homogdirac.geometry import ApplyConnection
+    from homogdirac.sections import Section, _Rows
+    bundle, conn = tangent_bundle(sphere), canonical_connection(sphere)
+    spinor = random_spinor(sphere, rng)
+    roots = node_zoo(sphere, rng) + [
+        projection_section(bundle), frame_gram(bundle), hodge_dirac(conn, spinor),
+        ApplyConnection(conn, tangent_frame(sphere)[0], spinor)]
+    seen, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        seen.add(type(node))
+        for name in ("children", "codomain", "deriv_order", "bandwidth", "group"):
+            assert hasattr(node, name), (type(node).__name__, name)
+        assert isinstance(node.children, tuple) and node.group is sphere
+        todo.extend(node.children)
+
+    def species(cls):
+        return {cls} | {s for sub in cls.__subclasses__() for s in species(sub)}
+    assert seen >= {c for c in species(Section) - {Section}
+                    if c.__module__.startswith(homogdirac.__name__)}
+    rows = _Rows(spin_rep(sphere, 2), np.ones(3))
+    pts = EvalPoints.of(sphere, [random_element(sphere, rng)])
+    assert rows.codomain == Codomain.vector(3) and rows.values(pts).shape == (1, 3)
+    with pytest.raises(DerivativeOrderError):
+        rows.derivs(pts, sphere.random_algebra(rng)[None])
+
+
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
 def test_richardson_consistency_all_nodes(space, request, rng):
     group = request.getfixturevalue(space)
