@@ -98,7 +98,7 @@ class InducedBundle:
         invariant part, built on first use and kept for the bundle's life."""
         reps = (spin_rep(self.group, two_j) for two_j in itertools.count())
         return list(itertools.islice(
-            (rep for rep in reps if len(self.krep.basis(rep, self.fiber_dim))), 3))
+            (rep for rep in reps if len(self.krep.basis(rep))), 3))
 
 
 def projection_section(bundle: InducedBundle) -> Section:

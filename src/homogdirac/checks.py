@@ -101,7 +101,7 @@ class _Context:
     def scalar_section(self):
         """A band-limited right-invariant scalar test function."""
         if self._scalar is None:
-            rep, krep = self.spin_reps[2], TrivialKRep()
+            rep, krep = self.spin_reps[2], TrivialKRep(self.group)
             u, v = self.rng.standard_normal(rep.dim), self.rng.standard_normal(rep.dim)
             self._scalar = RealPart(MatrixCoefficient(rep, u, krep.invariant(rep, v)))
         return self._scalar

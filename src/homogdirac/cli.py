@@ -2,6 +2,8 @@
 
 Three subcommands, each accepting only the settings it reads (``_READS``) as flags or as
 ``[run]`` keys of a ``--config`` file (explicit flags win); any other exits 2, naming it.
+``--subgroup`` defaults to the group's own; one the group contradicts, or any given with a
+group file (whose ``[group] subgroup`` decides), exits 2 naming ``subgroup``.
 
 * ``verify``   -- run the invariant checks applicable to the configured
   group/bundle/connection and emit a JSON report, one entry per check
@@ -59,7 +61,7 @@ _BUNDLES = ("clifford", "monopole", "tangent")
 _INT_KEYS = ("charge", "level", "quadrature_bandwidth", "sample_count", "seed", "levels")
 _HELP = {  # of each setting's flag: --out for output, --name-with-dashes for the others
     "group": "group name or group config file",
-    "subgroup": "subgroup name (u1 | trivial)",
+    "subgroup": "subgroup name (u1 | trivial); default: the group's own",
     "bundle": "tangent | clifford | monopole",
     "charge": "monopole charge (twice the weight)",
     "level": "monopole ambient level (twice the spin)",
@@ -73,6 +75,7 @@ _READS = {  # the settings, as flags and [run] keys, that each command reads and
     "spectrum": ("group", "subgroup", "connection", "levels", "output"),
     "monopole": ("group", "subgroup", "charge", "level", "sample_count", "seed", "output"),
 }
+_OWN_SUBGROUPS = {"su2": "u1", "su2-trivial-k": "trivial"}  # of each catalog group
 
 
 @dataclass
@@ -80,7 +83,7 @@ class RunConfig:
     """Everything a command needs; mirrors the CLI flags."""
 
     group: str = "su2"
-    subgroup: str = "u1"
+    subgroup: str | None = None  # None: the group's own
     bundle: str = "clifford"
     charge: int = 1
     level: int = -1  # ambient level; negative means minimal
@@ -106,15 +109,20 @@ class RunConfig:
         return self
 
     def make_group(self) -> GroupModel:
-        if os.path.exists(self.group):
+        if os.path.exists(self.group):  # the file's [group] subgroup decides
+            if self.subgroup is not None:
+                raise ValueError(f"subgroup {self.subgroup!r} given with group file {self.group}")
             return GroupModel.from_config(self.group)
-        key = (self.group, self.subgroup)
+        key = (self.group, self._subgroup())
         if key == ("su2", "u1"):
             return GroupModel.su2()
-        if key in (("su2", "trivial"), ("su2", "e"), ("su2-trivial-k", "trivial"),
-                   ("su2-trivial-k", "e"), ("su2-trivial-k", "u1")):
+        if key[0] in ("su2", "su2-trivial-k") and key[1] in ("trivial", "e"):
             return GroupModel.su2_trivial_k()
         raise ValueError(f"unknown group/subgroup pair {key!r}")
+
+    def _subgroup(self) -> str | None:
+        """The given subgroup, else the catalog group's own; None for a group file."""
+        return _OWN_SUBGROUPS.get(self.group) if self.subgroup is None else self.subgroup
 
     def make_connection(self, group: GroupModel) -> Connection:
         if self.connection == "canonical":
@@ -127,7 +135,8 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """The fields a report echoes, in declaration order: all but tolerances and output."""
-        return {k: v for k, v in vars(self).items() if k not in ("tolerances", "output")}
+        echo = {k: v for k, v in vars(self).items() if k not in ("tolerances", "output")}
+        return echo | {"subgroup": self._subgroup()}  # the subgroup the run uses
 
 
 def load_gamma_file(group: GroupModel, path: str) -> Connection:
@@ -181,12 +190,7 @@ def run_verify(cfg: RunConfig, stats: dict | None = None) -> dict:
     group = cfg.validate().make_group()
     rng = np.random.default_rng(cfg.seed)
     results = _checks.run_suite(cfg, group, rng, stats)
-    report = {
-        "config": cfg.as_dict(),
-        "checks": results,
-        "pass": all(c["pass"] for c in results),
-    }
-    return report
+    return {"config": cfg.as_dict(), "checks": results, "pass": all(c["pass"] for c in results)}
 
 
 # -- spectrum ---------------------------------------------------------------------

@@ -145,7 +145,7 @@ class CliffordAlgebra:
         return self.left_matrix(biv) - self.right_matrix(biv)
 
     def derivation_stack(self, skews: np.ndarray) -> np.ndarray:
-        return np.array([self.derivation_matrix(r) for r in skews])
+        return np.array([self.derivation_matrix(r) for r in skews]).reshape(-1, self.n, self.n)
 
     def orthogonal_extend(self, o: np.ndarray) -> np.ndarray:
         """Algebra automorphism matrix extending an isometry of the generator span.

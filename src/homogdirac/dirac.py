@@ -297,7 +297,7 @@ def isotypic_coefficients(rep: UnitaryRep) -> list:
     weights, so basis members carry a pure grade.  Returns (grade, matrix) pairs by grade.
     """
     algebra = spinor_algebra(rep.group)
-    cs = CliffordKRep(rep.group, algebra).basis(rep, algebra.n).reshape(-1, rep.dim, algebra.n)
+    cs = CliffordKRep(rep.group, algebra).basis(rep).reshape(-1, rep.dim, algebra.n)
     grades = algebra.grades[np.abs(cs).sum(axis=1).argmax(axis=1)]  # of each member's support
     return [(int(grades[i]), cs[i]) for i in np.argsort(grades, kind="stable")]
 

@@ -20,7 +20,6 @@ the induced inner product that defines the invariant metric on G/K.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -227,8 +226,6 @@ class GroupModel:
         # isotropy action ad_Z on the tangent complement, one matrix per k_frame
         # row Z; the subgroup is connected, so these decide its invariants
         self.k_tangent = self.m_frame @ self.ad(self.k_frame) @ self.m_frame.T
-        # reps.spin_rep, by two_j, while a user holds it: a batch holds those it has stacks of
-        self.spin_reps = weakref.WeakValueDictionary()
         self._memo: dict = {}  # memo's values, by key
 
     def memo(self, key: str, build):

@@ -16,6 +16,7 @@ values.  No value takes a logarithm or an exponential.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 
 import numpy as np
@@ -117,10 +118,11 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
         raise ValueError("spin representations are cataloged for SU(2) groups")
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a nonnegative integer")
-    rep = group.spin_reps.get(two_j)
+    reps = group.memo("spin_reps", weakref.WeakValueDictionary)
+    rep = reps.get(two_j)
     if rep is None:
         n = int(two_j)
-        rep = group.spin_reps[two_j] = UnitaryRep(
+        rep = reps[two_j] = UnitaryRep(
             group, _symmetric_power_generators(group.basis, n), f"spin-{two_j}/2",
             spin=n / 2.0, stack_fn=partial(_symmetric_power_stack, n=n))
     return rep

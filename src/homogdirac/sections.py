@@ -33,10 +33,12 @@ of its partner's), held with their representations for the batch's life, and in 
 constant's are a read-only view of it; a matrix coefficient's rows u* rho(x) are its
 child node's, so one product serves its values and every derivative) and the frame
 Jacobians that a covariant derivative contracts with a direction field.  A batch keeps
-no derived batch: a left translate is a new batch per evaluation.  An action carries its
-generators and, if it preserves a grading, its weights; the tangent and bundle-fiber
-actions restrict a representation to an invariant subspace (:func:`RestrictedKRep`), so
-they read the batch's stack of it, and the Clifford action extends the tangent one.  A
+no derived batch: a left translate is a new batch per evaluation.  Every subgroup action
+is one :class:`MatrixKRep` carrying its generators and, if it preserves a grading, its
+weights; the trivial, tangent and Clifford actions are kept on their group, and a bundle
+keeps its fiber action.  The tangent and bundle-fiber actions restrict a representation
+to an invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it,
+and the Clifford action extends the tangent one.  A
 section carries no action: an equivariant one is a sum of projected coefficients
 u* rho(x) P(v), P the closed-form subgroup average (:meth:`MatrixKRep.invariant`,
 :func:`invariant_basis`), and :func:`equivariance_defect` measures a section against the
@@ -246,70 +248,56 @@ def _grade_weights(gens: np.ndarray, grades: np.ndarray) -> tuple:
     return b, w
 
 
-class _KRep:
-    """A subgroup action carrying ``generators``, dpi(Z) for each ``k_frame`` row Z, and, if it
-    preserves a grading, ``weights``: the grade-wise eigenpairs :func:`invariant_basis` reads."""
+class MatrixKRep:
+    """A subgroup action through unitary matrices, the one type of every action.
 
-    def basis(self, rep: UnitaryRep, k: int) -> np.ndarray:
-        """The :func:`invariant_basis` of ``rep`` with k columns, kept while ``rep`` lives."""
-        bases = self._bases.setdefault(rep, {})  # {k: basis}
-        if k not in bases:
-            gens = np.broadcast_to(self.generators, (rep.group.k_dim, k, k))
-            bases[k] = invariant_basis(rep, gens, self.weights)
-        return bases[k]
-
-    def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
-        """The orthogonal projection P with avg_s pi_s u* rho(x s) v = u* rho(x) P(v)."""
-        basis = self.basis(rep, np.size(v) // rep.dim)
-        return (basis.T @ (basis.conj() @ np.ravel(v))).reshape(np.shape(v))
-
-
-class TrivialKRep(_KRep):
-    """Trivial action: that of right-K-invariant scalar sections."""
-
-    generators = np.zeros((1, 1, 1))  # dpi(Z) = 0, broadcast to any coefficient shape
-    weights = None
-    _bases = weakref.WeakKeyDictionary()  # one trivial action, so one cache for every instance
-
-    def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
-        return values
-
-
-class MatrixKRep(_KRep):
-    """Action through unitary matrices, given on batches of subgroup elements.
-
-    ``stack`` maps an :class:`EvalPoints` batch of subgroup elements to
-    their (n, dim, dim) matrices, and ``generators`` are their derivatives.
+    ``stack`` maps an :class:`EvalPoints` batch of subgroup elements to their (n, dim, dim)
+    matrices, and ``generators``, dpi(Z) for each ``k_frame`` row Z, are their derivatives.
     Given ``grades``, a grading the generators preserve, it keeps their grade-wise
     eigenpairs as ``weights``, so each basis member it solves for has a pure grade.
     """
 
-    def __init__(self, group: GroupModel, stack, dim: int, generators, grades=None):
-        self.group = group
-        self.stack = stack
-        self.dim = dim
-        self.generators = np.reshape(generators, (-1, dim, dim))
-        self.weights = None if grades is None else _grade_weights(self.generators, grades)
+    def __init__(self, group: GroupModel, stack, generators, grades=None):
+        self.group, self.stack, self.generators = group, stack, generators
+        self.dim = generators.shape[-1]
+        self.weights = None if grades is None else _grade_weights(generators, grades)
         self._bases = weakref.WeakKeyDictionary()
+
+    def basis(self, rep: UnitaryRep) -> np.ndarray:
+        """The :func:`invariant_basis` of ``rep``, kept while ``rep`` lives."""
+        basis = self._bases.get(rep)
+        if basis is None:
+            basis = self._bases[rep] = invariant_basis(rep, self.generators, self.weights)
+        return basis
+
+    def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
+        """The orthogonal projection P with avg_s pi_s u* rho(x s) v = u* rho(x) P(v)."""
+        basis = self.basis(rep)
+        return (basis.T @ (basis.conj() @ np.ravel(v))).reshape(np.shape(v))
 
     def apply_inverse(self, s: EvalPoints, values: np.ndarray) -> np.ndarray:
         """pi_s^-1 v for each point s of a batch and its row v of ``values``."""
-        return np.einsum("nji,n...j->n...i", self.stack(s).conj(), values)
+        flat = np.reshape(values, (len(values), -1, self.dim))
+        return np.einsum("nji,nkj->nki", self.stack(s).conj(), flat).reshape(np.shape(values))
+
+
+def TrivialKRep(group: GroupModel) -> MatrixKRep:
+    """Trivial action, that of right-K-invariant scalar sections; one per group, kept on it."""
+    return group.memo("TrivialKRep", lambda: MatrixKRep(
+        group, lambda pts: np.ones((pts.n, 1, 1)), np.zeros((group.k_dim, 1, 1))))
 
 
 def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
     """Subgroup action on an invariant subspace: E* rho(s) E."""
     e = np.asarray(embed, dtype=complex)
-    return MatrixKRep(rep.group, lambda pts: e.conj().T @ pts.rep_stack(rep) @ e, e.shape[1],
-                      [e.conj().T @ rep.derivative(z) @ e for z in rep.group.k_frame])
+    return MatrixKRep(rep.group, lambda pts: e.conj().T @ pts.rep_stack(rep) @ e,
+                      e.conj().T @ rep.derivative(rep.group.k_frame) @ e)
 
 
 def TangentKRep(group: GroupModel) -> MatrixKRep:
-    """Adjoint action on the tangent complement, in complement-frame coordinates: the
-    adjoint representation restricted to it, so its stack reads the batch's adjoint stack.
-
-    One action per group, kept on it, so its invariant bases are built once.
-    """
+    """Adjoint action on the tangent complement, in complement-frame coordinates: the adjoint
+    representation restricted to it, so its stack reads the batch's adjoint stack; one action
+    per group, kept on it, so its invariant bases are built once."""
     return group.memo("TangentKRep", lambda: RestrictedKRep(adjoint_rep(group), group.m_frame.T))
 
 
@@ -327,7 +315,7 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
                          for t in TangentKRep(group).stack(pts).real]).astype(complex)
 
     return group.memo("CliffordKRep", lambda: MatrixKRep(
-        group, stack, algebra.n, algebra.derivation_stack(group.k_tangent), algebra.grades))
+        group, stack, algebra.derivation_stack(group.k_tangent), algebra.grades))
 
 
 # -- section nodes ----------------------------------------------------------------

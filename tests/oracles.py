@@ -28,7 +28,7 @@ import numpy as np
 
 from homogdirac import (ApplyConnection, Codomain, CriterionReport, EvalPoints, GroupElement,
                         GroupModel, MatrixCoefficient, QuadratureRule, RealPart, Section,
-                        SpectralBlock, Sum, TrivialKRep, UnitaryRep, adjoint_rep,
+                        SpectralBlock, Sum, UnitaryRep, adjoint_rep,
                         canonical_connection, gradient, isotypic_coefficients, spin_rep,
                         spinor_algebra, tangent_frame)
 from homogdirac.groups import _one_parameter_period, expm_skew
@@ -97,9 +97,9 @@ class OrbitAverage(Section):
 
     def _average(self, vals: np.ndarray) -> np.ndarray:
         # vals holds the child on the orbit batch, node-major
-        vals = vals.reshape((len(self.rule), -1) + vals.shape[1:])
-        if not isinstance(self.krep, TrivialKRep):
-            vals = vals @ rule_stack(self.krep).transpose(0, 2, 1)  # pi_s v at node s
+        shape = (len(self.rule), -1) + vals.shape[1:]
+        vals = vals.reshape(len(self.rule), -1, self.krep.dim)
+        vals = (vals @ rule_stack(self.krep).transpose(0, 2, 1)).reshape(shape)  # pi_s v at node s
         return np.tensordot(self.rule.weights, vals, axes=1)
 
     def _orbit(self, pts: EvalPoints) -> EvalPoints:

@@ -75,7 +75,7 @@ def band_limited_spinor(group, rng, two_j):
 def invariant_scalar(group, rng, two_j=2):
     rep = spin_rep(group, two_j)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
-    return RealPart(OrbitAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(group), group))
 
 
 def test_criterion_1_frames_and_projectivity(sphere):

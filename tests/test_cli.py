@@ -108,10 +108,38 @@ def test_unknown_names_exit_config_error():
     (["monopole", "--bundle", "tangent"], "bundle"),
     (["monopole", "--connection", "levi-civita"], "connection"),
     (["monopole", "--levels", "7"], "levels"),
+    # a subgroup the group contradicts
+    (["verify", "--group", "su2-trivial-k", "--subgroup", "u1"], "subgroup"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "monopole"])
+def test_a_subgroup_given_with_a_group_file_exits_config_error(tmp_path, command, capsys):
+    """The file's [group] subgroup decides, so a --subgroup flag or [run] key beside it exits 2,
+    naming subgroup."""
+    group = os.path.join(tmp_path, "group.cfg")
+    with open(group, "w") as fh:
+        fh.write("\n".join(_su2_group_lines()) + "\n")
+    config = os.path.join(tmp_path, "run.cfg")
+    with open(config, "w") as fh:
+        fh.write("[run]\nsubgroup = u1\n")
+    for extra in (["--subgroup", "u1"], ["--config", config]):
+        assert main([command, "--group", group, "--out", os.devnull] + extra) == 2
+        assert "subgroup" in capsys.readouterr().err
+
+
+def test_a_verify_report_echoes_the_subgroup_it_ran_on(tmp_path):
+    """The given subgroup, else the group's own, and null for a group file."""
+    group = os.path.join(tmp_path, "group.cfg")
+    with open(group, "w") as fh:
+        fh.write("\n".join(_su2_group_lines()) + "\n")
+    for name, subgroup, echo in (("su2", None, "u1"), ("su2-trivial-k", None, "trivial"),
+                                 ("su2", "trivial", "trivial"), (group, None, None)):
+        cfg = RunConfig(group=name, subgroup=subgroup, sample_count=5, quadrature_bandwidth=4)
+        assert run_verify(cfg)["config"]["subgroup"] == echo
 
 
 def test_spectrum_runs_to_level_40(tmp_path):

@@ -217,6 +217,13 @@ def test_derivation_exponentiates_to_extended_isometry(rng):
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
+def test_derivation_stack_of_no_operator_keeps_the_matrix_shape():
+    """No skew operator, as on a trivial subgroup, stacks to shape (0, n, n), not (0,)."""
+    alg = CliffordAlgebra(3)
+    assert alg.derivation_stack(np.zeros((0, 3, 3))).shape == (0, 8, 8)
+    assert alg.derivation_stack(np.zeros((2, 3, 3))).shape == (2, 8, 8)
+
+
 def test_orthogonal_extension_is_automorphism(rng):
     alg = CliffordAlgebra(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

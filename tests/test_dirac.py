@@ -59,7 +59,7 @@ def invariant_scalar(group, rng, two_j=2):
     rep = spin_rep(group, two_j)
     f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
     from homogdirac import TrivialKRep
-    return RealPart(OrbitAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(group), group))
 
 
 def sample_pts(group, rng, n=20):
@@ -770,7 +770,7 @@ def test_blocks_read_the_clifford_action_bases_solved_once(monkeypatch):
         alg = spinor_algebra(g)
         for two_j in range(4):
             rep = spin_rep(g, two_j)
-            rows = CliffordKRep(g, alg).basis(rep, alg.n).reshape(-1, rep.dim, alg.n)
+            rows = CliffordKRep(g, alg).basis(rep).reshape(-1, rep.dim, alg.n)
             coeffs = [c for _, c in isotypic_coefficients(rep)]
             assert len(coeffs) == len(rows), (g.name, two_j)
             assert {c.tobytes() for c in coeffs} == {r.tobytes() for r in rows}, (g.name, two_j)

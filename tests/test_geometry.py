@@ -43,7 +43,7 @@ def sample_pts(group, rng, n=25):
 def invariant_scalar(group, rng):
     rep = spin_rep(group, 2)
     f = MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3))
-    return RealPart(OrbitAverage(f, TrivialKRep(), group))
+    return RealPart(OrbitAverage(f, TrivialKRep(group), group))
 
 
 def test_fundamental_field_examples(sphere):

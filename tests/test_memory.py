@@ -104,7 +104,7 @@ def test_cache_entries_die_with_their_keys(sphere, rng):
     assert on_batch() is None and f.children[0] in pts._vals  # the rows die with the batch
     krep = TangentKRep(sphere)
     other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
-    kept.append(weakref.ref(krep.basis(other, sphere.m_dim)))
+    kept.append(weakref.ref(krep.basis(other)))
     assert other in krep._bases
     gc.collect()  # the action is shared, so first drop entries other tests left to the collector
     entries = len(krep._bases)
@@ -155,7 +155,7 @@ def test_batch_with_orbit_dies_with_its_last_reference(sphere, rng, monkeypatch)
     monkeypatch.setattr(OrbitAverage, "_orbit", tracked)
     rep = spin_rep(sphere, 2)
     f = OrbitAverage(MatrixCoefficient(rep, rng.standard_normal(3), rng.standard_normal(3)),
-                 TrivialKRep(), sphere)
+                 TrivialKRep(sphere), sphere)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -189,27 +189,25 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
 
 
 def test_invariant_bases_are_solved_once_and_die_with_the_group():
-    """One basis per (action, representation, column count), kept no longer than the group."""
+    """One basis per (action, representation), kept no longer than the group."""
     group = GroupModel.su2()
     algebra = spinor_algebra(group)
-    kreps = [TrivialKRep(), TangentKRep(group), CliffordKRep(group, algebra),
+    kreps = [TrivialKRep(group), TangentKRep(group), CliffordKRep(group, algebra),
              tangent_bundle(group).krep]
     reps = [spin_rep(group, 1), spin_rep(group, 2)]  # the group keeps them only while we do
-    trivial_entries = len(TrivialKRep._bases)
     kept = []
-    for krep, k in zip(kreps, (1, group.m_dim, algebra.n, 2)):
+    for krep in kreps:
         for rep in reps:
-            basis = krep.basis(rep, k)
-            assert krep.basis(rep, k) is basis
+            basis = krep.basis(rep)
+            assert krep.basis(rep) is basis
             kept.append(weakref.ref(basis))
-    assert TrivialKRep().basis(reps[1], 1) is kept[1]()  # one trivial action
-    assert len(TrivialKRep._bases) == trivial_entries + 2
+    assert TrivialKRep(group) is kreps[0]  # one trivial action per group
+    assert TrivialKRep(group).basis(reps[1]) is kept[1]()
     ref = weakref.ref(group)
     del group, kreps, krep, basis, reps, rep
     gc.collect()
     assert ref() is None
     assert all(r() is None for r in kept)
-    assert len(TrivialKRep._bases) <= trivial_entries  # other groups' entries may die too
 
 
 def test_spectral_blocks_hold_one_copy_per_level(sphere):
@@ -256,7 +254,7 @@ def test_a_spectrum_run_leaves_no_spin_rep_on_the_group(monkeypatch):
             gc.enable()
     (group,) = made
     assert len(rows) == 2 + sum(4 * (2 * level + 1) for level in range(1, 21))
-    assert len(group.spin_reps) == 0
+    assert len(group.memo("spin_reps", weakref.WeakValueDictionary)) == 0
 
 
 def test_a_verify_run_builds_each_representation_once(monkeypatch):

@@ -20,6 +20,7 @@ from homogdirac import (
     GroupModel,
     KAverage,
     MatrixCoefficient,
+    MatrixKRep,
     OpApply,
     RankOne,
     RealPart,
@@ -121,7 +122,7 @@ def node_zoo(group, rng):
         CliffordProduct(alg, random_spinor(group, rng), random_spinor(group, rng, 4)),
         AInner(ff, FundamentalField(group, group.random_algebra(rng))),
         Translate(mc, random_element(group, rng)),
-        OrbitAverage(mc, TrivialKRep(), group),
+        OrbitAverage(mc, TrivialKRep(group), group),
         RealPart(mc),
     ]
     return zoo
@@ -232,7 +233,7 @@ def test_translate_fundamental_field_covariance(sphere, rng):
 def test_translate_module_covariance(sphere, rng):
     rep = spin_rep(sphere, 2)
     f = RealPart(OrbitAverage(MatrixCoefficient(
-        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
+        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(sphere), sphere))
     w = FundamentalField(sphere, sphere.random_algebra(rng))
     y = random_element(sphere, rng)
     lhs = Translate(Scale(w, f), y)
@@ -393,7 +394,7 @@ def test_equivariant_projection_idempotent(sphere, rng):
 
 def test_equivariant_projection_fixes_trivial_constants(sphere, rng):
     c = Constant(Codomain.scalar(), 1.5, group=sphere)
-    proj = OrbitAverage(c, TrivialKRep(), sphere)
+    proj = OrbitAverage(c, TrivialKRep(sphere), sphere)
     x = random_element(sphere, rng)
     assert abs(value(proj, x) - 1.5) < 1e-14
 
@@ -411,7 +412,7 @@ def test_equivariant_projection_satisfies_defining_condition(sphere, rng):
 def test_delta_along_fundamental_equals_lambda(sphere, rng):
     rep = spin_rep(sphere, 2)
     f = RealPart(OrbitAverage(MatrixCoefficient(
-        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
+        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(sphere), sphere))
     coords = sphere.random_algebra(rng)
     w = FundamentalField(sphere, coords)
     lam = lambda_deriv(f, coords)
@@ -664,7 +665,7 @@ def test_tangent_sums_are_tangent_equivariant(sphere, rng):
     """The gradient of an invariant scalar and a sum of frame fields, under the tangent action."""
     rep = spin_rep(sphere, 2)
     f = RealPart(OrbitAverage(MatrixCoefficient(
-        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(), sphere))
+        rep, rng.standard_normal(3), rng.standard_normal(3)), TrivialKRep(sphere), sphere))
     x = random_element(sphere, rng)
     for field in (gradient(sphere, f), Sum(tangent_frame(sphere)[:2])):
         for t in (0.7, 2.9):
@@ -694,7 +695,7 @@ def space_group(space, request):
 def subgroup_actions(group):
     """(name, action, codomain) for each subgroup action a section can carry."""
     alg = spinor_algebra(group)
-    actions = [("trivial", TrivialKRep(), Codomain.scalar()),
+    actions = [("trivial", TrivialKRep(group), Codomain.scalar()),
                ("tangent", TangentKRep(group), Codomain.tangent(group)),
                ("clifford", CliffordKRep(group, alg), Codomain.clifford(alg)),
                ("restricted", tangent_bundle(group).krep, Codomain.vector(group.m_dim))]
@@ -703,14 +704,29 @@ def subgroup_actions(group):
     return actions
 
 
+@pytest.mark.parametrize("space", ["sphere", "full_group"])
+def test_every_action_is_one_matrix_action_kept_on_its_group(space, request, rng):
+    """The trivial, tangent, Clifford and bundle actions are each a MatrixKRep, the trivial one
+    kept on its group; a basis member has dim(rho) dim(pi) entries, and the trivial action
+    gives scalar values back bit for bit."""
+    group = request.getfixturevalue(space)
+    assert TrivialKRep(group) is TrivialKRep(group)
+    for name, krep, _ in subgroup_actions(group):
+        assert isinstance(krep, MatrixKRep), name
+        for two_j in range(4):
+            rep = spin_rep(group, two_j)
+            assert krep.basis(rep).shape[1:] == (rep.dim * krep.dim,), (name, two_j)
+    nodes = EvalPoints.for_rule(group, k_rule(group))
+    vals = rng.standard_normal(nodes.n) + 1j * rng.standard_normal(nodes.n)
+    assert np.array_equal(TrivialKRep(group).apply_inverse(nodes, vals), vals)
+
+
 def _rule_average(group, rep, v, krep):
     """The subgroup rule's average of rho(s) v pi(s)^T: the quadrature oracle."""
     flat = v.reshape(rep.dim, -1)
-    stacks = (np.ones((len(k_rule(group)), 1, 1)) if isinstance(krep, TrivialKRep)
-              else rule_stack(krep))
     nodes = EvalPoints.for_rule(group, k_rule(group))
     return sum(w * r @ flat @ k.T for w, r, k in
-               zip(k_rule(group).weights, nodes.rep_stack(rep), stacks)).reshape(v.shape)
+               zip(k_rule(group).weights, nodes.rep_stack(rep), rule_stack(krep))).reshape(v.shape)
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
@@ -824,7 +840,7 @@ def _former_constructors(ctx, bundle):
     def scalar():
         rep = spin_rep(g, 2)
         f = MatrixCoefficient(rep, rng.standard_normal(rep.dim), rng.standard_normal(rep.dim))
-        return RealPart(OrbitAverage(f, TrivialKRep(), g))
+        return RealPart(OrbitAverage(f, TrivialKRep(g), g))
 
     def spinor(max_two_j=2):
         parts = []
@@ -978,7 +994,7 @@ def test_retained_bytes_count_each_base_buffer_once(sphere, rng):
     jac = f.frame_derivs(pts)
     assert pts.retained_bytes() == held + jac.nbytes
     # a subgroup average adds its own values: its orbit batch and the child's values there are gone
-    avg = OrbitAverage(Scale(f, f), TrivialKRep(), sphere)
+    avg = OrbitAverage(Scale(f, f), TrivialKRep(sphere), sphere)
     held += avg.values(pts).nbytes
     assert pts.retained_bytes() == held + jac.nbytes
 
