@@ -3,7 +3,8 @@
 Three subcommands, each accepting only the settings it reads (``_READS``) as flags or as
 ``[run]`` keys of a ``--config`` file (explicit flags win); any other exits 2, naming it.
 ``--subgroup`` defaults to the group's own; one the group contradicts, or any given with a
-group file (whose ``[group] subgroup`` decides), exits 2 naming ``subgroup``.
+group file (whose ``[group] subgroup`` decides), exits 2 naming ``subgroup``, and a
+``--level`` below -1 (the minimal level) exits 2 naming ``level``.
 
 * ``verify``   -- run the invariant checks applicable to the configured
   group/bundle/connection and emit a JSON report, one entry per check
@@ -86,7 +87,7 @@ class RunConfig:
     subgroup: str | None = None  # None: the group's own
     bundle: str = "clifford"
     charge: int = 1
-    level: int = -1  # ambient level; negative means minimal
+    level: int = -1  # ambient level; -1 means minimal
     connection: str = "canonical"
     quadrature_bandwidth: int = 8
     sample_count: int = 100
@@ -102,7 +103,7 @@ class RunConfig:
                 raise ValueError(f"tolerance key {key!r} names no check anchor")
         if self.bundle not in _BUNDLES:
             raise ValueError(f"bundle must be one of {', '.join(_BUNDLES)}; got {self.bundle!r}")
-        for name, low in (("levels", 0), ("sample_count", 1),
+        for name, low in (("level", -1), ("levels", 0), ("sample_count", 1),
                           ("quadrature_bandwidth", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}; got {getattr(self, name)}")
@@ -116,7 +117,7 @@ class RunConfig:
         key = (self.group, self._subgroup())
         if key == ("su2", "u1"):
             return GroupModel.su2()
-        if key[0] in ("su2", "su2-trivial-k") and key[1] in ("trivial", "e"):
+        if key[0] in ("su2", "su2-trivial-k") and key[1] == "trivial":
             return GroupModel.su2_trivial_k()
         raise ValueError(f"unknown group/subgroup pair {key!r}")
 
@@ -133,10 +134,11 @@ class RunConfig:
             return load_gamma_file(group, self.connection)
         raise ValueError(f"unknown connection {self.connection!r}")
 
-    def as_dict(self) -> dict:
-        """The fields a report echoes, in declaration order: all but tolerances and output."""
+    def as_dict(self, group: GroupModel) -> dict:
+        """The fields a report echoes, in declaration order: all but tolerances and output.
+        The subgroup is the run's: a catalog name, or a group file's indices (``k_frame``)."""
         echo = {k: v for k, v in vars(self).items() if k not in ("tolerances", "output")}
-        return echo | {"subgroup": self._subgroup()}  # the subgroup the run uses
+        return echo | {"subgroup": self._subgroup() or group.k_frame.argmax(axis=1).tolist()}
 
 
 def load_gamma_file(group: GroupModel, path: str) -> Connection:
@@ -190,7 +192,7 @@ def run_verify(cfg: RunConfig, stats: dict | None = None) -> dict:
     group = cfg.validate().make_group()
     rng = np.random.default_rng(cfg.seed)
     results = _checks.run_suite(cfg, group, rng, stats)
-    return {"config": cfg.as_dict(), "checks": results, "pass": all(c["pass"] for c in results)}
+    return {"config": cfg.as_dict(group), "checks": results, "pass": all(c["pass"] for c in results)}
 
 
 # -- spectrum ---------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -132,13 +133,12 @@ def hodge_dirac(connection: Connection, phi: Section,
                 for wj in frame])
 
 
-def gradient(group: GroupModel, f: Section, frame: list | None = None) -> Section:
-    """The tangent section metrically dual to df: sum_j W_j (delta_{W_j} f)."""
+def gradient(group: GroupModel, f: Section) -> Section:
+    """The tangent section metrically dual to df: sum_j W_j (delta_{W_j} f), W_j the frame."""
     if f.codomain.kind != "scalar":
         raise ValueError("gradients are defined for scalar sections")
-    frame = frame if frame is not None else tangent_frame(group)
     conn = canonical_connection(group)
-    return Sum([Scale(wj, ApplyConnection(conn, wj, f)) for wj in frame])
+    return Sum([Scale(wj, ApplyConnection(conn, wj, f)) for wj in tangent_frame(group)])
 
 
 def commutator_defect(connection: Connection, f: Section, phi: Section,
@@ -185,11 +185,11 @@ def selfadjoint_defect(connection: Connection, pairs: list, rule=None) -> float:
 @dataclass
 class CriterionReport:
     """Result of the self-adjointness criterion for a compatible connection: the 2-norms of
-    the torsion trace t and of the correction sum c."""
+    the torsion trace t and of the correction sum c, each passing at most ``tolerance``."""
 
     torsion_trace_max: float
     correction_sum_residual: float
-    tolerance: float = 1e-8
+    tolerance: ClassVar[float] = 1e-8
 
     @property
     def passes(self) -> bool:
@@ -260,24 +260,23 @@ def minimal_violating_connection(group: GroupModel) -> Connection:
     return Connection(group, gamma, name="violating-minimal")
 
 
-def connection_test_matrix(group: GroupModel, rng: np.random.Generator,
-                           n_good: int = 5, n_bad: int = 5) -> list:
+def connection_test_matrix(group: GroupModel, rng: np.random.Generator) -> list:
     """Named connections spanning both sides of the self-adjointness criterion.
 
     On quotients with a nontrivial subgroup the intertwining condition
     pins the compatible invariant connection family down to the canonical
     one (which coincides with Levi-Civita on symmetric spaces), so the
-    random entries only exist over a trivial subgroup.
+    random entries, five balanced then five violating, only exist over a trivial subgroup.
     """
     out = [("canonical", canonical_connection(group)),
            ("levi-civita", levi_civita_connection(group))]
     if group.k_dim == 0:
-        for i in range(n_good):
+        for i in range(5):
             out.append((f"balanced-{i}",
                         Connection(group, _balanced_random_gamma(group, rng),
                                    name=f"balanced-{i}")))
         out.append(("violating-minimal", minimal_violating_connection(group)))
-        for i in range(n_bad - 1):
+        for i in range(4):
             out.append((f"violating-{i}",
                         Connection(group, _violating_random_gamma(group, rng),
                                    name=f"violating-{i}")))

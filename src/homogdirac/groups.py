@@ -38,6 +38,8 @@ __all__ = [
 _EXPANSION_TOL = 1e-10
 _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
+_MC_NODE_COUNT = 4096  # nodes of the Monte Carlo rule of a group without an exact one
+_MC_SEED = 0  # of the generator that draws them, so every run integrates alike
 
 
 class GroupElement:
@@ -83,7 +85,7 @@ class QuadratureRule:
     rule's evaluation batch is built.
     ``kind`` is "exact" for rules integrating all products of matrix
     coefficients of total spin <= ``bandwidth`` exactly, "monte-carlo"
-    for sampled rules whose statistical error scales like ``mc_sigma``.
+    for sampled rules, whose statistical error scales like 1/sqrt(len(rule)).
     """
 
     matrices: np.ndarray
@@ -91,7 +93,6 @@ class QuadratureRule:
     bandwidth: float
     group: GroupModel = field(repr=False)
     kind: str = "exact"
-    mc_sigma: float = 0.0
     # the sections.EvalPoints batch of the nodes, built on first use and kept for the rule's life
     points: EvalPoints | None = field(default=None, repr=False)
 
@@ -248,16 +249,14 @@ class GroupModel:
     # -- catalog ---------------------------------------------------------------
 
     @classmethod
-    def su2(cls, metric_scale: float = 1.0) -> "GroupModel":
+    def su2(cls) -> "GroupModel":
         """SU(2) with the circle subgroup generated by the third basis axis."""
-        return cls("su2", _su2_raw_basis(), subgroup_indices=(2,),
-                   metric_scale=metric_scale)
+        return cls("su2", _su2_raw_basis(), subgroup_indices=(2,))
 
     @classmethod
-    def su2_trivial_k(cls, metric_scale: float = 1.0) -> "GroupModel":
+    def su2_trivial_k(cls) -> "GroupModel":
         """SU(2) with the trivial subgroup; the quotient is SU(2) itself."""
-        return cls("su2-trivial-k", _su2_raw_basis(), subgroup_indices=(),
-                   metric_scale=metric_scale)
+        return cls("su2-trivial-k", _su2_raw_basis(), subgroup_indices=())
 
     @classmethod
     def from_config(cls, path: str) -> "GroupModel":
@@ -423,24 +422,20 @@ class GroupModel:
     def random_algebra(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
 
-    def haar_rule(self, bandwidth: int, kind: str = "auto",
-                  node_count: int | None = None,
-                  rng: np.random.Generator | None = None) -> QuadratureRule:
+    def haar_rule(self, bandwidth: int) -> QuadratureRule:
         """Quadrature over the group.
 
         For the SU(2) catalog this is the Euler-angle product rule: uniform
         grids over both circle angles (full 4*pi period, so half-integer
         frequencies cancel exactly) and Gauss-Legendre in the cosine of the
         middle angle.  It integrates every product of irreducible matrix
-        coefficients of total spin <= bandwidth exactly.  Other groups, and
-        ``kind="monte-carlo"``, take the nodes of :meth:`random_elements`
-        with a declared statistical tolerance; groups without a sampler raise.
+        coefficients of total spin <= bandwidth exactly.  Other groups take the 4096
+        (``_MC_NODE_COUNT``) nodes of :meth:`random_elements` from ``default_rng(0)``
+        (``_MC_SEED``), equally weighted, at every bandwidth; groups without a sampler raise.
         """
         if bandwidth < 1:
             raise ValueError("bandwidth must be >= 1")
-        if kind not in ("auto", "exact", "monte-carlo"):
-            raise ValueError(f"unknown rule kind {kind!r}")
-        if kind != "monte-carlo" and self._sampler() == "euler":
+        if self._sampler() == "euler":
             n_circ = 2 * int(np.ceil(bandwidth)) + 1
             n_leg = int(np.ceil((bandwidth + 1) / 2))
             us, wu = _gauss_legendre(n_leg)
@@ -450,13 +445,9 @@ class GroupModel:
             mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
             weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
             return QuadratureRule(mats, weights, float(bandwidth), self)
-        if kind == "exact":
-            raise NotImplementedError(f"no exact rule for group {self.name!r}")
-        count = node_count or 4096
-        nodes = self._random_matrices(rng or np.random.default_rng(0), count)
-        return QuadratureRule(nodes, np.full(count, 1.0 / count), 0.0, self,
-                              kind="monte-carlo", mc_sigma=1.0 / np.sqrt(count))
-
+        nodes = self._random_matrices(np.random.default_rng(_MC_SEED), _MC_NODE_COUNT)
+        return QuadratureRule(nodes, np.full(len(nodes), 1.0 / len(nodes)), 0.0, self,
+                              kind="monte-carlo")
 
 def _gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes on [-1, 1], ascending, and weights (Golub-Welsch).

@@ -209,7 +209,8 @@ def _check_group(node: "Section", pts: EvalPoints) -> None:
 _RANK_RTOL = 1e-8  # fixed-vector cut, relative to the largest weight sum or singular value
 
 
-def invariant_basis(rep: UnitaryRep, gens: np.ndarray, weights: tuple | None = None) -> np.ndarray:
+def invariant_basis(rep: UnitaryRep, gens: np.ndarray, weights: tuple | None = None,
+                    grades: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal rows spanning {V : drho(Z) V + V dpi(Z)^T = 0 for each ``k_frame`` row Z}.
 
     ``gens`` holds dpi(Z); V (rep.dim x k) is flattened row-major.  The subgroup is
@@ -217,7 +218,8 @@ def invariant_basis(rep: UnitaryRep, gens: np.ndarray, weights: tuple | None = N
     generator's operator is normal, so its null space is spanned by the u_i w_j^T with
     a_i + b_j = 0, for the eigenpairs (a, U) of i drho(Z_1) and (b, W) of i dpi(Z_1)
     (:func:`_weights`, or ``weights`` if given); nonzero sums sit far above roundoff.
-    A thin SVD of the other generators' images on that span cuts it down.
+    A thin SVD of the other generators' images on that span cuts it down: one per grade with
+    ``grades`` (of W's columns, in a grading the generators keep), so each row has one grade.
     """
     drho = rep.derivative(rep.group.k_frame)
     (a, u), (b, w) = _weights(drho), _weights(gens) if weights is None else weights
@@ -227,9 +229,12 @@ def invariant_basis(rep: UnitaryRep, gens: np.ndarray, weights: tuple | None = N
     if len(drho) > 1 and len(vs):  # drho(Z) V + V dpi(Z)^T for the other generators Z
         image = drho[1:, None] @ vs + vs @ gens[1:, None].swapaxes(-1, -2)
         image = image.reshape(len(image), len(vs), -1).transpose(0, 2, 1).reshape(-1, len(vs))
-        _, sv, vh = np.linalg.svd(image, full_matrices=False)
-        cut = _RANK_RTOL * max(sums.max(), sv[0])
-        vs = np.tensordot(vh[np.count_nonzero(sv > cut):].conj(), vs, 1)
+        parts = ([np.arange(len(vs))] if grades is None
+                 else [np.flatnonzero(grades[j] == grade) for grade in np.unique(grades[j])])
+        svds = [np.linalg.svd(image[:, part], full_matrices=False)[1:] for part in parts]
+        cut = _RANK_RTOL * max(sums.max(), *(sv[0] for sv, _ in svds))
+        vs = np.concatenate([np.tensordot(vh[np.count_nonzero(sv > cut):].conj(), vs[part], 1)
+                             for part, (sv, vh) in zip(parts, svds)])
     return vs.reshape(len(vs), rep.dim * gens.shape[-1])
 
 
@@ -254,11 +259,11 @@ class MatrixKRep:
     ``stack`` maps an :class:`EvalPoints` batch of subgroup elements to their (n, dim, dim)
     matrices, and ``generators``, dpi(Z) for each ``k_frame`` row Z, are their derivatives.
     Given ``grades``, a grading the generators preserve, it keeps their grade-wise
-    eigenpairs as ``weights``, so each basis member it solves for has a pure grade.
+    eigenpairs as ``weights`` and solves grade by grade: each basis member has a pure grade.
     """
 
     def __init__(self, group: GroupModel, stack, generators, grades=None):
-        self.group, self.stack, self.generators = group, stack, generators
+        self.group, self.stack, self.generators, self.grades = group, stack, generators, grades
         self.dim = generators.shape[-1]
         self.weights = None if grades is None else _grade_weights(generators, grades)
         self._bases = weakref.WeakKeyDictionary()
@@ -267,7 +272,8 @@ class MatrixKRep:
         """The :func:`invariant_basis` of ``rep``, kept while ``rep`` lives."""
         basis = self._bases.get(rep)
         if basis is None:
-            basis = self._bases[rep] = invariant_basis(rep, self.generators, self.weights)
+            basis = self._bases[rep] = invariant_basis(rep, self.generators, self.weights,
+                                                       self.grades)
         return basis
 
     def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:

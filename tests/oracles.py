@@ -31,12 +31,17 @@ from homogdirac import (ApplyConnection, Codomain, CriterionReport, EvalPoints, 
                         SpectralBlock, Sum, UnitaryRep, adjoint_rep,
                         canonical_connection, gradient, isotypic_coefficients, spin_rep,
                         spinor_algebra, tangent_frame)
-from homogdirac.groups import _one_parameter_period, expm_skew
+from homogdirac.groups import _one_parameter_period, _su2_raw_basis, expm_skew
 from homogdirac.sections import Pointwise, invariant_basis
 
 # nodes of the circle subgroup's uniform rule: orbit averages of functions
 # on G (OrbitAverage) are exact up to frequency 16
 K_RULE_SIZE = 33
+
+
+def scaled_su2(scale: float) -> GroupModel:
+    """The catalog SU(2) over its circle, its invariant form scaled by ``scale``."""
+    return GroupModel("su2", _su2_raw_basis(), subgroup_indices=(2,), metric_scale=scale)
 
 
 def k_rule(group) -> QuadratureRule:

@@ -3,7 +3,6 @@ import pytest
 
 from homogdirac import (
     GroupElement,
-    GroupModel,
     AInner,
     EvalPoints,
     FundamentalField,
@@ -25,7 +24,7 @@ from homogdirac import (
     tangent_bundle,
 )
 import oracles
-from oracles import direct_sum, k_nodes, k_rule
+from oracles import direct_sum, k_nodes, k_rule, scaled_su2
 
 
 def conjugation_intertwiner(two_j: int) -> np.ndarray:
@@ -55,7 +54,7 @@ def test_minimal_level_defaults(sphere):
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 def test_catalog_monopole_fiber_is_the_weight_basis_vector(scale):
     """On the catalog the isotropy generator is diagonal: the fiber is e_idx exactly."""
-    group = GroupModel.su2(metric_scale=scale)
+    group = scaled_su2(scale)
     for two_level in range(9):
         for charge in range(-two_level, two_level + 1, 2):
             b = monopole_bundle(group, charge, two_level)

@@ -108,8 +108,12 @@ def test_unknown_names_exit_config_error():
     (["monopole", "--bundle", "tangent"], "bundle"),
     (["monopole", "--connection", "levi-civita"], "connection"),
     (["monopole", "--levels", "7"], "levels"),
-    # a subgroup the group contradicts
+    # a subgroup the group contradicts, or one no catalog group has
     (["verify", "--group", "su2-trivial-k", "--subgroup", "u1"], "subgroup"),
+    (["verify", "--subgroup", "e"], "subgroup"),
+    # an ambient level below -1, the minimal one
+    (["monopole", "--charge", "1", "--level", "-7"], "level"),
+    (["verify", "--bundle", "monopole", "--charge", "2", "--level", "-3"], "level"),
 ])
 def test_out_of_range_field_exits_config_error(argv, field, capsys):
     assert main(argv) == 2
@@ -132,14 +136,25 @@ def test_a_subgroup_given_with_a_group_file_exits_config_error(tmp_path, command
 
 
 def test_a_verify_report_echoes_the_subgroup_it_ran_on(tmp_path):
-    """The given subgroup, else the group's own, and null for a group file."""
+    """The given subgroup, else the group's own, and a group file's basis indices."""
     group = os.path.join(tmp_path, "group.cfg")
     with open(group, "w") as fh:
         fh.write("\n".join(_su2_group_lines()) + "\n")
     for name, subgroup, echo in (("su2", None, "u1"), ("su2-trivial-k", None, "trivial"),
-                                 ("su2", "trivial", "trivial"), (group, None, None)):
+                                 ("su2", "trivial", "trivial"), (group, None, [2])):
         cfg = RunConfig(group=name, subgroup=subgroup, sample_count=5, quadrature_bandwidth=4)
         assert run_verify(cfg)["config"]["subgroup"] == echo
+
+
+def test_a_group_file_report_echoes_the_basis_indices_of_its_subgroup(tmp_path, capsys):
+    """The indices its [group] subgroup declares, [] when it declares none."""
+    for subgroup, echo in (("2", [2]), ("0", [0]), (None, [])):
+        group = os.path.join(tmp_path, "group.cfg")
+        with open(group, "w") as fh:
+            fh.write("\n".join(_su2_group_lines(subgroup=subgroup)) + "\n")
+        assert main(["verify", "--group", group, "--sample-count", "5",
+                     "--quadrature-bandwidth", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["subgroup"] == echo
 
 
 def test_spectrum_runs_to_level_40(tmp_path):

@@ -16,6 +16,7 @@ from homogdirac import (
     MatrixCoefficient,
     RealPart,
     Scale,
+    Sum,
     Translate,
     canonical_connection,
     casimir_value,
@@ -38,7 +39,7 @@ from homogdirac.dirac import _balanced_random_gamma, _random_skew
 from oracles import (OrbitAverage, coefficient_family, criteria_consistent,
                      grade_compressed_square, isotypic_basis, k_nodes, k_rule, kernel_count,
                      krep_matrix, metric_estimate, orbit_vector, random_element, rule_stack,
-                     sampled_criterion, value)
+                     sampled_criterion, scaled_su2, value)
 
 
 def unit_spinor(group):
@@ -119,7 +120,7 @@ def test_closed_form_matches_frame_sum_oracle(space, request, rng):
     spinors.append(MatrixCoefficient(spin_rep(g, 2), rng.standard_normal(3),
                                      rng.standard_normal((3, alg.n)), Codomain.clifford(alg)))
     # canonical, Levi-Civita and, over the trivial subgroup, balanced and violating ones
-    for _, conn in connection_test_matrix(g, rng, n_good=2, n_bad=2):
+    for _, conn in connection_test_matrix(g, rng):
         for phi in spinors:
             closed = hodge_dirac(conn, phi)
             oracle = hodge_dirac(conn, phi, frame=tangent_frame(g))
@@ -165,9 +166,10 @@ def test_gradient_examples(sphere, rng):
         paired = AInner(grad, wj).values(pts)
         direct = ApplyConnection(canonical_connection(g), wj, f).values(pts)
         assert np.abs(paired - np.conj(direct)).max() < 1e-10
-    # frame independence
+    # frame independence: the same sum over a rotated frame
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    other = gradient(g, f, frame=tangent_frame(g, q.T))
+    other = Sum([Scale(wj, ApplyConnection(canonical_connection(g), wj, f))
+                 for wj in tangent_frame(g, q.T)])
     assert np.abs(grad.values(pts) - other.values(pts)).max() < 1e-11
 
 
@@ -231,7 +233,7 @@ def test_selfadjoint_defect_unit_pair(sphere, rule8):
 def test_criterion_and_defect_agree_across_connection_matrix(full_group, rule8_full, rng):
     pairs = defect_pairs(full_group, rng, 8)
     pts = sample_pts(full_group, rng, 15)
-    matrix = connection_test_matrix(full_group, rng, n_good=2, n_bad=2)
+    matrix = connection_test_matrix(full_group, rng)
     for name, conn in matrix:
         report = criterion_check(conn, pts)
         defect = selfadjoint_defect(conn, pairs, rule8_full)
@@ -434,9 +436,8 @@ def _subgroup_average_projector(group, level):
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 def test_isotypic_coefficients_match_subgroup_average(scale):
     """Oracle: per grade, the null-space basis spans the subgroup average's fixed space."""
-    from homogdirac import GroupModel
     from homogdirac.dirac import isotypic_coefficients
-    group = GroupModel.su2(metric_scale=scale)
+    group = scaled_su2(scale)
     alg = spinor_algebra(group)
     for level in range(16):
         proj = _subgroup_average_projector(group, level)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import homogdirac
-from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
+from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, adjoint_rep, spin_rep
 from homogdirac.groups import _euler_matrices, _gauss_legendre, _su2_raw_basis, expm_skew
-from oracles import k_nodes, k_rule, random_element, symmetric_space_residual
+from oracles import k_nodes, k_rule, random_element, scaled_su2, symmetric_space_residual
 from test_geometry import su3_circle
 
 E3 = np.eye(3)
@@ -169,9 +169,8 @@ def test_a_haar_rule_imports_no_numpy_submodule():
     assert out.stdout.strip() == "[]"
 
 
-def test_rule_nodes_are_the_rule_matrices(sphere, full_group, rng):
-    rules = [sphere.haar_rule(3), k_rule(sphere), k_rule(full_group),
-             full_group.haar_rule(2, kind="monte-carlo", node_count=7, rng=rng)]
+def test_rule_nodes_are_the_rule_matrices(sphere, full_group):
+    rules = [sphere.haar_rule(3), k_rule(sphere), k_rule(full_group), su3_circle().haar_rule(2)]
     for rule in rules:
         assert len(rule) == len(rule.matrices) == len(rule.weights)
         assert np.array_equal(EvalPoints.for_rule(rule.group, rule).matrices, rule.matrices)
@@ -236,15 +235,18 @@ def test_diagonal_subgroup_of_su2_squared_constructs_without_its_rule():
     assert symmetric_space_residual(g) < 1e-15
 
 
-def test_monte_carlo_rule(sphere, rng):
-    rule = sphere.haar_rule(4, kind="monte-carlo", node_count=2000, rng=rng)
+def test_monte_carlo_rule():
+    """Off SU(2) the rule is Monte Carlo, whatever the bandwidth: one fixed draw of nodes."""
+    group = su3_circle()
+    rule = group.haar_rule(4)
     assert rule.kind == "monte-carlo"
     assert abs(rule.weights.sum() - 1.0) < 1e-12
-    pts = EvalPoints.for_rule(sphere, rule)
-    rep = spin_rep(sphere, 2)
+    assert np.array_equal(rule.matrices, group.haar_rule(1).matrices)
+    pts = EvalPoints.for_rule(group, rule)
+    rep = adjoint_rep(group)  # irreducible, so its coefficients average to zero
     mean = np.einsum("n,nij->ij", rule.weights, pts.rep_stack(rep))
     # coefficients have unit-order variance; allow three sigma
-    assert np.abs(mean).max() < 3.0 * rule.mc_sigma * 3
+    assert np.abs(mean).max() < 3.0 * 3 / np.sqrt(len(rule))
 
 
 SAMPLED = {
@@ -299,7 +301,7 @@ def test_samplers_follow_the_haar_rule_cases(rng):
         rotations[a, i, j], rotations[a, j, i] = -1.0, 1.0
     so3 = GroupModel("so3", rotations)
     for sample in (so3.draw, lambda r: so3.random_elements(r, 5),
-                   lambda r: so3.haar_rule(2, rng=r)):
+                   lambda r: so3.haar_rule(2)):
         with pytest.raises(NotImplementedError, match="no Haar sampler"):
             sample(rng)
 
@@ -328,7 +330,7 @@ def test_custom_group_config(tmp_path):
 
 
 def test_metric_scale_changes_normalization():
-    g = GroupModel.su2(metric_scale=4.0)
+    g = scaled_su2(4.0)
     # the basis is re-normalized, so structure constants shrink accordingly
     assert abs(np.dot(g.bracket(E3[0], E3[1]), E3[2]) - 0.5) < 1e-12
     gram = np.array([[-g.form_factor * np.trace(a @ b) for b in g.basis] for a in g.basis])

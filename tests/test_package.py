@@ -1,5 +1,6 @@
-"""The package namespace re-exports exactly the public names of its layer modules, and
-every one of them but a pinned few has a caller in the package's own source."""
+"""The package namespace re-exports exactly the public names of its layer modules, every
+one of them but a pinned few has a caller in the package's own source, and every defaulted
+parameter but a pinned one is set by some call in the package or the benchmark."""
 
 import ast
 import pathlib
@@ -32,7 +33,8 @@ def test_every_package_name_comes_from_a_layer_list():
 # the workloads stop calling leaves the package
 CALLER_LESS = {"KAverage", "casimir_value", "connection_test_matrix"}
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _referenced_names() -> set:
@@ -66,3 +68,95 @@ def test_each_pinned_name_is_called_by_the_benchmark():
     text = WORKLOADS.read_text()
     for name in sorted(CALLER_LESS):
         assert re.search(rf"\.{name}\(", text), f"{name} has no call in {WORKLOADS.name}"
+
+
+# defaulted parameters that no call in the package or the benchmark sets: the console
+# script calls main() with no arguments
+SETTERLESS = {"cli.main.argv"}
+
+
+def _public_defs(tree):
+    """(class name or None, def) for each public function, public method and __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield None, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for d in node.body:
+                if isinstance(d, ast.FunctionDef) and (
+                        d.name == "__init__" or not d.name.startswith("_")):
+                    yield node.name, d
+
+
+def _unset_options(paths) -> set:
+    """``module.qualname.param`` of each defaulted parameter of a public def in ``paths``
+    that no call in ``paths`` passes, by position or keyword; parsed, nothing imported.
+
+    A call is matched by name: ``f(...)`` and ``x.f(...)`` call every def named f, and a
+    class name, ``cls(...)`` in its body and ``super().__init__(...)`` in a subclass call
+    the __init__ it resolves to through its bases.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    bases, own_init = {}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                if any(isinstance(d, ast.FunctionDef) and d.name == "__init__"
+                       for d in node.body):
+                    own_init.add(node.name)
+
+    def init_of(name):  # the class whose __init__ a call of class ``name`` runs
+        if name in own_init:
+            return name
+        return next(filter(None, map(init_of, bases.get(name, []))), None)
+
+    calls = {}  # {callee: [(positional count, keywords, whether * or ** passes more)]}
+
+    def walk(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                callees = [cls if f.id == "cls" else f.id]
+            elif not isinstance(f, ast.Attribute):  # a call of a call's result or an item
+                callees = []
+            elif (f.attr == "__init__" and isinstance(f.value, ast.Call)
+                  and isinstance(f.value.func, ast.Name) and f.value.func.id == "super"):
+                callees = bases.get(cls, [])
+            else:
+                callees = [f.attr]
+            call = (len(node.args), {k.arg for k in node.keywords},
+                    any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            for name in callees:
+                calls.setdefault(init_of(name) or name, []).append(call)
+        for child in ast.iter_child_nodes(node):
+            walk(child, cls)
+
+    for tree in trees.values():
+        walk(tree, None)
+    unset = set()
+    for path, tree in trees.items():
+        for cls, d in _public_defs(tree):
+            a = d.args
+            method = cls is not None and not any(
+                isinstance(x, ast.Name) and x.id == "staticmethod" for x in d.decorator_list)
+            positional = [p.arg for p in a.posonlyargs + a.args][int(method):]
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [p.arg for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+            seen = calls.get(cls if d.name == "__init__" else d.name, [])
+            for name in defaulted:
+                at = positional.index(name) if name in positional else len(positional)
+                if not any(n > at or name in kws or more for n, kws, more in seen):
+                    qualname = f"{cls}.{d.name}" if cls else d.name
+                    unset.add(f"{path.stem}.{qualname}.{name}")
+    return unset
+
+
+def test_every_option_has_a_setter():
+    """A defaulted parameter that only tests set fails here: it leaves the package, its one
+    value in use kept as a constant, unless it is pinned."""
+    paths = sorted((ROOT / "src" / "homogdirac").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    assert _unset_options(paths) == SETTERLESS

@@ -6,7 +6,7 @@ import pytest
 from homogdirac import GroupModel, adjoint_rep, spin_rep
 from homogdirac.groups import _su2_raw_basis, expm_skew
 from homogdirac.reps import _symmetric_power_stack
-from oracles import direct_sum
+from oracles import direct_sum, scaled_su2
 
 
 def rotated_su2(metric_scale=2.5):
@@ -38,7 +38,7 @@ def ladder_generators(group, two_j):
     return np.array([-1j * j1, -1j * j2, -1j * jz]) / np.sqrt(group.metric_scale)
 
 
-GROUPS = {"su2": GroupModel.su2, "su2-scale-4": lambda: GroupModel.su2(metric_scale=4.0),
+GROUPS = {"su2": GroupModel.su2, "su2-scale-4": lambda: scaled_su2(4.0),
           "rotated": rotated_su2}
 
 
@@ -60,7 +60,7 @@ def test_matrix_stack_is_the_exponential_of_the_generators(name, rng):
 
 
 @pytest.mark.parametrize("make", [GroupModel.su2, GroupModel.su2_trivial_k,
-                                  lambda: GroupModel.su2(metric_scale=4.0)],
+                                  lambda: scaled_su2(4.0)],
                          ids=["su2", "su2-trivial-k", "su2-scale-4"])
 def test_spin_generators_are_the_ladder_generators_on_the_catalog(make):
     group = make()

@@ -29,9 +29,11 @@ from homogdirac import (
     TangentKRep,
     Translate,
     TrivialKRep,
+    UnitaryRep,
     adjoint_rep,
     equivariance_defect,
     gradient,
+    isotypic_coefficients,
     l2_inner,
     lambda_deriv,
     monopole_bundle,
@@ -333,7 +335,7 @@ def test_l2_inner_off_su2_emits_no_bandwidth_warning(rng):
     from test_geometry import su3_circle
 
     group = su3_circle()
-    rule = group.haar_rule(2, node_count=64, rng=rng)
+    rule = group.haar_rule(2)
     w = FundamentalField(group, group.random_algebra(rng))
     assert adjoint_rep(group).spin == np.inf and rule.kind == "monte-carlo"
     with warnings.catch_warnings():
@@ -364,9 +366,8 @@ def test_a_section_is_evaluated_only_on_its_own_group(sphere, full_group, rule8_
 def test_a_rule_keeps_one_batch_of_its_own_group(sphere, full_group, rng):
     """A rule records the group it was built for: its batch is built once and kept,
     and sections of another group raise, naming both, instead of rebuilding it."""
-    rule = sphere.haar_rule(2)
-    mc = full_group.haar_rule(2, kind="monte-carlo", node_count=16, rng=rng)
-    assert (rule.group, k_rule(sphere).group, mc.group) == (sphere, sphere, full_group)
+    rule, other = sphere.haar_rule(2), full_group.haar_rule(2)
+    assert (rule.group, k_rule(sphere).group, other.group) == (sphere, sphere, full_group)
     f = MatrixCoefficient(spin_rep(sphere, 1), rng.standard_normal(2), rng.standard_normal(2))
     pts = EvalPoints.for_rule(sphere, rule)
     l2_inner(f, f, rule)
@@ -377,8 +378,8 @@ def test_a_rule_keeps_one_batch_of_its_own_group(sphere, full_group, rng):
     with pytest.raises(ValueError, match=match):
         l2_inner(one, one, rule)
     with pytest.raises(ValueError, match="rule of group 'su2-trivial-k' used on group 'su2'"):
-        EvalPoints.for_rule(sphere, mc)
-    assert rule.points is pts and mc.points is None
+        EvalPoints.for_rule(sphere, other)
+    assert rule.points is pts and other.points is None
 
 
 def test_equivariant_projection_idempotent(sphere, rng):
@@ -801,6 +802,29 @@ def test_invariant_basis_matches_the_svd_route_on_a_three_dimensional_subgroup()
     # the algebra is two copies of the diagonal's spin 1 and holds no invariant vector
     assert len(invariant_basis(rep, TangentKRep(group).generators)) == 2
     assert len(invariant_basis(rep, np.zeros((3, 1, 1)))) == 0
+
+
+def test_graded_bases_stay_pure_on_a_three_dimensional_subgroup():
+    """SU(2) x SU(2) / diagonal SU(2): each member of the Clifford action's basis vanishes off
+    one grade, the grade isotypic_coefficients labels it with, and the members still span
+    the whole fixed space."""
+    raw = _su2_raw_basis()
+    zero = np.zeros((2, 2))
+    basis = ([np.block([[x, zero], [zero, x]]) for x in raw]
+             + [np.block([[x, zero], [zero, -x]]) for x in raw])
+    group = GroupModel("su2xsu2", basis, subgroup_indices=(0, 1, 2))
+    alg = spinor_algebra(group)
+    krep = CliffordKRep(group, alg)
+    trivial = UnitaryRep(group, np.zeros((group.dim, 1, 1)), "trivial", 0.0,
+                         lambda m: np.ones((len(m), 1, 1)))
+    for rep, want in ((adjoint_rep(group), [1, 1, 2, 2]), (trivial, [0, 3])):
+        ours = krep.basis(rep)
+        oracle = invariant_basis(rep, krep.generators)  # ungraded
+        assert np.abs(ours.T @ ours.conj() - oracle.T @ oracle.conj()).max() < 1e-13, rep.name
+        coeffs = isotypic_coefficients(rep)
+        assert [grade for grade, _ in coeffs] == want, rep.name
+        for grade, c in coeffs:
+            assert np.abs(c[:, alg.grades != grade]).max() == 0.0, (rep.name, grade)
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
