@@ -61,6 +61,8 @@ class CliffordAlgebra:
         # _xor[s, k] = s ^ k: the partner of e_s in the products landing on e_k
         self._xor = idx[:, None] ^ idx[None, :]
         self._gather_sign = self._sign[idx[:, None], self._xor]  # sign(s, s ^ k)
+        a, b = np.triu_indices(p, 1)
+        self._bivectors = (b, a, (1 << a) | (1 << b))  # skew entry [b, a] -> e_a e_b, a < b
         self._star_signs = (-1.0) ** (self.grades * (self.grades + 1) // 2)
 
     # -- element constructors --------------------------------------------------
@@ -127,25 +129,27 @@ class CliffordAlgebra:
         return np.array(gens).reshape(self.p, self.n, self.n)
 
     def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
-        """The derivation extending a skew operator on the generator span.
-
-        A skew matrix R equals the commutator action of the grade-two
-        element sum_{a<b} R[b,a]/2 e_a e_b, and commutators against a fixed
-        element are automatically derivations agreeing with R on grade one.
-        """
-        r = np.asarray(skew, dtype=float)
-        if r.shape != (self.p, self.p):
-            raise ValueError("operator shape does not match the generator count")
-        if np.linalg.norm(r + r.T) > _SKEW_TOL * max(1.0, np.linalg.norm(r)):
-            raise ValueError("operator is not skew-symmetric")
-        biv = np.zeros(self.n)
-        for a in range(self.p):
-            for b in range(a + 1, self.p):
-                biv[(1 << a) | (1 << b)] = r[b, a] / 2.0
-        return self.left_matrix(biv) - self.right_matrix(biv)
+        """The derivation extending one skew operator: a one-member :meth:`derivation_stack`."""
+        return self.derivation_stack(np.asarray(skew, dtype=float)[None])[0]
 
     def derivation_stack(self, skews: np.ndarray) -> np.ndarray:
-        return np.array([self.derivation_matrix(r) for r in skews]).reshape(-1, self.n, self.n)
+        """The derivations extending a stack of skew operators on the generator span.
+
+        A skew matrix R equals the commutator action of the grade-two element
+        sum_{a<b} R[b,a]/2 e_a e_b, and commutators against a fixed element are
+        automatically derivations agreeing with R on grade one; one gather builds them all.
+        """
+        r = np.asarray(skews, dtype=float)
+        if r.ndim != 3 or r.shape[1:] != (self.p, self.p):
+            raise ValueError("operator shape does not match the generator count")
+        defect = np.linalg.norm(r + r.transpose(0, 2, 1), axis=(1, 2))
+        if np.any(defect > _SKEW_TOL * np.maximum(1.0, np.linalg.norm(r, axis=(1, 2)))):
+            raise ValueError("operator is not skew-symmetric")
+        rows, cols, slots = self._bivectors
+        biv = np.zeros((len(r), self.n))
+        biv[:, slots] = r[:, rows, cols] / 2.0
+        coeffs = biv[:, self._xor]  # as in left_matrix and right_matrix, for each bivector
+        return coeffs * self._sign[self._xor, np.arange(self.n)] - coeffs * self._gather_sign.T
 
     def orthogonal_extend(self, o: np.ndarray) -> np.ndarray:
         """Algebra automorphism matrix extending an isometry of the generator span.

@@ -293,7 +293,8 @@ def isotypic_coefficients(rep: UnitaryRep) -> list:
     rho(s) C = C K(s) for subgroup elements s, with K the Clifford extension of the tangent
     action (:func:`~homogdirac.sections.CliffordKRep`): its invariant basis, exact for every
     irrep and kept while ``rep`` lives.  K preserves grade and solves with grade-wise
-    weights, so basis members carry a pure grade.  Returns (grade, matrix) pairs by grade.
+    weights, so basis members carry a pure grade.  Returns (grade, matrix) pairs by grade,
+    which :func:`spectral_block` stacks once per ``rep`` into the connection-free part D_0.
     """
     algebra = spinor_algebra(rep.group)
     cs = CliffordKRep(rep.group, algebra).basis(rep).reshape(-1, rep.dim, algebra.n)
@@ -308,6 +309,8 @@ class SpectralBlock:
     ``matrix``, ``grades`` and ``eigenvalues`` (ascending) describe one
     copy, indexed like ``isotypic_coefficients``; on the orthonormal spinors
     sqrt(dim rho) rho(x)[row, :] . C_i, row-major, D is kron(I_multiplicity, matrix).
+    Of D = D_0 + C_Gamma, ``matrix`` is new per connection, while ``grades`` and
+    ``gram_defect`` come from D_0's part, kept while rho lives and shared by every block of rho.
     ``closure`` is the part of D's image leaving the block's span, the only
     leakage not identically zero.  The eigenvalues are solved for on first
     read: the defect reads only ``asymmetry``.
@@ -335,26 +338,40 @@ def spectral_block(connection: Connection, rep: UnitaryRep) -> SpectralBlock:
     The block holds one copy, m[i, j] = <C_i, M(C_j)> on the basis of
     ``isotypic_coefficients``; m is symmetrized before the eigensolve and
     its asymmetry reported, so violating connections get real eigenvalues.
+    M = D_0 + C_Gamma is affine in the connection: D_0 C = sum_a drho(u_a) C R_a^T needs
+    only ``rep`` and the algebra, so the Clifford action keeps its image of the basis while
+    ``rep`` lives (:meth:`~homogdirac.sections.MatrixKRep.memo`), and a call adds C C_0.
     Raises ValueError when ``rep`` is not a representation of the connection's group.
     """
     g = connection.group
     if rep.group is not g:
         raise ValueError(f"{rep.name} of group {rep.group.name!r} for a connection on "
                          f"group {g.name!r}")
-    coeffs = isotypic_coefficients(rep)
-    if not coeffs:
+    part = CliffordKRep(g, spinor_algebra(g)).memo(rep, "D_0", lambda: _canonical_part(rep))
+    if not part:
         return SpectralBlock(0, np.zeros(0, int), np.zeros((0, 0)), 0.0, 0.0, 0.0)
-    cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
-    drho = rep.derivative(g.m_frame)                            # (a, r, r)
-    stack = connection.dirac_stack                              # [C_0, R_a^T]
-    image = (drho[:, None] @ cs @ stack[1:, None]).sum(axis=0) + cs @ stack[0]
-    flat, image = cs.reshape(len(cs), -1), image.reshape(len(cs), -1)
-    gram_defect = float(np.abs(flat.conj() @ flat.T - np.eye(len(cs))).max())
+    grades, cs, flat, gram_defect, canonical = part
+    image = (canonical + cs @ connection.dirac_stack[0]).reshape(len(cs), -1)
     small = flat.conj() @ image.T
     closure = float(np.abs(image - small.T @ flat).max())
     asymmetry = float(np.abs(small - small.conj().T).max())
-    grades = np.array([grade for grade, _ in coeffs])
     return SpectralBlock(rep.dim, grades, small, gram_defect, asymmetry, closure)
+
+
+def _canonical_part(rep: UnitaryRep) -> tuple:
+    """(grades, cs, flat, gram_defect, D_0 cs) of the block, cs (i, r, T) stacking
+    ``isotypic_coefficients`` and flat its rows; () if the block is empty."""
+    coeffs = isotypic_coefficients(rep)
+    if not coeffs:
+        return ()
+    cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
+    drho = rep.derivative(rep.group.m_frame)                    # (a, r, r)
+    right = spinor_algebra(rep.group).right_generators          # R_a^T as in dirac_stack[1:]
+    right = right.transpose(0, 2, 1).astype(complex, order="C")
+    flat = cs.reshape(len(cs), -1)
+    gram_defect = float(np.abs(flat.conj() @ flat.T - np.eye(len(cs))).max())
+    return (np.array([grade for grade, _ in coeffs]), cs, flat, gram_defect,
+            (drho[:, None] @ cs @ right[:, None]).sum(axis=0))
 
 
 def casimir_value(rep: UnitaryRep) -> float:

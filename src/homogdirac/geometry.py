@@ -145,8 +145,8 @@ def levi_civita_connection(group: GroupModel) -> Connection:
 
 
 def _complement_brackets(group: GroupModel) -> np.ndarray:
-    """P[u_a, u_b] in column b of entry a, the layout of ``gamma``."""
-    return group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T
+    """P[u_a, u_b] in column b of entry a, the layout of ``gamma``; kept on the group."""
+    return group.memo("brackets", lambda: group.m_frame @ group.ad(group.m_frame) @ group.m_frame.T)
 
 
 def tangent_frame(group: GroupModel, basis: np.ndarray | None = None) -> list:

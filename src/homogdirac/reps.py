@@ -111,14 +111,16 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
     basis the third algebra axis acts diagonally with eigenvalues -i*m,
     m = j, j-1, ..., -j, scaled with the metric normalization).  Its
     generators are the derivatives of that formula along ``group.basis``,
-    so values and generators agree for any basis of su(2).  The group keeps
-    the one object per (group, two_j) while something else holds it.
+    so values and generators agree for any basis of su(2).  There is one object per
+    (group, two_j): the group keeps the trivial irrep (two_j = 0, O(1) in size) for life, so
+    its basis and D_0 part are built once, and keeps any other only while held elsewhere.
     """
     if group.matrix_dim != 2 or group.dim != 3:
         raise ValueError("spin representations are cataloged for SU(2) groups")
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a nonnegative integer")
-    reps = group.memo("spin_reps", weakref.WeakValueDictionary)
+    reps = (group.memo("spin_reps", weakref.WeakValueDictionary) if two_j
+            else group.memo("trivial_rep", dict))
     rep = reps.get(two_j)
     if rep is None:
         n = int(two_j)

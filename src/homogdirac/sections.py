@@ -260,21 +260,28 @@ class MatrixKRep:
     matrices, and ``generators``, dpi(Z) for each ``k_frame`` row Z, are their derivatives.
     Given ``grades``, a grading the generators preserve, it keeps their grade-wise
     eigenpairs as ``weights`` and solves grade by grade: each basis member has a pure grade.
+    What it derives from a representation, its basis and for the Clifford action the part
+    D_0 of :func:`~homogdirac.dirac.spectral_block`, is kept in one weak entry per rep.
     """
 
     def __init__(self, group: GroupModel, stack, generators, grades=None):
         self.group, self.stack, self.generators, self.grades = group, stack, generators, grades
         self.dim = generators.shape[-1]
         self.weights = None if grades is None else _grade_weights(generators, grades)
-        self._bases = weakref.WeakKeyDictionary()
+        self._memo = weakref.WeakKeyDictionary()  # per representation: memo's values, by key
+
+    def memo(self, rep: UnitaryRep, key: str, build):
+        """The value kept under ``key`` for ``rep``: ``build()`` on first use, then kept while
+        ``rep`` lives.  A value must not refer to ``rep``, or the entry would keep it alive."""
+        kept = self._memo.setdefault(rep, {})
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
     def basis(self, rep: UnitaryRep) -> np.ndarray:
         """The :func:`invariant_basis` of ``rep``, kept while ``rep`` lives."""
-        basis = self._bases.get(rep)
-        if basis is None:
-            basis = self._bases[rep] = invariant_basis(rep, self.generators, self.weights,
-                                                       self.grades)
-        return basis
+        return self.memo(rep, "basis", lambda: invariant_basis(rep, self.generators,
+                                                               self.weights, self.grades))
 
     def invariant(self, rep: UnitaryRep, v: np.ndarray) -> np.ndarray:
         """The orthogonal projection P with avg_s pi_s u* rho(x s) v = u* rho(x) P(v)."""

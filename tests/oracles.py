@@ -13,7 +13,9 @@ sampled self-adjointness criterion (:func:`sampled_criterion`, through the torsi
 trace section :func:`torsion_trace`) is the oracle of the closed-form ``criterion_check``.
 
 The orthonormal spinors of an isotypic block (:func:`isotypic_basis`) give the quadrature
-route to ``spectral_block``.  Two readings of the blocks, the kernel dimension
+route to ``spectral_block``, and the block assembled in one pass per connection
+(:func:`one_pass_block`), the canonical-frame part rebuilt with the correction, its exact
+reference.  Two readings of the blocks, the kernel dimension
 (:func:`kernel_count`) and the grade-compressed square (:func:`grade_compressed_square`),
 stay here until the Hodge decomposition read off the blocks (ROADMAP item 4) calls them.
 The Connes-type distance estimate (:func:`metric_estimate`, with :func:`orbit_vector`
@@ -282,6 +284,25 @@ def isotypic_basis(rep: UnitaryRep) -> list:
     return [(row, grade, MatrixCoefficient(rep, np.eye(rep.dim)[row], np.sqrt(rep.dim) * c,
                                            clifford))
             for row in range(rep.dim) for grade, c in isotypic_coefficients(rep)]
+
+
+def one_pass_block(connection, rep: UnitaryRep) -> SpectralBlock:
+    """``spectral_block`` with nothing kept between calls: D_0 and C_Gamma in one sum."""
+    g = connection.group
+    coeffs = isotypic_coefficients(rep)
+    if not coeffs:
+        return SpectralBlock(0, np.zeros(0, int), np.zeros((0, 0)), 0.0, 0.0, 0.0)
+    cs = np.stack([c for _, c in coeffs])                       # (i, r, T)
+    drho = rep.derivative(g.m_frame)                            # (a, r, r)
+    stack = connection.dirac_stack                              # [C_0, R_a^T]
+    image = (drho[:, None] @ cs @ stack[1:, None]).sum(axis=0) + cs @ stack[0]
+    flat, image = cs.reshape(len(cs), -1), image.reshape(len(cs), -1)
+    gram_defect = float(np.abs(flat.conj() @ flat.T - np.eye(len(cs))).max())
+    small = flat.conj() @ image.T
+    closure = float(np.abs(image - small.T @ flat).max())
+    asymmetry = float(np.abs(small - small.conj().T).max())
+    grades = np.array([grade for grade, _ in coeffs])
+    return SpectralBlock(rep.dim, grades, small, gram_defect, asymmetry, closure)
 
 
 def kernel_count(blocks: list, tol: float = 1e-6) -> int:

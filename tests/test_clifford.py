@@ -224,6 +224,46 @@ def test_derivation_stack_of_no_operator_keeps_the_matrix_shape():
     assert alg.derivation_stack(np.zeros((2, 3, 3))).shape == (2, 8, 8)
 
 
+def _commutator_derivation(alg, r):
+    """The derivation of one skew operator as the commutator with its bivector, built the way
+    derivation_matrix built it before the stack did: the reference."""
+    biv = np.zeros(alg.n)
+    for a in range(alg.p):
+        for b in range(a + 1, alg.p):
+            biv[(1 << a) | (1 << b)] = r[b, a] / 2.0
+    return alg.left_matrix(biv) - alg.right_matrix(biv)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_derivation_stack_is_the_commutator_construction_bit_for_bit(p, rng):
+    """One gather for the whole stack gives each operator's commutator matrix byte for byte,
+    signed zeros included, and derivation_matrix is its one-operator case."""
+    alg = CliffordAlgebra(p)
+    for count in (0, 1, 4):
+        skews = rng.standard_normal((count, p, p))
+        skews = skews - skews.transpose(0, 2, 1)
+        stack = alg.derivation_stack(skews)
+        assert stack.shape == (count, alg.n, alg.n)
+        for r, d in zip(skews, stack):
+            assert d.tobytes() == _commutator_derivation(alg, r).tobytes()
+            assert alg.derivation_matrix(r).tobytes() == d.tobytes()
+
+
+def test_derivation_stack_rejects_what_derivation_matrix_rejects():
+    """A wrong shape or one non-skew member fails the whole stack with the one-operator
+    messages."""
+    alg = CliffordAlgebra(3)
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3))):
+        with pytest.raises(ValueError, match="operator shape does not match"):
+            alg.derivation_matrix(bad)
+    for bad in (np.ones((2, 3, 4)), skew):  # the latter one operator, not a stack
+        with pytest.raises(ValueError, match="operator shape does not match"):
+            alg.derivation_stack(bad)
+    with pytest.raises(ValueError, match="operator is not skew-symmetric"):
+        alg.derivation_stack(np.array([skew, skew + np.eye(3)]))
+
+
 def test_orthogonal_extension_is_automorphism(rng):
     alg = CliffordAlgebra(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

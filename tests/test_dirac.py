@@ -38,8 +38,8 @@ from homogdirac import (
 from homogdirac.dirac import _balanced_random_gamma, _random_skew
 from oracles import (OrbitAverage, coefficient_family, criteria_consistent,
                      grade_compressed_square, isotypic_basis, k_nodes, k_rule, kernel_count,
-                     krep_matrix, metric_estimate, orbit_vector, random_element, rule_stack,
-                     sampled_criterion, scaled_su2, value)
+                     krep_matrix, metric_estimate, one_pass_block, orbit_vector,
+                     random_element, rule_stack, sampled_criterion, scaled_su2, value)
 
 
 def unit_spinor(group):
@@ -691,6 +691,26 @@ def test_half_integer_blocks_on_the_trivial_quotient(full_group, rng):
             assert name.startswith("violating") or b.asymmetry <= 1e-14, name
 
 
+@pytest.mark.parametrize("space", ["sphere", "full_group", "rotated"])
+def test_spectral_block_equals_the_one_pass_assembly_bit_for_bit(space, request, tmp_path, rng):
+    """The kept canonical-frame part plus each connection's correction gives, bit for bit, the
+    block assembled in one pass: for every test-matrix connection (12 on the trivial
+    quotient) and two_j = 0 ... 6, after the first connection on parts already kept."""
+    g = _space(space, request, tmp_path)
+    reps = [spin_rep(g, two_j) for two_j in range(7)]  # held, so their parts are kept
+    matrix = connection_test_matrix(g, rng)
+    assert len(matrix) == (12 if g.k_dim == 0 else 2)
+    for name, conn in matrix:
+        for rep in reps:
+            ours, oracle = spectral_block(conn, rep), one_pass_block(conn, rep)
+            for field in ("matrix", "grades"):
+                a, b = getattr(ours, field), getattr(oracle, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (
+                    name, rep.name, field)
+            for field in ("multiplicity", "gram_defect", "closure", "asymmetry"):
+                assert getattr(ours, field) == getattr(oracle, field), (name, rep.name, field)
+
+
 def test_spectral_block_refuses_a_rep_of_another_group(sphere, full_group):
     """An irrep of another SU(2) model has generators on another basis: the block names both."""
     with pytest.raises(ValueError, match="spin-2/2 of group 'su2-trivial-k'.*group 'su2'"):
@@ -746,8 +766,8 @@ def test_selfadjoint_defect_raises_like_the_pairing_oracle(sphere, full_group, r
 
 def test_blocks_read_the_clifford_action_bases_solved_once(monkeypatch):
     """One route from the subgroup action to invariant coefficients: a connection sweep over
-    held representations solves each basis once, and the blocks' coefficients are, bit for
-    bit, the Clifford action's basis rows."""
+    held representations solves each basis and builds each canonical-frame part once, and
+    the blocks' coefficients are, bit for bit, the Clifford action's basis rows."""
     from homogdirac import GroupModel, Sum, dirac, sections
     from homogdirac.dirac import isotypic_coefficients
     group = GroupModel.su2_trivial_k()
@@ -762,11 +782,16 @@ def test_blocks_read_the_clifford_action_bases_solved_once(monkeypatch):
             solve = getattr(module, "invariant_basis")
             monkeypatch.setattr(module, "invariant_basis",
                                 lambda *args, solve=solve: calls.append(1) or solve(*args))
+    parts = []  # the representation of each canonical-frame part built
+    coefficients = dirac.isotypic_coefficients
+    monkeypatch.setattr(dirac, "isotypic_coefficients",
+                        lambda rep: parts.append(rep) or coefficients(rep))
     connections = connection_test_matrix(group, np.random.default_rng(0))
     assert len(connections) == 12
     for _, conn in connections:
         selfadjoint_defect(conn, [(spinor, spinor)])
     assert len(calls) <= len(reps)
+    assert sorted(parts, key=lambda rep: rep.spin) == reps
     for g in (GroupModel.su2(), group):
         alg = spinor_algebra(g)
         for two_j in range(4):

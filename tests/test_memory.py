@@ -9,6 +9,7 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from homogdirac import (
@@ -105,13 +106,13 @@ def test_cache_entries_die_with_their_keys(sphere, rng):
     krep = TangentKRep(sphere)
     other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
     kept.append(weakref.ref(krep.basis(other)))
-    assert other in krep._bases
+    assert other in krep._memo
     gc.collect()  # the action is shared, so first drop entries other tests left to the collector
-    entries = len(krep._bases)
+    entries = len(krep._memo)
     del f, other
     gc.collect()
     assert all(r() is None for r in kept)
-    assert (len(pts._vals), len(pts._jac), len(krep._bases)) == (0, 0, entries - 1)
+    assert (len(pts._vals), len(pts._jac), len(krep._memo)) == (0, 0, entries - 1)
 
 
 def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
@@ -180,8 +181,10 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     assert adjoint_rep(group) is adjoint_rep(group)
     assert TangentKRep(group) is TangentKRep(group)
     rule_stack(TangentKRep(group))
+    assert spin_rep(group, 0) is spin_rep(group, 0)  # the trivial irrep, which the group keeps
     ref = weakref.ref(group)
-    kept = [weakref.ref(adjoint_rep(group)), weakref.ref(TangentKRep(group))]
+    kept = [weakref.ref(adjoint_rep(group)), weakref.ref(TangentKRep(group)),
+            weakref.ref(spin_rep(group, 0))]
     del group
     gc.collect()
     assert ref() is None
@@ -208,6 +211,30 @@ def test_invariant_bases_are_solved_once_and_die_with_the_group():
     gc.collect()
     assert ref() is None
     assert all(r() is None for r in kept)
+
+
+def test_a_kept_canonical_part_dies_with_its_representation():
+    """Every connection's block reads one canonical-frame part per representation, kept with
+    the Clifford action, and the part dies with its representation without a cyclic
+    collection, while the trivial irrep's stays with the group."""
+    group = GroupModel.su2()
+    krep = CliffordKRep(group, spinor_algebra(group))
+    rep = spin_rep(group, 4)  # only this test holds it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        first = spectral_block(levi_civita_connection(group), rep)
+        spectral_block(canonical_connection(group), spin_rep(group, 0))
+        assert spectral_block(canonical_connection(group), rep).grades is first.grades
+        kept = [weakref.ref(a) for a in krep._memo[rep]["D_0"]
+                if isinstance(a, np.ndarray)]
+        assert len(kept) == 4 and len(krep._memo) == 2
+        del first, rep
+        assert all(r() is None for r in kept)
+        assert list(krep._memo) == [spin_rep(group, 0)]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_spectral_blocks_hold_one_copy_per_level(sphere):
@@ -240,8 +267,9 @@ def test_verify_builds_no_orbit_batch(config, monkeypatch):
 
 
 def test_a_spectrum_run_leaves_no_spin_rep_on_the_group(monkeypatch):
-    """The group keeps a spin representation only while a user holds it: once a spectrum run
-    has built its blocks, levels 0-20, none is left on its group, without a cyclic collection."""
+    """The group keeps a spin representation other than the trivial irrep only while a user
+    holds it: once a spectrum run has built its blocks, levels 0-20, none but spin 0 is left on
+    its group, without a cyclic collection."""
     made = []
     make = RunConfig.make_group
     monkeypatch.setattr(RunConfig, "make_group", lambda self: made.append(make(self)) or made[-1])
