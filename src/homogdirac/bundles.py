@@ -123,7 +123,8 @@ def monopole_bundle(group: GroupModel, charge: int,
     parity is a valid override.
     """
     if group.k_dim != 1:
-        raise ValueError("monopole bundles need a circle subgroup")
+        raise ValueError(f"monopole bundles need a circle subgroup; that of {group.name!r} "
+                         f"has dimension {group.k_dim}")
     if two_level is None:
         two_level = abs(charge)
     if two_level < abs(charge) or (two_level - charge) % 2:

@@ -113,14 +113,14 @@ class CliffordAlgebra:
     # -- operators on the algebra ------------------------------------------------
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication b -> a . b in the subset basis."""
+        """Matrix of left multiplication b -> a . b in the subset basis, for one a or a stack."""
         # entry [k, t] comes from e_{k^t} . e_t
-        return np.asarray(a)[self._xor] * self._sign[self._xor, np.arange(self.n)]
+        return np.asarray(a)[..., self._xor] * self._sign[self._xor, np.arange(self.n)]
 
     def right_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of right multiplication b -> b . a in the subset basis."""
+        """Matrix of right multiplication b -> b . a in the subset basis, for one a or a stack."""
         # entry [k, s] comes from e_s . e_{s^k}
-        return np.asarray(a)[self._xor] * self._gather_sign.T
+        return np.asarray(a)[..., self._xor] * self._gather_sign.T
 
     @functools.cached_property
     def right_generators(self) -> np.ndarray:
@@ -128,16 +128,13 @@ class CliffordAlgebra:
         gens = [self.right_matrix(self.generator(a)) for a in range(self.p)]
         return np.array(gens).reshape(self.p, self.n, self.n)
 
-    def derivation_matrix(self, skew: np.ndarray) -> np.ndarray:
-        """The derivation extending one skew operator: a one-member :meth:`derivation_stack`."""
-        return self.derivation_stack(np.asarray(skew, dtype=float)[None])[0]
-
     def derivation_stack(self, skews: np.ndarray) -> np.ndarray:
         """The derivations extending a stack of skew operators on the generator span.
 
         A skew matrix R equals the commutator action of the grade-two element
         sum_{a<b} R[b,a]/2 e_a e_b, and commutators against a fixed element are
-        automatically derivations agreeing with R on grade one; one gather builds them all.
+        automatically derivations agreeing with R on grade one: left minus right
+        multiplication by that element, one stacked call each for all of them.
         """
         r = np.asarray(skews, dtype=float)
         if r.ndim != 3 or r.shape[1:] != (self.p, self.p):
@@ -148,8 +145,7 @@ class CliffordAlgebra:
         rows, cols, slots = self._bivectors
         biv = np.zeros((len(r), self.n))
         biv[:, slots] = r[:, rows, cols] / 2.0
-        coeffs = biv[:, self._xor]  # as in left_matrix and right_matrix, for each bivector
-        return coeffs * self._sign[self._xor, np.arange(self.n)] - coeffs * self._gather_sign.T
+        return self.left_matrix(biv) - self.right_matrix(biv)
 
     def orthogonal_extend(self, o: np.ndarray) -> np.ndarray:
         """Algebra automorphism matrix extending an isometry of the generator span.

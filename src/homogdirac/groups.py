@@ -38,8 +38,6 @@ __all__ = [
 _EXPANSION_TOL = 1e-10
 _SUBALGEBRA_TOL = 1e-12
 _PIVOT_TOL = 1e-10
-_MC_NODE_COUNT = 4096  # nodes of the Monte Carlo rule of a group without an exact one
-_MC_SEED = 0  # of the generator that draws them, so every run integrates alike
 
 
 class GroupElement:
@@ -83,16 +81,14 @@ class QuadratureRule:
 
     The nodes are held as one (count, N, N) stack of defining ``matrices``, from which the
     rule's evaluation batch is built.
-    ``kind`` is "exact" for rules integrating all products of matrix
-    coefficients of total spin <= ``bandwidth`` exactly, "monte-carlo"
-    for sampled rules, whose statistical error scales like 1/sqrt(len(rule)).
+    Every rule is exact: it integrates all products of matrix coefficients
+    of total spin <= ``bandwidth`` exactly.
     """
 
     matrices: np.ndarray
     weights: np.ndarray
     bandwidth: float
     group: GroupModel = field(repr=False)
-    kind: str = "exact"
     # the sections.EvalPoints batch of the nodes, built on first use and kept for the rule's life
     points: EvalPoints | None = field(default=None, repr=False)
 
@@ -100,8 +96,8 @@ class QuadratureRule:
         return len(self.matrices)
 
     def warn_if_inexact(self, bound: float) -> None:
-        """Warn the caller's caller if an exact rule is below an integrand's bandwidth ``bound``."""
-        if self.kind == "exact" and bound > self.bandwidth + 1e-9:
+        """Warn the caller's caller if the rule is below an integrand's bandwidth ``bound``."""
+        if bound > self.bandwidth + 1e-9:
             warnings.warn(f"integrand bandwidth bound {bound} exceeds rule bandwidth "
                           f"{self.bandwidth}", BandwidthWarning, stacklevel=3)
 
@@ -160,20 +156,6 @@ def _euler_matrices(alpha, beta, gamma) -> np.ndarray:
     a, g = np.exp(-0.5j * alpha), np.exp(-0.5j * gamma)
     return np.stack([np.stack([a * g * c, -a * g.conj() * s], axis=-1),
                      np.stack([a.conj() * g * s, (a * g).conj() * c], axis=-1)], axis=-2)
-
-
-def _qr_haar_unitaries(draws: np.ndarray, special: bool) -> np.ndarray:
-    """Haar samples on U(n), or SU(n) if ``special``, from a stack of complex Gaussian matrices.
-
-    QR of each draw with the phases of R's diagonal moved into Q.
-    """
-    q, r = np.linalg.qr(draws / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    if special:
-        det = np.linalg.det(q)
-        q = q * (det ** (-1.0 / q.shape[-1]))[:, None, None]
-    return q
 
 
 class GroupModel:
@@ -373,36 +355,27 @@ class GroupModel:
 
     # -- sampling and quadrature ----------------------------------------------
 
-    def _sampler(self) -> str:
-        """How Haar samples are drawn: "euler" on SU(2); "su" or "u", QR on all of SU(n) or U(n)."""
-        n = self.matrix_dim
-        if n == 2 and self.dim == 3:
-            return "euler"
-        if self.dim == n * n - 1:
-            return "su"
-        if self.dim == n * n:
-            return "u"
-        raise NotImplementedError(f"group {self.name!r} has no exact rule and no Haar sampler")
+    def _require_su2(self) -> None:
+        """Raise NotImplementedError naming the group unless it is SU(2), the one group with
+        an exact rule and a Haar sampler."""
+        if (self.matrix_dim, self.dim) != (2, 3):
+            raise NotImplementedError(f"group {self.name!r} has no exact rule and no Haar sampler")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """One Haar sample's draws, in the generator order of ``random_elements(rng, 1)``.
+        """One Haar sample's draws, in the generator order of ``random_elements(rng, 1)``: the
+        Euler angles (alpha, beta, gamma), drawn as alpha, gamma and then beta = arccos(u).
 
-        On SU(2) the Euler angles (alpha, beta, gamma), drawn as alpha, gamma
-        and then beta = arccos(u); otherwise one complex Gaussian matrix.
+        Sampling exists on SU(2) only; any other group raises NotImplementedError.
         :meth:`haar_matrices` builds a stack of draws at once.
         """
-        if self._sampler() == "euler":
-            alpha, gamma = rng.uniform(0.0, 4 * np.pi), rng.uniform(0.0, 4 * np.pi)
-            return np.array([alpha, np.arccos(rng.uniform(-1.0, 1.0)), gamma])
-        n = self.matrix_dim
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        self._require_su2()
+        alpha, gamma = rng.uniform(0.0, 4 * np.pi), rng.uniform(0.0, 4 * np.pi)
+        return np.array([alpha, np.arccos(rng.uniform(-1.0, 1.0)), gamma])
 
     def haar_matrices(self, draws: np.ndarray) -> np.ndarray:
         """The group matrices of a stack of :meth:`draw` results, built in one call."""
-        sampler = self._sampler()
-        if sampler == "euler":
-            return _euler_matrices(*np.transpose(draws))
-        return _qr_haar_unitaries(draws, sampler == "su")
+        self._require_su2()
+        return _euler_matrices(*np.transpose(draws))
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list:
         """``count`` Haar samples, drawn column by column (each draw for all samples in turn)."""
@@ -410,44 +383,36 @@ class GroupModel:
 
     def _random_matrices(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """The matrices of :meth:`random_elements`, as one stack."""
-        if self._sampler() == "euler":
-            alphas = rng.uniform(0.0, 4 * np.pi, count)
-            gammas = rng.uniform(0.0, 4 * np.pi, count)
-            draws = np.stack([alphas, np.arccos(rng.uniform(-1.0, 1.0, count)), gammas], axis=-1)
-        else:
-            shape = (count, self.matrix_dim, self.matrix_dim)
-            draws = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self._require_su2()
+        alphas = rng.uniform(0.0, 4 * np.pi, count)
+        gammas = rng.uniform(0.0, 4 * np.pi, count)
+        draws = np.stack([alphas, np.arccos(rng.uniform(-1.0, 1.0, count)), gammas], axis=-1)
         return self.haar_matrices(draws)
 
     def random_algebra(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.dim)
 
     def haar_rule(self, bandwidth: int) -> QuadratureRule:
-        """Quadrature over the group.
+        """The exact quadrature over SU(2); any other group raises NotImplementedError.
 
-        For the SU(2) catalog this is the Euler-angle product rule: uniform
-        grids over both circle angles (full 4*pi period, so half-integer
-        frequencies cancel exactly) and Gauss-Legendre in the cosine of the
-        middle angle.  It integrates every product of irreducible matrix
-        coefficients of total spin <= bandwidth exactly.  Other groups take the 4096
-        (``_MC_NODE_COUNT``) nodes of :meth:`random_elements` from ``default_rng(0)``
-        (``_MC_SEED``), equally weighted, at every bandwidth; groups without a sampler raise.
+        This is the Euler-angle product rule: uniform grids over both circle angles (full
+        4*pi period, so half-integer frequencies cancel exactly) and Gauss-Legendre in the
+        cosine of the middle angle.  It integrates every product of irreducible matrix
+        coefficients of total spin <= bandwidth exactly.
         """
         if bandwidth < 1:
             raise ValueError("bandwidth must be >= 1")
-        if self._sampler() == "euler":
-            n_circ = 2 * int(np.ceil(bandwidth)) + 1
-            n_leg = int(np.ceil((bandwidth + 1) / 2))
-            us, wu = _gauss_legendre(n_leg)
-            circle = 4 * np.pi * np.arange(n_circ) / n_circ
-            # node order: beta outermost, then alpha, then gamma
-            beta, alpha, gamma = np.meshgrid(np.arccos(us), circle, circle, indexing="ij")
-            mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
-            weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
-            return QuadratureRule(mats, weights, float(bandwidth), self)
-        nodes = self._random_matrices(np.random.default_rng(_MC_SEED), _MC_NODE_COUNT)
-        return QuadratureRule(nodes, np.full(len(nodes), 1.0 / len(nodes)), 0.0, self,
-                              kind="monte-carlo")
+        self._require_su2()
+        n_circ = 2 * int(np.ceil(bandwidth)) + 1
+        n_leg = int(np.ceil((bandwidth + 1) / 2))
+        us, wu = _gauss_legendre(n_leg)
+        circle = 4 * np.pi * np.arange(n_circ) / n_circ
+        # node order: beta outermost, then alpha, then gamma
+        beta, alpha, gamma = np.meshgrid(np.arccos(us), circle, circle, indexing="ij")
+        mats = _euler_matrices(alpha.ravel(), beta.ravel(), gamma.ravel())
+        weights = np.repeat(wu / 2.0 / n_circ ** 2, n_circ ** 2)
+        return QuadratureRule(mats, weights, float(bandwidth), self)
+
 
 def _gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes on [-1, 1], ascending, and weights (Golub-Welsch).

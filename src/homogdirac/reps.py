@@ -116,7 +116,7 @@ def spin_rep(group: GroupModel, two_j: int) -> UnitaryRep:
     its basis and D_0 part are built once, and keeps any other only while held elsewhere.
     """
     if group.matrix_dim != 2 or group.dim != 3:
-        raise ValueError("spin representations are cataloged for SU(2) groups")
+        raise ValueError(f"spin representations are cataloged for SU(2) groups; not {group.name!r}")
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a nonnegative integer")
     reps = (group.memo("spin_reps", weakref.WeakValueDictionary) if two_j

@@ -350,7 +350,7 @@ def test_threads_env_gives_same_spectrum(tmp_path, monkeypatch):
 
 
 def _su2_group_lines(basis=None, **overrides):
-    """Lines of a [group] config for SU(2) in ``basis`` (default: the catalog's).
+    """Lines of a [group] config for the group of ``basis`` (default: the catalog SU(2)).
 
     An override of None drops the key.
     """
@@ -397,6 +397,48 @@ def test_verify_monopole_on_a_rotated_su2_basis(tmp_path, charge):
                  "--bundle", "monopole", "--charge", str(charge), "--sample-count", "25",
                  "--quadrature-bandwidth", "6", "--seed", "1", "--out", out]) == 0
     assert json.load(open(out))["pass"] is True
+
+
+def _gell_mann():
+    """The Gell-Mann matrices lambda_1, ..., lambda_8 in their standard order."""
+    lam = np.zeros((8, 3, 3), dtype=complex)
+    for a, (i, j) in zip((0, 3, 5), ((0, 1), (0, 2), (1, 2))):
+        lam[a, i, j] = lam[a, j, i] = 1.0
+        lam[a + 1, i, j], lam[a + 1, j, i] = -1j, 1j
+    lam[2] = np.diag([1.0, -1.0, 0.0])
+    lam[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3)
+    return lam
+
+
+@pytest.mark.parametrize("bundle", ["clifford", "monopole", "tangent"])
+def test_verify_off_su2_exits_config_error_naming_the_group(tmp_path, bundle, capsys):
+    """SU(3) over its maximal torus (lambda_3, lambda_8): a flag manifold has no exact rule
+    and no Haar sampler, so verify exits 2 naming the group before it checks anything."""
+    path = os.path.join(tmp_path, "flag.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(_su2_group_lines(1j * _gell_mann(), matrix_dim="3", basis_count="8",
+                                            subgroup="2, 7", name="su3-flag")) + "\n")
+    out = os.path.join(tmp_path, "report.json")
+    assert main(["verify", "--group", path, "--bundle", bundle, "--out", out]) == 2
+    assert ("group 'su3-flag' has no exact rule and no Haar sampler"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, subgroup",
+                         [("monopole", "2, 7"), ("monopole", "7"), ("spectrum", "7")])
+def test_sampling_free_commands_off_su2_exit_config_error_naming_the_group(
+        tmp_path, command, subgroup, capsys):
+    """monopole and spectrum exit 2 off SU(2) too, naming the group: on the flag manifold at
+    the circle check of the monopole bundle, on SU(3) over a circle at spin_rep."""
+    path = os.path.join(tmp_path, "su3.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(_su2_group_lines(1j * _gell_mann(), matrix_dim="3", basis_count="8",
+                                            subgroup=subgroup, name="su3-x")) + "\n")
+    out = os.path.join(tmp_path, "out.csv")
+    assert main([command, "--group", path, "--out", out]) == 2
+    assert "'su3-x'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_verify_draws_no_dirac_harmonic_spinors(monkeypatch):

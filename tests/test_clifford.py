@@ -180,7 +180,7 @@ def test_derivation_kills_unit_and_extends_generator_action(rng):
     alg = CliffordAlgebra(3)
     r = rng.standard_normal((3, 3))
     r = (r - r.T) / 2
-    d = alg.derivation_matrix(r)
+    d = alg.derivation_stack(r[None])[0]
     assert np.allclose(d @ alg.unit(), 0.0)
     for a in range(3):
         assert np.allclose(vector_part(alg, d @ alg.generator(a)), r[:, a], atol=1e-13)
@@ -190,7 +190,7 @@ def test_derivation_leibniz(rng):
     alg = CliffordAlgebra(3)
     r = rng.standard_normal((3, 3))
     r = (r - r.T) / 2
-    d = alg.derivation_matrix(r)
+    d = alg.derivation_stack(r[None])[0]
     e1, e2 = alg.generator(0), alg.generator(1)
     lhs = d @ alg.mul(e1, e2)
     rhs = alg.mul(d @ e1, e2) + alg.mul(e1, d @ e2)
@@ -204,7 +204,7 @@ def test_derivation_leibniz(rng):
 def test_derivation_rejects_non_skew(rng):
     alg = CliffordAlgebra(2)
     with pytest.raises(ValueError, match="skew"):
-        alg.derivation_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        alg.derivation_stack(np.array([[0.0, 1.0], [1.0, 0.0]])[None])
 
 
 def test_derivation_exponentiates_to_extended_isometry(rng):
@@ -212,7 +212,7 @@ def test_derivation_exponentiates_to_extended_isometry(rng):
     r = rng.standard_normal((3, 3))
     r = (r - r.T) / 2
     for t in (0.05, 0.3):
-        lhs = expm_skew(t * alg.derivation_matrix(r)).real
+        lhs = expm_skew(t * alg.derivation_stack(r[None])[0]).real
         rhs = alg.orthogonal_extend(expm_skew(t * r).real)
         assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -226,7 +226,7 @@ def test_derivation_stack_of_no_operator_keeps_the_matrix_shape():
 
 def _commutator_derivation(alg, r):
     """The derivation of one skew operator as the commutator with its bivector, built the way
-    derivation_matrix built it before the stack did: the reference."""
+    the one-operator derivation was built before the stack did: the reference."""
     biv = np.zeros(alg.n)
     for a in range(alg.p):
         for b in range(a + 1, alg.p):
@@ -237,7 +237,7 @@ def _commutator_derivation(alg, r):
 @pytest.mark.parametrize("p", range(6))
 def test_derivation_stack_is_the_commutator_construction_bit_for_bit(p, rng):
     """One gather for the whole stack gives each operator's commutator matrix byte for byte,
-    signed zeros included, and derivation_matrix is its one-operator case."""
+    signed zeros included, and a one-member stack is its one-operator case."""
     alg = CliffordAlgebra(p)
     for count in (0, 1, 4):
         skews = rng.standard_normal((count, p, p))
@@ -246,17 +246,17 @@ def test_derivation_stack_is_the_commutator_construction_bit_for_bit(p, rng):
         assert stack.shape == (count, alg.n, alg.n)
         for r, d in zip(skews, stack):
             assert d.tobytes() == _commutator_derivation(alg, r).tobytes()
-            assert alg.derivation_matrix(r).tobytes() == d.tobytes()
+            assert alg.derivation_stack(r[None])[0].tobytes() == d.tobytes()
 
 
 def test_derivation_stack_rejects_what_derivation_matrix_rejects():
-    """A wrong shape or one non-skew member fails the whole stack with the one-operator
-    messages."""
+    """A wrong shape, also of one operator put in a stack of one, or one non-skew member
+    fails the whole stack."""
     alg = CliffordAlgebra(3)
     skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(ValueError, match="operator shape does not match"):
-            alg.derivation_matrix(bad)
+            alg.derivation_stack(bad[None])
     for bad in (np.ones((2, 3, 4)), skew):  # the latter one operator, not a stack
         with pytest.raises(ValueError, match="operator shape does not match"):
             alg.derivation_stack(bad)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import homogdirac
-from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, adjoint_rep, spin_rep
+from homogdirac import EvalPoints, GroupModel, MatrixCoefficient, spin_rep
 from homogdirac.groups import _euler_matrices, _gauss_legendre, _su2_raw_basis, expm_skew
 from oracles import k_nodes, k_rule, random_element, scaled_su2, symmetric_space_residual
 from test_geometry import su3_circle
@@ -170,7 +170,7 @@ def test_a_haar_rule_imports_no_numpy_submodule():
 
 
 def test_rule_nodes_are_the_rule_matrices(sphere, full_group):
-    rules = [sphere.haar_rule(3), k_rule(sphere), k_rule(full_group), su3_circle().haar_rule(2)]
+    rules = [sphere.haar_rule(3), k_rule(sphere), k_rule(full_group)]
     for rule in rules:
         assert len(rule) == len(rule.matrices) == len(rule.weights)
         assert np.array_equal(EvalPoints.for_rule(rule.group, rule).matrices, rule.matrices)
@@ -235,42 +235,15 @@ def test_diagonal_subgroup_of_su2_squared_constructs_without_its_rule():
     assert symmetric_space_residual(g) < 1e-15
 
 
-def test_monte_carlo_rule():
-    """Off SU(2) the rule is Monte Carlo, whatever the bandwidth: one fixed draw of nodes."""
-    group = su3_circle()
-    rule = group.haar_rule(4)
-    assert rule.kind == "monte-carlo"
-    assert abs(rule.weights.sum() - 1.0) < 1e-12
-    assert np.array_equal(rule.matrices, group.haar_rule(1).matrices)
-    pts = EvalPoints.for_rule(group, rule)
-    rep = adjoint_rep(group)  # irreducible, so its coefficients average to zero
-    mean = np.einsum("n,nij->ij", rule.weights, pts.rep_stack(rep))
-    # coefficients have unit-order variance; allow three sigma
-    assert np.abs(mean).max() < 3.0 * 3 / np.sqrt(len(rule))
-
-
-SAMPLED = {
-    "su2": GroupModel.su2,
-    "su3": su3_circle,
-    "u3": lambda: GroupModel("u3", np.concatenate([su3_circle().basis, [-0.5j * np.eye(3)]])),
-}
+SAMPLED = {"su2": GroupModel.su2}
 
 
 def _former_random_elements(group, rng, count):
     """``random_elements`` as written before draws and builds were split: the oracle."""
-    n = group.matrix_dim
-    if n == 2:
-        alphas = rng.uniform(0.0, 4 * np.pi, count)
-        gammas = rng.uniform(0.0, 4 * np.pi, count)
-        betas = np.arccos(rng.uniform(-1.0, 1.0, count))
-        return _euler_matrices(alphas, betas, gammas)
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    if group.dim == n * n - 1:  # SU(n); the old code read this off trace(basis[0])
-        q = q * (np.linalg.det(q) ** (-1.0 / n))[:, None, None]
-    return q
+    alphas = rng.uniform(0.0, 4 * np.pi, count)
+    gammas = rng.uniform(0.0, 4 * np.pi, count)
+    betas = np.arccos(rng.uniform(-1.0, 1.0, count))
+    return _euler_matrices(alphas, betas, gammas)
 
 
 @pytest.mark.parametrize("name", SAMPLED)
@@ -290,20 +263,22 @@ def test_per_sample_draws_build_the_former_per_point_samples(name):
 
 
 def test_samplers_follow_the_haar_rule_cases(rng):
-    """Euler angles on SU(2) only; QR on all of SU(n) or U(n); other groups have no sampler."""
+    """Euler angles and the exact rule on SU(2) only: every other group raises, naming
+    itself, before drawing anything."""
     u2 = GroupModel("u2", np.concatenate([_su2_raw_basis(), [-0.5j * np.eye(2)]]))
-    xs = np.stack([x.matrix for x in u2.random_elements(rng, 200)])
-    assert np.abs(xs @ xs.conj().transpose(0, 2, 1) - np.eye(2)).max() < 1e-14
-    dets = np.linalg.det(xs)
-    assert np.sum(np.abs(dets - 1.0) > 1e-3) > 150  # a U(2) sample is rarely in SU(2)
     rotations = np.zeros((3, 3, 3), dtype=complex)  # so(3) as real 3x3 generators
     for a, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         rotations[a, i, j], rotations[a, j, i] = -1.0, 1.0
     so3 = GroupModel("so3", rotations)
-    for sample in (so3.draw, lambda r: so3.random_elements(r, 5),
-                   lambda r: so3.haar_rule(2)):
-        with pytest.raises(NotImplementedError, match="no Haar sampler"):
-            sample(rng)
+    state = rng.bit_generator.state
+    for group in (u2, su3_circle(), so3):
+        for sample in (group.draw, lambda r: group.random_elements(r, 5),
+                       lambda r: group.haar_matrices(np.zeros((5, 3))),
+                       lambda r: group.haar_rule(2)):
+            with pytest.raises(NotImplementedError,
+                               match=f"group '{group.name}' has no exact rule and no Haar sampler"):
+                sample(rng)
+    assert rng.bit_generator.state == state
 
 
 def test_monte_carlo_unavailable_for_odd_groups():

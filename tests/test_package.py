@@ -1,6 +1,7 @@
 """The package namespace re-exports exactly the public names of its layer modules, every
-one of them but a pinned few has a caller in the package's own source, and every defaulted
-parameter but a pinned one is set by some call in the package or the benchmark."""
+one of them but a pinned few has a caller in the package's own source, so does every public
+method of those classes (or in the benchmark), and every defaulted parameter but a pinned one
+is set by some call in the package or the benchmark."""
 
 import ast
 import pathlib
@@ -35,10 +36,14 @@ CALLER_LESS = {"KAverage", "casimir_value", "connection_test_matrix"}
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+PACKAGE = [p for p in pathlib.Path(homogdirac.__file__).parent.glob("*.py")
+           if p.name != "__init__.py"]  # its imports re-export; they call nothing
+BENCHMARK = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
 
 
-def _referenced_names() -> set:
-    """Every name or attribute the layer modules read, outside the definition of that name."""
+def _referenced_names(paths=PACKAGE) -> set:
+    """Every name or attribute the modules at ``paths`` read, outside the definition of
+    that name."""
     used = set()
 
     def walk(node, inside):
@@ -51,9 +56,8 @@ def _referenced_names() -> set:
         for child in ast.iter_child_nodes(node):
             walk(child, inside)
 
-    for path in pathlib.Path(homogdirac.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":  # its imports re-export; they call nothing
-            walk(ast.parse(path.read_text()), frozenset())
+    for path in paths:
+        walk(ast.parse(path.read_text()), frozenset())
     return used
 
 
@@ -61,6 +65,20 @@ def test_only_the_pinned_names_have_no_caller_in_the_package():
     """A new public helper that nothing in the package calls fails here until it is pinned."""
     listed = {name for module in LAYERS for name in module.__all__}
     assert listed - _referenced_names() == CALLER_LESS
+
+
+def test_every_public_method_has_a_caller_in_the_package_or_the_benchmark():
+    """A public method (or property) of an exported class that only tests call fails here;
+    dunders are exempt, and a method is matched by its name."""
+    used = _referenced_names(PACKAGE + BENCHMARK)
+    caller_less = set()
+    for module in LAYERS:
+        for node in ast.parse(pathlib.Path(module.__file__).read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in module.__all__:
+                caller_less |= {f"{node.name}.{d.name}" for d in node.body
+                                if isinstance(d, ast.FunctionDef)
+                                and not d.name.startswith("_") and d.name not in used}
+    assert caller_less == set()
 
 
 def test_each_pinned_name_is_called_by_the_benchmark():

@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -328,19 +327,6 @@ def test_l2_bandwidth_warning(sphere, rng):
     f = MatrixCoefficient(rep, rng.standard_normal(5), rng.standard_normal(5))
     with pytest.warns(BandwidthWarning):
         l2_inner(f, f, rule)
-
-
-def test_l2_inner_off_su2_emits_no_bandwidth_warning(rng):
-    """Off SU(2) the adjoint spin is infinite, and only Monte Carlo rules exist to meet it."""
-    from test_geometry import su3_circle
-
-    group = su3_circle()
-    rule = group.haar_rule(2)
-    w = FundamentalField(group, group.random_algebra(rng))
-    assert adjoint_rep(group).spin == np.inf and rule.kind == "monte-carlo"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", BandwidthWarning)
-        assert l2_inner(w, w, rule) > 0
 
 
 def test_a_section_is_evaluated_only_on_its_own_group(sphere, full_group, rule8_full, rng):
