@@ -33,7 +33,6 @@ from .sections import (
     Scale,
     Section,
     Sum,
-    TangentKRep,
     Translate,
     TrivialKRep,
     equivariance_defect,

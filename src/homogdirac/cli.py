@@ -28,8 +28,9 @@ group file (whose ``[group] subgroup`` decides), exits 2 naming ``subgroup``, an
   ``--sample-count``, ``--seed`` and ``--out``.
 
 All randomness is drawn from the configured seed, so identical
-configurations produce byte-identical outputs.  Every command runs in one
-thread; ``HOMOG_DIRAC_THREADS`` is accepted and ignored.
+configurations produce byte-identical outputs.  No command starts a thread of its
+own; numpy's BLAS keeps its default thread count unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set, and ``HOMOG_DIRAC_THREADS`` has no effect.
 
 Evaluation caches live no longer than the objects they serve: ``verify``
 keeps its quadrature rule for its whole run, and with it the rule's

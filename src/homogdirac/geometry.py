@@ -201,9 +201,6 @@ class ApplyConnection(Section):
         applied = target.values(pts) @ ops.transpose(0, 2, 1)  # (direction, point, fiber)
         return out + np.einsum("na,ani->ni", wvals, applied)
 
-    def _derivs(self, pts, dirs):  # pragma: no cover - guarded by deriv_order
-        raise DerivativeOrderError("covariant derivatives are exact to first order only")
-
 
 def torsion(connection: Connection, v: Section, w: Section) -> Product:
     """Torsion of the connection on two tangent sections: x -> T0(v(x), w(x)).

@@ -1,20 +1,21 @@
 """Compact matrix Lie groups with a chosen reductive splitting.
 
-A :class:`GroupModel` packages a compact matrix group G together with an
-orthonormal basis of its Lie algebra, a closed subgroup K (given by a
-subalgebra and a quadrature rule over K), the orthogonal splitting of the
-algebra into the isotropy part and its complement, and Haar quadrature
-over G.  Everything downstream (bundles, connections, Dirac operators)
-consumes the group only through coordinate operations in the orthonormal
-basis: exponential, adjoint action, brackets and projections.
+A :class:`GroupModel` packages a compact matrix group G with an orthonormal basis of
+its Lie algebra, a connected closed subgroup K (given by the subalgebra that some basis
+members span) and the orthogonal splitting of the algebra into the isotropy part and its
+complement; on SU(2) alone it also draws Haar samples and builds an exact rule over G.
+Everything downstream (bundles, connections, Dirac operators) consumes the group only
+through coordinate operations in the orthonormal basis: exponential, adjoint action,
+brackets and projections.
 
-Conventions.  The algebra basis is orthonormalized in declared order for
-the invariant form ``<A, B> = -c * tr(A B)``, with ``c`` fixed so that the
-declared basis has unit norm (times an optional ``metric_scale``).  All
-coordinate vectors are expressed in that orthonormal basis.  The isotropy
-subalgebra is spanned by ``k_frame`` rows; its orthogonal complement,
-conventionally written ``m``, is spanned by ``m_frame`` rows and carries
-the induced inner product that defines the invariant metric on G/K.
+Conventions.  The declared basis must span a compact Lie algebra: a member that is zero
+or not skew-Hermitian, or a bracket of two members outside their span, raises ValueError
+naming ``basis_<i>``.  It is orthonormalized in declared order for the invariant form
+``<A, B> = -c * tr(A B)``, with ``c`` fixed so that the declared basis has average unit
+norm (times an optional ``metric_scale``).  All coordinate vectors are expressed in that
+orthonormal basis.  The isotropy subalgebra is spanned by ``k_frame`` rows; its
+orthogonal complement, conventionally written ``m``, is spanned by ``m_frame`` rows and
+carries the induced inner product that defines the invariant metric on G/K.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ class GroupModel:
         raw = np.asarray(basis_matrices, dtype=complex)
         if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
             raise ValueError("basis_matrices must be a stack of square matrices")
+        norms = np.linalg.norm(raw, axis=(1, 2))
+        herm = np.linalg.norm(raw + raw.conj().transpose(0, 2, 1), axis=(1, 2))
+        skew = herm < _EXPANSION_TOL * norms  # False for a zero or NaN member too
+        if not skew.all():
+            raise ValueError(f"basis_{np.argmin(skew)} is zero or not skew-Hermitian")
         self.name = name
         self.matrix_dim = raw.shape[1]
         self.dim = raw.shape[0]
@@ -175,12 +181,18 @@ class GroupModel:
 
         # Fix c in <A,B> = -c tr(AB) so the declared basis has average
         # unit norm, then absorb the optional metric scale.
-        raw_sq = float(np.mean([-np.trace(m @ m).real for m in raw]))
-        if raw_sq <= 0:
-            raise ValueError("basis matrices must have positive -tr(X^2)")
+        raw_sq = float(np.mean([-np.trace(m @ m).real for m in raw]))  # > 0: no member is 0
         self.form_factor = self.metric_scale / raw_sq
         form = lambda a, b: float((-self.form_factor * np.trace(a @ b)).real)
         self.basis = _gram_schmidt_matrices(raw, form)
+        brackets = raw[:, None] @ raw - raw @ raw[:, None]  # [basis_i, basis_j] at [i, j]
+        coords = np.einsum("cij,abji->abc", self.basis, brackets).real * -self.form_factor
+        off_span = brackets - np.einsum("abc,cij->abij", coords, self.basis)
+        bad = np.argwhere(np.linalg.norm(off_span, axis=(2, 3))
+                          > _EXPANSION_TOL * np.outer(norms, norms))
+        if len(bad):
+            raise ValueError(f"the bracket of basis_{bad[0, 0]} and basis_{bad[0, 1]} "
+                             "leaves their span")
 
         # Structure constants in the orthonormal basis.
         comm = np.einsum("aij,bjk->abik", self.basis, self.basis)
@@ -357,7 +369,8 @@ class GroupModel:
 
     def _require_su2(self) -> None:
         """Raise NotImplementedError naming the group unless it is SU(2), the one group with
-        an exact rule and a Haar sampler."""
+        an exact rule and a Haar sampler.  The test on (matrix_dim, dim) is exact: the basis
+        spans a Lie subalgebra of u(2), and su(2) is the only one of dimension 3."""
         if (self.matrix_dim, self.dim) != (2, 3):
             raise NotImplementedError(f"group {self.name!r} has no exact rule and no Haar sampler")
 

@@ -15,11 +15,11 @@ Functions on the group enter as matrix coefficients x -> u* rho(x) v
 adjoint representation, a spectral block's spinors those of a spin
 representation and a bundle's frame those of the contragredient of its ambient
 one, each with one value per column of a matrix ``v``.
-Every pointwise module operation is one of two nodes: a bilinear map of
-two sections (:class:`Product`: the module action, Clifford product, fiber
-inner product, rank-one endomorphisms and applying an endomorphism), which
-carries the product rule once, or a fixed real-linear map of one section
-(:class:`Pointwise`: the real part and the grade-one embedding).
+Every pointwise module operation is one of two nodes: a bilinear map of two sections
+(:class:`Product`: the module action, Clifford product, fiber inner product, rank-one
+endomorphisms and applying an endomorphism), which carries the product rule once, or a
+fixed real-linear map of one section (:class:`Pointwise`: the real part and the
+grade-one embedding).  The product and sum rules differentiate a constant like any child.
 Each operation is a constructor function returning one of them, and a
 left derivative is rebuilt through that same function.
 Evaluation is batched: an :class:`EvalPoints` wraps a stack of defining matrices of
@@ -35,16 +35,16 @@ child node's, so one product serves its values and every derivative) and the fra
 Jacobians that a covariant derivative contracts with a direction field.  A batch keeps
 no derived batch: a left translate is a new batch per evaluation.  Every subgroup action
 is one :class:`MatrixKRep` carrying its generators and, if it preserves a grading, its
-weights; the trivial, tangent and Clifford actions are kept on their group, and a bundle
-keeps its fiber action.  The tangent and bundle-fiber actions restrict a representation
-to an invariant subspace (:func:`RestrictedKRep`), so they read the batch's stack of it,
-and the Clifford action extends the tangent one.  A
-section carries no action: an equivariant one is a sum of projected coefficients
-u* rho(x) P(v), P the closed-form subgroup average (:meth:`MatrixKRep.invariant`,
-:func:`invariant_basis`), and :func:`equivariance_defect` measures a section against the
-action it is given.  Every node is built by the one :class:`Section` constructor, with a
-conservative bandwidth bound (total spin of its Peter-Weyl content) that :func:`l2_inner`
-checks against the quadrature rule.
+weights; the trivial and Clifford actions are kept on their group, and a bundle keeps
+its fiber action, which restricts a representation to an invariant subspace
+(:func:`RestrictedKRep`) and so reads the batch's stack of it.  The tangent action is the
+tangent bundle's, and the Clifford action extends the tangent rotations read off the
+batch's adjoint stack.  A section carries no action: an equivariant one is a sum of
+projected coefficients u* rho(x) P(v), P the closed-form subgroup average
+(:meth:`MatrixKRep.invariant`, :func:`invariant_basis`), and :func:`equivariance_defect`
+measures a section against the action it is given.  Every node is built by the one
+:class:`Section` constructor, with a conservative bandwidth bound (total spin of its
+Peter-Weyl content) that :func:`l2_inner` checks against the quadrature rule.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "TrivialKRep",
     "MatrixKRep",
     "RestrictedKRep",
-    "TangentKRep",
     "CliffordKRep",
     "l2_inner",
     "lambda_deriv",
@@ -307,13 +306,6 @@ def RestrictedKRep(rep: UnitaryRep, embed: np.ndarray) -> MatrixKRep:
                       e.conj().T @ rep.derivative(rep.group.k_frame) @ e)
 
 
-def TangentKRep(group: GroupModel) -> MatrixKRep:
-    """Adjoint action on the tangent complement, in complement-frame coordinates: the adjoint
-    representation restricted to it, so its stack reads the batch's adjoint stack; one action
-    per group, kept on it, so its invariant bases are built once."""
-    return group.memo("TangentKRep", lambda: RestrictedKRep(adjoint_rep(group), group.m_frame.T))
-
-
 def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
     """Adjoint action on the group's spinor algebra by automorphisms; one per group, kept on it.
 
@@ -323,9 +315,9 @@ def CliffordKRep(group: GroupModel, algebra: CliffordAlgebra) -> MatrixKRep:
         raise ValueError(f"a Clifford algebra on {algebra.p} generators for a tangent "
                          f"complement of dimension {group.m_dim}")
 
-    def stack(pts: EvalPoints) -> np.ndarray:
-        return np.array([algebra.orthogonal_extend(t)
-                         for t in TangentKRep(group).stack(pts).real]).astype(complex)
+    def stack(pts: EvalPoints) -> np.ndarray:  # the tangent rotations, from the adjoint stack
+        tangent = group.m_frame @ pts.rep_stack(adjoint_rep(group)) @ group.m_frame.T
+        return np.array([algebra.orthogonal_extend(t) for t in tangent.real]).astype(complex)
 
     return group.memo("CliffordKRep", lambda: MatrixKRep(
         group, stack, algebra.derivation_stack(group.k_tangent), algebra.grades))
@@ -384,8 +376,8 @@ class Section:
 
 
 class Constant(Section):
-    """A constant section: its values are a read-only stride-0 view of ``const``, not a
-    copy per point, and its zero derivative adds no term to a :class:`Sum` or :class:`Product`."""
+    """A constant section: its values and its zero derivatives are read-only stride-0 views,
+    not a copy per point; a :class:`Sum` or :class:`Product` differentiates it like any child."""
 
     def __init__(self, codomain: Codomain, value, *, group: GroupModel):
         super().__init__((), codomain, 0.0, 1, group)
@@ -485,8 +477,7 @@ class Sum(Section):
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
         out = np.broadcast_to(0j, (pts.n,) + self.codomain.shape)
         for c, child in zip(self.coeffs, self.children):
-            if not isinstance(child, Constant):  # a constant adds no term
-                out = out + c * child.derivs(pts, dirs)
+            out = out + c * child.derivs(pts, dirs)
         return out
 
     def _lambda(self, coords: np.ndarray) -> Section:
@@ -513,11 +504,7 @@ class Product(Section):
         return self.mul(a.values(pts), b.values(pts))
 
     def _derivs(self, pts: EvalPoints, dirs: np.ndarray) -> np.ndarray:
-        a, b = self.children  # a constant factor's term is zero and left out
-        if isinstance(b, Constant):
-            return self.mul(a.derivs(pts, dirs), b.values(pts))
-        if isinstance(a, Constant):
-            return self.mul(a.values(pts), b.derivs(pts, dirs))
+        a, b = self.children
         return (self.mul(a.derivs(pts, dirs), b.values(pts))
                 + self.mul(a.values(pts), b.derivs(pts, dirs)))
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def test_verify_passes_on_catalog(tmp_path):
                "--sample-count", "25", "--quadrature-bandwidth", "6",
                "--seed", "1", "--out", out])
     assert rc == 0
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     assert report["pass"] is True
     assert all("anchor" in c and "residual" in c for c in report["checks"])
 
@@ -49,7 +50,7 @@ def test_verify_fails_on_violating_gamma(tmp_path):
                "--connection", path, "--sample-count", "20",
                "--quadrature-bandwidth", "6", "--out", out])
     assert rc == 1
-    report = json.load(open(out))
+    report = json.loads(Path(out).read_text())
     failing = {c["anchor"] for c in report["checks"] if not c["pass"]}
     assert "dirac.selfadjointness-criterion" in failing
     assert "dirac.selfadjoint-defect" in failing
@@ -160,7 +161,7 @@ def test_a_group_file_report_echoes_the_basis_indices_of_its_subgroup(tmp_path, 
 def test_spectrum_runs_to_level_40(tmp_path):
     out = os.path.join(tmp_path, "s40.csv")
     assert main(["spectrum", "--levels", "40", "--out", out]) == 0
-    levels = [int(r.split(",")[0]) for r in open(out).read().strip().splitlines()[1:]]
+    levels = [int(r.split(",")[0]) for r in Path(out).read_text().strip().splitlines()[1:]]
     assert sorted(set(levels)) == list(range(41))
     # two constant spinors at level 0, then 4 (2 level + 1) eigenvalues per level
     assert [levels.count(lv) for lv in range(41)] == [2] + [4 * (2 * lv + 1)
@@ -173,8 +174,8 @@ def test_spectrum_determinism_and_kernel(tmp_path):
     out1, out2 = (os.path.join(tmp_path, n) for n in ("a.csv", "b.csv"))
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    rows = open(out1).read().strip().splitlines()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    rows = Path(out1).read_text().strip().splitlines()
     assert rows[0] == "level,index,eigenvalue,asymmetry_norm,closure_residual"
     level0 = [r for r in rows[1:] if r.startswith("0,")]
     assert any(abs(float(r.split(",")[2])) < 1e-10 for r in level0)
@@ -312,11 +313,11 @@ def test_verify_stats_sidecar_times_every_check(tmp_path):
     out, plain, stats = (os.path.join(tmp_path, n) for n in ("r.json", "p.json", "s.json"))
     assert main(args + ["--out", out, "--stats", stats]) == 0
     assert main(args + ["--out", plain]) == 0
-    assert open(out).read() == open(plain).read()
-    sidecar = json.load(open(stats))
+    assert Path(out).read_text() == Path(plain).read_text()
+    sidecar = json.loads(Path(stats).read_text())
     assert list(sidecar) == ["check_seconds", "retained_bytes"]
     seconds = sidecar["check_seconds"]
-    assert list(seconds) == [c["anchor"] for c in json.load(open(out))["checks"]]
+    assert list(seconds) == [c["anchor"] for c in json.loads(Path(out).read_text())["checks"]]
     assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
     retained = sidecar["retained_bytes"]
     assert list(retained) == ["samples", "rule"]
@@ -330,8 +331,8 @@ def test_spectrum_stats_sidecar_times_every_level(tmp_path):
     out, plain, stats = (os.path.join(tmp_path, n) for n in ("s.csv", "p.csv", "s.json"))
     assert main(args + ["--out", out, "--stats", stats]) == 0
     assert main(args + ["--out", plain]) == 0
-    assert open(out).read() == open(plain).read()
-    sidecar = json.load(open(stats))
+    assert Path(out).read_text() == Path(plain).read_text()
+    sidecar = json.loads(Path(stats).read_text())
     assert list(sidecar) == ["block_seconds"]
     seconds = sidecar["block_seconds"]
     assert list(seconds) == [str(level) for level in range(4)]  # JSON keys are strings
@@ -346,7 +347,7 @@ def test_threads_env_gives_same_spectrum(tmp_path, monkeypatch):
     assert main(args + ["--out", out1]) == 0
     monkeypatch.setenv("HOMOG_DIRAC_THREADS", "2")
     assert main(args + ["--out", out2]) == 0
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 def _su2_group_lines(basis=None, **overrides):
@@ -386,7 +387,7 @@ def test_verify_passes_on_a_custom_su2_basis(tmp_path, layout, bundle):
     assert main(["verify", "--group", _custom_su2_file(tmp_path, layout), "--bundle", bundle,
                  "--sample-count", "25", "--quadrature-bandwidth", "6", "--seed", "1",
                  "--out", out]) == 0
-    assert json.load(open(out))["pass"] is True
+    assert json.loads(Path(out).read_text())["pass"] is True
 
 
 @pytest.mark.parametrize("charge", [1, -1, 2, -2])
@@ -396,7 +397,7 @@ def test_verify_monopole_on_a_rotated_su2_basis(tmp_path, charge):
     assert main(["verify", "--group", _custom_su2_file(tmp_path, "rotated"),
                  "--bundle", "monopole", "--charge", str(charge), "--sample-count", "25",
                  "--quadrature-bandwidth", "6", "--seed", "1", "--out", out]) == 0
-    assert json.load(open(out))["pass"] is True
+    assert json.loads(Path(out).read_text())["pass"] is True
 
 
 def _gell_mann():
@@ -475,6 +476,27 @@ def test_matrix_coefficient_on_a_custom_su2_basis_matches_central_differences(
             y = group.random_algebra(rng)
             central = (value(f, x @ group.exp(y, h)) - value(f, x @ group.exp(y, -h))) / (2 * h)
             assert abs(deriv(f, x, y) - central) < 1e-8 * max(1.0, abs(central))
+
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@pytest.mark.parametrize("basis, name", [
+    (1j * np.array([_SIGMA[0], _SIGMA[1], np.eye(2)]), "bracket of basis_0 and basis_1"),
+    (np.array([1j * _SIGMA[0], 1j * _SIGMA[1], 1j * _SIGMA[2] + 0.1 * _SIGMA[0]]),
+     "basis_2 is zero or not skew-Hermitian"),
+], ids=["not-closed", "not-skew"])
+@pytest.mark.parametrize("command", ["verify", "spectrum", "monopole"])
+def test_group_file_that_is_no_compact_lie_algebra_exits_config_error(tmp_path, basis, name,
+                                                                      command, capsys):
+    """A basis whose brackets leave its span, or a member that is not skew-Hermitian, exits 2
+    from every command, naming the basis."""
+    path = os.path.join(tmp_path, "group.cfg")
+    with open(path, "w") as fh:
+        fh.write("\n".join(_su2_group_lines(basis)) + "\n")
+    assert main([command, "--group", path, "--out", os.path.join(tmp_path, "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
 
 
 @pytest.mark.parametrize("overrides, name", [

@@ -14,7 +14,6 @@ from homogdirac import (
     RealPart,
     Scale,
     Sum,
-    TangentKRep,
     Translate,
     TrivialKRep,
     adjoint_rep,
@@ -56,9 +55,10 @@ def test_fundamental_field_examples(sphere):
 
 def test_fundamental_fields_are_equivariant(sphere, rng):
     w = FundamentalField(sphere, sphere.random_algebra(rng))
+    krep = tangent_bundle(sphere).krep
     for s in k_nodes(sphere)[::8]:
         x = random_element(sphere, rng)
-        assert equivariance_defect(w, TangentKRep(sphere), x, s) < 1e-10
+        assert equivariance_defect(w, krep, x, s) < 1e-10
 
 
 @pytest.mark.parametrize("space", ["sphere", "full_group"])
@@ -118,9 +118,9 @@ def test_correction_term_is_equivariant(full_group, rng):
     frame = tangent_frame(full_group)
     xi = FundamentalField(full_group, full_group.random_algebra(rng))
     nab = ApplyConnection(conn, frame[0], xi)
-    x = random_element(full_group, rng)
+    x, krep = random_element(full_group, rng), tangent_bundle(full_group).krep
     for s in k_nodes(full_group):
-        assert equivariance_defect(nab, TangentKRep(full_group), x, s) < 1e-10
+        assert equivariance_defect(nab, krep, x, s) < 1e-10
 
 
 def test_equivariant_outputs_on_sphere(sphere, rng):
@@ -128,9 +128,9 @@ def test_equivariant_outputs_on_sphere(sphere, rng):
     frame = tangent_frame(sphere)
     xi = FundamentalField(sphere, sphere.random_algebra(rng))
     nab = ApplyConnection(conn, frame[1], xi)
-    x = random_element(sphere, rng)
+    x, krep = random_element(sphere, rng), tangent_bundle(sphere).krep
     for s in k_nodes(sphere)[::6]:
-        assert equivariance_defect(nab, TangentKRep(sphere), x, s) < 1e-10
+        assert equivariance_defect(nab, krep, x, s) < 1e-10
 
 
 def test_intertwining_condition_rejects_generic_gamma_on_sphere(sphere, rng):
@@ -144,7 +144,7 @@ def _rule_stack_intertwines(group, gamma):
     """The intertwining condition at the subgroup rule's nodes: the former route."""
     if np.all(gamma == 0):
         return True
-    ts = rule_stack(TangentKRep(group)).real[:, None]   # (node, 1, p, p)
+    ts = rule_stack(tangent_bundle(group).krep).real[:, None]   # (node, 1, p, p)
     lhs = np.einsum("nba,bij->naij", ts[:, 0], gamma)   # gamma(Ad_s u_a)
     rhs = ts @ gamma @ ts.transpose(0, 1, 3, 2)
     return float(np.abs(lhs - rhs).max()) <= 1e-8
@@ -161,7 +161,7 @@ def _connection_accepts(group, gamma):
 
 def _project_to_intertwiners(group, gamma):
     """Subgroup average of Ad_s^-1 gamma(Ad_s .) Ad_s, exact on the rule for constant gamma."""
-    ts = rule_stack(TangentKRep(group)).real
+    ts = rule_stack(tangent_bundle(group).krep).real
     return sum(w * t.T @ np.einsum("ba,bij->aij", t, gamma) @ t
                for w, t in zip(k_rule(group).weights, ts))
 

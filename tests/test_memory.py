@@ -22,7 +22,6 @@ from homogdirac import (
     RealPart,
     Scale,
     Sum,
-    TangentKRep,
     Translate,
     TrivialKRep,
     adjoint_rep,
@@ -36,7 +35,7 @@ from homogdirac import (
     spinor_algebra,
     tangent_bundle,
 )
-from homogdirac.cli import RunConfig, run_spectrum, run_verify
+from homogdirac.cli import RunConfig, run_monopole, run_spectrum, run_verify
 from oracles import OrbitAverage, direct_sum, random_element, rule_stack
 
 # a leak here holds tens of KB per call (one translated batch, or one
@@ -103,16 +102,14 @@ def test_cache_entries_die_with_their_keys(sphere, rng):
     del batch
     gc.collect()
     assert on_batch() is None and f.children[0] in pts._vals  # the rows die with the batch
-    krep = TangentKRep(sphere)
+    krep = tangent_bundle(sphere).krep
     other = direct_sum(spin_rep(sphere, 1))  # a representation only this test holds
     kept.append(weakref.ref(krep.basis(other)))
     assert other in krep._memo
-    gc.collect()  # the action is shared, so first drop entries other tests left to the collector
-    entries = len(krep._memo)
     del f, other
     gc.collect()
     assert all(r() is None for r in kept)
-    assert (len(pts._vals), len(pts._jac), len(krep._memo)) == (0, 0, entries - 1)
+    assert (len(pts._vals), len(pts._jac), len(krep._memo)) == (0, 0, 0)
 
 
 def test_frame_jacobian_dies_with_its_node_and_with_its_batch(sphere, rng):
@@ -179,12 +176,9 @@ def test_group_keeps_one_representation_per_spin_and_dies_with_them():
     assert CliffordKRep(group, algebra) is CliffordKRep(group, algebra)
     rule_stack(CliffordKRep(group, algebra))
     assert adjoint_rep(group) is adjoint_rep(group)
-    assert TangentKRep(group) is TangentKRep(group)
-    rule_stack(TangentKRep(group))
     assert spin_rep(group, 0) is spin_rep(group, 0)  # the trivial irrep, which the group keeps
     ref = weakref.ref(group)
-    kept = [weakref.ref(adjoint_rep(group)), weakref.ref(TangentKRep(group)),
-            weakref.ref(spin_rep(group, 0))]
+    kept = [weakref.ref(adjoint_rep(group)), weakref.ref(spin_rep(group, 0))]
     del group
     gc.collect()
     assert ref() is None
@@ -195,8 +189,7 @@ def test_invariant_bases_are_solved_once_and_die_with_the_group():
     """One basis per (action, representation), kept no longer than the group."""
     group = GroupModel.su2()
     algebra = spinor_algebra(group)
-    kreps = [TrivialKRep(group), TangentKRep(group), CliffordKRep(group, algebra),
-             tangent_bundle(group).krep]
+    kreps = [TrivialKRep(group), CliffordKRep(group, algebra), tangent_bundle(group).krep]
     reps = [spin_rep(group, 1), spin_rep(group, 2)]  # the group keeps them only while we do
     kept = []
     for krep in kreps:
@@ -283,6 +276,26 @@ def test_a_spectrum_run_leaves_no_spin_rep_on_the_group(monkeypatch):
     (group,) = made
     assert len(rows) == 2 + sum(4 * (2 * level + 1) for level in range(1, 21))
     assert len(group.memo("spin_reps", weakref.WeakValueDictionary)) == 0
+
+
+def test_a_finished_run_frees_its_group(monkeypatch):
+    """No command leaves its group reachable once it returns: after one cyclic collection,
+    every group a verify, spectrum or monopole run built is gone."""
+    made = []  # a weak reference to each group a run builds
+    make = RunConfig.make_group
+
+    def tracked(self):
+        group = make(self)
+        made.append(weakref.ref(group))
+        return group
+    monkeypatch.setattr(RunConfig, "make_group", tracked)
+    run_verify(RunConfig(sample_count=10))
+    run_verify(RunConfig(bundle="monopole", charge=2, sample_count=10))
+    run_spectrum(RunConfig(levels=2))
+    run_monopole(RunConfig(sample_count=5))
+    assert len(made) == 4
+    gc.collect()
+    assert [r() for r in made] == [None] * 4
 
 
 def test_a_verify_run_builds_each_representation_once(monkeypatch):
